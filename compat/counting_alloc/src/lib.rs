@@ -19,8 +19,8 @@
 //!
 //! Beyond the window counters, the allocator tracks **live bytes** (a
 //! running alloc-minus-dealloc balance) and its **high-water mark** —
-//! an RSS proxy the `bench_scale` harness uses to gate peak memory per
-//! tenant. Use [`reset_peak`] at a measurement boundary and
+//! an RSS proxy the `benchmark/` crate reads for its peak-memory and
+//! bytes-per-tenant metrics. Use [`reset_peak`] at a measurement boundary and
 //! [`peak_live_bytes`] after the workload.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -132,7 +132,8 @@ pub fn live_bytes() -> i64 {
 }
 
 /// High-water mark of [`live_bytes`] since the last [`reset_peak`] (or
-/// thread start). The `bench_scale` RSS-per-tenant gate reads this.
+/// thread start). The `benchmark/` crate's bytes-per-tenant metric reads
+/// this.
 pub fn peak_live_bytes() -> i64 {
     PEAK_LIVE.with(|c| c.get())
 }

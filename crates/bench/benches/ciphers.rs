@@ -38,8 +38,9 @@ fn bench_block_ciphers(c: &mut Criterion) {
 fn bench_batched(c: &mut Criterion) {
     // The multi-block kernels behind `ecb_*`, CTR slab refill, and batched
     // CBC decrypt (4-lane interleaved Blowfish / table-driven DES sweeps).
-    // `bench_hotpath` measures these against the per-block baselines; this
-    // leg keeps them under `cargo bench -- --test` smoke coverage.
+    // `crates/crypto/tests/batched_equivalence.rs` pins them to the
+    // per-block path; this leg times them and keeps them under
+    // `cargo bench -- --test` smoke coverage.
     let mut group = c.benchmark_group("cipher_batched");
     let data = vec![0x5Au8; MB];
     group.throughput(Throughput::Bytes(MB as u64));

@@ -11,8 +11,8 @@
 //! * `link_flap_partial` — chaos-style link flaps on a background flow
 //!   set; the epoch solver re-solves only flows crossing the dirtied link.
 //!
-//! `BENCH_fluid.json` (checked in at the repo root) snapshots the same
-//! scenarios through `src/bin/bench_fluid.rs` for CI regression checks.
+//! End to end, the `benchmark/` crate times the same solver through the
+//! `harness.table3_udr` and `chaos.campaign` per-layer metrics.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use osdc_net::{

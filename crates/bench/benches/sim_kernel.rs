@@ -37,8 +37,7 @@ fn bench_engine(c: &mut Criterion) {
     });
     group.bench_function("hold_steady_depth_10k", |b| {
         // Constant queue depth: every delivery re-schedules itself, so the
-        // calendar queue's day-scan and bucket reuse dominate (the regime
-        // `bench_hotpath`'s scheduler scenarios measure).
+        // calendar queue's day-scan and bucket reuse dominate.
         struct Hold;
         impl Simulation for Hold {
             type Event = Ev;

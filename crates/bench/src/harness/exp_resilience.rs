@@ -16,8 +16,8 @@
 //!
 //! Flags: `--quick` (shorter campaign, used by CI), `--trace <path>`
 //! (emit the telemetry JSONL artifact for the canonical cell),
-//! `--tick-compat` / `--reference-solver` (fluid-solver mode; the default
-//! is the fast epoch mode), `--jobs <N>` (run the sweep cells on N
+//! `--tick-compat` (fluid-solver mode; the default is the fast epoch
+//! mode), `--jobs <N>` (run the sweep cells on N
 //! workers of the deterministic scenario runner — output is
 //! byte-identical for any N; default: host parallelism).
 

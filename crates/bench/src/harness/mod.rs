@@ -1,12 +1,13 @@
 //! In-process harness entry points and the shared emission path.
 //!
-//! Every `exp_*`/`figure*`/`table*` binary is a thin wrapper around a
-//! module here: its body takes a [`HarnessCtx`] and routes *all* output
-//! through it — stdout via the [`out!`]/[`outln!`] macros, file
-//! artifacts via [`HarnessCtx::emit_artifact`]/[`HarnessCtx::finish_trace`].
-//! That single code path is what makes every harness replayable:
+//! Every experiment is a module here, run by name through the `exp`
+//! binary (`exp table3_udr --jobs 2`): its body takes a [`HarnessCtx`]
+//! and routes *all* output through it — stdout via the [`out!`]/[`outln!`]
+//! macros, file artifacts via
+//! [`HarnessCtx::emit_artifact`]/[`HarnessCtx::finish_trace`]. That single
+//! code path is what makes every harness replayable:
 //!
-//! * **live** (the binary's `main`): output tees to the real stdout,
+//! * **live** (`exp <name>`): output tees to the real stdout,
 //!   artifacts land on disk, and `--manifest <path>` writes a
 //!   [`Manifest`] pinning the SHA-256 of everything emitted;
 //! * **captured** (`exp_replay`): the same body runs in-process with
@@ -72,7 +73,7 @@ pub struct HarnessCtx {
 }
 
 impl HarnessCtx {
-    /// Context for a live binary run: output tees to stdout, artifacts
+    /// Context for a live `exp` run: output tees to stdout, artifacts
     /// land on disk.
     pub fn live(experiment: &str, args: Vec<String>) -> HarnessCtx {
         HarnessCtx {
@@ -143,17 +144,14 @@ impl HarnessCtx {
         jobs
     }
 
-    /// Parse the shared fluid-solver flags (recording the mode used).
+    /// Parse the shared fluid-solver flag (recording the mode used).
     pub fn solver_mode(&mut self) -> osdc_net::SolverMode {
         let mode = solver_mode_from(&self.args);
-        self.recorder
-            .set_solver(if self.has_flag("--reference-solver") {
-                "reference"
-            } else if self.has_flag("--tick-compat") {
-                "tick-compat"
-            } else {
-                "epoch"
-            });
+        self.recorder.set_solver(if self.has_flag("--tick-compat") {
+            "tick-compat"
+        } else {
+            "epoch"
+        });
         mode
     }
 
@@ -223,7 +221,7 @@ impl HarnessCtx {
     /// host-dependent chatter). Never captured, never hashed.
     pub fn note(&self, message: &str) {
         if self.live {
-            println!("{message}");
+            write_stdout(format!("{message}\n").as_bytes());
         }
     }
 
@@ -239,9 +237,7 @@ impl HarnessCtx {
         s.write_fmt(args).expect("formatting never fails");
         self.captured.extend_from_slice(s.as_bytes());
         if self.live {
-            std::io::stdout()
-                .write_all(s.as_bytes())
-                .expect("stdout write");
+            write_stdout(s.as_bytes());
         }
     }
 
@@ -256,6 +252,19 @@ impl HarnessCtx {
         let mut raw = vec![("stdout".to_string(), self.captured.clone())];
         raw.extend(self.raw_artifacts);
         (self.recorder.finish(&self.captured), raw)
+    }
+}
+
+/// Write live output to the real stdout. A closed stdout (the reader of
+/// `exp table1_csp | head -1` has gone away) ends the run with status 1
+/// instead of a panic: nobody reads the rest, and a run cut short has not
+/// passed.
+fn write_stdout(bytes: &[u8]) {
+    if let Err(e) = std::io::stdout().lock().write_all(bytes) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("cannot write to stdout: {e}");
+        }
+        std::process::exit(1);
     }
 }
 
@@ -286,8 +295,7 @@ pub struct HarnessSpec {
     pub run: fn(&mut HarnessCtx) -> RunResult,
 }
 
-/// Every replayable harness. `bench_*` binaries measure wall clock and
-/// are deliberately absent: their output is machine-dependent.
+/// Every harness: what `exp <name>` runs and `exp_replay` replays.
 pub static REGISTRY: &[HarnessSpec] = &[
     HarnessSpec {
         name: "table1_csp",
@@ -425,29 +433,6 @@ pub fn split_manifest_flag(args: &[String]) -> (Vec<String>, Option<PathBuf>) {
         }
     }
     (rest, path)
-}
-
-/// The shared `main` of every harness binary: run the named harness
-/// live, honour `--manifest <path>`, exit nonzero on failure.
-pub fn main_entry(name: &str) -> ! {
-    let spec = find(name).unwrap_or_else(|| panic!("harness {name:?} not in REGISTRY"));
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (args, manifest_path) = split_manifest_flag(&argv);
-    let mut ctx = HarnessCtx::live(name, args);
-    let outcome = (spec.run)(&mut ctx);
-    let manifest = ctx.finish();
-    if let Err(Failure(message)) = outcome {
-        eprintln!("\nFAIL: {message}");
-        std::process::exit(1);
-    }
-    if let Some(path) = manifest_path {
-        if let Err(e) = std::fs::write(&path, manifest.to_json()) {
-            eprintln!("cannot write manifest to {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("manifest written to {}", path.display());
-    }
-    std::process::exit(0);
 }
 
 /// The outcome of one in-process captured run.

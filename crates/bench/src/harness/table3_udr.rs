@@ -11,9 +11,8 @@
 //! throughput traces into a telemetry JSONL artifact, plus a federation
 //! ops report on stdout. Same-seed runs produce byte-identical artifacts.
 //!
-//! Solver flags: `--tick-compat` runs the epoch solver pinned to
-//! byte-identical pre-epoch output; `--reference-solver` runs the original
-//! per-tick solver; the default is the fast epoch mode.
+//! Solver flag: `--tick-compat` runs the epoch solver pinned to
+//! byte-identical pre-epoch output; the default is the fast epoch mode.
 //!
 //! `--jobs <N>` runs the ten grid cells on N workers of the deterministic
 //! scenario runner (default: host parallelism, `--jobs 1` = the serial

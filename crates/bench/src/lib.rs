@@ -1,29 +1,19 @@
-//! Shared output helpers for the table/figure harnesses.
+//! The paper's experiment harnesses and the helpers they share.
 //!
-//! Every `src/bin/*` harness regenerates one table or figure of the
+//! Every [`harness`] module regenerates one table, figure or claim of the
 //! paper and prints it in the same rows/columns the paper uses, plus the
-//! paper's published values for side-by-side comparison. The helpers
-//! here keep that output consistent.
+//! paper's published values for side-by-side comparison; `exp <name>`
+//! runs one, and [`manifest`] pins what it printed so `exp_replay` can
+//! verify it. The helpers here keep that output and the shared flags
+//! consistent.
 //!
 //! [`scale`] holds the shared tenant-scale workload driven by both
-//! `exp_scale` (correctness + determinism) and `bench_scale` (wall
-//! clock + peak memory).
+//! `exp_scale` (correctness + determinism) and the repository's
+//! `benchmark/` crate (wall clock + peak memory).
 
 pub mod harness;
 pub mod manifest;
 pub mod scale;
-
-/// Print a harness banner naming the artifact being regenerated.
-pub fn banner(artifact: &str, description: &str) {
-    println!("{}", "=".repeat(78));
-    println!("{artifact} — {description}");
-    println!("{}", "=".repeat(78));
-}
-
-/// Print a seed line so any run can be replayed.
-pub fn seed_line(seed: u64) {
-    println!("(deterministic run, seed = {seed})\n");
-}
 
 /// Render one row of a fixed-width table.
 pub fn row(cells: &[&str], widths: &[usize]) -> String {
@@ -33,11 +23,6 @@ pub fn row(cells: &[&str], widths: &[usize]) -> String {
         .map(|(c, w)| format!("{c:>w$}", w = w))
         .collect::<Vec<_>>()
         .join("  ")
-}
-
-/// A `measured vs paper` comparison cell like `752 (paper 752)`.
-pub fn vs(measured: f64, paper: f64, unit: &str) -> String {
-    format!("{measured:.0}{unit} (paper {paper:.0}{unit})")
 }
 
 /// Parse `--trace <path>` out of an argument list (the harnesses' shared
@@ -58,17 +43,12 @@ pub fn trace_path_from(args: &[String]) -> Option<std::path::PathBuf> {
     None
 }
 
-/// [`trace_path_from`] over the process arguments.
-pub fn trace_path() -> Option<std::path::PathBuf> {
-    trace_path_from(&std::env::args().skip(1).collect::<Vec<_>>())
-}
-
 /// Parse the harnesses' shared `--jobs <N>` flag out of an argument list.
 ///
 /// `N` is the worker count for the deterministic scenario runner
 /// (`osdc_sim::Runner`); artifacts are byte-identical for any value.
 /// Absent the flag, harnesses default to the host's parallelism
-/// ([`osdc_sim::available_jobs`]); timing-sensitive benches default to 1.
+/// ([`osdc_sim::available_jobs`]).
 pub fn jobs_from(args: &[String], default: usize) -> usize {
     let parse = |s: &str| -> usize {
         s.parse().unwrap_or_else(|_| {
@@ -92,44 +72,15 @@ pub fn jobs_from(args: &[String], default: usize) -> usize {
     default.max(1)
 }
 
-/// [`jobs_from`] over the process arguments, defaulting to the host's
-/// available parallelism.
-pub fn jobs() -> usize {
-    jobs_from(
-        &std::env::args().skip(1).collect::<Vec<_>>(),
-        osdc_sim::available_jobs(),
-    )
-}
-
-/// Parse the harnesses' shared fluid-solver flags out of an argument list:
+/// Parse the harnesses' shared fluid-solver flag out of an argument list:
 /// `--tick-compat` selects the epoch solver pinned to byte-identical
-/// pre-epoch output, `--reference-solver` the original per-tick solver,
-/// and neither selects the default epoch mode.
+/// pre-epoch output, and its absence the default epoch mode.
 pub fn solver_mode_from(args: &[String]) -> osdc_net::SolverMode {
-    if args.iter().any(|a| a == "--reference-solver") {
-        osdc_net::SolverMode::Reference
-    } else if args.iter().any(|a| a == "--tick-compat") {
+    if args.iter().any(|a| a == "--tick-compat") {
         osdc_net::SolverMode::TICK_COMPAT
     } else {
         osdc_net::SolverMode::DEFAULT
     }
-}
-
-/// [`solver_mode_from`] over the process arguments.
-pub fn solver_mode() -> osdc_net::SolverMode {
-    solver_mode_from(&std::env::args().skip(1).collect::<Vec<_>>())
-}
-
-/// Write the telemetry JSONL artifact and print the ops report — the
-/// shared tail of every `--trace`-capable harness.
-pub fn finish_trace(tele: &osdc_telemetry::Telemetry, path: &std::path::Path) {
-    tele.export_jsonl_to(path).unwrap_or_else(|e| {
-        eprintln!("cannot write trace to {}: {e}", path.display());
-        std::process::exit(1);
-    });
-    println!();
-    print!("{}", tele.ops_report());
-    println!("trace written to {}", path.display());
 }
 
 #[cfg(test)]
@@ -140,11 +91,6 @@ mod tests {
     fn row_alignment() {
         let r = row(&["a", "bb"], &[3, 4]);
         assert_eq!(r, "  a    bb");
-    }
-
-    #[test]
-    fn vs_formatting() {
-        assert_eq!(vs(751.6, 752.0, ""), "752 (paper 752)");
     }
 
     #[test]

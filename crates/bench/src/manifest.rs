@@ -10,11 +10,11 @@
 //! JSON through the serde compat shims, so they diff cleanly in review
 //! and round-trip exactly.
 //!
-//! Emission is one code path for all twenty-odd harnesses: every
-//! `exp_*`/`figure*`/`table*` binary routes its output through a
-//! [`crate::harness::HarnessCtx`], whose embedded [`ManifestRecorder`]
-//! accumulates the pins as the run prints and writes artifacts. Passing
-//! `--manifest <path>` to any harness writes the manifest; the
+//! Emission is one code path for all eighteen harnesses: every harness
+//! routes its output through a [`crate::harness::HarnessCtx`], whose
+//! embedded [`ManifestRecorder`] accumulates the pins as the run prints
+//! and writes artifacts. Passing `--manifest <path>` to
+//! `exp <name>` writes the manifest; the
 //! `exp_replay` binary loads manifests back, re-runs the named
 //! experiment in-process and diffs every declared hash.
 //!
@@ -92,7 +92,7 @@ pub struct Manifest {
     /// The harness's base RNG seed, when it has one.
     pub seed: Option<u64>,
     /// Fluid-solver mode for solver-aware harnesses
-    /// (`epoch` / `tick-compat` / `reference`).
+    /// (`epoch` / `tick-compat`).
     pub solver: Option<String>,
     /// Worker count of the deterministic scenario runner. Artifacts are
     /// byte-identical for any value; recorded for fidelity.

@@ -1,7 +1,7 @@
 //! Shared workload for the tenant-scale pass: `exp_scale` (determinism
-//! and correctness) and `bench_scale` (wall clock and peak memory) must
-//! bill the *same* randomized world, so the schedule generator and the
-//! two billing drivers live here.
+//! and correctness) and the `benchmark/` crate's `tenant_month` workload
+//! (wall clock and peak memory) must bill the *same* randomized world, so
+//! the schedule generator and the two billing drivers live here.
 //!
 //! A [`Schedule`] is a cell's complete tenant-activity history: compute
 //! churn (start/stop/resize core deltas) and storage ingest (byte
@@ -146,15 +146,6 @@ pub fn sweep_invoices(s: &Schedule, rates: Rates) -> Vec<Vec<Invoice>> {
     }
     batches.push(svc.close_month());
     batches
-}
-
-/// The number of poll/sweep samples the sweep cadence performs for a
-/// schedule — the per-tenant-minute event count the increment mode
-/// retires.
-pub fn sweep_event_count(s: &Schedule) -> u64 {
-    let minutes = s.horizon_min + 1;
-    let days = (s.horizon_min * NANOS_PER_MIN) / NANOS_PER_DAY + 1;
-    s.names.len() as u64 * (minutes + days)
 }
 
 /// Exact digest of an invoice batch stream: every `f64` enters as its

@@ -5,12 +5,15 @@
 //! or checked-in manifests would silently drift. The process tests drive
 //! the real `exp_replay` binary: a faithful manifest must replay clean,
 //! a tampered hash must fail naming the diverging artifact, and
-//! `OSDC_UPDATE_SNAPSHOTS=1` must rewrite instead of fail.
+//! `OSDC_UPDATE_SNAPSHOTS=1` must rewrite instead of fail. They also drive
+//! the real `exp` binary: a live run records the checked-in manifest, a
+//! missing or unknown harness name is a usage error that lists the
+//! registry, and a closed stdout ends the run without a panic.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
-use osdc_bench::harness::{find, run_captured};
+use osdc_bench::harness::{find, run_captured, REGISTRY};
 use osdc_bench::manifest::{ArtifactPin, Manifest};
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -152,4 +155,75 @@ fn unknown_experiment_is_rejected() {
         "must name the unknown experiment"
     );
     std::fs::remove_file(path).ok();
+}
+
+// ------------------------------------------------------------ exp <name>
+
+fn exp() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_exp"))
+}
+
+#[test]
+fn live_run_records_the_checked_in_manifest() {
+    let path = std::env::temp_dir().join(format!("osdc_exp_live_{}.json", std::process::id()));
+    let out = exp()
+        .args(["table1_csp", "--manifest"])
+        .arg(&path)
+        .output()
+        .expect("exp runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let live = std::fs::read_to_string(&path).expect("exp wrote the manifest");
+    let pinned = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../data/manifests/table1_csp.json"
+    ))
+    .expect("checked-in manifest");
+    assert_eq!(live, pinned, "live run must record the checked-in pins");
+    std::fs::remove_file(path).ok();
+}
+
+/// A usage error: exit status 2 and every registered harness listed
+/// with its title on stderr.
+fn assert_lists_registry(args: &[&str]) -> String {
+    let out = exp().args(args).output().expect("exp runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "exp {args:?}:\n{stderr}");
+    assert!(out.stdout.is_empty(), "usage goes to stderr");
+    for spec in REGISTRY {
+        assert!(
+            stderr.contains(spec.name) && stderr.contains(spec.title),
+            "exp {args:?} must list {}:\n{stderr}",
+            spec.name
+        );
+    }
+    stderr
+}
+
+#[test]
+fn missing_harness_name_lists_the_registry() {
+    assert_lists_registry(&[]);
+}
+
+#[test]
+fn unknown_harness_name_lists_the_registry() {
+    let stderr = assert_lists_registry(&["table9_nonexistent", "--quick"]);
+    assert!(stderr.contains("\"table9_nonexistent\""), "{stderr}");
+}
+
+#[test]
+fn closed_stdout_ends_the_run_without_a_panic() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = exp()
+        .arg("table1_csp")
+        .stdout(Stdio::from(writer))
+        .output()
+        .expect("exp runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
 }

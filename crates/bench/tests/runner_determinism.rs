@@ -3,10 +3,10 @@
 //! `--trace` JSONL artifact must be byte-identical for any worker count —
 //! not merely equivalent, identical.
 //!
-//! The heavyweight checks spawn the real harness binaries (Cargo exports
-//! their paths as `CARGO_BIN_EXE_*` to integration tests) across
+//! The heavyweight checks spawn the real `exp` binary (Cargo exports its
+//! path as `CARGO_BIN_EXE_exp` to integration tests) across
 //! jobs ∈ {1, 2, 8} and byte-compare everything; the in-process checks
-//! pin the telemetry shard-merge algebra the binaries rely on.
+//! pin the telemetry shard-merge algebra the binary relies on.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -18,21 +18,22 @@ struct HarnessRun {
     trace: Vec<u8>,
 }
 
-/// Run a harness binary with `--jobs <jobs> --trace <tmp>` plus `extra`
+/// Run `exp <harness>` with `--jobs <jobs> --trace <tmp>` plus `extra`
 /// args, capturing stdout and the trace artifact. The trace path is
 /// identical across runs (it appears in stdout).
-fn run_harness(exe: &str, extra: &[&str], jobs: usize, trace: &PathBuf) -> HarnessRun {
-    let output = Command::new(exe)
+fn run_harness(harness: &str, extra: &[&str], jobs: usize, trace: &PathBuf) -> HarnessRun {
+    let output = Command::new(env!("CARGO_BIN_EXE_exp"))
+        .arg(harness)
         .args(extra)
         .arg("--jobs")
         .arg(jobs.to_string())
         .arg("--trace")
         .arg(trace)
         .output()
-        .unwrap_or_else(|e| panic!("cannot spawn {exe}: {e}"));
+        .unwrap_or_else(|e| panic!("cannot spawn exp {harness}: {e}"));
     assert!(
         output.status.success(),
-        "{exe} --jobs {jobs} failed:\n{}",
+        "exp {harness} --jobs {jobs} failed:\n{}",
         String::from_utf8_lossy(&output.stderr)
     );
     let artifact = std::fs::read(trace).expect("harness wrote the trace artifact");
@@ -42,25 +43,24 @@ fn run_harness(exe: &str, extra: &[&str], jobs: usize, trace: &PathBuf) -> Harne
     }
 }
 
-fn assert_jobs_invariant(exe: &str, extra: &[&str]) {
-    let dir = std::env::temp_dir();
-    let name = PathBuf::from(exe)
-        .file_name()
-        .expect("exe has a name")
-        .to_string_lossy()
-        .into_owned();
-    let trace = dir.join(format!("osdc_runner_determinism_{name}.jsonl"));
-    let baseline = run_harness(exe, extra, 1, &trace);
-    assert!(!baseline.trace.is_empty(), "{name}: empty trace artifact");
+/// The tests run concurrently, so each names its trace file after its
+/// harness.
+fn assert_jobs_invariant(harness: &str, extra: &[&str]) {
+    let trace = std::env::temp_dir().join(format!("osdc_runner_determinism_{harness}.jsonl"));
+    let baseline = run_harness(harness, extra, 1, &trace);
+    assert!(
+        !baseline.trace.is_empty(),
+        "{harness}: empty trace artifact"
+    );
     for jobs in [2usize, 8] {
-        let run = run_harness(exe, extra, jobs, &trace);
+        let run = run_harness(harness, extra, jobs, &trace);
         assert_eq!(
             run.stdout, baseline.stdout,
-            "{name}: stdout differs between --jobs 1 and --jobs {jobs}"
+            "{harness}: stdout differs between --jobs 1 and --jobs {jobs}"
         );
         assert_eq!(
             run.trace, baseline.trace,
-            "{name}: trace artifact differs between --jobs 1 and --jobs {jobs}"
+            "{harness}: trace artifact differs between --jobs 1 and --jobs {jobs}"
         );
     }
     let _ = std::fs::remove_file(&trace);
@@ -68,17 +68,17 @@ fn assert_jobs_invariant(exe: &str, extra: &[&str]) {
 
 #[test]
 fn table3_artifacts_are_jobs_invariant() {
-    assert_jobs_invariant(env!("CARGO_BIN_EXE_table3_udr"), &[]);
+    assert_jobs_invariant("table3_udr", &[]);
 }
 
 #[test]
 fn resilience_quick_artifacts_are_jobs_invariant() {
-    assert_jobs_invariant(env!("CARGO_BIN_EXE_exp_resilience"), &["--quick"]);
+    assert_jobs_invariant("exp_resilience", &["--quick"]);
 }
 
 #[test]
 fn sharing_quick_artifacts_are_jobs_invariant() {
-    assert_jobs_invariant(env!("CARGO_BIN_EXE_exp_sharing"), &["--quick"]);
+    assert_jobs_invariant("exp_sharing", &["--quick"]);
 }
 
 /// One synthetic scenario shard: spans, points and all three metric
