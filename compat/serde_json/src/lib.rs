@@ -314,13 +314,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 is passed through; find the char at
-                    // this byte position.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run of plain bytes up to the next quote or
+                    // escape at once. Both are ASCII, so the run ends on a
+                    // char boundary and multi-byte UTF-8 passes through;
+                    // validating only the run keeps parsing linear in the
+                    // input length.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| Error::custom("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty checked above");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -521,6 +526,15 @@ mod tests {
         assert!(from_str::<Value>("[1,]").is_err());
         assert!(from_str::<Value>("12 34").is_err());
         assert!(from_str::<Value>("\"open").is_err());
+    }
+
+    #[test]
+    fn long_strings_keep_multibyte_chars_and_escapes() {
+        let text = "Lagoon → Sullivan, 100 µs \"quoted\" \\ tab\t".repeat(2_000);
+        let v = json!({"s": text.clone(), "t": ["é", "日本", ""]});
+        let back: Value = from_str(&to_string(&v).expect("serializes")).expect("parses");
+        assert_eq!(back["s"], text.as_str());
+        assert_eq!(back, v);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Differential driver for billing (§6.4): the live service against a
 //! from-scratch re-bill of the event log, plus the two policy
 //! invariants the paper's pricing rules imply — cadence independence
-//! (where a poll lands inside its minute must not change the bill) and
+//! (where a delta lands between two polls must not change the bill) and
 //! free-tier monotonicity (raising the allowance never raises a bill).
 
 use osdc_audit::{drive, BillingOp, BillingOracle};
@@ -38,18 +38,20 @@ fn rates(idx: usize) -> Rates {
 fn op_strategy() -> impl Strategy<Value = BillingOp> {
     prop_oneof![
         6 => (0usize..3, 0u32..6, 0u64..600, 0u64..60)
-            .prop_map(|(u, cores, mins, secs)| BillingOp::Poll {
+            .prop_map(|(u, cores, mins, secs)| BillingOp::Cores {
                 user: user(u),
                 cores,
                 at: at(mins, secs),
             }),
         3 => (0usize..3, 0u64..4_000_000_000_000u64, 0u64..10, 0u64..86_400)
-            .prop_map(|(u, bytes, day, secs)| BillingOp::Sweep {
+            .prop_map(|(u, bytes, day, secs)| BillingOp::Stored {
                 user: user(u),
                 bytes,
                 at: at(day * 24 * 60, secs),
             }),
-        1 => Just(BillingOp::Close),
+        1 => (0u64..600, 0u64..60).prop_map(|(mins, secs)| BillingOp::Close {
+            at: at(mins, secs),
+        }),
     ]
 }
 
@@ -61,10 +63,10 @@ proptest! {
         rate_idx in 0usize..3,
         mut ops in prop::collection::vec(op_strategy(), 0..120),
     ) {
-        // Delivery order is arbitrary: the dedup cursor rejects replays
-        // and late samples identically on both sides, so out-of-order
-        // logs are part of the contract being checked.
-        ops.push(BillingOp::Close);
+        // Delivery order is arbitrary: duplicates and deltas earlier than
+        // their user's billed-through point are part of the contract
+        // being checked. The final close lands past every instant drawn.
+        ops.push(BillingOp::Close { at: at(10 * 24 * 60, 0) });
         let (mut service, mut oracle) = BillingOracle::paired(rates(rate_idx));
         let report = drive(&mut oracle, &mut service, &ops);
         prop_assert!(report.is_clean(), "{}", report.summary());
@@ -73,42 +75,42 @@ proptest! {
 
     #[test]
     fn billing_is_cadence_independent(
-        minutes in prop::collection::vec(0u64..5000, 1..80),
-        cores in 1u32..9,
-        offset_a in 0u64..60,
-        offset_b in 0u64..60,
+        spans in prop::collection::vec((0u64..5000, 0u32..9), 1..80),
+        offset_a in 1u64..60,
+        offset_b in 1u64..60,
     ) {
-        // The same per-minute samples, landing at second `offset_a` vs
-        // `offset_b` within their minute, must price identically.
-        let mut minutes = minutes;
-        minutes.sort_unstable();
-        minutes.dedup();
+        // The same resizes, landing at second `offset_a` vs `offset_b` of
+        // their minute, take effect at the same next poll and must price
+        // identically.
+        let mut spans = spans;
+        spans.sort_by_key(|&(m, _)| m);
+        let end = spans.last().map_or(0, |&(m, _)| m) + 60;
         let bill = |offset: u64| {
             let (mut service, mut oracle) = BillingOracle::paired(Rates::default());
-            let ops: Vec<BillingOp> = minutes
+            let ops: Vec<BillingOp> = spans
                 .iter()
-                .map(|&m| BillingOp::Poll {
+                .map(|&(m, cores)| BillingOp::Cores {
                     user: "alice".into(),
                     cores,
                     at: at(m, offset),
                 })
-                .chain(std::iter::once(BillingOp::Close))
+                .chain(std::iter::once(BillingOp::Close { at: at(end, 0) }))
                 .collect();
             let report = drive(&mut oracle, &mut service, &ops);
             prop_assert!(report.is_clean(), "{}", report.summary());
-            service.invoice_history("alice").last().expect("invoice").total_usd
+            service.invoice_history("alice").last().map_or(0.0, |inv| inv.total_usd)
         };
         prop_assert_eq!(bill(offset_a), bill(offset_b));
     }
 
     #[test]
     fn free_tier_is_monotone(
-        polls in prop::collection::vec((0u64..2000, 1u32..9), 1..60),
+        spans in prop::collection::vec((0u64..2000, 1u32..9), 1..60),
         tiers in prop::collection::vec(0.0f64..50.0, 2..5),
     ) {
         // A larger free allowance can only lower (never raise) the bill.
-        let mut polls = polls;
-        polls.sort_by_key(|&(m, _)| m);
+        let mut spans = spans;
+        spans.sort_by_key(|&(m, _)| m);
         let mut tiers = tiers;
         tiers.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let mut last_total = f64::INFINITY;
@@ -119,14 +121,14 @@ proptest! {
                 free_core_hours: free,
                 free_tb_days: 0.0,
             });
-            let ops: Vec<BillingOp> = polls
+            let ops: Vec<BillingOp> = spans
                 .iter()
-                .map(|&(m, cores)| BillingOp::Poll {
+                .map(|&(m, cores)| BillingOp::Cores {
                     user: "alice".into(),
                     cores,
                     at: at(m, 0),
                 })
-                .chain(std::iter::once(BillingOp::Close))
+                .chain(std::iter::once(BillingOp::Close { at: at(2000, 0) }))
                 .collect();
             let report = drive(&mut oracle, &mut service, &ops);
             prop_assert!(report.is_clean(), "{}", report.summary());
@@ -146,56 +148,48 @@ proptest! {
     }
 }
 
-/// Month-boundary replay, double sweeps and zero-usage users, pinned as
-/// a deterministic sequence (the bugs the oracle originally caught).
+/// Duplicate deliveries, late deltas across a close, a double storage
+/// report in one day and a zero-usage user, pinned as a deterministic
+/// sequence.
 #[test]
-fn boundary_replays_and_double_sweeps_agree() {
+fn duplicate_and_late_deltas_agree() {
     let (mut service, mut oracle) = BillingOracle::paired(rates(1));
     let tb = 1_000_000_000_000u64;
+    let cores = |user: &str, cores: u32, at: SimTime| BillingOp::Cores {
+        user: user.into(),
+        cores,
+        at,
+    };
+    let stored = |user: &str, bytes: u64, at: SimTime| BillingOp::Stored {
+        user: user.into(),
+        bytes,
+        at,
+    };
     let ops = vec![
-        BillingOp::Poll {
-            user: "alice".into(),
-            cores: 4,
-            at: at(100, 0),
-        },
-        // Same-minute retry: must not double-bill.
-        BillingOp::Poll {
-            user: "alice".into(),
-            cores: 4,
-            at: at(100, 30),
-        },
-        // Same-day double sweep: one TB-day, not two.
-        BillingOp::Sweep {
-            user: "bob".into(),
-            bytes: tb,
-            at: at(0, 0),
-        },
-        BillingOp::Sweep {
-            user: "bob".into(),
-            bytes: tb,
-            at: at(6 * 60, 0),
-        },
+        cores("alice", 4, at(100, 0)),
+        // The same delta delivered twice: a no-op.
+        cores("alice", 4, at(100, 0)),
+        // Two storage reports in one day: one TB-day per day, not two.
+        stored("bob", tb, at(0, 0)),
+        stored("bob", tb, at(6 * 60, 0)),
         // Idle users never enter the cycle.
-        BillingOp::Poll {
-            user: "ghost".into(),
-            cores: 0,
-            at: at(100, 0),
+        cores("ghost", 0, at(100, 0)),
+        BillingOp::Close { at: at(120, 0) },
+        // A delta from before the close arrives after it: it takes effect
+        // at minute 120, and minutes [100, 120) are not billed again.
+        cores("alice", 8, at(110, 30)),
+        cores("alice", 0, at(150, 0)),
+        BillingOp::Close {
+            at: at(2 * 24 * 60, 0),
         },
-        BillingOp::Close,
-        // The boundary replay: minute 100 again after the close.
-        BillingOp::Poll {
-            user: "alice".into(),
-            cores: 4,
-            at: at(100, 45),
-        },
-        BillingOp::Poll {
-            user: "alice".into(),
-            cores: 4,
-            at: at(101, 0),
-        },
-        BillingOp::Close,
     ];
     let report = drive(&mut oracle, &mut service, &ops);
     assert!(report.is_clean(), "{}", report.summary());
-    osdc_telemetry::audit::assert_clean("billing boundary differential");
+    let alice = service.invoice_history("alice");
+    assert_eq!(alice[0].core_hours * 60.0, 4.0 * 20.0);
+    assert_eq!(alice[1].core_hours * 60.0, 8.0 * 30.0);
+    let bob = service.invoice_history("bob");
+    assert_eq!(bob.iter().map(|inv| inv.tb_days).sum::<f64>(), 2.0);
+    assert!(service.invoice_history("ghost").is_empty());
+    osdc_telemetry::audit::assert_clean("billing duplicate/late differential");
 }

@@ -1,25 +1,25 @@
-//! Differential proptest for increment-mode billing: random instance
+//! Differential proptest for event-driven billing: random instance
 //! start/stop/resize and PUT/DELETE delta schedules with arbitrary
-//! month-close instants, driven three ways —
+//! month-close instants, billed three ways —
 //!
-//! 1. the paper's literal cadence (per-minute polls + daily sweeps)
-//!    through a plain [`BillingService`],
-//! 2. the same poll stream through the [`BillingOracle`] re-bill (so the
-//!    sweep baseline itself is shadowed by the from-scratch log replay),
-//! 3. the new O(deltas) increment mode (`record_cores` /
-//!    `record_stored` / `close_month_at`).
+//! 1. the paper's literal cadence (per-minute polls + daily sweeps), as
+//!    `osdc-audit`'s reference [`replay`] expands the event log,
+//! 2. the same log through the [`BillingOracle`], which forwards every
+//!    op to a live service and re-bills the log after each one,
+//! 3. the service's O(deltas) id API (`record_cores_id` /
+//!    `record_stored_id` / `close_month_at`).
 //!
 //! Every invoice batch must be **byte-identical** across all three:
 //! `Invoice` comparison is exact `f64` equality, so even a one-ulp
 //! rounding divergence in the fold fails the property.
 
+use osdc_audit::billing_oracle::replay;
 use osdc_audit::{drive, BillingOp, BillingOracle};
-use osdc_sim::SimTime;
+use osdc_sim::{SimTime, TenantId};
 use osdc_tukey::billing::{BillingService, Invoice, Rates};
 use proptest::prelude::*;
 
 const NANOS_PER_MIN: u64 = 60_000_000_000;
-const NANOS_PER_DAY: u64 = 86_400 * 1_000_000_000;
 
 #[derive(Clone, Debug)]
 enum Delta {
@@ -42,96 +42,55 @@ struct Schedule {
     horizon_min: u64,
 }
 
-/// The sweep baseline as a `BillingOp` stream: polls each minute and
-/// sweeps each day sample the rates in force at that instant. Event
-/// ordering at equal timestamps is deltas → closes → polls, matching
-/// how `close_month_at` treats a poll landing exactly on the close
-/// instant (it bills into the next month).
-fn baseline_ops(s: &Schedule) -> Vec<BillingOp> {
-    let mut ops = Vec::new();
-    let mut cores = vec![0u32; s.users.len()];
-    let mut bytes = vec![0u64; s.users.len()];
-    let mut di = 0;
-    let mut ci = 0;
-    for m in 0..=s.horizon_min {
-        let t = m * NANOS_PER_MIN;
-        while ci < s.closes.len() && s.closes[ci] <= t {
-            ops.push(BillingOp::Close);
-            ci += 1;
-        }
-        while di < s.deltas.len() && s.deltas[di].0 <= t {
-            let (_, u, ref d) = s.deltas[di];
-            match *d {
-                Delta::Cores(c) => cores[u] = c,
-                Delta::Bytes(b) => bytes[u] = b,
-            }
-            di += 1;
-        }
-        for (u, user) in s.users.iter().enumerate() {
-            ops.push(BillingOp::Poll {
-                user: user.clone(),
-                cores: cores[u],
-                at: SimTime(t),
-            });
-            if t.is_multiple_of(NANOS_PER_DAY) {
-                ops.push(BillingOp::Sweep {
-                    user: user.clone(),
-                    bytes: bytes[u],
-                    at: SimTime(t),
-                });
-            }
-        }
+impl Schedule {
+    /// The close instants in order, ending with one just past the
+    /// horizon so the poll at the final minute is billed too.
+    fn cuts(&self) -> impl Iterator<Item = u64> + '_ {
+        let end = self.horizon_min * NANOS_PER_MIN;
+        self.closes.iter().copied().chain([end + 1])
     }
-    // Final close after the last boundary's polls, mirrored by the
-    // increment driver's trailing `close_month_at`.
-    ops.push(BillingOp::Close);
+}
+
+/// The schedule as an event log in delivery order: each close follows
+/// every delta at or before its instant.
+fn event_ops(s: &Schedule) -> Vec<BillingOp> {
+    let mut ops = Vec::new();
+    let mut deltas = s.deltas.iter().peekable();
+    for ct in s.cuts() {
+        while let Some((at, u, d)) = deltas.next_if(|d| d.0 <= ct) {
+            let (user, at) = (s.users[*u].clone(), SimTime(*at));
+            ops.push(match *d {
+                Delta::Cores(cores) => BillingOp::Cores { user, cores, at },
+                Delta::Bytes(bytes) => BillingOp::Stored { user, bytes, at },
+            });
+        }
+        ops.push(BillingOp::Close { at: SimTime(ct) });
+    }
     ops
 }
 
-/// Drive the baseline ops through a plain service, collecting each
-/// close's invoice batch.
-fn sweep_invoices(s: &Schedule, rates: Rates) -> Vec<Vec<Invoice>> {
-    let mut svc = BillingService::new(rates);
-    let mut batches = Vec::new();
-    for op in baseline_ops(s) {
-        match op {
-            BillingOp::Poll { user, cores, at } => {
-                svc.poll_compute(&user, cores, at);
-            }
-            BillingOp::Sweep { user, bytes, at } => {
-                svc.sweep_storage(&user, bytes, at);
-            }
-            BillingOp::Close => batches.push(svc.close_month()),
-        }
-    }
-    batches
+/// The reference invoices: the log expanded into per-minute polls and
+/// daily sweeps.
+fn reference_invoices(s: &Schedule, rates: Rates) -> Vec<Vec<Invoice>> {
+    replay(&rates, event_ops(s)).closes
 }
 
-/// Drive the same schedule through increment mode: O(deltas + closes)
-/// service calls instead of O(tenant-minutes).
+/// The same schedule through the service's id API: O(deltas + closes)
+/// calls instead of O(tenant-minutes).
 fn incremental_invoices(s: &Schedule, rates: Rates) -> Vec<Vec<Invoice>> {
     let mut svc = BillingService::new(rates);
-    let mut di = 0;
-    let apply_upto = |svc: &mut BillingService, di: &mut usize, t: u64| {
-        while *di < s.deltas.len() && s.deltas[*di].0 <= t {
-            let (at, u, ref d) = s.deltas[*di];
-            match *d {
-                Delta::Cores(c) => svc.record_cores(&s.users[u], c, SimTime(at)),
-                Delta::Bytes(b) => svc.record_stored(&s.users[u], b, SimTime(at)),
-            }
-            *di += 1;
-        }
-    };
+    let ids: Vec<TenantId> = s.users.iter().map(|u| svc.user_id(u)).collect();
+    let mut deltas = s.deltas.iter().peekable();
     let mut batches = Vec::new();
-    for &ct in &s.closes {
-        apply_upto(&mut svc, &mut di, ct);
+    for ct in s.cuts() {
+        while let Some((at, u, d)) = deltas.next_if(|d| d.0 <= ct) {
+            match *d {
+                Delta::Cores(c) => svc.record_cores_id(ids[*u], c, SimTime(*at)),
+                Delta::Bytes(b) => svc.record_stored_id(ids[*u], b, SimTime(*at)),
+            }
+        }
         batches.push(svc.close_month_at(SimTime(ct)));
     }
-    let end = s.horizon_min * NANOS_PER_MIN;
-    apply_upto(&mut svc, &mut di, end);
-    // The baseline's trailing close runs after the polls at the final
-    // boundary, so fold through (and including) that boundary.
-    batches.push(svc.close_month_at(SimTime(end + 1)));
     batches
 }
 
@@ -203,7 +162,7 @@ fn rates(idx: usize) -> Rates {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Multi-day schedules: increment mode reproduces the poll/sweep
+    /// Multi-day schedules: the id API reproduces the poll/sweep
     /// invoices byte for byte, including non-integer TB-day rounding.
     #[test]
     fn incremental_matches_sweep_baseline(
@@ -211,28 +170,28 @@ proptest! {
         rate_idx in 0usize..3,
     ) {
         let r = rates(rate_idx);
-        let sweep = sweep_invoices(&s, r);
+        let sweep = reference_invoices(&s, r);
         let inc = incremental_invoices(&s, r);
-        prop_assert_eq!(sweep, inc, "increment mode diverged from poll cadence");
+        prop_assert_eq!(sweep, inc, "id API diverged from poll cadence");
         osdc_telemetry::audit::assert_clean("billing incremental differential");
     }
 
-    /// Shorter schedules with the full oracle in the loop: the sweep
-    /// baseline is itself re-billed from the event log after every op,
-    /// and increment mode must match the oracle-shadowed service.
+    /// Shorter schedules with the full oracle in the loop: the log is
+    /// re-billed from scratch after every op, and the id API must match
+    /// the oracle-shadowed service.
     #[test]
     fn incremental_matches_oracle_rebill(
         s in schedule_strategy(150, 3, 12, 3),
         rate_idx in 0usize..3,
     ) {
         let r = rates(rate_idx);
-        let ops = baseline_ops(&s);
+        let ops = event_ops(&s);
         let (mut service, mut oracle) = BillingOracle::paired(r);
         let report = drive(&mut oracle, &mut service, &ops);
         prop_assert!(report.is_clean(), "{}", report.summary());
-        let sweep = sweep_invoices(&s, r);
+        let sweep = reference_invoices(&s, r);
         let inc = incremental_invoices(&s, r);
-        prop_assert_eq!(sweep, inc, "increment mode diverged from oracle-checked baseline");
+        prop_assert_eq!(sweep, inc, "id API diverged from oracle-checked baseline");
         osdc_telemetry::audit::assert_clean("billing incremental oracle differential");
     }
 }
@@ -256,7 +215,7 @@ fn boundary_coincidences_agree() {
     };
     for idx in 0..3 {
         let r = rates(idx);
-        assert_eq!(sweep_invoices(&s, r), incremental_invoices(&s, r));
+        assert_eq!(reference_invoices(&s, r), incremental_invoices(&s, r));
     }
     osdc_telemetry::audit::assert_clean("billing boundary coincidences");
 }

@@ -170,7 +170,8 @@ fn delta_sweep(cases: usize) -> SweepStats {
     stats
 }
 
-/// Seeded billing logs: polls, sweeps and month closes, with replays.
+/// Seeded billing logs: core and storage deltas and month closes,
+/// delivered out of time order, with duplicates and late deltas.
 fn billing_sweep(cases: usize, ops_per_case: usize) -> SweepStats {
     let mut stats = SweepStats::new();
     for case in 0..cases {
@@ -196,20 +197,25 @@ fn billing_sweep(cases: usize, ops_per_case: usize) -> SweepStats {
         };
         let mut ops: Vec<BillingOp> = (0..ops_per_case)
             .map(|_| match rng.below(10) {
-                0..=5 => BillingOp::Poll {
+                0..=5 => BillingOp::Cores {
                     user: format!("user{}", rng.below(3)),
                     cores: rng.below(6) as u32,
                     at: at(rng.below(600), rng.below(60)),
                 },
-                6..=8 => BillingOp::Sweep {
+                6..=8 => BillingOp::Stored {
                     user: format!("user{}", rng.below(3)),
                     bytes: rng.below(4_000_000_000_000),
                     at: at(rng.below(10) * 24 * 60, rng.below(86_400)),
                 },
-                _ => BillingOp::Close,
+                _ => BillingOp::Close {
+                    at: at(rng.below(600), rng.below(60)),
+                },
             })
             .collect();
-        ops.push(BillingOp::Close);
+        // The last close lands after every drawn instant.
+        ops.push(BillingOp::Close {
+            at: at(10 * 24 * 60, 0),
+        });
         stats.absorb(&drive(&mut oracle, &mut service, &ops));
     }
     stats

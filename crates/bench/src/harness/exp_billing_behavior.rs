@@ -10,7 +10,7 @@
 //! boot requests rejected for lack of capacity.
 
 use osdc_compute::{CloudController, ImageId, InstanceId};
-use osdc_sim::{SimDuration, SimRng, SimTime};
+use osdc_sim::{SimDuration, SimRng, SimTime, TenantId};
 use osdc_tukey::billing::{BillingService, Rates};
 
 use crate::harness::{HarnessCtx, RunResult};
@@ -23,6 +23,8 @@ const HOARDERS: usize = 8;
 
 struct UserState {
     name: String,
+    /// Billing's id for `name`.
+    id: TenantId,
     hoarder: bool,
     /// Cores of real work per day.
     needed_cores: u32,
@@ -54,6 +56,7 @@ fn run_regime(billing_enabled: bool, seed: u64) -> Outcome {
     let mut users: Vec<UserState> = (0..USERS)
         .map(|i| UserState {
             name: format!("user{i}"),
+            id: billing.user_id(&format!("user{i}")),
             hoarder: i < HOARDERS,
             needed_cores: rng.range_inclusive(1, 4) as u32,
             held: Vec::new(),
@@ -89,24 +92,20 @@ fn run_regime(billing_enabled: bool, seed: u64) -> Outcome {
                 cloud.terminate(id, now).expect("terminate");
             }
         }
-        // Accounting: minute polls collapsed to one daily sample ×24 h.
+        // Accounting: holdings change only in the morning, so one delta
+        // per user per day bills what a poll every minute would.
         for u in &users {
             let held_cores = cloud.usage(&u.name).cores;
             let idle = held_cores.saturating_sub(u.needed_cores);
             wasted += idle as f64 * 24.0;
             if billing_enabled {
-                // One poll per minute of the day, at that minute's time —
-                // the dedup cursor rejects replays, so each of the 1440
-                // samples must carry its own timestamp.
-                for m in 0..(24 * 60) {
-                    billing.poll_compute(&u.name, held_cores, now + SimDuration::from_mins(m));
-                }
+                billing.record_cores_id(u.id, held_cores, now);
             }
         }
         util_sum += cloud.utilization();
         // Month end: invoices arrive; hoarders feel the bill and react.
         if billing_enabled && (day + 1) % 30 == 0 {
-            for invoice in billing.close_month() {
+            for invoice in billing.close_month_at(now + SimDuration::from_days(1)) {
                 if invoice.total_usd > 0.0 {
                     if let Some(u) = users.iter_mut().find(|u| u.name == invoice.user) {
                         u.right_sized = true;

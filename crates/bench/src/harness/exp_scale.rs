@@ -11,14 +11,14 @@
 //! Correctness legs per cell:
 //!
 //! * **sweep comparison** (10³ and 10⁴ cells): the identical delta
-//!   schedule replayed through the paper's literal cadence — per-minute
-//!   polls and daily sweeps for *every* tenant — must produce invoice
-//!   batches byte-identical (`f64`-exact) to the O(deltas) increment
-//!   mode. The 10⁵ cell skips the O(tenant-minutes) replay and is
-//!   pinned by digest instead.
-//! * **oracle leg** (all cells): a sampled sub-schedule is driven
-//!   through the [`BillingOracle`] from-scratch re-bill; zero
-//!   disagreements required.
+//!   schedule billed at the paper's literal cadence — per-minute polls
+//!   and daily sweeps for *every* tenant, by `osdc-audit`'s reference
+//!   expansion — must produce invoice batches byte-identical
+//!   (`f64`-exact) to the O(deltas) id API. The 10⁵ cell skips the
+//!   O(tenant-minutes) replay and is pinned by digest instead.
+//! * **oracle leg** (all cells): a sampled tenants' share of the
+//!   schedule, closes included, is driven through the [`BillingOracle`]
+//!   from-scratch re-bill; zero disagreements required.
 //! * **digests**: the invoice stream and the Nagios notification stream
 //!   are SHA-256'd; stdout carries counts and digests only (no wall
 //!   times), so output is byte-identical for any `--jobs` and any run
@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use osdc_audit::{drive, BillingOp, BillingOracle};
+use osdc_audit::{drive, BillingOracle};
 use osdc_crypto::sha256::{to_hex, Sha256};
 use osdc_monitor::check::CheckStatus;
 use osdc_monitor::nagios::NagiosMaster;
@@ -37,8 +37,8 @@ use osdc_tukey::billing::Rates;
 
 use crate::harness::{fail, HarnessCtx, RunResult};
 use crate::scale::{
-    build_schedule, incremental_invoices, invoice_sha, monitor_fleet, sweep_invoices, Delta,
-    Schedule, NANOS_PER_DAY, NANOS_PER_MIN,
+    build_schedule, incremental_invoices, invoice_sha, monitor_fleet, schedule_ops, sweep_invoices,
+    Schedule,
 };
 use crate::{outln, row};
 
@@ -51,44 +51,10 @@ const SWEEP_COMPARE_MAX: usize = 10_000;
 /// Tenants sampled into the oracle re-bill leg.
 const ORACLE_TENANTS: usize = 8;
 
-/// Oracle leg: the first [`ORACLE_TENANTS`] tenants' deltas, clipped to
-/// a window the O(ops²) re-bill can afford, replayed op by op against
-/// the from-scratch oracle.
-fn oracle_report(s: &Schedule, rates: Rates, window_min: u64) -> Result<(), String> {
-    let n = ORACLE_TENANTS.min(s.names.len());
-    let mut cores = vec![0u32; n];
-    let mut bytes = vec![0u64; n];
-    let mut ops = Vec::new();
-    let mut di = 0;
-    for m in 0..=window_min {
-        let t = m * NANOS_PER_MIN;
-        while di < s.deltas.len() && s.deltas[di].0 <= t {
-            let (_, u, ref d) = s.deltas[di];
-            if (u as usize) < n {
-                match *d {
-                    Delta::Cores(c) => cores[u as usize] = c,
-                    Delta::Bytes(b) => bytes[u as usize] = b,
-                }
-            }
-            di += 1;
-        }
-        let day_boundary = t.is_multiple_of(NANOS_PER_DAY);
-        for (u, name) in s.names.iter().take(n).enumerate() {
-            ops.push(BillingOp::Poll {
-                user: name.clone(),
-                cores: cores[u],
-                at: SimTime(t),
-            });
-            if day_boundary {
-                ops.push(BillingOp::Sweep {
-                    user: name.clone(),
-                    bytes: bytes[u],
-                    at: SimTime(t),
-                });
-            }
-        }
-    }
-    ops.push(BillingOp::Close);
+/// Oracle leg: the first [`ORACLE_TENANTS`] tenants' deltas and every
+/// close, replayed op by op against the from-scratch re-bill.
+fn oracle_report(s: &Schedule, rates: Rates) -> Result<(), String> {
+    let ops: Vec<_> = schedule_ops(s, ORACLE_TENANTS).collect();
     let (mut service, mut oracle) = BillingOracle::paired(rates);
     let report = drive(&mut oracle, &mut service, &ops);
     if report.is_clean() {
@@ -181,7 +147,6 @@ fn run_cell(
     hosts: usize,
     horizon_min: u64,
     monitor_secs: u64,
-    oracle_min: u64,
     seed: u64,
 ) -> CellResult {
     let rates = Rates::default();
@@ -201,7 +166,7 @@ fn run_cell(
         "digest-pinned"
     };
 
-    let oracle = match oracle_report(&s, rates, oracle_min) {
+    let oracle = match oracle_report(&s, rates) {
         Ok(()) => "clean".to_string(),
         Err(why) => {
             failed = true;
@@ -247,21 +212,14 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     // Grid knobs. The horizon crosses two day boundaries so storage
     // billing exercises the per-day rounding path; quick mode crosses
     // one.
-    let (tenant_grid, hosts, horizon_min, monitor_secs, oracle_min): (
-        &[usize],
-        usize,
-        u64,
-        u64,
-        u64,
-    ) = if quick {
-        (&[1_000, 10_000], 250, 24 * 60 + 30, 30 * 60, 120)
+    let (tenant_grid, hosts, horizon_min, monitor_secs): (&[usize], usize, u64, u64) = if quick {
+        (&[1_000, 10_000], 250, 24 * 60 + 30, 30 * 60)
     } else {
         (
             &[1_000, 10_000, 100_000],
             1_000,
             2 * 24 * 60 + 360,
             2 * 3600,
-            240,
         )
     };
 
@@ -278,7 +236,6 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
                         hosts,
                         horizon_min,
                         monitor_secs,
-                        oracle_min,
                         derive_seed(SEED, tenants as u64),
                     )
                 }

@@ -4,8 +4,8 @@
 //! end-to-end console session exercising every box: login through both
 //! authentication paths, VM provisioning on *both* cloud stacks through
 //! the single OpenStack-format interface, the aggregated JSON response
-//! tagged by cloud, and the usage/billing page fed by the per-minute
-//! poller.
+//! tagged by cloud, and the usage/billing page fed by the launches'
+//! core deltas.
 //!
 //! With `--trace <path>`, every console request emits spans (console →
 //! auth → translation → aggregation) and per-cloud latency histograms
@@ -138,13 +138,9 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         serde_json::to_string_pretty(&page).expect("json")
     );
 
-    // --- usage & billing: poll every minute (§6.4) ------------------------------
-    let mut now = t0;
-    for _ in 0..90 {
-        now += SimDuration::from_mins(1);
-        console.billing_minute_tick(now);
-    }
-    let usage = console.usage_page(token).expect("usage page");
+    // --- usage & billing: 90 minutes of the launches' cores (§6.4) --------------
+    let now = t0 + SimDuration::from_mins(90);
+    let usage = console.usage_page(token, now).expect("usage page");
     outln!(
         ctx,
         "usage page after 90 minutes:\n{}",
@@ -160,7 +156,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     );
 
     // --- invoices close the loop -------------------------------------------------
-    let invoices = console.billing.close_month();
+    let invoices = console.billing.close_month_at(now);
     for inv in &invoices {
         outln!(
             ctx,

@@ -8,15 +8,19 @@
 //! deltas) at arbitrary instants, plus mid-window close instants. It can
 //! be billed two ways:
 //!
-//! * [`incremental_invoices`] — the event-driven path: O(deltas) calls
-//!   into [`BillingService::record_cores_id`] /
+//! * [`incremental_invoices`] — the product path: O(deltas) calls into
+//!   [`BillingService::record_cores_id`] /
 //!   [`BillingService::record_stored_id`] and a fold at each close.
-//! * [`sweep_invoices`] — the paper's literal cadence: per-minute polls
-//!   and daily sweeps for every tenant, O(tenant-minutes).
+//! * [`sweep_invoices`] — the paper's literal cadence, per-minute polls
+//!   and daily sweeps for every tenant, O(tenant-minutes): the
+//!   [`schedule_ops`] event log expanded by `osdc-audit`'s reference
+//!   [`replay`].
 //!
 //! Both produce invoice batches that must be byte-identical (`f64`
 //! bit-exact), which [`invoice_sha`] pins as a single SHA-256.
 
+use osdc_audit::billing_oracle::replay;
+use osdc_audit::BillingOp;
 use osdc_crypto::sha256::{to_hex, Sha256};
 use osdc_monitor::check::{CheckDefinition, ThresholdDirection};
 use osdc_monitor::nagios::ServiceDefinition;
@@ -105,47 +109,45 @@ pub fn incremental_invoices(s: &Schedule, rates: Rates) -> Vec<Vec<Invoice>> {
     }
     let end = s.horizon_min * NANOS_PER_MIN;
     apply_upto(&mut svc, &mut di, end);
-    // Fold through (and including) the final poll boundary, matching the
-    // sweep replay's trailing close-after-polls.
+    // Fold through (and including) the final poll boundary, as the
+    // trailing close of `schedule_ops` does.
     batches.push(svc.close_month_at(SimTime(end + 1)));
     batches
 }
 
-/// The paper's literal cadence: per-minute polls and daily sweeps for
-/// every tenant. Event ordering at equal instants is deltas → closes →
-/// polls, the `close_month_at` convention.
+/// The first `tenants` tenants' share of the schedule as an event log,
+/// in the order [`incremental_invoices`] delivers it: each close follows
+/// every delta at or before its instant, and a trailing close lands just
+/// past the final poll boundary. Lazy, so a 10⁴-tenant log is never
+/// held whole.
+pub fn schedule_ops(s: &Schedule, tenants: usize) -> impl Iterator<Item = BillingOp> + '_ {
+    let end = s.horizon_min * NANOS_PER_MIN;
+    let mut closes = s.closes.iter().copied().chain([end + 1]).peekable();
+    let mut deltas = s
+        .deltas
+        .iter()
+        .filter(move |d| (d.1 as usize) < tenants)
+        .peekable();
+    std::iter::from_fn(move || {
+        let close_at = *closes.peek()?;
+        let Some((at, u, d)) = deltas.next_if(|d| d.0 <= close_at) else {
+            closes.next();
+            return Some(BillingOp::Close {
+                at: SimTime(close_at),
+            });
+        };
+        let (user, at) = (s.names[*u as usize].clone(), SimTime(*at));
+        Some(match *d {
+            Delta::Cores(cores) => BillingOp::Cores { user, cores, at },
+            Delta::Bytes(bytes) => BillingOp::Stored { user, bytes, at },
+        })
+    })
+}
+
+/// The paper's literal cadence: every tenant polled each minute and
+/// swept each day, by the reference expansion of the schedule's log.
 pub fn sweep_invoices(s: &Schedule, rates: Rates) -> Vec<Vec<Invoice>> {
-    let mut svc = BillingService::new(rates);
-    let ids: Vec<TenantId> = s.names.iter().map(|n| svc.user_id(n)).collect();
-    let mut cores = vec![0u32; s.names.len()];
-    let mut bytes = vec![0u64; s.names.len()];
-    let mut batches = Vec::new();
-    let mut di = 0;
-    let mut ci = 0;
-    for m in 0..=s.horizon_min {
-        let t = m * NANOS_PER_MIN;
-        while ci < s.closes.len() && s.closes[ci] <= t {
-            batches.push(svc.close_month());
-            ci += 1;
-        }
-        while di < s.deltas.len() && s.deltas[di].0 <= t {
-            let (_, u, ref d) = s.deltas[di];
-            match *d {
-                Delta::Cores(c) => cores[u as usize] = c,
-                Delta::Bytes(b) => bytes[u as usize] = b,
-            }
-            di += 1;
-        }
-        let day_boundary = t.is_multiple_of(NANOS_PER_DAY);
-        for (u, &id) in ids.iter().enumerate() {
-            svc.poll_compute_id(id, cores[u], SimTime(t));
-            if day_boundary {
-                svc.sweep_storage_id(id, bytes[u], SimTime(t));
-            }
-        }
-    }
-    batches.push(svc.close_month());
-    batches
+    replay(&rates, schedule_ops(s, s.names.len())).closes
 }
 
 /// Exact digest of an invoice batch stream: every `f64` enters as its

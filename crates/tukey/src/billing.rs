@@ -10,37 +10,36 @@
 //! Our billing cycle is monthly and users can check their current usage
 //! via the OSDC web interface."
 //!
-//! [`BillingService`] implements exactly that cadence on the simulation
-//! clock, two ways:
+//! [`BillingService`] bills that cadence on the simulation clock from
+//! usage *events*: [`record_cores_id`] fires on an instance start, stop
+//! or resize, [`record_stored_id`] when an object PUT or DELETE settles,
+//! and [`close_month_at`] ends the monthly cycle. The work is O(deltas)
+//! rather than O(tenant-minutes), yet the invoices are those of a poll
+//! every minute and a sweep every day. A poll at minute `m` samples the
+//! rate in force at instant `m · 60 s`, so a delta at `t` changes exactly
+//! the polls with `m · 60 s ≥ t`. Each delta therefore *folds* the
+//! previous rate over minutes `[cursor, ceil(t / 60 s))` before taking
+//! effect, and a close folds every tenant up to the close instant
+//! (exclusive) before invoicing; [`usage_at`] is the same fold, read
+//! without moving anything. The folds reproduce the poll sums bit for
+//! bit: integer-valued core sums below 2⁵³ are exact under bulk
+//! multiplication, and TB-day adds are replayed one day at a time so the
+//! float rounding sequence matches the daily sweep.
 //!
-//! * **Poll mode** (the paper's literal cadence): [`poll_compute`] each
-//!   minute accumulates core-minutes, [`sweep_storage`] each day samples
-//!   stored bytes. O(tenants) work per minute — fine at the paper's ~100
-//!   users, sweep-bound at ROADMAP scale.
-//! * **Increment mode** (same invoices, O(deltas) work):
-//!   [`record_cores`] / [`record_stored`] fire only on instance
-//!   start/stop/resize and PUT/DELETE deltas; each delta *folds* the
-//!   previous rate over the virtual polls it covered, and
-//!   [`close_month_at`] folds every open cursor up to the boundary
-//!   before invoicing. Because a virtual poll at minute `m` samples the
-//!   rate in force at instant `m·60 s`, a delta at time `t` changes
-//!   exactly the polls with `m·60 ≥ t`; folding minutes
-//!   `[cursor, ceil(t/60 s))` at the old rate reproduces the poll sums
-//!   *byte-identically* (integer-valued core f64 sums below 2⁵³ are
-//!   exact; TB-day adds are replayed per day so the float rounding
-//!   sequence matches). The equivalence is pinned by a differential
-//!   proptest against `osdc-audit`'s `BillingOracle` re-bill.
+//! The per-minute poll and daily sweep themselves live once, as the
+//! reference: `osdc-audit`'s `BillingOracle` expands the same event log
+//! into polls and sweeps and re-bills it from scratch, and the
+//! differential tests and harnesses compare the service against it.
 //!
-//! Per-tenant state (cycle usage, poll-dedup cursors, fold cursors)
-//! lives in an [`osdc_sim::TenantStore`] keyed by interned
-//! [`TenantId`]s, so the steady-state hot path does no string hashing,
-//! cloning, or allocation (a counting-allocator test enforces this).
+//! Per-tenant state (open cycle, held rates, fold cursors) lives in an
+//! [`osdc_sim::TenantStore`] keyed by interned [`TenantId`]s, so the
+//! steady-state hot path does no string hashing, cloning or allocation
+//! (a counting-allocator test enforces this).
 //!
-//! [`poll_compute`]: BillingService::poll_compute
-//! [`sweep_storage`]: BillingService::sweep_storage
-//! [`record_cores`]: BillingService::record_cores
-//! [`record_stored`]: BillingService::record_stored
+//! [`record_cores_id`]: BillingService::record_cores_id
+//! [`record_stored_id`]: BillingService::record_stored_id
 //! [`close_month_at`]: BillingService::close_month_at
+//! [`usage_at`]: BillingService::usage_at
 
 use osdc_sim::time::SECS_PER_DAY;
 use osdc_sim::{SimTime, TenantId, TenantInterner, TenantStore};
@@ -96,43 +95,26 @@ pub struct Invoice {
     pub total_usd: f64,
 }
 
-/// Per-tenant billing state: open-cycle usage plus the cursors that make
-/// both polling and incremental accrual idempotent.
-///
-/// The poll cursors (`next_pollable_min` / `next_sweepable_day`) and the
-/// fold cursors (`cores_upto_min` / `stored_upto_day`) are deliberately
-/// separate: poll mode dedups *observed* samples, increment mode tracks
-/// how far *virtual* samples have been folded. A given tenant should be
-/// driven through one mode per cycle; the cursors are independent so
-/// neither mode can corrupt the other's bookkeeping.
+/// Per-tenant billing state: the open cycle, the rates in force since
+/// the last delta, and how far each rate has been folded.
 #[derive(Clone, Debug, Default)]
 struct TenantBilling {
     usage: CycleUsage,
-    /// First minute index a [`BillingService::poll_compute`] sample may
-    /// still be counted for. Survives [`BillingService::close_month`]:
-    /// the cycle resets, but a poll replayed at the month boundary must
-    /// still count only once.
-    next_pollable_min: u64,
-    /// First day index a storage sweep may still be counted for; same
-    /// lifetime as `next_pollable_min`.
-    next_sweepable_day: u64,
-    /// Cores held since the last delta (increment mode).
+    /// Cores held since the last delta.
     held_cores: u32,
-    /// Virtual compute polls below this minute index are already folded
-    /// into `usage`.
+    /// Polls below this minute index are already folded into `usage`.
     cores_upto_min: u64,
-    /// Bytes stored since the last delta (increment mode).
+    /// Bytes stored since the last delta.
     stored_bytes: u64,
-    /// Virtual storage sweeps below this day index are already folded.
+    /// Sweeps below this day index are already folded.
     stored_upto_day: u64,
 }
 
 impl TenantBilling {
-    /// Fold virtual compute polls `[cores_upto_min, bound_min)` at the
-    /// currently-held rate. Exact: each virtual poll adds the integer
-    /// `held_cores`, and integer-valued f64 sums below 2⁵³ are
-    /// associative, so the bulk product equals the per-minute adds bit
-    /// for bit.
+    /// Fold polls `[cores_upto_min, bound_min)` at the held rate. Exact:
+    /// each poll adds the integer `held_cores`, and integer-valued f64
+    /// sums below 2⁵³ are associative, so the bulk product equals the
+    /// per-minute adds bit for bit.
     fn fold_compute_to(&mut self, bound_min: u64) {
         if bound_min <= self.cores_upto_min {
             return;
@@ -145,10 +127,10 @@ impl TenantBilling {
         }
     }
 
-    /// Fold virtual storage sweeps `[stored_upto_day, bound_day)` at the
-    /// currently-stored size. `bytes / 1e12` is generally *not* integer-
-    /// valued, so the adds are replayed one day at a time — same float
-    /// rounding sequence as the daily sweep, hence byte-identical.
+    /// Fold sweeps `[stored_upto_day, bound_day)` at the stored size.
+    /// `bytes / 1e12` is generally *not* integer-valued, so the adds are
+    /// replayed one day at a time — the daily sweep's rounding sequence,
+    /// hence bit-identical.
     fn fold_storage_to(&mut self, bound_day: u64) {
         if bound_day <= self.stored_upto_day {
             return;
@@ -167,7 +149,7 @@ impl TenantBilling {
 /// First minute index whose poll instant (`m · 60 s`) is at or after
 /// `t` — the fold bound for a delta landing at `t`, and the exclusive
 /// close bound (a poll exactly at the close instant belongs to the next
-/// month, mirroring close-then-poll event ordering).
+/// month).
 fn minute_bound(t: SimTime) -> u64 {
     t.as_nanos().div_ceil(NANOS_PER_MIN)
 }
@@ -200,8 +182,8 @@ impl BillingService {
         }
     }
 
-    /// Intern `user`, returning the dense id the `_id` entry points key
-    /// by. Allocates only on a user's first appearance.
+    /// Intern `user`, returning the dense id the `record_*_id` entry
+    /// points key by. Allocates only on a user's first appearance.
     pub fn user_id(&mut self, user: &str) -> TenantId {
         self.users.intern(user)
     }
@@ -211,121 +193,87 @@ impl BillingService {
         self.users.get(user)
     }
 
-    /// Per-minute compute poll: `cores` currently held by `user` at `now`.
+    /// Whether this service's interner issued `id`. Invoices name their
+    /// user through the interner, so a foreign id must never reach the
+    /// store.
+    fn issued(&self, id: TenantId) -> bool {
+        let issued = id.index() < self.users.len();
+        audit::check!(
+            issued,
+            "tukey.tenant_id_issued",
+            "{id:?} was not issued by this billing service ({} users interned)",
+            self.users.len()
+        );
+        issued
+    }
+
+    /// `id` now holds `cores` cores, effective `at` (an instance start,
+    /// stop or resize). Folds the previous rate over the polls it
+    /// covered — O(1) per delta, not per tenant-minute.
     ///
-    /// Idempotent per user-minute: a second poll landing in the same
-    /// simulated minute (a retried cron tick, an overlapping poller) is
-    /// ignored rather than double-billed. Returns whether the sample was
-    /// counted.
-    pub fn poll_compute(&mut self, user: &str, cores: u32, now: SimTime) -> bool {
-        if cores == 0 {
-            return false;
-        }
-        let id = self.users.intern(user);
-        self.poll_compute_id(id, cores, now)
-    }
-
-    /// [`poll_compute`](Self::poll_compute) by interned id — the
-    /// zero-alloc hot path for pollers that cache [`TenantId`]s.
-    pub fn poll_compute_id(&mut self, id: TenantId, cores: u32, now: SimTime) -> bool {
-        if cores == 0 {
-            return false;
-        }
-        let minute = now.as_nanos() / NANOS_PER_MIN;
-        let t = self.tenants.get_or_insert_with(id, TenantBilling::default);
-        if minute < t.next_pollable_min {
-            return false;
-        }
-        t.next_pollable_min = minute + 1;
-        t.usage.core_minutes += cores as f64;
-        t.usage.peak_cores = t.usage.peak_cores.max(cores);
-        true
-    }
-
-    /// Daily storage sweep: `bytes` stored by `user` on the day containing
-    /// `now`.
+    /// Delivery contract, shared with
+    /// [`record_stored_id`](Self::record_stored_id):
+    /// * delivering the same delta twice in a row is a no-op;
+    /// * a delta earlier than the tenant's fold cursor — how far its
+    ///   earlier deltas and the closes since its first delta have folded
+    ///   it — takes effect at the cursor and never re-bills minutes
+    ///   already folded. A tenant's first delta starts its meter at its
+    ///   own instant.
     ///
-    /// Idempotent per user-day: running the sweep twice in one simulated
-    /// day charges one TB-day, not two. Returns whether the sample was
-    /// counted.
-    pub fn sweep_storage(&mut self, user: &str, bytes: u64, now: SimTime) -> bool {
-        if bytes == 0 {
-            return false;
-        }
-        let id = self.users.intern(user);
-        self.sweep_storage_id(id, bytes, now)
-    }
-
-    /// [`sweep_storage`](Self::sweep_storage) by interned id.
-    pub fn sweep_storage_id(&mut self, id: TenantId, bytes: u64, now: SimTime) -> bool {
-        if bytes == 0 {
-            return false;
-        }
-        let day = now.as_nanos() / NANOS_PER_DAY;
-        let t = self.tenants.get_or_insert_with(id, TenantBilling::default);
-        if day < t.next_sweepable_day {
-            return false;
-        }
-        t.next_sweepable_day = day + 1;
-        t.usage.tb_days += bytes as f64 / 1e12;
-        true
-    }
-
-    /// Increment mode: `user` now holds `cores` cores, effective `at`
-    /// (an instance start, stop, or resize). Folds the previous rate
-    /// over the virtual polls it covered — O(1) per delta instead of
-    /// O(1) per tenant-minute.
-    pub fn record_cores(&mut self, user: &str, cores: u32, at: SimTime) {
-        let id = self.users.intern(user);
-        self.record_cores_id(id, cores, at);
-    }
-
-    /// [`record_cores`](Self::record_cores) by interned id.
+    /// An id this service did not issue is ignored: it gets no state and
+    /// no invoice, and the `tukey.tenant_id_issued` audit check names it.
     pub fn record_cores_id(&mut self, id: TenantId, cores: u32, at: SimTime) {
-        let bound = minute_bound(at);
+        if !self.issued(id) {
+            return;
+        }
         let t = self.tenants.get_or_insert_with(id, TenantBilling::default);
-        t.fold_compute_to(bound);
+        t.fold_compute_to(minute_bound(at));
         t.held_cores = cores;
     }
 
-    /// Increment mode: `user` now stores `bytes`, effective `at` (an
-    /// object PUT or DELETE settling).
-    pub fn record_stored(&mut self, user: &str, bytes: u64, at: SimTime) {
-        let id = self.users.intern(user);
-        self.record_stored_id(id, bytes, at);
-    }
-
-    /// [`record_stored`](Self::record_stored) by interned id.
+    /// `id` now stores `bytes`, effective `at` (an object PUT or DELETE
+    /// settling). Same delivery contract and foreign-id rule as
+    /// [`record_cores_id`](Self::record_cores_id), at day granularity.
     pub fn record_stored_id(&mut self, id: TenantId, bytes: u64, at: SimTime) {
-        let bound = day_bound(at);
+        if !self.issued(id) {
+            return;
+        }
         let t = self.tenants.get_or_insert_with(id, TenantBilling::default);
-        t.fold_storage_to(bound);
+        t.fold_storage_to(day_bound(at));
         t.stored_bytes = bytes;
     }
 
-    /// Current-cycle usage, as shown on the console's usage page.
-    pub fn current_usage(&self, user: &str) -> CycleUsage {
-        self.users
-            .get(user)
-            .and_then(|id| self.tenants.get(id))
-            .map(|t| t.usage.clone())
-            .unwrap_or_default()
+    /// `id`'s open-cycle usage as of `at`, as the console's usage page
+    /// shows it: the open cycle folded up to `at` with
+    /// [`close_month_at`](Self::close_month_at)'s exclusive bound. A pure
+    /// read — no cursor moves.
+    pub fn usage_at(&self, id: TenantId, at: SimTime) -> CycleUsage {
+        let Some(t) = self.tenants.get(id) else {
+            return CycleUsage::default();
+        };
+        let mut t = t.clone();
+        t.fold_compute_to(minute_bound(at));
+        t.fold_storage_to(day_bound(at));
+        t.usage
     }
 
-    /// Close the month: issue invoices for every user with usage and
-    /// reset the cycle. Poll-mode close — does *not* fold increment-mode
-    /// cursors; increment-mode drivers use
-    /// [`close_month_at`](Self::close_month_at).
-    pub fn close_month(&mut self) -> Vec<Invoice> {
+    /// Close the month at `at`: fold every tenant up to `at` (polls
+    /// strictly before it — a poll exactly at the close instant bills
+    /// into the next month), invoice every user with usage in user-name
+    /// order, and reset the cycle. Held rates and fold cursors survive,
+    /// so accrual continues seamlessly into the new cycle.
+    pub fn close_month_at(&mut self, at: SimTime) -> Vec<Invoice> {
         let month = self.month;
         self.month += 1;
         let rates = self.rates;
+        let (min_bound, day_b) = (minute_bound(at), day_bound(at));
         // Collect in id order (deterministic), invoice in user-name
-        // order (the former BTreeMap iteration order, pinned by tests
-        // and trace hashes).
+        // order (pinned by tests and trace hashes).
         let mut scratch = std::mem::take(&mut self.close_scratch);
         scratch.clear();
         self.tenants.for_each_mut(|id, t| {
+            t.fold_compute_to(min_bound);
+            t.fold_storage_to(day_b);
             if t.usage != CycleUsage::default() {
                 scratch.push((id, std::mem::take(&mut t.usage)));
             }
@@ -366,34 +314,8 @@ impl BillingService {
         closed
     }
 
-    /// Increment-mode close: fold every tenant's cursors up to `at`
-    /// (virtual polls strictly before the boundary — a poll landing
-    /// exactly at the close instant bills into the next month, matching
-    /// close-before-poll event ordering), then invoice and reset as
-    /// [`close_month`](Self::close_month). Held rates and fold cursors
-    /// survive, so accrual continues seamlessly into the new cycle.
-    pub fn close_month_at(&mut self, at: SimTime) -> Vec<Invoice> {
-        let min_bound = minute_bound(at);
-        let day_b = day_bound(at);
-        self.tenants.for_each_mut(|_, t| {
-            t.fold_compute_to(min_bound);
-            t.fold_storage_to(day_b);
-        });
-        self.close_month()
-    }
-
     pub fn invoice_history(&self, user: &str) -> Vec<&Invoice> {
         self.invoices.iter().filter(|i| i.user == user).collect()
-    }
-
-    /// Is `now` on a minute boundary / day boundary? Helpers for pollers
-    /// driven off the DES clock.
-    pub fn is_minute_boundary(now: SimTime) -> bool {
-        now.as_nanos().is_multiple_of(60_000_000_000)
-    }
-
-    pub fn is_day_boundary(now: SimTime) -> bool {
-        now.as_nanos().is_multiple_of(SECS_PER_DAY * 1_000_000_000)
     }
 }
 
@@ -410,30 +332,64 @@ mod tests {
         SimTime::ZERO + SimDuration::from_days(d)
     }
 
+    fn storage_only(per_tb_day: f64) -> Rates {
+        Rates {
+            per_core_hour: 0.0,
+            per_tb_day,
+            free_core_hours: 0.0,
+            free_tb_days: 0.0,
+        }
+    }
+
     #[test]
     fn core_minutes_accumulate_to_hours() {
         let mut b = BillingService::new(Rates::default());
+        let alice = b.user_id("alice");
         // 8 cores held for 120 minutes.
-        for m in 0..120 {
-            b.poll_compute("alice", 8, at_min(m));
-        }
-        let usage = b.current_usage("alice");
+        b.record_cores_id(alice, 8, at_min(0));
+        let usage = b.usage_at(alice, at_min(120));
         assert_eq!(usage.core_minutes, 960.0);
         assert_eq!(usage.peak_cores, 8);
-        let invoices = b.close_month();
+        let invoices = b.close_month_at(at_min(120));
         assert_eq!(invoices.len(), 1);
         assert!((invoices[0].core_hours - 16.0).abs() < 1e-9);
     }
 
     #[test]
+    fn usage_at_is_a_read_with_the_close_bound() {
+        let mut b = BillingService::new(Rates::default());
+        let alice = b.user_id("alice");
+        b.record_cores_id(alice, 3, at_min(0));
+        b.record_stored_id(alice, 2_000_000_000_000, at_day(0));
+        // The poll exactly at the read instant is not yet counted.
+        let at = at_day(1) + SimDuration::from_mins(10);
+        let seen = b.usage_at(alice, at);
+        assert_eq!(seen.core_minutes, 3.0 * (24 * 60 + 10) as f64);
+        assert_eq!(seen.tb_days, 4.0, "sweeps at days 0 and 1");
+        assert_eq!(b.usage_at(alice, at), seen, "reading moves no cursor");
+        // An earlier read after a later one still folds only to its own
+        // instant; 30 s into minute 1 the poll at minute 1 has happened.
+        assert_eq!(b.usage_at(alice, at_min(1)).core_minutes, 3.0);
+        let mid = at_min(1) + SimDuration::from_secs(30);
+        assert_eq!(b.usage_at(alice, mid).core_minutes, 6.0);
+        let inv = b.close_month_at(at).pop().expect("invoice");
+        assert_eq!(inv.core_hours * 60.0, seen.core_minutes);
+        assert_eq!(inv.tb_days, seen.tb_days);
+        assert_eq!(b.usage_at(alice, at), CycleUsage::default());
+        let unknown = TenantId(1);
+        assert_eq!(b.usage_at(unknown, at), CycleUsage::default());
+    }
+
+    #[test]
     fn free_tier_zeroes_small_users() {
-        let rates = Rates::default();
-        let mut b = BillingService::new(rates);
+        let mut b = BillingService::new(Rates::default());
+        let small = b.user_id("smalluser");
         // 50 core-hours: inside the 100 free hours.
-        for m in 0..(50 * 60) {
-            b.poll_compute("smalluser", 1, at_min(m));
-        }
-        let inv = b.close_month().pop().expect("one invoice");
+        b.record_cores_id(small, 1, at_min(0));
+        let inv = b
+            .close_month_at(at_min(50 * 60))
+            .pop()
+            .expect("one invoice");
         assert_eq!(inv.billable_core_hours, 0.0);
         assert_eq!(inv.total_usd, 0.0);
     }
@@ -446,26 +402,22 @@ mod tests {
             free_core_hours: 10.0,
             free_tb_days: 0.0,
         });
-        for m in 0..(20 * 60) {
-            b.poll_compute("big", 1, at_min(m)); // 20 core-hours
-        }
-        let inv = b.close_month().pop().expect("one invoice");
+        let big = b.user_id("big");
+        b.record_cores_id(big, 1, at_min(0));
+        let inv = b
+            .close_month_at(at_min(20 * 60))
+            .pop()
+            .expect("one invoice"); // 20 core-hours
         assert!((inv.billable_core_hours - 10.0).abs() < 1e-9);
         assert!((inv.total_usd - 1.0).abs() < 1e-9);
     }
 
     #[test]
-    fn storage_swept_daily() {
-        let mut b = BillingService::new(Rates {
-            per_core_hour: 0.0,
-            per_tb_day: 0.10,
-            free_core_hours: 0.0,
-            free_tb_days: 0.0,
-        });
-        for d in 0..30 {
-            b.sweep_storage("hoarder", 2_000_000_000_000, at_day(d)); // 2 TB/day
-        }
-        let inv = b.close_month().pop().expect("one invoice");
+    fn storage_accrues_per_day() {
+        let mut b = BillingService::new(storage_only(0.10));
+        let hoarder = b.user_id("hoarder");
+        b.record_stored_id(hoarder, 2_000_000_000_000, at_day(0)); // 2 TB/day
+        let inv = b.close_month_at(at_day(30)).pop().expect("one invoice");
         assert!((inv.tb_days - 60.0).abs() < 1e-9);
         assert!((inv.total_usd - 6.0).abs() < 1e-9);
     }
@@ -473,97 +425,55 @@ mod tests {
     #[test]
     fn idle_users_get_no_invoice() {
         let mut b = BillingService::new(Rates::default());
-        assert!(!b.poll_compute("ghost", 0, at_min(0)));
-        assert!(!b.sweep_storage("ghost", 0, at_day(0)));
-        assert!(b.close_month().is_empty());
+        let ghost = b.user_id("ghost");
+        b.record_cores_id(ghost, 0, at_min(0));
+        b.record_stored_id(ghost, 0, at_day(0));
+        assert!(b.close_month_at(at_day(30)).is_empty());
     }
 
     #[test]
     fn cycle_resets_each_month() {
         let mut b = BillingService::new(Rates::default());
-        b.poll_compute("alice", 4, at_min(0));
-        let first = b.close_month();
+        let alice = b.user_id("alice");
+        b.record_cores_id(alice, 4, at_min(0));
+        let first = b.close_month_at(at_min(1));
         assert_eq!(first[0].month, 0);
-        assert_eq!(b.current_usage("alice"), CycleUsage::default());
-        b.poll_compute("alice", 4, at_min(1));
-        let second = b.close_month();
+        assert_eq!(b.usage_at(alice, at_min(1)), CycleUsage::default());
+        let second = b.close_month_at(at_min(2));
         assert_eq!(second[0].month, 1);
+        assert_eq!(second[0].core_hours * 60.0, 4.0);
         assert_eq!(b.invoice_history("alice").len(), 2);
     }
 
     #[test]
     fn invoices_sorted_by_user() {
         let mut b = BillingService::new(Rates::default());
-        b.poll_compute("zed", 1, at_min(0));
-        b.poll_compute("amy", 1, at_min(0));
-        let users: Vec<String> = b.close_month().into_iter().map(|i| i.user).collect();
+        // Interned zed first: invoice order is by name, not by id.
+        for user in ["zed", "amy"] {
+            let id = b.user_id(user);
+            b.record_cores_id(id, 1, at_min(0));
+        }
+        let users: Vec<String> = b
+            .close_month_at(at_min(1))
+            .into_iter()
+            .map(|i| i.user)
+            .collect();
         assert_eq!(users, vec!["amy".to_string(), "zed".to_string()]);
     }
 
     #[test]
-    fn duplicate_poll_in_one_minute_counts_once() {
-        let mut b = BillingService::new(Rates::default());
-        assert!(b.poll_compute("alice", 8, at_min(5)));
-        // A retried cron tick 30 s later lands in the same minute.
-        assert!(!b.poll_compute("alice", 8, at_min(5) + SimDuration::from_secs(30)));
-        assert_eq!(b.current_usage("alice").core_minutes, 8.0);
-        // The next minute counts again.
-        assert!(b.poll_compute("alice", 8, at_min(6)));
-        assert_eq!(b.current_usage("alice").core_minutes, 16.0);
-    }
-
-    #[test]
-    fn double_storage_sweep_in_one_day_bills_once() {
-        let mut b = BillingService::new(Rates {
-            per_core_hour: 0.0,
-            per_tb_day: 0.10,
-            free_core_hours: 0.0,
-            free_tb_days: 0.0,
-        });
-        assert!(b.sweep_storage("hoarder", 1_000_000_000_000, at_day(3)));
-        // Operator re-runs the sweep later the same sim-day.
-        assert!(!b.sweep_storage(
-            "hoarder",
-            1_000_000_000_000,
-            at_day(3) + SimDuration::from_hours(6)
-        ));
-        let inv = b.close_month().pop().expect("one invoice");
-        assert!((inv.tb_days - 1.0).abs() < 1e-9, "tb_days {}", inv.tb_days);
-        // Next day bills normally.
-        assert!(b.sweep_storage("hoarder", 1_000_000_000_000, at_day(4)));
-    }
-
-    #[test]
-    fn poll_replayed_across_close_month_counts_once() {
-        let mut b = BillingService::new(Rates::default());
-        b.poll_compute("alice", 4, at_min(100));
-        let first = b.close_month().pop().expect("invoice");
-        assert_eq!(first.core_hours * 60.0, 4.0);
-        // The same minute's sample arrives again after the close (an
-        // overlapping poller seeing the boundary). It must not re-bill
-        // into the new cycle.
-        assert!(!b.poll_compute("alice", 4, at_min(100)));
-        assert_eq!(b.current_usage("alice"), CycleUsage::default());
-        // Genuinely new minutes do bill into the new cycle.
-        assert!(b.poll_compute("alice", 4, at_min(101)));
-        let second = b.close_month().pop().expect("invoice");
-        assert!((second.core_hours * 60.0 - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn month_boundary_neither_loses_nor_doubles_minutes() {
-        // Poll every minute across a 30-day month boundary; every minute
-        // lands in exactly one invoice.
+        // One core across a 30-day month boundary: every minute lands in
+        // exactly one invoice.
         let mut b = BillingService::new(Rates::default());
+        let alice = b.user_id("alice");
         let boundary = 30 * 24 * 60; // minutes in the first month
-        for m in 0..boundary {
-            b.poll_compute("alice", 1, at_min(m));
-        }
-        let first = b.close_month().pop().expect("invoice");
-        for m in boundary..(boundary + 120) {
-            b.poll_compute("alice", 1, at_min(m));
-        }
-        let second = b.close_month().pop().expect("invoice");
+        b.record_cores_id(alice, 1, at_min(0));
+        let first = b.close_month_at(at_min(boundary)).pop().expect("invoice");
+        let second = b
+            .close_month_at(at_min(boundary + 120))
+            .pop()
+            .expect("invoice");
         let total_minutes = (first.core_hours + second.core_hours) * 60.0;
         assert!(
             (total_minutes - (boundary + 120) as f64).abs() < 1e-6,
@@ -573,63 +483,26 @@ mod tests {
     }
 
     #[test]
-    fn boundary_helpers() {
-        use osdc_sim::SimDuration;
-        assert!(BillingService::is_minute_boundary(SimTime::ZERO));
-        assert!(BillingService::is_minute_boundary(
-            SimTime::ZERO + SimDuration::from_mins(5)
-        ));
-        assert!(!BillingService::is_minute_boundary(
-            SimTime::ZERO + SimDuration::from_secs(61)
-        ));
-        assert!(BillingService::is_day_boundary(
-            SimTime::ZERO + SimDuration::from_days(3)
-        ));
-        assert!(!BillingService::is_day_boundary(
-            SimTime::ZERO + SimDuration::from_hours(25)
-        ));
-    }
-
-    // ------------------------------------------------------------------
-    // Increment mode.
-
-    #[test]
-    fn deltas_match_polling_exactly() {
-        // 8 cores held minutes [0, 120), then resized to 2 for [120, 200).
-        let mut polled = BillingService::new(Rates::default());
-        for m in 0..200 {
-            let cores = if m < 120 { 8 } else { 2 };
-            polled.poll_compute("alice", cores, at_min(m));
-        }
-        let mut inc = BillingService::new(Rates::default());
-        inc.record_cores("alice", 8, at_min(0));
-        inc.record_cores("alice", 2, at_min(120));
-        let a = polled.close_month();
-        let b = inc.close_month_at(at_min(200));
-        assert_eq!(a, b, "incremental invoices must be byte-identical");
-    }
-
-    #[test]
     fn mid_minute_delta_bills_next_boundary_at_new_rate() {
-        // A resize 30 s into minute 5: polls at minutes 5.. see the old
-        // rate through minute 5's instant? No — the poll at minute 5
-        // (t = 300 s) happened *before* the 330 s delta, so minutes
-        // [0, 6) bill at 8 cores and minutes [6, 10) at 2.
+        // A resize 30 s into minute 5: the poll at minute 5 (t = 300 s)
+        // came *before* the 330 s delta, so minutes [0, 6) bill at 8
+        // cores and minutes [6, 10) at 2.
         let mut b = BillingService::new(Rates::default());
-        b.record_cores("alice", 8, at_min(0));
-        b.record_cores("alice", 2, at_min(5) + SimDuration::from_secs(30));
+        let alice = b.user_id("alice");
+        b.record_cores_id(alice, 8, at_min(0));
+        b.record_cores_id(alice, 2, at_min(5) + SimDuration::from_secs(30));
         let inv = b.close_month_at(at_min(10)).pop().expect("invoice");
         assert_eq!(inv.core_hours * 60.0, (6 * 8 + 4 * 2) as f64);
     }
 
     #[test]
     fn delta_exactly_on_poll_instant_takes_effect_that_poll() {
-        // Delta at t = minute 5 exactly: the virtual poll at minute 5
-        // samples the new rate (deltas order before polls at equal
-        // timestamps).
+        // Delta at t = minute 5 exactly: the poll at minute 5 samples the
+        // new rate (deltas order before polls at equal timestamps).
         let mut b = BillingService::new(Rates::default());
-        b.record_cores("alice", 8, at_min(0));
-        b.record_cores("alice", 2, at_min(5));
+        let alice = b.user_id("alice");
+        b.record_cores_id(alice, 8, at_min(0));
+        b.record_cores_id(alice, 2, at_min(5));
         let inv = b.close_month_at(at_min(10)).pop().expect("invoice");
         assert_eq!(inv.core_hours * 60.0, (5 * 8 + 5 * 2) as f64);
     }
@@ -637,11 +510,12 @@ mod tests {
     #[test]
     fn stop_to_zero_stops_accrual() {
         let mut b = BillingService::new(Rates::default());
-        b.record_cores("alice", 4, at_min(10));
-        b.record_cores("alice", 0, at_min(20));
+        let alice = b.user_id("alice");
+        b.record_cores_id(alice, 4, at_min(10));
+        b.record_cores_id(alice, 0, at_min(20));
         let inv = b.close_month_at(at_min(100)).pop().expect("invoice");
         assert_eq!(inv.core_hours * 60.0, 40.0);
-        assert_eq!(b.current_usage("alice"), CycleUsage::default());
+        assert_eq!(b.usage_at(alice, at_min(150)), CycleUsage::default());
         // Still zero cores: a later close issues nothing.
         assert!(b.close_month_at(at_min(200)).is_empty());
     }
@@ -649,7 +523,8 @@ mod tests {
     #[test]
     fn close_folds_open_rate_and_accrual_continues() {
         let mut b = BillingService::new(Rates::default());
-        b.record_cores("alice", 1, at_min(0));
+        let alice = b.user_id("alice");
+        b.record_cores_id(alice, 1, at_min(0));
         let first = b.close_month_at(at_min(60)).pop().expect("invoice");
         // Minutes [0, 60) — the poll exactly at the close instant
         // belongs to the next month.
@@ -661,47 +536,52 @@ mod tests {
     }
 
     #[test]
-    fn stored_deltas_match_daily_sweeps_exactly() {
-        let rates = Rates {
-            per_core_hour: 0.0,
-            per_tb_day: 0.10,
-            free_core_hours: 0.0,
-            free_tb_days: 0.0,
-        };
-        // 1.7 TB for days [0, 10), then 0.3 TB for days [10, 30) —
-        // non-integer TB values exercise the per-day rounding replay.
-        let mut swept = BillingService::new(rates);
+    fn stored_deltas_replay_daily_rounding_exactly() {
+        // 1.7 TB for days [0, 10), then 0.3 TB for days [10, 30):
+        // non-integer TB values must add up one day at a time, exactly as
+        // a daily sweep would.
+        let (before, after) = (1_700_000_000_001u64, 300_000_000_007u64);
+        let mut b = BillingService::new(storage_only(0.10));
+        let hoarder = b.user_id("hoarder");
+        b.record_stored_id(hoarder, before, at_day(0));
+        b.record_stored_id(hoarder, after, at_day(10));
+        let inv = b.close_month_at(at_day(30)).pop().expect("invoice");
+        let mut swept = 0.0f64;
         for d in 0..30 {
-            let bytes = if d < 10 {
-                1_700_000_000_001
-            } else {
-                300_000_000_007
-            };
-            swept.sweep_storage("hoarder", bytes, at_day(d));
+            swept += if d < 10 { before } else { after } as f64 / 1e12;
         }
-        let mut inc = BillingService::new(rates);
-        inc.record_stored("hoarder", 1_700_000_000_001, at_day(0));
-        inc.record_stored("hoarder", 300_000_000_007, at_day(10));
-        let a = swept.close_month();
-        let b = inc.close_month_at(at_day(30));
-        assert_eq!(a, b, "per-day fold must replay sweep rounding exactly");
+        assert_eq!(inv.tb_days.to_bits(), swept.to_bits());
     }
 
     #[test]
-    fn interned_id_paths_match_string_paths() {
-        let mut by_name = BillingService::new(Rates::default());
-        let mut by_id = BillingService::new(Rates::default());
-        let id = by_id.user_id("alice");
-        for m in 0..50 {
-            assert_eq!(
-                by_name.poll_compute("alice", 3, at_min(m)),
-                by_id.poll_compute_id(id, 3, at_min(m))
-            );
+    fn user_ids_are_interned_once() {
+        let mut b = BillingService::new(Rates::default());
+        let id = b.user_id("alice");
+        assert_eq!(b.user_id("alice"), id);
+        assert_eq!(b.lookup_user("alice"), Some(id));
+        assert_eq!(b.lookup_user("nobody"), None);
+    }
+
+    #[test]
+    fn foreign_tenant_id_is_ignored() {
+        // A service that interned one user receives a delta for an id it
+        // never issued. It used to index past the name table at close.
+        let mut b = BillingService::new(Rates::default());
+        let alice = b.user_id("alice");
+        let foreign = TenantId(7);
+        b.record_cores_id(foreign, 4, at_min(0));
+        b.record_stored_id(foreign, 1_000_000_000_000, at_min(0));
+        b.record_cores_id(alice, 1, at_min(0));
+        let invoices = b.close_month_at(at_min(60));
+        assert_eq!(invoices.len(), 1, "the foreign id gets no invoice");
+        assert_eq!(invoices[0].user, "alice");
+        assert_eq!(b.usage_at(foreign, at_min(90)), CycleUsage::default());
+        if audit::enabled() {
+            let (_, _, detail) = audit::violations()
+                .into_iter()
+                .find(|(site, _, _)| site == "tukey.tenant_id_issued")
+                .expect("the foreign id trips the audit check");
+            assert!(detail.contains("TenantId(7)"), "{detail}");
         }
-        by_name.sweep_storage("alice", 5_000_000_000_000, at_day(0));
-        by_id.sweep_storage_id(id, 5_000_000_000_000, at_day(0));
-        assert_eq!(by_name.close_month(), by_id.close_month());
-        assert_eq!(by_id.lookup_user("alice"), Some(id));
-        assert_eq!(by_id.lookup_user("nobody"), None);
     }
 }

@@ -59,8 +59,6 @@ pub struct TukeyConsole {
     pub catalog: DatasetCatalog,
     pub sharing: FileSharingService,
     sessions: BTreeMap<SessionToken, Identity>,
-    /// Every identity ever enrolled — the population billing polls over.
-    enrolled: Vec<Identity>,
     next_token: u64,
     tele: Telemetry,
 }
@@ -81,7 +79,6 @@ impl TukeyConsole {
             catalog,
             sharing: FileSharingService::new(),
             sessions: BTreeMap::new(),
-            enrolled: Vec::new(),
             next_token: 1,
             tele: Telemetry::disabled(),
         }
@@ -141,9 +138,6 @@ impl TukeyConsole {
     /// Administrative enrollment: bind cloud credentials to an identity.
     pub fn enroll(&mut self, id: &Identity, credential: CloudCredential) {
         self.vault.enroll(id, credential);
-        if !self.enrolled.contains(id) {
-            self.enrolled.push(id.clone());
-        }
     }
 
     fn open_session(&mut self, id: Identity) -> SessionToken {
@@ -231,6 +225,7 @@ impl TukeyConsole {
         );
         match result {
             Ok(v) => {
+                self.record_cores(&id, now);
                 self.finish_request(root, now, now + AUTH_LATENCY + self.proxy.last_latency, 1);
                 Ok(v)
             }
@@ -256,6 +251,7 @@ impl TukeyConsole {
             .delete_server(&self.vault, &id, cloud, server_id, now + AUTH_LATENCY)
         {
             Ok(()) => {
+                self.record_cores(&id, now);
                 self.finish_request(root, now, now + AUTH_LATENCY + self.proxy.last_latency, 1);
                 Ok(())
             }
@@ -269,11 +265,25 @@ impl TukeyConsole {
 
     // ---- usage & billing page ------------------------------------------------
 
+    /// Bill `id`'s cores across every cloud from the request instant
+    /// `at` of a launch or terminate that changed them (§6.4's per-minute
+    /// poll, delivered as the change itself).
+    fn record_cores(&mut self, id: &Identity, at: SimTime) {
+        let cores: u32 = self.proxy.usage(&self.vault, id).values().sum();
+        let tenant = self.billing.user_id(&id.canonical);
+        self.billing.record_cores_id(tenant, cores, at);
+    }
+
     /// "users can check their current usage via the OSDC web interface."
-    pub fn usage_page(&self, token: SessionToken) -> Result<Value, ConsoleError> {
+    /// The cycle shown is the open cycle folded up to `now`.
+    pub fn usage_page(&self, token: SessionToken, now: SimTime) -> Result<Value, ConsoleError> {
         let id = self.identity(token)?;
         let live = self.proxy.usage(&self.vault, &id);
-        let cycle = self.billing.current_usage(&id.canonical);
+        let cycle = self
+            .billing
+            .lookup_user(&id.canonical)
+            .map(|tenant| self.billing.usage_at(tenant, now))
+            .unwrap_or_default();
         Ok(json!({
             "user": id.canonical,
             "live_cores_by_cloud": live,
@@ -285,21 +295,13 @@ impl TukeyConsole {
         }))
     }
 
-    /// The per-minute billing poll across every enrolled identity (§6.4),
-    /// sampled at sim-time `now`. Duplicate ticks within one minute are
-    /// absorbed by the billing dedup cursor.
-    pub fn billing_minute_tick(&mut self, now: SimTime) {
-        for id in &self.enrolled {
-            let cores: u32 = self.proxy.usage(&self.vault, id).values().sum();
-            self.billing.poll_compute(&id.canonical, cores, now);
-        }
-    }
-
-    /// The daily storage sweep at sim-time `now`: callers supply
-    /// per-identity stored bytes (volumes live outside the console).
-    pub fn billing_daily_storage(&mut self, usage: &[(Identity, u64)], now: SimTime) {
+    /// The storage feed: callers report per-identity stored bytes,
+    /// effective `at`, whenever they change (volumes live outside the
+    /// console). Reporting an unchanged size again is harmless.
+    pub fn record_storage(&mut self, usage: &[(Identity, u64)], at: SimTime) {
         for (id, bytes) in usage {
-            self.billing.sweep_storage(&id.canonical, *bytes, now);
+            let tenant = self.billing.user_id(&id.canonical);
+            self.billing.record_stored_id(tenant, *bytes, at);
         }
     }
 
@@ -374,7 +376,7 @@ mod tests {
         let (mut console, _) = console_with_alice();
         let bogus = SessionToken(42);
         assert!(console.instances_page(bogus, SimTime::ZERO).is_err());
-        assert!(console.usage_page(bogus).is_err());
+        assert!(console.usage_page(bogus, SimTime::ZERO).is_err());
         assert!(console
             .launch_instance(
                 bogus,
@@ -388,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn billing_polls_accumulate_through_console() {
+    fn launch_bills_from_the_request_instant() {
         let (mut console, idp) = console_with_alice();
         let token = console
             .login_shibboleth(&idp.assert("alice@uchicago.edu").expect("assert"))
@@ -403,10 +405,9 @@ mod tests {
                 SimTime::ZERO,
             )
             .expect("launch");
-        for m in 0..60 {
-            console.billing_minute_tick(SimTime::ZERO + SimDuration::from_mins(m));
-        }
-        let usage = console.usage_page(token).expect("usage");
+        let usage = console
+            .usage_page(token, SimTime::ZERO + SimDuration::from_mins(60))
+            .expect("usage");
         assert!((usage["cycle"]["core_hours"].as_f64().expect("f64") - 8.0).abs() < 1e-9);
         assert_eq!(usage["live_cores_by_cloud"]["adler"], 8);
     }
@@ -428,12 +429,13 @@ mod tests {
             )
             .expect("launch");
         let id = resp["server"]["id"].as_u64().expect("id");
-        console.billing_minute_tick(SimTime::ZERO);
         console
             .terminate_instance(token, "adler", id, SimTime(60_000_000_000))
             .expect("terminate");
-        console.billing_minute_tick(SimTime(60_000_000_000)); // no longer counted
-        let usage = console.usage_page(token).expect("usage");
+        // The minute at the terminate instant and later are not billed.
+        let usage = console
+            .usage_page(token, SimTime(600_000_000_000))
+            .expect("usage");
         let core_hours = usage["cycle"]["core_hours"].as_f64().expect("f64");
         assert!((core_hours - 1.0 / 60.0).abs() < 1e-9, "{core_hours}");
     }
@@ -539,18 +541,20 @@ mod tests {
     }
 
     #[test]
-    fn storage_sweep_reaches_invoices() {
+    fn storage_feed_reaches_invoices() {
         let (mut console, _) = console_with_alice();
         let id = Identity {
             canonical: "shib:alice@uchicago.edu".into(),
         };
         for d in 0..30 {
-            console.billing_daily_storage(
+            console.record_storage(
                 &[(id.clone(), 5_000_000_000_000)],
                 SimTime::ZERO + SimDuration::from_days(d),
             );
         }
-        let invoices = console.billing.close_month();
+        let invoices = console
+            .billing
+            .close_month_at(SimTime::ZERO + SimDuration::from_days(30));
         assert_eq!(invoices.len(), 1);
         assert!((invoices[0].tb_days - 150.0).abs() < 1e-9);
     }

@@ -24,8 +24,8 @@
 //! The OSDC user services of §6 complete the crate: [`ark`] (dataset
 //! identifiers with inflection resolution), [`sharing`] (users, groups,
 //! hierarchical file-collections, WebDAV-style access), [`catalog`]
-//! (curated public datasets), and [`billing`] (per-minute core-hour
-//! polling, daily storage sweeps, monthly invoices).
+//! (curated public datasets), and [`billing`] (event-driven core-hour
+//! and storage accrual, monthly invoices).
 
 pub mod ark;
 pub mod auth;

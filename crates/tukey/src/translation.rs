@@ -687,7 +687,7 @@ impl TranslationProxy {
         })
     }
 
-    /// Aggregate per-minute usage across clouds for the billing poller
+    /// Aggregate usage across clouds for billing and the usage page
     /// (§6.4): `cloud → active cores`.
     pub fn usage(&self, vault: &CredentialVault, id: &Identity) -> BTreeMap<String, u32> {
         let mut usage = BTreeMap::new();

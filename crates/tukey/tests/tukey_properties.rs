@@ -68,7 +68,7 @@ proptest! {
     /// at zero, and the cycle resets exactly.
     #[test]
     fn billing_arithmetic(
-        polls in proptest::collection::vec(0u32..64, 0..200),
+        per_minute in proptest::collection::vec(0u32..64, 0..200),
         daily_tb in proptest::collection::vec(0u64..20, 0..40),
         free_hours in 0.0f64..50.0,
     ) {
@@ -79,19 +79,23 @@ proptest! {
             free_tb_days: 1.0,
         };
         let mut b = BillingService::new(rates);
-        for (m, &c) in polls.iter().enumerate() {
-            b.poll_compute("u", c, SimTime::ZERO + SimDuration::from_mins(m as u64));
+        let u = b.user_id("u");
+        // One delta per minute / per day; each rate is held for exactly
+        // one poll / one sweep, then usage stops.
+        let min = |m: usize| SimTime::ZERO + SimDuration::from_mins(m as u64);
+        let day = |d: usize| SimTime::ZERO + SimDuration::from_days(d as u64);
+        for (m, &c) in per_minute.iter().enumerate() {
+            b.record_cores_id(u, c, min(m));
         }
+        b.record_cores_id(u, 0, min(per_minute.len()));
         for (d, &tb) in daily_tb.iter().enumerate() {
-            b.sweep_storage(
-                "u",
-                tb * 1_000_000_000_000,
-                SimTime::ZERO + SimDuration::from_days(d as u64),
-            );
+            b.record_stored_id(u, tb * 1_000_000_000_000, day(d));
         }
-        let core_minutes: f64 = polls.iter().map(|&c| c as f64).sum();
+        b.record_stored_id(u, 0, day(daily_tb.len()));
+        let close = day(daily_tb.len()).max(min(per_minute.len()));
+        let core_minutes: f64 = per_minute.iter().map(|&c| c as f64).sum();
         let tb_days: f64 = daily_tb.iter().map(|&t| t as f64).sum();
-        let invoices = b.close_month();
+        let invoices = b.close_month_at(close);
         if core_minutes == 0.0 && tb_days == 0.0 {
             prop_assert!(invoices.is_empty());
         } else {
@@ -104,82 +108,81 @@ proptest! {
             prop_assert!(inv.total_usd >= 0.0);
         }
         // Cycle reset: a fresh close yields nothing.
-        prop_assert!(b.close_month().is_empty());
+        prop_assert!(b.close_month_at(close).is_empty());
     }
 
-    /// Billing dedup: re-delivering any minute's poll never changes the
-    /// total, no matter where a `close_month` lands in the stream — the
-    /// cursor survives the month boundary, so minutes are neither lost
-    /// nor double-counted.
+    /// The delivery contract of `record_cores_id` / `record_stored_id`:
+    /// delivering a delta twice in a row is a no-op, and a delta earlier
+    /// than the tenant's fold cursor (set by its earlier deltas and the
+    /// closes since its first one) takes effect at the cursor. One
+    /// service gets every delta twice at its own, possibly late, instant;
+    /// the other gets each once, moved up to the cursor this test
+    /// tracks. Their invoices must be identical, and the core-minutes
+    /// billed must equal the moved-up timeline's: no folded minute is
+    /// ever billed twice.
     #[test]
-    fn billing_poll_dedup_is_idempotent_across_close(
-        raw_minutes in proptest::collection::vec(0u64..240, 1..80),
-        close_idx in 0usize..80,
+    fn delta_delivery_contract(
+        events in proptest::collection::vec(
+            (0u8..4, 0u64..3 * 24 * 60, 0u64..60, 0u64..4_000_000_000_000),
+            1..60,
+        ),
     ) {
-        let mut b = BillingService::new(Rates {
-            per_core_hour: 1.0,
-            per_tb_day: 0.0,
-            free_core_hours: 0.0,
-            free_tb_days: 0.0,
-        });
-        let mut minutes = raw_minutes.clone();
-        minutes.sort_unstable();
-        let mut billed = 0.0;
-        for (i, &m) in minutes.iter().enumerate() {
-            if i == close_idx {
-                for inv in b.close_month() {
-                    billed += inv.core_hours * 60.0;
+        const MIN: u64 = 60_000_000_000;
+        const DAY: u64 = 24 * 60 * MIN;
+        let mut dup = BillingService::new(Rates::default());
+        let mut moved = BillingService::new(Rates::default());
+        let (a, b) = (dup.user_id("u"), moved.user_id("u"));
+        // The cursors in poll/sweep indices (closes move them only once
+        // the tenant has had a delta), the held rate, and the
+        // core-minutes of the moved-up timeline.
+        let (mut min_cursor, mut day_cursor, mut held, mut timeline) = (0u64, 0u64, 0u64, 0u64);
+        let mut seen = false;
+        let (mut dup_bills, mut moved_bills) = (Vec::new(), Vec::new());
+        let end = 3 * DAY + 1;
+        // Kinds 0–1 are core deltas, 2 storage deltas, 3 closes; a final
+        // close lands after every drawn instant.
+        let stream = events
+            .iter()
+            .map(|&(kind, m, s, size)| (kind, m * MIN + s * 1_000_000_000, size))
+            .chain([(3, end, 0)]);
+        for (kind, t, size) in stream {
+            match kind {
+                0 | 1 => {
+                    seen = true;
+                    let cores = (size % 9) as u32;
+                    dup.record_cores_id(a, cores, SimTime(t));
+                    dup.record_cores_id(a, cores, SimTime(t));
+                    let eff = t.max(min_cursor * MIN);
+                    moved.record_cores_id(b, cores, SimTime(eff));
+                    let bound = eff.div_ceil(MIN);
+                    timeline += held * (bound - min_cursor);
+                    (min_cursor, held) = (bound, u64::from(cores));
+                }
+                2 => {
+                    seen = true;
+                    dup.record_stored_id(a, size, SimTime(t));
+                    dup.record_stored_id(a, size, SimTime(t));
+                    let eff = t.max(day_cursor * DAY);
+                    moved.record_stored_id(b, size, SimTime(eff));
+                    day_cursor = eff.div_ceil(DAY);
+                }
+                _ => {
+                    dup_bills.push(dup.close_month_at(SimTime(t)));
+                    moved_bills.push(moved.close_month_at(SimTime(t)));
+                    if seen {
+                        let bound = t.div_ceil(MIN).max(min_cursor);
+                        timeline += held * (bound - min_cursor);
+                        min_cursor = bound;
+                        day_cursor = day_cursor.max(t.div_ceil(DAY));
+                    }
                 }
             }
-            let t = SimTime::ZERO + SimDuration::from_mins(m);
-            b.poll_compute("u", 2, t);
-            b.poll_compute("u", 2, t); // duplicate delivery of the same sample
         }
-        for inv in b.close_month() {
-            billed += inv.core_hours * 60.0;
-        }
-        let mut uniq = minutes.clone();
-        uniq.dedup();
+        let billed: f64 = dup_bills.iter().flatten().map(|inv| inv.core_hours * 60.0).sum();
+        prop_assert_eq!(dup_bills, moved_bills);
         prop_assert!(
-            (billed - 2.0 * uniq.len() as f64).abs() < 1e-6,
-            "billed {} core-minutes for {} unique minutes", billed, uniq.len()
-        );
-    }
-
-    /// Storage-sweep dedup: double sweeps within a day bill once, and a
-    /// month close between them does not reopen the day.
-    #[test]
-    fn storage_sweep_dedup_across_close(
-        raw_days in proptest::collection::vec(0u64..60, 1..40),
-        close_idx in 0usize..40,
-    ) {
-        let mut b = BillingService::new(Rates {
-            per_core_hour: 0.0,
-            per_tb_day: 1.0,
-            free_core_hours: 0.0,
-            free_tb_days: 0.0,
-        });
-        let mut days = raw_days.clone();
-        days.sort_unstable();
-        let mut billed = 0.0;
-        for (i, &d) in days.iter().enumerate() {
-            if i == close_idx {
-                for inv in b.close_month() {
-                    billed += inv.tb_days;
-                }
-            }
-            let t = SimTime::ZERO + SimDuration::from_days(d);
-            b.sweep_storage("u", 1_000_000_000_000, t);
-            b.sweep_storage("u", 1_000_000_000_000, t + SimDuration::from_hours(2));
-        }
-        for inv in b.close_month() {
-            billed += inv.tb_days;
-        }
-        let mut uniq = days.clone();
-        uniq.dedup();
-        prop_assert!(
-            (billed - uniq.len() as f64).abs() < 1e-6,
-            "billed {} TB-days for {} unique days", billed, uniq.len()
+            (billed - timeline as f64).abs() <= 1e-9 * timeline.max(1) as f64,
+            "billed {} core-minutes, the timeline holds {}", billed, timeline
         );
     }
 

@@ -2,12 +2,12 @@
 //! at steady state. Per-tenant state lives in a `TenantStore` slab keyed
 //! by interned ids, so after the tenant population is established:
 //!
-//! * `poll_compute` / `sweep_storage` by *name* do a no-alloc interner
-//!   lookup plus two index operations (the former `BTreeMap<String, _>`
-//!   cloned the key on every counted sample);
-//! * `record_cores` / `record_stored` folds are pure arithmetic on the
-//!   slab entry;
-//! * a steady-state `close_month` reuses its retained scratch buffer
+//! * resolving a known user by *name* (`user_id` / `lookup_user`, what
+//!   the console does per request) is a no-alloc interner lookup, and
+//!   `usage_at` folds a copy of the slab entry on the stack;
+//! * `record_cores_id` / `record_stored_id` folds are pure arithmetic on
+//!   the slab entry;
+//! * a steady-state `close_month_at` reuses its retained scratch buffer
 //!   (invoice `String`s for *non-empty* cycles still allocate, so the
 //!   measured closes run over folded-to-zero cycles).
 
@@ -30,27 +30,32 @@ fn allocator_probe_is_live() {
 }
 
 #[test]
-fn poll_and_sweep_by_name_are_zero_alloc_after_first_touch() {
+fn name_lookups_and_usage_reads_are_zero_alloc_after_first_touch() {
     let mut b = BillingService::new(Rates::default());
     let users: Vec<String> = (0..256).map(|u| format!("user{u}")).collect();
     // Warm-up: intern every user and establish slab capacity.
     for (m, user) in users.iter().enumerate() {
-        b.poll_compute(user, 4, at_min(m as u64));
-        b.sweep_storage(user, 1_000_000_000_000, at_min(m as u64));
+        let id = b.user_id(user);
+        b.record_cores_id(id, 4, at_min(m as u64));
+        b.record_stored_id(id, 1_000_000_000_000, at_min(m as u64));
     }
-    let (stats, counted) = count_allocations(|| {
-        let mut counted = 0usize;
+    let (stats, core_minutes) = count_allocations(|| {
+        let mut core_minutes = 0.0;
         for m in 300..1300u64 {
             for user in &users {
-                counted += usize::from(b.poll_compute(user, 4, at_min(m)));
+                let id = b.user_id(user);
+                b.record_cores_id(id, 4, at_min(m));
+                if let Some(id) = b.lookup_user(user) {
+                    core_minutes += b.usage_at(id, at_min(m + 1)).core_minutes;
+                }
             }
         }
-        counted
+        core_minutes
     });
-    assert_eq!(counted, 256 * 1000, "every poll counted");
+    assert!(core_minutes > 0.0, "every read sees the open cycle");
     assert_eq!(
         stats.allocations, 0,
-        "poll_compute allocated {} times ({} bytes) at steady state",
+        "name lookups allocated {} times ({} bytes) at steady state",
         stats.allocations, stats.bytes
     );
 }
@@ -82,8 +87,9 @@ fn delta_folds_by_id_are_zero_alloc() {
 fn empty_cycle_close_reuses_scratch() {
     let mut b = BillingService::new(Rates::default());
     for u in 0..64 {
-        b.record_cores(&format!("user{u}"), 2, at_min(0));
-        b.record_cores(&format!("user{u}"), 0, at_min(10));
+        let id = b.user_id(&format!("user{u}"));
+        b.record_cores_id(id, 2, at_min(0));
+        b.record_cores_id(id, 0, at_min(10));
     }
     // First close invoices everyone (allocates invoice strings) and
     // sizes the scratch buffer.

@@ -67,15 +67,13 @@ fn main() {
         .expect("free-tier capacity");
     println!("launched: {}", serde_json::to_string(&vm).expect("json"));
 
-    // 5. Compute for three hours; Tukey polls usage every minute (§6.4).
-    let mut now = t0;
-    for _ in 0..(3 * 60) {
-        now += SimDuration::from_mins(1);
-        fed.console.billing_minute_tick(now);
-    }
+    // 5. Compute for three hours; Tukey bills the cores from the launch
+    // on (§6.4).
+    let now = t0 + SimDuration::from_mins(3 * 60);
     println!(
         "\nusage page:\n{}",
-        serde_json::to_string_pretty(&fed.console.usage_page(token).expect("usage")).expect("json")
+        serde_json::to_string_pretty(&fed.console.usage_page(token, now).expect("usage"))
+            .expect("json")
     );
 
     // 6. Share your results with a collaborator at another data center
@@ -132,7 +130,7 @@ fn main() {
     fed.console
         .terminate_instance(token, "adler", id, now)
         .expect("terminate");
-    for invoice in fed.console.billing.close_month() {
+    for invoice in fed.console.billing.close_month_at(now) {
         println!(
             "invoice for {}: {:.1} core-hours → ${:.2} (free tier covers {})",
             invoice.user,

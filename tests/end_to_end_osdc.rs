@@ -85,19 +85,16 @@ fn a_researchers_month() {
         .read("collab", "pw2", "/projects/enc/peaks.bed")
         .is_ok());
 
-    // A 30-day month of minute polls and daily sweeps.
+    // A 30-day month: the launches bill their cores from t0, and the
+    // share's stored bytes are reported each midnight.
     let id = researcher();
     for day in 0..30u64 {
         let midnight = t0 + SimDuration::from_days(day);
-        for m in 0..(24 * 60) {
-            fed.console
-                .billing_minute_tick(midnight + SimDuration::from_mins(m));
-        }
         let stored = fed
             .adler_share
             .with_volume(|v| v.usage_by_owner().get("heath").copied().unwrap_or(0));
         fed.console
-            .billing_daily_storage(&[(id.clone(), stored)], midnight);
+            .record_storage(&[(id.clone(), stored)], midnight);
     }
     // Terminate at month end.
     fed.console
@@ -109,7 +106,10 @@ fn a_researchers_month() {
         )
         .expect("terminate");
 
-    let invoices = fed.console.billing.close_month();
+    let invoices = fed
+        .console
+        .billing
+        .close_month_at(t0 + SimDuration::from_days(30));
     assert_eq!(invoices.len(), 1);
     let inv = &invoices[0];
     // 8 + 2 cores for 720 hours = 7200 core-hours.
