@@ -26,9 +26,10 @@
 //!   a healed provider with leftovers means the router believes a
 //!   failure that is over.
 //!
-//! Chaos faults enter the op alphabet as [`FaultEvent`]s, applied
-//! through the router's own [`osdc_chaos::Injector`] impl
-//! (`ApiOutage` / `ApiTimeout` / `ApiError` onto registry health).
+//! Chaos faults enter the op alphabet as [`FaultEvent`]s, applied to the
+//! router's registry through its [`osdc_chaos::Injector`] impl
+//! (`ApiOutage` / `ApiTimeout` / `ApiError` onto `ApiHealth`) — the
+//! same hook the chaos campaign drives.
 
 use std::collections::BTreeMap;
 
@@ -52,7 +53,7 @@ pub enum RouterOp {
     /// that is not assigned is a tolerated no-op (churn schedules fire
     /// blind).
     Terminate { user: String, token: String },
-    /// Inject a chaos fault through the router's `Injector` impl.
+    /// Inject a chaos fault into the router's registry.
     Inject(FaultEvent),
     /// Restore a chaos fault.
     Restore(FaultEvent),
@@ -201,11 +202,13 @@ impl Oracle for FailoverOracle {
             }
             RouterOp::Inject(ev) => {
                 router
+                    .registry
                     .inject(ev, self.now)
                     .map_err(|e| format!("inject {:?} failed: {e}", ev.kind))?;
             }
             RouterOp::Restore(ev) => {
                 router
+                    .registry
                     .restore(ev, self.now)
                     .map_err(|e| format!("restore {:?} failed: {e}", ev.kind))?;
             }

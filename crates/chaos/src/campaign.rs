@@ -2,12 +2,18 @@
 //!
 //! [`run_campaign`] assembles a miniature OSDC — the four-site WAN with a
 //! bulk transfer in flight, a replica-2 GlusterFS volume taking a steady
-//! ingest stream, an OpenStack/Eucalyptus pair behind the Tukey
-//! translation proxies, a compute cloud running a fleet of instances, and
+//! ingest stream, the OpenStack/Eucalyptus pair (`adler`, `sullivan`) in
+//! a provider registry, a compute cloud running a fleet of instances, and
 //! a Nagios master watching the storage servers — then walks a
 //! minute-granularity master clock, applying the plan's inject/restore
 //! actions through the [`Injector`](crate::inject::Injector) hooks and
 //! folding what happens into a [`ResilienceScorecard`].
+//!
+//! API faults (`ApiError`, `ApiTimeout`, `ApiOutage`) flip the registry's
+//! `ApiHealth` gate. While one is open, the campaign probes that cloud
+//! once a minute: the probe lists instances as a throwaway user up to
+//! `1 + max_retries` times under the cell's retry policy, and the first
+//! call that gets through marks the API recovered.
 //!
 //! Everything is seeded: same `(config, plan)` in, byte-identical
 //! scorecard and telemetry artifact out. That invariant is tested in
@@ -22,12 +28,11 @@ use osdc_monitor::{
 use osdc_net::{
     osdc_wan, CongestionControl, FlowId, FlowSpec, FluidNet, NodeId, OsdcSite, SolverMode,
 };
+use osdc_providers::{osdc_fleet, CanonicalRequest, ProviderRegistry};
 use osdc_provision::{provision_rack, PipelineParams};
-use osdc_sim::{CircuitBreaker, RetryPolicy, SimDuration, SimRng, SimTime};
+use osdc_sim::{RetryPolicy, SimDuration, SimRng, SimTime};
 use osdc_storage::{FileData, GlusterVersion, Volume};
 use osdc_telemetry::Telemetry;
-use osdc_tukey::translation::osdc_proxy;
-use osdc_tukey::TranslationProxy;
 
 use crate::inject::Injector;
 use crate::plan::{FaultKind, FaultPlan, Phase, TimedAction};
@@ -102,7 +107,9 @@ struct Rig {
     volume: Volume,
     written_paths: Vec<String>,
     ingest_queue: Vec<PendingWrite>,
-    proxy: TranslationProxy,
+    /// The API-fault targets: `adler` (OpenStack) and `sullivan`
+    /// (Eucalyptus) behind the registry's health gate.
+    providers: ProviderRegistry,
     cloud: CloudController,
     desired_instances: usize,
     nagios: NagiosMaster,
@@ -114,6 +121,11 @@ struct Rig {
 
 const INGEST_FILE_BYTES: u64 = 1 << 20;
 const FLEET_SIZE: usize = 8;
+/// The clouds API faults target, in probe order.
+const API_CLOUDS: [&str; 2] = ["adler", "sullivan"];
+/// The availability probe's caller; it owns nothing, so an empty listing
+/// is a healthy reply.
+const PROBE_USER: &str = "__probe__";
 
 fn minute(m: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_mins(m)
@@ -149,18 +161,8 @@ impl Rig {
             written_paths.push(path);
         }
 
-        // Tukey translation proxies with the campaign's retry policy; a
-        // circuit breaker guards the Eucalyptus backend.
-        let mut proxy = osdc_proxy(1);
-        proxy.set_telemetry(tele.clone());
-        proxy.set_retry_policy(cfg.retry.clone());
-        proxy
-            .set_breaker(
-                "sullivan",
-                CircuitBreaker::new(6, SimDuration::from_secs(120)),
-            )
-            .expect("sullivan exists");
-        proxy.reseed_faults(seed ^ 0x03);
+        // The OpenStack/Eucalyptus pair; fault draws are seeded per plan.
+        let providers = osdc_fleet(&API_CLOUDS, tele.clone(), seed ^ 0x03);
 
         // A one-rack compute cloud running a small fleet.
         let mut cloud = CloudController::with_racks("adler-compute", 1);
@@ -210,7 +212,7 @@ impl Rig {
             volume,
             written_paths,
             ingest_queue: Vec::new(),
-            proxy,
+            providers,
             cloud,
             desired_instances: FLEET_SIZE,
             nagios,
@@ -269,19 +271,8 @@ impl Rig {
                         self.tracker.card.instances_killed += effect.instances_killed;
                         self.tracker.fault("compute", at, false);
                     }
-                    FaultKind::ApiTimeout | FaultKind::ApiError => {
-                        self.proxy.inject(ev, at).expect("known cloud");
-                        self.tracker.fault(format!("api:{}", ev.target), at, false);
-                    }
-                    FaultKind::ApiOutage => {
-                        // This federation has no provider registry; the
-                        // closest proxy-level equivalent is every call
-                        // erroring. osdc_campaign never schedules this
-                        // kind — the arm exists for hand-written plans.
-                        let mut full = ev.clone();
-                        full.kind = FaultKind::ApiError;
-                        full.magnitude = 1.0;
-                        self.proxy.inject(&full, at).expect("known cloud");
+                    FaultKind::ApiTimeout | FaultKind::ApiError | FaultKind::ApiOutage => {
+                        self.providers.inject(ev, at).expect("known cloud");
                         self.tracker.fault(format!("api:{}", ev.target), at, false);
                     }
                     FaultKind::ChefFailure => {
@@ -331,14 +322,9 @@ impl Rig {
                         self.cloud.restore(ev, at).expect("known host");
                         // Recovery is the relaunch loop refilling the fleet.
                     }
-                    FaultKind::ApiTimeout | FaultKind::ApiError => {
-                        self.proxy.restore(ev, at).expect("known cloud");
+                    FaultKind::ApiTimeout | FaultKind::ApiError | FaultKind::ApiOutage => {
+                        self.providers.restore(ev, at).expect("known cloud");
                         // Recovery is the next successful probe.
-                    }
-                    FaultKind::ApiOutage => {
-                        let mut full = ev.clone();
-                        full.kind = FaultKind::ApiError;
-                        self.proxy.restore(&full, at).expect("known cloud");
                     }
                     FaultKind::ChefFailure => {
                         // Handled inline at inject time.
@@ -346,6 +332,16 @@ impl Rig {
                 }
             }
         }
+    }
+
+    /// Whether any of `1 + retry.max_retries()` listing calls against
+    /// `cloud` at `now` gets through the registry's health gate.
+    fn probe(&mut self, cloud: &str, now: SimTime, retry: &RetryPolicy) -> bool {
+        (0..=retry.max_retries()).any(|_| {
+            self.providers
+                .call(cloud, PROBE_USER, &CanonicalRequest::ListInstances, now)
+                .is_ok()
+        })
     }
 
     /// One master-clock minute: ingest, probes, relaunches, monitoring.
@@ -380,12 +376,12 @@ impl Rig {
         }
         self.ingest_queue = still_pending;
 
-        // Translation-proxy probes: while a cloud has an open API fault,
-        // poll it once a minute (each probe retries per the policy).
-        for cloud in ["adler", "sullivan"] {
-            if self.tracker.is_open(&format!("api:{cloud}")) && self.proxy.probe(cloud, now).is_ok()
-            {
-                self.tracker.recovered(&format!("api:{cloud}"), now);
+        // API probes: while a cloud has an open API fault, list it once
+        // a minute, retrying within the minute per the policy.
+        for cloud in API_CLOUDS {
+            let key = format!("api:{cloud}");
+            if self.tracker.is_open(&key) && self.probe(cloud, now, retry) {
+                self.tracker.recovered(&key, now);
             }
         }
 
@@ -548,6 +544,45 @@ mod tests {
         let (par_cards, par_trace) = run(4);
         assert_eq!(par_cards, serial_cards);
         assert_eq!(par_trace, serial_trace);
+    }
+
+    #[test]
+    fn api_outage_holds_probes_until_restore() {
+        let mut plan = FaultPlan::new("hand-written outage", 7);
+        plan.push(crate::plan::FaultEvent {
+            at_secs: 600.0,
+            kind: FaultKind::ApiOutage,
+            target: "sullivan".into(),
+            magnitude: 0.0,
+            duration_secs: 330.0,
+        });
+        let retry = RetryPolicy::exponential(12);
+        let cfg = CampaignConfig {
+            gluster: GlusterVersion::V3_3,
+            retry: retry.clone(),
+            plan,
+            duration_mins: 30,
+            corpus_files: 8,
+            solver: SolverMode::DEFAULT,
+        };
+        let tele = Telemetry::new();
+        let card = run_campaign(&cfg, &tele);
+        assert_eq!((card.faults_injected, card.recovery_events), (1, 1));
+        // Injected at minute 10 and restored at 15.5: the minute-16 probe
+        // is the first to get through.
+        assert_eq!(card.mttr_secs(), 360.0);
+        // Minutes 10–15 each spent every attempt on the outage; the first
+        // call at minute 16 succeeded. Nothing probed the healthy cloud.
+        let attempts = 1 + retry.max_retries() as u64;
+        assert_eq!(
+            tele.counter_value("providers.sullivan.errors"),
+            6 * attempts
+        );
+        assert_eq!(
+            tele.counter_value("providers.sullivan.calls"),
+            6 * attempts + 1
+        );
+        assert_eq!(tele.counter_value("providers.adler.calls"), 0);
     }
 
     #[test]

@@ -2,20 +2,20 @@
 //!
 //! `osdc-chaos` depends on the subsystem crates, never the reverse: each
 //! subsystem exposes small, safe hook points (link toggles, brick health
-//! transitions, host power state, injected API fault tables, the Chef
-//! failure knob) and the [`Injector`] implementations here translate
-//! declarative [`FaultEvent`]s onto those hooks. Restores are stateless —
-//! every mutation is chosen so the inverse can be computed from the event
-//! itself (toggle back, subtract the added loss, divide out the delay
-//! multiplier, heal), which keeps replays trivially deterministic.
+//! transitions, host power state, the provider registry's API health,
+//! the Chef failure knob) and the [`Injector`] implementations here
+//! translate declarative [`FaultEvent`]s onto those hooks. Restores are
+//! stateless — every mutation is chosen so the inverse can be computed
+//! from the event itself (toggle back, subtract the added loss, divide
+//! out the delay multiplier, heal), which keeps replays trivially
+//! deterministic.
 
 use osdc_compute::{CloudController, HostId, InstanceState};
 use osdc_net::FluidNet;
-use osdc_providers::FailoverRouter;
+use osdc_providers::ProviderRegistry;
 use osdc_provision::PipelineParams;
 use osdc_sim::SimTime;
 use osdc_storage::{BrickHealth, BrickId, Volume};
-use osdc_tukey::{InjectedApiFault, TranslationProxy};
 
 use crate::plan::{FaultEvent, FaultKind};
 
@@ -294,53 +294,13 @@ impl Injector for CloudController {
     }
 }
 
-// ---- tukey translation proxies -------------------------------------------
+// ---- provider registry ---------------------------------------------------
 
-impl Injector for TranslationProxy {
-    fn subsystem(&self) -> &'static str {
-        "tukey"
-    }
-
-    fn handles(&self, kind: FaultKind) -> bool {
-        matches!(kind, FaultKind::ApiTimeout | FaultKind::ApiError)
-    }
-
-    fn inject(&mut self, ev: &FaultEvent, _now: SimTime) -> Result<Effect, InjectError> {
-        let fault = match ev.kind {
-            FaultKind::ApiTimeout => InjectedApiFault {
-                timeout_prob: ev.magnitude,
-                ..InjectedApiFault::default()
-            },
-            FaultKind::ApiError => InjectedApiFault {
-                error_prob: ev.magnitude,
-                ..InjectedApiFault::default()
-            },
-            other => return Err(InjectError::Unsupported(other)),
-        };
-        self.inject_api_fault(&ev.target, fault)
-            .map_err(|_| InjectError::UnknownTarget(ev.target.clone()))?;
-        Ok(Effect::default())
-    }
-
-    fn restore(&mut self, ev: &FaultEvent, _now: SimTime) -> Result<Effect, InjectError> {
-        if !self.handles(ev.kind) {
-            return Err(InjectError::Unsupported(ev.kind));
-        }
-        self.inject_api_fault(&ev.target, InjectedApiFault::default())
-            .map_err(|_| InjectError::UnknownTarget(ev.target.clone()))?;
-        Ok(Effect::default())
-    }
-}
-
-// ---- provider registry (failover router) ---------------------------------
-
-/// The provider-registry-level absorber of API faults. Where the
-/// [`TranslationProxy`] impl above flips per-cloud fault tables inside
-/// Tukey's federation, this one flips [`osdc_providers::ApiHealth`] on
-/// the failover router's registry — the hook the `exp_providers` grid
-/// drives. `ApiOutage` exists only at this level; the two impls are
-/// never wired into the same campaign.
-impl Injector for FailoverRouter {
+/// API faults flip [`osdc_providers::ApiHealth`] on the provider
+/// registry (target = provider name), the federation's one API fault
+/// gate: the chaos campaign's probes and the failover router's calls
+/// both pass through it.
+impl Injector for ProviderRegistry {
     fn subsystem(&self) -> &'static str {
         "providers"
     }
@@ -354,13 +314,9 @@ impl Injector for FailoverRouter {
 
     fn inject(&mut self, ev: &FaultEvent, _now: SimTime) -> Result<Effect, InjectError> {
         let applied = match ev.kind {
-            FaultKind::ApiOutage => self.registry.set_health(&ev.target, |h| h.outage = true),
-            FaultKind::ApiTimeout => self
-                .registry
-                .set_health(&ev.target, |h| h.timeout_prob = ev.magnitude),
-            FaultKind::ApiError => self
-                .registry
-                .set_health(&ev.target, |h| h.error_prob = ev.magnitude),
+            FaultKind::ApiOutage => self.set_health(&ev.target, |h| h.outage = true),
+            FaultKind::ApiTimeout => self.set_health(&ev.target, |h| h.timeout_prob = ev.magnitude),
+            FaultKind::ApiError => self.set_health(&ev.target, |h| h.error_prob = ev.magnitude),
             other => return Err(InjectError::Unsupported(other)),
         };
         if applied {
@@ -372,11 +328,9 @@ impl Injector for FailoverRouter {
 
     fn restore(&mut self, ev: &FaultEvent, _now: SimTime) -> Result<Effect, InjectError> {
         let applied = match ev.kind {
-            FaultKind::ApiOutage => self.registry.set_health(&ev.target, |h| h.outage = false),
-            FaultKind::ApiTimeout => self
-                .registry
-                .set_health(&ev.target, |h| h.timeout_prob = 0.0),
-            FaultKind::ApiError => self.registry.set_health(&ev.target, |h| h.error_prob = 0.0),
+            FaultKind::ApiOutage => self.set_health(&ev.target, |h| h.outage = false),
+            FaultKind::ApiTimeout => self.set_health(&ev.target, |h| h.timeout_prob = 0.0),
+            FaultKind::ApiError => self.set_health(&ev.target, |h| h.error_prob = 0.0),
             other => return Err(InjectError::Unsupported(other)),
         };
         if applied {
@@ -419,8 +373,13 @@ impl Injector for PipelineParams {
 mod tests {
     use super::*;
     use osdc_net::{osdc_wan, OsdcSite};
+    use osdc_providers::{osdc_fleet, CanonicalRequest, ProviderError};
     use osdc_storage::{FileData, GlusterVersion};
-    use osdc_tukey::translation::osdc_proxy;
+    use osdc_telemetry::Telemetry;
+
+    fn pair() -> ProviderRegistry {
+        osdc_fleet(&["adler", "sullivan"], Telemetry::disabled(), 7)
+    }
 
     fn ev(kind: FaultKind, target: &str, magnitude: f64) -> FaultEvent {
         FaultEvent {
@@ -546,20 +505,28 @@ mod tests {
 
     #[test]
     fn api_fault_injects_and_clears() {
-        let mut proxy = osdc_proxy(1);
+        let mut registry = pair();
+        let list = |r: &mut ProviderRegistry| {
+            r.call(
+                "adler",
+                "alice",
+                &CanonicalRequest::ListInstances,
+                SimTime::ZERO,
+            )
+        };
         let fault = ev(FaultKind::ApiError, "adler", 1.0);
-        proxy
-            .inject_api_fault("adler", InjectedApiFault::default()) // known target
-            .expect("cloud exists");
-        proxy.inject(&fault, SimTime::ZERO).expect("inject");
-        let err = Injector::inject(
-            &mut proxy,
-            &ev(FaultKind::ApiError, "nonexistent", 1.0),
-            SimTime::ZERO,
-        )
-        .expect_err("unknown cloud");
+        registry.inject(&fault, SimTime::ZERO).expect("inject");
+        assert!(matches!(
+            list(&mut registry),
+            Err(ProviderError::Api { .. })
+        ));
+        let err = registry
+            .inject(&ev(FaultKind::ApiError, "nonexistent", 1.0), SimTime::ZERO)
+            .expect_err("unknown cloud");
         assert_eq!(err, InjectError::UnknownTarget("nonexistent".into()));
-        proxy.restore(&fault, SimTime::ZERO).expect("restore");
+        registry.restore(&fault, SimTime::ZERO).expect("restore");
+        assert!(registry.health("adler").expect("known").is_clear());
+        list(&mut registry).expect("healed");
     }
 
     #[test]
@@ -584,9 +551,10 @@ mod tests {
         let net = FluidNet::new(wan.topology, 1);
         let vol = Volume::new("v", GlusterVersion::V3_3, 2, 2, 1 << 20, 1);
         let cloud = CloudController::with_racks("c", 1);
-        let proxy = osdc_proxy(1);
+        let registry = pair();
         let params = PipelineParams::default();
-        let injectors: [&dyn Injector; 5] = [&net, &vol, &cloud, &proxy, &params];
+        // The chaos campaign's five injectors, one per subsystem.
+        let injectors: [&dyn Injector; 5] = [&net, &vol, &cloud, &registry, &params];
         for kind in [
             FaultKind::LinkDown,
             FaultKind::LinkFlap,
@@ -599,6 +567,7 @@ mod tests {
             FaultKind::InstanceKill,
             FaultKind::ApiTimeout,
             FaultKind::ApiError,
+            FaultKind::ApiOutage,
             FaultKind::ChefFailure,
         ] {
             assert_eq!(
@@ -608,76 +577,39 @@ mod tests {
                 kind.label()
             );
         }
-        // ApiOutage lives one level up, at the provider registry — none
-        // of the federation injectors claim it.
-        assert_eq!(
-            injectors
-                .iter()
-                .filter(|i| i.handles(FaultKind::ApiOutage))
-                .count(),
-            0,
-            "api-outage is the failover router's alone"
-        );
-        // The router is the provider-level alternative to the proxy's
-        // fault table: it owns ApiOutage and doubles on the API kinds,
-        // and claims nothing else.
-        let router = FailoverRouter::new(osdc_providers::ProviderRegistry::new(
-            osdc_telemetry::Telemetry::disabled(),
-            1,
-        ));
-        for kind in [
-            FaultKind::ApiOutage,
-            FaultKind::ApiTimeout,
-            FaultKind::ApiError,
-        ] {
-            assert!(router.handles(kind), "router must absorb {}", kind.label());
-        }
-        assert!(!router.handles(FaultKind::LinkDown));
-        assert!(!router.handles(FaultKind::HostFailure));
     }
 
     #[test]
     fn api_outage_flips_registry_health() {
-        use osdc_providers::{ClassicProvider, ProviderRegistry};
-        use osdc_telemetry::Telemetry;
+        let mut registry = pair();
+        let outage = ev(FaultKind::ApiOutage, "sullivan", 0.0);
+        registry.inject(&outage, SimTime::ZERO).expect("inject");
+        assert!(registry.health("sullivan").expect("known").outage);
+        assert!(matches!(
+            registry.call(
+                "sullivan",
+                "alice",
+                &CanonicalRequest::ListInstances,
+                SimTime::ZERO
+            ),
+            Err(ProviderError::Outage { .. })
+        ));
+        registry.restore(&outage, SimTime::ZERO).expect("restore");
+        assert!(!registry.health("sullivan").expect("known").outage);
 
-        let mut aliases = osdc_providers::AliasTables::default();
-        aliases.flavors.insert("small".into(), "m1.small".into());
-        aliases.images.insert("ubuntu-base".into(), 1);
-        let mut registry = ProviderRegistry::new(Telemetry::disabled(), 7);
-        let catalogs = osdc_providers::osdc_default_catalogs();
-        registry.register(
-            Box::new(ClassicProvider::openstack(
-                "adler",
-                CloudController::with_racks("adler", 1),
-                aliases,
-            )),
-            catalogs
-                .into_iter()
-                .find(|c| c.provider == "adler")
-                .expect("adler catalog"),
-        );
-        let mut router = FailoverRouter::new(registry);
-
-        let outage = ev(FaultKind::ApiOutage, "adler", 0.0);
-        router.inject(&outage, SimTime::ZERO).expect("inject");
-        assert!(router.registry.health("adler").expect("known").outage);
-        router.restore(&outage, SimTime::ZERO).expect("restore");
-        assert!(!router.registry.health("adler").expect("known").outage);
-
-        let storm = ev(FaultKind::ApiTimeout, "adler", 0.6);
-        router.inject(&storm, SimTime::ZERO).expect("inject");
+        let storm = ev(FaultKind::ApiTimeout, "sullivan", 0.6);
+        registry.inject(&storm, SimTime::ZERO).expect("inject");
         assert_eq!(
-            router.registry.health("adler").expect("known").timeout_prob,
+            registry.health("sullivan").expect("known").timeout_prob,
             0.6
         );
-        router.restore(&storm, SimTime::ZERO).expect("restore");
+        registry.restore(&storm, SimTime::ZERO).expect("restore");
         assert_eq!(
-            router.registry.health("adler").expect("known").timeout_prob,
+            registry.health("sullivan").expect("known").timeout_prob,
             0.0
         );
 
-        let err = router
+        let err = registry
             .inject(&ev(FaultKind::ApiOutage, "nonexistent", 0.0), SimTime::ZERO)
             .expect_err("unknown provider");
         assert_eq!(err, InjectError::UnknownTarget("nonexistent".into()));

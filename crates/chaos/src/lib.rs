@@ -6,19 +6,20 @@
 //! input: a declarative [`FaultPlan`] of timed, seeded fault events; an
 //! [`Injector`] trait mapping those events onto small hook points each
 //! subsystem exposes (link toggles in `osdc-net`, brick health in
-//! `osdc-storage`, host power in `osdc-compute`, injected API faults in
-//! `osdc-tukey`, the Chef knob in `osdc-provision`); and a campaign
+//! `osdc-storage`, host power in `osdc-compute`, API health in the
+//! `osdc-providers` registry — the one API fault gate, `ApiOutage`
+//! included — and the Chef knob in `osdc-provision`); and a campaign
 //! driver that replays a plan against a live mini-federation while
 //! scoring MTTR, data loss and fault→alert latency on a
 //! [`ResilienceScorecard`].
 //!
 //! Dependency direction matters: `osdc-chaos` depends on the subsystem
-//! crates, never the reverse. The reusable remedies — [`RetryPolicy`]
-//! (none / fixed / exponential with seeded jitter) and [`CircuitBreaker`]
-//! — live in the `osdc-sim` kernel so the transfer session, the Tukey
-//! translation proxies and the provisioning pipeline could adopt them
-//! without depending on this crate; they are re-exported here as the
-//! chaos toolkit's front door.
+//! crates, never the reverse. The reusable remedy — [`RetryPolicy`]
+//! (none / fixed / exponential with seeded jitter) — lives in the
+//! `osdc-sim` kernel so the transfer session and the provisioning
+//! pipeline could adopt it without depending on this crate; it is
+//! re-exported here as the chaos toolkit's front door, and the campaign
+//! sweeps it as its retry axis.
 //!
 //! ```
 //! use osdc_chaos::{CampaignConfig, run_campaign, RetryPolicy};
@@ -46,6 +47,6 @@ pub use inject::{Effect, InjectError, Injector};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, Phase, TimedAction};
 pub use scorecard::{ResilienceScorecard, ScoreTracker};
 
-// The remedies, re-exported from the kernel (see crate docs for why they
-// live there).
-pub use osdc_sim::{BreakerState, CircuitBreaker, RetryPolicy};
+// The remedy, re-exported from the kernel (see crate docs for why it
+// lives there).
+pub use osdc_sim::RetryPolicy;

@@ -44,16 +44,15 @@ pub enum FaultKind {
     /// Kill one running instance (target = instance name). No restore —
     /// recovery is the relaunch loop's job.
     InstanceKill,
-    /// Inject API timeouts at the named cloud's translation proxy with
-    /// probability `magnitude` per call, for the duration.
+    /// Inject API timeouts at the named provider's registry health gate
+    /// (target = provider name) with probability `magnitude` per call,
+    /// for the duration.
     ApiTimeout,
-    /// Inject API errors at the named cloud's translation proxy with
-    /// probability `magnitude` per call, for the duration.
+    /// Inject clean API errors at the named provider's registry health
+    /// gate with probability `magnitude` per call, for the duration.
     ApiError,
-    /// Take the named provider's API fully offline at the provider
-    /// registry (target = provider name): every call fails immediately
-    /// with an outage error until restore. Absorbed by the failover
-    /// router in `osdc-providers`, not by the translation proxies.
+    /// Take the named provider's API fully offline at the registry: every
+    /// call fails immediately with an outage error until restore.
     ApiOutage,
     /// Make Chef converges fail with probability `magnitude` (target
     /// `"chef"`); the provisioning pipeline must retry its way through.
@@ -202,10 +201,12 @@ impl FaultPlan {
     }
 
     /// The standard OSDC campaign schedule: one representative fault of
-    /// every kind the federation can absorb, spread across
-    /// `duration_mins`, plus `extra_per_hour` additional seeded faults
-    /// drawn from the same catalogue. Fully determined by `(seed,
-    /// duration_mins, extra_per_hour)`.
+    /// every kind but `ApiOutage`, spread across `duration_mins`, plus
+    /// `extra_per_hour` additional seeded API faults. The campaign
+    /// handles `ApiOutage` as a registry outage, but this schedule stays
+    /// free of it so its digest (the X9 manifest's `fault_plan_sha256`)
+    /// holds. Fully determined by `(seed, duration_mins,
+    /// extra_per_hour)`.
     pub fn osdc_campaign(seed: u64, duration_mins: u64, extra_per_hour: f64) -> FaultPlan {
         let mut plan = FaultPlan::new("osdc-campaign", seed);
         let span = duration_mins as f64 * 60.0;
@@ -418,10 +419,9 @@ mod tests {
                 kind.label()
             );
         }
-        // ApiOutage is deliberately absent: it lives at the provider
-        // registry, which the proxy-federation campaign does not wire up.
-        // The exp_providers grid owns that kind (and keeping it out here
-        // keeps the campaign schedule byte-stable across seeds).
+        // ApiOutage is deliberately absent. The campaign handles the kind
+        // (hand-written plans use it), but the standard schedule stays
+        // free of it so its plan digest, and every X9 pin, holds.
         assert!(!a.events.iter().any(|e| e.kind == FaultKind::ApiOutage));
     }
 }

@@ -4,14 +4,10 @@
 //!   and silent corruption hits a v3.3 volume, one heal pass reaches a
 //!   fixpoint: a second pass finds nothing left to repair, and every
 //!   file with at least one clean surviving replica is intact.
-//! * **Circuit breakers always close** — any failure barrage leaves the
-//!   breaker in a state from which cool-down plus one successful probe
-//!   returns it to `Closed`.
 //! * **Fault plans round-trip** — arbitrary plans survive the JSON
 //!   encode/decode cycle intact, and their timelines stay sorted.
 
-use osdc_chaos::{BreakerState, CircuitBreaker, FaultEvent, FaultKind, FaultPlan};
-use osdc_sim::{SimDuration, SimTime};
+use osdc_chaos::{FaultEvent, FaultKind, FaultPlan};
 use osdc_storage::{BrickId, FileData, GlusterVersion, Volume};
 use proptest::prelude::*;
 
@@ -87,38 +83,6 @@ proptest! {
             prop_assert!(vol.audit_lost(&paths).is_empty());
             prop_assert!(vol.audit_corrupt(&paths).is_empty());
         }
-    }
-
-    /// However many failures strike a breaker, waiting out the cool-down
-    /// and answering one successful probe always returns it to Closed.
-    #[test]
-    fn breaker_always_closes_after_cool_down(
-        threshold in 1u32..8,
-        cool_secs in 1u64..600,
-        failures in proptest::collection::vec(0u64..3600, 1..40),
-    ) {
-        let cool = SimDuration::from_secs(cool_secs);
-        let mut breaker = CircuitBreaker::new(threshold, cool);
-        let mut last = SimTime::ZERO;
-        for &offset in &failures {
-            let at = SimTime::ZERO + SimDuration::from_secs(offset);
-            let t = if at > last { at } else { last };
-            last = t;
-            // Only strike when the breaker lets the call through, as the
-            // proxy's gate does.
-            if breaker.allow(t) {
-                breaker.on_failure(t);
-            }
-        }
-        // Cool down, probe, succeed.
-        let probe_at = last + cool + SimDuration::from_secs(1);
-        prop_assert!(
-            breaker.allow(probe_at),
-            "after cool-down the breaker must admit a probe"
-        );
-        breaker.on_success();
-        prop_assert_eq!(breaker.state(probe_at), BreakerState::Closed);
-        prop_assert!(breaker.allow(probe_at));
     }
 
     /// Plans survive JSON round-trips field-for-field, and timelines are

@@ -1,8 +1,9 @@
 //! Standard federation assembly: the five OSDC providers by name.
 //!
-//! The audit oracle, the `exp_providers` grid and the unit tests all
-//! need the same fleet wired the same way — one registry, providers
-//! drawn from the default catalog set, each speaking its own dialect:
+//! The audit oracle, the `exp_providers` grid, the chaos campaign's
+//! `adler`/`sullivan` pair and the unit tests all need the same fleet
+//! wired the same way — one registry, providers drawn from the default
+//! catalog set, each speaking its own dialect:
 //!
 //! | name       | dialect                     | weirdness                |
 //! |------------|-----------------------------|--------------------------|

@@ -17,22 +17,25 @@
 //!   the Nova translator but lags its read path.
 //! * [`provider`] — the [`provider::Provider`] trait (capability
 //!   descriptor, canonical `call`, ground-truth introspection for
-//!   audits) and [`provider::ClassicProvider`], which ports the two
-//!   original Tukey dialects onto the trait.
+//!   audits) and [`provider::ClassicProvider`], the two original Tukey
+//!   dialects on the trait. Tukey's translation proxy runs one
+//!   `ClassicProvider` per mapped cloud, so `Provider::call` is the
+//!   workspace's one encode → serve → decode path.
 //! * [`pricing`] — per-provider pricing catalogs; the checked-in
 //!   snapshot lives at `data/pricing_catalogs.json`.
 //! * [`registry`] — [`registry::ProviderRegistry`]: the provider table
 //!   with per-call metering (telemetry counters + a usage/cost ledger)
 //!   and the chaos gate (API outage / timeout / lost-response / error
-//!   injection) the failover experiments drive.
+//!   injection). It is the federation's only API fault gate: the
+//!   failover experiments and the `osdc-chaos` campaign both drive it.
 //! * [`router`] — [`router::FailoverRouter`]: cheapest-capable-first
 //!   launch placement with failover, suspect cooldowns, an orphan book
 //!   for timed-out mutations, reconcile, and assignment-driven billing
 //!   accrual that makes double-billing structurally impossible.
 //!
 //! The compat gate: `figure1_tukey` must produce byte-identical
-//! same-seed artifacts with the OpenStack and Eucalyptus dialects
-//! served through this crate's translators.
+//! same-seed artifacts with the console's OpenStack and Eucalyptus
+//! clouds served through [`provider::ClassicProvider`].
 
 pub mod canonical;
 pub mod eucalyptus;

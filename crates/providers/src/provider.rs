@@ -3,10 +3,10 @@
 //! A provider owns a backend cloud and translates canonical calls onto
 //! its native wire dialect — encode, serve, decode, every call, so
 //! translation is exercised on the real path rather than trusted. The
-//! classic adapters ([`ClassicProvider`]) drive the same
-//! `osdc_compute::api` servers Tukey proxies to; the deliberately weird
-//! providers live in [`crate::spot`], [`crate::eventual`] and
-//! [`crate::paged`].
+//! classic adapters ([`ClassicProvider`]) drive the `osdc_compute::api`
+//! servers and are the clouds behind Tukey's translation proxy; the
+//! deliberately weird providers live in [`crate::spot`],
+//! [`crate::eventual`] and [`crate::paged`].
 
 use osdc_compute::api::{ApiError, EucalyptusApi, OpenStackApi};
 use osdc_compute::cloud::CloudController;
@@ -152,7 +152,7 @@ pub enum ClassicDialect {
 }
 
 /// An OpenStack- or Eucalyptus-dialect provider over a real
-/// [`CloudController`] — the ported half of Tukey's original proxy pair.
+/// [`CloudController`] — one per cloud behind Tukey's translation proxy.
 pub struct ClassicProvider {
     name: String,
     dialect: ClassicDialect,

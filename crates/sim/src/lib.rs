@@ -18,9 +18,9 @@
 //!   time series used by the experiment harnesses.
 //! * [`resource`] — token buckets and FIFO service queues for modelling
 //!   capacity-limited stages (disks, PXE servers, Chef servers, NICs).
-//! * [`retry`] — deterministic retry/backoff policies and a circuit
-//!   breaker on virtual time, shared by the transfer, Tukey and
-//!   provisioning layers (and exercised by `osdc-chaos`).
+//! * [`retry`] — deterministic retry/backoff policies on virtual time,
+//!   shared by the transfer and provisioning layers and swept by the
+//!   `osdc-chaos` campaigns.
 //! * [`tenant`] — interned dense [`tenant::TenantId`]s and the sharded
 //!   slab [`tenant::TenantStore`] that per-tenant subsystems (billing
 //!   cursors, monitor host index, provider cost ledgers, sharing
@@ -54,7 +54,7 @@ pub mod tenant;
 pub mod time;
 
 pub use engine::{Engine, EngineProbe, Scheduler, Simulation};
-pub use retry::{BreakerState, CircuitBreaker, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use rng::SimRng;
 pub use runner::{available_jobs, derive_seed, Runner};
 pub use tenant::{TenantId, TenantInterner, TenantStore};

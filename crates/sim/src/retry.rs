@@ -1,19 +1,18 @@
-//! Retry/backoff policies and a circuit breaker, on virtual time.
+//! Retry/backoff policies on virtual time.
 //!
 //! §7 of the paper is a catalog of transient failures — WAN loss spikes,
 //! brick outages, flaky provisioning stages, backend API timeouts — and
 //! every subsystem that survives them does so by retrying. These policies
 //! live here in the kernel (rather than in `osdc-chaos`, which drives the
-//! faults) so that the transfer session, the Tukey proxy and the
-//! provisioning pipeline can adopt them without depending on the chaos
-//! crate; `osdc-chaos` re-exports them.
+//! faults) so that the transfer session and the provisioning pipeline can
+//! adopt them without depending on the chaos crate; `osdc-chaos`
+//! re-exports them.
 //!
 //! Everything is deterministic: exponential jitter draws from the
-//! caller's [`SimRng`], and the breaker clock is [`SimTime`], so two
-//! same-seed runs back off identically.
+//! caller's [`SimRng`], so two same-seed runs back off identically.
 
 use crate::rng::SimRng;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// How a caller spaces retries after a transient failure.
 #[derive(Clone, Debug, PartialEq)]
@@ -105,84 +104,9 @@ impl RetryPolicy {
     }
 }
 
-/// Breaker states, named as the pattern names them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Calls flow; consecutive failures are counted.
-    Closed,
-    /// Calls are rejected until the cool-down elapses.
-    Open,
-    /// Cool-down elapsed: one probe call is allowed through.
-    HalfOpen,
-}
-
-/// A circuit breaker over a flaky dependency (a cloud backend, a Chef
-/// server). After `failure_threshold` consecutive failures it opens and
-/// rejects calls for `cool_down`; the first call after the cool-down is a
-/// probe whose outcome closes or re-opens the circuit.
-#[derive(Clone, Debug)]
-pub struct CircuitBreaker {
-    failure_threshold: u32,
-    cool_down: SimDuration,
-    consecutive_failures: u32,
-    state: BreakerState,
-    opened_at: SimTime,
-}
-
-impl CircuitBreaker {
-    pub fn new(failure_threshold: u32, cool_down: SimDuration) -> Self {
-        assert!(failure_threshold >= 1, "threshold must be at least 1");
-        CircuitBreaker {
-            failure_threshold,
-            cool_down,
-            consecutive_failures: 0,
-            state: BreakerState::Closed,
-            opened_at: SimTime::ZERO,
-        }
-    }
-
-    /// Current state, advancing Open → HalfOpen if the cool-down has
-    /// elapsed by `now`.
-    pub fn state(&mut self, now: SimTime) -> BreakerState {
-        if self.state == BreakerState::Open && now >= self.opened_at + self.cool_down {
-            self.state = BreakerState::HalfOpen;
-        }
-        self.state
-    }
-
-    /// Whether a call may proceed at `now`. In `HalfOpen` this admits the
-    /// probe call (repeatedly, until its outcome is reported).
-    pub fn allow(&mut self, now: SimTime) -> bool {
-        self.state(now) != BreakerState::Open
-    }
-
-    /// Report a successful call: the circuit closes and the failure count
-    /// resets, whatever state it was in.
-    pub fn on_success(&mut self) {
-        self.state = BreakerState::Closed;
-        self.consecutive_failures = 0;
-    }
-
-    /// Report a failed call at `now`. A failed probe re-opens immediately;
-    /// in `Closed`, the circuit opens once the threshold is reached.
-    pub fn on_failure(&mut self, now: SimTime) {
-        self.consecutive_failures += 1;
-        if self.state(now) == BreakerState::HalfOpen
-            || self.consecutive_failures >= self.failure_threshold
-        {
-            self.state = BreakerState::Open;
-            self.opened_at = now;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn t(secs: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_secs(secs)
-    }
 
     #[test]
     fn none_never_retries() {
@@ -227,38 +151,5 @@ mod tests {
         };
         assert_eq!(seq(42), seq(42));
         assert_ne!(seq(42), seq(43));
-    }
-
-    #[test]
-    fn breaker_opens_after_threshold_and_rejects() {
-        let mut b = CircuitBreaker::new(3, SimDuration::from_secs(60));
-        for _ in 0..2 {
-            b.on_failure(t(0));
-            assert!(b.allow(t(0)), "below threshold stays closed");
-        }
-        b.on_failure(t(0));
-        assert_eq!(b.state(t(0)), BreakerState::Open);
-        assert!(!b.allow(t(30)), "rejects during cool-down");
-    }
-
-    #[test]
-    fn breaker_half_opens_then_closes_on_probe_success() {
-        let mut b = CircuitBreaker::new(1, SimDuration::from_secs(60));
-        b.on_failure(t(0));
-        assert!(!b.allow(t(59)));
-        assert!(b.allow(t(60)), "cool-down elapsed admits the probe");
-        assert_eq!(b.state(t(60)), BreakerState::HalfOpen);
-        b.on_success();
-        assert_eq!(b.state(t(60)), BreakerState::Closed);
-    }
-
-    #[test]
-    fn failed_probe_reopens_for_another_cool_down() {
-        let mut b = CircuitBreaker::new(1, SimDuration::from_secs(60));
-        b.on_failure(t(0));
-        assert!(b.allow(t(60)));
-        b.on_failure(t(60));
-        assert!(!b.allow(t(90)), "re-opened at the probe failure time");
-        assert!(b.allow(t(120)));
     }
 }

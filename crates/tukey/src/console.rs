@@ -203,6 +203,15 @@ impl TukeyConsole {
         Ok(page)
     }
 
+    /// Launch a VM named `name` on `cloud` from unified flavor and image
+    /// names, billing the identity's cores from `now`.
+    ///
+    /// `name` is the launch's client token, with the idempotency of
+    /// `CanonicalRequest::LaunchInstance` that the cloud's provider
+    /// enforces: while this identity's cloud user still has a live
+    /// server by that name, the call returns that server instead of
+    /// booting a twin, and the bill does not change. Once the server is
+    /// terminated, the name boots a new one.
     pub fn launch_instance(
         &mut self,
         token: SessionToken,
@@ -413,6 +422,48 @@ mod tests {
     }
 
     #[test]
+    fn relaunching_a_live_name_returns_the_same_server() {
+        for cloud in ["adler", "sullivan"] {
+            let (mut console, idp) = console_with_alice();
+            let token = console
+                .login_shibboleth(&idp.assert("alice@uchicago.edu").expect("assert"))
+                .expect("login");
+            let t = SimTime::ZERO;
+            let hour = t + SimDuration::from_mins(60);
+            let first = console
+                .launch_instance(token, cloud, "vm", "m1.xlarge", "ubuntu-base", t)
+                .expect("launch");
+            let again = console
+                .launch_instance(
+                    token,
+                    cloud,
+                    "vm",
+                    "m1.xlarge",
+                    "ubuntu-base",
+                    t + SimDuration::from_mins(10),
+                )
+                .expect("relaunch");
+            assert_eq!(again["server"]["id"], first["server"]["id"], "{cloud}");
+            // One 8-core server, billed once for the hour.
+            let usage = console.usage_page(token, hour).expect("usage");
+            assert_eq!(usage["live_cores_by_cloud"][cloud], 8, "{cloud}");
+            let core_hours = usage["cycle"]["core_hours"].as_f64().expect("f64");
+            assert!((core_hours - 8.0).abs() < 1e-9, "{cloud}: {core_hours}");
+            // After a terminate the name boots a new server.
+            let id = first["server"]["id"].as_u64().expect("id");
+            console
+                .terminate_instance(token, cloud, id, hour)
+                .expect("terminate");
+            let fresh = console
+                .launch_instance(token, cloud, "vm", "m1.xlarge", "ubuntu-base", hour)
+                .expect("launch again");
+            assert_ne!(fresh["server"]["id"], first["server"]["id"], "{cloud}");
+            let usage = console.usage_page(token, hour).expect("usage");
+            assert_eq!(usage["live_cores_by_cloud"][cloud], 8, "{cloud}");
+        }
+    }
+
+    #[test]
     fn terminate_stops_billing() {
         let (mut console, idp) = console_with_alice();
         let token = console
@@ -522,7 +573,8 @@ mod tests {
         .expect("parses");
         console
             .proxy
-            .add_backend(mapping, CloudController::with_racks("root", 1));
+            .add_backend(mapping, CloudController::with_racks("root", 1))
+            .expect("a new cloud name");
         let id = Identity {
             canonical: "shib:alice@uchicago.edu".into(),
         };

@@ -16,10 +16,14 @@
 //!   credentials associated with the identifier ([`credentials`]), and
 //!   the translation proxies "take in requests based on the OpenStack API
 //!   and then issue commands to each cloud based on mappings outlined in
-//!   configuration files" — reproduced literally: [`translation`] drives
-//!   `osdc-compute`'s OpenStack and Eucalyptus dialects from serde-loaded
-//!   mapping configs and aggregates per-cloud results, tagged by cloud
-//!   name, into OpenStack-format JSON.
+//!   configuration files" — reproduced literally: [`translation`] builds
+//!   one `osdc-providers` `ClassicProvider` (OpenStack or Eucalyptus
+//!   dialect over an `osdc-compute` cloud) per serde-loaded mapping
+//!   config, sends every request through the provider runtime's one
+//!   encode → serve → decode path, and aggregates per-cloud results,
+//!   tagged by cloud name, into OpenStack-format JSON. The proxy carries
+//!   no fault or retry layer of its own; API faults live in the
+//!   provider registry.
 //!
 //! The OSDC user services of §6 complete the crate: [`ark`] (dataset
 //! identifiers with inflection resolution), [`sharing`] (users, groups,
@@ -45,6 +49,4 @@ pub use channel::{channel_pair, ChannelError, SealedMessage, SecureChannel};
 pub use console::{ConsoleError, SessionToken, TukeyConsole};
 pub use credentials::{CloudCredential, CredentialVault};
 pub use sharing::{CollectionId, FileSharingService, Permission, ShareError};
-pub use translation::{
-    CloudMapping, CloudStackKind, InjectedApiFault, ProxyError, TranslationProxy,
-};
+pub use translation::{CloudMapping, CloudStackKind, ProxyError, TranslationProxy};

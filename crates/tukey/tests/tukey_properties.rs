@@ -1,12 +1,16 @@
 //! Property tests on Tukey's user-facing invariants: ARK identifiers,
-//! billing arithmetic, the secure channel, and sharing-permission
-//! monotonicity.
+//! billing arithmetic, the secure channel, sharing-permission
+//! monotonicity, and a cloud-mapping loader that never panics.
 
+use osdc_compute::CloudController;
 use osdc_sim::{SimDuration, SimTime};
 use osdc_tukey::ark::{ArkRecord, ArkService};
+use osdc_tukey::auth::Identity;
 use osdc_tukey::billing::{BillingService, Rates};
 use osdc_tukey::channel::channel_pair;
+use osdc_tukey::credentials::{CloudCredential, CredentialVault};
 use osdc_tukey::sharing::{FileSharingService, Permission};
+use osdc_tukey::translation::{CloudMapping, TranslationProxy};
 use proptest::prelude::*;
 
 fn record() -> ArkRecord {
@@ -235,5 +239,63 @@ proptest! {
         // A second grant elsewhere never revokes.
         s.grant_user("owner", chain[0], "bob", Permission::Read).expect("grant");
         prop_assert!(s.can_access("bob", leaf, Permission::Read));
+    }
+}
+
+/// A valid mapping config: the seed the loader fuzz mutates.
+const MAPPING: &str = r#"{"cloud": "sullivan", "kind": "Eucalyptus",
+    "flavor_aliases": {"m1.small": "m1.small"},
+    "image_aliases": {"ubuntu-base": 1, "bionimbus-genomics": 2}}"#;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `CloudMapping::from_json` answers `Ok` or `Err` and never panics,
+    /// on arbitrary bytes and on a valid config under random byte edits
+    /// (overwrite, insert, delete, truncate). Whatever it accepts builds
+    /// a one-cloud proxy that serves a boot and a listing.
+    #[test]
+    fn cloud_mapping_loader_never_panics(
+        noise in prop::collection::vec(any::<u8>(), 0..96),
+        edits in prop::collection::vec((0u8..4, any::<u16>(), any::<u8>()), 1..6),
+    ) {
+        let mut mutated = MAPPING.as_bytes().to_vec();
+        for &(op, at, byte) in &edits {
+            let at = at as usize % (mutated.len() + 1);
+            match op {
+                0 if at < mutated.len() => mutated[at] = byte,
+                1 => mutated.insert(at, byte),
+                2 if at < mutated.len() => {
+                    mutated.remove(at);
+                }
+                _ => mutated.truncate(at),
+            }
+        }
+        for input in [noise, mutated] {
+            let Ok(mapping) = CloudMapping::from_json(&String::from_utf8_lossy(&input)) else {
+                continue;
+            };
+            let cloud = mapping.cloud.clone();
+            let controller = CloudController::with_racks(cloud.clone(), 1);
+            let mut proxy = TranslationProxy::new(vec![(mapping, controller)])
+                .expect("a single cloud name is unique");
+            let vault = CredentialVault::new();
+            let id = Identity {
+                canonical: "shib:fuzz@uchicago.edu".into(),
+            };
+            vault.enroll(&id, CloudCredential::new(cloud.clone(), "fuzz", "K", "S"));
+            let booted = proxy.boot_server(
+                &vault,
+                &id,
+                &cloud,
+                "vm",
+                "m1.small",
+                "ubuntu-base",
+                SimTime::ZERO,
+            );
+            let listing = proxy.list_servers(&vault, &id, SimTime::ZERO);
+            let listed = listing["servers"].as_array().map(Vec::len);
+            prop_assert_eq!(listed, Some(usize::from(booted.is_ok())));
+        }
     }
 }
