@@ -1,13 +1,13 @@
-//! Scenario-runner microbenches: dispatch overhead of the deterministic
-//! work-stealing pool against the inline serial path, on task batches
+//! Parallel-map microbenches: dispatch overhead of `run_indexed`'s
+//! shared-queue workers against the inline serial path, on task batches
 //! shaped like the experiment grids (tens of cells, uneven weights).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use osdc_sim::{derive_seed, Runner};
+use osdc_sim::{derive_seed, run_indexed};
 use std::hint::black_box;
 
 /// A seeded spin standing in for one grid cell: enough work that the
-/// pool's locking is amortized, little enough that overhead would show.
+/// queue's locking is amortized, little enough that overhead would show.
 fn cell(seed: u64, spins: u64) -> u64 {
     let mut acc = seed;
     for j in 0..spins {
@@ -31,7 +31,7 @@ fn bench_dispatch(c: &mut Criterion) {
                                 |i: usize| cell(derive_seed(2012, i as u64), black_box(20_000))
                             })
                             .collect();
-                        black_box(Runner::new(jobs).run(batch))
+                        black_box(run_indexed(jobs, batch))
                     })
                 },
             );
@@ -41,9 +41,9 @@ fn bench_dispatch(c: &mut Criterion) {
 }
 
 fn bench_uneven(c: &mut Criterion) {
-    // Heavy cells clumped on low indices — the stealing path's worst case
-    // versus a static split, and the shape of the Table 3 grid (1.1 TB
-    // transfers dwarf the 108 GB ones).
+    // Heavy cells clumped on low indices — the worst case for a static
+    // split, and the shape of the Table 3 grid (1.1 TB transfers dwarf the
+    // 108 GB ones).
     let mut group = c.benchmark_group("runner_uneven");
     for jobs in [1usize, 4] {
         group.bench_function(format!("clumped_24tasks_jobs{jobs}"), |b| {
@@ -56,7 +56,7 @@ fn bench_uneven(c: &mut Criterion) {
                         }
                     })
                     .collect();
-                black_box(Runner::new(jobs).run(batch))
+                black_box(run_indexed(jobs, batch))
             })
         });
     }

@@ -13,8 +13,8 @@
 //! ```
 //!
 //! The flags after the name are the harness's own (`--quick`, `--jobs N`,
-//! `--trace <path>`, `--tick-compat`). With no name, or a name that is not
-//! registered, `exp` lists every registered harness with its title.
+//! `--trace <path>`). With no name, or a name that is not registered,
+//! `exp` lists every registered harness with its title.
 //!
 //! Run: `cargo run --release -p osdc-bench --bin exp -- table3_udr --jobs 2`
 //!
@@ -50,6 +50,10 @@ fn main() -> ExitCode {
     };
     let (args, manifest_path) = harness::split_manifest_flag(rest);
     let mut ctx = HarnessCtx::live(spec.name, args);
+    if let Some(problem) = ctx.usage_error() {
+        eprintln!("{problem}");
+        return ExitCode::from(2);
+    }
     let outcome = (spec.run)(&mut ctx);
     let manifest = ctx.finish();
     if let Err(Failure(message)) = outcome {

@@ -3,7 +3,7 @@
 //! A manifest (written by any harness via `--manifest <path>`, or
 //! recorded wholesale with `--record`) pins the SHA-256 of a harness
 //! run's stdout and file artifacts plus the knobs that produced them
-//! (seed, solver mode, `--jobs`, fault-plan digest, CLI flags). This
+//! (seed, `--jobs`, fault-plan digest, CLI flags). This
 //! binary re-runs the named harness **in-process** with output captured
 //! and reports, per artifact, match or the first diverging line — which
 //! turns the whole suite into a determinism regression trap: any change

@@ -12,11 +12,10 @@
 //! seeds. Finishes with the §4.1 modENCODE disaster-recovery scenario.
 //!
 //! `--jobs <N>` runs the 60 campaign trials (3 configurations × 20
-//! seeds) on N workers of the deterministic scenario runner (default:
+//! seeds) on N workers of the deterministic parallel map (default:
 //! host parallelism). Each trial's seed is `SEED + trial` regardless of
 //! which worker runs it, so the tables are byte-identical for any N.
 
-use osdc_sim::Runner;
 use osdc_storage::{BackupService, BrickId, FileData, GlusterVersion, Volume};
 
 use crate::harness::{HarnessCtx, RunResult};
@@ -72,7 +71,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         replica_drop_prob: 0.15,
     };
     // All 60 trials (3 configs × 20 seeds) are independent: run them on
-    // the scenario pool, then reduce per configuration. Trial seeds come
+    // the parallel map, then reduce per configuration. Trial seeds come
     // from the submission layout, never from worker identity.
     let configs = [
         (v31, false),
@@ -80,7 +79,8 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         (GlusterVersion::V3_3, true),
     ];
     let jobs = ctx.jobs(osdc_sim::available_jobs());
-    let trials = Runner::new(jobs).run(
+    let trials = osdc_sim::run_indexed(
+        jobs,
         configs
             .into_iter()
             .flat_map(|(version, heal_first)| {

@@ -18,7 +18,7 @@
 //! audit disagreements and zero fidelity failures** across the grid —
 //! any violation exits 1.
 //!
-//! Every cell runs on the deterministic scenario runner with a sharded
+//! Every cell runs on the deterministic parallel map with a sharded
 //! telemetry registry, so stdout and the `--trace` JSONL artifact are
 //! byte-identical for any `--jobs`.
 

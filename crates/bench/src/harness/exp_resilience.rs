@@ -16,10 +16,9 @@
 //!
 //! Flags: `--quick` (shorter campaign, used by CI), `--trace <path>`
 //! (emit the telemetry JSONL artifact for the canonical cell),
-//! `--tick-compat` (fluid-solver mode; the default is the fast epoch
-//! mode), `--jobs <N>` (run the sweep cells on N
-//! workers of the deterministic scenario runner — output is
-//! byte-identical for any N; default: host parallelism).
+//! `--jobs <N>` (run the sweep cells on N workers of the deterministic
+//! parallel map — output is byte-identical for any N; default: host
+//! parallelism).
 
 use osdc_chaos::{run_campaigns, CampaignConfig, RetryPolicy};
 use osdc_storage::GlusterVersion;
@@ -47,7 +46,6 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         if quick { "  [--quick]" } else { "" }
     );
 
-    let solver = ctx.solver_mode();
     let jobs = ctx.jobs(osdc_sim::available_jobs());
     let v31 = GlusterVersion::V3_1 {
         replica_drop_prob: 0.15,
@@ -82,7 +80,6 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
             EXTRA_FAULTS_PER_HOUR,
         ),
     ];
-    let cells: Vec<CampaignConfig> = cells.into_iter().map(|c| c.with_solver(solver)).collect();
     // The manifest pins the exact fault schedule driving every cell.
     for cell in &cells {
         ctx.record_fault_plan(&cell.plan);
@@ -108,7 +105,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     outln!(ctx, "{}", "-".repeat(96));
 
     // The four sweep cells are independent campaigns: run them on the
-    // scenario pool, then print the scorecards in submission order.
+    // parallel map, then print the scorecards in submission order.
     let cards = run_campaigns(&cells, jobs, &Telemetry::disabled());
     for card in &cards {
         outln!(

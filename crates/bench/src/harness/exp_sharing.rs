@@ -18,7 +18,7 @@
 //! partition return the typed `ShareError` and are counted as failed
 //! materializations on the scorecard instead of panicking the harness.
 //!
-//! Every cell runs on the deterministic scenario runner with a sharded
+//! Every cell runs on the deterministic parallel map with a sharded
 //! telemetry registry, so stdout and the `--trace` JSONL artifact are
 //! byte-identical for any `--jobs`.
 

@@ -14,12 +14,12 @@
 //!    bandwidth-delay products.
 //!
 //! `--jobs <N>` runs each sweep's cells on N workers of the deterministic
-//! scenario runner (default: host parallelism); every cell is seeded by
+//! parallel map (default: host parallelism); every cell is seeded by
 //! its grid position, so the tables are byte-identical for any N.
 
 use osdc_net::cc::UdtState;
 use osdc_net::{CongestionControl, FlowSpec, FluidNet, Topology};
-use osdc_sim::{Runner, SimDuration, SimRng, SimTime};
+use osdc_sim::{run_indexed, SimDuration, SimRng, SimTime};
 
 use crate::harness::{HarnessCtx, RunResult};
 use crate::{outln, row};
@@ -85,9 +85,9 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     ctx.banner("Experiment X5", "transport ablations: why UDR wins Table 3");
     ctx.seed_line(SEED);
     // Every cell of each sweep is an independent simulation whose inputs
-    // are fixed by its grid position: run the cells on the scenario pool,
+    // are fixed by its grid position: run the cells on the parallel map,
     // then print the table rows in submission order.
-    let runner = Runner::new(ctx.jobs(osdc_sim::available_jobs()));
+    let jobs = ctx.jobs(osdc_sim::available_jobs());
 
     // ---- 1. RTT sweep -------------------------------------------------------
     outln!(ctx, "RTT sweep (loss 0.9e-7, app cap 750 mbit/s):");
@@ -98,7 +98,8 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         row(&["RTT", "rsync/TCP", "UDR/UDT", "UDT gain"], &widths)
     );
     const ONE_WAYS: [u64; 4] = [5, 25, 52, 100];
-    let rtt_cells = runner.run(
+    let rtt_cells = run_indexed(
+        jobs,
         ONE_WAYS
             .into_iter()
             .flat_map(|one_way| {
@@ -137,7 +138,8 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         row(&["pkt loss", "rsync/TCP", "UDR/UDT", "UDT gain"], &widths)
     );
     const LOSSES: [f64; 5] = [0.0, 1e-8, 1e-7, 1e-6, 1e-5];
-    let loss_cells = runner.run(
+    let loss_cells = run_indexed(
+        jobs,
         LOSSES
             .into_iter()
             .flat_map(|loss| {
@@ -179,7 +181,8 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         (0.75, "intermediate"),
         (0.5, "TCP-style halving"),
     ];
-    let ablation_cells = runner.run(
+    let ablation_cells = run_indexed(
+        jobs,
         factors
             .iter()
             .map(|&(factor, _)| move |_i: usize| rate_based_goodput(factor, 52, 2e-5))

@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use osdc_telemetry::Telemetry;
 
 use crate::manifest::{Manifest, ManifestRecorder};
-use crate::{jobs_from, solver_mode_from, trace_path_from};
+use crate::{jobs_from, trace_path_from};
 
 pub mod exp_audit;
 pub mod exp_billing_behavior;
@@ -62,6 +62,10 @@ pub struct HarnessCtx {
     live: bool,
     captured: Vec<u8>,
     recorder: ManifestRecorder,
+    /// `--jobs`, parsed once when the ctx is built: `Ok(None)` when
+    /// absent, the usage error when malformed (see
+    /// [`HarnessCtx::usage_error`]).
+    jobs_flag: Result<Option<usize>, String>,
     /// Replay-only: the recorded worker count, used when the manifest's
     /// args don't pin `--jobs` (output is jobs-invariant; this keeps the
     /// re-recorded manifest field faithful on any host).
@@ -78,6 +82,7 @@ impl HarnessCtx {
     pub fn live(experiment: &str, args: Vec<String>) -> HarnessCtx {
         HarnessCtx {
             recorder: ManifestRecorder::new(experiment, args.clone()),
+            jobs_flag: jobs_from(&args),
             args,
             live: true,
             captured: Vec::new(),
@@ -95,6 +100,7 @@ impl HarnessCtx {
     ) -> HarnessCtx {
         HarnessCtx {
             recorder: ManifestRecorder::new(experiment, args.clone()),
+            jobs_flag: jobs_from(&args),
             args,
             live: false,
             captured: Vec::new(),
@@ -105,6 +111,13 @@ impl HarnessCtx {
 
     pub fn args(&self) -> &[String] {
         &self.args
+    }
+
+    /// A malformed shared flag (`--jobs x`, a trailing `--jobs`). Checked
+    /// before the harness body runs: `exp` exits 2 on it, a captured run
+    /// reports it as the run's [`Failure`].
+    pub fn usage_error(&self) -> Option<&str> {
+        self.jobs_flag.as_ref().err().map(String::as_str)
     }
 
     pub fn has_flag(&self, flag: &str) -> bool {
@@ -129,30 +142,13 @@ impl HarnessCtx {
         crate::outln!(self, "(deterministic run, seed = {seed})\n");
     }
 
-    /// Parse the shared `--jobs <N>` flag (recording the value used).
+    /// The shared `--jobs <N>` worker count (recording the value used):
+    /// the flag, else the replay fallback, else `default`.
     pub fn jobs(&mut self, default: usize) -> usize {
-        let explicit = self
-            .args
-            .iter()
-            .any(|a| a == "--jobs" || a.starts_with("--jobs="));
-        let jobs = if explicit {
-            jobs_from(&self.args, default)
-        } else {
-            self.jobs_fallback.unwrap_or(default).max(1)
-        };
+        let flag = *self.jobs_flag.as_ref().unwrap_or(&None);
+        let jobs = flag.or(self.jobs_fallback).unwrap_or(default).max(1);
         self.recorder.set_jobs(jobs);
         jobs
-    }
-
-    /// Parse the shared fluid-solver flag (recording the mode used).
-    pub fn solver_mode(&mut self) -> osdc_net::SolverMode {
-        let mode = solver_mode_from(&self.args);
-        self.recorder.set_solver(if self.has_flag("--tick-compat") {
-            "tick-compat"
-        } else {
-            "epoch"
-        });
-        mode
     }
 
     /// Whether this run wants the telemetry JSONL artifact (`--trace`).
@@ -444,8 +440,9 @@ pub struct CapturedRun {
 }
 
 /// Run a harness in-process with output captured, producing the manifest
-/// its pins would record. Panics inside the harness (acceptance
-/// assertions) are caught and surfaced as failures. The process-global
+/// its pins would record. A malformed shared flag fails the run before
+/// the body starts; panics inside the harness (acceptance assertions)
+/// are caught and surfaced as failures. The process-global
 /// audit-violation registry is reset first so sequential replays stay
 /// independent.
 pub fn run_captured(
@@ -455,15 +452,18 @@ pub fn run_captured(
 ) -> CapturedRun {
     osdc_telemetry::audit::reset();
     let mut ctx = HarnessCtx::captured(spec.name, args, jobs_fallback);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (spec.run)(&mut ctx)))
-        .unwrap_or_else(|panic| {
-            let msg = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("non-string panic payload");
-            Err(Failure(format!("harness panicked: {msg}")))
-        });
+    let outcome = match ctx.usage_error().map(str::to_string) {
+        Some(problem) => Err(Failure(problem)),
+        None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (spec.run)(&mut ctx)))
+            .unwrap_or_else(|panic| {
+                let msg = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or("non-string panic payload");
+                Err(Failure(format!("harness panicked: {msg}")))
+            }),
+    };
     let (manifest, raw) = ctx.finish_with_raw();
     CapturedRun {
         manifest,

@@ -11,17 +11,14 @@
 //! throughput traces into a telemetry JSONL artifact, plus a federation
 //! ops report on stdout. Same-seed runs produce byte-identical artifacts.
 //!
-//! Solver flag: `--tick-compat` runs the epoch solver pinned to
-//! byte-identical pre-epoch output; the default is the fast epoch mode.
-//!
 //! `--jobs <N>` runs the ten grid cells on N workers of the deterministic
-//! scenario runner (default: host parallelism, `--jobs 1` = the serial
+//! parallel map (default: host parallelism, `--jobs 1` = the serial
 //! path). Every cell's seed is fixed by its grid position, and telemetry
 //! shards are merged in submission order, so stdout and the `--trace`
 //! artifact are byte-identical for any N.
 
 use osdc_crypto::CipherKind;
-use osdc_net::{osdc_wan, FluidNet, OsdcSite, SolverMode};
+use osdc_net::{osdc_wan, FluidNet, OsdcSite};
 use osdc_sim::SimDuration;
 use osdc_telemetry::Telemetry;
 use osdc_transfer::{Protocol, TransferEngine, TransferReport, TransferSpec};
@@ -38,13 +35,12 @@ fn transfer(
     cipher: CipherKind,
     bytes: u64,
     seed: u64,
-    mode: SolverMode,
     tele: &Telemetry,
 ) -> TransferReport {
     let wan = osdc_wan(LONG_HAUL_LOSS);
     let src = wan.node(OsdcSite::ChicagoKenwood);
     let dst = wan.node(OsdcSite::Lvoc);
-    let mut engine = TransferEngine::new(FluidNet::with_solver(wan.topology, seed, mode));
+    let mut engine = TransferEngine::new(FluidNet::new(wan.topology, seed));
     engine.set_telemetry(tele.clone());
     engine.run(
         &TransferSpec {
@@ -65,7 +61,6 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         "overall transfer speeds (mbit/s) and LLR, Chicago ↔ Livermore, RTT 104 ms",
     );
     ctx.seed_line(SEED);
-    let mode = ctx.solver_mode();
     let jobs = ctx.jobs(osdc_sim::available_jobs());
     let tele = if ctx.trace_enabled() {
         Telemetry::new()
@@ -146,7 +141,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     outln!(ctx, "{}", "-".repeat(112));
 
     // The ten grid cells (5 rows × 2 sizes) are independent seeded runs:
-    // execute them on the scenario runner, then print in submission order.
+    // execute them on the parallel map, then print in submission order.
     // Seeds keep the published convention (SEED for 108 GB, SEED+1 for
     // 1.1 TB) and depend only on the cell, never on the worker.
     let tasks: Vec<_> = rows
@@ -154,7 +149,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         .flat_map(|&(_, protocol, cipher, _, _)| {
             [(gb108, SEED), (tb1_1, SEED + 1)].map(|(bytes, seed)| {
                 move |cell_tele: &Telemetry, _i: usize| {
-                    transfer(protocol, cipher, bytes, seed, mode, cell_tele)
+                    transfer(protocol, cipher, bytes, seed, cell_tele)
                 }
             })
         })

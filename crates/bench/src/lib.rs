@@ -43,44 +43,33 @@ pub fn trace_path_from(args: &[String]) -> Option<std::path::PathBuf> {
     None
 }
 
-/// Parse the harnesses' shared `--jobs <N>` flag out of an argument list.
+/// Parse the harnesses' shared `--jobs <N>` flag out of an argument list:
+/// `Ok(None)` when absent, `Ok(Some(N))` (clamped to at least 1) when
+/// given, and the usage error when the value is missing or malformed.
 ///
-/// `N` is the worker count for the deterministic scenario runner
-/// (`osdc_sim::Runner`); artifacts are byte-identical for any value.
-/// Absent the flag, harnesses default to the host's parallelism
+/// `N` is the worker count for the deterministic parallel map
+/// ([`osdc_sim::run_indexed`]); artifacts are byte-identical for any
+/// value. Absent the flag, harnesses default to the host's parallelism
 /// ([`osdc_sim::available_jobs`]).
-pub fn jobs_from(args: &[String], default: usize) -> usize {
-    let parse = |s: &str| -> usize {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs requires a positive integer, got {s:?}");
-            std::process::exit(2);
-        })
+pub fn jobs_from(args: &[String]) -> Result<Option<usize>, String> {
+    let parse = |s: &str| {
+        s.parse::<usize>()
+            .map(|n| Some(n.max(1)))
+            .map_err(|_| format!("--jobs requires a positive integer, got {s:?}"))
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--jobs" {
-            return parse(it.next().unwrap_or_else(|| {
-                eprintln!("--jobs requires a worker count argument");
-                std::process::exit(2);
-            }))
-            .max(1);
+            return match it.next() {
+                Some(n) => parse(n),
+                None => Err("--jobs requires a worker count argument".to_string()),
+            };
         }
         if let Some(n) = a.strip_prefix("--jobs=") {
-            return parse(n).max(1);
+            return parse(n);
         }
     }
-    default.max(1)
-}
-
-/// Parse the harnesses' shared fluid-solver flag out of an argument list:
-/// `--tick-compat` selects the epoch solver pinned to byte-identical
-/// pre-epoch output, and its absence the default epoch mode.
-pub fn solver_mode_from(args: &[String]) -> osdc_net::SolverMode {
-    if args.iter().any(|a| a == "--tick-compat") {
-        osdc_net::SolverMode::TICK_COMPAT
-    } else {
-        osdc_net::SolverMode::DEFAULT
-    }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -96,15 +85,22 @@ mod tests {
     #[test]
     fn jobs_flag_parses() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(jobs_from(&args(&["--jobs", "4"]), 1), 4);
-        assert_eq!(jobs_from(&args(&["--jobs=8"]), 1), 8);
+        assert_eq!(jobs_from(&args(&["--jobs", "4"])), Ok(Some(4)));
+        assert_eq!(jobs_from(&args(&["--jobs=8"])), Ok(Some(8)));
         assert_eq!(
-            jobs_from(&args(&["--jobs", "0"]), 7),
-            1,
+            jobs_from(&args(&["--jobs", "0"])),
+            Ok(Some(1)),
             "clamped, not defaulted"
         );
-        assert_eq!(jobs_from(&args(&["--quick"]), 3), 3, "default when absent");
-        assert_eq!(jobs_from(&[], 0), 1, "default itself is clamped");
+        assert_eq!(jobs_from(&args(&["--quick"])), Ok(None), "absent");
+        assert_eq!(
+            jobs_from(&args(&["--jobs", "x"])),
+            Err("--jobs requires a positive integer, got \"x\"".to_string())
+        );
+        assert_eq!(
+            jobs_from(&args(&["--quick", "--jobs"])),
+            Err("--jobs requires a worker count argument".to_string())
+        );
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //!
 //! A [`Manifest`] pins everything a stranger needs to re-run an
 //! experiment and verify they got bit-for-bit the same answer: the
-//! experiment id, its seed, the solver mode, the worker count, the CLI
-//! flags, a digest of any chaos fault plan, and the expected SHA-256 of
+//! experiment id, its seed, the worker count, the CLI flags, a digest of any chaos fault plan, and the expected SHA-256 of
 //! every artifact the run produced — always `stdout`, plus any files
 //! the harness emitted (telemetry traces, rasters). Manifests are plain
 //! JSON through the serde compat shims, so they diff cleanly in review
@@ -91,10 +90,11 @@ pub struct Manifest {
     pub experiment: String,
     /// The harness's base RNG seed, when it has one.
     pub seed: Option<u64>,
-    /// Fluid-solver mode for solver-aware harnesses
-    /// (`epoch` / `tick-compat`).
+    /// Always `None`: the fluid solver has one mode. Kept because
+    /// checked-in manifests and `benchmark/`'s replay workload carry and
+    /// compare the field.
     pub solver: Option<String>,
-    /// Worker count of the deterministic scenario runner. Artifacts are
+    /// Worker count of the deterministic parallel map. Artifacts are
     /// byte-identical for any value; recorded for fidelity.
     pub jobs: u64,
     /// The CLI flags the run was invoked with (minus `--manifest` itself).
@@ -125,14 +125,13 @@ impl Manifest {
 
 /// Accumulates manifest fields while a harness runs. Owned by
 /// [`crate::harness::HarnessCtx`]; harness code never touches it
-/// directly — the ctx records seed/jobs/solver as the harness parses its
+/// directly — the ctx records seed and jobs as the harness parses its
 /// flags, and pins artifacts as they are emitted.
 #[derive(Clone, Debug)]
 pub struct ManifestRecorder {
     experiment: String,
     args: Vec<String>,
     seed: Option<u64>,
-    solver: Option<String>,
     jobs: u64,
     fault_plan_sha256: Option<String>,
     artifacts: Vec<ArtifactPin>,
@@ -144,7 +143,6 @@ impl ManifestRecorder {
             experiment: experiment.to_string(),
             args,
             seed: None,
-            solver: None,
             jobs: 1,
             fault_plan_sha256: None,
             artifacts: Vec::new(),
@@ -153,10 +151,6 @@ impl ManifestRecorder {
 
     pub fn set_seed(&mut self, seed: u64) {
         self.seed = Some(seed);
-    }
-
-    pub fn set_solver(&mut self, solver: &str) {
-        self.solver = Some(solver.to_string());
     }
 
     pub fn set_jobs(&mut self, jobs: usize) {
@@ -187,7 +181,7 @@ impl ManifestRecorder {
         Manifest {
             experiment: self.experiment,
             seed: self.seed,
-            solver: self.solver,
+            solver: None,
             jobs: self.jobs,
             args: self.args,
             fault_plan_sha256: self.fault_plan_sha256,
@@ -287,7 +281,6 @@ mod tests {
     fn manifest_round_trips_through_json() {
         let mut rec = ManifestRecorder::new("table3_udr", vec!["--jobs=2".into()]);
         rec.set_seed(2012);
-        rec.set_solver("epoch");
         rec.set_jobs(2);
         rec.record_fault_plan(&vec![1u64, 2, 3]);
         rec.record_artifact("trace.jsonl", b"{\"a\":1}\n");

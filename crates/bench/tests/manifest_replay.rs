@@ -4,11 +4,12 @@
 //! recorder can produce must survive `to_json` → `from_json` exactly,
 //! or checked-in manifests would silently drift. The process tests drive
 //! the real `exp_replay` binary: a faithful manifest must replay clean,
-//! a tampered hash must fail naming the diverging artifact, and
+//! a tampered hash must fail naming the diverging artifact, a malformed
+//! `--jobs` must fail its own manifest without stopping the rest, and
 //! `OSDC_UPDATE_SNAPSHOTS=1` must rewrite instead of fail. They also drive
 //! the real `exp` binary: a live run records the checked-in manifest, a
-//! missing or unknown harness name is a usage error that lists the
-//! registry, and a closed stdout ends the run without a panic.
+//! missing or unknown harness name or a malformed `--jobs` is a usage
+//! error, and a closed stdout ends the run without a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -42,7 +43,7 @@ fn arb_manifest(rng: &mut TestRng) -> Manifest {
     Manifest {
         experiment: format!("exp_{}", rng.below(1000)),
         seed: (rng.below(2) == 0).then(|| rng.next_u64()),
-        solver: (rng.below(2) == 0).then(|| "tick-compat".to_string()),
+        solver: (rng.below(2) == 0).then(|| format!("solver-{}", rng.below(100))),
         jobs: rng.below(64),
         args: (0..rng.below(4))
             .map(|i| format!("--flag{i}={}", rng.below(100)))
@@ -157,6 +158,43 @@ fn unknown_experiment_is_rejected() {
     std::fs::remove_file(path).ok();
 }
 
+fn checked_in(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../data/manifests")
+        .join(format!("{name}.json"))
+}
+
+#[test]
+fn malformed_jobs_flag_fails_only_its_manifest() {
+    let text = std::fs::read_to_string(checked_in("exp_gluster_mirroring")).expect("readable");
+    let mut bad = Manifest::from_json(&text).expect("checked-in manifest parses");
+    bad.args = vec!["--jobs".to_string(), "x".to_string()];
+    let bad_path = write_temp("bad_jobs", &bad);
+    let out = exp_replay()
+        .arg(&bad_path)
+        .arg(checked_in("table1_csp"))
+        .output()
+        .expect("exp_replay runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("run: FAILED — --jobs requires a positive integer, got \"x\""),
+        "the bad manifest must fail naming --jobs:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("replaying table1_csp") && stdout.contains("  ok\n"),
+        "the clean manifest after it must still replay:\n{stdout}"
+    );
+    assert!(
+        stdout.contains(&format!(
+            "replay FAILED: 1/2 manifest(s) diverged: {}",
+            bad_path.display()
+        )),
+        "the summary must name only the bad manifest:\n{stdout}"
+    );
+    std::fs::remove_file(bad_path).ok();
+}
+
 // ------------------------------------------------------------ exp <name>
 
 fn exp() -> Command {
@@ -212,6 +250,21 @@ fn missing_harness_name_lists_the_registry() {
 fn unknown_harness_name_lists_the_registry() {
     let stderr = assert_lists_registry(&["table9_nonexistent", "--quick"]);
     assert!(stderr.contains("\"table9_nonexistent\""), "{stderr}");
+}
+
+#[test]
+fn malformed_jobs_flag_is_a_live_usage_error() {
+    for args in [&["--jobs", "x"][..], &["--jobs"][..]] {
+        let out = exp()
+            .arg("exp_gluster_mirroring")
+            .args(args)
+            .output()
+            .expect("exp runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "exp {args:?}:\n{stderr}");
+        assert!(stderr.contains("--jobs requires"), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing runs before the check");
+    }
 }
 
 #[test]

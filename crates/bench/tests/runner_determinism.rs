@@ -1,5 +1,5 @@
-//! The tentpole invariant of the scenario runner: **`--jobs N` is
-//! unobservable**. For every harness ported onto the pool, stdout and the
+//! The invariant of the parallel map: **`--jobs N` is unobservable**.
+//! For every harness whose cells run on `run_indexed`, stdout and the
 //! `--trace` JSONL artifact must be byte-identical for any worker count —
 //! not merely equivalent, identical.
 //!

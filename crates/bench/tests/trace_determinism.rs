@@ -7,7 +7,7 @@
 
 use osdc_chaos::{run_campaign, CampaignConfig, RetryPolicy};
 use osdc_crypto::CipherKind;
-use osdc_net::{osdc_wan, FluidNet, OsdcSite, SolverMode};
+use osdc_net::{osdc_wan, FluidNet, OsdcSite};
 use osdc_sim::{SimDuration, SimTime};
 use osdc_storage::GlusterVersion;
 use osdc_telemetry::Telemetry;
@@ -18,8 +18,8 @@ use osdc_tukey::translation::osdc_proxy;
 use osdc_tukey::TukeyConsole;
 
 /// A miniature Table 3 run: two protocol×cipher rows over the real WAN
-/// topology, everything traced, with a chosen fluid-solver mode.
-fn traced_transfer_run_with_solver(seed: u64, loss: f64, mode: SolverMode) -> String {
+/// topology, everything traced.
+fn traced_transfer_run_with_loss(seed: u64, loss: f64) -> String {
     let tele = Telemetry::new();
     for (protocol, cipher) in [
         (Protocol::Udr, CipherKind::None),
@@ -28,7 +28,7 @@ fn traced_transfer_run_with_solver(seed: u64, loss: f64, mode: SolverMode) -> St
         let wan = osdc_wan(loss);
         let src = wan.node(OsdcSite::ChicagoKenwood);
         let dst = wan.node(OsdcSite::Lvoc);
-        let mut engine = TransferEngine::new(FluidNet::with_solver(wan.topology, seed, mode));
+        let mut engine = TransferEngine::new(FluidNet::new(wan.topology, seed));
         engine.set_telemetry(tele.clone());
         engine.run(
             &TransferSpec {
@@ -43,10 +43,6 @@ fn traced_transfer_run_with_solver(seed: u64, loss: f64, mode: SolverMode) -> St
         );
     }
     tele.export_jsonl()
-}
-
-fn traced_transfer_run_with_loss(seed: u64, loss: f64) -> String {
-    traced_transfer_run_with_solver(seed, loss, SolverMode::DEFAULT)
 }
 
 fn traced_transfer_run(seed: u64) -> String {
@@ -83,7 +79,7 @@ fn traced_console_run() -> String {
 
 /// A miniature Experiment X9 run: a short chaos campaign on the
 /// canonical cell, everything traced, scorecard exported at the end.
-fn traced_resilience_run_with_solver(seed: u64, mode: SolverMode) -> String {
+fn traced_resilience_run(seed: u64) -> String {
     let tele = Telemetry::new();
     let cfg = CampaignConfig::osdc(
         GlusterVersion::V3_3,
@@ -91,14 +87,9 @@ fn traced_resilience_run_with_solver(seed: u64, mode: SolverMode) -> String {
         seed,
         90,
         2.0,
-    )
-    .with_solver(mode);
+    );
     run_campaign(&cfg, &tele);
     tele.export_jsonl()
-}
-
-fn traced_resilience_run(seed: u64) -> String {
-    traced_resilience_run_with_solver(seed, SolverMode::DEFAULT)
 }
 
 #[test]
@@ -154,40 +145,13 @@ fn different_seed_transfer_traces_differ() {
 }
 
 #[test]
-fn tick_compat_transfer_trace_matches_reference_solver() {
-    // The tick-compatibility contract: the epoch solver at tolerance 0
-    // emits the very bytes the pre-epoch per-tick solver emitted — through
-    // the whole transfer pipeline, loss sampling included.
-    let compat = traced_transfer_run_with_solver(2012, 0.9e-7, SolverMode::TICK_COMPAT);
-    let reference = traced_transfer_run_with_solver(2012, 0.9e-7, SolverMode::Reference);
-    assert!(!compat.is_empty());
-    assert_eq!(
-        compat, reference,
-        "tick-compat must be byte-identical to the reference solver"
-    );
-}
-
-#[test]
-fn tick_compat_resilience_trace_matches_reference_solver() {
-    // Same contract through the chaos campaign: injections land via the
-    // targeted link mutators, yet the artifact must not move by one byte.
-    let compat = traced_resilience_run_with_solver(2012, SolverMode::TICK_COMPAT);
-    let reference = traced_resilience_run_with_solver(2012, SolverMode::Reference);
-    assert!(!compat.is_empty());
-    assert_eq!(
-        compat, reference,
-        "tick-compat campaign artifacts must match the reference solver"
-    );
-}
-
-#[test]
 fn epoch_mode_traces_are_deterministic() {
-    // The fast default mode keeps the determinism invariant on its own
-    // terms: same seed in, byte-identical artifact out.
-    let a = traced_transfer_run_with_solver(77, 1e-5, SolverMode::DEFAULT);
-    let b = traced_transfer_run_with_solver(77, 1e-5, SolverMode::DEFAULT);
+    // The epoch solver keeps the determinism invariant on a lossy path
+    // too: same seed in, byte-identical artifact out.
+    let a = traced_transfer_run_with_loss(77, 1e-5);
+    let b = traced_transfer_run_with_loss(77, 1e-5);
     assert!(!a.is_empty());
-    assert_eq!(a, b, "same-seed epoch-mode traces must match byte-for-byte");
+    assert_eq!(a, b, "same-seed epoch traces must match byte-for-byte");
 }
 
 #[test]

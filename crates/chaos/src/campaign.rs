@@ -25,9 +25,7 @@ use osdc_compute::{CloudController, InstanceState};
 use osdc_monitor::{
     CheckDefinition, HostAgent, NagiosMaster, ServiceDefinition, ThresholdDirection,
 };
-use osdc_net::{
-    osdc_wan, CongestionControl, FlowId, FlowSpec, FluidNet, NodeId, OsdcSite, SolverMode,
-};
+use osdc_net::{osdc_wan, CongestionControl, FlowId, FlowSpec, FluidNet, NodeId, OsdcSite};
 use osdc_providers::{osdc_fleet, CanonicalRequest, ProviderRegistry};
 use osdc_provision::{provision_rack, PipelineParams};
 use osdc_sim::{RetryPolicy, SimDuration, SimRng, SimTime};
@@ -48,10 +46,6 @@ pub struct CampaignConfig {
     pub duration_mins: u64,
     /// Files pre-loaded onto the volume before faults start.
     pub corpus_files: u64,
-    /// How the WAN's fluid solver runs: the default epoch mode, or
-    /// [`SolverMode::TICK_COMPAT`] / [`SolverMode::Reference`] when the
-    /// campaign artifact must be byte-identical to pre-epoch output.
-    pub solver: SolverMode,
 }
 
 impl CampaignConfig {
@@ -70,14 +64,7 @@ impl CampaignConfig {
             plan: FaultPlan::osdc_campaign(seed, duration_mins, extra_faults_per_hour),
             duration_mins,
             corpus_files: 320,
-            solver: SolverMode::DEFAULT,
         }
-    }
-
-    /// The same cell with a chosen fluid-solver mode.
-    pub fn with_solver(mut self, solver: SolverMode) -> Self {
-        self.solver = solver;
-        self
     }
 
     pub fn label(&self) -> String {
@@ -138,7 +125,7 @@ impl Rig {
         let wan = osdc_wan(1.2e-7);
         let flow_src = wan.node(OsdcSite::ChicagoKenwood);
         let flow_dst = wan.node(OsdcSite::Lvoc);
-        let mut net = FluidNet::with_solver(wan.topology, seed ^ 0x01, cfg.solver);
+        let mut net = FluidNet::new(wan.topology, seed ^ 0x01);
         net.set_telemetry(tele.clone());
         let flow = net
             .start_flow(FlowSpec {
@@ -563,7 +550,6 @@ mod tests {
             plan,
             duration_mins: 30,
             corpus_files: 8,
-            solver: SolverMode::DEFAULT,
         };
         let tele = Telemetry::new();
         let card = run_campaign(&cfg, &tele);

@@ -1,8 +1,10 @@
-//! A real MapReduce engine on crossbeam scoped threads.
+//! A real MapReduce engine on the workspace's parallel map
+//! ([`osdc_sim::run_indexed`]).
 //!
 //! Generic over mapper and reducer functions; the dataflow is the Hadoop
-//! classic: split → parallel map → hash-partition shuffle → per-partition
-//! sort → parallel reduce → merged output. Reducers see each key's values
+//! classic: split → parallel map (one task per input chunk) →
+//! hash-partition shuffle → per-partition sort → parallel reduce (one
+//! task per partition) → merged output. Reducers see each key's values
 //! grouped; output order is made deterministic by sorting keys, so runs
 //! are reproducible regardless of thread interleaving.
 
@@ -27,9 +29,7 @@ pub struct JobConfig {
 impl Default for JobConfig {
     fn default() -> Self {
         JobConfig {
-            map_workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            map_workers: osdc_sim::available_jobs(),
             reducers: 4,
         }
     }
@@ -108,9 +108,10 @@ where
 /// clock, so every span starts and ends at the caller-supplied `at` —
 /// honest zero-duration markers that carry structure (job → map tasks →
 /// reduce tasks) and attributes (records, emitted pairs, groups), not
-/// wall-clock timings that would break same-seed reproducibility. Worker
-/// threads record through thread-local [`osdc_telemetry::MetricShard`]s
-/// merged at scope exit.
+/// wall-clock timings that would break same-seed reproducibility. Each
+/// map and reduce task records through its own
+/// [`osdc_telemetry::MetricShard`], merged into the registry when the task
+/// ends.
 pub fn run_job_traced<I, K2, V2, O, M, R>(
     inputs: Vec<I>,
     config: &JobConfig,
@@ -156,42 +157,35 @@ where
     }
     let mapper = &mapper;
     let counters_ref = &counters;
-    let tele_ref = tele;
-    let mut per_worker: Vec<Vec<Vec<(K2, V2)>>> = Vec::with_capacity(chunks.len());
-    let mut map_emitted: Vec<u64> = Vec::with_capacity(chunks.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
+    let map_tasks = chunks
+        .into_iter()
+        .map(|chunk| {
+            move |_: usize| {
+                // Per-task metric shard: lock-free recording inside the
+                // worker, one merge into the registry on drop.
+                let mut shard = tele.shard();
+                let mut partitions: Vec<Vec<(K2, V2)>> =
+                    (0..reducers).map(|_| Vec::new()).collect();
+                let mut emitted = 0u64;
+                let records = chunk.len() as u64;
+                for input in chunk {
+                    mapper(input, &mut |k, v| {
+                        emitted += 1;
+                        let p = partition_of(&k, reducers);
+                        partitions[p].push((k, v));
+                    });
+                }
+                counters_ref.add("map.output.records", emitted);
+                shard.add(map_records_id, records);
+                shard.add(map_emitted_id, emitted);
+                (partitions, emitted)
+            }
+        })
+        .collect::<Vec<_>>();
+    let (per_worker, map_emitted): (Vec<_>, Vec<_>) =
+        osdc_sim::run_indexed(map_tasks.len(), map_tasks)
             .into_iter()
-            .map(|chunk| {
-                scope.spawn(move |_| {
-                    // Thread-local metric shard: lock-free recording inside
-                    // the worker, one merge into the registry on drop.
-                    let mut shard = tele_ref.shard();
-                    let mut partitions: Vec<Vec<(K2, V2)>> =
-                        (0..reducers).map(|_| Vec::new()).collect();
-                    let mut emitted = 0u64;
-                    let records = chunk.len() as u64;
-                    for input in chunk {
-                        mapper(input, &mut |k, v| {
-                            emitted += 1;
-                            let p = partition_of(&k, reducers);
-                            partitions[p].push((k, v));
-                        });
-                    }
-                    counters_ref.add("map.output.records", emitted);
-                    shard.add(map_records_id, records);
-                    shard.add(map_emitted_id, emitted);
-                    (partitions, emitted)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (partitions, emitted) = h.join().expect("map worker panicked");
-            per_worker.push(partitions);
-            map_emitted.push(emitted);
-        }
-    })
-    .expect("crossbeam scope");
+            .unzip();
     for (i, emitted) in map_emitted.iter().enumerate() {
         let span = tele.span_start(&format!("map/task{i}"), at);
         tele.attr(span, "emitted", *emitted);
@@ -213,29 +207,23 @@ where
 
     // ---- Reduce phase ------------------------------------------------------
     let reducer = &reducer;
-    let mut reduced: Vec<Vec<(K2, O)>> = Vec::with_capacity(reducers);
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = partitions
-            .into_iter()
-            .map(|partition| {
-                scope.spawn(move |_| {
-                    let mut shard = tele_ref.shard();
-                    let mut out = Vec::with_capacity(partition.len());
-                    for (k, vs) in partition {
-                        counters_ref.increment("reduce.input.groups");
-                        shard.incr(reduce_groups_id);
-                        let o = reducer(&k, vs);
-                        out.push((k, o));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            reduced.push(h.join().expect("reduce worker panicked"));
-        }
-    })
-    .expect("crossbeam scope");
+    let reduce_tasks = partitions
+        .into_iter()
+        .map(|partition| {
+            move |_: usize| {
+                let mut shard = tele.shard();
+                let mut out = Vec::with_capacity(partition.len());
+                for (k, vs) in partition {
+                    counters_ref.increment("reduce.input.groups");
+                    shard.incr(reduce_groups_id);
+                    let o = reducer(&k, vs);
+                    out.push((k, o));
+                }
+                out
+            }
+        })
+        .collect::<Vec<_>>();
+    let reduced = osdc_sim::run_indexed(reduce_tasks.len(), reduce_tasks);
     for (i, part) in reduced.iter().enumerate() {
         let span = tele.span_start(&format!("reduce/task{i}"), at);
         tele.attr(span, "groups", part.len());

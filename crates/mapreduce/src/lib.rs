@@ -10,8 +10,9 @@
 //!   second in the same rack, third in another rack — the classic Hadoop
 //!   policy);
 //! * [`engine`] — a *real* MapReduce execution engine: map tasks fan out
-//!   on crossbeam scoped threads, a hash shuffle partitions intermediate
-//!   keys, reducers run in parallel, and results come back merged. Project
+//!   on the workspace's parallel map (`osdc_sim::run_indexed`), a hash
+//!   shuffle partitions intermediate keys, reducers run in parallel, and
+//!   results come back merged. Project
 //!   Matsu's flood detector (in the `osdc` facade) runs on it unchanged;
 //! * [`scheduler`] — locality-aware task placement over the HDFS block
 //!   map, reporting the data-local/rack-local/remote split that makes

@@ -19,30 +19,32 @@
 //! Re-running progressive filling every tick is wasteful: between
 //! *allocation-changing events* (flow arrival/completion, a link going up
 //! or down, a material change in a flow's desired rate) the allocation is
-//! constant, so the solver result can be cached and each tick reduced to
-//! the advance/loss bookkeeping of step 3–4. [`SolverMode`] selects how
-//! aggressively the cache is reused:
+//! constant, so the solver caches it and each tick reduces to the
+//! advance/loss bookkeeping of steps 3–4. A congestion-controlled flow's
+//! desire may drift up to `DESIRE_TOLERANCE` (0.5 %) from the value used
+//! at the last solve before a re-solve is forced. Re-solves are
+//! *incremental*: only the connected component of flows touched by dirty
+//! links or drifted desires is re-filled (exact, because max-min
+//! allocation decomposes over link-disjoint components). An early exit
+//! skips filling entirely when every link can carry the sum of its flows'
+//! desires, and deadline-driven runs jump analytically over runs of ticks
+//! where every active flow is constant-rate.
 //!
-//! * [`SolverMode::Reference`] — the original semantics: a full
-//!   progressive-filling solve on every tick. Kept as the referee for
-//!   differential tests.
-//! * [`SolverMode::Epoch`] — the cached allocation is reused until an
-//!   allocation-changing event. `desire_tolerance` bounds how far a
-//!   congestion-controlled flow's desire may drift from the value used at
-//!   the last solve before a re-solve is forced. At `0.0`
-//!   (tick-compatibility mode) any bit-level drift re-solves, every solve
-//!   runs the full reference arithmetic, and runs are **byte-identical**
-//!   to `Reference` — same rates, same traces, same RNG draws. At a
-//!   positive tolerance the solver additionally re-solves *incrementally*:
-//!   only the connected component of flows touched by dirty links or
-//!   drifted desires is re-filled (exact, because max-min allocation
-//!   decomposes over link-disjoint components), an early-exit skips
-//!   filling entirely when every link can carry the sum of its flows'
-//!   desires, and deadline-driven runs jump analytically over runs of
-//!   ticks where every active flow is constant-rate.
+//! [`FluidNet::topology_mut`] drops the cache wholesale, so the next tick
+//! runs a full solve. That is the per-tick referee of the differential
+//! tests: the same `FluidNet` with `topology_mut()` called before every
+//! `step()`. With the `audit` feature every solve is also checked against
+//! max-min fairness directly (`net.max_min_fair`): a flow held below its
+//! desire must cross a downed link, or a saturated link on which no flow
+//! gets a higher rate.
 //!
 //! The solver is allocation-free on the hot path: all per-solve working
 //! sets live in persistent scratch buffers on the [`FluidNet`].
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use osdc_sim::stats::Series;
 use osdc_sim::{SimDuration, SimRng, SimTime};
@@ -81,41 +83,10 @@ impl NetIds {
 /// Table 3 transfer cannot evict everything else.
 const TRACE_POINT_STRIDE: u64 = 10;
 
-/// How the max-min allocation is computed and reused across ticks.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SolverMode {
-    /// Full progressive-filling solve on every tick (the pre-epoch
-    /// semantics). The referee for differential testing.
-    Reference,
-    /// Cache the allocation between allocation-changing events.
-    Epoch {
-        /// Relative drift of a flow's desired rate (vs. the desire used at
-        /// the last solve) that forces a re-solve. `0.0` is
-        /// tick-compatibility mode: byte-identical to [`SolverMode::Reference`].
-        desire_tolerance: f64,
-    },
-}
-
-impl SolverMode {
-    /// Default epoch mode: re-solve on ~0.5 % desire drift. Fast, and
-    /// throughput-accurate to well under a percent.
-    pub const DEFAULT: SolverMode = SolverMode::Epoch {
-        desire_tolerance: 5e-3,
-    };
-
-    /// Epoch bookkeeping with zero drift tolerance: same rates, traces and
-    /// RNG draws as [`SolverMode::Reference`], byte for byte.
-    pub const TICK_COMPAT: SolverMode = SolverMode::Epoch {
-        desire_tolerance: 0.0,
-    };
-
-    fn tolerance(self) -> Option<f64> {
-        match self {
-            SolverMode::Reference => None,
-            SolverMode::Epoch { desire_tolerance } => Some(desire_tolerance),
-        }
-    }
-}
+/// Relative drift of a flow's desired rate (vs. the desire used at the
+/// last solve) that forces a re-solve: ~0.5 %, throughput-accurate to well
+/// under a percent.
+const DESIRE_TOLERANCE: f64 = 5e-3;
 
 /// Handle to a flow inside a [`FluidNet`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -187,8 +158,8 @@ struct FlowState {
     point_names: Option<(String, String)>,
     /// Allocated rate from the last solve, bits/second.
     rate_bps: f64,
-    /// The desire fed to the solver at the last solve; drift beyond the
-    /// mode's tolerance forces a re-solve.
+    /// The desire fed to the solver at the last solve; drift beyond
+    /// `DESIRE_TOLERANCE` forces a re-solve.
     desire_used: f64,
     /// Whether any path link was saturated at the last solve.
     congested: bool,
@@ -209,18 +180,14 @@ impl FlowState {
     }
 
     /// Would re-solving with desire `d` materially change the allocation?
-    fn desire_drifted(&self, d: f64, tol: f64) -> bool {
-        if tol == 0.0 {
-            // Tick compatibility: any bit-level drift re-solves.
-            return d != self.desire_used;
-        }
+    fn desire_drifted(&self, d: f64) -> bool {
         // A flow held below its desire by links stays link-limited while
         // its desire remains above the allocation: the desire is not the
         // binding constraint, so its motion cannot change the result.
-        if self.rate_bps < self.desire_used - 1e-6 && d > self.rate_bps * (1.0 + tol) {
+        if self.rate_bps < self.desire_used - 1e-6 && d > self.rate_bps * (1.0 + DESIRE_TOLERANCE) {
             return false;
         }
-        (d - self.desire_used).abs() > tol * self.desire_used.max(1.0)
+        (d - self.desire_used).abs() > DESIRE_TOLERANCE * self.desire_used.max(1.0)
     }
 }
 
@@ -262,12 +229,11 @@ pub struct FluidNet {
     trace_every: SimDuration,
     tele: Telemetry,
     ids: Option<NetIds>,
-    mode: SolverMode,
     /// Active-flow counter, maintained on start/complete/cancel so no call
     /// site pays an O(flows) scan.
     active: usize,
     /// Whether the cached allocation may be reused at all. Cleared by
-    /// whole-topology invalidations (`topology_mut`, tick changes).
+    /// whole-topology invalidations (`topology_mut`, `refresh_paths`).
     cache_valid: bool,
     /// Links whose state or crossing-flow set changed since the last
     /// solve; only flows across these links need re-solving.
@@ -282,11 +248,6 @@ pub struct FluidNet {
 
 impl FluidNet {
     pub fn new(topo: Topology, seed: u64) -> Self {
-        Self::with_solver(topo, seed, SolverMode::DEFAULT)
-    }
-
-    /// Build with an explicit solver mode; see [`SolverMode`].
-    pub fn with_solver(topo: Topology, seed: u64, mode: SolverMode) -> Self {
         let links = topo.link_count();
         FluidNet {
             topo,
@@ -298,7 +259,6 @@ impl FluidNet {
             trace_every: SimDuration::from_millis(500),
             tele: Telemetry::disabled(),
             ids: None,
-            mode,
             active: 0,
             cache_valid: false,
             dirty_links: vec![false; links],
@@ -308,16 +268,6 @@ impl FluidNet {
             scratch: Scratch::default(),
             stats: SolverStats::default(),
         }
-    }
-
-    /// Epoch bookkeeping, byte-identical artifacts to the pre-epoch
-    /// (reference) solver. For golden-trace comparisons.
-    pub fn tick_compat(topo: Topology, seed: u64) -> Self {
-        Self::with_solver(topo, seed, SolverMode::TICK_COMPAT)
-    }
-
-    pub fn solver_mode(&self) -> SolverMode {
-        self.mode
     }
 
     /// Tick/solve counters since construction.
@@ -338,12 +288,6 @@ impl FluidNet {
     }
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    pub fn set_tick(&mut self, tick: SimDuration) {
-        assert!(!tick.is_zero());
-        self.tick = tick;
-        self.cache_valid = false;
     }
 
     /// Launch a flow. Errors (rather than panicking) when the endpoints
@@ -548,9 +492,8 @@ impl FluidNet {
         }
     }
 
-    /// Reference progressive filling over `scratch.desires`, writing
-    /// `scratch.alloc`. Arithmetic is identical to the pre-epoch solver;
-    /// only the storage is persistent.
+    /// Progressive filling over `scratch.desires`, writing
+    /// `scratch.alloc`.
     fn allocate_into(topo: &Topology, flows: &[FlowState], s: &mut Scratch) {
         let links = topo.link_count();
         s.remaining.clear();
@@ -640,28 +583,23 @@ impl FluidNet {
                 self.scratch.desires.push((i, f.desire()));
             }
         }
-        // Early exit (approximate modes only): if every link can carry the
-        // sum of its crossing desires, the allocation *is* the desires.
-        // Skipped in tick-compat because progressive filling reaches the
-        // same values through different float additions.
-        let relaxed = matches!(self.mode.tolerance(), Some(t) if t > 0.0);
-        let mut fits = relaxed;
-        if relaxed {
-            for v in self.link_load.iter_mut() {
-                *v = 0.0;
+        // Early exit: if every link can carry the sum of its crossing
+        // desires, the allocation *is* the desires.
+        for v in self.link_load.iter_mut() {
+            *v = 0.0;
+        }
+        for &(i, d) in &self.scratch.desires {
+            for &l in &self.flows[i].path {
+                self.link_load[l.0] += d;
             }
-            for &(i, d) in &self.scratch.desires {
-                for &l in &self.flows[i].path {
-                    self.link_load[l.0] += d;
-                }
-            }
-            for l in 0..self.topo.link_count() {
-                if self.link_load[l] > 0.0 {
-                    let link = self.topo.link(LinkId(l));
-                    if !link.up || self.link_load[l] > link.capacity_bps {
-                        fits = false;
-                        break;
-                    }
+        }
+        let mut fits = true;
+        for l in 0..self.topo.link_count() {
+            if self.link_load[l] > 0.0 {
+                let link = self.topo.link(LinkId(l));
+                if !link.up || self.link_load[l] > link.capacity_bps {
+                    fits = false;
+                    break;
                 }
             }
         }
@@ -672,7 +610,7 @@ impl FluidNet {
             self.scratch.desires = desires;
         } else {
             Self::allocate_into(&self.topo, &self.flows, &mut self.scratch);
-            // Per-link load from the fresh allocation (reference order).
+            // Per-link load from the fresh allocation (ascending flow order).
             for v in self.link_load.iter_mut() {
                 *v = 0.0;
             }
@@ -702,6 +640,7 @@ impl FluidNet {
             f.congested = congested;
         }
         self.audit_link_loads("solve_full");
+        self.audit_max_min("solve_full");
         self.clear_dirty();
         self.cache_valid = true;
     }
@@ -733,11 +672,47 @@ impl FluidNet {
         }
     }
 
-    /// Incremental solve (positive-tolerance epoch mode only): re-fill
-    /// just the connected component of flows reached from dirty links and
-    /// drifted desires. Exact, because components sharing no link are
-    /// independent under max-min filling.
-    fn solve_partial(&mut self, tol: f64) {
+    /// Audit-only max-min fairness check on the cached allocation: every
+    /// active flow held more than 1e-3 bps below the desire it was solved
+    /// with (`desire_used`, since drift inside the tolerance is by design)
+    /// crosses a downed link, or a saturated link on which no flow gets a
+    /// higher rate. "Saturated" and "higher" allow `1e-6 × capacity + 1e-3`
+    /// of float slack. Compiled out unless the `audit` feature is on.
+    fn audit_max_min(&self, site: &str) {
+        if !audit::enabled() {
+            return;
+        }
+        let mut top_rate = vec![0.0f64; self.topo.link_count()];
+        for f in self.flows.iter().filter(|f| f.is_active()) {
+            for &l in &f.path {
+                top_rate[l.0] = top_rate[l.0].max(f.rate_bps);
+            }
+        }
+        for (i, f) in self.flows.iter().enumerate() {
+            if !f.is_active() || f.rate_bps >= f.desire_used - 1e-3 {
+                continue;
+            }
+            let bottlenecked = f.path.iter().any(|&l| {
+                let link = self.topo.link(l);
+                let slack = 1e-6 * link.capacity_bps + 1e-3;
+                !link.up
+                    || (self.link_load[l.0] >= link.capacity_bps - slack
+                        && top_rate[l.0] <= f.rate_bps + slack)
+            });
+            audit::check!(
+                bottlenecked,
+                "net.max_min_fair",
+                "{site}: flow {i} held at {} bps below its desire {} with no bottleneck link",
+                f.rate_bps,
+                f.desire_used
+            );
+        }
+    }
+
+    /// Incremental solve: re-fill just the connected component of flows
+    /// reached from dirty links and drifted desires. Exact, because
+    /// components sharing no link are independent under max-min filling.
+    fn solve_partial(&mut self) {
         self.ensure_link_buffers();
         let nf = self.flows.len();
         self.scratch.resolve.clear();
@@ -751,7 +726,7 @@ impl FluidNet {
                 continue;
             }
             let d = f.desire();
-            if f.path.iter().any(|&l| self.dirty_links[l.0]) || f.desire_drifted(d, tol) {
+            if f.path.iter().any(|&l| self.dirty_links[l.0]) || f.desire_drifted(d) {
                 self.scratch.resolve[i] = true;
                 any = true;
             }
@@ -835,6 +810,7 @@ impl FluidNet {
             }
         }
         self.audit_link_loads("solve_partial");
+        self.audit_max_min("solve_partial");
         self.clear_dirty();
     }
 
@@ -849,10 +825,10 @@ impl FluidNet {
 
     /// Does any active flow's desire sit outside the cached solve's
     /// tolerance band?
-    fn desires_drifted(&self, tol: f64) -> bool {
+    fn desires_drifted(&self) -> bool {
         self.flows
             .iter()
-            .any(|f| f.is_active() && f.desire_drifted(f.desire(), tol))
+            .any(|f| f.is_active() && f.desire_drifted(f.desire()))
     }
 
     /// Advance one tick. Returns the new virtual time.
@@ -862,28 +838,17 @@ impl FluidNet {
             self.now += self.tick;
             return self.now;
         }
-        match self.mode.tolerance() {
-            None => self.solve_full(),
-            Some(tol) => {
-                if !self.cache_valid {
-                    self.solve_full();
-                } else if self.any_dirty || self.desires_drifted(tol) {
-                    if tol == 0.0 {
-                        // Tick compatibility: always the full reference
-                        // arithmetic, so rates stay bit-identical.
-                        self.solve_full();
-                    } else {
-                        self.solve_partial(tol);
-                    }
-                }
-            }
+        if !self.cache_valid {
+            self.solve_full();
+        } else if self.any_dirty || self.desires_drifted() {
+            self.solve_partial();
         }
         self.advance_tick()
     }
 
     /// Steps 3–4 of the tick: advance every active flow on its cached
-    /// rate, record completions and traces, sample loss. Observable order
-    /// matches the reference solver exactly (ascending flow index).
+    /// rate, record completions and traces, sample loss, in ascending flow
+    /// index.
     fn advance_tick(&mut self) -> SimTime {
         let dt = self.tick.as_secs_f64();
         let end = self.now + self.tick;
@@ -984,11 +949,10 @@ impl FluidNet {
     }
 
     /// Whether the run loops may replace tick-by-tick stepping with an
-    /// analytic jump: approximate epoch mode, a clean cache, and every
-    /// active flow constant-rate (so no desire can drift mid-jump).
+    /// analytic jump: a clean cache, and every active flow constant-rate
+    /// (so no desire can drift mid-jump).
     fn jump_eligible(&self) -> bool {
-        matches!(self.mode.tolerance(), Some(t) if t > 0.0)
-            && self.cache_valid
+        self.cache_valid
             && !self.any_dirty
             && self
                 .flows
@@ -1148,26 +1112,12 @@ impl FluidNet {
         }
     }
 
-    /// Step until every flow completes or `deadline` passes.
-    pub fn run_all(&mut self, deadline: SimTime) {
-        while self.active > 0 && self.now < deadline {
-            if self.jump_eligible() {
-                let k = self.ticks_until(deadline);
-                if k > 0 && self.jump_constant(k) > 0 {
-                    continue;
-                }
-            }
-            self.step();
-        }
-    }
-
     /// Step until the clock reaches `deadline`, whether or not any flow is
     /// active. Backoff waits idle here so the whole net stays on one clock.
     pub fn run_until(&mut self, deadline: SimTime) {
         while self.now < deadline {
-            if self.active == 0 && self.mode != SolverMode::Reference {
-                // No flows: ticks are pure clock advancement; integer-exact
-                // in every epoch mode (tick compatibility included).
+            if self.active == 0 {
+                // No flows: ticks are pure clock advancement, integer-exact.
                 let k = self.ticks_until(deadline);
                 self.now = SimTime(self.now.0 + k * self.tick.0);
                 self.stats.ticks += k;
@@ -1500,19 +1450,17 @@ mod tests {
 
     // ---- epoch-solver specific coverage ------------------------------
 
-    /// Trace samples as `(nanos, rate bits)` for exact comparison.
-    type TraceBits = Vec<(u64, u64)>;
-
-    /// Run a mixed CC scenario in a given mode and return every
-    /// bit-comparable observable.
-    fn mixed_run(mode: SolverMode) -> (Vec<u64>, Vec<u64>, Vec<TraceBits>, u64) {
+    /// Run a mixed CC scenario; returns per-flow bytes and the solve
+    /// count. `per_tick` runs the referee: `topology_mut()` before every
+    /// step drops the cache, so every tick runs a full solve.
+    fn mixed_run(per_tick: bool) -> (Vec<u64>, u64) {
         let mut t = Topology::new();
         let a = t.add_node("a");
         let h = t.add_node("hub");
         let b = t.add_node("b");
         t.add_duplex_link(a, h, 10e9, SimDuration::from_millis(20), 1e-6);
         t.add_duplex_link(h, b, 2e9, SimDuration::from_millis(32), 1e-6);
-        let mut net = FluidNet::with_solver(t, 99, mode);
+        let mut net = FluidNet::new(t, 99);
         let specs = [
             CongestionControl::reno(0.104),
             CongestionControl::udt(2e9),
@@ -1532,36 +1480,19 @@ mod tests {
             })
             .collect();
         for _ in 0..4000 {
+            if per_tick {
+                net.topology_mut();
+            }
             net.step();
         }
         let bytes = flows.iter().map(|&f| net.bytes_done(f)).collect();
-        let losses = flows.iter().map(|&f| net.loss_events(f)).collect();
-        let traces = flows
-            .iter()
-            .map(|&f| {
-                net.trace(f)
-                    .points()
-                    .iter()
-                    .map(|&(t, v)| (t.as_nanos(), v.to_bits()))
-                    .collect()
-            })
-            .collect();
-        (bytes, losses, traces, net.solver_stats().solves)
-    }
-
-    #[test]
-    fn tick_compat_is_bit_identical_to_reference() {
-        let (rb, rl, rt, _) = mixed_run(SolverMode::Reference);
-        let (eb, el, et, _) = mixed_run(SolverMode::TICK_COMPAT);
-        assert_eq!(rb, eb, "bytes diverge");
-        assert_eq!(rl, el, "loss events diverge");
-        assert_eq!(rt, et, "traces diverge");
+        (bytes, net.solver_stats().solves)
     }
 
     #[test]
     fn default_epoch_mode_stays_close_and_solves_less() {
-        let (rb, _, _, rs) = mixed_run(SolverMode::Reference);
-        let (eb, _, _, es) = mixed_run(SolverMode::DEFAULT);
+        let (rb, rs) = mixed_run(true);
+        let (eb, es) = mixed_run(false);
         for (r, e) in rb.iter().zip(&eb) {
             let (r, e) = (*r as f64, *e as f64);
             assert!(
@@ -1659,7 +1590,7 @@ mod tests {
             t.add_duplex_link(b, c, 10e9, SimDuration::from_millis(10), 1e-7);
             t.add_duplex_link(a, c, 1e9, SimDuration::from_millis(50), 1e-7);
             let fast = t.links_between(a, b);
-            let mut net = FluidNet::tick_compat(t, 7);
+            let mut net = FluidNet::new(t, 7);
             let f = net
                 .start_flow(FlowSpec {
                     src: a,
@@ -1719,7 +1650,7 @@ mod tests {
         }
         let s = net.solver_stats();
         assert_eq!(s.ticks, 100);
-        // A constant flow needs exactly one solve in epoch mode.
+        // A constant flow needs exactly one solve.
         assert_eq!(s.solves, 1);
     }
 }

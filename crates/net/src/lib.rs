@@ -31,7 +31,7 @@ pub mod topology;
 pub mod wan;
 
 pub use cc::{CongestionControl, RenoState, UdtState};
-pub use fluid::{FlowId, FlowSpec, FlowStatus, FluidNet, NetError, SolverMode, SolverStats};
+pub use fluid::{FlowId, FlowSpec, FlowStatus, FluidNet, NetError, SolverStats};
 pub use topology::{LinkId, NodeId, Topology};
 pub use wan::{osdc_wan, OsdcSite, OsdcWan};
 

@@ -1,6 +1,7 @@
 //! Property-based checks on the fluid model's max-min fair allocator:
 //! conservation (no link over capacity), demand-boundedness and fairness,
-//! over randomized topologies and flow sets.
+//! over randomized topologies and flow sets. Each ends by asserting that
+//! no `net.*` audit invariant fired (a no-op without the `audit` feature).
 
 use osdc_net::{CongestionControl, FlowSpec, FluidNet, Topology};
 use osdc_sim::SimDuration;
@@ -67,6 +68,7 @@ proptest! {
             total_bits <= cap * elapsed * 1.0001,
             "link overdriven: {} > {}", total_bits, cap * elapsed
         );
+        osdc_telemetry::audit::assert_clean("conservation_and_demand_bounds");
     }
 
     /// Equal demands through a shared bottleneck get equal shares.
@@ -94,6 +96,7 @@ proptest! {
         let max: f64 = bytes.iter().cloned().fold(0.0, f64::max);
         prop_assert!(max > 0.0);
         prop_assert!((max - min) / max < 0.01, "unfair shares: {bytes:?}");
+        osdc_telemetry::audit::assert_clean("equal_demands_equal_shares");
     }
 
     /// A small demand is never throttled below its ask while bigger flows
@@ -125,5 +128,6 @@ proptest! {
         prop_assert!((small_rate / 50e6 - 1.0).abs() < 0.02, "small flow got {small_rate}");
         // The big flow takes (almost) all the remainder of the 1G hub.
         prop_assert!(large_rate > 0.90e9 - 50e6, "large flow got {large_rate}");
+        osdc_telemetry::audit::assert_clean("small_demand_is_satisfied");
     }
 }

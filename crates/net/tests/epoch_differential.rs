@@ -1,22 +1,20 @@
-//! Differential property tests: the epoch solver against the reference
-//! per-tick solver, over randomized topologies, flow sets, and link
-//! up/down sequences.
+//! Differential property test: the epoch solver against the per-tick
+//! referee, over randomized topologies, flow sets, and a link toggled
+//! down and back up mid-run.
 //!
-//! Two grades of agreement are asserted:
-//!
-//! * **tick-compat (tolerance 0)** — bit-identical observables: rates,
-//!   byte counters, loss-event counts, and completion status must match
-//!   the reference exactly, including through chaos-style link toggles
-//!   applied via the targeted mutators on one side and the old
-//!   `topology_mut` + `refresh_paths` recompute on the other.
-//! * **default epoch mode (tolerance 5e-3)** — per-flow rates and
-//!   completion times within 1e-6 relative on loss-free runs (loss-free
-//!   because the default mode may legally re-order RNG draws when it
-//!   jumps; tick-compat covers the lossy case bit-exactly).
+//! The referee is no separate solver: it is the same `FluidNet` with
+//! `topology_mut()` called before every `step()`, which drops the cached
+//! allocation so every tick runs a full progressive-filling solve. It
+//! applies link toggles through the global `topology_mut` +
+//! `refresh_paths` recompute; the epoch side uses the targeted mutators.
+//! Runs are loss-free, so the two sides draw no random numbers and may
+//! differ only by the epoch solver's desire tolerance: bytes moved agree
+//! within 1e-6 plus twice that tolerance, completions agree exactly.
+//! Every solve on both sides also runs the `audit` feature's `net.*`
+//! invariants, `net.max_min_fair` included, and the test ends by asserting
+//! none was violated.
 
-use osdc_net::{
-    CongestionControl, FlowId, FlowSpec, FluidNet, LinkId, NodeId, SolverMode, Topology,
-};
+use osdc_net::{CongestionControl, FlowId, FlowSpec, FluidNet, LinkId, NodeId, Topology};
 use osdc_sim::SimDuration;
 use proptest::prelude::*;
 
@@ -81,50 +79,36 @@ fn start_all(net: &mut FluidNet, n_nodes: usize, plans: &[FlowPlan]) -> Vec<Flow
 }
 
 /// Drive `net` for `ticks`, toggling backbone link `toggle_link` down at
-/// 1/3 of the run and up at 2/3 — through the targeted mutators when
-/// `targeted` is set, through the old global recompute otherwise.
-fn drive(net: &mut FluidNet, ticks: u64, toggle_link: Option<LinkId>, targeted: bool) {
+/// 1/3 of the run and up at 2/3. The epoch side uses the targeted
+/// mutator; the referee uses the global recompute and drops the cached
+/// allocation before every tick.
+fn drive(net: &mut FluidNet, ticks: u64, toggle_link: LinkId, referee: bool) {
     let (down_at, up_at) = (ticks / 3, 2 * ticks / 3);
     for i in 0..ticks {
-        if let Some(l) = toggle_link {
-            if i == down_at || i == up_at {
-                let up = i == up_at;
-                if targeted {
-                    net.set_link_up(l, up);
-                } else {
-                    net.topology_mut().set_link_up(l, up);
-                    net.refresh_paths();
-                }
+        if i == down_at || i == up_at {
+            let up = i == up_at;
+            if referee {
+                net.topology_mut().set_link_up(toggle_link, up);
+                net.refresh_paths();
+            } else {
+                net.set_link_up(toggle_link, up);
             }
+        }
+        if referee {
+            net.topology_mut();
         }
         net.step();
     }
 }
 
-/// Per-flow observable snapshot for exact comparison.
-fn snapshot(net: &FluidNet, flows: &[FlowId]) -> Vec<(u64, u64, u64, bool)> {
-    flows
-        .iter()
-        .map(|&f| {
-            (
-                net.bytes_done(f),
-                net.current_rate_bps(f).to_bits(),
-                net.loss_events(f),
-                !matches!(net.status(f), osdc_net::FlowStatus::Active),
-            )
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Tick-compat mode is bit-identical to the reference solver on
-    /// randomized topologies, mixed-CC flow sets, and a link down/up
-    /// toggle applied mid-run — even though one side uses the targeted
-    /// mutators and the other the old global recompute.
+    /// The epoch solver tracks the per-tick referee on random lines plus
+    /// chords with a mid-run link toggle: bytes moved agree within 1e-6
+    /// plus twice the 5e-3 desire tolerance, and completions agree exactly.
     #[test]
-    fn tick_compat_matches_reference_bitwise(
+    fn default_epoch_tracks_reference_closely(
         n in 3usize..7,
         extra in proptest::collection::vec((0usize..8, 0usize..8), 0..3),
         plans in proptest::collection::vec(
@@ -145,61 +129,27 @@ proptest! {
         // Toggle one backbone link (the first 2(n-1) links are the line).
         let toggle_link = LinkId((toggle % (n - 1)) * 2);
 
-        let mut reference = FluidNet::with_solver(topo.clone(), 99, SolverMode::Reference);
-        let mut compat = FluidNet::tick_compat(topo, 99);
-        let fr = start_all(&mut reference, n, &plans);
-        let fc = start_all(&mut compat, n, &plans);
-
-        drive(&mut reference, ticks, Some(toggle_link), false);
-        drive(&mut compat, ticks, Some(toggle_link), true);
-
-        prop_assert_eq!(snapshot(&reference, &fr), snapshot(&compat, &fc));
-        prop_assert_eq!(reference.now(), compat.now());
-    }
-
-    /// The default epoch mode tracks the reference on loss-free runs:
-    /// bytes moved agree within 1e-6 plus the mode's own desire tolerance
-    /// (2 × 5e-3, the documented drift bound), and completions agree
-    /// exactly. The 1e-6-exact contract is carried by tick-compat mode,
-    /// which the bitwise test above holds to something stronger.
-    #[test]
-    fn default_epoch_tracks_reference_closely(
-        n in 3usize..6,
-        plans in proptest::collection::vec(
-            (0usize..8, 0usize..8, 1u64<<22..1u64<<26, 0u8..3, 0.5e9f64..8e9, 1e9f64..20e9),
-            1..4,
-        ),
-        ticks in 100u64..600,
-    ) {
-        let plans: Vec<FlowPlan> = plans
-            .into_iter()
-            .map(|(src, dst, bytes, cc_kind, rate, app_limit)| FlowPlan {
-                src, dst, bytes, cc_kind, rate, app_limit,
-            })
-            .collect();
-        let caps = [2e9, 10e9];
-        let topo = random_topology(n, &[], &caps);
-
-        let mut reference = FluidNet::with_solver(topo.clone(), 7, SolverMode::Reference);
-        let mut epoch = FluidNet::with_solver(topo, 7, SolverMode::DEFAULT);
-        let fr = start_all(&mut reference, n, &plans);
+        let mut referee = FluidNet::new(topo.clone(), 7);
+        let mut epoch = FluidNet::new(topo, 7);
+        let fr = start_all(&mut referee, n, &plans);
         let fe = start_all(&mut epoch, n, &plans);
 
-        drive(&mut reference, ticks, None, false);
-        drive(&mut epoch, ticks, None, true);
+        drive(&mut referee, ticks, toggle_link, true);
+        drive(&mut epoch, ticks, toggle_link, false);
 
         for (&r, &e) in fr.iter().zip(&fe) {
-            let (rb, eb) = (reference.bytes_done(r) as f64, epoch.bytes_done(e) as f64);
+            let (rb, eb) = (referee.bytes_done(r) as f64, epoch.bytes_done(e) as f64);
             let denom = rb.max(1.0);
             prop_assert!(
                 ((rb - eb) / denom).abs() < 1e-6 + 5e-3 * 2.0,
-                "bytes diverged: reference {rb} vs epoch {eb}"
+                "bytes diverged: referee {rb} vs epoch {eb}"
             );
             prop_assert_eq!(
-                matches!(reference.status(r), osdc_net::FlowStatus::Active),
-                matches!(epoch.status(e), osdc_net::FlowStatus::Active),
-                "completion status diverged"
+                referee.status(r),
+                epoch.status(e),
+                "completion diverged"
             );
         }
+        osdc_telemetry::audit::assert_clean("epoch vs per-tick referee");
     }
 }

@@ -25,9 +25,10 @@
 //!   slab [`tenant::TenantStore`] that per-tenant subsystems (billing
 //!   cursors, monitor host index, provider cost ledgers, sharing
 //!   grantees) key their state by at 10⁵-tenant scale.
-//! * [`runner`] — a deterministic work-stealing scenario pool: experiment
-//!   grids of independent seeded runs execute on `--jobs` workers yet
-//!   return results in submission order, so every artifact is
+//! * [`runner`] — [`run_indexed`], the workspace's one parallel map:
+//!   experiment grids of independent seeded runs and data-parallel
+//!   kernels execute on `--jobs` workers pulling from one shared queue,
+//!   yet return results in submission order, so every artifact is
 //!   byte-identical for any worker count.
 //!
 //! ## Design notes
@@ -56,6 +57,6 @@ pub mod time;
 pub use engine::{Engine, EngineProbe, Scheduler, Simulation};
 pub use retry::RetryPolicy;
 pub use rng::SimRng;
-pub use runner::{available_jobs, derive_seed, Runner};
+pub use runner::{available_jobs, derive_seed, run_indexed};
 pub use tenant::{TenantId, TenantInterner, TenantStore};
 pub use time::{SimDuration, SimTime};

@@ -1,43 +1,38 @@
-//! Deterministic work-stealing scenario runner.
+//! The one parallel map of the workspace: [`run_indexed`].
 //!
 //! Every experiment harness in this workspace is a grid of *independent*
 //! seeded runs — Table 3 is a cipher×tool×size grid, the resilience sweep
-//! is storage-era×retry-policy, the GlusterFS campaign is trials×versions.
-//! Each cell owns its own `Engine`, RNG seed and telemetry registry, so
-//! the grid is embarrassingly parallel; what must **not** change with the
-//! worker count is any observable artifact: stdout tables, JSONL traces,
-//! scorecards.
+//! is storage-era×retry-policy, the GlusterFS campaign is trials×versions
+//! — and the data-parallel kernels (rsync block signatures, the MapReduce
+//! map and reduce phases) are batches of independent chunks. Each task
+//! owns its inputs, seed and metric shard, so what must **not** change
+//! with the worker count is any observable artifact: stdout tables, JSONL
+//! traces, scorecards.
 //!
-//! [`Runner`] executes a `Vec` of closures on a from-scratch work-stealing
-//! pool built over `std::thread::scope` and returns the results **in
-//! submission order**, which is the whole determinism story:
+//! [`run_indexed`] executes a `Vec` of closures on `std::thread::scope`
+//! workers sharing one queue and returns the results **in submission
+//! order**, which is the whole determinism story:
 //!
-//! * Tasks are dealt round-robin into per-worker deques *before* any
-//!   worker starts — distribution depends only on the submission index,
-//!   never on thread identity or timing.
-//! * Workers pop their own deque LIFO (newest local task first — the
-//!   classic cache-friendly choice) and steal from other deques FIFO
-//!   (oldest queued task first), so contention is on opposite ends.
-//! * Results land in a slot vector indexed by submission index; which
-//!   worker computed a result is unobservable.
-//! * Nothing in the pool consults the wall clock, a global RNG, or thread
+//! * Workers pull `(index, task)` pairs from a single mutex-guarded
+//!   iterator; the lock covers only the pull, never a task.
+//! * Results are placed by submission index; which worker computed a
+//!   result is unobservable.
+//! * Nothing in the map consults the wall clock, a global RNG, or thread
 //!   ids. Per-scenario randomness must come from seeds derived from the
 //!   scenario *index* (see [`derive_seed`]), so a scenario's stream is
-//!   identical whether worker 0 or worker 7 runs it.
+//!   identical whichever worker runs it.
+//! * A panicking task re-raises its own payload on the caller, at any
+//!   worker count, just as the serial loop would.
 //!
-//! `jobs = 1` never spawns a thread: tasks run inline on the caller, in
-//! submission order — byte-for-byte today's serial path.
-//!
-//! [`Runner::run_with`] adds **per-worker setup sharding**: grids whose
-//! cells repeat an identical expensive setup (building the OSDC WAN,
-//! formatting a 500-file corpus) build it once per *worker* instead of
-//! once per *cell*, shrinking the serial fraction each cell carries. The
-//! context is scratch, not state: results must still depend only on the
-//! submission index, because which cells share a context changes with
-//! the worker count.
+//! `jobs <= 1` never spawns a thread: tasks run inline on the caller, in
+//! submission order.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use std::sync::{Mutex, PoisonError};
 
 /// Number of workers the host offers, the default for `--jobs`.
 pub fn available_jobs() -> usize {
@@ -60,148 +55,63 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The work-stealing scenario pool. Cheap to construct; each [`Runner::run`]
-/// call spawns a fresh scoped crew and joins it before returning.
-#[derive(Clone, Copy, Debug)]
-pub struct Runner {
-    jobs: usize,
-}
-
-impl Runner {
-    /// A runner with `jobs` workers (clamped to at least 1).
-    pub fn new(jobs: usize) -> Self {
-        Runner { jobs: jobs.max(1) }
+/// Run every task on up to `jobs` workers and return the results in
+/// **submission order**. Each closure receives its submission index (the
+/// input for [`derive_seed`]).
+///
+/// With `jobs <= 1`, or at most one task, the tasks run inline on the
+/// calling thread, in order — no threads, no locks. Otherwise
+/// `min(jobs, tasks.len())` scoped workers pull tasks from one shared
+/// queue until it drains. A panicking task stops its worker; once every
+/// worker has stopped, a panicking task's own payload is re-raised on the
+/// caller.
+pub fn run_indexed<T, F>(jobs: usize, tasks: Vec<F>) -> Vec<T>
+where
+    T: Send,
+    F: FnOnce(usize) -> T + Send,
+{
+    let n = tasks.len();
+    if jobs <= 1 || n <= 1 {
+        return tasks.into_iter().enumerate().map(|(i, f)| f(i)).collect();
     }
-
-    /// A runner sized to the host.
-    pub fn host_sized() -> Self {
-        Runner::new(available_jobs())
-    }
-
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Execute every task and return the results in **submission order**,
-    /// regardless of worker count or scheduling. Each closure receives its
-    /// submission index (the input for [`derive_seed`]).
-    ///
-    /// With `jobs == 1` the tasks run inline on the calling thread, in
-    /// order — the exact serial path, no threads, no locks.
-    ///
-    /// A panicking task propagates its panic to the caller (after the
-    /// scope joins), like the serial loop it replaces.
-    pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce(usize) -> T + Send,
-    {
-        self.run_with(
-            |_| (),
-            tasks
-                .into_iter()
-                .map(|f| move |_: &mut (), i: usize| f(i))
-                .collect(),
-        )
-    }
-
-    /// [`Runner::run`] with **per-worker setup sharding**: `setup(w)`
-    /// builds one context per worker (serial path: exactly one), and
-    /// every task that worker executes — local or stolen — borrows it
-    /// mutably. Use it to hoist a setup cost that is identical across
-    /// cells (a parsed topology, a formatted corpus, scratch buffers)
-    /// out of the per-cell loop.
-    ///
-    /// Determinism contract: the context is a *cache*, not an input.
-    /// Which tasks share a context depends on the worker count and on
-    /// steal timing, so a task's result (and anything it emits) must
-    /// depend only on its submission index and data derived from it —
-    /// never on what previous tasks left in the context. `setup` gets
-    /// the worker slot `w` for sizing or labels only; all workers'
-    /// contexts must behave identically.
-    pub fn run_with<C, T, S, F>(&self, setup: S, tasks: Vec<F>) -> Vec<T>
-    where
-        C: Send,
-        T: Send,
-        S: Fn(usize) -> C + Sync,
-        F: FnOnce(&mut C, usize) -> T + Send,
-    {
-        let n = tasks.len();
-        if self.jobs == 1 || n <= 1 {
-            let mut ctx = setup(0);
-            return tasks
-                .into_iter()
-                .enumerate()
-                .map(|(i, f)| f(&mut ctx, i))
-                .collect();
-        }
-        let workers = self.jobs.min(n);
-
-        // Deal tasks round-robin by submission index before any worker
-        // exists: deque w holds indices w, w+workers, w+2·workers, … with
-        // the *lowest* index at the front (FIFO steal end) and the highest
-        // at the back (LIFO local end).
-        let mut deques: Vec<Mutex<VecDeque<(usize, F)>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, f) in tasks.into_iter().enumerate() {
-            deques[i % workers]
-                .get_mut()
-                .expect("fresh deque")
-                .push_back((i, f));
-        }
-        let deques = &deques;
-
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let slots = Mutex::new(slots);
-
-        let setup = &setup;
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let slots = &slots;
-                scope.spawn(move || {
-                    // One context per worker, shared by every task this
-                    // worker ends up executing.
-                    let mut ctx = setup(w);
+    let queue = Mutex::new(tasks.into_iter().enumerate());
+    let joined = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
                     loop {
-                        // Local work first, newest first (LIFO).
-                        let local = deques[w].lock().expect("deque lock").pop_back();
-                        if let Some((i, f)) = local {
-                            let r = f(&mut ctx, i);
-                            slots.lock().expect("slot lock")[i] = Some(r);
-                            continue;
-                        }
-                        // Steal oldest-first (FIFO) in a fixed victim
-                        // order. The order only affects *which* worker
-                        // computes a task, which no observable depends on.
-                        let mut stolen = None;
-                        for off in 1..workers {
-                            let v = (w + off) % workers;
-                            if let Some(task) = deques[v].lock().expect("deque lock").pop_front() {
-                                stolen = Some(task);
-                                break;
-                            }
-                        }
-                        match stolen {
-                            Some((i, f)) => {
-                                let r = f(&mut ctx, i);
-                                slots.lock().expect("slot lock")[i] = Some(r);
-                            }
-                            // Tasks are a fixed batch (none spawns more),
-                            // so one empty sweep means the grid is drained.
-                            None => break,
-                        }
+                        // The guard is a temporary: it drops before the
+                        // task runs. Only `next()` runs under the lock, so
+                        // the queue is valid even if the lock is poisoned.
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((i, f)) = next else { break };
+                        done.push((i, f(i)));
                     }
-                });
+                    done
+                })
+            })
+            .collect();
+        // Join every handle ourselves: a panic left for the scope to find
+        // would be replaced by a generic "a scoped thread panicked".
+        let mut results = Vec::with_capacity(n);
+        let mut panic = None;
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => results.extend(done),
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
             }
-        });
-
-        slots
-            .into_inner()
-            .expect("workers joined")
-            .into_iter()
-            .map(|slot| slot.expect("every submission index was executed"))
-            .collect()
+        }
+        panic.map_or(Ok(results), Err)
+    });
+    match joined {
+        Ok(mut results) => {
+            results.sort_unstable_by_key(|&(i, _)| i);
+            results.into_iter().map(|(_, r)| r).collect()
+        }
+        Err(payload) => std::panic::resume_unwind(payload),
     }
 }
 
@@ -216,7 +126,7 @@ mod tests {
             let tasks: Vec<_> = (0..50u64)
                 .map(|k| move |i: usize| (i as u64, k * 3))
                 .collect();
-            let out = Runner::new(jobs).run(tasks);
+            let out = run_indexed(jobs, tasks);
             for (i, (idx, v)) in out.iter().enumerate() {
                 assert_eq!(*idx, i as u64, "jobs={jobs}");
                 assert_eq!(*v, i as u64 * 3, "jobs={jobs}");
@@ -238,7 +148,7 @@ mod tests {
                 }
             })
             .collect();
-        let out = Runner::new(1).run(tasks);
+        let out = run_indexed(1, tasks);
         assert_eq!(out, (0..10).collect::<Vec<_>>());
         assert_eq!(*seen.lock().expect("seen"), (0..10).collect::<Vec<_>>());
     }
@@ -254,14 +164,14 @@ mod tests {
                 }
             })
             .collect();
-        let out = Runner::new(8).run(tasks);
+        let out = run_indexed(8, tasks);
         assert_eq!(count.load(Ordering::Relaxed), 97);
         assert_eq!(out, (0..97).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn uneven_workloads_still_order() {
-        // Heavy tasks clump on low indices; stealing must redistribute
+        // Heavy tasks clump on low indices; the shared queue spreads them
         // without disturbing result order.
         let tasks: Vec<_> = (0..24usize)
             .map(|k| {
@@ -275,7 +185,7 @@ mod tests {
                 }
             })
             .collect();
-        let out = Runner::new(4).run(tasks);
+        let out = run_indexed(4, tasks);
         for (i, (idx, _)) in out.iter().enumerate() {
             assert_eq!(*idx, i);
         }
@@ -283,72 +193,37 @@ mod tests {
 
     #[test]
     fn more_jobs_than_tasks_is_fine() {
-        let out = Runner::new(64).run((0..3usize).map(|_| |i: usize| i).collect::<Vec<_>>());
+        let out = run_indexed(64, (0..3usize).map(|_| |i: usize| i).collect::<Vec<_>>());
         assert_eq!(out, vec![0, 1, 2]);
     }
 
     #[test]
     fn empty_batch_returns_empty() {
-        let out: Vec<u32> = Runner::new(4).run(Vec::<fn(usize) -> u32>::new());
+        let out: Vec<u32> = run_indexed(4, Vec::<fn(usize) -> u32>::new());
         assert!(out.is_empty());
     }
 
-    #[test]
-    fn setup_runs_once_per_worker_not_per_task() {
-        let builds = AtomicUsize::new(0);
-        let tasks: Vec<_> = (0..32usize)
-            .map(|_| |ctx: &mut Vec<u64>, i: usize| ctx[i % ctx.len()] + i as u64)
-            .collect();
-        let out = Runner::new(4).run_with(
-            |_w| {
-                builds.fetch_add(1, Ordering::Relaxed);
-                vec![100, 200, 300]
-            },
-            tasks,
-        );
-        // 32 tasks, 4 workers: exactly 4 contexts, never 32.
-        assert_eq!(builds.load(Ordering::Relaxed), 4);
-        assert_eq!(out.len(), 32);
+    fn failing_cells() -> Vec<impl FnOnce(usize) -> usize + Send> {
+        (0..6usize)
+            .map(|_| {
+                |i: usize| {
+                    assert!(i != 3, "cell {i} failed");
+                    i
+                }
+            })
+            .collect()
     }
 
     #[test]
-    fn serial_path_builds_exactly_one_context() {
-        let builds = AtomicUsize::new(0);
-        let tasks: Vec<_> = (0..10usize)
-            .map(|_| |c: &mut u64, i: usize| *c + i as u64)
-            .collect();
-        let out = Runner::new(1).run_with(
-            |_w| {
-                builds.fetch_add(1, Ordering::Relaxed);
-                7u64
-            },
-            tasks,
-        );
-        assert_eq!(builds.load(Ordering::Relaxed), 1);
-        assert_eq!(out, (0..10).map(|i| 7 + i as u64).collect::<Vec<_>>());
+    #[should_panic(expected = "cell 3 failed")]
+    fn serial_panic_keeps_its_message() {
+        run_indexed(1, failing_cells());
     }
 
     #[test]
-    fn sharded_setup_results_are_jobs_invariant() {
-        // Tasks read the (identical) prototype context and their index;
-        // the answer must not depend on the worker count.
-        let run = |jobs: usize| {
-            let tasks: Vec<_> = (0..40usize)
-                .map(|_| {
-                    |proto: &mut Vec<u64>, i: usize| {
-                        proto
-                            .iter()
-                            .sum::<u64>()
-                            .wrapping_mul(derive_seed(11, i as u64))
-                    }
-                })
-                .collect();
-            Runner::new(jobs).run_with(|_w| (0..64u64).collect::<Vec<_>>(), tasks)
-        };
-        let serial = run(1);
-        for jobs in [2usize, 3, 8] {
-            assert_eq!(run(jobs), serial, "jobs={jobs}");
-        }
+    #[should_panic(expected = "cell 3 failed")]
+    fn parallel_panic_keeps_its_message() {
+        run_indexed(2, failing_cells());
     }
 
     #[test]
@@ -363,7 +238,20 @@ mod tests {
 
     #[test]
     fn zero_jobs_clamps_to_one() {
-        assert_eq!(Runner::new(0).jobs(), 1);
+        // Zero workers means the inline serial path, not an empty crew.
+        let caller = std::thread::current().id();
+        let out = run_indexed(
+            0,
+            (0..4usize)
+                .map(|_| {
+                    |i: usize| {
+                        assert_eq!(std::thread::current().id(), caller);
+                        i
+                    }
+                })
+                .collect(),
+        );
+        assert_eq!(out, vec![0, 1, 2, 3]);
         assert!(available_jobs() >= 1);
     }
 }

@@ -1,14 +1,15 @@
-//! Property tests for the deterministic scenario runner.
+//! Property tests for the deterministic parallel map.
 //!
-//! The pool's contract is that *nothing observable depends on the worker
-//! count*: results come back in submission order, every task runs exactly
-//! once, and index-derived seeds are a pure function of `(base, index)`.
+//! `run_indexed`'s contract is that *nothing observable depends on the
+//! worker count*: results come back in submission order, every task runs
+//! exactly once, and index-derived seeds are a pure function of
+//! `(base, index)`.
 //! These properties drive randomized task counts, per-task workloads and
-//! job counts through the pool and compare against the serial answer.
+//! job counts through the map and compare against the serial answer.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use osdc_sim::{derive_seed, Runner};
+use osdc_sim::{derive_seed, run_indexed};
 use proptest::prelude::*;
 
 /// The per-task payload: a seeded spin whose result depends on the
@@ -38,7 +39,7 @@ proptest! {
             .iter()
             .map(|&w| move |i: usize| work(i, w))
             .collect();
-        prop_assert_eq!(Runner::new(jobs).run(tasks), expected);
+        prop_assert_eq!(run_indexed(jobs, tasks), expected);
     }
 
     #[test]
@@ -55,7 +56,7 @@ proptest! {
                 }
             })
             .collect();
-        let out = Runner::new(jobs).run(tasks);
+        let out = run_indexed(jobs, tasks);
         prop_assert_eq!(ran.load(Ordering::Relaxed), n);
         prop_assert_eq!(out, (0..n).collect::<Vec<_>>());
     }
@@ -68,8 +69,8 @@ proptest! {
         let mk = |ws: &[u64]| -> Vec<_> {
             ws.iter().map(|&w| move |i: usize| work(i, w)).collect()
         };
-        let serial = Runner::new(1).run(mk(&weights));
-        let parallel = Runner::new(jobs).run(mk(&weights));
+        let serial = run_indexed(1, mk(&weights));
+        let parallel = run_indexed(jobs, mk(&weights));
         prop_assert_eq!(serial, parallel);
     }
 

@@ -351,14 +351,14 @@ impl Telemetry {
     }
 }
 
-/// Run a grid of independent scenarios on the deterministic work-stealing
-/// pool ([`osdc_sim::runner::Runner`]), each against its **own** telemetry
+/// Run a grid of independent scenarios on the deterministic parallel map
+/// ([`osdc_sim::run_indexed`]), each against its **own** telemetry
 /// registry, then absorb the registries into `parent` in submission order.
 ///
 /// Each task receives `(its private Telemetry, its submission index)`; the
 /// private collector is live iff `parent` is live, so disabled runs pay
 /// nothing. Results come back in submission order, and because the merge
-/// happens on the calling thread after the pool drains — never
+/// happens on the calling thread after the map returns — never
 /// concurrently — the parent's exported JSONL and ops report are
 /// byte-identical for any `jobs`, including the inline serial path at
 /// `jobs == 1`.
@@ -382,8 +382,7 @@ where
             }
         })
         .collect();
-    osdc_sim::runner::Runner::new(jobs)
-        .run(sharded)
+    osdc_sim::run_indexed(jobs, sharded)
         .into_iter()
         .map(|(tele, r)| {
             parent.absorb(&tele);

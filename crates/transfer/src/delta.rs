@@ -13,7 +13,8 @@
 //!    ([`apply_delta`]).
 //!
 //! Signature computation is embarrassingly parallel over blocks, so it
-//! fans out with crossbeam scoped threads when the input is large.
+//! fans out on the workspace's parallel map ([`osdc_sim::run_indexed`])
+//! when the input is large.
 
 use osdc_crypto::md5::md5;
 use osdc_telemetry::audit;
@@ -77,40 +78,12 @@ pub fn block_size_for(len: usize) -> usize {
 }
 
 /// Compute block signatures of `basis`, fanning out across threads for
-/// large inputs.
+/// large inputs: one [`osdc_sim::run_indexed`] task per contiguous batch
+/// of blocks, one batch per host worker.
 pub fn compute_signatures(basis: &[u8], block_size: usize) -> Signatures {
     assert!(block_size > 0, "block size must be positive");
-    let chunks: Vec<(usize, &[u8])> = basis.chunks(block_size).enumerate().collect();
-    let blocks = if basis.len() >= PARALLEL_THRESHOLD && chunks.len() > 1 {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(chunks.len());
-        let mut out: Vec<Vec<BlockSignature>> = Vec::with_capacity(workers);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .chunks(chunks.len().div_ceil(workers))
-                .map(|batch| {
-                    scope.spawn(move |_| {
-                        batch
-                            .iter()
-                            .map(|&(i, chunk)| BlockSignature {
-                                index: i as u32,
-                                weak: weak_checksum(chunk),
-                                strong: md5(chunk),
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.push(h.join().expect("signature worker panicked"));
-            }
-        })
-        .expect("crossbeam scope");
-        out.into_iter().flatten().collect()
-    } else {
-        chunks
+    let sign = |batch: &[(usize, &[u8])]| -> Vec<BlockSignature> {
+        batch
             .iter()
             .map(|&(i, chunk)| BlockSignature {
                 index: i as u32,
@@ -118,6 +91,20 @@ pub fn compute_signatures(basis: &[u8], block_size: usize) -> Signatures {
                 strong: md5(chunk),
             })
             .collect()
+    };
+    let chunks: Vec<(usize, &[u8])> = basis.chunks(block_size).enumerate().collect();
+    let blocks = if basis.len() >= PARALLEL_THRESHOLD && chunks.len() > 1 {
+        let workers = osdc_sim::available_jobs().min(chunks.len());
+        let batches = chunks
+            .chunks(chunks.len().div_ceil(workers))
+            .map(|batch| move |_: usize| sign(batch))
+            .collect();
+        osdc_sim::run_indexed(workers, batches)
+            .into_iter()
+            .flatten()
+            .collect()
+    } else {
+        sign(&chunks)
     };
     Signatures {
         block_size,
