@@ -131,15 +131,22 @@ fn write_pretty(v: &Value, out: &mut String, indent: usize) {
 // Parser: recursive descent over bytes.
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts (serde_json's limit):
+/// recursion is bounded, so hostile input fails instead of overflowing
+/// the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse_value_complete(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -196,8 +203,22 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::custom(format!(
+                        "recursion limit exceeded at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(Error::custom(format!(
                 "unexpected character `{}` at byte {}",
@@ -361,10 +382,13 @@ impl<'a> Parser<'a> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| Error::custom("invalid number"))?;
         let num = if is_float {
-            Number::Float(
-                text.parse::<f64>()
-                    .map_err(|_| Error::custom(format!("invalid number `{text}`")))?,
-            )
+            let f = text
+                .parse::<f64>()
+                .map_err(|_| Error::custom(format!("invalid number `{text}`")))?;
+            if !f.is_finite() {
+                return Err(Error::custom(format!("number out of range `{text}`")));
+            }
+            Number::Float(f)
         } else if let Some(stripped) = text.strip_prefix('-') {
             let _ = stripped;
             Number::NegInt(
@@ -526,6 +550,31 @@ mod tests {
         assert!(from_str::<Value>("[1,]").is_err());
         assert!(from_str::<Value>("12 34").is_err());
         assert!(from_str::<Value>("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(128)).is_ok());
+        let err = from_str::<Value>(&nested(129)).expect_err("129 levels refused");
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Far past the cap fails the same way instead of overflowing
+        // the stack.
+        assert!(from_str::<Value>(&"[{\"a\":".repeat(300_000)).is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for text in ["1e999999", "-1e999999", "[0, 1.5e400]"] {
+            let err = from_str::<Value>(text).expect_err("overflows to ±inf");
+            assert!(err.to_string().contains("out of range"), "{text}: {err}");
+        }
+        assert_eq!(
+            from_str::<Value>("1.7976931348623157e308")
+                .expect("largest finite f64")
+                .as_f64(),
+            Some(f64::MAX)
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every experiment is a module here, run by name through the `exp`
 //! binary (`exp table3_udr --jobs 2`): its body takes a [`HarnessCtx`]
-//! and routes *all* output through it — stdout via the [`out!`]/[`outln!`]
+//! and routes *all* output through it — stdout via the [`out!`](crate::out)/[`outln!`](crate::outln)
 //! macros, file artifacts via
 //! [`HarnessCtx::emit_artifact`]/[`HarnessCtx::finish_trace`]. That single
 //! code path is what makes every harness replayable:

@@ -5,7 +5,8 @@
 //! or checked-in manifests would silently drift. The process tests drive
 //! the real `exp_replay` binary: a faithful manifest must replay clean,
 //! a tampered hash must fail naming the diverging artifact, a malformed
-//! `--jobs` must fail its own manifest without stopping the rest, and
+//! `--jobs` or a manifest nested past the JSON parser's depth limit must
+//! fail on its own without stopping the rest, and
 //! `OSDC_UPDATE_SNAPSHOTS=1` must rewrite instead of fail. They also drive
 //! the real `exp` binary: a live run records the checked-in manifest, a
 //! missing or unknown harness name or a malformed `--jobs` is a usage
@@ -193,6 +194,38 @@ fn malformed_jobs_flag_fails_only_its_manifest() {
         "the summary must name only the bad manifest:\n{stdout}"
     );
     std::fs::remove_file(bad_path).ok();
+}
+
+#[test]
+fn deeply_nested_manifest_fails_alone() {
+    let deep = std::env::temp_dir().join(format!("osdc_replay_deep_{}.json", std::process::id()));
+    std::fs::write(&deep, "[".repeat(300_000)).expect("temp manifest writes");
+    let out = exp_replay()
+        .arg(&deep)
+        .arg(checked_in("table1_csp"))
+        .output()
+        .expect("exp_replay runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains(&format!(
+            "{}: malformed manifest: recursion limit exceeded",
+            deep.display()
+        )),
+        "the nested manifest must fail naming itself:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("replaying table1_csp") && stdout.contains("  ok\n"),
+        "the clean manifest after it must still replay:\n{stdout}"
+    );
+    assert!(
+        stdout.contains(&format!(
+            "replay FAILED: 1/2 manifest(s) diverged: {}",
+            deep.display()
+        )),
+        "the summary must name only the nested manifest:\n{stdout}"
+    );
+    std::fs::remove_file(deep).ok();
 }
 
 // ------------------------------------------------------------ exp <name>

@@ -6,7 +6,7 @@
 //! a provider registry, a compute cloud running a fleet of instances, and
 //! a Nagios master watching the storage servers — then walks a
 //! minute-granularity master clock, applying the plan's inject/restore
-//! actions through the [`Injector`](crate::inject::Injector) hooks and
+//! actions through the [`Injector`] hooks and
 //! folding what happens into a [`ResilienceScorecard`].
 //!
 //! API faults (`ApiError`, `ApiTimeout`, `ApiOutage`) flip the registry's

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] is the serializable artifact of a chaos campaign — a
 //! named, seeded list of [`FaultEvent`]s on the simulation clock. Plans
 //! round-trip through JSON (the operator-facing format) and expand into a
-//! sorted [`Timeline`] of inject/restore actions that the campaign driver
+//! sorted timeline of inject/restore [`TimedAction`]s that the campaign driver
 //! replays against the federation.
 //!
 //! The serde surface deliberately stays within flat named-field structs

@@ -1,10 +1,10 @@
 //! The cloud controller: scheduler, lifecycle, usage snapshots.
 //!
 //! One `CloudController` models one utility cloud (an OSDC-Adler, an
-//! OSDC-Sullivan). Both native API dialects in [`crate::api`] are thin
-//! translations over this type, which is the point: the *controller*
-//! semantics are common, the *wire formats* are not, and Tukey bridges the
-//! difference.
+//! OSDC-Sullivan). Both native API dialects (served by `osdc-providers`)
+//! are thin translations over this type, which is the point: the
+//! *controller* semantics are common, the *wire formats* are not, and
+//! Tukey bridges the difference.
 
 use std::collections::BTreeMap;
 

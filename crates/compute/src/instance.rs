@@ -10,13 +10,6 @@ use crate::image::ImageId;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct InstanceId(pub u64);
 
-impl InstanceId {
-    /// EC2-style rendering used by the Eucalyptus dialect.
-    pub fn ec2(self) -> String {
-        format!("i-{:08x}", self.0)
-    }
-}
-
 /// A VM size. The set mirrors the EC2-descended flavor family both stacks
 /// of the era shipped.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,34 +37,14 @@ impl InstanceFlavor {
     }
 }
 
-/// Lifecycle states (the OpenStack vocabulary; Eucalyptus names are mapped
-/// in its API dialect).
+/// Lifecycle states. Their wire spellings (Nova's `ACTIVE`, EC2's
+/// `running`, …) belong to the dialect translators in `osdc-providers`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum InstanceState {
     Building,
     Active,
     Shutoff,
     Terminated,
-}
-
-impl InstanceState {
-    pub fn openstack(self) -> &'static str {
-        match self {
-            InstanceState::Building => "BUILD",
-            InstanceState::Active => "ACTIVE",
-            InstanceState::Shutoff => "SHUTOFF",
-            InstanceState::Terminated => "DELETED",
-        }
-    }
-
-    pub fn ec2(self) -> &'static str {
-        match self {
-            InstanceState::Building => "pending",
-            InstanceState::Active => "running",
-            InstanceState::Shutoff => "stopped",
-            InstanceState::Terminated => "terminated",
-        }
-    }
 }
 
 /// A provisioned VM.
@@ -109,19 +82,6 @@ mod tests {
             assert!(w[0].vcpus < w[1].vcpus);
             assert!(w[0].ram_mb < w[1].ram_mb);
         }
-    }
-
-    #[test]
-    fn state_vocabularies() {
-        assert_eq!(InstanceState::Active.openstack(), "ACTIVE");
-        assert_eq!(InstanceState::Active.ec2(), "running");
-        assert_eq!(InstanceState::Terminated.openstack(), "DELETED");
-        assert_eq!(InstanceState::Terminated.ec2(), "terminated");
-    }
-
-    #[test]
-    fn ec2_id_format() {
-        assert_eq!(InstanceId(0xAB).ec2(), "i-000000ab");
     }
 
     #[test]

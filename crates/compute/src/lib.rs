@@ -2,31 +2,28 @@
 //!
 //! The OSDC "operates a PB-scale Eucalyptus, OpenStack, and Hadoop-based
 //! infrastructure" (§3.2); OSDC-Adler and OSDC-Sullivan are "OpenStack &
-//! Eucalyptus based utility cloud\[s\]" of 1248 cores (Table 2). Tukey's
-//! defining feature is translating one console API onto those *different*
-//! native stacks (§5.2), so this crate supplies:
+//! Eucalyptus based utility cloud\[s\]" of 1248 cores (Table 2). This
+//! crate is the IaaS substrate under those stacks:
 //!
 //! * [`cloud::CloudController`] — hosts, flavors, images, a least-loaded
 //!   first-fit scheduler, instance lifecycle and per-user usage snapshots
 //!   (the data the §6.4 billing poller reads every minute);
-//! * [`api::OpenStackApi`] — a Nova-style JSON/REST dialect;
-//! * [`api::EucalyptusApi`] — an EC2 query-parameter dialect with
-//!   XML-flavoured responses.
+//! * [`host`], [`image`] and [`instance`] — the hardware, machine-image
+//!   and VM records it schedules.
 //!
-//! The two dialects expose the *same* controller semantics through
-//! deliberately incompatible wire formats — precisely the impedance
-//! mismatch Tukey's translation proxies (in `osdc-tukey`) exist to absorb.
-//! Machine images record their portability (§3.2 rule 6: "mechanisms to
-//! both import and export data and the associated computing environment"),
-//! which the Table 1 lock-in comparison exercises.
+//! It speaks no wire format. The two native dialects Tukey's translation
+//! proxies reconcile (§5.2) — Nova-style REST/JSON and EC2-style
+//! query/XML — are served over a `CloudController` by `osdc-providers`,
+//! which keeps each dialect's spellings in one module. Machine images
+//! record their portability (§3.2 rule 6: "mechanisms to both import and
+//! export data and the associated computing environment"), which the
+//! Table 1 lock-in comparison exercises.
 
-pub mod api;
 pub mod cloud;
 pub mod host;
 pub mod image;
 pub mod instance;
 
-pub use api::{ApiError, EucalyptusApi, OpenStackApi};
 pub use cloud::{CloudController, SchedulingError, UsageSnapshot};
 pub use host::{Host, HostId};
 pub use image::{ImageId, MachineImage};

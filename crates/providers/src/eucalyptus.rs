@@ -1,11 +1,14 @@
 //! Eucalyptus (EC2 query / XML) translator: canonical ⇄ wire.
 //!
-//! The encode side reproduces, byte for byte, the query strings the
-//! original Tukey proxy sent (`Action=RunInstances&ImageId=emi-…`), and
-//! the decode side accepts exactly the XML the simulated Eucalyptus
-//! backend emits. Unlike the old proxy, decode failures here are *typed*
-//! — a malformed instance id or an unknown state word is a
-//! [`ProviderError::Translation`], never silently dropped.
+//! Both halves of the dialect live here. The client half reproduces,
+//! byte for byte, the query strings the original Tukey proxy sent
+//! (`Action=RunInstances&ImageId=emi-…`) and decodes the XML replies;
+//! the server half decodes those query strings and renders the replies
+//! that a [`crate::provider::ClassicProvider`] serves, so every EC2
+//! spelling (`i-0000002a`, `emi-…`, `running`) lives in this module.
+//! Decode failures are *typed* — a malformed instance id or an unknown
+//! state word is a [`ProviderError::Translation`], never silently
+//! dropped.
 
 use crate::canonical::{
     AliasTables, CanonicalRequest, CanonicalResponse, CanonicalStatus, ImageRecord, InstanceRecord,
@@ -13,21 +16,6 @@ use crate::canonical::{
 };
 use crate::openstack::ResponseKind;
 use crate::wire::{parse_query, xml_values, WireRequest, WireResponse};
-
-/// Compat switches for almost-EC2 front ends.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EucalyptusCompat {
-    /// Send `ClientToken={name}` on `RunInstances`. Stacks without it
-    /// fall back to the backend's default instance name, losing launch
-    /// idempotency (exactly what Eucalyptus 2 did before 3.0).
-    pub client_token: bool,
-}
-
-impl Default for EucalyptusCompat {
-    fn default() -> Self {
-        EucalyptusCompat { client_token: true }
-    }
-}
 
 fn parse_ec2_id(s: &str) -> Result<u64, ProviderError> {
     s.strip_prefix("i-")
@@ -47,13 +35,12 @@ fn parse_state(s: &str) -> Result<CanonicalStatus, ProviderError> {
 }
 
 /// Encode a canonical request as an EC2 query string, resolving unified
-/// names through `aliases`. Flavor listings have no wire form in this
-/// dialect ([`ProviderError::Unsupported`]), which the capability
-/// descriptor advertises so the router never routes them here.
+/// names through `aliases`. The launch's client token rides as
+/// `ClientToken`. Flavor listings and per-instance describes have no
+/// wire form in this dialect ([`ProviderError::Unsupported`]).
 pub fn encode_request(
     req: &CanonicalRequest,
     aliases: &AliasTables,
-    compat: EucalyptusCompat,
 ) -> Result<WireRequest, ProviderError> {
     Ok(WireRequest::Query(match req {
         CanonicalRequest::ListInstances => "Action=DescribeInstances".to_string(),
@@ -61,16 +48,10 @@ pub fn encode_request(
             name,
             flavor,
             image,
-        } => {
-            let mut q = format!(
-                "Action=RunInstances&ImageId=emi-{image:08x}&InstanceType={}",
-                aliases.native_flavor(flavor)
-            );
-            if compat.client_token {
-                q.push_str(&format!("&ClientToken={name}"));
-            }
-            q
-        }
+        } => format!(
+            "Action=RunInstances&ImageId=emi-{image:08x}&InstanceType={}&ClientToken={name}",
+            aliases.native_flavor(flavor)
+        ),
         CanonicalRequest::TerminateInstance { id } => {
             format!("Action=TerminateInstances&InstanceId.1=i-{id:08x}")
         }
@@ -135,8 +116,6 @@ pub fn decode_request(
 }
 
 /// Encode a canonical response as the backend's XML (the server half).
-/// Formats match `osdc_compute::api::EucalyptusApi` byte for byte, so a
-/// decode that works against this also works against the real backend.
 pub fn encode_response(resp: &CanonicalResponse) -> Result<WireResponse, ProviderError> {
     Ok(WireResponse::Xml(match resp {
         CanonicalResponse::Instances(recs) => {
@@ -309,7 +288,6 @@ mod tests {
                 image: 3,
             },
             &aliases,
-            EucalyptusCompat::default(),
         )
         .expect("encodes");
         assert_eq!(
@@ -319,23 +297,27 @@ mod tests {
                     .into()
             )
         );
-        // Without the ClientToken compat flag the token is dropped.
-        let bare = encode_request(
-            &CanonicalRequest::LaunchInstance {
-                name: "vm1".into(),
-                flavor: "small".into(),
-                image: 3,
-            },
-            &aliases,
-            EucalyptusCompat {
-                client_token: false,
-            },
-        )
-        .expect("encodes");
-        let WireRequest::Query(q) = &bare else {
+    }
+
+    #[test]
+    fn ec2_id_format() {
+        // EC2 ids are eight lowercase hex digits, on requests and replies.
+        let id = 0xAB;
+        assert_eq!(
+            encode_request(
+                &CanonicalRequest::TerminateInstance { id },
+                &AliasTables::default()
+            )
+            .expect("encodes"),
+            WireRequest::Query("Action=TerminateInstances&InstanceId.1=i-000000ab".into())
+        );
+        let WireResponse::Xml(xml) =
+            encode_response(&CanonicalResponse::Terminated { id }).expect("renders")
+        else {
             panic!()
         };
-        assert!(!q.contains("ClientToken"));
+        assert!(xml.contains("<instanceId>i-000000ab</instanceId>"), "{xml}");
+        assert_eq!(parse_ec2_id("i-000000ab").expect("parses"), id);
     }
 
     #[test]
@@ -352,16 +334,11 @@ mod tests {
                 image: 7,
             },
         ] {
-            let wire =
-                encode_request(&req, &aliases, EucalyptusCompat::default()).expect("encodes");
+            let wire = encode_request(&req, &aliases).expect("encodes");
             assert_eq!(decode_request(&wire, &aliases).expect("decodes"), req);
         }
         assert!(matches!(
-            encode_request(
-                &CanonicalRequest::ListFlavors,
-                &aliases,
-                EucalyptusCompat::default()
-            ),
+            encode_request(&CanonicalRequest::ListFlavors, &aliases),
             Err(ProviderError::Unsupported(_))
         ));
     }
@@ -397,7 +374,7 @@ mod tests {
 
     #[test]
     fn launch_reply_decodes_like_the_backend_emits() {
-        // Exactly what osdc_compute::api::EucalyptusApi returns.
+        // Exactly what the server half renders for a fresh launch.
         let xml = WireResponse::Xml(
             "<RunInstancesResponse><instancesSet><item><instanceId>i-00000002</instanceId>\
              <imageId>emi-00000003</imageId><instanceState><name>running</name></instanceState>\

@@ -8,22 +8,24 @@
 //! terminated one lingers in listings looking alive. Routers that trust
 //! a listing to dedupe launches double-boot here — which is exactly what
 //! the client-token idempotency contract and the audit oracle exist to
-//! catch.
+//! catch. Writes run on `provider::serve`; the provider adds
+//! only the lagged read view.
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use osdc_compute::cloud::CloudController;
-use osdc_compute::image::ImageId;
-use osdc_compute::instance::InstanceId;
+use osdc_compute::instance::Instance;
 use osdc_sim::{SimDuration, SimTime};
 
 use crate::canonical::{
-    AliasTables, CanonicalRequest, CanonicalResponse, CanonicalStatus, FlavorRecord, ImageRecord,
-    InstanceRecord, ProviderError,
+    AliasTables, CanonicalRequest, CanonicalResponse, CanonicalStatus, InstanceRecord,
+    ProviderError,
 };
 use crate::openstack::{self, ResponseKind};
-use crate::provider::{
-    billable_ground_truth, live_by_token, record_of, status_of, CapabilityDescriptor, Consistency,
-    Provider, WireFormat,
-};
+use crate::provider::{billable_ground_truth, record_of, serve, CapabilityDescriptor, Provider};
 
 /// The lagoon provider: a strong backend behind a lagging read path.
 pub struct EventualProvider {
@@ -54,38 +56,29 @@ impl EventualProvider {
 
     /// Render one instance as the read path sees it at `now`: a write
     /// becomes visible only once `lag` has elapsed since it happened.
-    fn record_as_of(
-        &self,
-        inst: &osdc_compute::instance::Instance,
-        now: SimTime,
-    ) -> Option<InstanceRecord> {
+    fn record_as_of(&self, inst: &Instance, now: SimTime) -> Option<InstanceRecord> {
         if inst.launched_at + self.lag > now {
             return None; // launch not yet visible
         }
-        let mut rec = record_of(inst);
         match inst.terminated_at {
             // Termination old enough to have propagated: gone from reads.
             Some(t) if t + self.lag <= now => None,
             // Terminated inside the window: reads still say it is up.
-            Some(_) => {
-                rec.status = CanonicalStatus::Active;
-                Some(rec)
-            }
-            None => {
-                rec.status = status_of(inst.state);
-                Some(rec)
-            }
+            Some(_) => Some(InstanceRecord {
+                status: CanonicalStatus::Active,
+                ..record_of(inst)
+            }),
+            None => Some(record_of(inst)),
         }
     }
 
-    fn lagged_listing(&self, user: &str, now: SimTime) -> Vec<InstanceRecord> {
-        let mut recs: Vec<InstanceRecord> = self
-            .cloud
+    /// `user`'s instances as the read path sees them at `now`, in id
+    /// order.
+    fn lagged_view(&self, user: &str, now: SimTime) -> Vec<InstanceRecord> {
+        self.cloud
             .instances_of(user)
             .filter_map(|i| self.record_as_of(i, now))
-            .collect();
-        recs.sort_by_key(|r| r.id);
-        recs
+            .collect()
     }
 }
 
@@ -96,10 +89,6 @@ impl Provider for EventualProvider {
 
     fn descriptor(&self) -> CapabilityDescriptor {
         CapabilityDescriptor {
-            wire: WireFormat::RestJson,
-            consistency: Consistency::Eventual { lag: self.lag },
-            spot: false,
-            flavor_listing: true,
             api_latency: SimDuration::from_millis(45),
             page_size: None,
         }
@@ -115,91 +104,24 @@ impl Provider for EventualProvider {
         req: &CanonicalRequest,
         now: SimTime,
     ) -> Result<CanonicalResponse, ProviderError> {
-        // Wire fidelity: every reply passes through the Nova translator.
-        let reply = |resp: CanonicalResponse, kind: &ResponseKind| {
-            let wire = openstack::encode_response(&resp);
-            openstack::decode_response(kind, &wire)
+        let wire = openstack::encode_request(req, &self.aliases)?;
+        let server_req = openstack::decode_request(&wire, &AliasTables::default())?;
+        // Reads render the lagged view; writes, including the client-token
+        // dedupe, stay strongly consistent — lagoon loses reads, not
+        // writes.
+        let resp = match server_req {
+            CanonicalRequest::ListInstances => {
+                CanonicalResponse::Instances(self.lagged_view(user, now))
+            }
+            CanonicalRequest::DescribeInstance { id } => CanonicalResponse::Instance(
+                self.lagged_view(user, now)
+                    .into_iter()
+                    .find(|r| r.id == id)
+                    .ok_or_else(|| ProviderError::Backend(format!("not found: instance {id}")))?,
+            ),
+            _ => serve(&mut self.cloud, user, &server_req, now)?,
         };
-        match req {
-            CanonicalRequest::ListInstances => reply(
-                CanonicalResponse::Instances(self.lagged_listing(user, now)),
-                &ResponseKind::Instances,
-            ),
-            CanonicalRequest::DescribeInstance { id } => {
-                let rec = self
-                    .cloud
-                    .instance(InstanceId(*id))
-                    .filter(|i| i.owner == user)
-                    .and_then(|i| self.record_as_of(i, now))
-                    .ok_or_else(|| ProviderError::Backend(format!("not found: server {id}")))?;
-                reply(CanonicalResponse::Instance(rec), &ResponseKind::Describe)
-            }
-            CanonicalRequest::LaunchInstance {
-                name,
-                flavor,
-                image,
-            } => {
-                // The mutation path is strongly consistent, including the
-                // client-token dedupe — lagoon loses reads, not writes.
-                if let Some(existing) = live_by_token(&self.cloud, user, name) {
-                    return reply(
-                        CanonicalResponse::Launched(record_of(existing)),
-                        &ResponseKind::Launch { name: name.clone() },
-                    );
-                }
-                let native = self.aliases.native_flavor(flavor).to_string();
-                let id = self
-                    .cloud
-                    .boot(user, name, &native, ImageId(*image), now)
-                    .map_err(|e| ProviderError::Backend(format!("{e:?}")))?;
-                reply(
-                    CanonicalResponse::Launched(record_of(
-                        self.cloud.instance(id).expect("just booted"),
-                    )),
-                    &ResponseKind::Launch { name: name.clone() },
-                )
-            }
-            CanonicalRequest::TerminateInstance { id } => {
-                let iid = InstanceId(*id);
-                if self.cloud.instance(iid).map(|i| i.owner.as_str()) != Some(user) {
-                    return Err(ProviderError::Backend(format!("not found: server {id}")));
-                }
-                self.cloud
-                    .terminate(iid, now)
-                    .map_err(|e| ProviderError::Backend(format!("{e:?}")))?;
-                reply(
-                    CanonicalResponse::Terminated { id: *id },
-                    &ResponseKind::Terminate { id: *id },
-                )
-            }
-            CanonicalRequest::ListFlavors => reply(
-                CanonicalResponse::Flavors(
-                    self.cloud
-                        .flavors()
-                        .iter()
-                        .map(|f| FlavorRecord {
-                            name: f.name.clone(),
-                            vcpus: f.vcpus,
-                            ram_mb: f.ram_mb,
-                            disk_gb: f.disk_gb,
-                        })
-                        .collect(),
-                ),
-                &ResponseKind::Flavors,
-            ),
-            CanonicalRequest::ListImages => reply(
-                CanonicalResponse::Images(
-                    self.cloud
-                        .images()
-                        .map(|i| ImageRecord {
-                            id: i.id.0,
-                            name: i.name.clone(),
-                        })
-                        .collect(),
-                ),
-                &ResponseKind::Images,
-            ),
-        }
+        openstack::decode_response(&ResponseKind::of(req), &openstack::encode_response(&resp))
     }
 
     fn ground_truth(&self) -> Vec<(String, InstanceRecord)> {
@@ -207,8 +129,10 @@ impl Provider for EventualProvider {
     }
 
     fn roundtrip_request(&self, req: &CanonicalRequest) -> Result<CanonicalRequest, ProviderError> {
-        let wire = openstack::encode_request(req, &self.aliases, Default::default())?;
-        openstack::decode_request(&wire, &self.aliases)
+        openstack::decode_request(
+            &openstack::encode_request(req, &self.aliases)?,
+            &self.aliases,
+        )
     }
 }
 

@@ -136,7 +136,7 @@ mod tests {
             assert!(reg.catalog(&name).is_some(), "{name} has a catalog");
             assert!(reg.aliases(&name).is_some(), "{name} has aliases");
         }
-        assert!(reg.descriptor("spotmart").expect("known").spot);
+        assert!(reg.spot_price("spotmart").is_some());
         assert_eq!(
             reg.descriptor("pagely").expect("known").page_size,
             Some(PAGELY_PAGE_SIZE)

@@ -10,17 +10,23 @@
 //!   typed [`canonical::ProviderError`].
 //! * [`wire`] — the wire-level envelope ([`wire::WireRequest`] /
 //!   [`wire::WireResponse`]) plus the shared XML/query-string parsers.
-//! * One translator module per dialect, each a pure `encode_*`/`decode_*`
-//!   pair with a compat-flags struct: [`openstack`] (Nova REST/JSON),
-//!   [`eucalyptus`] (EC2 query/XML), [`spot`] (a spot market with
-//!   preemption), [`paged`] (cursor-paginated JSON). [`eventual`] reuses
-//!   the Nova translator but lags its read path.
+//! * One translator module per dialect, each holding both halves as pure
+//!   functions — the client half (`encode_request`, `decode_response`)
+//!   and the server half (`decode_request`, `encode_response`):
+//!   [`openstack`] (Nova REST/JSON), [`eucalyptus`] (EC2 query/XML),
+//!   [`spot`] (a spot market with preemption), [`paged`]
+//!   (cursor-paginated JSON). [`eventual`] reuses the Nova translator but
+//!   lags its read path.
 //! * [`provider`] — the [`provider::Provider`] trait (capability
 //!   descriptor, canonical `call`, ground-truth introspection for
-//!   audits) and [`provider::ClassicProvider`], the two original Tukey
-//!   dialects on the trait. Tukey's translation proxy runs one
-//!   `ClassicProvider` per mapped cloud, so `Provider::call` is the
-//!   workspace's one encode → serve → decode path.
+//!   audits), `provider::serve`, the one canonical backend over an
+//!   `osdc-compute` `CloudController` (client-token idempotency and the
+//!   owner check live there), and [`provider::ClassicProvider`], the two
+//!   original Tukey dialects on the trait. Every provider's `call` runs
+//!   encode → decode → `serve` → encode → decode, and Tukey's translation
+//!   proxy runs one `ClassicProvider` per mapped cloud, so
+//!   `Provider::call` is the workspace's one encode → serve → decode
+//!   path.
 //! * [`pricing`] — per-provider pricing catalogs; the checked-in
 //!   snapshot lives at `data/pricing_catalogs.json`.
 //! * [`registry`] — [`registry::ProviderRegistry`]: the provider table
@@ -56,7 +62,7 @@ pub use canonical::{
 };
 pub use fleet::{osdc_aliases, osdc_fleet};
 pub use pricing::{osdc_default_catalogs, render_catalogs, PricingCatalog};
-pub use provider::{CapabilityDescriptor, ClassicProvider, Consistency, Provider, WireFormat};
+pub use provider::{CapabilityDescriptor, ClassicProvider, Provider};
 pub use registry::{ApiHealth, ProviderRegistry, ProviderUsage, UsageLedger};
 pub use router::{Assignment, FailoverRouter, RouterScorecard};
 pub use wire::{WireRequest, WireResponse};

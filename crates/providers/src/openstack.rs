@@ -14,14 +14,6 @@ use crate::canonical::{
 };
 use crate::wire::{WireRequest, WireResponse};
 
-/// Compat switches for almost-OpenStack stacks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpenStackCompat {
-    /// Issue `GET /servers/detail` instead of `GET /servers` (some Essex
-    /// deployments only include flavor/image blocks on the detail route).
-    pub detail_listing: bool,
-}
-
 /// What response shape to expect back, derived from the request that was
 /// sent. Wire replies don't always echo enough to decode standalone (a
 /// Nova `DELETE` returns `{}`), so the decoder carries this context.
@@ -55,18 +47,9 @@ impl ResponseKind {
 pub fn encode_request(
     req: &CanonicalRequest,
     aliases: &AliasTables,
-    compat: OpenStackCompat,
 ) -> Result<WireRequest, ProviderError> {
     Ok(match req {
-        CanonicalRequest::ListInstances => WireRequest::rest(
-            "GET",
-            if compat.detail_listing {
-                "/servers/detail"
-            } else {
-                "/servers"
-            },
-            None,
-        ),
+        CanonicalRequest::ListInstances => WireRequest::rest("GET", "/servers", None),
         CanonicalRequest::LaunchInstance {
             name,
             flavor,
@@ -92,8 +75,7 @@ pub fn encode_request(
 }
 
 /// Decode a wire request back into canonical form (the server half of
-/// the dialect, exercised by the round-trip proptests and by providers
-/// that implement their own backend).
+/// the dialect, run on every call in front of `provider::serve`).
 pub fn decode_request(
     wire: &WireRequest,
     aliases: &AliasTables,
@@ -104,7 +86,7 @@ pub fn decode_request(
         ));
     };
     match (method.as_str(), path.as_str()) {
-        ("GET", "/servers") | ("GET", "/servers/detail") => Ok(CanonicalRequest::ListInstances),
+        ("GET", "/servers") => Ok(CanonicalRequest::ListInstances),
         ("GET", "/flavors") => Ok(CanonicalRequest::ListFlavors),
         ("GET", "/images") => Ok(CanonicalRequest::ListImages),
         ("POST", "/servers") => {
@@ -308,7 +290,7 @@ mod tests {
             flavor: "small".into(),
             image: 3,
         };
-        let wire = encode_request(&req, &aliases(), OpenStackCompat::default()).expect("encodes");
+        let wire = encode_request(&req, &aliases()).expect("encodes");
         let WireRequest::Rest { method, path, body } = &wire else {
             panic!("REST expected");
         };
@@ -328,31 +310,9 @@ mod tests {
             CanonicalRequest::ListFlavors,
             CanonicalRequest::ListImages,
         ] {
-            let wire = encode_request(&req, &t, OpenStackCompat::default()).expect("encodes");
+            let wire = encode_request(&req, &t).expect("encodes");
             assert_eq!(decode_request(&wire, &t).expect("decodes"), req);
         }
-    }
-
-    #[test]
-    fn detail_listing_compat_flag() {
-        let wire = encode_request(
-            &CanonicalRequest::ListInstances,
-            &AliasTables::default(),
-            OpenStackCompat {
-                detail_listing: true,
-            },
-        )
-        .expect("encodes");
-        assert_eq!(
-            wire,
-            WireRequest::rest("GET", "/servers/detail", None),
-            "compat flag changes the path"
-        );
-        // And still decodes to the same canonical request.
-        assert_eq!(
-            decode_request(&wire, &AliasTables::default()).expect("decodes"),
-            CanonicalRequest::ListInstances
-        );
     }
 
     #[test]

@@ -4,11 +4,16 @@
 //! page number; the client must walk every page and stitch the fleet
 //! back together. Page-boundary arithmetic (empty fleet, exactly one
 //! page, one-past-a-boundary) is where hand-rolled pagination code
-//! breaks, so the proptests hammer those edges specifically.
+//! breaks, so the proptests hammer those edges specifically. Requests
+//! run on `provider::serve`; the provider adds only the page
+//! chain for listings.
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use osdc_compute::cloud::CloudController;
-use osdc_compute::image::ImageId;
-use osdc_compute::instance::{InstanceId, InstanceState};
 use osdc_sim::{SimDuration, SimTime};
 use serde_json::{json, Value};
 
@@ -17,10 +22,7 @@ use crate::canonical::{
     InstanceRecord, ProviderError,
 };
 use crate::openstack::ResponseKind;
-use crate::provider::{
-    billable_ground_truth, live_by_token, record_of, CapabilityDescriptor, Consistency, Provider,
-    WireFormat,
-};
+use crate::provider::{billable_ground_truth, serve, CapabilityDescriptor, Provider};
 use crate::wire::{WireRequest, WireResponse};
 
 /// Pagely's state vocabulary.
@@ -355,8 +357,6 @@ pub struct PagedProvider {
     pub cloud: CloudController,
     aliases: AliasTables,
     page_size: usize,
-    /// Pages fetched by the most recent call (for latency accounting).
-    pub last_pages: usize,
 }
 
 impl PagedProvider {
@@ -372,19 +372,7 @@ impl PagedProvider {
             cloud,
             aliases,
             page_size,
-            last_pages: 1,
         }
-    }
-
-    fn listing(&self, user: &str) -> Vec<InstanceRecord> {
-        let mut recs: Vec<InstanceRecord> = self
-            .cloud
-            .instances_of(user)
-            .filter(|i| i.state != InstanceState::Terminated)
-            .map(record_of)
-            .collect();
-        recs.sort_by_key(|r| r.id);
-        recs
     }
 }
 
@@ -395,10 +383,6 @@ impl Provider for PagedProvider {
 
     fn descriptor(&self) -> CapabilityDescriptor {
         CapabilityDescriptor {
-            wire: WireFormat::PagedJson,
-            consistency: Consistency::Strong,
-            spot: false,
-            flavor_listing: true,
             api_latency: SimDuration::from_millis(30),
             page_size: Some(self.page_size),
         }
@@ -414,12 +398,13 @@ impl Provider for PagedProvider {
         req: &CanonicalRequest,
         now: SimTime,
     ) -> Result<CanonicalResponse, ProviderError> {
-        self.last_pages = 1;
-        match req {
-            CanonicalRequest::ListInstances => {
+        let wire = encode_request(req, &self.aliases)?;
+        let (server_req, _) = decode_request(&wire, &AliasTables::default())?;
+        match serve(&mut self.cloud, user, &server_req, now)? {
+            CanonicalResponse::Instances(recs) => {
                 // Server side: render the fleet as the full page chain;
                 // client side: walk `next` pointers and stitch.
-                let pages = encode_paged_instances(&self.listing(user), self.page_size);
+                let pages = encode_paged_instances(&recs, self.page_size);
                 let mut fetched = Vec::new();
                 let mut cursor = Some(0usize);
                 while let Some(p) = cursor {
@@ -431,83 +416,9 @@ impl Provider for PagedProvider {
                     cursor = next_page(&wire)?;
                     fetched.push(wire);
                 }
-                self.last_pages = fetched.len();
                 decode_paged_instances(&fetched)
             }
-            CanonicalRequest::LaunchInstance { name, .. } => {
-                if let Some(existing) = live_by_token(&self.cloud, user, name) {
-                    let reply = encode_response(&CanonicalResponse::Launched(record_of(existing)))?;
-                    return decode_response(&ResponseKind::of(req), &reply);
-                }
-                // Exercise the wire: encode the canonical request, decode
-                // it server-side, execute, encode the reply, decode it.
-                let wire = encode_request(req, &self.aliases)?;
-                let (server_req, _) = decode_request(&wire, &AliasTables::default())?;
-                let CanonicalRequest::LaunchInstance {
-                    name: s_name,
-                    flavor: s_flavor,
-                    image: s_image,
-                } = &server_req
-                else {
-                    return Err(ProviderError::Translation("launch decoded wrong".into()));
-                };
-                let id = self
-                    .cloud
-                    .boot(user, s_name, s_flavor, ImageId(*s_image), now)
-                    .map_err(|e| ProviderError::Backend(format!("{e:?}")))?;
-                let reply = encode_response(&CanonicalResponse::Launched(record_of(
-                    self.cloud.instance(id).expect("just booted"),
-                )))?;
-                decode_response(&ResponseKind::of(req), &reply)
-            }
-            CanonicalRequest::TerminateInstance { id } => {
-                let iid = InstanceId(*id);
-                if self.cloud.instance(iid).map(|i| i.owner.as_str()) != Some(user) {
-                    return Err(ProviderError::Backend(format!("not found: instance {id}")));
-                }
-                self.cloud
-                    .terminate(iid, now)
-                    .map_err(|e| ProviderError::Backend(format!("{e:?}")))?;
-                let reply = encode_response(&CanonicalResponse::Terminated { id: *id })?;
-                decode_response(&ResponseKind::of(req), &reply)
-            }
-            CanonicalRequest::DescribeInstance { id } => {
-                let rec = self
-                    .cloud
-                    .instance(InstanceId(*id))
-                    .filter(|i| i.owner == user)
-                    .map(record_of)
-                    .ok_or_else(|| ProviderError::Backend(format!("not found: instance {id}")))?;
-                let reply = encode_response(&CanonicalResponse::Instance(rec))?;
-                decode_response(&ResponseKind::of(req), &reply)
-            }
-            CanonicalRequest::ListFlavors => {
-                let reply = encode_response(&CanonicalResponse::Flavors(
-                    self.cloud
-                        .flavors()
-                        .iter()
-                        .map(|f| FlavorRecord {
-                            name: f.name.clone(),
-                            vcpus: f.vcpus,
-                            ram_mb: f.ram_mb,
-                            disk_gb: f.disk_gb,
-                        })
-                        .collect(),
-                ))?;
-                decode_response(&ResponseKind::of(req), &reply)
-            }
-            CanonicalRequest::ListImages => {
-                let reply = encode_response(&CanonicalResponse::Images(
-                    self.cloud
-                        .images()
-                        .map(|i| ImageRecord {
-                            id: i.id.0,
-                            name: i.name.clone(),
-                        })
-                        .collect(),
-                ))?;
-                decode_response(&ResponseKind::of(req), &reply)
-            }
+            resp => decode_response(&ResponseKind::of(req), &encode_response(&resp)?),
         }
     }
 
@@ -599,6 +510,5 @@ mod tests {
             panic!()
         };
         assert_eq!(recs.len(), 7);
-        assert_eq!(p.last_pages, 3, "7 instances over page size 3");
     }
 }

@@ -1,66 +1,39 @@
-//! The `Provider` trait and the two classic adapters.
+//! The `Provider` trait, the one canonical backend and the classic
+//! adapters.
 //!
 //! A provider owns a backend cloud and translates canonical calls onto
-//! its native wire dialect — encode, serve, decode, every call, so
-//! translation is exercised on the real path rather than trusted. The
-//! classic adapters ([`ClassicProvider`]) drive the `osdc_compute::api`
-//! servers and are the clouds behind Tukey's translation proxy; the
-//! deliberately weird providers live in [`crate::spot`],
-//! [`crate::eventual`] and [`crate::paged`].
+//! its native wire dialect. Every provider's `call` runs one pipeline:
+//! its dialect's `encode_request`, the server half's `decode_request`
+//! with native (empty) alias tables, `serve`, `encode_response`,
+//! `decode_response` — so translation is exercised on the real path
+//! rather than trusted. `serve` is the one canonical backend over a
+//! [`CloudController`]: client-token idempotency and the owner check
+//! live there once. The classic adapters ([`ClassicProvider`]), the
+//! clouds behind Tukey's translation proxy, add nothing to it but their
+//! codec; the deliberately weird providers in [`crate::spot`],
+//! [`crate::eventual`] and [`crate::paged`] each add one quirk.
 
-use osdc_compute::api::{ApiError, EucalyptusApi, OpenStackApi};
-use osdc_compute::cloud::CloudController;
-use osdc_compute::instance::{Instance, InstanceState};
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use osdc_compute::cloud::{CloudController, SchedulingError};
+use osdc_compute::image::ImageId;
+use osdc_compute::instance::{Instance, InstanceId, InstanceState};
 use osdc_sim::{SimDuration, SimTime};
 
 use crate::canonical::{
-    AliasTables, CanonicalRequest, CanonicalResponse, CanonicalStatus, InstanceRecord,
-    ProviderError,
+    AliasTables, CanonicalRequest, CanonicalResponse, CanonicalStatus, FlavorRecord, ImageRecord,
+    InstanceRecord, ProviderError,
 };
-use crate::eucalyptus::{self, EucalyptusCompat};
-use crate::openstack::{self, OpenStackCompat, ResponseKind};
+use crate::eucalyptus;
+use crate::openstack::{self, ResponseKind};
 use crate::wire::{WireRequest, WireResponse};
 
-/// Which wire family a provider speaks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireFormat {
-    /// Nova-style REST + JSON.
-    RestJson,
-    /// EC2 `Action=` query strings + XML.
-    Ec2Query,
-    /// JSON split across pages chained by a `next` token.
-    PagedJson,
-}
-
-impl WireFormat {
-    pub fn label(self) -> &'static str {
-        match self {
-            WireFormat::RestJson => "rest-json",
-            WireFormat::Ec2Query => "ec2-query",
-            WireFormat::PagedJson => "paged-json",
-        }
-    }
-}
-
-/// How promptly reads reflect writes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Consistency {
-    /// Reads see every prior write.
-    Strong,
-    /// List/describe lag mutations by a fixed window.
-    Eventual { lag: SimDuration },
-}
-
-/// What a provider can do and how it behaves — the registry entry's
-/// routing facts.
+/// What a provider costs to talk to — the registry entry's routing facts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CapabilityDescriptor {
-    pub wire: WireFormat,
-    pub consistency: Consistency,
-    /// Prices float and instances can be preempted.
-    pub spot: bool,
-    /// Whether `ListFlavors` has a wire form in this dialect.
-    pub flavor_listing: bool,
     /// Base latency of one native API round trip.
     pub api_latency: SimDuration,
     /// For paged dialects: instances per page (drives per-page latency).
@@ -96,20 +69,16 @@ pub trait Provider {
     fn roundtrip_request(&self, req: &CanonicalRequest) -> Result<CanonicalRequest, ProviderError>;
 }
 
-pub(crate) fn status_of(state: InstanceState) -> CanonicalStatus {
-    match state {
-        InstanceState::Building => CanonicalStatus::Build,
-        InstanceState::Active => CanonicalStatus::Active,
-        InstanceState::Shutoff => CanonicalStatus::Shutoff,
-        InstanceState::Terminated => CanonicalStatus::Terminated,
-    }
-}
-
 pub(crate) fn record_of(inst: &Instance) -> InstanceRecord {
     InstanceRecord {
         id: inst.id.0,
         name: inst.name.clone(),
-        status: status_of(inst.state),
+        status: match inst.state {
+            InstanceState::Building => CanonicalStatus::Build,
+            InstanceState::Active => CanonicalStatus::Active,
+            InstanceState::Shutoff => CanonicalStatus::Shutoff,
+            InstanceState::Terminated => CanonicalStatus::Terminated,
+        },
         flavor: inst.flavor.name.clone(),
         vcpus: Some(inst.flavor.vcpus),
         image: Some(inst.image.0),
@@ -124,38 +93,116 @@ pub(crate) fn billable_ground_truth(cloud: &CloudController) -> Vec<(String, Ins
         .collect()
 }
 
-/// Find a live instance by client token (name), the idempotency contract
-/// of [`CanonicalRequest::LaunchInstance`].
-pub(crate) fn live_by_token<'c>(
-    cloud: &'c CloudController,
-    user: &str,
-    token: &str,
-) -> Option<&'c Instance> {
+/// `user`'s instance `id`, or the backend's "not found" — the owner
+/// check every by-id request passes through.
+fn owned(cloud: &CloudController, user: &str, id: u64) -> Result<InstanceRecord, ProviderError> {
     cloud
-        .all_instances()
-        .find(|i| i.owner == user && i.name == token && i.state != InstanceState::Terminated)
+        .instance(InstanceId(id))
+        .filter(|i| i.owner == user)
+        .map(record_of)
+        .ok_or_else(|| ProviderError::Backend(format!("not found: instance {id}")))
 }
 
-fn backend_err(e: ApiError) -> ProviderError {
-    ProviderError::Backend(match e {
-        ApiError::BadRequest(m) => format!("bad request: {m}"),
-        ApiError::NotFound(m) => format!("not found: {m}"),
-        ApiError::Compute(m) => format!("compute: {m}"),
+/// The canonical backend: run one decoded request against `cloud` as
+/// `user`. Flavor names arrive native (the server halves decode with
+/// empty alias tables) and listings come back in id order.
+///
+/// A launch whose client token (`name`) matches a live instance of
+/// `user` returns that instance instead of booting a twin; terminate and
+/// describe reach only `user`'s own instances. Scheduling failures are
+/// [`ProviderError::Backend`].
+pub(crate) fn serve(
+    cloud: &mut CloudController,
+    user: &str,
+    req: &CanonicalRequest,
+    now: SimTime,
+) -> Result<CanonicalResponse, ProviderError> {
+    let backend = |e: SchedulingError| ProviderError::Backend(format!("{e:?}"));
+    Ok(match req {
+        CanonicalRequest::ListInstances => CanonicalResponse::Instances(
+            cloud
+                .instances_of(user)
+                .filter(|i| i.state != InstanceState::Terminated)
+                .map(record_of)
+                .collect(),
+        ),
+        CanonicalRequest::LaunchInstance {
+            name,
+            flavor,
+            image,
+        } => {
+            let live = cloud
+                .instances_of(user)
+                .find(|i| i.name == *name && i.state != InstanceState::Terminated)
+                .map(|i| i.id);
+            let id = match live {
+                Some(id) => id,
+                None => cloud
+                    .boot(user, name, flavor, ImageId(*image), now)
+                    .map_err(backend)?,
+            };
+            CanonicalResponse::Launched(owned(cloud, user, id.0)?)
+        }
+        CanonicalRequest::TerminateInstance { id } => {
+            owned(cloud, user, *id)?;
+            cloud.terminate(InstanceId(*id), now).map_err(backend)?;
+            CanonicalResponse::Terminated { id: *id }
+        }
+        CanonicalRequest::DescribeInstance { id } => {
+            CanonicalResponse::Instance(owned(cloud, user, *id)?)
+        }
+        CanonicalRequest::ListFlavors => CanonicalResponse::Flavors(
+            cloud
+                .flavors()
+                .iter()
+                .map(|f| FlavorRecord {
+                    name: f.name.clone(),
+                    vcpus: f.vcpus,
+                    ram_mb: f.ram_mb,
+                    disk_gb: f.disk_gb,
+                })
+                .collect(),
+        ),
+        CanonicalRequest::ListImages => CanonicalResponse::Images(
+            cloud
+                .images()
+                .map(|i| ImageRecord {
+                    id: i.id.0,
+                    name: i.name.clone(),
+                })
+                .collect(),
+        ),
     })
 }
 
-/// Which classic dialect a [`ClassicProvider`] speaks.
-#[derive(Clone, Copy, Debug)]
-pub enum ClassicDialect {
-    OpenStack(OpenStackCompat),
-    Eucalyptus(EucalyptusCompat),
+/// One classic dialect's four translator halves.
+#[derive(Clone, Copy)]
+struct Codec {
+    encode_request: fn(&CanonicalRequest, &AliasTables) -> Result<WireRequest, ProviderError>,
+    decode_request: fn(&WireRequest, &AliasTables) -> Result<CanonicalRequest, ProviderError>,
+    encode_response: fn(&CanonicalResponse) -> Result<WireResponse, ProviderError>,
+    decode_response: fn(&ResponseKind, &WireResponse) -> Result<CanonicalResponse, ProviderError>,
 }
+
+const NOVA: Codec = Codec {
+    encode_request: openstack::encode_request,
+    decode_request: openstack::decode_request,
+    encode_response: |resp| Ok(openstack::encode_response(resp)),
+    decode_response: openstack::decode_response,
+};
+
+const EC2: Codec = Codec {
+    encode_request: eucalyptus::encode_request,
+    decode_request: eucalyptus::decode_request,
+    encode_response: eucalyptus::encode_response,
+    decode_response: eucalyptus::decode_response,
+};
 
 /// An OpenStack- or Eucalyptus-dialect provider over a real
 /// [`CloudController`] — one per cloud behind Tukey's translation proxy.
 pub struct ClassicProvider {
     name: String,
-    dialect: ClassicDialect,
+    codec: Codec,
     pub cloud: CloudController,
     aliases: AliasTables,
     api_latency: SimDuration,
@@ -169,7 +216,7 @@ impl ClassicProvider {
     ) -> Self {
         ClassicProvider {
             name: name.into(),
-            dialect: ClassicDialect::OpenStack(OpenStackCompat::default()),
+            codec: NOVA,
             cloud,
             aliases,
             // The same base the original proxy charged OpenStack calls.
@@ -184,48 +231,10 @@ impl ClassicProvider {
     ) -> Self {
         ClassicProvider {
             name: name.into(),
-            dialect: ClassicDialect::Eucalyptus(EucalyptusCompat::default()),
+            codec: EC2,
             cloud,
             aliases,
             api_latency: SimDuration::from_millis(55),
-        }
-    }
-
-    /// Encode the canonical request onto this dialect's wire.
-    pub fn encode(&self, req: &CanonicalRequest) -> Result<WireRequest, ProviderError> {
-        match self.dialect {
-            ClassicDialect::OpenStack(c) => openstack::encode_request(req, &self.aliases, c),
-            ClassicDialect::Eucalyptus(c) => eucalyptus::encode_request(req, &self.aliases, c),
-        }
-    }
-
-    /// Serve one wire request against the native backend API.
-    fn serve(
-        &mut self,
-        user: &str,
-        wire: &WireRequest,
-        now: SimTime,
-    ) -> Result<WireResponse, ProviderError> {
-        match wire {
-            WireRequest::Rest { method, path, body } => OpenStackApi::new(&mut self.cloud)
-                .handle(user, method, path, body.as_ref(), now)
-                .map(WireResponse::Json)
-                .map_err(backend_err),
-            WireRequest::Query(q) => EucalyptusApi::new(&mut self.cloud)
-                .handle(user, q, now)
-                .map(WireResponse::Xml)
-                .map_err(backend_err),
-        }
-    }
-
-    fn decode(
-        &self,
-        kind: &ResponseKind,
-        wire: &WireResponse,
-    ) -> Result<CanonicalResponse, ProviderError> {
-        match self.dialect {
-            ClassicDialect::OpenStack(_) => openstack::decode_response(kind, wire),
-            ClassicDialect::Eucalyptus(_) => eucalyptus::decode_response(kind, wire),
         }
     }
 }
@@ -236,15 +245,7 @@ impl Provider for ClassicProvider {
     }
 
     fn descriptor(&self) -> CapabilityDescriptor {
-        let (wire, flavor_listing) = match self.dialect {
-            ClassicDialect::OpenStack(_) => (WireFormat::RestJson, true),
-            ClassicDialect::Eucalyptus(_) => (WireFormat::Ec2Query, false),
-        };
         CapabilityDescriptor {
-            wire,
-            consistency: Consistency::Strong,
-            spot: false,
-            flavor_listing,
             api_latency: self.api_latency,
             page_size: None,
         }
@@ -260,18 +261,11 @@ impl Provider for ClassicProvider {
         req: &CanonicalRequest,
         now: SimTime,
     ) -> Result<CanonicalResponse, ProviderError> {
-        // Launch idempotency: an existing live instance under the same
-        // client token is returned, not double-booted. (The Eucalyptus
-        // dialect carries the token natively; Nova of the era did not,
-        // so the adapter enforces it for both.)
-        if let CanonicalRequest::LaunchInstance { name, .. } = req {
-            if let Some(existing) = live_by_token(&self.cloud, user, name) {
-                return Ok(CanonicalResponse::Launched(record_of(existing)));
-            }
-        }
-        let wire = self.encode(req)?;
-        let resp = self.serve(user, &wire, now)?;
-        self.decode(&ResponseKind::of(req), &resp)
+        let c = self.codec;
+        let wire = (c.encode_request)(req, &self.aliases)?;
+        let server_req = (c.decode_request)(&wire, &AliasTables::default())?;
+        let resp = serve(&mut self.cloud, user, &server_req, now)?;
+        (c.decode_response)(&ResponseKind::of(req), &(c.encode_response)(&resp)?)
     }
 
     fn ground_truth(&self) -> Vec<(String, InstanceRecord)> {
@@ -279,11 +273,8 @@ impl Provider for ClassicProvider {
     }
 
     fn roundtrip_request(&self, req: &CanonicalRequest) -> Result<CanonicalRequest, ProviderError> {
-        let wire = self.encode(req)?;
-        match self.dialect {
-            ClassicDialect::OpenStack(_) => openstack::decode_request(&wire, &self.aliases),
-            ClassicDialect::Eucalyptus(_) => eucalyptus::decode_request(&wire, &self.aliases),
-        }
+        let c = self.codec;
+        (c.decode_request)(&(c.encode_request)(req, &self.aliases)?, &self.aliases)
     }
 }
 
@@ -389,5 +380,258 @@ mod tests {
             )
             .expect_err("unknown flavor");
         assert!(matches!(err, ProviderError::Backend(_)), "{err}");
+    }
+
+    fn both_dialects() -> [ClassicProvider; 2] {
+        [
+            ClassicProvider::openstack("adler", CloudController::with_racks("adler", 1), aliases()),
+            ClassicProvider::eucalyptus(
+                "sullivan",
+                CloudController::with_racks("sullivan", 1),
+                aliases(),
+            ),
+        ]
+    }
+
+    fn listing(p: &mut ClassicProvider, user: &str, t: u64) -> Vec<InstanceRecord> {
+        let CanonicalResponse::Instances(recs) = p
+            .call(user, &CanonicalRequest::ListInstances, SimTime(t))
+            .expect("lists")
+        else {
+            panic!()
+        };
+        recs
+    }
+
+    #[test]
+    fn listings_are_per_user() {
+        for mut p in both_dialects() {
+            p.call("alice", &launch("a"), SimTime::ZERO)
+                .expect("launches");
+            assert!(listing(&mut p, "bob", 1).is_empty(), "{}", p.name());
+            assert_eq!(listing(&mut p, "alice", 2).len(), 1, "{}", p.name());
+        }
+    }
+
+    /// Alice launches on `p`; mallory's terminate of it is a `Backend`
+    /// error and the instance keeps running.
+    fn assert_foreign_terminate_refused(mut p: ClassicProvider) {
+        let CanonicalResponse::Launched(rec) = p
+            .call("alice", &launch("a"), SimTime::ZERO)
+            .expect("launches")
+        else {
+            panic!()
+        };
+        let err = p
+            .call(
+                "mallory",
+                &CanonicalRequest::TerminateInstance { id: rec.id },
+                SimTime(1),
+            )
+            .expect_err("foreign terminate refused");
+        assert!(
+            matches!(err, ProviderError::Backend(_)),
+            "{}: {err}",
+            p.name()
+        );
+        assert_eq!(p.ground_truth().len(), 1, "{}: still running", p.name());
+    }
+
+    #[test]
+    fn nova_foreign_terminate_is_refused() {
+        let [nova, _] = both_dialects();
+        assert_foreign_terminate_refused(nova);
+    }
+
+    #[test]
+    fn ec2_foreign_terminate_is_refused() {
+        let [_, ec2] = both_dialects();
+        assert_foreign_terminate_refused(ec2);
+    }
+
+    #[test]
+    fn malformed_nova_wire_is_a_translation_error() {
+        for wire in [
+            WireRequest::rest("POST", "/servers", Some(serde_json::json!({}))),
+            WireRequest::rest("PATCH", "/servers", None),
+            WireRequest::rest("GET", "/servers/notanumber", None),
+            WireRequest::rest("GET", "/servers/detail", None),
+            WireRequest::Query("Action=DescribeInstances".into()),
+        ] {
+            assert!(
+                matches!(
+                    openstack::decode_request(&wire, &AliasTables::default()),
+                    Err(ProviderError::Translation(_))
+                ),
+                "{wire:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_ec2_wire_is_a_translation_error() {
+        for q in [
+            "Action=RunInstances&InstanceType=m1.small",
+            "Action=FlyToTheMoon",
+            "NoAction=1",
+        ] {
+            assert!(
+                matches!(
+                    eucalyptus::decode_request(
+                        &WireRequest::Query(q.into()),
+                        &AliasTables::default()
+                    ),
+                    Err(ProviderError::Translation(_))
+                ),
+                "{q}"
+            );
+        }
+        // The server half runs on every call: a client token that
+        // smuggles a second `Action` into the EC2 query never reaches
+        // the backend.
+        let [_, mut ec2] = both_dialects();
+        let err = ec2
+            .call("alice", &launch("vm1&Action=FlyToTheMoon"), SimTime::ZERO)
+            .expect_err("smuggled action refused");
+        assert!(matches!(err, ProviderError::Translation(_)), "{err}");
+        assert!(ec2.ground_truth().is_empty());
+    }
+
+    #[test]
+    fn flavors_and_images_are_listed() {
+        let [mut nova, mut ec2] = both_dialects();
+        let CanonicalResponse::Flavors(flavors) = nova
+            .call("u", &CanonicalRequest::ListFlavors, SimTime::ZERO)
+            .expect("flavors")
+        else {
+            panic!()
+        };
+        assert_eq!(flavors.len(), 4);
+        let images = nova
+            .call("u", &CanonicalRequest::ListImages, SimTime::ZERO)
+            .expect("images");
+        let CanonicalResponse::Images(imgs) = &images else {
+            panic!()
+        };
+        assert!(imgs.len() >= 4);
+        assert_eq!(
+            ec2.call("u", &CanonicalRequest::ListImages, SimTime::ZERO)
+                .expect("images"),
+            images
+        );
+        assert!(matches!(
+            ec2.call("u", &CanonicalRequest::ListFlavors, SimTime::ZERO),
+            Err(ProviderError::Unsupported(_))
+        ));
+    }
+
+    /// Run `req` for alice through one dialect's server half and
+    /// [`serve`]: the reply exactly as it goes on the wire.
+    fn served(codec: Codec, cloud: &mut CloudController, req: &CanonicalRequest) -> WireResponse {
+        let wire = (codec.encode_request)(req, &aliases()).expect("encodes");
+        let server_req = (codec.decode_request)(&wire, &AliasTables::default()).expect("decodes");
+        let resp = serve(cloud, "alice", &server_req, SimTime::ZERO).expect("serves");
+        (codec.encode_response)(&resp).expect("renders")
+    }
+
+    #[test]
+    fn nova_replies_are_byte_exact() {
+        let mut cloud = CloudController::with_racks("adler", 1);
+        let mut reply = |req: CanonicalRequest| match served(NOVA, &mut cloud, &req) {
+            WireResponse::Json(v) => serde_json::to_string(&v).expect("serializes"),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(
+            reply(launch("vm1")),
+            r#"{"server":{"id":1,"name":"vm1","status":"ACTIVE"}}"#
+        );
+        assert_eq!(
+            reply(CanonicalRequest::ListInstances),
+            r#"{"servers":[{"flavor":{"name":"m1.small","vcpus":1},"id":1,"image":{"id":1},"name":"vm1","status":"ACTIVE"}]}"#
+        );
+        assert_eq!(reply(CanonicalRequest::TerminateInstance { id: 1 }), "{}");
+        assert_eq!(reply(CanonicalRequest::ListInstances), r#"{"servers":[]}"#);
+    }
+
+    #[test]
+    fn ec2_replies_are_byte_exact() {
+        let mut cloud = CloudController::with_racks("sullivan", 1);
+        let mut reply = |req: CanonicalRequest| match served(EC2, &mut cloud, &req) {
+            WireResponse::Xml(xml) => xml,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(
+            reply(launch("vm1")),
+            "<RunInstancesResponse><instancesSet><item><instanceId>i-00000001</instanceId>\
+             <imageId>emi-00000001</imageId><instanceState><name>running</name></instanceState>\
+             </item></instancesSet></RunInstancesResponse>"
+        );
+        assert_eq!(
+            reply(CanonicalRequest::ListInstances),
+            "<DescribeInstancesResponse><reservationSet><item><instanceId>i-00000001</instanceId>\
+             <instanceType>m1.small</instanceType><instanceState><name>running</name>\
+             </instanceState></item></reservationSet></DescribeInstancesResponse>"
+        );
+        assert_eq!(
+            reply(CanonicalRequest::TerminateInstance { id: 1 }),
+            "<TerminateInstancesResponse><instancesSet><item><instanceId>i-00000001</instanceId>\
+             <currentState><name>terminated</name></currentState></item></instancesSet>\
+             </TerminateInstancesResponse>"
+        );
+        assert_eq!(
+            reply(CanonicalRequest::ListInstances),
+            "<DescribeInstancesResponse><reservationSet></reservationSet></DescribeInstancesResponse>"
+        );
+    }
+
+    /// A response with the fields EC2 does not carry blanked out.
+    fn common_fields(resp: CanonicalResponse) -> CanonicalResponse {
+        let blank = |r: InstanceRecord| InstanceRecord {
+            name: String::new(),
+            vcpus: None,
+            image: None,
+            ..r
+        };
+        match resp {
+            CanonicalResponse::Instances(recs) => {
+                CanonicalResponse::Instances(recs.into_iter().map(blank).collect())
+            }
+            CanonicalResponse::Launched(r) => CanonicalResponse::Launched(blank(r)),
+            other => other,
+        }
+    }
+
+    #[test]
+    fn one_script_gives_the_same_answers_on_both_dialects() {
+        let script = [
+            launch("vm1"),
+            launch("vm2"),
+            launch("vm1"),
+            CanonicalRequest::ListInstances,
+            CanonicalRequest::TerminateInstance { id: 1 },
+            CanonicalRequest::ListInstances,
+            CanonicalRequest::ListImages,
+        ];
+        let [mut nova, mut ec2] = both_dialects();
+        for (t, req) in script.iter().enumerate() {
+            let now = SimTime(t as u64);
+            assert_eq!(
+                common_fields(nova.call("alice", req, now).expect("nova answers")),
+                common_fields(ec2.call("alice", req, now).expect("ec2 answers")),
+                "{req:?}"
+            );
+        }
+        // One controller reads the same through either front end.
+        let listed = listing(&mut nova, "alice", 10);
+        assert_eq!(listed.len(), 1);
+        let mut swapped = ClassicProvider::eucalyptus("adler", nova.cloud, aliases());
+        assert_eq!(
+            common_fields(CanonicalResponse::Instances(listing(
+                &mut swapped,
+                "alice",
+                11
+            ))),
+            common_fields(CanonicalResponse::Instances(listed))
+        );
     }
 }

@@ -216,11 +216,24 @@ impl FailoverRouter {
             elapsed += self.registry.last_latency();
             match result {
                 Ok(CanonicalResponse::Launched(rec)) => {
-                    let vcpus = rec.vcpus.or_else(|| {
-                        self.registry
-                            .catalog(&provider)
-                            .and_then(|c| c.vcpus(flavor))
-                    });
+                    // Book the cores actually running: a client-token hit
+                    // returns an instance booted earlier, perhaps at
+                    // another flavor. Dialects whose reply omits vCPUs
+                    // fall back to ground truth, then to the catalog.
+                    let vcpus = rec
+                        .vcpus
+                        .or_else(|| {
+                            self.registry
+                                .ground_truth(&provider)
+                                .into_iter()
+                                .find(|(owner, r)| owner == user && r.id == rec.id)
+                                .and_then(|(_, r)| r.vcpus)
+                        })
+                        .or_else(|| {
+                            self.registry
+                                .catalog(&provider)
+                                .and_then(|c| c.vcpus(flavor))
+                        });
                     let assignment = Assignment {
                         provider: provider.clone(),
                         instance: rec.id,
@@ -610,6 +623,52 @@ mod tests {
         r.registry.set_health("sullivan", |h| h.outage = false);
         r.reconcile(SimTime(300 * SEC));
         assert!(r.registry.ground_truth("sullivan").is_empty(), "cleaned");
+    }
+
+    /// A router over one fleet member; spotmart's standing bid is set
+    /// high enough that the market accepts every ask.
+    fn lone_member(name: &str) -> FailoverRouter {
+        if name != "spotmart" {
+            return FailoverRouter::new(crate::fleet::osdc_fleet(&[name], Telemetry::new(), 7));
+        }
+        let cat = osdc_default_catalogs()
+            .into_iter()
+            .find(|c| c.provider == name)
+            .expect("spotmart is priced");
+        let market = crate::spot::SpotProvider::new(
+            name,
+            CloudController::with_racks(name, 1),
+            crate::fleet::osdc_aliases(),
+            7,
+            cat.spot_floor_usd,
+            cat.spot_ceiling_usd,
+            1.0,
+        );
+        let mut reg = ProviderRegistry::new(Telemetry::new(), 7);
+        reg.register(Box::new(market), cat);
+        FailoverRouter::new(reg)
+    }
+
+    #[test]
+    fn token_hit_books_the_running_instances_vcpus_on_every_provider() {
+        for name in ["adler", "sullivan", "spotmart", "lagoon", "pagely"] {
+            let mut r = lone_member(name);
+            // The first launch times out, but the backend boots vm1 as
+            // a 1-vCPU small.
+            r.registry.set_health(name, |h| {
+                h.timeout_prob = 1.0;
+                h.lost_response_prob = 1.0;
+            });
+            r.launch("alice", "vm1", "small", "ubuntu-base", SimTime::ZERO)
+                .expect_err("times out");
+            r.registry.set_health(name, |h| h.timeout_prob = 0.0);
+            // The retry asks for an xlarge and hits the live token.
+            let a = r
+                .launch("alice", "vm1", "xlarge", "ubuntu-base", SimTime(SEC))
+                .expect("token hit");
+            assert_eq!(a.vcpus, 1, "{name} books the running small");
+            assert_eq!(r.registry.ground_truth(name).len(), 1, "{name}: no twin");
+        }
     }
 
     /// The rate a provider of kind `k` (registered at index `i`)

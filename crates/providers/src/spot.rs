@@ -6,12 +6,18 @@
 //! market price walks once per simulated minute between a floor and a
 //! ceiling; while it sits above the console's standing bid the market
 //! refuses new asks *and preempts running instances*, which is exactly
-//! the event the failover router must survive.
+//! the event the failover router must survive. Everything else is
+//! `provider::serve`; the provider adds only the bid refusal,
+//! the `outbid` overlay on reads and the price on replies.
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::collections::BTreeMap;
 
 use osdc_compute::cloud::CloudController;
-use osdc_compute::image::ImageId;
 use osdc_compute::instance::InstanceId;
 use osdc_sim::{SimDuration, SimRng, SimTime};
 use serde_json::{json, Value};
@@ -21,10 +27,7 @@ use crate::canonical::{
     InstanceRecord, ProviderError,
 };
 use crate::openstack::ResponseKind;
-use crate::provider::{
-    billable_ground_truth, live_by_token, record_of, CapabilityDescriptor, Consistency, Provider,
-    WireFormat,
-};
+use crate::provider::{billable_ground_truth, record_of, serve, CapabilityDescriptor, Provider};
 use crate::wire::{WireRequest, WireResponse};
 
 /// Spotmart's state vocabulary.
@@ -318,102 +321,6 @@ impl SpotProvider {
     pub fn price(&self) -> f64 {
         self.price
     }
-
-    fn execute(
-        &mut self,
-        user: &str,
-        req: &CanonicalRequest,
-        now: SimTime,
-    ) -> Result<CanonicalResponse, ProviderError> {
-        match req {
-            CanonicalRequest::ListInstances => {
-                let mut recs: Vec<InstanceRecord> = self
-                    .cloud
-                    .instances_of(user)
-                    .filter(|i| {
-                        i.state != osdc_compute::instance::InstanceState::Terminated
-                            || self.outbid.contains_key(&i.id.0)
-                    })
-                    .map(|i| {
-                        let mut rec = record_of(i);
-                        if self.outbid.contains_key(&i.id.0) {
-                            rec.status = CanonicalStatus::Preempted;
-                        }
-                        rec
-                    })
-                    .collect();
-                recs.sort_by_key(|r| r.id);
-                Ok(CanonicalResponse::Instances(recs))
-            }
-            CanonicalRequest::LaunchInstance {
-                name,
-                flavor,
-                image,
-            } => {
-                if let Some(existing) = live_by_token(&self.cloud, user, name) {
-                    return Ok(CanonicalResponse::Launched(record_of(existing)));
-                }
-                if self.price > self.bid {
-                    return Err(ProviderError::Backend(format!(
-                        "ask refused: spot price {:.4} above bid {:.4}",
-                        self.price, self.bid
-                    )));
-                }
-                let native = self.aliases.native_flavor(flavor).to_string();
-                let id = self
-                    .cloud
-                    .boot(user, name, &native, ImageId(*image), now)
-                    .map_err(|e| ProviderError::Backend(format!("{e:?}")))?;
-                Ok(CanonicalResponse::Launched(record_of(
-                    self.cloud.instance(id).expect("just booted"),
-                )))
-            }
-            CanonicalRequest::TerminateInstance { id } => {
-                let iid = InstanceId(*id);
-                if self.cloud.instance(iid).map(|i| i.owner.as_str()) != Some(user) {
-                    return Err(ProviderError::Backend(format!("not found: fleet {id}")));
-                }
-                self.cloud
-                    .terminate(iid, now)
-                    .map_err(|e| ProviderError::Backend(format!("{e:?}")))?;
-                self.outbid.remove(id);
-                Ok(CanonicalResponse::Terminated { id: *id })
-            }
-            CanonicalRequest::DescribeInstance { id } => {
-                let inst = self
-                    .cloud
-                    .instance(InstanceId(*id))
-                    .filter(|i| i.owner == user)
-                    .ok_or_else(|| ProviderError::Backend(format!("not found: fleet {id}")))?;
-                let mut rec = record_of(inst);
-                if self.outbid.contains_key(id) {
-                    rec.status = CanonicalStatus::Preempted;
-                }
-                Ok(CanonicalResponse::Instance(rec))
-            }
-            CanonicalRequest::ListFlavors => Ok(CanonicalResponse::Flavors(
-                self.cloud
-                    .flavors()
-                    .iter()
-                    .map(|f| FlavorRecord {
-                        name: f.name.clone(),
-                        vcpus: f.vcpus,
-                        ram_mb: f.ram_mb,
-                        disk_gb: f.disk_gb,
-                    })
-                    .collect(),
-            )),
-            CanonicalRequest::ListImages => Ok(CanonicalResponse::Images(
-                self.cloud
-                    .images()
-                    .map(|i| ImageRecord {
-                        id: i.id.0,
-                        name: i.name.clone(),
-                    })
-                    .collect(),
-            )),
-        }
-    }
 }
 
 impl Provider for SpotProvider {
@@ -423,10 +330,6 @@ impl Provider for SpotProvider {
 
     fn descriptor(&self) -> CapabilityDescriptor {
         CapabilityDescriptor {
-            wire: WireFormat::RestJson,
-            consistency: Consistency::Strong,
-            spot: true,
-            flavor_listing: true,
             api_latency: SimDuration::from_millis(25),
             page_size: None,
         }
@@ -436,9 +339,6 @@ impl Provider for SpotProvider {
         &self.aliases
     }
 
-    /// Full wire exercise on every call: encode, serve (decode, execute,
-    /// re-encode), decode — so a translator bug shows up as a runtime
-    /// fidelity failure, not just a unit-test miss.
     fn call(
         &mut self,
         user: &str,
@@ -446,11 +346,44 @@ impl Provider for SpotProvider {
         now: SimTime,
     ) -> Result<CanonicalResponse, ProviderError> {
         let wire = encode_request(req, &self.aliases)?;
-        let native = AliasTables::default();
-        let server_req = decode_request(&wire, &native)?;
-        let resp = self.execute(user, &server_req, now)?;
-        let reply = encode_response(&resp, self.price)?;
-        decode_response(&ResponseKind::of(req), &reply)
+        let server_req = decode_request(&wire, &AliasTables::default())?;
+        // `tick` outbids every billable instance whenever the price
+        // crosses the bid, so no live token exists while it sits above:
+        // refusing before `serve` never turns away an idempotent replay.
+        if matches!(server_req, CanonicalRequest::LaunchInstance { .. }) && self.price > self.bid {
+            return Err(ProviderError::Backend(format!(
+                "ask refused: spot price {:.4} above bid {:.4}",
+                self.price, self.bid
+            )));
+        }
+        let resp = match serve(&mut self.cloud, user, &server_req, now)? {
+            // Outbid instances stay listed as `outbid` until released.
+            CanonicalResponse::Instances(mut recs) => {
+                let outbid = self
+                    .outbid
+                    .keys()
+                    .filter_map(|&id| self.cloud.instance(InstanceId(id)))
+                    .filter(|i| i.owner == user);
+                recs.extend(outbid.map(|i| InstanceRecord {
+                    status: CanonicalStatus::Preempted,
+                    ..record_of(i)
+                }));
+                recs.sort_by_key(|r| r.id);
+                CanonicalResponse::Instances(recs)
+            }
+            CanonicalResponse::Instance(mut rec) => {
+                if self.outbid.contains_key(&rec.id) {
+                    rec.status = CanonicalStatus::Preempted;
+                }
+                CanonicalResponse::Instance(rec)
+            }
+            CanonicalResponse::Terminated { id } => {
+                self.outbid.remove(&id);
+                CanonicalResponse::Terminated { id }
+            }
+            other => other,
+        };
+        decode_response(&ResponseKind::of(req), &encode_response(&resp, self.price)?)
     }
 
     fn tick(&mut self, now: SimTime) {
@@ -471,9 +404,10 @@ impl Provider for SpotProvider {
                     .collect();
                 let t = SimTime(self.last_tick_min * 60 * 1_000_000_000);
                 for (id, token) in doomed {
-                    self.cloud.terminate(id, t).expect("instance exists");
-                    self.outbid.insert(id.0, token);
-                    self.preemptions += 1;
+                    if self.cloud.terminate(id, t).is_ok() {
+                        self.outbid.insert(id.0, token);
+                        self.preemptions += 1;
+                    }
                 }
             }
         }

@@ -131,15 +131,14 @@ proptest! {
     // ------------------------------------------------------------- requests
 
     /// OpenStack: every canonical request round-trips through the Nova
-    /// wire under any injective alias table and either compat setting.
+    /// wire under any injective alias table.
     #[test]
-    fn openstack_requests_roundtrip(seed: u64, detail: bool) {
+    fn openstack_requests_roundtrip(seed: u64) {
         let rng = &mut TestRng::new(seed);
         let t = alias_tables(rng);
-        let compat = openstack::OpenStackCompat { detail_listing: detail };
         for _ in 0..4 {
             let req = request(&t, rng);
-            let wire = openstack::encode_request(&req, &t, compat).expect("encodes");
+            let wire = openstack::encode_request(&req, &t).expect("encodes");
             prop_assert_eq!(openstack::decode_request(&wire, &t).expect("decodes"), req);
         }
         // The two requests `request()` skips because EC2 can't say them.
@@ -147,7 +146,7 @@ proptest! {
             CanonicalRequest::DescribeInstance { id: rng.below(10_000) },
             CanonicalRequest::ListFlavors,
         ] {
-            let wire = openstack::encode_request(&req, &t, compat).expect("encodes");
+            let wire = openstack::encode_request(&req, &t).expect("encodes");
             prop_assert_eq!(openstack::decode_request(&wire, &t).expect("decodes"), req);
         }
     }
@@ -158,10 +157,9 @@ proptest! {
     fn eucalyptus_requests_roundtrip(seed: u64) {
         let rng = &mut TestRng::new(seed);
         let t = alias_tables(rng);
-        let compat = eucalyptus::EucalyptusCompat::default();
         for _ in 0..4 {
             let req = request(&t, rng);
-            let wire = eucalyptus::encode_request(&req, &t, compat).expect("encodes");
+            let wire = eucalyptus::encode_request(&req, &t).expect("encodes");
             prop_assert_eq!(eucalyptus::decode_request(&wire, &t).expect("decodes"), req);
         }
         for req in [
@@ -169,7 +167,7 @@ proptest! {
             CanonicalRequest::ListFlavors,
         ] {
             prop_assert!(matches!(
-                eucalyptus::encode_request(&req, &t, compat),
+                eucalyptus::encode_request(&req, &t),
                 Err(ProviderError::Unsupported(_))
             ));
         }

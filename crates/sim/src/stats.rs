@@ -238,7 +238,7 @@ impl Log2Histogram {
         self.sum += other.sum;
     }
 
-    /// Upper bound of the bucket containing the q-quantile (q in [0,1]).
+    /// Upper bound of the bucket containing the q-quantile (q in \[0,1\]).
     pub fn quantile_upper_bound(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;

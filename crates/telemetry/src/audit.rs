@@ -143,6 +143,12 @@ pub use crate::check;
 mod tests {
     use super::*;
 
+    /// The registry is process-global and the test harness runs tests
+    /// on parallel threads: every test that records or resets holds
+    /// this lock, so one test's forced violation never lands in
+    /// another's assertion.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
     #[test]
     fn enabled_matches_feature() {
         assert_eq!(enabled(), cfg!(feature = "audit"));
@@ -150,6 +156,7 @@ mod tests {
 
     #[test]
     fn check_records_only_when_enabled() {
+        let _serial = SERIAL.lock();
         reset();
         check!(1 + 1 == 2, "audit.test.true");
         check!(false, "audit.test.false", "forced failure {}", 42);
@@ -173,6 +180,7 @@ mod tests {
         if !enabled() {
             return;
         }
+        let _serial = SERIAL.lock();
         reset();
         let tele = Telemetry::new();
         install_telemetry(&tele);
@@ -186,6 +194,7 @@ mod tests {
 
     #[test]
     fn assert_clean_passes_when_clean() {
+        let _serial = SERIAL.lock();
         reset();
         assert_clean("test context");
     }

@@ -18,8 +18,9 @@
 //! daemon pass (it diffs a designated share directory against the
 //! database and registers new files); grants attach to users or groups
 //! on any node of the collection tree; permission resolution walks up
-//! the hierarchy; [`FileSharingService::webdav`] serves `GET` and
-//! `PROPFIND` against the database plus backing volume.
+//! the hierarchy; [`FileSharingService::webdav_get`] and
+//! [`FileSharingService::webdav_propfind`] serve `GET` and `PROPFIND`
+//! against the database plus backing volume.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -40,7 +40,7 @@ pub struct SceneParams {
     pub tiles_per_side: u32,
     pub tile_size: usize,
     /// Center and radius of the flood ellipse in scene pixel coordinates
-    /// (fractions of the scene side in [0,1]).
+    /// (fractions of the scene side in \[0,1\]).
     pub flood_center: (f64, f64),
     pub flood_radius: f64,
     /// Number of fire hotspots scattered on land.
