@@ -264,10 +264,6 @@ impl CloudController {
         self.hosts[host.0].set_up(true);
     }
 
-    pub fn host_is_up(&self, host: HostId) -> bool {
-        self.hosts[host.0].is_up()
-    }
-
     pub fn hosts_up(&self) -> usize {
         self.hosts.iter().filter(|h| h.is_up()).count()
     }

@@ -6,7 +6,8 @@
 //! hash-partition shuffle → per-partition sort → parallel reduce (one
 //! task per partition) → merged output. Reducers see each key's values
 //! grouped; output order is made deterministic by sorting keys, so runs
-//! are reproducible regardless of thread interleaving.
+//! are reproducible regardless of thread interleaving. Each task returns
+//! its record counts, and the job sums them into [`JobCounts`].
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -14,8 +15,6 @@ use std::hash::{Hash, Hasher};
 
 use osdc_sim::SimTime;
 use osdc_telemetry::Telemetry;
-
-use crate::counters::JobCounters;
 
 /// Tuning for one job.
 #[derive(Clone, Debug)]
@@ -35,12 +34,21 @@ impl Default for JobConfig {
     }
 }
 
+/// Record counts of a completed job, in the Hadoop counters' terms.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct JobCounts {
+    pub map_input_records: u64,
+    pub map_output_records: u64,
+    pub reduce_input_groups: u64,
+    pub reduce_output_records: u64,
+}
+
 /// Output of a completed job.
 #[derive(Debug)]
 pub struct JobResult<K2, O> {
     /// `(key, reduced value)` pairs, sorted by key.
     pub output: Vec<(K2, O)>,
-    pub counters: JobCounters,
+    pub counts: JobCounts,
 }
 
 fn partition_of<K: Hash>(key: &K, reducers: usize) -> usize {
@@ -109,9 +117,9 @@ where
 /// honest zero-duration markers that carry structure (job → map tasks →
 /// reduce tasks) and attributes (records, emitted pairs, groups), not
 /// wall-clock timings that would break same-seed reproducibility. Each
-/// map and reduce task records through its own
-/// [`osdc_telemetry::MetricShard`], merged into the registry when the task
-/// ends.
+/// map and reduce task returns its counts; they are recorded into
+/// telemetry on the calling thread once the parallel map returns, so no
+/// worker touches the registry.
 pub fn run_job_traced<I, K2, V2, O, M, R>(
     inputs: Vec<I>,
     config: &JobConfig,
@@ -130,7 +138,6 @@ where
     R: Fn(&K2, Vec<V2>) -> O + Sync,
 {
     assert!(config.map_workers >= 1 && config.reducers >= 1);
-    let counters = JobCounters::new();
     let reducers = config.reducers;
     let job_span = tele.span_start(&format!("mapreduce/{job}"), at);
     let map_records_id = tele.counter("mapreduce.map.records");
@@ -142,7 +149,11 @@ where
     // Chunk inputs across workers; each worker produces per-partition
     // buffers so the shuffle is a cheap concatenation.
     let n_inputs = inputs.len();
-    counters.add("map.input.records", n_inputs as u64);
+    let mut counts = JobCounts {
+        map_input_records: n_inputs as u64,
+        ..JobCounts::default()
+    };
+    tele.add(map_records_id, n_inputs as u64);
     let chunk_size = n_inputs.div_ceil(config.map_workers).max(1);
     let mut chunks: Vec<Vec<I>> = Vec::new();
     {
@@ -156,18 +167,13 @@ where
         }
     }
     let mapper = &mapper;
-    let counters_ref = &counters;
     let map_tasks = chunks
         .into_iter()
         .map(|chunk| {
             move |_: usize| {
-                // Per-task metric shard: lock-free recording inside the
-                // worker, one merge into the registry on drop.
-                let mut shard = tele.shard();
                 let mut partitions: Vec<Vec<(K2, V2)>> =
                     (0..reducers).map(|_| Vec::new()).collect();
                 let mut emitted = 0u64;
-                let records = chunk.len() as u64;
                 for input in chunk {
                     mapper(input, &mut |k, v| {
                         emitted += 1;
@@ -175,18 +181,14 @@ where
                         partitions[p].push((k, v));
                     });
                 }
-                counters_ref.add("map.output.records", emitted);
-                shard.add(map_records_id, records);
-                shard.add(map_emitted_id, emitted);
                 (partitions, emitted)
             }
         })
         .collect::<Vec<_>>();
-    let (per_worker, map_emitted): (Vec<_>, Vec<_>) =
-        osdc_sim::run_indexed(map_tasks.len(), map_tasks)
-            .into_iter()
-            .unzip();
-    for (i, emitted) in map_emitted.iter().enumerate() {
+    let mapped = osdc_sim::run_indexed(map_tasks.len(), map_tasks);
+    for (i, (_, emitted)) in mapped.iter().enumerate() {
+        counts.map_output_records += emitted;
+        tele.add(map_emitted_id, *emitted);
         let span = tele.span_start(&format!("map/task{i}"), at);
         tele.attr(span, "emitted", *emitted);
         tele.span_end(span, at);
@@ -197,7 +199,7 @@ where
     // the reduce phase is deterministic).
     let mut partitions: Vec<BTreeMap<K2, Vec<V2>>> =
         (0..reducers).map(|_| BTreeMap::new()).collect();
-    for worker in per_worker {
+    for (worker, _) in mapped {
         for (p, pairs) in worker.into_iter().enumerate() {
             for (k, v) in pairs {
                 partitions[p].entry(k).or_default().push(v);
@@ -206,36 +208,39 @@ where
     }
 
     // ---- Reduce phase ------------------------------------------------------
+    // One output pair per key group, so a task's output length is its
+    // group count.
     let reducer = &reducer;
     let reduce_tasks = partitions
         .into_iter()
         .map(|partition| {
             move |_: usize| {
-                let mut shard = tele.shard();
-                let mut out = Vec::with_capacity(partition.len());
-                for (k, vs) in partition {
-                    counters_ref.increment("reduce.input.groups");
-                    shard.incr(reduce_groups_id);
-                    let o = reducer(&k, vs);
-                    out.push((k, o));
-                }
-                out
+                partition
+                    .into_iter()
+                    .map(|(k, vs)| {
+                        let o = reducer(&k, vs);
+                        (k, o)
+                    })
+                    .collect::<Vec<_>>()
             }
         })
         .collect::<Vec<_>>();
     let reduced = osdc_sim::run_indexed(reduce_tasks.len(), reduce_tasks);
     for (i, part) in reduced.iter().enumerate() {
+        let groups = part.len() as u64;
+        counts.reduce_input_groups += groups;
+        tele.add(reduce_groups_id, groups);
         let span = tele.span_start(&format!("reduce/task{i}"), at);
-        tele.attr(span, "groups", part.len());
+        tele.attr(span, "groups", groups);
         tele.span_end(span, at);
     }
 
     let mut output: Vec<(K2, O)> = reduced.into_iter().flatten().collect();
     output.sort_by(|a, b| a.0.cmp(&b.0));
-    counters.add("reduce.output.records", output.len() as u64);
+    counts.reduce_output_records = output.len() as u64;
     tele.attr(job_span, "output_records", output.len());
     tele.span_end(job_span, at);
-    JobResult { output, counters }
+    JobResult { output, counts }
 }
 
 #[cfg(test)]
@@ -316,10 +321,15 @@ mod tests {
             },
             |_k, vs| vs.len(),
         );
-        assert_eq!(result.counters.get("map.input.records"), 5);
-        assert_eq!(result.counters.get("map.output.records"), 5);
-        assert_eq!(result.counters.get("reduce.input.groups"), 2);
-        assert_eq!(result.counters.get("reduce.output.records"), 2);
+        assert_eq!(
+            result.counts,
+            JobCounts {
+                map_input_records: 5,
+                map_output_records: 5,
+                reduce_input_groups: 2,
+                reduce_output_records: 2,
+            }
+        );
         assert_eq!(result.output, vec![(0u32, 2usize), (1, 3)]);
     }
 
@@ -378,16 +388,16 @@ mod tests {
             |_k, vs| vs.iter().sum::<u64>(),
         );
         assert_eq!(result.output.len(), 3);
-        // Shard-merged counters agree with the job's own counters.
+        // Telemetry counters agree with the job's own counts.
         assert_eq!(tele.counter_value("mapreduce.jobs"), 1);
         assert_eq!(tele.counter_value("mapreduce.map.records"), 2);
         assert_eq!(
             tele.counter_value("mapreduce.map.emitted"),
-            result.counters.get("map.output.records")
+            result.counts.map_output_records
         );
         assert_eq!(
             tele.counter_value("mapreduce.reduce.groups"),
-            result.counters.get("reduce.input.groups")
+            result.counts.reduce_input_groups
         );
         let jsonl = tele.export_jsonl();
         assert!(jsonl.contains("mapreduce/wordcount"));

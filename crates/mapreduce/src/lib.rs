@@ -16,17 +16,14 @@
 //!   Matsu's flood detector (in the `osdc` facade) runs on it unchanged;
 //! * [`scheduler`] — locality-aware task placement over the HDFS block
 //!   map, reporting the data-local/rack-local/remote split that makes
-//!   "move computation to data" measurable;
-//! * [`counters`] — per-job counters in the Hadoop style.
+//!   "move computation to data" measurable.
 
-pub mod counters;
 pub mod engine;
 pub mod fairshare;
 pub mod hdfs;
 pub mod scheduler;
 
-pub use counters::JobCounters;
-pub use engine::{run_job, run_job_traced, JobConfig, JobResult};
+pub use engine::{run_job, run_job_traced, JobConfig, JobCounts, JobResult};
 pub use fairshare::{run_fair_share, run_fifo, JobOutcome, JobSpec, M45_DEPARTMENTS};
 pub use hdfs::{BlockId, DataNodeId, Hdfs, HdfsError, BLOCK_SIZE};
 pub use scheduler::{Locality, TaskPlacement, TaskScheduler};

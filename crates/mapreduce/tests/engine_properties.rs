@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use osdc_mapreduce::{run_job, JobConfig};
+use osdc_mapreduce::{run_job, JobConfig, JobCounts};
 use proptest::prelude::*;
 
 /// Sequential reference implementation of grouped aggregation.
@@ -53,10 +53,15 @@ proptest! {
             |k, emit| emit(k, 1u64),
             |_k, vs| vs.len(),
         );
-        prop_assert_eq!(result.counters.get("map.input.records"), n);
-        prop_assert_eq!(result.counters.get("map.output.records"), n);
-        prop_assert_eq!(result.counters.get("reduce.input.groups"), distinct);
-        prop_assert_eq!(result.counters.get("reduce.output.records"), distinct);
+        prop_assert_eq!(
+            result.counts,
+            JobCounts {
+                map_input_records: n,
+                map_output_records: n,
+                reduce_input_groups: distinct,
+                reduce_output_records: distinct,
+            }
+        );
     }
 
     /// Multi-emit mappers: every emitted pair reaches exactly one reducer.

@@ -156,10 +156,6 @@ impl CongestionControl {
         CongestionControl::Reno(RenoState::new(rtt_secs))
     }
 
-    pub fn reno_with_rwnd(rtt_secs: f64, rwnd_bytes: f64) -> Self {
-        CongestionControl::Reno(RenoState::with_rwnd(rtt_secs, rwnd_bytes))
-    }
-
     pub fn udt(bw_estimate_bps: f64) -> Self {
         CongestionControl::Udt(UdtState::new(bw_estimate_bps))
     }

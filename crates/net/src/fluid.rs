@@ -456,11 +456,6 @@ impl FluidNet {
         &self.flows[id.0].trace
     }
 
-    /// The rate the flow was granted at the most recent solve, bits/second.
-    pub fn current_rate_bps(&self, id: FlowId) -> f64 {
-        self.flows[id.0].rate_bps
-    }
-
     /// Mean goodput of a finished flow in bits/second.
     pub fn average_throughput_bps(&self, id: FlowId) -> Option<f64> {
         let f = &self.flows[id.0];

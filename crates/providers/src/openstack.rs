@@ -12,7 +12,7 @@ use crate::canonical::{
     AliasTables, CanonicalRequest, CanonicalResponse, CanonicalStatus, FlavorRecord, ImageRecord,
     InstanceRecord, ProviderError,
 };
-use crate::wire::{WireRequest, WireResponse};
+use crate::wire::{json_u32, WireRequest, WireResponse};
 
 /// What response shape to expect back, derived from the request that was
 /// sent. Wire replies don't always echo enough to decode standalone (a
@@ -201,7 +201,7 @@ fn instance_of(item: &Value) -> Result<InstanceRecord, ProviderError> {
             .to_string(),
         status: status_of(&item["status"])?,
         flavor: item["flavor"]["name"].as_str().unwrap_or("").to_string(),
-        vcpus: item["flavor"]["vcpus"].as_u64().map(|v| v as u32),
+        vcpus: json_u32(&item["flavor"]["vcpus"], "vcpus")?,
         image: item["image"]["id"].as_u64(),
     })
 }
@@ -243,7 +243,7 @@ pub fn decode_response(
                                     ProviderError::Translation("missing flavor name".into())
                                 })?
                                 .to_string(),
-                            vcpus: f["vcpus"].as_u64().unwrap_or(0) as u32,
+                            vcpus: json_u32(&f["vcpus"], "vcpus")?.unwrap_or(0),
                             ram_mb: f["ram"].as_u64().unwrap_or(0),
                             disk_gb: f["disk"].as_u64().unwrap_or(0),
                         })

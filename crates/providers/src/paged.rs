@@ -23,7 +23,7 @@ use crate::canonical::{
 };
 use crate::openstack::ResponseKind;
 use crate::provider::{billable_ground_truth, serve, CapabilityDescriptor, Provider};
-use crate::wire::{WireRequest, WireResponse};
+use crate::wire::{json_u32, WireRequest, WireResponse};
 
 /// Pagely's state vocabulary.
 fn pagely_state(status: CanonicalStatus) -> &'static str {
@@ -178,7 +178,7 @@ fn item_of(v: &Value) -> Result<InstanceRecord, ProviderError> {
                 .ok_or_else(|| ProviderError::Translation("missing state".into()))?,
         )?,
         flavor: v["type"].as_str().unwrap_or("").to_string(),
-        vcpus: v["cores"].as_u64().map(|c| c as u32),
+        vcpus: json_u32(&v["cores"], "cores")?,
         image: v["image"].as_u64(),
     })
 }
@@ -300,7 +300,7 @@ pub fn decode_response(
                             .as_str()
                             .ok_or_else(|| ProviderError::Translation("missing type name".into()))?
                             .to_string(),
-                        vcpus: f["cores"].as_u64().unwrap_or(0) as u32,
+                        vcpus: json_u32(&f["cores"], "cores")?.unwrap_or(0),
                         ram_mb: f["ram_mb"].as_u64().unwrap_or(0),
                         disk_gb: f["disk_gb"].as_u64().unwrap_or(0),
                     })

@@ -59,6 +59,9 @@ pub struct RouterScorecard {
     pub double_launches_prevented: u64,
 }
 
+/// How long a provider stays suspect after an outage or a timeout.
+const SUSPECT_COOLDOWN: SimDuration = SimDuration::from_secs(120);
+
 fn key(user: &str, token: &str) -> String {
     format!("{user}/{token}")
 }
@@ -71,7 +74,6 @@ pub struct FailoverRouter {
     suspects: BTreeMap<String, SimTime>,
     /// (provider, user, token) → when the orphaning timeout happened.
     orphans: BTreeMap<(String, String, String), SimTime>,
-    cooldown: SimDuration,
     pub scorecard: RouterScorecard,
 }
 
@@ -82,14 +84,8 @@ impl FailoverRouter {
             assignments: BTreeMap::new(),
             suspects: BTreeMap::new(),
             orphans: BTreeMap::new(),
-            cooldown: SimDuration::from_secs(120),
             scorecard: RouterScorecard::default(),
         }
-    }
-
-    pub fn with_cooldown(mut self, cooldown: SimDuration) -> Self {
-        self.cooldown = cooldown;
-        self
     }
 
     pub fn assignments(&self) -> impl Iterator<Item = &Assignment> {
@@ -149,7 +145,7 @@ impl FailoverRouter {
 
     fn suspect(&mut self, provider: &str, now: SimTime) {
         self.suspects
-            .insert(provider.to_string(), now + self.cooldown);
+            .insert(provider.to_string(), now + SUSPECT_COOLDOWN);
     }
 
     fn record_orphan(&mut self, provider: &str, user: &str, token: &str, now: SimTime) {

@@ -28,7 +28,7 @@ use crate::canonical::{
 };
 use crate::openstack::ResponseKind;
 use crate::provider::{billable_ground_truth, record_of, serve, CapabilityDescriptor, Provider};
-use crate::wire::{WireRequest, WireResponse};
+use crate::wire::{json_u32, WireRequest, WireResponse};
 
 /// Spotmart's state vocabulary.
 fn spot_state(status: CanonicalStatus) -> &'static str {
@@ -168,7 +168,7 @@ fn vm_of(item: &Value) -> Result<InstanceRecord, ProviderError> {
                 .ok_or_else(|| ProviderError::Translation("missing vm state".into()))?,
         )?,
         flavor: item["shape"].as_str().unwrap_or("").to_string(),
-        vcpus: item["cores"].as_u64().map(|v| v as u32),
+        vcpus: json_u32(&item["cores"], "cores")?,
         image: item["image"].as_u64(),
     })
 }
@@ -247,7 +247,7 @@ pub fn decode_response(
                             .as_str()
                             .ok_or_else(|| ProviderError::Translation("missing shape name".into()))?
                             .to_string(),
-                        vcpus: f["cores"].as_u64().unwrap_or(0) as u32,
+                        vcpus: json_u32(&f["cores"], "cores")?.unwrap_or(0),
                         ram_mb: f["ram_mb"].as_u64().unwrap_or(0),
                         disk_gb: f["disk_gb"].as_u64().unwrap_or(0),
                     })

@@ -8,6 +8,8 @@
 
 use serde_json::Value;
 
+use crate::canonical::ProviderError;
+
 /// One outbound native-API call.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WireRequest {
@@ -66,6 +68,18 @@ pub fn parse_query(query: &str) -> std::collections::BTreeMap<&str, &str> {
         .split('&')
         .filter_map(|kv| kv.split_once('='))
         .collect()
+}
+
+/// Read an optional JSON count (`vcpus`, `cores`) as a `u32`. A missing
+/// or non-integer field is `None`; a value past `u32::MAX` is a
+/// [`ProviderError::Translation`], never a silent wrap.
+pub(crate) fn json_u32(v: &Value, field: &str) -> Result<Option<u32>, ProviderError> {
+    v.as_u64()
+        .map(|n| {
+            u32::try_from(n)
+                .map_err(|_| ProviderError::Translation(format!("{field} {n} is out of range")))
+        })
+        .transpose()
 }
 
 #[cfg(test)]

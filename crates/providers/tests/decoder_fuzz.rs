@@ -12,7 +12,7 @@
 //! the decoders' inner fields far more often than byte noise does. A
 //! decoder that refuses its input must say so as a typed
 //! `Translation` (or, for a shape the dialect has no words for,
-//! `Unsupported`) error.
+//! `Unsupported`) error; that includes a JSON count too large for `u32`.
 
 use osdc_providers::canonical::{
     AliasTables, CanonicalRequest, CanonicalResponse, CanonicalStatus, FlavorRecord, ImageRecord,
@@ -431,6 +431,102 @@ fn valid_samples_decode() {
                 .iter()
                 .any(|kind| eucalyptus::decode_response(kind, &wire).is_ok()),
             "{wire:?}"
+        );
+    }
+}
+
+type Decode = fn(&ResponseKind, &WireResponse) -> Result<CanonicalResponse, ProviderError>;
+/// `(label, decoder, reply kind, decoded reply, wire reply, count field)`.
+type CountCase<'a> = (
+    &'a str,
+    Decode,
+    ResponseKind,
+    &'a CanonicalResponse,
+    WireResponse,
+    fn(&mut Value) -> &mut Value,
+);
+
+/// The JSON dialects carry counts (`vcpus`, `cores`) as JSON integers. A
+/// count past `u32::MAX` is refused with a typed `Translation` error
+/// instead of wrapping, and `u32::MAX` itself still decodes exactly.
+#[test]
+fn out_of_range_counts_are_translation_errors() {
+    let rec = InstanceRecord {
+        vcpus: Some(u32::MAX),
+        ..record(1)
+    };
+    // Nova renders a server's flavor only in listings.
+    let listing = CanonicalResponse::Instances(vec![rec.clone()]);
+    let instance = CanonicalResponse::Instance(rec);
+    let flavors = CanonicalResponse::Flavors(vec![FlavorRecord {
+        name: "m1.small".into(),
+        vcpus: u32::MAX,
+        ram_mb: 2048,
+        disk_gb: 20,
+    }]);
+    let encode_spot = |r: &CanonicalResponse| spot::encode_response(r, 0.042).expect("encodes");
+    let encode_paged = |r: &CanonicalResponse| paged::encode_response(r).expect("encodes");
+    let cases: [CountCase; 6] = [
+        (
+            "openstack instance",
+            openstack::decode_response,
+            ResponseKind::Instances,
+            &listing,
+            openstack::encode_response(&listing),
+            |v| &mut v["servers"][0]["flavor"]["vcpus"],
+        ),
+        (
+            "openstack flavors",
+            openstack::decode_response,
+            ResponseKind::Flavors,
+            &flavors,
+            openstack::encode_response(&flavors),
+            |v| &mut v["flavors"][0]["vcpus"],
+        ),
+        (
+            "spot instance",
+            spot::decode_response,
+            ResponseKind::Describe,
+            &instance,
+            encode_spot(&instance),
+            |v| &mut v["vm"]["cores"],
+        ),
+        (
+            "spot flavors",
+            spot::decode_response,
+            ResponseKind::Flavors,
+            &flavors,
+            encode_spot(&flavors),
+            |v| &mut v["shapes"][0]["cores"],
+        ),
+        (
+            "paged instance",
+            paged::decode_response,
+            ResponseKind::Describe,
+            &instance,
+            encode_paged(&instance),
+            |v| &mut v["instance"]["cores"],
+        ),
+        (
+            "paged flavors",
+            paged::decode_response,
+            ResponseKind::Flavors,
+            &flavors,
+            encode_paged(&flavors),
+            |v| &mut v["types"][0]["cores"],
+        ),
+    ];
+    for (name, decode, kind, want, wire, count) in cases {
+        assert_eq!(decode(&kind, &wire).as_ref(), Ok(want), "{name}");
+        let WireResponse::Json(mut v) = wire else {
+            panic!("{name}: JSON reply expected");
+        };
+        assert_eq!(count(&mut v).as_u64(), Some(u64::from(u32::MAX)), "{name}");
+        *count(&mut v) = json!((1u64 << 32) + 1);
+        let got = decode(&kind, &WireResponse::Json(v));
+        assert!(
+            matches!(got, Err(ProviderError::Translation(_))),
+            "{name}: {got:?}"
         );
     }
 }

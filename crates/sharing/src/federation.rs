@@ -677,11 +677,6 @@ impl SharingSim {
         violations
     }
 
-    /// Pending DTN messages (nonzero only while partitioned).
-    pub fn dtn_depth(&self) -> usize {
-        self.world.dtn.len()
-    }
-
     pub fn report(&self) -> SharingReport {
         let mut latencies = self.world.convergence_secs.clone();
         // total_cmp, not partial_cmp().expect(): a NaN latency (e.g. a

@@ -37,28 +37,11 @@ pub enum GossipMessage {
 }
 
 impl GossipMessage {
-    pub fn from_dc(&self) -> DcId {
-        match self {
-            GossipMessage::SyncRequest { from, .. }
-            | GossipMessage::SyncResponse { from, .. }
-            | GossipMessage::SyncPush { from, .. } => *from,
-        }
-    }
-
     pub fn label(&self) -> &'static str {
         match self {
             GossipMessage::SyncRequest { .. } => "sync-request",
             GossipMessage::SyncResponse { .. } => "sync-response",
             GossipMessage::SyncPush { .. } => "sync-push",
-        }
-    }
-
-    /// Records carried (requests carry none).
-    pub fn record_count(&self) -> usize {
-        match self {
-            GossipMessage::SyncRequest { .. } => 0,
-            GossipMessage::SyncResponse { records, .. }
-            | GossipMessage::SyncPush { records, .. } => records.len(),
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The event engine: a virtual clock plus a calendar-queue of typed events.
+//! The event engine: a virtual clock plus a binary heap of typed events.
 //!
 //! The design keeps simulation *state* in the user's type (the `World`) and
 //! *time* in the engine. An event is any user value `E`; handling an event
@@ -6,29 +6,17 @@
 //! [`Simulation::handle`]. Ties at equal timestamps are broken by scheduling
 //! order, making every run a total order and therefore reproducible.
 //!
-//! ## The calendar queue
-//!
-//! The queue is a bucketed *calendar queue* (Brown 1988): an array of
-//! `2^k` buckets, each a plain `Vec`, where an event at time `t` lives in
-//! bucket `(t >> width_shift) & (2^k - 1)`. Insert appends to the target
-//! bucket — O(1), no per-event allocation once bucket capacity is warm.
-//! Pop scans forward from the current virtual "day" (`floor >> shift`);
-//! because events can never be scheduled into the past, the first day with
-//! a resident event contains the global minimum, and at a healthy load
-//! factor that scan touches O(1) entries. When events are sparser than one
-//! per calendar year the scan falls back to a direct minimum search, so
-//! correctness never depends on the width being well tuned. The bucket
-//! count doubles/halves when the load factor drifts outside `[1/4, 2]`,
-//! and each rebuild re-derives the bucket width from the observed average
-//! event spacing.
-//!
-//! Within a bucket the minimum is chosen by `(time, seq)`, the same total
-//! order the previous `BinaryHeap` implementation used — so the pop order
-//! (including FIFO delivery of same-timestamp events) is *bit-identical*
-//! to the heap's, which `tests/calendar_differential.rs` pins with a
-//! differential proptest against a reference heap.
+//! The queue is a `std::collections::BinaryHeap` ordered by reversed
+//! `(time, seq)`: the heap's top is the earliest event and, among equal
+//! timestamps, the first one scheduled. No engine the product builds holds
+//! more than 141 pending events (the OCC-Y fair share; the sharing gossip
+//! peaks at 64, rack provisioning at 39), and at those depths a pop is a
+//! few comparisons. Once the heap's `Vec` has grown to the working depth,
+//! insert and pop allocate nothing (`tests/zero_alloc.rs`);
+//! `tests/engine_order.rs` checks the pop order against a naive model.
 
-use std::cell::Cell;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -70,155 +58,24 @@ struct Entry<E> {
     event: E,
 }
 
-/// Initial (and minimum) bucket count; always a power of two.
-const MIN_BUCKETS: usize = 16;
-/// Initial bucket width: 2^20 ns ≈ 1 ms, re-derived at the first resize.
-const INITIAL_SHIFT: u32 = 20;
-
-/// The bucketed calendar queue described in the module docs.
-struct CalendarQueue<E> {
-    buckets: Vec<Vec<Entry<E>>>,
-    /// `buckets.len() - 1`; the bucket count is a power of two.
-    mask: usize,
-    /// Bucket "day" width is `1 << shift` nanoseconds.
-    shift: u32,
-    len: usize,
-    /// Lower bound on every resident timestamp (the last popped time).
-    /// Scheduling into the past is impossible, so the forward day scan
-    /// starting here is exhaustive.
-    floor: u64,
-    /// Cached position `(bucket, slot)` and key `(at, seq)` of the current
-    /// minimum, so a peek followed by a pop scans once, not twice. `Cell`
-    /// because `peek` takes `&self`. Invalidated by pop and rebuild;
-    /// updated in place by push.
-    min_pos: Cell<Option<(usize, usize)>>,
-    min_key: Cell<(u64, u64)>,
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
 }
 
-impl<E> CalendarQueue<E> {
-    fn new() -> Self {
-        CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            mask: MIN_BUCKETS - 1,
-            shift: INITIAL_SHIFT,
-            len: 0,
-            floor: 0,
-            min_pos: Cell::new(None),
-            min_key: Cell::new((0, 0)),
-        }
-    }
+impl<E> Eq for Entry<E> {}
 
-    #[inline]
-    fn bucket_of(&self, at: u64) -> usize {
-        ((at >> self.shift) as usize) & self.mask
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
+}
 
-    #[inline]
-    fn push(&mut self, entry: Entry<E>) {
-        let key = (entry.at.0, entry.seq);
-        let b = self.bucket_of(entry.at.0);
-        self.buckets[b].push(entry);
-        // Appends never move existing entries, so a cached minimum stays
-        // valid; it only changes if the new entry sorts first.
-        if self.min_pos.get().is_some() && key < self.min_key.get() {
-            self.min_pos.set(Some((b, self.buckets[b].len() - 1)));
-            self.min_key.set(key);
-        }
-        self.len += 1;
-        if self.len > 2 * self.buckets.len() {
-            self.resize(self.buckets.len() * 2);
-        }
-    }
-
-    /// Locate the minimum `(at, seq)` entry: forward day scan from the
-    /// floor, falling back to a direct sweep when the calendar is sparse.
-    fn find_min(&self) -> Option<(usize, usize)> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(pos) = self.min_pos.get() {
-            return Some(pos);
-        }
-        let nbuckets = self.buckets.len();
-        let start_day = self.floor >> self.shift;
-        let mut found: Option<((u64, u64), (usize, usize))> = None;
-        // Every resident timestamp is >= floor, and all events of day `d`
-        // precede all events of day `d + 1`, so the first day with a
-        // resident event holds the global minimum.
-        for day in start_day..start_day.saturating_add(nbuckets as u64) {
-            let b = (day as usize) & self.mask;
-            for (slot, e) in self.buckets[b].iter().enumerate() {
-                if e.at.0 >> self.shift == day {
-                    let key = (e.at.0, e.seq);
-                    if found.is_none_or(|(best, _)| key < best) {
-                        found = Some((key, (b, slot)));
-                    }
-                }
-            }
-            if found.is_some() {
-                break;
-            }
-        }
-        if found.is_none() {
-            // Sparse: nothing within one calendar year of the floor.
-            for (b, bucket) in self.buckets.iter().enumerate() {
-                for (slot, e) in bucket.iter().enumerate() {
-                    let key = (e.at.0, e.seq);
-                    if found.is_none_or(|(best, _)| key < best) {
-                        found = Some((key, (b, slot)));
-                    }
-                }
-            }
-        }
-        let (key, pos) = found.expect("len > 0 implies an entry exists");
-        self.min_pos.set(Some(pos));
-        self.min_key.set(key);
-        Some(pos)
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.find_min().map(|_| SimTime(self.min_key.get().0))
-    }
-
-    fn pop(&mut self) -> Option<Entry<E>> {
-        let (b, slot) = self.find_min()?;
-        self.min_pos.set(None);
-        let entry = self.buckets[b].swap_remove(slot);
-        self.len -= 1;
-        self.floor = entry.at.0;
-        if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            self.resize(self.buckets.len() / 2);
-        }
-        Some(entry)
-    }
-
-    /// Rebuild with `new_nbuckets` buckets, re-deriving the day width from
-    /// the observed average event spacing so the load stays near one event
-    /// per bucket-day.
-    fn resize(&mut self, new_nbuckets: usize) {
-        let new_nbuckets = new_nbuckets.max(MIN_BUCKETS);
-        let old = std::mem::take(&mut self.buckets);
-        let (mut min_at, mut max_at) = (u64::MAX, 0u64);
-        for e in old.iter().flatten() {
-            min_at = min_at.min(e.at.0);
-            max_at = max_at.max(e.at.0);
-        }
-        if self.len > 1 && max_at > min_at {
-            let avg_gap = (max_at - min_at) / self.len as u64;
-            // Width = smallest power of two >= the average gap, so a day
-            // holds ~1-2 events and the forward scan stays O(1). Clamped
-            // below 63 so `at >> shift` can never overflow the shift.
-            self.shift = (64 - avg_gap.max(1).leading_zeros()).min(62);
-        }
-        self.mask = new_nbuckets - 1;
-        self.buckets = (0..new_nbuckets)
-            .map(|_| Vec::with_capacity(2 + self.len / new_nbuckets))
-            .collect();
-        for e in old.into_iter().flatten() {
-            let b = self.bucket_of(e.at.0);
-            self.buckets[b].push(e);
-        }
-        self.min_pos.set(None);
+impl<E> Ord for Entry<E> {
+    /// Reversed, so the max-heap's top is the earliest `(at, seq)`.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
@@ -227,7 +84,7 @@ impl<E> CalendarQueue<E> {
 pub struct Scheduler<E> {
     now: SimTime,
     seq: u64,
-    queue: CalendarQueue<E>,
+    queue: BinaryHeap<Entry<E>>,
 }
 
 impl<E> Scheduler<E> {
@@ -235,7 +92,7 @@ impl<E> Scheduler<E> {
         Scheduler {
             now: SimTime::ZERO,
             seq: 0,
-            queue: CalendarQueue::new(),
+            queue: BinaryHeap::new(),
         }
     }
 
@@ -267,16 +124,12 @@ impl<E> Scheduler<E> {
 
     /// Number of pending events.
     pub fn pending(&self) -> usize {
-        self.queue.len
+        self.queue.len()
     }
 
     /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    fn pop(&mut self) -> Option<Entry<E>> {
-        self.queue.pop()
+    fn peek_time(&self) -> Option<SimTime> {
+        self.queue.peek().map(|e| e.at)
     }
 }
 
@@ -328,10 +181,6 @@ impl<E> Engine<E> {
         self.sched.at(at, event);
     }
 
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.sched.after(delay, event);
-    }
-
     /// Run until the queue drains or `until` is reached (events scheduled at
     /// exactly `until` are processed). Returns the final virtual time.
     pub fn run_until<S>(&mut self, world: &mut S, until: SimTime) -> SimTime
@@ -343,13 +192,7 @@ impl<E> Engine<E> {
                 self.sched.now = until;
                 return until;
             }
-            let Entry { at, event, .. } = self.sched.pop().expect("peeked entry vanished");
-            self.sched.now = at;
-            self.events_processed += 1;
-            if let Some(p) = self.probe.as_mut() {
-                p(at, self.sched.pending());
-            }
-            world.handle(at, event, &mut self.sched);
+            self.step(world);
         }
         // Queue drained before the horizon: clock stops at the last event.
         self.sched.now
@@ -369,54 +212,18 @@ impl<E> Engine<E> {
     where
         S: Simulation<Event = E>,
     {
-        let entry = self.sched.pop()?;
-        self.sched.now = entry.at;
+        let Entry { at, event, .. } = self.sched.queue.pop()?;
+        self.sched.now = at;
         self.events_processed += 1;
         if let Some(p) = self.probe.as_mut() {
-            p(entry.at, self.sched.pending());
+            p(at, self.sched.pending());
         }
-        world.handle(entry.at, entry.event, &mut self.sched);
-        Some(entry.at)
+        world.handle(at, event, &mut self.sched);
+        Some(at)
     }
 
     pub fn pending(&self) -> usize {
         self.sched.pending()
-    }
-
-    /// Timestamp of the next pending event without dispatching it.
-    ///
-    /// An epoch-driven co-simulator (the fluid WAN) uses this to bound an
-    /// analytic jump: it may advance its own clock to `peek_next()` without
-    /// missing a DES event that would dirty its allocation.
-    pub fn peek_next(&self) -> Option<SimTime> {
-        self.sched.peek_time()
-    }
-
-    /// Dispatch every event sharing the earliest pending timestamp,
-    /// including same-time events the handlers schedule while the batch
-    /// drains. Returns `(timestamp, events dispatched)`, or `None` when the
-    /// queue is empty.
-    ///
-    /// This is the batch half of the epoch protocol: callers drain one
-    /// whole timestamp, then let the co-simulator jump to the next
-    /// [`Engine::peek_next`] knowing no event can fire in between.
-    pub fn drain_next_batch<S>(&mut self, world: &mut S) -> Option<(SimTime, u64)>
-    where
-        S: Simulation<Event = E>,
-    {
-        let at = self.sched.peek_time()?;
-        let mut dispatched = 0;
-        while self.sched.peek_time() == Some(at) {
-            let entry = self.sched.pop().expect("peeked entry vanished");
-            self.sched.now = at;
-            self.events_processed += 1;
-            dispatched += 1;
-            if let Some(p) = self.probe.as_mut() {
-                p(at, self.sched.pending());
-            }
-            world.handle(at, entry.event, &mut self.sched);
-        }
-        Some((at, dispatched))
     }
 }
 
@@ -554,63 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_next_is_nondestructive() {
-        let mut eng: Engine<Ev> = Engine::new();
-        assert_eq!(eng.peek_next(), None);
-        eng.schedule(SimTime(40), Ev::Ping(2));
-        eng.schedule(SimTime(10), Ev::Ping(1));
-        assert_eq!(eng.peek_next(), Some(SimTime(10)));
-        assert_eq!(eng.peek_next(), Some(SimTime(10)), "peek must not pop");
-        assert_eq!(eng.pending(), 2);
-    }
-
-    #[test]
-    fn drain_next_batch_takes_one_timestamp() {
-        let mut eng = Engine::new();
-        eng.schedule(SimTime(10), Ev::Ping(0));
-        eng.schedule(SimTime(10), Ev::Ping(1));
-        eng.schedule(SimTime(20), Ev::Ping(2));
-        let mut w = Recorder::default();
-        let (at, n) = eng.drain_next_batch(&mut w).expect("queue nonempty");
-        assert_eq!((at, n), (SimTime(10), 2));
-        assert_eq!(eng.pending(), 1);
-        assert_eq!(eng.peek_next(), Some(SimTime(20)));
-        let (at, n) = eng.drain_next_batch(&mut w).expect("second batch");
-        assert_eq!((at, n), (SimTime(20), 1));
-        assert_eq!(eng.drain_next_batch(&mut w), None);
-        assert_eq!(w.seen.len(), 3);
-    }
-
-    #[test]
-    fn drain_next_batch_includes_same_time_followups() {
-        // A handler that schedules a same-timestamp follow-up: the batch
-        // drain must keep going until the timestamp is truly exhausted.
-        struct SameTime {
-            fired: Vec<u32>,
-        }
-        impl Simulation for SameTime {
-            type Event = Ev;
-            fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
-                if let Ev::Ping(n) = ev {
-                    self.fired.push(n);
-                    if n < 3 {
-                        sched.at(now, Ev::Ping(n + 1));
-                    }
-                }
-            }
-        }
-        let mut eng = Engine::new();
-        eng.schedule(SimTime(7), Ev::Ping(0));
-        eng.schedule(SimTime(99), Ev::Stop);
-        let mut w = SameTime { fired: Vec::new() };
-        let (at, n) = eng.drain_next_batch(&mut w).expect("batch");
-        assert_eq!(at, SimTime(7));
-        assert_eq!(n, 4, "follow-ups at the same timestamp join the batch");
-        assert_eq!(w.fired, vec![0, 1, 2, 3]);
-        assert_eq!(eng.peek_next(), Some(SimTime(99)));
-    }
-
-    #[test]
     fn clock_is_monotone() {
         let mut eng = Engine::new();
         let mut rng = crate::rng::SimRng::new(99);
@@ -625,9 +375,9 @@ mod tests {
 
     #[test]
     fn resize_survives_growth_and_drain() {
-        // Push enough to force several grow rebuilds, with a wide spread of
-        // timestamps so the width re-derivation runs, then drain through
-        // the shrink path. Order must stay exact throughout.
+        // Push enough to regrow the heap's backing `Vec` several times, with
+        // timestamps spread over 2^40 ns, then drain. Order must stay exact
+        // throughout.
         let mut eng: Engine<Ev> = Engine::new();
         let mut rng = crate::rng::SimRng::new(2012);
         let mut expected: Vec<u64> = Vec::new();
@@ -645,8 +395,7 @@ mod tests {
 
     #[test]
     fn sparse_far_future_events_are_found() {
-        // Events far beyond one calendar year of the floor exercise the
-        // direct-sweep fallback.
+        // Timestamps spread across the whole `u64` range still pop in order.
         let mut eng: Engine<Ev> = Engine::new();
         eng.schedule(SimTime(1), Ev::Ping(0));
         eng.schedule(SimTime(u64::MAX / 2), Ev::Ping(1));

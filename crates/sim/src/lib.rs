@@ -6,15 +6,15 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time, so that
 //!   event ordering is exact and runs are bit-reproducible across platforms.
-//! * [`Engine`] — a bucketed calendar-queue event scheduler generic over a
-//!   user event type. State lives in the user's `World`; the engine only owns
-//!   time. Events at equal timestamps are delivered in FIFO scheduling order
-//!   (a monotone sequence number breaks ties), which is what makes runs
+//! * [`Engine`] — a binary-heap event scheduler generic over a user event
+//!   type. State lives in the user's `World`; the engine only owns time.
+//!   Events at equal timestamps are delivered in FIFO scheduling order (a
+//!   monotone sequence number breaks ties), which is what makes runs
 //!   deterministic.
 //! * [`rng`] — a small, self-contained xoshiro256++ PRNG seeded via
 //!   SplitMix64, plus the handful of distributions the simulations need.
 //!   All stochastic behaviour in the workspace flows from explicit seeds.
-//! * [`stats`] — counters, time-weighted averages, log-bucket histograms and
+//! * [`stats`] — counters, running summaries, log-bucket histograms and
 //!   time series used by the experiment harnesses.
 //! * [`resource`] — token buckets and FIFO service queues for modelling
 //!   capacity-limited stages (disks, PXE servers, Chef servers, NICs).
@@ -35,15 +35,14 @@
 //!
 //! The kernel deliberately avoids boxed closures on the hot path: the event
 //! type is a plain user enum and dispatch is a `match` in the user's
-//! [`Simulation::handle`]. The queue is a calendar queue (Brown 1988): events
-//! hash into power-of-two time buckets by `t >> shift`, so insert and pop are
-//! O(1) amortized rather than the O(log n) of the original `BinaryHeap`, and
-//! the structure resizes itself as the pending-event population grows or
-//! shrinks. Pop order is the total order by `(SimTime, seq)` — byte-identical
-//! to the old heap, pinned by a differential proptest — and at steady state
-//! insert/pop allocate nothing (bucket capacity is retained; a
-//! counting-allocator test enforces this). Per the Rust Performance Book we
-//! keep the per-event footprint small (events are moved, never boxed).
+//! [`Simulation::handle`]. The queue is a `std::collections::BinaryHeap`
+//! ordered by `(SimTime, seq)`. No engine the product builds holds more
+//! than 141 pending events, and at that depth a pop is a few comparisons.
+//! The pop order is pinned against a naive linear-scan model by a
+//! differential proptest, and at steady state insert/pop allocate nothing
+//! (the heap's `Vec` capacity is retained; a counting-allocator test
+//! enforces this). Per the Rust Performance Book we keep the per-event
+//! footprint small (events are moved, never boxed).
 
 pub mod engine;
 pub mod resource;

@@ -57,10 +57,6 @@ impl TokenBucket {
         self.busy_until <= now
     }
 
-    pub fn total_accepted(&self) -> f64 {
-        self.accepted
-    }
-
     /// Utilization over `[0, now]`: fraction of time the bucket was busy.
     pub fn utilization(&self, now: SimTime) -> f64 {
         if now == SimTime::ZERO {

@@ -1,9 +1,8 @@
 //! Measurement primitives shared by the experiment harnesses.
 //!
 //! Nothing here is fancy: counters, a running mean/variance (Welford),
-//! a time-weighted average for utilization-style metrics, a power-of-two
-//! bucket histogram for latency tails, and a plain `(t, y)` series recorder
-//! the table/figure harnesses print from.
+//! a power-of-two bucket histogram for latency tails, and a plain `(t, y)`
+//! series recorder the table/figure harnesses print from.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -105,61 +104,6 @@ impl Summary {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal (e.g. number of
-/// running VMs, queue depth, link utilization).
-#[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    last_t: SimTime,
-    last_v: f64,
-    integral: f64,
-    start: SimTime,
-    max: f64,
-}
-
-impl TimeWeighted {
-    pub fn new(start: SimTime, initial: f64) -> Self {
-        TimeWeighted {
-            last_t: start,
-            last_v: initial,
-            integral: 0.0,
-            start,
-            max: initial,
-        }
-    }
-
-    /// Record that the signal changed to `value` at time `now`.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        debug_assert!(now >= self.last_t, "time went backwards");
-        self.integral += self.last_v * now.saturating_since(self.last_t).as_secs_f64();
-        self.last_t = now;
-        self.last_v = value;
-        self.max = self.max.max(value);
-    }
-
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.last_v + delta;
-        self.set(now, v);
-    }
-
-    pub fn value(&self) -> f64 {
-        self.last_v
-    }
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Average over `[start, now]`.
-    pub fn average(&self, now: SimTime) -> f64 {
-        let total = now.saturating_since(self.start).as_secs_f64();
-        if total == 0.0 {
-            return self.last_v;
-        }
-        let integral =
-            self.integral + self.last_v * now.saturating_since(self.last_t).as_secs_f64();
-        integral / total
     }
 }
 
@@ -362,27 +306,7 @@ mod tests {
         assert_eq!(s.max(), 0.0);
     }
 
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.set(SimTime(NS), 10.0); // 0 for 1s
-        tw.set(SimTime(3 * NS), 20.0); // 10 for 2s
-                                       // 20 for 1s → average over 4s = (0 + 20 + 20) / 4 = 10
-        assert!((tw.average(SimTime(4 * NS)) - 10.0).abs() < 1e-9);
-        assert_eq!(tw.max(), 20.0);
-        assert_eq!(tw.value(), 20.0);
-    }
-
     const NS: u64 = 1_000_000_000;
-
-    #[test]
-    fn time_weighted_add() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 5.0);
-        tw.add(SimTime(NS), 3.0);
-        assert_eq!(tw.value(), 8.0);
-        tw.add(SimTime(2 * NS), -8.0);
-        assert_eq!(tw.value(), 0.0);
-    }
 
     #[test]
     fn histogram_quantiles() {

@@ -148,12 +148,6 @@ impl<T> TenantStore<T> {
         self.len == 0
     }
 
-    /// 1 + the highest occupied id ever seen (the id-order iteration
-    /// bound; removals do not lower it).
-    pub fn high_water(&self) -> u32 {
-        self.high
-    }
-
     pub fn get(&self, id: TenantId) -> Option<&T> {
         let (shard, slot) = Self::coords(id);
         self.shards[shard].get(slot).and_then(|s| s.as_ref())

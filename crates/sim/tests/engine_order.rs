@@ -1,69 +1,39 @@
-//! Differential proptest: the calendar-queue engine against a reference
-//! `BinaryHeap` scheduler (a verbatim copy of the pre-calendar engine's
-//! queue discipline). The calendar queue's claim is *bit-identical pop
-//! order* — time-ascending, FIFO among equal timestamps — under any
-//! interleaving of inserts and pops, including handler-scheduled
-//! follow-ups, `drain_next_batch` batches, and `peek_next` probes.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! Differential proptest: the engine's pop order against a naive
+//! reference queue that shares no code with it — a plain `Vec` whose
+//! minimum `(time, seq)` is found by a linear scan. The claim is that
+//! delivery is time-ascending and FIFO among equal timestamps under any
+//! interleaving of inserts and steps, including handler-scheduled
+//! follow-ups.
 
 use osdc_sim::{Engine, Scheduler, SimTime, Simulation};
 use proptest::prelude::*;
 
-/// The pre-calendar queue: a max-heap with reversed `(at, seq)` ordering.
-struct HeapEntry {
-    at: u64,
-    seq: u64,
-    id: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Reference scheduler with the old engine's exact semantics: monotone
-/// clock, past times clamped to `now`, FIFO tie-break via a sequence
-/// number.
+/// Reference scheduler: monotone clock, past times clamped to `now`, FIFO
+/// tie-break via a sequence number, minimum by exhaustive search.
 #[derive(Default)]
 struct ReferenceQueue {
     now: u64,
     seq: u64,
-    heap: BinaryHeap<HeapEntry>,
+    /// `(at, seq, id)` in insertion order.
+    pending: Vec<(u64, u64, u32)>,
 }
 
 impl ReferenceQueue {
     fn schedule(&mut self, at: u64, id: u32) {
         let at = at.max(self.now);
-        let seq = self.seq;
+        self.pending.push((at, self.seq, id));
         self.seq += 1;
-        self.heap.push(HeapEntry { at, seq, id });
-    }
-
-    fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.at)
     }
 
     fn pop(&mut self) -> Option<(u64, u32)> {
-        let e = self.heap.pop()?;
-        self.now = e.at;
-        Some((e.at, e.id))
+        let (best, _) = self
+            .pending
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &(at, seq, _))| (at, seq))?;
+        let (at, _, id) = self.pending.remove(best);
+        self.now = at;
+        Some((at, id))
     }
 }
 
@@ -91,12 +61,8 @@ impl Simulation for Log {
 enum Op {
     /// Schedule at `now + offset` (offset 0 exercises same-time ties).
     Insert { offset: u64 },
-    /// Pop one event (no-op when empty).
+    /// Step one event (no-op when empty).
     Pop,
-    /// Drain the whole earliest timestamp.
-    DrainBatch,
-    /// Compare `peek_next` (no state change, but must agree).
-    Peek,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -105,18 +71,16 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..50).prop_map(|offset| Op::Insert { offset }),
         (0u64..4).prop_map(|o| Op::Insert { offset: o * 10 }),
         Just(Op::Pop),
-        Just(Op::DrainBatch),
-        Just(Op::Peek),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any interleaving of inserts and pops yields the heap's exact
-    /// delivery order.
+    /// Any interleaving of inserts and steps yields the reference's exact
+    /// delivery order and pending count.
     #[test]
-    fn pop_order_matches_heap(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+    fn pop_order_matches_reference(ops in proptest::collection::vec(op_strategy(), 1..200)) {
         let mut eng: Engine<u32> = Engine::new();
         let mut reference = ReferenceQueue::default();
         let mut world = Log::default();
@@ -126,44 +90,21 @@ proptest! {
         for op in &ops {
             match op {
                 Op::Insert { offset } => {
-                    let at_cal = eng.now().as_nanos().saturating_add(*offset);
-                    eng.schedule(SimTime(at_cal), next_id);
+                    let at = eng.now().as_nanos().saturating_add(*offset);
+                    eng.schedule(SimTime(at), next_id);
                     reference.schedule(reference.now.saturating_add(*offset), next_id);
                     next_id += 1;
                 }
                 Op::Pop => {
-                    let cal = eng.step(&mut world).map(|t| t.as_nanos());
-                    let refp = reference.pop();
-                    prop_assert_eq!(cal, refp.map(|(t, _)| t));
-                    if let Some(r) = refp {
+                    let got = eng.step(&mut world).map(|t| t.as_nanos());
+                    let want = reference.pop();
+                    prop_assert_eq!(got, want.map(|(t, _)| t));
+                    if let Some(r) = want {
                         ref_seen.push(r);
                     }
                 }
-                Op::DrainBatch => {
-                    // Reference: pop everything sharing the earliest time.
-                    let Some(at) = reference.peek_time() else {
-                        prop_assert!(eng.drain_next_batch(&mut world).is_none());
-                        continue;
-                    };
-                    let mut count = 0u64;
-                    while reference.peek_time() == Some(at) {
-                        ref_seen.push(reference.pop().expect("peeked"));
-                        count += 1;
-                    }
-                    let (cal_at, cal_n) = eng
-                        .drain_next_batch(&mut world)
-                        .expect("reference had events");
-                    prop_assert_eq!(cal_at.as_nanos(), at);
-                    prop_assert_eq!(cal_n, count);
-                }
-                Op::Peek => {
-                    prop_assert_eq!(
-                        eng.peek_next().map(|t| t.as_nanos()),
-                        reference.peek_time()
-                    );
-                }
             }
-            prop_assert_eq!(eng.pending(), reference.heap.len());
+            prop_assert_eq!(eng.pending(), reference.pending.len());
         }
         // Drain the rest: full delivered sequences must agree id-for-id.
         while let Some(r) = reference.pop() {
@@ -174,10 +115,10 @@ proptest! {
         prop_assert_eq!(&world.seen, &ref_seen);
     }
 
-    /// Handler-scheduled follow-ups (including same-timestamp ones that
-    /// join a draining batch) keep the two queues in lockstep. The
-    /// reference models the follow-up injection outside the heap, exactly
-    /// as the old engine's run loop interleaved handle() with pops.
+    /// Handler-scheduled follow-ups (including same-timestamp ones) keep
+    /// the engine and the reference in lockstep. The reference models the
+    /// follow-up injection outside its queue, interleaved with pops the
+    /// way the engine's run loop interleaves `handle` with them.
     #[test]
     fn followups_stay_in_lockstep(
         seeds in proptest::collection::vec((0u64..100, 0u32..1000), 1..40),
@@ -206,7 +147,7 @@ proptest! {
     }
 
     /// Monotone delivery and exact FIFO rank among equal timestamps, over
-    /// bursts big enough to force several calendar resizes.
+    /// bursts big enough to regrow the queue several times.
     #[test]
     fn bursts_of_ties_deliver_fifo(
         groups in proptest::collection::vec((0u64..20, 1usize..30), 1..30),

@@ -1,8 +1,8 @@
-//! Property tests for the shard-merge algebra of `osdc_sim::stats`.
+//! Property tests for the merge algebra of `osdc_sim::stats`.
 //!
-//! The telemetry layer merges thread-local metric shards into a shared
-//! registry, so `merge` must be indistinguishable from having recorded the
-//! concatenated observations in one accumulator.
+//! The telemetry layer merges per-task registries into a shared one
+//! (`run_sharded`), so `merge` must be indistinguishable from having
+//! recorded the concatenated observations in one accumulator.
 
 use osdc_sim::stats::{Log2Histogram, Summary};
 use proptest::prelude::*;

@@ -1,15 +1,11 @@
-//! Counting-allocator proof that the calendar queue is zero-alloc at
-//! steady state: once the bucket array and per-bucket capacities have
-//! been established by a warm-up lap, a sustained schedule/pop workload
-//! allocates nothing — inserts append into retained bucket capacity,
-//! pops `swap_remove`, and the day-scan only reads.
+//! Counting-allocator proof that the engine's queue is zero-alloc at
+//! steady state: once a warm-up lap has grown the heap's backing `Vec` to
+//! the working depth, a sustained schedule/step workload allocates
+//! nothing — a push writes into retained capacity and a pop only moves
+//! entries within it.
 //!
-//! The workloads are deterministic (constant service delay, staggered
-//! seeds) so bucket occupancy is periodic: every bucket reaches its
-//! working capacity during warm-up and no growth record is ever set in
-//! the measured window. A randomized hold model would still be
-//! *amortized* allocation-free, but extreme-value drift sets occasional
-//! new per-bucket records, which is exactly what this test must exclude.
+//! The workloads are hold models (every delivery schedules its successor),
+//! so the queue depth is constant and the warm-up lap reaches it.
 
 use counting_alloc::{count_allocations, CountingAlloc};
 use osdc_sim::{Engine, Scheduler, SimTime, Simulation};
@@ -43,14 +39,14 @@ fn allocator_probe_is_live() {
 fn steady_state_insert_pop_is_zero_alloc() {
     let mut eng: Engine<u32> = Engine::new();
     let mut world = Hold {
-        delay: 9973, // odd, so event times walk every bucket
+        delay: 9973,
         delivered: 0,
     };
     // Staggered seeds: depth 1000 at distinct times.
     for i in 0..1000u32 {
         eng.schedule(SimTime(7 * i as u64 + 1), i);
     }
-    // Warm-up laps establish every bucket's working capacity.
+    // Warm-up laps grow the queue to its working depth.
     for _ in 0..50_000 {
         eng.step(&mut world).expect("hold model never drains");
     }
@@ -65,21 +61,21 @@ fn steady_state_insert_pop_is_zero_alloc() {
     assert_eq!(eng.pending(), 1000);
     assert_eq!(
         stats.allocations, 0,
-        "calendar queue allocated {} times ({} bytes) at steady state",
+        "engine queue allocated {} times ({} bytes) at steady state",
         stats.allocations, stats.bytes
     );
 }
 
 #[test]
-fn peek_and_drain_batch_are_zero_alloc_at_steady_state() {
+fn same_time_ties_are_zero_alloc_at_steady_state() {
     let mut eng: Engine<u32> = Engine::new();
     let mut world = Hold {
         delay: 4096,
         delivered: 0,
     };
-    // Four events per timestamp: drain_next_batch always has a real
-    // same-time batch to deliver, and the constant delay re-creates the
-    // identical tie pattern every generation.
+    // Four events per timestamp: every step pops from a same-time batch,
+    // and the constant delay re-creates the identical tie pattern every
+    // generation.
     for i in 0..512u32 {
         eng.schedule(SimTime(64 * (i as u64 / 4) + 1), i);
     }
@@ -87,14 +83,14 @@ fn peek_and_drain_batch_are_zero_alloc_at_steady_state() {
         eng.step(&mut world).expect("non-empty");
     }
     let (stats, _) = count_allocations(|| {
-        for _ in 0..5_000 {
-            let _ = eng.peek_next().expect("non-empty");
-            eng.drain_next_batch(&mut world).expect("non-empty");
+        for _ in 0..20_000 {
+            eng.step(&mut world).expect("non-empty");
         }
     });
+    assert_eq!(eng.pending(), 512);
     assert_eq!(
         stats.allocations, 0,
-        "peek/drain allocated {} times at steady state",
+        "same-time steps allocated {} times at steady state",
         stats.allocations
     );
 }

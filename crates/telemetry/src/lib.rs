@@ -3,18 +3,20 @@
 //! §7.4 of the paper runs the OSDC federation on an in-house monitoring
 //! stack: Nagios checks plus a custom usage monitor feeding a public
 //! status page. This crate is that layer made machine-readable for the
-//! reproduction: one substrate every subsystem (DES kernel, WAN flows,
-//! transfer pipelines, Tukey requests, MapReduce jobs, NRPE checks)
-//! publishes into, and every experiment harness can export from.
+//! reproduction: one substrate every subsystem (WAN flows, transfer
+//! pipelines, Tukey requests, MapReduce jobs, NRPE checks) publishes into,
+//! and every experiment harness can export from. The DES kernel can
+//! publish too, through [`Telemetry::engine_probe`], but no product path
+//! attaches that probe.
 //!
 //! Three parts:
 //!
 //! * **Metrics** — named counters, gauges and mergeable log-bucket
 //!   histograms. Names are interned once into `Copy` ids; hot paths record
 //!   through ids only (no per-event allocation). The shared registry sits
-//!   behind a `parking_lot` mutex; real-threaded paths (MapReduce workers)
-//!   record into thread-local [`MetricShard`]s that merge into the
-//!   registry exactly once, at scope exit.
+//!   behind a `parking_lot` mutex. Parallel work records through
+//!   [`run_sharded`] (a private registry per task, absorbed in submission
+//!   order) or returns its counts to the calling thread to record.
 //! * **Tracing** — spans on the **simulation clock** ([`SimTime`], never
 //!   wall time), with nesting via an open-span stack, ordered per-span
 //!   attributes, instant `point` samples, all in a bounded ring buffer.
@@ -39,7 +41,7 @@ mod export;
 mod metrics;
 mod trace;
 
-pub use metrics::{CounterId, GaugeId, HistogramId, HistogramSnapshot, MetricShard};
+pub use metrics::{CounterId, GaugeId, HistogramId, HistogramSnapshot};
 pub use trace::{AttrValue, SpanId, TraceEvent, DEFAULT_RING_CAPACITY};
 
 use metrics::MetricsCore;
@@ -141,28 +143,6 @@ impl Telemetry {
     pub fn observe(&self, id: HistogramId, value: f64) {
         if let Some(i) = &self.inner {
             i.metrics.lock().observe(id, value);
-        }
-    }
-
-    /// A private shard sized to the currently registered metric space.
-    /// Recording into it is lock-free; the guard merges it back into the
-    /// shared registry when dropped. This is the intended path for
-    /// real-threaded workers (MapReduce map/reduce tasks, pipelines).
-    pub fn shard(&self) -> ShardGuard {
-        let shard = match &self.inner {
-            Some(i) => {
-                let m = i.metrics.lock();
-                MetricShard::sized(
-                    m.counters.values.len(),
-                    m.gauges.values.len(),
-                    m.histograms.values.len(),
-                )
-            }
-            None => MetricShard::default(), // enabled: false
-        };
-        ShardGuard {
-            tele: self.clone(),
-            shard,
         }
     }
 
@@ -391,37 +371,6 @@ where
         .collect()
 }
 
-/// RAII wrapper around a [`MetricShard`]: deref to record, merge-on-drop.
-#[derive(Debug)]
-pub struct ShardGuard {
-    tele: Telemetry,
-    shard: MetricShard,
-}
-
-impl std::ops::Deref for ShardGuard {
-    type Target = MetricShard;
-    fn deref(&self) -> &MetricShard {
-        &self.shard
-    }
-}
-
-impl std::ops::DerefMut for ShardGuard {
-    fn deref_mut(&mut self) -> &mut MetricShard {
-        &mut self.shard
-    }
-}
-
-impl Drop for ShardGuard {
-    fn drop(&mut self) {
-        if !self.shard.enabled {
-            return;
-        }
-        if let Some(i) = &self.tele.inner {
-            i.metrics.lock().merge_shard(&self.shard);
-        }
-    }
-}
-
 /// Pre-interned ids for the DES kernel's own metrics.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineIds {
@@ -458,7 +407,8 @@ impl Telemetry {
 
     /// Build a probe for [`osdc_sim::Engine::set_probe`]. Returns `None`
     /// when telemetry is disabled so the uninstrumented kernel keeps its
-    /// probe-free hot path — the disabled mode is a true no-op.
+    /// probe-free hot path — the disabled mode is a true no-op. Only the
+    /// `telemetry_overhead` bench and a unit test attach it.
     pub fn engine_probe(&self) -> Option<EngineProbe> {
         if !self.is_enabled() {
             return None;
@@ -522,53 +472,11 @@ mod tests {
         t.attr(span, "k", 1u64);
         t.span_end(span, SimTime::ZERO);
         t.point("p", SimTime::ZERO, 1.0);
-        let mut shard = t.shard();
-        shard.add(c, 5);
-        drop(shard);
         assert_eq!(t.counter_value("never"), 0);
         assert_eq!(t.export_jsonl(), "");
         assert_eq!(t.trace_len(), 0);
         assert!(t.gauges_snapshot().is_empty());
         assert!(t.engine_probe().is_none());
-    }
-
-    #[test]
-    fn shards_merge_at_scope_exit() {
-        let t = Telemetry::new();
-        let c = t.counter("jobs.records");
-        let g = t.gauge("jobs.last_batch");
-        let h = t.histogram("jobs.batch_size");
-        crossbeam::thread::scope(|s| {
-            for w in 0..4 {
-                let t = t.clone();
-                s.spawn(move |_| {
-                    let mut shard = t.shard();
-                    for i in 0..250 {
-                        shard.add(c, 1);
-                        if i == 0 {
-                            shard.observe(h, (w + 1) as f64 * 10.0);
-                        }
-                    }
-                    shard.set(g, 250.0);
-                });
-            }
-        })
-        .expect("scope");
-        assert_eq!(t.counter_value("jobs.records"), 1000);
-        assert_eq!(t.gauge_value("jobs.last_batch"), Some(250.0));
-        let snap = &t.histograms_snapshot()[0];
-        assert_eq!(snap.count, 4);
-        assert!((snap.sum - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shard_tolerates_ids_registered_after_creation() {
-        let t = Telemetry::new();
-        let mut shard = t.shard(); // empty metric space at creation
-        let c = t.counter("late.counter");
-        shard.add(c, 7); // must grow, not panic
-        drop(shard);
-        assert_eq!(t.counter_value("late.counter"), 7);
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //!
 //! Registration (name → id) happens once, at instrumentation setup, under
 //! the registry lock. Hot paths then carry only `Copy` ids: recording is a
-//! lock + `Vec` index, and the thread-shard variant ([`MetricShard`]) is a
-//! plain `Vec` index with no lock and no allocation at all, merged into
-//! the shared registry when the shard guard drops.
+//! lock + `Vec` index, with no allocation.
 
 use std::collections::BTreeMap;
 
@@ -96,93 +94,6 @@ impl MetricsCore {
                 dst.merge(h);
             }
         }
-    }
-
-    pub(crate) fn merge_shard(&mut self, shard: &MetricShard) {
-        for (i, &n) in shard.counters.iter().enumerate() {
-            if n > 0 {
-                self.add(CounterId(i as u32), n);
-            }
-        }
-        for (i, g) in shard.gauges.iter().enumerate() {
-            if let Some(v) = g {
-                self.set(GaugeId(i as u32), *v);
-            }
-        }
-        for (i, h) in shard.histograms.iter().enumerate() {
-            if h.count() > 0 {
-                if let Some(dst) = self.histograms.values.get_mut(i) {
-                    dst.merge(h);
-                }
-            }
-        }
-    }
-}
-
-/// A private, lock-free slice of the metric space for one thread or one
-/// tight loop. Recording indexes a `Vec` directly; the owning
-/// [`ShardGuard`](crate::ShardGuard) folds everything back into the shared
-/// registry exactly once, when it drops.
-///
-/// Gauges keep last-write-wins semantics: only gauges the shard actually
-/// touched are written back.
-#[derive(Debug, Default)]
-pub struct MetricShard {
-    pub(crate) enabled: bool,
-    pub(crate) counters: Vec<u64>,
-    pub(crate) gauges: Vec<Option<f64>>,
-    pub(crate) histograms: Vec<Log2Histogram>,
-}
-
-impl MetricShard {
-    pub(crate) fn sized(n_counters: usize, n_gauges: usize, n_histograms: usize) -> Self {
-        MetricShard {
-            enabled: true,
-            counters: vec![0; n_counters],
-            gauges: vec![None; n_gauges],
-            histograms: (0..n_histograms).map(|_| Log2Histogram::new()).collect(),
-        }
-    }
-
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        if !self.enabled {
-            return;
-        }
-        let i = id.0 as usize;
-        if i >= self.counters.len() {
-            self.counters.resize(i + 1, 0);
-        }
-        self.counters[i] += n;
-    }
-
-    #[inline]
-    pub fn incr(&mut self, id: CounterId) {
-        self.add(id, 1);
-    }
-
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        let i = id.0 as usize;
-        if i >= self.gauges.len() {
-            self.gauges.resize(i + 1, None);
-        }
-        self.gauges[i] = Some(value);
-    }
-
-    #[inline]
-    pub fn observe(&mut self, id: HistogramId, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        let i = id.0 as usize;
-        while i >= self.histograms.len() {
-            self.histograms.push(Log2Histogram::new());
-        }
-        self.histograms[i].record(value);
     }
 }
 
