@@ -9,15 +9,21 @@
 //!   analytically between allocation-changing events.
 //! * `link_flap_partial` — chaos-style link flaps on a background flow
 //!   set; the solver re-solves only flows crossing the dirtied link.
+//! * `table3_rsync_1_1tb` — Table 3's 1.1 TB unencrypted rsync cell
+//!   (`osdc_wan(0.9e-7)`, seed 2013) run to completion through
+//!   `TransferEngine`: 2.2 M ticks of Reno sawtooth that the solver
+//!   covers in jumps from event to event.
 //!
 //! End to end, the `benchmark/` crate times the same solver through the
 //! `harness.table3_udr` and `chaos.campaign` per-layer metrics.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use osdc_crypto::CipherKind;
 use osdc_net::{
     osdc_wan, CongestionControl, FlowSpec, FluidNet, LinkId, NodeId, OsdcSite, Topology,
 };
 use osdc_sim::{SimDuration, SimTime};
+use osdc_transfer::{Protocol, TransferEngine, TransferSpec};
 
 /// Chicago → LVOC mixed-CC flow set over the real WAN, mirroring the
 /// Table 3 pipeline: a Reno flow, a UDT flow, and an app-limited constant.
@@ -123,9 +129,29 @@ fn bench_flap(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_table3_cell(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fluid_solver");
+    group.bench_function("table3_rsync_1_1tb", |b| {
+        b.iter(|| {
+            let wan = osdc_wan(0.9e-7);
+            let spec = TransferSpec {
+                protocol: Protocol::Rsync,
+                cipher: CipherKind::None,
+                bytes: 1_100_000_000_000,
+                files: 1,
+                src: wan.node(OsdcSite::ChicagoKenwood),
+                dst: wan.node(OsdcSite::Lvoc),
+            };
+            let mut engine = TransferEngine::new(FluidNet::new(wan.topology, 2013));
+            engine.run(&spec, SimDuration::from_days(2)).mbps
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_mixed, bench_run_until, bench_flap
+    targets = bench_mixed, bench_run_until, bench_flap, bench_table3_cell
 }
 criterion_main!(benches);

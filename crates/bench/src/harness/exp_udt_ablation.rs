@@ -17,28 +17,36 @@
 //! parallel map (default: host parallelism); every cell is seeded by
 //! its grid position, so the tables are byte-identical for any N.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use osdc_net::cc::UdtState;
-use osdc_net::{CongestionControl, FlowSpec, FluidNet, Topology};
+use osdc_net::{CongestionControl, FlowSpec, FluidNet, Topology, MSS_BYTES};
 use osdc_sim::{run_indexed, SimDuration, SimRng, SimTime};
 
-use crate::harness::{HarnessCtx, RunResult};
+use crate::harness::{Failure, HarnessCtx, RunResult};
 use crate::{outln, row};
 
 const SEED: u64 = 2012;
 /// Receiver pipeline cap from the Table 3 model, bits/s.
 const APP_CAP: f64 = 750e6;
 
-fn path(one_way_ms: u64, loss: f64) -> (FluidNet, osdc_net::NodeId, osdc_net::NodeId) {
+/// Average goodput of a 60 GB transfer under the given CC, mbit/s, over
+/// a 10G path with `one_way_ms` delay and per-link `loss`.
+fn goodput(cc: CongestionControl, one_way_ms: u64, loss: f64) -> Result<f64, Failure> {
+    let kind = match cc {
+        CongestionControl::Reno(_) => "rsync/TCP",
+        CongestionControl::Udt(_) => "UDR/UDT",
+        CongestionControl::Constant { .. } => "constant",
+    };
+    let cell = format!("X5 cell {kind}, RTT {} ms, loss {loss:e}", 2 * one_way_ms);
     let mut t = Topology::new();
     let a = t.add_node("src");
     let b = t.add_node("dst");
     t.add_duplex_link(a, b, 10e9, SimDuration::from_millis(one_way_ms), loss);
-    (FluidNet::new(t, SEED), a, b)
-}
-
-/// Average goodput of a 60 GB transfer under the given CC, mbit/s.
-fn goodput(cc: CongestionControl, one_way_ms: u64, loss: f64) -> f64 {
-    let (mut net, a, b) = path(one_way_ms, loss);
+    let mut net = FluidNet::new(t, SEED);
     let f = net
         .start_flow(FlowSpec {
             src: a,
@@ -47,18 +55,17 @@ fn goodput(cc: CongestionControl, one_way_ms: u64, loss: f64) -> f64 {
             cc,
             app_limit_bps: APP_CAP,
         })
-        .expect("route");
+        .map_err(|e| Failure(format!("{cell}: {e}")))?;
     let done = net
         .run_flow_to_completion(f, SimTime::ZERO + SimDuration::from_hours(12))
-        .expect("completes");
-    60_000_000_000.0 * 8.0 / done.as_secs_f64() / 1e6
+        .ok_or_else(|| Failure(format!("{cell}: unfinished after 12 h")))?;
+    Ok(60_000_000_000.0 * 8.0 / done.as_secs_f64() / 1e6)
 }
 
 /// A rate-based controller like UDT but with a configurable decrease
-/// factor, driven step-by-step (the ablation cannot use the stock enum).
-fn rate_based_goodput(decrease: f64, one_way_ms: u64, loss: f64) -> f64 {
-    let (mut net, _a, _b) = path(one_way_ms, loss);
-    // Drive the dynamics manually against the same loss process.
+/// factor, driven step-by-step (the ablation cannot use the stock enum)
+/// against the two-link path's loss process.
+fn rate_based_goodput(decrease: f64, loss: f64) -> f64 {
     let mut state = UdtState::new(1e9); // estimate near the app cap: growth is modest
     let mut rng = SimRng::new(SEED ^ 0xabcdef);
     let dt = 0.01;
@@ -69,14 +76,13 @@ fn rate_based_goodput(decrease: f64, one_way_ms: u64, loss: f64) -> f64 {
         let rate = state.desired_rate_bps().min(APP_CAP);
         sent_bits += rate * dt;
         elapsed += dt;
-        let pkts = rate * dt / (1460.0 * 8.0);
+        let pkts = rate * dt / (MSS_BYTES * 8.0);
         if path_loss > 0.0 && rng.chance(1.0 - (1.0 - path_loss).powf(pkts)) {
             // The ablated decrease.
             state.rate_pps *= decrease;
             state.rate_pps = state.rate_pps.max(1.0);
         }
         state.on_tick(dt);
-        let _ = &mut net;
     }
     sent_bits / elapsed / 1e6
 }
@@ -108,7 +114,9 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
                     .map(|cc| move |_i: usize| goodput(cc, one_way, 0.45e-7))
             })
             .collect(),
-    );
+    )
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     for (k, one_way) in ONE_WAYS.into_iter().enumerate() {
         let (tcp, udt) = (rtt_cells[k * 2], rtt_cells[k * 2 + 1]);
         outln!(
@@ -147,7 +155,9 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
                     .map(|cc| move |_i: usize| goodput(cc, 52, loss / 2.0))
             })
             .collect(),
-    );
+    )
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     for (k, loss) in LOSSES.into_iter().enumerate() {
         let (tcp, udt) = (loss_cells[k * 2], loss_cells[k * 2 + 1]);
         outln!(
@@ -185,7 +195,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         jobs,
         factors
             .iter()
-            .map(|&(factor, _)| move |_i: usize| rate_based_goodput(factor, 52, 2e-5))
+            .map(|&(factor, _)| move |_i: usize| rate_based_goodput(factor, 2e-5))
             .collect(),
     );
     for ((factor, note), g) in factors.into_iter().zip(ablation_cells) {
@@ -202,5 +212,6 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         ctx,
         "  → the gentle multiplicative decrease is most of UDT's edge on lossy LFNs"
     );
+    osdc_telemetry::audit::assert_clean("exp_udt_ablation");
     Ok(())
 }

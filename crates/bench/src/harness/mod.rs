@@ -186,10 +186,10 @@ impl HarnessCtx {
     /// report, and on live runs write the file to the `--trace` path.
     pub fn finish_trace(&mut self, tele: &Telemetry) {
         let jsonl = tele.export_jsonl();
-        let pin = crate::manifest::ArtifactPin::of("trace.jsonl", jsonl.as_bytes());
-        let (lines, sha16) = (pin.lines, pin.sha256[..16].to_string());
-        self.recorder
+        let pin = self
+            .recorder
             .record_artifact("trace.jsonl", jsonl.as_bytes());
+        let (lines, sha16) = (pin.lines, pin.sha256[..16].to_string());
         if !self.live {
             self.raw_artifacts
                 .push(("trace.jsonl".to_string(), jsonl.clone().into_bytes()));

@@ -17,13 +17,18 @@
 //! shards are merged in submission order, so stdout and the `--trace`
 //! artifact are byte-identical for any N.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use osdc_crypto::CipherKind;
 use osdc_net::{osdc_wan, FluidNet, OsdcSite};
 use osdc_sim::SimDuration;
 use osdc_telemetry::Telemetry;
-use osdc_transfer::{Protocol, TransferEngine, TransferReport, TransferSpec};
+use osdc_transfer::{Protocol, TransferEngine, TransferError, TransferReport, TransferSpec};
 
-use crate::harness::{HarnessCtx, RunResult};
+use crate::harness::{Failure, HarnessCtx, RunResult};
 use crate::{outln, row};
 
 /// The WAN residual-loss calibration of DESIGN.md §5.
@@ -36,13 +41,13 @@ fn transfer(
     bytes: u64,
     seed: u64,
     tele: &Telemetry,
-) -> TransferReport {
+) -> Result<TransferReport, TransferError> {
     let wan = osdc_wan(LONG_HAUL_LOSS);
     let src = wan.node(OsdcSite::ChicagoKenwood);
     let dst = wan.node(OsdcSite::Lvoc);
     let mut engine = TransferEngine::new(FluidNet::new(wan.topology, seed));
     engine.set_telemetry(tele.clone());
-    engine.run(
+    engine.try_run(
         &TransferSpec {
             protocol,
             cipher,
@@ -146,17 +151,19 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     // 1.1 TB) and depend only on the cell, never on the worker.
     let tasks: Vec<_> = rows
         .iter()
-        .flat_map(|&(_, protocol, cipher, _, _)| {
-            [(gb108, SEED), (tb1_1, SEED + 1)].map(|(bytes, seed)| {
+        .flat_map(|&(label, protocol, cipher, _, _)| {
+            [(gb108, "108 GB", SEED), (tb1_1, "1.1 TB", SEED + 1)].map(|(bytes, size, seed)| {
                 move |cell_tele: &Telemetry, _i: usize| {
                     transfer(protocol, cipher, bytes, seed, cell_tele)
+                        .map_err(|e| Failure(format!("Table 3 cell {label}, {size}: {e}")))
                 }
             })
         })
         .collect();
-    let reports = osdc_telemetry::run_sharded(jobs, &tele, tasks);
+    let reports = osdc_telemetry::run_sharded(jobs, &tele, tasks)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let mut measured: Vec<(&str, f64, f64)> = Vec::new();
     for (k, (label, _, _, paper_mbps, paper_llr)) in rows.into_iter().enumerate() {
         let small = &reports[k * 2];
         let large = &reports[k * 2 + 1];
@@ -178,20 +185,15 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
                 &widths
             )
         );
-        measured.push((label, small.mbps, large.mbps));
     }
 
     // §7.2's headline: "UDR achieves 87% and 41% faster speeds in the
     // unencrypted and encrypted cases, respectively, than standard rsync".
-    let get = |label: &str| {
-        measured
-            .iter()
-            .find(|(l, _, _)| *l == label)
-            .map(|(_, s, l)| (s + l) / 2.0)
-            .expect("row exists")
-    };
-    let plain = get("UDR (no encryption)") / get("rsync (no encryption)") - 1.0;
-    let enc = get("UDR (blowfish)") / get("rsync (blowfish)") - 1.0;
+    // Rows 0–3 are UDR plain, rsync plain, UDR blowfish, rsync blowfish;
+    // each row's speed is the mean of its two sizes.
+    let speed = |row: usize| (reports[row * 2].mbps + reports[row * 2 + 1].mbps) / 2.0;
+    let plain = speed(0) / speed(1) - 1.0;
+    let enc = speed(2) / speed(3) - 1.0;
     outln!(ctx);
     outln!(
         ctx,
@@ -206,5 +208,6 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     if ctx.trace_enabled() {
         ctx.finish_trace(&tele);
     }
+    osdc_telemetry::audit::assert_clean("table3_udr");
     Ok(())
 }

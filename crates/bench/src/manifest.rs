@@ -169,9 +169,11 @@ impl ManifestRecorder {
         self.fault_plan_sha256 = Some(combined);
     }
 
-    /// Pin a named artifact's bytes.
-    pub fn record_artifact(&mut self, name: &str, content: &[u8]) {
+    /// Pin a named artifact's bytes, returning the pin.
+    pub fn record_artifact(&mut self, name: &str, content: &[u8]) -> &ArtifactPin {
+        let i = self.artifacts.len();
         self.artifacts.push(ArtifactPin::of(name, content));
+        &self.artifacts[i]
     }
 
     /// Finish into a [`Manifest`], pinning the captured stdout first.

@@ -14,6 +14,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
+use std::sync::OnceLock;
 
 use osdc_bench::harness::{find, run_captured, REGISTRY};
 use osdc_bench::manifest::{ArtifactPin, Manifest};
@@ -65,6 +66,68 @@ proptest! {
         // Stability: a second serialization is byte-identical, so
         // re-recorded manifests diff cleanly in review.
         prop_assert_eq!(back.to_json(), json);
+    }
+}
+
+// ------------------------------------------------------------ loader fuzz
+
+/// Every checked-in manifest under `data/manifests/`, read once.
+fn checked_in_manifests() -> &'static [String] {
+    static TEXTS: OnceLock<Vec<String>> = OnceLock::new();
+    TEXTS.get_or_init(|| {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../data/manifests");
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+            .expect("data/manifests exists")
+            .map(|e| e.expect("readable entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        paths.sort();
+        paths
+            .iter()
+            .map(|p| std::fs::read_to_string(p).expect("readable manifest"))
+            .collect()
+    })
+}
+
+/// Apply byte edits to `valid`: (op, position, byte) with op 0 =
+/// overwrite, 1 = insert, 2 = delete, anything else = truncate.
+fn mutate(valid: &str, edits: &[(u8, u16, u8)]) -> String {
+    let mut bytes = valid.as_bytes().to_vec();
+    for &(op, at, byte) in edits {
+        let at = at as usize % (bytes.len() + 1);
+        match op {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 => bytes.insert(at, byte),
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.truncate(at),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `Manifest::from_json` answers `Ok` or `Err` and never panics or
+    /// hangs, on arbitrary bytes and on byte-edited copies of every
+    /// checked-in manifest, in the style of
+    /// `tukey_properties.rs::cloud_mapping_loader_never_panics`. Whatever
+    /// it accepts serializes and parses back to itself.
+    #[test]
+    fn manifest_loader_never_panics(
+        noise in prop::collection::vec(any::<u8>(), 0..96),
+        pick in 0usize..64,
+        edits in prop::collection::vec((0u8..4, any::<u16>(), any::<u8>()), 1..6),
+    ) {
+        let texts = checked_in_manifests();
+        let mutated = mutate(&texts[pick % texts.len()], &edits);
+        for input in [String::from_utf8_lossy(&noise).into_owned(), mutated] {
+            if let Ok(manifest) = Manifest::from_json(&input) {
+                prop_assert_eq!(Manifest::from_json(&manifest.to_json()).ok(), Some(manifest));
+            }
+        }
     }
 }
 

@@ -6,6 +6,9 @@
 //!   file with at least one clean surviving replica is intact.
 //! * **Fault plans round-trip** — arbitrary plans survive the JSON
 //!   encode/decode cycle intact, and their timelines stay sorted.
+//! * **The plan loader never panics** — `FaultPlan::from_json` answers
+//!   `Ok` or `Err` on arbitrary bytes and on byte-edited copies of a
+//!   serialized campaign plan.
 
 use osdc_chaos::{FaultEvent, FaultKind, FaultPlan};
 use osdc_storage::{BrickId, FileData, GlusterVersion, Volume};
@@ -125,5 +128,47 @@ proptest! {
             })
             .sum();
         prop_assert_eq!(injects, expected);
+    }
+}
+
+/// Apply byte edits to `valid`: (op, position, byte) with op 0 =
+/// overwrite, 1 = insert, 2 = delete, anything else = truncate.
+fn mutate(valid: &str, edits: &[(u8, u16, u8)]) -> String {
+    let mut bytes = valid.as_bytes().to_vec();
+    for &(op, at, byte) in edits {
+        let at = at as usize % (bytes.len() + 1);
+        match op {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 => bytes.insert(at, byte),
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.truncate(at),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `FaultPlan::from_json` answers `Ok` or `Err` and never panics or
+    /// hangs, on arbitrary bytes and on a serialized campaign plan under
+    /// random byte edits, in the style of
+    /// `tukey_properties.rs::cloud_mapping_loader_never_panics`. Whatever
+    /// it accepts serializes and parses back to itself.
+    #[test]
+    fn fault_plan_loader_never_panics(
+        noise in prop::collection::vec(any::<u8>(), 0..96),
+        seed in any::<u64>(),
+        edits in prop::collection::vec((0u8..4, any::<u16>(), any::<u8>()), 1..6),
+    ) {
+        let plan = FaultPlan::osdc_campaign(seed, 24 * 60, 1.0).to_json();
+        let mutated = mutate(&plan, &edits);
+        for input in [String::from_utf8_lossy(&noise).into_owned(), mutated] {
+            if let Ok(plan) = FaultPlan::from_json(&input) {
+                prop_assert_eq!(FaultPlan::from_json(&plan.to_json()).ok(), Some(plan));
+            }
+        }
     }
 }

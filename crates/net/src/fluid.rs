@@ -27,8 +27,25 @@
 //! links or drifted desires is re-filled (exact, because max-min
 //! allocation decomposes over link-disjoint components). An early exit
 //! skips filling entirely when every link can carry the sum of its flows'
-//! desires, and deadline-driven runs jump analytically over runs of ticks
-//! where every active flow is constant-rate.
+//! desires.
+//!
+//! # Jumps
+//!
+//! [`FluidNet::step`] advances one tick. The run loops
+//! ([`FluidNet::run_until`], [`FluidNet::run_flow_to_completion`]) jump
+//! instead, from event to event, for every kind of congestion control:
+//! between solves each rate is frozen, so bytes grow linearly, loss gaps
+//! are geometric, and only each flow's controller moves, upward between
+//! losses, by the closed forms of [`crate::cc`]. Each flow folds
+//! `DESIRE_TOLERANCE`, its app limit and the link-limited exemption into
+//! one threshold rate (infinite when its desire cannot drift, e.g. UDT
+//! above its app cap), and a jump runs to the earliest of the deadline,
+//! one tick short of the first completion, and the first tick at which a
+//! controller passes its threshold. A loss inside the jump advances that
+//! flow's controller to the loss tick and applies the loss there; the jump
+//! ends at that tick only if the loss makes the desire drift materially.
+//! `Constant` flows never end a jump early, so a net of them draws each
+//! flow's gaps in flow order up to the jump's end, and nothing else.
 //!
 //! [`FluidNet::topology_mut`] drops the cache wholesale, so the next tick
 //! runs a full solve. That is the per-tick referee of the differential
@@ -189,6 +206,40 @@ impl FlowState {
         }
         (d - self.desire_used).abs() > DESIRE_TOLERANCE * self.desire_used.max(1.0)
     }
+
+    /// Per-packet loss probability: residual path loss plus congestion
+    /// loss when a path link was saturated at the last solve.
+    fn loss_prob(&self, congestion_loss: f64) -> f64 {
+        self.path_loss + if self.congested { congestion_loss } else { 0.0 }
+    }
+
+    /// Per-tick loss-event probability for `pkts` packets at per-packet
+    /// probability `p`, cached on the exact pair.
+    fn q_event_for(&mut self, p: f64, pkts: f64) -> f64 {
+        if p != self.q_key_p || pkts != self.q_key_pkts {
+            self.q_key_p = p;
+            self.q_key_pkts = pkts;
+            self.q_event = 1.0 - (1.0 - p).powf(pkts);
+        }
+        self.q_event
+    }
+
+    /// The congestion-control rate above which this flow's desire drifts
+    /// materially upward ([`FlowState::desire_drifted`] folded into one
+    /// number): `∞` when it cannot, because the flow is link-limited (any
+    /// upward move is exempt) or the app limit holds the desire inside the
+    /// tolerance band.
+    fn drift_threshold(&self) -> f64 {
+        if self.rate_bps < self.desire_used - 1e-6 {
+            return f64::INFINITY;
+        }
+        let t = self.desire_used + DESIRE_TOLERANCE * self.desire_used.max(1.0);
+        if t.is_nan() || self.app_limit_bps <= t {
+            f64::INFINITY
+        } else {
+            t
+        }
+    }
 }
 
 /// Persistent solver working sets: nothing on the solve path allocates.
@@ -205,15 +256,23 @@ struct Scratch {
     resolve: Vec<bool>,
     /// Per-link membership closure of the re-solve set.
     link_in_r: Vec<bool>,
+    /// `(flow index, tick)` of every loss drawn inside a jump, grouped by
+    /// flow in ascending index and ascending tick within a flow.
+    losses: Vec<(usize, u64)>,
 }
 
-/// Solver work counters, exposed for benches and perf baselines.
+/// Solver work counters, exposed for benches and tests that pin how much
+/// work a run does.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Ticks advanced (analytic jumps count every tick they cover).
+    /// Simulated ticks covered, whether stepped or jumped over (a jump
+    /// counts every tick it covers).
     pub ticks: u64,
-    /// Progressive-filling solves actually executed.
+    /// Progressive-filling solves executed, full or partial.
     pub solves: u64,
+    /// Advances of the clock: one per [`FluidNet::step`] and one per
+    /// closed-form jump, however many ticks it covers.
+    pub advances: u64,
 }
 
 /// The simulator. Owns a topology, the flows, a clock and a seeded RNG.
@@ -829,6 +888,7 @@ impl FluidNet {
     /// Advance one tick. Returns the new virtual time.
     pub fn step(&mut self) -> SimTime {
         self.stats.ticks += 1;
+        self.stats.advances += 1;
         if self.active == 0 {
             self.now += self.tick;
             return self.now;
@@ -901,22 +961,9 @@ impl FluidNet {
             // Loss sampling: path residual loss plus congestion loss on any
             // saturated link of the path.
             let pkts = bytes / MSS_BYTES;
-            let p = f.path_loss
-                + if f.congested {
-                    self.congestion_loss
-                } else {
-                    0.0
-                };
+            let p = f.loss_prob(self.congestion_loss);
             if p > 0.0 && pkts > 0.0 {
-                let p_event = if p == f.q_key_p && pkts == f.q_key_pkts {
-                    f.q_event
-                } else {
-                    let q = 1.0 - (1.0 - p).powf(pkts);
-                    f.q_key_p = p;
-                    f.q_key_pkts = pkts;
-                    f.q_event = q;
-                    q
-                };
+                let p_event = f.q_event_for(p, pkts);
                 if self.rng.chance(p_event) {
                     f.cc.on_loss();
                     f.loss_events += 1;
@@ -943,57 +990,115 @@ impl FluidNet {
         (deadline.0 - self.now.0).div_ceil(self.tick.0)
     }
 
-    /// Whether the run loops may replace tick-by-tick stepping with an
-    /// analytic jump: a clean cache, and every active flow constant-rate
-    /// (so no desire can drift mid-jump).
-    fn jump_eligible(&self) -> bool {
-        self.cache_valid
-            && !self.any_dirty
-            && self
-                .flows
-                .iter()
-                .all(|f| !f.is_active() || matches!(f.cc, CongestionControl::Constant { .. }))
+    /// Try to cover the ticks up to `deadline` in one closed-form jump.
+    /// Needs a clean cache (no dirty link, so no structural event is
+    /// pending); a desire that drifted materially since the last solve is
+    /// re-solved first. Returns whether the clock moved.
+    fn try_jump(&mut self, deadline: SimTime) -> bool {
+        if !self.cache_valid || self.any_dirty {
+            return false;
+        }
+        if self.desires_drifted() {
+            self.solve_partial();
+        }
+        let k = self.ticks_until(deadline);
+        k > 0 && self.jump(k) > 0
     }
 
-    /// Advance up to `max_ticks` ticks in closed form: rates are frozen,
-    /// so bytes, trace samples and loss events are computed without
-    /// stepping. Stops one tick short of the earliest completion so the
-    /// completion tick itself goes through [`FluidNet::advance_tick`].
+    /// Advance up to `max_ticks` ticks in closed form. Rates are frozen
+    /// between solves, so bytes grow linearly, loss gaps are geometric and
+    /// only each flow's congestion control moves, by the closed forms of
+    /// [`crate::cc`]. The jump ends at the earliest of `max_ticks`, one
+    /// tick short of the earliest completion (so the completion tick goes
+    /// through [`FluidNet::advance_tick`]), and the first tick at which
+    /// some flow's desire drifts materially, by growth or by a loss.
     /// Returns the number of ticks jumped (0 when a completion or an
     /// over-unity loss probability demands per-tick stepping).
-    fn jump_constant(&mut self, max_ticks: u64) -> u64 {
+    fn jump(&mut self, max_ticks: u64) -> u64 {
         let dt = self.tick.as_secs_f64();
+        let congestion_loss = self.congestion_loss;
         let mut k = max_ticks;
         for f in self.flows.iter().filter(|f| f.is_active()) {
             let bpt = f.rate_bps * dt / 8.0;
-            if bpt <= 0.0 {
-                continue;
-            }
-            let rem = f.bytes_total as f64 - f.bytes_done;
-            let to_done = (rem / bpt).ceil();
-            let to_done = if to_done >= u64::MAX as f64 {
-                u64::MAX
-            } else {
-                to_done as u64
-            };
-            k = k.min(to_done.saturating_sub(1));
-            // Loss probability saturating at 1 would mean a loss per tick;
-            // leave that regime to the stepper.
-            let p = f.path_loss
-                + if f.congested {
-                    self.congestion_loss
+            if bpt > 0.0 {
+                let rem = f.bytes_total as f64 - f.bytes_done;
+                let to_done = (rem / bpt).ceil();
+                let to_done = if to_done >= u64::MAX as f64 {
+                    u64::MAX
                 } else {
-                    0.0
+                    to_done as u64
                 };
-            if p > 0.0 && 1.0 - (1.0 - p).powf(bpt / MSS_BYTES) >= 1.0 {
-                return 0;
+                k = k.min(to_done.saturating_sub(1));
+                // Loss probability saturating at 1 would mean a loss per
+                // tick; leave that regime to the stepper.
+                let p = f.loss_prob(congestion_loss);
+                if p > 0.0 && 1.0 - (1.0 - p).powf(bpt / MSS_BYTES) >= 1.0 {
+                    return 0;
+                }
+            }
+            if let Some(h) = f.cc.ticks_to_exceed(f.drift_threshold(), dt, bpt) {
+                k = k.min(h);
             }
         }
         if k == 0 {
             return 0;
         }
+        // Draw each flow's losses as geometric gaps, in ascending flow
+        // order. A loss that makes the desire drift ends the jump at its
+        // tick; otherwise the flow's growth horizon restarts from the
+        // post-loss state. Draws past the (possibly shortened) end are
+        // discarded: the per-tick process is memoryless, and flows'
+        // processes are independent, so the next jump redraws fairly.
+        self.scratch.losses.clear();
+        for i in 0..self.flows.len() {
+            let f = &mut self.flows[i];
+            if !f.is_active() {
+                continue;
+            }
+            let bpt = f.rate_bps * dt / 8.0;
+            let pkts = bpt / MSS_BYTES;
+            let p = f.loss_prob(congestion_loss);
+            if p <= 0.0 || pkts <= 0.0 {
+                continue;
+            }
+            let ln_1mq = (1.0 - f.q_event_for(p, pkts)).ln();
+            if ln_1mq >= 0.0 {
+                continue;
+            }
+            let f = &self.flows[i];
+            let threshold = f.drift_threshold();
+            let mut cc = f.cc.clone();
+            let mut cc_at = 0u64;
+            let mut at = 0u64;
+            loop {
+                let u = self.rng.f64();
+                let gap = ((1.0 - u).ln() / ln_1mq).floor() + 1.0;
+                let gap = if gap >= u64::MAX as f64 {
+                    u64::MAX
+                } else {
+                    gap as u64
+                };
+                at = at.saturating_add(gap);
+                if at > k {
+                    break;
+                }
+                self.scratch.losses.push((i, at));
+                cc.advance_ticks(at - cc_at, dt, bpt);
+                cc.on_loss();
+                cc_at = at;
+                if f.desire_drifted(cc.desired_rate_bps().min(f.app_limit_bps)) {
+                    k = at;
+                    break;
+                }
+                if let Some(h) = cc.ticks_to_exceed(threshold, dt, bpt) {
+                    k = k.min(at.saturating_add(h));
+                }
+            }
+        }
         let t0 = self.now;
         let end = SimTime(t0.0 + k * self.tick.0);
+        let mut losses = std::mem::take(&mut self.scratch.losses);
+        let mut next_loss = 0;
         for i in 0..self.flows.len() {
             if !self.flows[i].is_active() {
                 continue;
@@ -1011,83 +1116,83 @@ impl FluidNet {
                 f.bytes_done,
                 f.bytes_total
             );
-            // Trace grid: the first tick-end at or past each due sample.
+            // Walk this flow's trace samples and losses in tick order; a
+            // sample due on a loss tick sees the state before the loss, as
+            // in `advance_tick`. `f.cc` stands at tick `cc_at`.
+            let mut cc_at = 0u64;
             loop {
+                let loss = losses
+                    .get(next_loss)
+                    .filter(|&&(j, t)| j == i && t <= k)
+                    .map(|&(_, t)| t);
                 let nta = f.next_trace_at;
-                if nta > end {
-                    break;
-                }
-                let j = if nta.0 <= t0.0 {
-                    1
-                } else {
-                    (nta.0 - t0.0).div_ceil(self.tick.0).max(1)
-                };
-                let sample_t = SimTime(t0.0 + j * self.tick.0);
-                if sample_t > end {
-                    break;
-                }
-                f.trace.push(sample_t, rate / 1e6);
-                f.next_trace_at = sample_t + self.trace_every;
-                if let Some((mbps_name, cwnd_name)) = &f.point_names {
-                    if f.samples.is_multiple_of(TRACE_POINT_STRIDE) {
-                        self.tele.point(mbps_name, sample_t, rate / 1e6);
-                        self.tele
-                            .point(cwnd_name, sample_t, f.cc.desired_rate_bps() / 1e6);
+                let sample = (nta <= end).then(|| {
+                    if nta.0 <= t0.0 {
+                        1
+                    } else {
+                        (nta.0 - t0.0).div_ceil(self.tick.0).max(1)
                     }
-                }
-                f.samples += 1;
-            }
-            // Loss events over k ticks: the per-tick Bernoulli process is
-            // memoryless, so inter-loss gaps are geometric; sample them
-            // directly instead of drawing every tick.
-            let pkts = bpt / MSS_BYTES;
-            let p = f.path_loss
-                + if f.congested {
-                    self.congestion_loss
-                } else {
-                    0.0
-                };
-            if p > 0.0 && pkts > 0.0 {
-                let q = if p == f.q_key_p && pkts == f.q_key_pkts {
-                    f.q_event
-                } else {
-                    let q = 1.0 - (1.0 - p).powf(pkts);
-                    f.q_key_p = p;
-                    f.q_key_pkts = pkts;
-                    f.q_event = q;
-                    q
-                };
-                let ln_1mq = (1.0 - q).ln();
-                if ln_1mq < 0.0 {
-                    let mut at = 0u64;
-                    loop {
-                        let u = self.rng.f64();
-                        let gap = ((1.0 - u).ln() / ln_1mq).floor() + 1.0;
-                        let gap = if gap >= u64::MAX as f64 {
-                            u64::MAX
-                        } else {
-                            gap as u64
-                        };
-                        at = at.saturating_add(gap);
-                        if at > k {
-                            break;
+                });
+                match (sample, loss) {
+                    (Some(j), l) if l.is_none_or(|t| j <= t) => {
+                        // Trace grid: the first tick-end at or past the
+                        // due sample.
+                        let sample_t = SimTime(t0.0 + j * self.tick.0);
+                        f.trace.push(sample_t, rate / 1e6);
+                        f.next_trace_at = sample_t + self.trace_every;
+                        if let Some((mbps_name, cwnd_name)) = &f.point_names {
+                            if f.samples.is_multiple_of(TRACE_POINT_STRIDE) {
+                                let mut cc = f.cc.clone();
+                                cc.advance_ticks(j - cc_at, dt, bpt);
+                                self.tele.point(mbps_name, sample_t, rate / 1e6);
+                                self.tele
+                                    .point(cwnd_name, sample_t, cc.desired_rate_bps() / 1e6);
+                            }
                         }
-                        let f = &mut self.flows[i];
+                        f.samples += 1;
+                    }
+                    (_, Some(t)) => {
+                        f.cc.advance_ticks(t - cc_at, dt, bpt);
+                        audit::check!(
+                            f.cc.state_in_bounds(),
+                            "net.cc_state_in_bounds",
+                            "flow {i}: {:?} after a {}-tick closed form",
+                            f.cc,
+                            t - cc_at
+                        );
                         f.cc.on_loss();
+                        cc_at = t;
+                        next_loss += 1;
                         f.loss_events += 1;
                         if let Some(ids) = &self.ids {
                             self.tele.incr(ids.loss_events);
                         }
                     }
+                    _ => break,
                 }
             }
+            // Draws past the jump's end are discarded.
+            while losses.get(next_loss).is_some_and(|&(j, _)| j == i) {
+                next_loss += 1;
+            }
+            f.cc.advance_ticks(k - cc_at, dt, bpt);
+            audit::check!(
+                f.cc.state_in_bounds(),
+                "net.cc_state_in_bounds",
+                "flow {i}: {:?} after a {}-tick closed form",
+                f.cc,
+                k - cc_at
+            );
         }
+        losses.clear();
+        self.scratch.losses = losses;
         self.now = end;
         self.stats.ticks += k;
+        self.stats.advances += 1;
         k
     }
 
-    /// Step until `flow` completes or `deadline` passes; returns completion
+    /// Run until `flow` completes or `deadline` passes; returns completion
     /// time if it finished.
     pub fn run_flow_to_completion(&mut self, flow: FlowId, deadline: SimTime) -> Option<SimTime> {
         loop {
@@ -1097,17 +1202,13 @@ impl FluidNet {
             if self.now >= deadline {
                 return None;
             }
-            if self.jump_eligible() {
-                let k = self.ticks_until(deadline);
-                if k > 0 && self.jump_constant(k) > 0 {
-                    continue;
-                }
+            if !self.try_jump(deadline) {
+                self.step();
             }
-            self.step();
         }
     }
 
-    /// Step until the clock reaches `deadline`, whether or not any flow is
+    /// Run until the clock reaches `deadline`, whether or not any flow is
     /// active. Backoff waits idle here so the whole net stays on one clock.
     pub fn run_until(&mut self, deadline: SimTime) {
         while self.now < deadline {
@@ -1116,15 +1217,12 @@ impl FluidNet {
                 let k = self.ticks_until(deadline);
                 self.now = SimTime(self.now.0 + k * self.tick.0);
                 self.stats.ticks += k;
+                self.stats.advances += 1;
                 return;
             }
-            if self.jump_eligible() {
-                let k = self.ticks_until(deadline);
-                if k > 0 && self.jump_constant(k) > 0 {
-                    continue;
-                }
+            if !self.try_jump(deadline) {
+                self.step();
             }
-            self.step();
         }
     }
 

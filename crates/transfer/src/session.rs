@@ -28,6 +28,11 @@
 //! The harness in `osdc-bench` sweeps the five protocol/cipher rows × two
 //! dataset sizes and prints mbit/s + LLR exactly as the paper's table does.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use osdc_crypto::CipherKind;
 use osdc_net::{CongestionControl, FlowSpec, FluidNet, NetError, NodeId};
 use osdc_sim::{RetryPolicy, SimDuration, SimRng};
@@ -199,10 +204,15 @@ impl TransferEngine {
         }
     }
 
-    /// Execute a transfer to completion. `deadline` guards against
-    /// misconfiguration (panics if exceeded: these experiments always
-    /// finish). Fault-aware callers use [`TransferEngine::try_run`] or
-    /// [`TransferEngine::run_with_retry`] instead.
+    /// Execute a transfer to completion.
+    ///
+    /// # Panics
+    ///
+    /// When the transfer cannot start or misses `deadline`. The contract
+    /// is a fault-free WAN and a deadline the transfer always meets, so a
+    /// failure is a misconfigured experiment. Fault-aware callers use
+    /// [`TransferEngine::try_run`] or [`TransferEngine::run_with_retry`].
+    #[allow(clippy::panic)]
     pub fn run(&mut self, spec: &TransferSpec, deadline: SimDuration) -> TransferReport {
         self.try_run(spec, deadline)
             .unwrap_or_else(|e| panic!("transfer failed: {e} — misconfigured experiment"))
@@ -218,15 +228,18 @@ impl TransferEngine {
         deadline: SimDuration,
     ) -> Result<TransferReport, TransferError> {
         let start = self.net.now();
-        let rtt = self
-            .net
-            .topology()
-            .rtt(spec.src, spec.dst)
-            .ok_or_else(|| NetError::NoRoute {
-                src: self.net.topology().node_name(spec.src).to_string(),
-                dst: self.net.topology().node_name(spec.dst).to_string(),
-            })?
-            .as_secs_f64();
+        let topo = self.net.topology();
+        let no_route = || NetError::NoRoute {
+            src: topo.node_name(spec.src).to_string(),
+            dst: topo.node_name(spec.dst).to_string(),
+        };
+        let path = topo
+            .shortest_path(spec.src, spec.dst)
+            .ok_or_else(no_route)?;
+        let back = topo
+            .shortest_path(spec.dst, spec.src)
+            .ok_or_else(no_route)?;
+        let rtt = (topo.path_delay(&path) + topo.path_delay(&back)).as_secs_f64();
         let factor = Self::goodput_factor(spec.protocol, spec.cipher);
         let payload_cap_bps = self.pipeline_cap_mbps(spec.protocol, spec.cipher) * 1e6;
         // The flow models *wire* bytes: payload inflated by the wrapper
@@ -235,14 +248,7 @@ impl TransferEngine {
         let wire_cap_bps = payload_cap_bps / factor;
 
         let cc = match spec.protocol {
-            Protocol::Udr => {
-                let path = self
-                    .net
-                    .topology()
-                    .shortest_path(spec.src, spec.dst)
-                    .expect("rtt above implies a path");
-                CongestionControl::udt(self.net.topology().path_bottleneck_bps(&path))
-            }
+            Protocol::Udr => CongestionControl::udt(topo.path_bottleneck_bps(&path)),
             Protocol::Rsync => CongestionControl::reno(rtt),
         };
         let flow = self.net.start_flow(FlowSpec {

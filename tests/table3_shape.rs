@@ -121,3 +121,41 @@ fn headline_speedup_bands() {
         "encryption compresses UDR's edge, as in the paper"
     );
 }
+
+#[test]
+fn table3_cells_jump_between_events() {
+    // Between solves a flow's rate is frozen, so the fluid net jumps from
+    // event to event instead of stepping 10 ms ticks: each 108 GB cell,
+    // as `table3_udr` runs it, takes at most one advance per 100 ticks.
+    for (protocol, cipher) in [
+        (Protocol::Udr, CipherKind::None),
+        (Protocol::Rsync, CipherKind::None),
+        (Protocol::Udr, CipherKind::Blowfish),
+        (Protocol::Rsync, CipherKind::Blowfish),
+        (Protocol::Rsync, CipherKind::TripleDes),
+    ] {
+        let wan = osdc_wan(0.9e-7);
+        let src = wan.node(OsdcSite::ChicagoKenwood);
+        let dst = wan.node(OsdcSite::Lvoc);
+        let mut engine = TransferEngine::new(FluidNet::new(wan.topology, 2012));
+        engine.run(
+            &TransferSpec {
+                protocol,
+                cipher,
+                bytes: GB108,
+                files: 1,
+                src,
+                dst,
+            },
+            SimDuration::from_days(2),
+        );
+        let stats = engine.net.solver_stats();
+        assert!(
+            stats.advances * 100 <= stats.ticks,
+            "{} {cipher}: {} advances for {} ticks",
+            protocol.label(),
+            stats.advances,
+            stats.ticks
+        );
+    }
+}
