@@ -7,8 +7,9 @@
 //! modern hardware (expect today's cores to be several times faster).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use osdc_crypto::md5::{md5, md5_many};
 use osdc_crypto::modes::CtrStream;
-use osdc_crypto::{ecb_encrypt, md5::md5, BlockCipher64, Blowfish, TripleDes};
+use osdc_crypto::{ecb_encrypt, BlockCipher64, Blowfish, TripleDes};
 use std::hint::black_box;
 
 const MB: usize = 1 << 20;
@@ -89,9 +90,41 @@ fn bench_stream(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_file_digests(c: &mut Criterion) {
+    // A checksum-mode file list of `wan_sync`'s shape: 64 files of
+    // 256 KiB, hashed one file at a time and four files at a time.
+    let mut group = c.benchmark_group("file_digests");
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let files: Vec<Vec<u8>> = (0..64)
+        .map(|_| {
+            (0..256 << 10)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x >> 24) as u8
+                })
+                .collect()
+        })
+        .collect();
+    let refs: Vec<&[u8]> = files.iter().map(Vec::as_slice).collect();
+    group.throughput(Throughput::Bytes(16 * MB as u64));
+    group.bench_function(BenchmarkId::new("md5", "64x256KiB"), |b| {
+        b.iter(|| {
+            refs.iter()
+                .map(|file| md5(black_box(file)))
+                .collect::<Vec<_>>()
+        })
+    });
+    group.bench_function(BenchmarkId::new("md5_many", "64x256KiB"), |b| {
+        b.iter(|| md5_many(black_box(&refs)))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_block_ciphers, bench_batched, bench_stream
+    targets = bench_block_ciphers, bench_batched, bench_stream, bench_file_digests
 }
 criterion_main!(benches);

@@ -90,62 +90,64 @@ impl Blowfish {
         (l, r)
     }
 
-    /// Encrypt four independent blocks with the rounds interleaved. Each
-    /// Feistel round's four table lookups are data-dependent on the
-    /// previous round, so a single block serializes on memory latency;
-    /// four lanes give the core independent loads to overlap. Bytes are
-    /// identical to four `encrypt_words` calls.
+    /// Run four independent blocks through the 16 rounds at once, the
+    /// rounds' subkeys given two at a time, then whiten the output halves
+    /// with `out_hi` and `out_lo`. Each Feistel round's four table lookups
+    /// are data-dependent on the previous round, so a single block
+    /// serializes on memory latency; four lanes give the core independent
+    /// loads to overlap.
+    ///
+    /// Every lane's halves are locals of their own, and one iteration runs
+    /// two rounds, so the halves trade roles without a swap: lanes held in
+    /// `[u32; 4]` arrays and swapped every round may be packed two to a
+    /// 64-bit register, which costs shifts to pack and unpack every round.
+    #[inline(always)]
+    fn rounds4(
+        &self,
+        quad: &mut [u64; 4],
+        pairs: impl Iterator<Item = (u32, u32)>,
+        out_hi: u32,
+        out_lo: u32,
+    ) {
+        let [mut l0, mut l1, mut l2, mut l3] = quad.map(|b| (b >> 32) as u32);
+        let [mut r0, mut r1, mut r2, mut r3] = quad.map(|b| b as u32);
+        for (first, second) in pairs {
+            l0 ^= first;
+            l1 ^= first;
+            l2 ^= first;
+            l3 ^= first;
+            r0 ^= self.feistel(l0);
+            r1 ^= self.feistel(l1);
+            r2 ^= self.feistel(l2);
+            r3 ^= self.feistel(l3);
+            r0 ^= second;
+            r1 ^= second;
+            r2 ^= second;
+            r3 ^= second;
+            l0 ^= self.feistel(r0);
+            l1 ^= self.feistel(r1);
+            l2 ^= self.feistel(r2);
+            l3 ^= self.feistel(r3);
+        }
+        // The last round's swap is undone, so `r` leaves as the high half.
+        let join = |r: u32, l: u32| (((r ^ out_hi) as u64) << 32) | (l ^ out_lo) as u64;
+        *quad = [join(r0, l0), join(r1, l1), join(r2, l2), join(r3, l3)];
+    }
+
+    /// Four-lane encryption; bytes are identical to four `encrypt_words`
+    /// calls.
     #[inline]
-    fn encrypt_words4(&self, l: &mut [u32; 4], r: &mut [u32; 4]) {
-        for i in 0..ROUNDS {
-            let p = self.p[i];
-            for lane in 0..4 {
-                l[lane] ^= p;
-                r[lane] ^= self.feistel(l[lane]);
-            }
-            std::mem::swap(l, r);
-        }
-        std::mem::swap(l, r);
-        for lane in 0..4 {
-            r[lane] ^= self.p[ROUNDS];
-            l[lane] ^= self.p[ROUNDS + 1];
-        }
+    fn encrypt4(&self, quad: &mut [u64; 4]) {
+        let pairs = self.p[..ROUNDS].as_chunks::<2>().0.iter();
+        let (hi, lo) = (self.p[ROUNDS + 1], self.p[ROUNDS]);
+        self.rounds4(quad, pairs.map(|&[a, b]| (a, b)), hi, lo);
     }
 
-    /// Four-lane decryption; see [`Blowfish::encrypt_words4`].
+    /// Four-lane decryption: the subkeys in reverse.
     #[inline]
-    fn decrypt_words4(&self, l: &mut [u32; 4], r: &mut [u32; 4]) {
-        for i in (2..ROUNDS + 2).rev() {
-            let p = self.p[i];
-            for lane in 0..4 {
-                l[lane] ^= p;
-                r[lane] ^= self.feistel(l[lane]);
-            }
-            std::mem::swap(l, r);
-        }
-        std::mem::swap(l, r);
-        for lane in 0..4 {
-            r[lane] ^= self.p[1];
-            l[lane] ^= self.p[0];
-        }
-    }
-}
-
-#[inline]
-fn split4(blocks: &[u64]) -> ([u32; 4], [u32; 4]) {
-    let mut l = [0u32; 4];
-    let mut r = [0u32; 4];
-    for lane in 0..4 {
-        l[lane] = (blocks[lane] >> 32) as u32;
-        r[lane] = blocks[lane] as u32;
-    }
-    (l, r)
-}
-
-#[inline]
-fn join4(blocks: &mut [u64], l: &[u32; 4], r: &[u32; 4]) {
-    for lane in 0..4 {
-        blocks[lane] = (l[lane] as u64) << 32 | r[lane] as u64;
+    fn decrypt4(&self, quad: &mut [u64; 4]) {
+        let pairs = self.p[2..].as_chunks::<2>().0.iter().rev();
+        self.rounds4(quad, pairs.map(|&[a, b]| (b, a)), self.p[0], self.p[1]);
     }
 }
 
@@ -161,25 +163,21 @@ impl BlockCipher64 for Blowfish {
     }
 
     fn encrypt_blocks_u64(&self, blocks: &mut [u64]) {
-        let mut chunks = blocks.chunks_exact_mut(4);
-        for quad in &mut chunks {
-            let (mut l, mut r) = split4(quad);
-            self.encrypt_words4(&mut l, &mut r);
-            join4(quad, &l, &r);
+        let (quads, rest) = blocks.as_chunks_mut::<4>();
+        for quad in quads {
+            self.encrypt4(quad);
         }
-        for b in chunks.into_remainder() {
+        for b in rest {
             *b = self.encrypt_block_u64(*b);
         }
     }
 
     fn decrypt_blocks_u64(&self, blocks: &mut [u64]) {
-        let mut chunks = blocks.chunks_exact_mut(4);
-        for quad in &mut chunks {
-            let (mut l, mut r) = split4(quad);
-            self.decrypt_words4(&mut l, &mut r);
-            join4(quad, &l, &r);
+        let (quads, rest) = blocks.as_chunks_mut::<4>();
+        for quad in quads {
+            self.decrypt4(quad);
         }
-        for b in chunks.into_remainder() {
+        for b in rest {
             *b = self.decrypt_block_u64(*b);
         }
     }

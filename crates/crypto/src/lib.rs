@@ -11,9 +11,10 @@
 //!   algorithm ([`bbp`]) and pin correctness with the published test vectors.
 //! * [`des::Des`] / [`des::TripleDes`] — FIPS 46-3 DES and EDE3 3DES (the
 //!   default cipher of the era's rsync-over-ssh, per §7.2).
-//! * [`md5::Md5`] — used by the rsync delta algorithm in `osdc-transfer` as
-//!   its strong block checksum (real rsync used MD4/MD5 depending on
-//!   version).
+//! * [`md5`] — one-shot [`md5::md5`] and the four-lane [`md5::md5_many`],
+//!   used by the rsync delta algorithm in `osdc-transfer` as its strong
+//!   block checksum and for checksum-mode file lists (real rsync used
+//!   MD4/MD5 depending on version).
 //! * [`modes`] — ECB/CBC/CTR modes over any 64-bit block cipher, and PKCS#7
 //!   padding, so transfer sessions can encrypt realistic byte streams.
 //! * [`sha256::Sha256`] — FIPS 180-4 SHA-256; the scale harnesses pin
@@ -23,9 +24,11 @@
 //!   [`Keyring`], used by `osdc-sharing` to mint and verify revocable
 //!   capabilities (symmetric trust, as the era's federations exchanged).
 //!
-//! Everything here is pure safe Rust with no dependencies; the hot paths
-//! (round functions, compression function) are branch-free and allocation-
-//! free per the workspace performance guidelines.
+//! Everything here is Rust with no dependencies and one `unsafe` block:
+//! the call into `md5_many`'s SSE2 kernel, sound because it is compiled
+//! only for targets with SSE2. The hot paths (round functions, compression
+//! functions) are branch-free and allocation-free per the workspace
+//! performance guidelines.
 //!
 //! **Scope note:** these implementations exist to make the reproduction
 //! *executable and measurable*, not to be a vetted cryptography library. Do
@@ -42,7 +45,6 @@ pub mod sign;
 
 pub use blowfish::Blowfish;
 pub use des::{Des, TripleDes};
-pub use md5::Md5;
 pub use modes::{ecb_decrypt, ecb_encrypt, BlockCipher64, CbcEncryptor, CtrStream, Pkcs7};
 pub use sha256::{sha256, sha256_hex, Sha256};
 pub use sign::{KeyId, Keyring, Signature, SignatureError, SigningKey};

@@ -12,11 +12,12 @@
 //! 3. the receiver reconstructs the new file from its basis plus the delta
 //!    ([`apply_delta`]).
 //!
-//! Signature computation is embarrassingly parallel over blocks, so it
-//! fans out on the workspace's parallel map ([`osdc_sim::run_indexed`])
-//! when the input is large.
+//! Signature computation is embarrassingly parallel over blocks: each
+//! batch of blocks is hashed four at a time ([`md5_many`]), and the
+//! batches fan out on the workspace's parallel map
+//! ([`osdc_sim::run_indexed`]) when the input is large.
 
-use osdc_crypto::md5::md5;
+use osdc_crypto::md5::{md5, md5_many};
 use osdc_telemetry::audit;
 
 use crate::rolling::{weak_checksum, RollingChecksum};
@@ -79,16 +80,19 @@ pub fn block_size_for(len: usize) -> usize {
 
 /// Compute block signatures of `basis`, fanning out across threads for
 /// large inputs: one [`osdc_sim::run_indexed`] task per contiguous batch
-/// of blocks, one batch per host worker.
+/// of blocks, one batch per host worker. A batch's strong sums come from
+/// one [`md5_many`] call.
 pub fn compute_signatures(basis: &[u8], block_size: usize) -> Signatures {
     assert!(block_size > 0, "block size must be positive");
     let sign = |batch: &[(usize, &[u8])]| -> Vec<BlockSignature> {
+        let chunks: Vec<&[u8]> = batch.iter().map(|&(_, chunk)| chunk).collect();
         batch
             .iter()
-            .map(|&(i, chunk)| BlockSignature {
+            .zip(md5_many(&chunks))
+            .map(|(&(i, chunk), strong)| BlockSignature {
                 index: i as u32,
                 weak: weak_checksum(chunk),
-                strong: md5(chunk),
+                strong,
             })
             .collect()
     };

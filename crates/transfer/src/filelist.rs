@@ -4,6 +4,16 @@
 //! files need work. The default "quick check" compares size and mtime; the
 //! paranoid mode compares full checksums. Both are implemented here over
 //! the in-memory tree model used throughout the workspace.
+//!
+//! A list carries content digests only in checksum mode: quick mode never
+//! reads them, so a sync session lists its trees without hashing in quick
+//! mode and with one [`osdc_crypto::md5::md5_many`] call per tree in
+//! checksum mode.
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::collections::BTreeMap;
 
@@ -15,11 +25,13 @@ pub struct FileEntry {
     pub size: u64,
     /// Modification time, seconds since epoch (virtual).
     pub mtime: u64,
-    /// Content digest; populated lazily for checksum mode.
+    /// Content digest (MD5); populated lazily for checksum mode. `None`
+    /// in a quick-mode list, which compares only size and mtime.
     pub digest: Option<[u8; 16]>,
 }
 
 impl FileEntry {
+    /// The entry for one file, its digest computed.
     pub fn from_content(content: &[u8], mtime: u64) -> Self {
         FileEntry {
             size: content.len() as u64,

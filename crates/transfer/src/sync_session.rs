@@ -9,8 +9,14 @@
 //! send whole content for new files and block deltas for changed ones,
 //! then push exactly those wire bytes through the simulated path.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::BTreeMap;
 
+use osdc_crypto::md5::md5_many;
 use osdc_crypto::CipherKind;
 use osdc_sim::SimDuration;
 
@@ -55,13 +61,29 @@ impl Tree {
         self.files.values().map(|(c, _)| c.len() as u64).sum()
     }
 
-    fn file_list(&self) -> FileList {
-        self.files
+    /// The tree's file list for `mode`. Only checksum mode reads
+    /// digests, so only it hashes: every file in path order, in one
+    /// [`md5_many`] call.
+    fn file_list(&self, mode: CheckMode) -> FileList {
+        let mut list: FileList = self
+            .files
             .iter()
             .map(|(path, (content, mtime))| {
-                (path.clone(), FileEntry::from_content(content, *mtime))
+                let entry = FileEntry {
+                    size: content.len() as u64,
+                    mtime: *mtime,
+                    digest: None,
+                };
+                (path.clone(), entry)
             })
-            .collect()
+            .collect();
+        if mode == CheckMode::Checksum {
+            let contents: Vec<&[u8]> = self.files.values().map(|(c, _)| c.as_slice()).collect();
+            for (entry, digest) in list.values_mut().zip(md5_many(&contents)) {
+                entry.digest = Some(digest);
+            }
+        }
+        list
     }
 }
 
@@ -106,6 +128,10 @@ const SIG_BYTES_PER_BLOCK: usize = 24;
 /// cipher, check mode, endpoints) — splitting it into a builder would
 /// obscure the correspondence.
 #[allow(clippy::too_many_arguments)]
+// The `expect`s are invariants, not input errors: the plan names only
+// paths listed from these two trees, and a delta built from the basis's
+// own signatures applies to that basis.
+#[allow(clippy::expect_used)]
 pub fn sync_over_wan(
     engine: &mut TransferEngine,
     src: &Tree,
@@ -116,7 +142,7 @@ pub fn sync_over_wan(
     src_node: osdc_net::NodeId,
     dst_node: osdc_net::NodeId,
 ) -> SyncReport {
-    let plan = plan_sync(&src.file_list(), &dst.file_list(), mode);
+    let plan = plan_sync(&src.file_list(mode), &dst.file_list(mode), mode);
     let mut wire_bytes = 0u64;
     let mut created = 0u32;
     let mut updated = 0u32;
@@ -134,21 +160,24 @@ pub fn sync_over_wan(
     for (path, action) in &plan {
         match action {
             PlanAction::Create => {
-                let mut content = src.get(path).expect("planned from src list").to_vec();
+                let (new_data, mtime) = src.files.get(path).expect("planned from src list");
+                let mut content = new_data.clone();
                 wire.apply(nonce, &mut content); // sender encrypts...
                 wire.apply(nonce, &mut content); // ...receiver decrypts
                 nonce += 1;
-                debug_assert_eq!(Some(content.as_slice()), src.get(path));
+                debug_assert_eq!(&content, new_data);
                 wire_bytes += content.len() as u64;
-                let mtime = src.files[path].1;
-                dst.put(path, content, mtime);
+                dst.put(path, content, *mtime);
                 created += 1;
             }
             PlanAction::Update => {
-                let new_data = src.get(path).expect("planned from src list");
-                let basis = dst.get(path).expect("update implies presence").to_vec();
+                let (new_data, mtime) = src.files.get(path).expect("planned from src list");
+                // The basis is borrowed in place, and replaced once the
+                // delta has rebuilt the new content from it.
+                let (basis, basis_mtime) =
+                    dst.files.get_mut(path).expect("update implies presence");
                 let bs = block_size_for(basis.len().max(1));
-                let sigs = compute_signatures(&basis, bs);
+                let sigs = compute_signatures(basis, bs);
                 // Signatures flow dst → src before the delta flows back.
                 wire_bytes += (sigs.blocks.len() * SIG_BYTES_PER_BLOCK) as u64;
                 let mut delta = generate_delta_with(&sigs, new_data, &mut scratch);
@@ -162,10 +191,10 @@ pub fn sync_over_wan(
                         nonce += 1;
                     }
                 }
-                let rebuilt = apply_delta(&basis, &delta, bs).expect("own delta applies");
-                debug_assert_eq!(rebuilt, new_data);
-                let mtime = src.files[path].1;
-                dst.put(path, rebuilt, mtime);
+                let rebuilt = apply_delta(basis, &delta, bs).expect("own delta applies");
+                debug_assert_eq!(&rebuilt, new_data);
+                *basis = rebuilt;
+                *basis_mtime = *mtime;
                 updated += 1;
             }
             PlanAction::ExtraOnTarget => extra += 1,
@@ -234,6 +263,29 @@ mod tests {
             );
         }
         t
+    }
+
+    #[test]
+    fn only_checksum_mode_lists_carry_digests() {
+        // Nine equal files (two four-lane groups and one left over) plus
+        // files of other lengths, so lanes of mixed lengths finish alone.
+        let mut tree = populated_tree(9, 3);
+        tree.put("/data/block", content(700, 41), 5);
+        tree.put("/data/empty", Vec::new(), 6);
+        tree.put("/data/odd", content(5_000, 43), 7);
+        let quick = tree.file_list(CheckMode::Quick);
+        let checksum = tree.file_list(CheckMode::Checksum);
+        assert_eq!(quick.len(), tree.len());
+        assert_eq!(checksum.len(), tree.len());
+        for (path, (content, mtime)) in &tree.files {
+            let want = FileEntry::from_content(content, *mtime);
+            assert_eq!(checksum[path], want, "{path}");
+            let no_digest = FileEntry {
+                digest: None,
+                ..want
+            };
+            assert_eq!(quick[path], no_digest, "{path}");
+        }
     }
 
     #[test]
