@@ -79,6 +79,11 @@ impl fmt::Display for Number {
                 if x.fract() == 0.0 && x.abs() < 1e15 {
                     // serde_json prints whole floats with a trailing `.0`.
                     write!(f, "{x:.1}")
+                } else if x.fract() == 0.0 {
+                    // Larger whole floats in exponent form: as a bare run
+                    // of digits they would read back as an integer, or
+                    // past 64 bits fail to read back at all.
+                    write!(f, "{x:e}")
                 } else {
                     write!(f, "{x}")
                 }

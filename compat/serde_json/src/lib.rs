@@ -596,6 +596,12 @@ mod tests {
             to_string(&v).expect("ok"),
             "[-3,18446744073709551615,2500.0]"
         );
+        // Whole floats past 10^15 print in exponent form, so they read
+        // back as floats even beyond the 64-bit integers.
+        let big: Value = from_str("[1e15, -2.5e20, 1e300]").expect("parses");
+        let text = to_string(&big).expect("ok");
+        assert_eq!(text, "[1e15,-2.5e20,1e300]");
+        assert_eq!(from_str::<Value>(&text).expect("reads back"), big);
     }
 
     #[test]

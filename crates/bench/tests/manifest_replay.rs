@@ -2,7 +2,9 @@
 //!
 //! The round-trip property pins the serde compat shims: any manifest the
 //! recorder can produce must survive `to_json` → `from_json` exactly,
-//! or checked-in manifests would silently drift. The process tests drive
+//! or checked-in manifests would silently drift. The loader fuzz feeds
+//! hostile text to `Manifest::from_json` and to the compat JSON parser
+//! alone; neither may panic. The process tests drive
 //! the real `exp_replay` binary: a faithful manifest must replay clean,
 //! a tampered hash must fail naming the diverging artifact, a malformed
 //! `--jobs` or a manifest nested past the JSON parser's depth limit must
@@ -127,6 +129,58 @@ proptest! {
             if let Ok(manifest) = Manifest::from_json(&input) {
                 prop_assert_eq!(Manifest::from_json(&manifest.to_json()).ok(), Some(manifest));
             }
+        }
+    }
+
+    /// The compat `serde_json::from_str` on its own, parsing `Value`:
+    /// arbitrary bytes, byte-edited copies of every checked-in manifest,
+    /// and numbers in every JSON form across the whole `f64` exponent
+    /// range. It never panics, and whatever it accepts round-trips.
+    #[test]
+    fn json_parser_never_panics(
+        noise in prop::collection::vec(any::<u8>(), 0..96),
+        pick in 0usize..64,
+        edits in prop::collection::vec((0u8..4, any::<u16>(), any::<u8>()), 1..6),
+        mantissa in any::<i64>(),
+        exponent in -340i32..340,
+    ) {
+        let texts = checked_in_manifests();
+        let (m, e) = (mantissa, exponent);
+        for input in [
+            String::from_utf8_lossy(&noise).into_owned(),
+            mutate(&texts[pick % texts.len()], &edits),
+            format!("[{m}, {m}.5, {m}e{e}, {m}.25E{e}]"),
+        ] {
+            json_round_trips(&input);
+        }
+    }
+}
+
+/// Parse `text` as a `Value`; if it parses, it must serialize and parse
+/// back to an equal `Value`.
+fn json_round_trips(text: &str) {
+    if let Ok(value) = serde_json::from_str::<serde_json::Value>(text) {
+        let json = serde_json::to_string(&value).expect("serializing a Value cannot fail");
+        assert_eq!(
+            serde_json::from_str::<serde_json::Value>(&json).ok(),
+            Some(value),
+            "{text:?} serialized as {json:?}"
+        );
+    }
+}
+
+/// Arrays and objects nested 127, 128 and 129 levels deep, around the
+/// parser's 128-level cap: the first two parse and round-trip, the last
+/// is refused, and none panics.
+#[test]
+fn json_nesting_at_the_cap() {
+    for depth in [127, 128, 129] {
+        let arrays = "[".repeat(depth) + &"]".repeat(depth);
+        let objects = "{\"k\":".repeat(depth - 1) + "{}" + &"}".repeat(depth - 1);
+        for text in [arrays, objects] {
+            let parsed = serde_json::from_str::<serde_json::Value>(&text);
+            assert_eq!(parsed.is_ok(), depth <= 128, "{depth} levels");
+            json_round_trips(&text);
         }
     }
 }

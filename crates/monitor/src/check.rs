@@ -4,6 +4,17 @@
 //! returns the values to the master server using binary plugins with
 //! arguments that designate the thresholds for 'Warning' and 'Critical'
 //! alerts."
+//!
+//! A check has two outputs with very different costs.
+//! [`CheckDefinition::status`] is the threshold comparison alone and
+//! allocates nothing; the master runs it on every due check.
+//! [`CheckDefinition::evaluate`] adds the plugin's perf-data message,
+//! which only a notification carries.
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 /// Nagios exit-status vocabulary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -11,7 +22,8 @@ pub enum CheckStatus {
     Ok,
     Warning,
     Critical,
-    /// Plugin could not obtain the metric (agent down, unknown metric).
+    /// Plugin could not obtain the metric (agent down, unknown metric)
+    /// or obtained a NaN.
     Unknown,
 }
 
@@ -49,7 +61,7 @@ pub struct CheckDefinition {
 pub struct CheckResult {
     pub status: CheckStatus,
     pub message: String,
-    /// The sampled value (absent on UNKNOWN).
+    /// The sampled value (absent when the metric could not be read).
     pub value: Option<f64>,
 }
 
@@ -79,38 +91,36 @@ impl CheckDefinition {
         def
     }
 
-    /// Evaluate against a sampled value.
+    /// The threshold comparison for a sampled value: no message, no
+    /// allocation. `None` is UNKNOWN, and so is NaN: every ordered
+    /// comparison with NaN is false, so it would otherwise read as OK in
+    /// either direction. ±inf keep their order (CRITICAL at the bad end,
+    /// OK at the good end).
+    pub fn status(&self, value: Option<f64>) -> CheckStatus {
+        let Some(v) = value.filter(|v| !v.is_nan()) else {
+            return CheckStatus::Unknown;
+        };
+        let (critical, warning) = match self.direction {
+            ThresholdDirection::HighIsBad => (v >= self.critical, v >= self.warning),
+            ThresholdDirection::LowIsBad => (v <= self.critical, v <= self.warning),
+        };
+        if critical {
+            CheckStatus::Critical
+        } else if warning {
+            CheckStatus::Warning
+        } else {
+            CheckStatus::Ok
+        }
+    }
+
+    /// [`status`](Self::status) plus the plugin's message with its perf
+    /// data (`name STATUS: metric=value (w:… c:…)`; a NaN sample reads
+    /// `metric=NaN` under UNKNOWN).
     pub fn evaluate(&self, value: Option<f64>) -> CheckResult {
-        let Some(v) = value else {
-            return CheckResult {
-                status: CheckStatus::Unknown,
-                message: format!("{}: metric '{}' unavailable", self.name, self.metric),
-                value: None,
-            };
-        };
-        let status = match self.direction {
-            ThresholdDirection::HighIsBad => {
-                if v >= self.critical {
-                    CheckStatus::Critical
-                } else if v >= self.warning {
-                    CheckStatus::Warning
-                } else {
-                    CheckStatus::Ok
-                }
-            }
-            ThresholdDirection::LowIsBad => {
-                if v <= self.critical {
-                    CheckStatus::Critical
-                } else if v <= self.warning {
-                    CheckStatus::Warning
-                } else {
-                    CheckStatus::Ok
-                }
-            }
-        };
-        CheckResult {
-            status,
-            message: format!(
+        let status = self.status(value);
+        let message = match value {
+            None => format!("{}: metric '{}' unavailable", self.name, self.metric),
+            Some(v) => format!(
                 "{} {}: {}={:.2} (w:{} c:{})",
                 self.name,
                 status.label(),
@@ -119,7 +129,11 @@ impl CheckDefinition {
                 self.warning,
                 self.critical
             ),
-            value: Some(v),
+        };
+        CheckResult {
+            status,
+            message,
+            value,
         }
     }
 }
@@ -138,6 +152,16 @@ mod tests {
         )
     }
 
+    fn replica_check() -> CheckDefinition {
+        CheckDefinition::new(
+            "check_replicas",
+            "live_replicas",
+            2.0,
+            1.0,
+            ThresholdDirection::LowIsBad,
+        )
+    }
+
     #[test]
     fn high_is_bad_bands() {
         let c = disk_check();
@@ -150,13 +174,7 @@ mod tests {
 
     #[test]
     fn low_is_bad_bands() {
-        let c = CheckDefinition::new(
-            "check_replicas",
-            "live_replicas",
-            2.0,
-            1.0,
-            ThresholdDirection::LowIsBad,
-        );
+        let c = replica_check();
         assert_eq!(c.evaluate(Some(3.0)).status, CheckStatus::Ok);
         assert_eq!(c.evaluate(Some(2.0)).status, CheckStatus::Warning);
         assert_eq!(c.evaluate(Some(1.0)).status, CheckStatus::Critical);
@@ -174,8 +192,34 @@ mod tests {
     #[test]
     fn message_carries_perf_data() {
         let r = disk_check().evaluate(Some(84.5));
-        assert!(r.message.contains("disk_used_pct=84.50"));
-        assert!(r.message.contains("WARNING"));
+        assert_eq!(
+            r.message,
+            "check_disk WARNING: disk_used_pct=84.50 (w:80 c:95)"
+        );
+    }
+
+    #[test]
+    fn nan_is_unknown_in_both_directions() {
+        for c in [disk_check(), replica_check()] {
+            assert_eq!(c.status(Some(f64::NAN)), CheckStatus::Unknown);
+            let r = c.evaluate(Some(f64::NAN));
+            assert_eq!(r.status, CheckStatus::Unknown);
+            assert!(r.value.is_some_and(f64::is_nan));
+            assert!(
+                r.message.contains("UNKNOWN") && r.message.contains("=NaN"),
+                "{}",
+                r.message
+            );
+        }
+    }
+
+    #[test]
+    fn infinities_keep_their_order() {
+        let (high, low) = (disk_check(), replica_check());
+        assert_eq!(high.status(Some(f64::INFINITY)), CheckStatus::Critical);
+        assert_eq!(high.status(Some(f64::NEG_INFINITY)), CheckStatus::Ok);
+        assert_eq!(low.status(Some(f64::NEG_INFINITY)), CheckStatus::Critical);
+        assert_eq!(low.status(Some(f64::INFINITY)), CheckStatus::Ok);
     }
 
     #[test]

@@ -9,10 +9,8 @@
 //!
 //! ## Scheduling
 //!
-//! [`NagiosMaster::tick`] used to scan every registered service (and
-//! rebuild, clone and sort the full host list) on every tick —
-//! O(all-services) even when nothing was due, the dominant cost at
-//! ROADMAP scale (10³ hosts × many services). It now keeps:
+//! A [`NagiosMaster::tick`] costs one walk over the hosts plus one
+//! threshold comparison per due check. It keeps:
 //!
 //! * a **due-time wheel**: power-of-two ring of 1-second buckets keyed
 //!   by `next_check_at`. A tick scans only the bucket range the clock
@@ -20,18 +18,40 @@
 //!   O(elapsed seconds + actually-due services). Far-future entries that
 //!   share a slot with due ones are validated lazily (`next_check_at`
 //!   compared against `now`) and left for a later rotation.
-//! * a **cached host index**: the sorted, deduplicated hostname list is
-//!   maintained incrementally by [`NagiosMaster::add_service`], so host
-//!   up/down transitions still notify in sorted host order without any
-//!   per-tick allocation.
+//! * **host ids**: [`NagiosMaster::add_service`] gives each new host a
+//!   dense id in first-seen order, each service stores its host's id,
+//!   and the ids are kept sorted by name. The caller's agent map is a
+//!   `BTreeMap`, so it iterates in name order too, and each tick walks
+//!   the two in step: one merge walk runs the host checks (notifying in
+//!   sorted host order) and resolves every host's agent. A due check
+//!   then finds its host's down flag and agent by id, never by name. A
+//!   host the map lacks is DOWN; map entries no service names are
+//!   skipped.
 //! * a **parked list**: services that came due while their host was
 //!   down (suppressed by the host/service dependency rule) wait off the
 //!   wheel and re-enter the due set the first tick their host is back.
+//!
+//! A due check compares numbers: it reads the agent's sample
+//! ([`HostAgent::sample`]) and computes its status
+//! ([`CheckDefinition::status`]). The plugin's message is formatted
+//! ([`CheckDefinition::evaluate`]) only for a PROBLEM or RECOVERY
+//! notification, the one output that carries text, and a service's
+//! state keeps the sample, not the message.
+//!
+//! A tick with nothing due and nothing parked allocates nothing. Any
+//! other tick allocates its host table (one agent reference per host,
+//! built only then), whatever wheel buckets grow, and the notifications
+//! it pushes; the count does not grow with the number of checks run.
 //!
 //! Due services are processed in ascending service-registration order,
 //! exactly like the old full scan, so the notification stream is
 //! byte-identical — pinned by a differential test against the scan
 //! implementation and by trace hashes in `exp_scale`.
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::collections::BTreeMap;
 
@@ -53,13 +73,19 @@ pub struct ServiceDefinition {
 /// Current state of a service as Nagios tracks it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServiceState {
+    /// Status of the last check (OK before the first).
     pub last_status: CheckStatus,
     /// Consecutive non-OK results so far.
     pub attempts: u32,
     /// Whether the problem has hardened.
     pub hard_problem: bool,
+    /// When the service is next due.
     pub next_check_at: SimTime,
-    pub last_message: String,
+    /// The last check's sample: `None` before the first check and when
+    /// the agent could not read the metric (UNKNOWN). The plugin message
+    /// is not stored; it derives as
+    /// `def.check.evaluate(state.last_value).message`.
+    pub last_value: Option<f64>,
 }
 
 /// An alert delivered to the administrators.
@@ -82,16 +108,26 @@ const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
 const WHEEL_MASK: u64 = (WHEEL_SLOTS as u64) - 1;
 const SLOT_NANOS: u64 = 1_000_000_000;
 
+/// One registered service.
+struct Service {
+    def: ServiceDefinition,
+    state: ServiceState,
+    /// The id of `def.host`.
+    host: u32,
+}
+
 /// The master server.
 pub struct NagiosMaster {
-    services: Vec<(ServiceDefinition, ServiceState)>,
+    services: Vec<Service>,
     pub notifications: Vec<Notification>,
-    /// Hosts with an active host-level DOWN alert (service alerts for
-    /// these hosts are suppressed — the classic Nagios dependency rule
-    /// that stops one dead server paging once per service).
-    hosts_down: std::collections::BTreeSet<String>,
-    /// Sorted, deduplicated hostnames, maintained by `add_service`.
-    host_order: Vec<String>,
+    /// Hostnames by host id; ids are dense, in first-seen order.
+    host_names: Vec<String>,
+    /// Host ids sorted by name, maintained by `add_service`.
+    host_order: Vec<u32>,
+    /// By host id: an active host-level DOWN alert (service alerts for
+    /// the host are suppressed — the classic Nagios dependency rule that
+    /// stops one dead server paging once per service).
+    hosts_down: Vec<bool>,
     /// `next_check_at`-keyed ring of service indices.
     wheel: Vec<Vec<u32>>,
     /// Last absolute second the wheel scan covered.
@@ -113,8 +149,9 @@ impl NagiosMaster {
         NagiosMaster {
             services: Vec::new(),
             notifications: Vec::new(),
-            hosts_down: std::collections::BTreeSet::new(),
+            host_names: Vec::new(),
             host_order: Vec::new(),
+            hosts_down: Vec::new(),
             wheel: vec![Vec::new(); WHEEL_SLOTS],
             cursor_sec: 0,
             parked: Vec::new(),
@@ -128,22 +165,40 @@ impl NagiosMaster {
 
     pub fn add_service(&mut self, def: ServiceDefinition) {
         assert!(def.max_check_attempts >= 1);
-        if let Err(pos) = self.host_order.binary_search(&def.host) {
-            self.host_order.insert(pos, def.host.clone());
-        }
+        // The wheel and the parked list hold service indices as `u32`;
+        // 2³² service definitions would need hundreds of GiB, so no
+        // master reaches the limit.
+        #[allow(clippy::expect_used)]
+        let idx = u32::try_from(self.services.len()).expect("service count fits u32");
+        let names = &self.host_names;
+        let host = match self
+            .host_order
+            .binary_search_by(|&h| names[h as usize].cmp(&def.host))
+        {
+            Ok(pos) => self.host_order[pos],
+            Err(pos) => {
+                // Every host arrives with a service, so there are never
+                // more hosts than services, and `idx` above fit.
+                #[allow(clippy::expect_used)]
+                let id = u32::try_from(self.host_names.len()).expect("host count fits u32");
+                self.host_names.push(def.host.clone());
+                self.hosts_down.push(false);
+                self.host_order.insert(pos, id);
+                id
+            }
+        };
         let state = ServiceState {
             last_status: CheckStatus::Ok,
             attempts: 0,
             hard_problem: false,
             next_check_at: SimTime::ZERO,
-            last_message: String::new(),
+            last_value: None,
         };
-        let idx = u32::try_from(self.services.len()).expect("service count fits u32");
         // Clamp to the cursor so a service registered after ticking
         // lands in a slot the scan will still visit.
         let sec = (state.next_check_at.as_nanos() / SLOT_NANOS).max(self.cursor_sec);
         self.wheel[Self::slot_of(sec)].push(idx);
-        self.services.push((def, state));
+        self.services.push(Service { def, state, host });
     }
 
     /// Run every due service check against the agents at `now`.
@@ -153,32 +208,6 @@ impl NagiosMaster {
     /// dark raises ONE host DOWN alert and suppresses its per-service
     /// alerts until it returns — Nagios's host/service dependency rule.
     pub fn tick(&mut self, now: SimTime, agents: &BTreeMap<String, &HostAgent>) {
-        // Host checks over the cached sorted index: alert on down/up
-        // transitions.
-        for host in &self.host_order {
-            let reachable = agents.get(host).map(|a| a.is_reachable()).unwrap_or(false);
-            if !reachable && !self.hosts_down.contains(host) {
-                self.hosts_down.insert(host.clone());
-                self.notifications.push(Notification {
-                    at: now,
-                    host: host.clone(),
-                    service: "HOST".into(),
-                    status: CheckStatus::Critical,
-                    message: format!("host {host} DOWN"),
-                    problem: true,
-                });
-            } else if reachable && self.hosts_down.remove(host) {
-                self.notifications.push(Notification {
-                    at: now,
-                    host: host.clone(),
-                    service: "HOST".into(),
-                    status: CheckStatus::Ok,
-                    message: format!("host {host} UP"),
-                    problem: false,
-                });
-            }
-        }
-
         // Advance the wheel: collect every service due by `now` from the
         // slots the clock crossed since the last tick. Entries whose
         // `next_check_at` is still in the future (wrapped, or due later
@@ -192,7 +221,7 @@ impl NagiosMaster {
             let mut i = 0;
             while i < bucket.len() {
                 let idx = bucket[i];
-                if self.services[idx as usize].1.next_check_at <= now {
+                if self.services[idx as usize].state.next_check_at <= now {
                     bucket.swap_remove(i);
                     due.push(idx);
                 } else {
@@ -215,18 +244,24 @@ impl NagiosMaster {
         }
         self.cursor_sec = now_sec;
 
+        // Each host's agent by host id. Only due services read it, and
+        // parked ones may rejoin them below, so a tick with neither
+        // leaves it empty and allocates nothing.
+        let mut agent_of: Vec<Option<&HostAgent>> = if due.is_empty() && self.parked.is_empty() {
+            Vec::new()
+        } else {
+            vec![None; self.host_names.len()]
+        };
+        self.check_hosts(now, agents, &mut agent_of);
+
         // Parked services whose host recovered re-enter the due set.
         let mut parked = std::mem::take(&mut self.parked);
         parked.retain(|&idx| {
-            if self
-                .hosts_down
-                .contains(&self.services[idx as usize].0.host)
-            {
-                true
-            } else {
+            let down = self.hosts_down[self.services[idx as usize].host as usize];
+            if !down {
                 due.push(idx);
-                false
             }
+            down
         });
         self.parked = parked;
 
@@ -235,49 +270,31 @@ impl NagiosMaster {
         due.sort_unstable();
 
         for &idx in &due {
-            let (def, state) = &mut self.services[idx as usize];
+            let Service { def, state, host } = &mut self.services[idx as usize];
+            let host = *host as usize;
             // Suppression: no service checks/alerts while the host is
             // down. The service waits off-wheel until the host returns.
-            if self.hosts_down.contains(&def.host) {
+            if self.hosts_down[host] {
                 self.parked.push(idx);
                 continue;
             }
-            let result = match agents.get(&def.host) {
-                Some(agent) => agent.run_check(&def.check),
-                None => def.check.evaluate(None),
-            };
-            let ok = result.status == CheckStatus::Ok;
-            if ok {
+            let value = agent_of[host].and_then(|agent| agent.sample(&def.check));
+            let status = def.check.status(value);
+            if status == CheckStatus::Ok {
                 if state.hard_problem {
-                    self.notifications.push(Notification {
-                        at: now,
-                        host: def.host.clone(),
-                        service: def.check.name.clone(),
-                        status: CheckStatus::Ok,
-                        message: result.message.clone(),
-                        problem: false,
-                    });
+                    self.notifications.push(page(now, def, value, false));
                 }
                 state.hard_problem = false;
                 state.attempts = 0;
-                state.last_status = CheckStatus::Ok;
                 state.next_check_at = now + def.check_interval;
             } else {
                 state.attempts += 1;
-                state.last_status = result.status;
                 if state.attempts >= def.max_check_attempts {
                     // Hard state: notify once per hardening, then keep
                     // checking at the normal cadence.
                     if !state.hard_problem {
                         state.hard_problem = true;
-                        self.notifications.push(Notification {
-                            at: now,
-                            host: def.host.clone(),
-                            service: def.check.name.clone(),
-                            status: result.status,
-                            message: result.message.clone(),
-                            problem: true,
-                        });
+                        self.notifications.push(page(now, def, value, true));
                     }
                     state.next_check_at = now + def.check_interval;
                 } else {
@@ -285,17 +302,62 @@ impl NagiosMaster {
                     state.next_check_at = now + def.retry_interval;
                 }
             }
-            state.last_message = result.message;
+            state.last_status = status;
+            state.last_value = value;
             let sec = state.next_check_at.as_nanos() / SLOT_NANOS;
             self.wheel[Self::slot_of(sec)].push(idx);
         }
         self.due_scratch = due;
     }
 
+    /// The host checks, one merge walk: the hosts in name order beside
+    /// the agent map's entries, which `BTreeMap` also yields in name
+    /// order. Alerts on down/up transitions, and records each host's
+    /// agent in `agent_of` (by host id) when the table was built.
+    fn check_hosts<'a>(
+        &mut self,
+        now: SimTime,
+        agents: &BTreeMap<String, &'a HostAgent>,
+        agent_of: &mut [Option<&'a HostAgent>],
+    ) {
+        let mut entries = agents.iter();
+        let mut entry = entries.next();
+        for &h in &self.host_order {
+            let name = &self.host_names[h as usize];
+            // Skip map entries that no service names.
+            while entry.is_some_and(|(k, _)| k < name) {
+                entry = entries.next();
+            }
+            let agent = entry.filter(|(k, _)| *k == name).map(|(_, a)| *a);
+            if let Some(slot) = agent_of.get_mut(h as usize) {
+                *slot = agent;
+            }
+            // A host missing from the map is DOWN.
+            let reachable = agent.is_some_and(HostAgent::is_reachable);
+            let down = &mut self.hosts_down[h as usize];
+            if reachable == *down {
+                *down = !reachable;
+                let (status, word) = if reachable {
+                    (CheckStatus::Ok, "UP")
+                } else {
+                    (CheckStatus::Critical, "DOWN")
+                };
+                self.notifications.push(Notification {
+                    at: now,
+                    host: name.clone(),
+                    service: "HOST".into(),
+                    status,
+                    message: format!("host {name} {word}"),
+                    problem: !reachable,
+                });
+            }
+        }
+    }
+
     /// Browser-style console summary: worst status per host.
     pub fn console_summary(&self) -> BTreeMap<String, CheckStatus> {
         let mut by_host: BTreeMap<String, CheckStatus> = BTreeMap::new();
-        for (def, state) in &self.services {
+        for Service { def, state, .. } in &self.services {
             let status = if state.hard_problem || state.attempts > 0 {
                 state.last_status
             } else {
@@ -312,8 +374,22 @@ impl NagiosMaster {
     pub fn service_state(&self, host: &str, service: &str) -> Option<&ServiceState> {
         self.services
             .iter()
-            .find(|(d, _)| d.host == host && d.check.name == service)
-            .map(|(_, s)| s)
+            .find(|s| s.def.host == host && s.def.check.name == service)
+            .map(|s| &s.state)
+    }
+}
+
+/// A service's PROBLEM or RECOVERY notification: the one place a check's
+/// message is formatted.
+fn page(now: SimTime, def: &ServiceDefinition, value: Option<f64>, problem: bool) -> Notification {
+    let result = def.check.evaluate(value);
+    Notification {
+        at: now,
+        host: def.host.clone(),
+        service: def.check.name.clone(),
+        status: result.status,
+        message: result.message,
+        problem,
     }
 }
 
@@ -438,6 +514,29 @@ mod tests {
             .collect();
         assert_eq!(ups.len(), 1);
         assert_eq!(master.console_summary()["h1"], CheckStatus::Ok);
+    }
+
+    #[test]
+    fn nan_gauge_hardens_to_an_unknown_problem() {
+        let agent = HostAgent::new("h1");
+        agent.metrics.set("disk_used_pct", f64::NAN);
+        let mut master = NagiosMaster::new();
+        master.add_service(svc("h1"));
+        let agents = BTreeMap::from([("h1".to_string(), &agent)]);
+        run_minutes(&mut master, &agents, 10);
+        let problems: Vec<&Notification> =
+            master.notifications.iter().filter(|n| n.problem).collect();
+        assert_eq!(problems.len(), 1, "a NaN gauge is not silently OK");
+        assert_eq!(problems[0].status, CheckStatus::Unknown);
+        assert_eq!(problems[0].at, SimTime::ZERO + SimDuration::from_mins(2));
+        assert_eq!(
+            problems[0].message,
+            "check_disk UNKNOWN: disk_used_pct=NaN (w:80 c:95)"
+        );
+        let state = master.service_state("h1", "check_disk").expect("exists");
+        assert!(state.hard_problem);
+        assert!(state.last_value.is_some_and(f64::is_nan));
+        assert_eq!(master.console_summary()["h1"], CheckStatus::Unknown);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! reachable endpoint — if the host is down, checks come back UNKNOWN,
 //! exactly as a TCP-refused NRPE does.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::BTreeMap;
 
 use parking_lot::RwLock;
@@ -72,13 +77,19 @@ impl HostAgent {
         *self.reachable.read()
     }
 
+    /// The value a check reads: `None` when the host is unreachable or
+    /// the metric is unpublished.
+    pub fn sample(&self, def: &CheckDefinition) -> Option<f64> {
+        if !self.is_reachable() {
+            return None;
+        }
+        self.metrics.get(&def.metric)
+    }
+
     /// The master asks the agent to run a check ("the master server, via
     /// the agent, asks for checks to be run").
     pub fn run_check(&self, def: &CheckDefinition) -> CheckResult {
-        if !self.is_reachable() {
-            return def.evaluate(None);
-        }
-        def.evaluate(self.metrics.get(&def.metric))
+        def.evaluate(self.sample(def))
     }
 }
 

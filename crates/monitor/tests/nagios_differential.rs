@@ -2,7 +2,13 @@
 //! verbatim port of the old scan-everything implementation. Random
 //! fleets, metric drift, host flapping and irregular tick cadences must
 //! produce a **byte-identical** notification stream and identical
-//! end-state (per-service states and console summary).
+//! end-state (per-service states and console summary). The scan runs the
+//! full plugin (`run_check`, message included) on every check and keeps
+//! its last message, so the wheel's stored sample must reproduce that
+//! message exactly. Deterministic cases pin the edges of the wheel's
+//! host walk: an agent map that lacks a monitored host or carries hosts
+//! no service names, and a host registered after ticking whose name
+//! sorts first.
 
 use std::collections::BTreeMap;
 
@@ -13,9 +19,10 @@ use osdc_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// The pre-wheel master: rebuilds the host list and scans every service
-/// on every tick. Kept as the reference semantics.
+/// on every tick. Kept as the reference semantics. Each service carries
+/// its last check's message (`None` before the first check).
 struct ScanMaster {
-    services: Vec<(ServiceDefinition, ServiceState)>,
+    services: Vec<(ServiceDefinition, ServiceState, Option<String>)>,
     notifications: Vec<Notification>,
     hosts_down: std::collections::BTreeSet<String>,
 }
@@ -36,13 +43,17 @@ impl ScanMaster {
             attempts: 0,
             hard_problem: false,
             next_check_at: SimTime::ZERO,
-            last_message: String::new(),
+            last_value: None,
         };
-        self.services.push((def, state));
+        self.services.push((def, state, None));
     }
 
     fn tick(&mut self, now: SimTime, agents: &BTreeMap<String, &HostAgent>) {
-        let mut hosts: Vec<String> = self.services.iter().map(|(d, _)| d.host.clone()).collect();
+        let mut hosts: Vec<String> = self
+            .services
+            .iter()
+            .map(|(d, _, _)| d.host.clone())
+            .collect();
         hosts.sort_unstable();
         hosts.dedup();
         for host in hosts {
@@ -68,7 +79,7 @@ impl ScanMaster {
                 });
             }
         }
-        for (def, state) in &mut self.services {
+        for (def, state, last_message) in &mut self.services {
             if self.hosts_down.contains(&def.host) {
                 continue;
             }
@@ -79,7 +90,8 @@ impl ScanMaster {
                 Some(agent) => agent.run_check(&def.check),
                 None => def.check.evaluate(None),
             };
-            state.last_message = result.message.clone();
+            state.last_value = result.value;
+            *last_message = Some(result.message.clone());
             let ok = result.status == CheckStatus::Ok;
             if ok {
                 if state.hard_problem {
@@ -134,33 +146,47 @@ struct Step {
 
 const METRICS: [&str; 3] = ["disk_used_pct", "load1", "free_mb"];
 
+/// A reachable agent publishing healthy values for every metric.
+fn healthy_agent(name: &str) -> HostAgent {
+    let a = HostAgent::new(name);
+    a.metrics.set("disk_used_pct", 40.0);
+    a.metrics.set("load1", 1.0);
+    a.metrics.set("free_mb", 100_000.0);
+    a
+}
+
+/// Service `s` of a fleet, on `host`.
+fn service(s: usize, host: String) -> ServiceDefinition {
+    let (metric, warn, crit, dir) = match s % 3 {
+        0 => ("disk_used_pct", 80.0, 95.0, ThresholdDirection::HighIsBad),
+        1 => ("load1", 8.0, 16.0, ThresholdDirection::HighIsBad),
+        _ => ("free_mb", 10_000.0, 1_000.0, ThresholdDirection::LowIsBad),
+    };
+    ServiceDefinition {
+        host,
+        check: CheckDefinition::new(format!("check_{s}"), metric, warn, crit, dir),
+        check_interval: SimDuration::from_secs(60 + 60 * (s as u64 % 5)),
+        retry_interval: SimDuration::from_secs(15 + 10 * (s as u64 % 3)),
+        max_check_attempts: 1 + (s as u32 % 3),
+    }
+}
+
 fn fleet(n_hosts: usize, n_services: usize) -> (Vec<HostAgent>, Vec<ServiceDefinition>) {
     let agents: Vec<HostAgent> = (0..n_hosts)
-        .map(|h| {
-            let a = HostAgent::new(format!("h{h}"));
-            a.metrics.set("disk_used_pct", 40.0);
-            a.metrics.set("load1", 1.0);
-            a.metrics.set("free_mb", 100_000.0);
-            a
-        })
+        .map(|h| healthy_agent(&format!("h{h}")))
         .collect();
     let defs: Vec<ServiceDefinition> = (0..n_services)
-        .map(|s| {
-            let (metric, warn, crit, dir) = match s % 3 {
-                0 => ("disk_used_pct", 80.0, 95.0, ThresholdDirection::HighIsBad),
-                1 => ("load1", 8.0, 16.0, ThresholdDirection::HighIsBad),
-                _ => ("free_mb", 10_000.0, 1_000.0, ThresholdDirection::LowIsBad),
-            };
-            ServiceDefinition {
-                host: format!("h{}", s % n_hosts),
-                check: CheckDefinition::new(format!("check_{s}"), metric, warn, crit, dir),
-                check_interval: SimDuration::from_secs(60 + 60 * (s as u64 % 5)),
-                retry_interval: SimDuration::from_secs(15 + 10 * (s as u64 % 3)),
-                max_check_attempts: 1 + (s as u32 % 3),
-            }
-        })
+        .map(|s| service(s, format!("h{}", s % n_hosts)))
         .collect();
     (agents, defs)
+}
+
+fn step(dt_secs: u64, metric_updates: Vec<(usize, usize, f64)>, flips: Vec<usize>) -> Step {
+    Step {
+        dt_secs,
+        metric_updates,
+        flips,
+    }
 }
 
 fn step_strategy(n_hosts: usize) -> impl Strategy<Value = Step> {
@@ -178,16 +204,34 @@ fn step_strategy(n_hosts: usize) -> impl Strategy<Value = Step> {
 
 fn run_differential(n_hosts: usize, n_services: usize, steps: &[Step]) -> Result<(), String> {
     let (agents, defs) = fleet(n_hosts, n_services);
+    let agent_map: BTreeMap<String, &HostAgent> =
+        agents.iter().map(|a| (a.hostname.clone(), a)).collect();
+    run_scenario(&agents, &agent_map, &defs, &[], steps)
+}
+
+/// Tick both masters through `steps` against `agent_map`. Step host
+/// indices address `agents`, which may hold agents the map leaves out.
+/// Each `late` entry `(k, def)` is registered with both masters just
+/// before step `k`'s tick.
+fn run_scenario(
+    agents: &[HostAgent],
+    agent_map: &BTreeMap<String, &HostAgent>,
+    defs: &[ServiceDefinition],
+    late: &[(usize, ServiceDefinition)],
+    steps: &[Step],
+) -> Result<(), String> {
     let mut wheel = NagiosMaster::new();
     let mut scan = ScanMaster::new();
-    for def in &defs {
+    for def in defs {
         wheel.add_service(def.clone());
         scan.add_service(def.clone());
     }
-    let agent_map: BTreeMap<String, &HostAgent> =
-        agents.iter().map(|a| (a.hostname.clone(), a)).collect();
     let mut now = SimTime::ZERO;
-    for step in steps {
+    for (k, step) in steps.iter().enumerate() {
+        for (_, def) in late.iter().filter(|(at, _)| *at == k) {
+            wheel.add_service(def.clone());
+            scan.add_service(def.clone());
+        }
         for &(h, m, v) in &step.metric_updates {
             // LowIsBad metrics get scaled-down values so both directions
             // cross their thresholds.
@@ -198,8 +242,8 @@ fn run_differential(n_hosts: usize, n_services: usize, steps: &[Step]) -> Result
             agents[h].set_reachable(!agents[h].is_reachable());
         }
         now += SimDuration::from_secs(step.dt_secs);
-        wheel.tick(now, &agent_map);
-        scan.tick(now, &agent_map);
+        wheel.tick(now, agent_map);
+        scan.tick(now, agent_map);
         if wheel.notifications != scan.notifications {
             return Err(format!(
                 "notification streams diverged at {now:?}:\n wheel {:?}\n scan {:?}",
@@ -207,14 +251,22 @@ fn run_differential(n_hosts: usize, n_services: usize, steps: &[Step]) -> Result
             ));
         }
     }
-    for def in &defs {
+    for def in defs.iter().chain(late.iter().map(|(_, d)| d)) {
         let w = wheel.service_state(&def.host, &def.check.name);
         let s = scan
             .services
             .iter()
-            .find(|(d, _)| d.host == def.host && d.check.name == def.check.name)
-            .map(|(_, st)| st);
-        if w != s {
+            .find(|(d, _, _)| d.host == def.host && d.check.name == def.check.name);
+        let agree = match (w, s) {
+            (Some(w), Some((_, s, last_message))) => {
+                same_state(w, s)
+                    && last_message
+                        .as_ref()
+                        .is_none_or(|m| def.check.evaluate(w.last_value).message == *m)
+            }
+            _ => false,
+        };
+        if !agree {
             return Err(format!(
                 "state diverged for {}/{}: wheel {w:?}, scan {s:?}",
                 def.host, def.check.name
@@ -222,6 +274,17 @@ fn run_differential(n_hosts: usize, n_services: usize, steps: &[Step]) -> Result
         }
     }
     Ok(())
+}
+
+/// Field-wise equality, with `last_value` compared by bits: the derived
+/// `PartialEq` would call a NaN sample unequal to itself.
+fn same_state(a: &ServiceState, b: &ServiceState) -> bool {
+    let bits = |s: &ServiceState| s.last_value.map(f64::to_bits);
+    let rest = |s: &ServiceState| ServiceState {
+        last_value: None,
+        ..s.clone()
+    };
+    bits(a) == bits(b) && rest(a) == rest(b)
 }
 
 proptest! {
@@ -291,4 +354,53 @@ fn flap_with_hard_problem_matches_scan() {
         },
     ];
     run_differential(2, 6, &steps).expect("wheel and scan agree");
+}
+
+/// The merge walk's edges: the agent map lacks monitored host `h2` (it
+/// stays DOWN, its services parked) and carries four hosts no service
+/// names: one before all monitored hosts, one between two present ones,
+/// one just before the missing one, one after all. Drift and flaps reach
+/// every host, the unmonitored ones included, and one gauge goes NaN.
+#[test]
+fn agent_map_gaps_and_strays_match_scan() {
+    let (mut agents, defs) = fleet(4, 12);
+    let strays = ["a-spare", "h0-spare", "h1-spare", "z-spare"];
+    agents.extend(strays.iter().map(|name| healthy_agent(name)));
+    let agent_map: BTreeMap<String, &HostAgent> = agents
+        .iter()
+        .filter(|a| a.hostname != "h2")
+        .map(|a| (a.hostname.clone(), a))
+        .collect();
+    let steps = [
+        step(0, vec![(0, 0, 97_000.0), (3, 2, 500.0)], vec![4]),
+        step(45, vec![(2, 1, 20_000.0), (5, 0, 99_000.0)], vec![1, 5]),
+        step(60, vec![(1, 1, f64::NAN)], vec![6]),
+        step(90, vec![], vec![1, 4]),
+        step(120, vec![(0, 0, 10_000.0), (3, 2, 90_000.0)], vec![2, 7]),
+        step(600, vec![], vec![]),
+    ];
+    run_scenario(&agents, &agent_map, &defs, &[], &steps).expect("wheel and scan agree");
+}
+
+/// A service registered after ticking, for a new host whose name sorts
+/// before every existing one: its id comes last, its place in the host
+/// order first. Its agent sits in the map from the start, unmonitored
+/// until then.
+#[test]
+fn late_host_sorting_first_matches_scan() {
+    let (mut agents, defs) = fleet(3, 6);
+    agents.push(healthy_agent("a0"));
+    let agent_map: BTreeMap<String, &HostAgent> =
+        agents.iter().map(|a| (a.hostname.clone(), a)).collect();
+    let late = [(2, service(0, "a0".into())), (2, service(7, "a0".into()))];
+    let steps = [
+        step(0, vec![(0, 0, 97_000.0)], vec![]),
+        step(60, vec![(3, 0, 99_000.0)], vec![3]),
+        step(60, vec![], vec![3]),
+        step(30, vec![(3, 1, 20_000.0)], vec![]),
+        step(30, vec![], vec![3, 1]),
+        step(120, vec![(3, 0, 10_000.0)], vec![3]),
+        step(600, vec![], vec![1]),
+    ];
+    run_scenario(&agents, &agent_map, &defs, &late, &steps).expect("wheel and scan agree");
 }
