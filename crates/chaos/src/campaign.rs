@@ -85,8 +85,11 @@ struct PendingWrite {
     next_try: SimTime,
 }
 
-/// The assembled test federation plus campaign bookkeeping.
-struct Rig {
+/// The assembled test federation plus campaign bookkeeping. The storage
+/// servers' NRPE agents live beside the rig, which borrows them: their
+/// setters take `&self`, so the fault hooks and the Nagios sweep share
+/// one agent map, built once per campaign.
+struct Rig<'a> {
     net: FluidNet,
     flow: FlowId,
     flow_src: NodeId,
@@ -100,7 +103,10 @@ struct Rig {
     cloud: CloudController,
     desired_instances: usize,
     nagios: NagiosMaster,
-    agents: Vec<HostAgent>,
+    /// One agent per replica-set server, indexed by server.
+    agents: &'a [HostAgent],
+    /// The same agents by hostname, as `NagiosMaster::tick` reads them.
+    agent_map: BTreeMap<String, &'a HostAgent>,
     params: PipelineParams,
     rng: SimRng,
     tracker: ScoreTracker,
@@ -108,8 +114,12 @@ struct Rig {
 
 const INGEST_FILE_BYTES: u64 = 1 << 20;
 const FLEET_SIZE: usize = 8;
+/// Storage servers: one per replica set of the 8-brick replica-2 volume.
+const STORAGE_SERVERS: usize = 4;
 /// The clouds API faults target, in probe order.
 const API_CLOUDS: [&str; 2] = ["adler", "sullivan"];
+/// Each cloud's fault key in the score tracker, parallel to `API_CLOUDS`.
+const API_KEYS: [&str; 2] = ["api:adler", "api:sullivan"];
 /// The availability probe's caller; it owns nothing, so an empty listing
 /// is a healthy reply.
 const PROBE_USER: &str = "__probe__";
@@ -118,8 +128,19 @@ fn minute(m: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_mins(m)
 }
 
-impl Rig {
-    fn build(cfg: &CampaignConfig, tele: &Telemetry) -> Rig {
+/// The storage servers' agents, each reporting a healthy disk.
+fn storage_agents() -> Vec<HostAgent> {
+    (0..STORAGE_SERVERS)
+        .map(|s| {
+            let agent = HostAgent::new(format!("adler-server{s}"));
+            agent.metrics.set("disk_used_pct", 40.0);
+            agent
+        })
+        .collect()
+}
+
+impl<'a> Rig<'a> {
+    fn build(cfg: &CampaignConfig, tele: &Telemetry, agents: &'a [HostAgent]) -> Rig<'a> {
         let seed = cfg.plan.seed;
         // WAN + one long-lived bulk flow Chicago → LVOC.
         let wan = osdc_wan(1.2e-7);
@@ -162,14 +183,7 @@ impl Rig {
 
         // Nagios watching the four storage servers over NRPE.
         let mut nagios = NagiosMaster::new();
-        let agents: Vec<HostAgent> = (0..volume.replica_sets())
-            .map(|s| {
-                let agent = HostAgent::new(format!("adler-server{s}"));
-                agent.metrics.set("disk_used_pct", 40.0);
-                agent
-            })
-            .collect();
-        for agent in &agents {
+        for agent in agents {
             nagios.add_service(ServiceDefinition {
                 host: agent.hostname.clone(),
                 check: CheckDefinition::new(
@@ -204,6 +218,7 @@ impl Rig {
             desired_instances: FLEET_SIZE,
             nagios,
             agents,
+            agent_map: agents.iter().map(|a| (a.hostname.clone(), a)).collect(),
             params,
             rng: SimRng::new(seed ^ 0x04),
             tracker: ScoreTracker::new("campaign"),
@@ -365,10 +380,9 @@ impl Rig {
 
         // API probes: while a cloud has an open API fault, list it once
         // a minute, retrying within the minute per the policy.
-        for cloud in API_CLOUDS {
-            let key = format!("api:{cloud}");
-            if self.tracker.is_open(&key) && self.probe(cloud, now, retry) {
-                self.tracker.recovered(&key, now);
+        for (cloud, key) in API_CLOUDS.into_iter().zip(API_KEYS) {
+            if self.tracker.is_open(key) && self.probe(cloud, now, retry) {
+                self.tracker.recovered(key, now);
             }
         }
 
@@ -415,19 +429,15 @@ impl Rig {
         }
 
         // Nagios sweep.
-        let agent_map: BTreeMap<String, &HostAgent> = self
-            .agents
-            .iter()
-            .map(|a| (a.hostname.clone(), a))
-            .collect();
-        self.nagios.tick(now, &agent_map);
+        self.nagios.tick(now, &self.agent_map);
         self.tracker.alerts(&self.nagios.notifications);
     }
 }
 
 /// Run one campaign configuration to completion.
 pub fn run_campaign(cfg: &CampaignConfig, tele: &Telemetry) -> ResilienceScorecard {
-    let mut rig = Rig::build(cfg, tele);
+    let agents = storage_agents();
+    let mut rig = Rig::build(cfg, tele, &agents);
     rig.tracker.card.config = cfg.label();
     let timeline = cfg.plan.timeline();
     let mut cursor = 0;

@@ -16,8 +16,8 @@
 //! Dependency direction matters: `osdc-chaos` depends on the subsystem
 //! crates, never the reverse. The reusable remedy — [`RetryPolicy`]
 //! (none / fixed / exponential with seeded jitter) — lives in the
-//! `osdc-sim` kernel so the transfer session and the provisioning
-//! pipeline could adopt it without depending on this crate; it is
+//! `osdc-sim` kernel so the provisioning pipeline could adopt it
+//! without depending on this crate; it is
 //! re-exported here as the chaos toolkit's front door, and the campaign
 //! sweeps it as its retry axis.
 //!

@@ -11,11 +11,6 @@
 //! [`CheckDefinition::evaluate`] adds the plugin's perf-data message,
 //! which only a notification carries.
 
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 /// Nagios exit-status vocabulary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CheckStatus {

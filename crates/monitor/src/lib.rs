@@ -21,6 +21,11 @@
 //! * [`usage`] — the in-house cloud-usage monitor with the public
 //!   high-level status summary.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod check;
 pub mod nagios;
 pub mod nrpe;

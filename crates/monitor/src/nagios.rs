@@ -48,11 +48,6 @@
 //! byte-identical — pinned by a differential test against the scan
 //! implementation and by trace hashes in `exp_scale`.
 
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use std::collections::BTreeMap;
 
 use osdc_sim::{SimDuration, SimTime};

@@ -7,11 +7,6 @@
 //! reachable endpoint — if the host is down, checks come back UNKNOWN,
 //! exactly as a TCP-refused NRPE does.
 
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use std::collections::BTreeMap;
 
 use parking_lot::RwLock;
@@ -29,8 +24,15 @@ impl MetricStore {
         Self::default()
     }
 
+    /// Publish `metric`. Only its first publication allocates (the
+    /// key); later updates overwrite the value in place.
     pub fn set(&self, metric: &str, value: f64) {
-        self.values.write().insert(metric.to_string(), value);
+        let mut values = self.values.write();
+        if let Some(v) = values.get_mut(metric) {
+            *v = value;
+        } else {
+            values.insert(metric.to_string(), value);
+        }
     }
 
     pub fn get(&self, metric: &str) -> Option<f64> {

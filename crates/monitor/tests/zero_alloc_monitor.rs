@@ -4,14 +4,15 @@
 //! reachability reads, and allocates nothing. A tick that runs checks
 //! compares numbers and formats no message unless it notifies, so its
 //! allocations (the per-tick host table and wheel-bucket growth) do not
-//! grow with the number of checks.
+//! grow with the number of checks. Updating a published gauge allocates
+//! nothing either.
 
 use std::collections::BTreeMap;
 
 use counting_alloc::{count_allocations, CountingAlloc};
 use osdc_monitor::check::{CheckDefinition, ThresholdDirection};
 use osdc_monitor::nagios::{NagiosMaster, ServiceDefinition};
-use osdc_monitor::nrpe::HostAgent;
+use osdc_monitor::nrpe::{HostAgent, MetricStore};
 use osdc_sim::{SimDuration, SimTime};
 
 #[global_allocator]
@@ -122,4 +123,23 @@ fn due_ticks_allocate_a_fixed_handful() {
         assert_eq!(state.next_check_at, due + SimDuration::from_mins(5));
         assert_eq!(state.last_value, Some(40.0));
     }
+}
+
+/// Republishing a gauge overwrites it in place: only the first `set` of
+/// a metric allocates its key.
+#[test]
+fn gauge_updates_are_zero_alloc() {
+    let store = MetricStore::new();
+    store.set("disk_used_pct", 40.0);
+    let (stats, _) = count_allocations(|| {
+        for i in 0..1_000 {
+            store.set("disk_used_pct", 40.0 + f64::from(i % 50));
+        }
+    });
+    assert_eq!(
+        stats.allocations, 0,
+        "1,000 updates allocated {} times ({} bytes)",
+        stats.allocations, stats.bytes
+    );
+    assert_eq!(store.get("disk_used_pct"), Some(40.0 + 49.0));
 }

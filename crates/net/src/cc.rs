@@ -38,11 +38,6 @@
 //!   that starts from an analytic estimate (Reno) or from one tick (UDT),
 //!   so the two agree tick for tick.
 
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use crate::MSS_BYTES;
 
 /// UDT's fixed rate-control interval, seconds.

@@ -47,6 +47,15 @@
 //! `Constant` flows never end a jump early, so a net of them draws each
 //! flow's gaps in flow order up to the jump's end, and nothing else.
 //!
+//! # Telemetry points
+//!
+//! A flow started while a live [`Telemetry`] handle is attached emits two
+//! trace points every `POINT_EVERY` (5 simulated seconds), at the first
+//! tick end at or past each due time: `net.flowN.mbps`, its allocated
+//! rate, and `net.flowN.cwnd_mbps`, its controller's desired rate (inside
+//! a jump, the closed-form state at the point's tick). Any other flow
+//! keeps no point state, and a jump walks only its losses.
+//!
 //! [`FluidNet::topology_mut`] drops the cache wholesale, so the next tick
 //! runs a full solve. That is the per-tick referee of the differential
 //! tests: the same `FluidNet` with `topology_mut()` called before every
@@ -58,12 +67,6 @@
 //! The solver is allocation-free on the hot path: all per-solve working
 //! sets live in persistent scratch buffers on the [`FluidNet`].
 
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
-use osdc_sim::stats::Series;
 use osdc_sim::{SimDuration, SimRng, SimTime};
 use osdc_telemetry::{audit, CounterId, GaugeId, HistogramId, Telemetry};
 
@@ -71,8 +74,9 @@ use crate::cc::CongestionControl;
 use crate::topology::{LinkId, NodeId, Topology};
 use crate::MSS_BYTES;
 
-/// Pre-interned ids for the network-wide metrics; per-flow series go out
-/// as trace points instead, so flow count never grows the registry.
+/// Pre-interned ids for the network-wide metrics; per-flow throughput
+/// goes out as trace points instead, so flow count never grows the
+/// registry.
 #[derive(Clone, Copy, Debug)]
 struct NetIds {
     flows_started: CounterId,
@@ -94,11 +98,10 @@ impl NetIds {
     }
 }
 
-/// Emit one trace point for every `TRACE_POINT_STRIDE` local `Series`
-/// samples. The local series keeps its fine 500 ms grid for plots; the
-/// shared ring gets one point per ~5 simulated seconds so a terabyte-scale
-/// Table 3 transfer cannot evict everything else.
-const TRACE_POINT_STRIDE: u64 = 10;
+/// Spacing of a flow's telemetry points: coarse enough that a
+/// terabyte-scale Table 3 transfer cannot evict everything else from the
+/// shared trace ring.
+const POINT_EVERY: SimDuration = SimDuration::from_secs(5);
 
 /// Relative drift of a flow's desired rate (vs. the desire used at the
 /// last solve) that forces a re-solve: ~0.5 %, throughput-accurate to well
@@ -153,6 +156,25 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+/// A flow's telemetry points; only flows started under live telemetry
+/// have them.
+struct FlowPoints {
+    /// `net.flowN.mbps`.
+    mbps: String,
+    /// `net.flowN.cwnd_mbps`.
+    cwnd: String,
+    /// The next point goes on the first tick end at or past this time.
+    next_at: SimTime,
+}
+
+impl FlowPoints {
+    fn emit(&mut self, tele: &Telemetry, at: SimTime, rate_bps: f64, cwnd_bps: f64) {
+        tele.point(&self.mbps, at, rate_bps / 1e6);
+        tele.point(&self.cwnd, at, cwnd_bps / 1e6);
+        self.next_at = at + POINT_EVERY;
+    }
+}
+
 struct FlowState {
     src: NodeId,
     dst: NodeId,
@@ -164,15 +186,8 @@ struct FlowState {
     app_limit_bps: f64,
     status: FlowStatus,
     started: SimTime,
-    /// `(time, instantaneous mbit/s)` sampled on a coarse grid.
-    trace: Series,
-    next_trace_at: SimTime,
     loss_events: u64,
-    /// Samples taken so far, for striding telemetry points.
-    samples: u64,
-    /// `("net.flowN.mbps", "net.flowN.cwnd_mbps")`, precomputed at
-    /// `start_flow` only when telemetry is live.
-    point_names: Option<(String, String)>,
+    points: Option<FlowPoints>,
     /// Allocated rate from the last solve, bits/second.
     rate_bps: f64,
     /// The desire fed to the solver at the last solve; drift beyond
@@ -284,8 +299,6 @@ pub struct FluidNet {
     rng: SimRng,
     /// Extra per-packet loss probability applied when a link is saturated.
     congestion_loss: f64,
-    /// Interval between throughput trace samples.
-    trace_every: SimDuration,
     tele: Telemetry,
     ids: Option<NetIds>,
     /// Active-flow counter, maintained on start/complete/cancel so no call
@@ -315,7 +328,6 @@ impl FluidNet {
             tick: SimDuration::from_millis(10),
             rng: SimRng::new(seed),
             congestion_loss: 1e-4,
-            trace_every: SimDuration::from_millis(500),
             tele: Telemetry::disabled(),
             ids: None,
             active: 0,
@@ -334,9 +346,10 @@ impl FluidNet {
         self.stats
     }
 
-    /// Attach a telemetry handle. Per-flow throughput/cwnd go into the
-    /// trace ring as strided points; loss events and flow lifecycle go
-    /// into counters; completed-flow goodput into a histogram.
+    /// Attach a telemetry handle. Flows started from now on put their
+    /// throughput and cwnd into the trace ring as points every 5 simulated
+    /// seconds; loss events and flow lifecycle go into counters;
+    /// completed-flow goodput into a histogram.
     pub fn set_telemetry(&mut self, tele: Telemetry) {
         self.ids = tele.is_enabled().then(|| NetIds::register(&tele));
         self.tele = tele;
@@ -368,11 +381,10 @@ impl FluidNet {
                 })?;
         let path_loss = self.topo.path_loss_rate(&path);
         let id = FlowId(self.flows.len());
-        let point_names = self.ids.map(|_| {
-            (
-                format!("net.flow{}.mbps", id.0),
-                format!("net.flow{}.cwnd_mbps", id.0),
-            )
+        let points = self.ids.map(|_| FlowPoints {
+            mbps: format!("net.flow{}.mbps", id.0),
+            cwnd: format!("net.flow{}.cwnd_mbps", id.0),
+            next_at: self.now,
         });
         for &l in &path {
             self.mark_link_dirty(l);
@@ -388,11 +400,8 @@ impl FluidNet {
             app_limit_bps: spec.app_limit_bps,
             status: FlowStatus::Active,
             started: self.now,
-            trace: Series::new(format!("flow{}", id.0)),
-            next_trace_at: self.now,
             loss_events: 0,
-            samples: 0,
-            point_names,
+            points,
             rate_bps: 0.0,
             desire_used: f64::NAN,
             congested: false,
@@ -424,6 +433,10 @@ impl FluidNet {
     /// route keep their stale path and stall (downed links carry
     /// nothing) until connectivity returns. Returns how many flows
     /// changed path.
+    ///
+    /// With [`FluidNet::topology_mut`] this is the global recompute the
+    /// per-tick referee of the differential tests applies link faults
+    /// through; product code uses the targeted `set_link_*` mutators.
     pub fn refresh_paths(&mut self) -> usize {
         self.cache_valid = false;
         self.reroute_flows()
@@ -509,10 +522,6 @@ impl FluidNet {
 
     pub fn loss_events(&self, id: FlowId) -> u64 {
         self.flows[id.0].loss_events
-    }
-
-    pub fn trace(&self, id: FlowId) -> &Series {
-        &self.flows[id.0].trace
     }
 
     /// Mean goodput of a finished flow in bits/second.
@@ -946,17 +955,8 @@ impl FluidNet {
                 f.bytes_done,
                 f.bytes_total
             );
-            if end >= f.next_trace_at {
-                f.trace.push(end, rate / 1e6);
-                f.next_trace_at = end + self.trace_every;
-                if let Some((mbps_name, cwnd_name)) = &f.point_names {
-                    if f.samples.is_multiple_of(TRACE_POINT_STRIDE) {
-                        self.tele.point(mbps_name, end, rate / 1e6);
-                        self.tele
-                            .point(cwnd_name, end, f.cc.desired_rate_bps() / 1e6);
-                    }
-                }
-                f.samples += 1;
+            if let Some(p) = f.points.as_mut().filter(|p| end >= p.next_at) {
+                p.emit(&self.tele, end, rate, f.cc.desired_rate_bps());
             }
             // Loss sampling: path residual loss plus congestion loss on any
             // saturated link of the path.
@@ -1116,8 +1116,8 @@ impl FluidNet {
                 f.bytes_done,
                 f.bytes_total
             );
-            // Walk this flow's trace samples and losses in tick order; a
-            // sample due on a loss tick sees the state before the loss, as
+            // Walk this flow's due points and losses in tick order; a
+            // point due on a loss tick sees the state before the loss, as
             // in `advance_tick`. `f.cc` stands at tick `cc_at`.
             let mut cc_at = 0u64;
             loop {
@@ -1125,31 +1125,16 @@ impl FluidNet {
                     .get(next_loss)
                     .filter(|&&(j, t)| j == i && t <= k)
                     .map(|&(_, t)| t);
-                let nta = f.next_trace_at;
-                let sample = (nta <= end).then(|| {
-                    if nta.0 <= t0.0 {
-                        1
-                    } else {
-                        (nta.0 - t0.0).div_ceil(self.tick.0).max(1)
-                    }
+                let point = f.points.as_mut().filter(|p| p.next_at <= end).map(|p| {
+                    let j = p.next_at.0.saturating_sub(t0.0).div_ceil(self.tick.0);
+                    (j.max(1), p)
                 });
-                match (sample, loss) {
-                    (Some(j), l) if l.is_none_or(|t| j <= t) => {
-                        // Trace grid: the first tick-end at or past the
-                        // due sample.
-                        let sample_t = SimTime(t0.0 + j * self.tick.0);
-                        f.trace.push(sample_t, rate / 1e6);
-                        f.next_trace_at = sample_t + self.trace_every;
-                        if let Some((mbps_name, cwnd_name)) = &f.point_names {
-                            if f.samples.is_multiple_of(TRACE_POINT_STRIDE) {
-                                let mut cc = f.cc.clone();
-                                cc.advance_ticks(j - cc_at, dt, bpt);
-                                self.tele.point(mbps_name, sample_t, rate / 1e6);
-                                self.tele
-                                    .point(cwnd_name, sample_t, cc.desired_rate_bps() / 1e6);
-                            }
-                        }
-                        f.samples += 1;
+                match (point, loss) {
+                    (Some((j, p)), l) if l.is_none_or(|t| j <= t) => {
+                        let mut cc = f.cc.clone();
+                        cc.advance_ticks(j - cc_at, dt, bpt);
+                        let at = SimTime(t0.0 + j * self.tick.0);
+                        p.emit(&self.tele, at, rate, cc.desired_rate_bps());
                     }
                     (_, Some(t)) => {
                         f.cc.advance_ticks(t - cc_at, dt, bpt);
@@ -1452,24 +1437,83 @@ mod tests {
         assert_eq!(net.status(f), FlowStatus::Active);
     }
 
+    /// `(t_ns, value)` of every exported trace point named `name`.
+    fn points(tele: &Telemetry, name: &str) -> Vec<(u64, f64)> {
+        let key = format!("{{\"kind\":\"point\",\"name\":\"{name}\",\"t_ns\":");
+        tele.export_jsonl()
+            .lines()
+            .filter_map(|l| {
+                let (t, v) = l.strip_prefix(key.as_str())?.split_once(",\"value\":")?;
+                Some((t.parse().ok()?, v.strip_suffix('}')?.parse().ok()?))
+            })
+            .collect()
+    }
+
     #[test]
     fn traces_are_recorded() {
         let (mut net, a, b) = two_node_net(1e9, 1, 0.0);
-        let f = net
-            .start_flow(FlowSpec {
-                src: a,
-                dst: b,
-                bytes: u64::MAX,
-                cc: CongestionControl::Constant { rate_bps: 500e6 },
-                app_limit_bps: f64::INFINITY,
-            })
-            .expect("route");
-        for _ in 0..500 {
+        let tele = Telemetry::new();
+        net.set_telemetry(tele.clone());
+        net.start_flow(FlowSpec {
+            src: a,
+            dst: b,
+            bytes: u64::MAX,
+            cc: CongestionControl::Constant { rate_bps: 500e6 },
+            app_limit_bps: f64::INFINITY,
+        })
+        .expect("route");
+        for _ in 0..2000 {
             net.step();
         }
-        let trace = net.trace(f);
-        assert!(trace.len() >= 9, "got {} samples", trace.len());
-        assert!((trace.mean_after(SimTime::ZERO) - 500.0).abs() < 1.0);
+        // 20 s of stepping: points at 0.01, 5.01, 10.01 and 15.01 s.
+        for name in ["net.flow0.mbps", "net.flow0.cwnd_mbps"] {
+            let pts = points(&tele, name);
+            assert_eq!(pts.len(), 4, "{name}: {pts:?}");
+            assert!(
+                pts.iter().all(|&(_, v)| (v - 500.0).abs() < 1.0),
+                "{name}: {pts:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn points_are_the_same_stepped_or_jumped() {
+        let run = |jump: bool| {
+            let (mut net, a, b) = two_node_net(1e9, 5, 0.0);
+            let tele = Telemetry::new();
+            net.set_telemetry(tele.clone());
+            // Start off the 5 s grid: points follow the flow, not the clock.
+            net.run_until(SimTime::ZERO + SimDuration::from_millis(1230));
+            let f = net
+                .start_flow(FlowSpec {
+                    src: a,
+                    dst: b,
+                    bytes: 1_150_000_000, // 23 s at 400 mbit/s
+                    cc: CongestionControl::Constant { rate_bps: 400e6 },
+                    app_limit_bps: f64::INFINITY,
+                })
+                .expect("route");
+            if jump {
+                net.run_flow_to_completion(f, deadline_secs(60))
+                    .expect("finishes");
+            } else {
+                while net.status(f) == FlowStatus::Active {
+                    net.step();
+                }
+            }
+            (
+                points(&tele, "net.flow0.mbps"),
+                points(&tele, "net.flow0.cwnd_mbps"),
+            )
+        };
+        let stepped = run(false);
+        assert_eq!(run(true), stepped);
+        let (mbps, cwnd) = stepped;
+        let due: Vec<(u64, f64)> = (0..5u64)
+            .map(|m| (1_240_000_000 + m * 5_000_000_000, 400.0))
+            .collect();
+        assert_eq!(mbps, due);
+        assert_eq!(cwnd, due);
     }
 
     #[test]
@@ -1507,7 +1551,8 @@ mod tests {
     #[test]
     fn telemetry_disabled_leaves_no_trace() {
         let (mut net, a, b) = two_node_net(1e9, 5, 0.0);
-        net.set_telemetry(Telemetry::disabled());
+        let tele = Telemetry::disabled();
+        net.set_telemetry(tele.clone());
         let f = net
             .start_flow(FlowSpec {
                 src: a,
@@ -1519,8 +1564,11 @@ mod tests {
             .expect("route");
         net.run_flow_to_completion(f, deadline_secs(60))
             .expect("finishes");
-        // The local Series still records; the shared ring stays empty.
-        assert!(!net.trace(f).is_empty() || net.bytes_done(f) > 0);
+        assert_eq!(net.bytes_done(f), 1_000_000);
+        // No point state is kept, and nothing reaches the handle.
+        assert!(net.flows[f.0].points.is_none());
+        assert_eq!(tele.trace_len(), 0);
+        assert!(tele.export_jsonl().is_empty());
     }
 
     #[test]

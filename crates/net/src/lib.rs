@@ -17,13 +17,18 @@
 //!   formula, 1/9 multiplicative decrease) as described by Gu & Grossman —
 //!   the same Grossman as this paper.
 //! * [`FluidNet`] — max-min fair capacity sharing via progressive filling,
-//!   stochastic loss sampling, per-flow byte accounting and throughput
-//!   traces.
+//!   stochastic loss sampling, per-flow byte accounting and, while
+//!   telemetry is live, per-flow throughput points in the telemetry trace.
 //!
 //! Application-limited flows (a sender that cannot read its disk faster
 //! than 3072 mbit/s, a cipher that caps at ~396 mbit/s) are expressed with
 //! [`FlowSpec::app_limit_bps`]; this is how `osdc-transfer` composes the
 //! disk → cipher → WAN → cipher → disk pipeline of Table 3.
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod cc;
 pub mod fluid;

@@ -186,7 +186,8 @@ impl Topology {
         let mut path = Vec::new();
         let mut cur = dst.0;
         while cur != src.0 {
-            let lid = prev[cur].expect("reached node must have a predecessor");
+            // Every node Dijkstra reached other than `src` has a predecessor.
+            let lid = prev[cur]?;
             path.push(lid);
             cur = self.links[lid.0].from.0;
         }

@@ -14,13 +14,13 @@
 //! * [`rng`] — a small, self-contained xoshiro256++ PRNG seeded via
 //!   SplitMix64, plus the handful of distributions the simulations need.
 //!   All stochastic behaviour in the workspace flows from explicit seeds.
-//! * [`stats`] — counters, running summaries, log-bucket histograms and
-//!   time series used by the experiment harnesses.
+//! * [`stats`] — running summaries and log-bucket histograms used by the
+//!   experiment harnesses.
 //! * [`resource`] — token buckets and FIFO service queues for modelling
 //!   capacity-limited stages (disks, PXE servers, Chef servers, NICs).
 //! * [`retry`] — deterministic retry/backoff policies on virtual time,
-//!   shared by the transfer and provisioning layers and swept by the
-//!   `osdc-chaos` campaigns.
+//!   adopted by the provisioning pipeline and swept by the `osdc-chaos`
+//!   campaigns.
 //! * [`tenant`] — interned dense [`tenant::TenantId`]s and the sharded
 //!   slab [`tenant::TenantStore`] that per-tenant subsystems (billing
 //!   cursors, monitor host index, provider cost ledgers, sharing
@@ -43,6 +43,11 @@
 //! (the heap's `Vec` capacity is retained; a counting-allocator test
 //! enforces this). Per the Rust Performance Book we keep the per-event
 //! footprint small (events are moved, never boxed).
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod engine;
 pub mod resource;

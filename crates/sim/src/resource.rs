@@ -94,7 +94,10 @@ impl ServicePool {
     /// earliest-free server. Returns `(start, finish)`.
     pub fn schedule(&mut self, now: SimTime, service: SimDuration) -> (SimTime, SimTime) {
         // Find the server that frees earliest. Pools are small (tens of
-        // slots), so a linear scan beats maintaining a heap.
+        // slots), so a linear scan beats maintaining a heap. `new` asserts
+        // at least one server and nothing removes one, so there is a
+        // minimum.
+        #[allow(clippy::expect_used)]
         let idx = self
             .free_at
             .iter()

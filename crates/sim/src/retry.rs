@@ -4,9 +4,8 @@
 //! brick outages, flaky provisioning stages, backend API timeouts — and
 //! every subsystem that survives them does so by retrying. These policies
 //! live here in the kernel (rather than in `osdc-chaos`, which drives the
-//! faults) so that the transfer session and the provisioning pipeline can
-//! adopt them without depending on the chaos crate; `osdc-chaos`
-//! re-exports them.
+//! faults) so that the provisioning pipeline can adopt them without
+//! depending on the chaos crate; `osdc-chaos` re-exports them.
 //!
 //! Everything is deterministic: exponential jitter draws from the
 //! caller's [`SimRng`], so two same-seed runs back off identically.

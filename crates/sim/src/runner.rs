@@ -27,11 +27,6 @@
 //! `jobs <= 1` never spawns a thread: tasks run inline on the caller, in
 //! submission order.
 
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use std::sync::{Mutex, PoisonError};
 
 /// Number of workers the host offers, the default for `--jobs`.

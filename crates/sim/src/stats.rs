@@ -1,10 +1,7 @@
 //! Measurement primitives shared by the experiment harnesses.
 //!
-//! Nothing here is fancy: counters, a running mean/variance (Welford),
-//! a power-of-two bucket histogram for latency tails, and a plain `(t, y)`
-//! series recorder the table/figure harnesses print from.
-
-use crate::time::{SimDuration, SimTime};
+//! Nothing here is fancy: a running mean/variance (Welford) and a
+//! power-of-two bucket histogram for latency tails.
 
 /// Running scalar summary using Welford's algorithm; O(1) memory.
 #[derive(Clone, Debug)]
@@ -199,66 +196,6 @@ impl Log2Histogram {
     }
 }
 
-/// A `(time, value)` series, printed by harnesses as figure data.
-#[derive(Clone, Debug, Default)]
-pub struct Series {
-    pub name: String,
-    points: Vec<(SimTime, f64)>,
-}
-
-impl Series {
-    pub fn new(name: impl Into<String>) -> Self {
-        Series {
-            name: name.into(),
-            points: Vec::new(),
-        }
-    }
-
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        self.points.push((t, v));
-    }
-
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    pub fn last(&self) -> Option<(SimTime, f64)> {
-        self.points.last().copied()
-    }
-
-    /// Mean of values sampled after `t0` (for steady-state throughput reads).
-    pub fn mean_after(&self, t0: SimTime) -> f64 {
-        let (n, sum) = self
-            .points
-            .iter()
-            .filter(|(t, _)| *t >= t0)
-            .fold((0u64, 0.0), |(n, s), (_, v)| (n + 1, s + v));
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-}
-
-/// Convert a throughput in bits/sec into the paper's mbit/s unit.
-pub fn bps_to_mbps(bps: f64) -> f64 {
-    bps / 1e6
-}
-
-/// Convenience: duration to transfer `bytes` at `bps` bits/sec.
-pub fn transfer_time(bytes: u64, bps: f64) -> SimDuration {
-    debug_assert!(bps > 0.0);
-    SimDuration::from_secs_f64(bytes as f64 * 8.0 / bps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,8 +242,6 @@ mod tests {
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
     }
-
-    const NS: u64 = 1_000_000_000;
 
     #[test]
     fn histogram_quantiles() {
@@ -393,22 +328,5 @@ mod tests {
         e1.merge(&Log2Histogram::new()); // empty ← empty
         assert_eq!(e1.count(), 0);
         assert_eq!(e1.quantile_upper_bound(0.5), 0.0);
-    }
-
-    #[test]
-    fn series_mean_after() {
-        let mut s = Series::new("tp");
-        for i in 0..10 {
-            s.push(SimTime(i * NS), i as f64);
-        }
-        assert_eq!(s.mean_after(SimTime(5 * NS)), 7.0);
-        assert_eq!(s.len(), 10);
-        assert_eq!(s.last(), Some((SimTime(9 * NS), 9.0)));
-    }
-
-    #[test]
-    fn unit_helpers() {
-        assert_eq!(bps_to_mbps(1e9), 1000.0);
-        assert_eq!(transfer_time(125, 1000.0), SimDuration::from_secs(1));
     }
 }

@@ -65,6 +65,9 @@ impl TenantInterner {
         if let Some(&id) = self.ids.get(name) {
             return TenantId(id);
         }
+        // Each tenant holds its name twice, so 2³² of them would need far
+        // more memory than any host has; no interner reaches the limit.
+        #[allow(clippy::expect_used)]
         let id = u32::try_from(self.names.len()).expect("tenant population fits u32");
         self.ids.insert(name.into(), id);
         self.names.push(name.into());
@@ -186,12 +189,12 @@ impl<T> TenantStore<T> {
         if slab.len() <= slot {
             slab.resize_with(slot + 1, || None);
         }
-        if slab[slot].is_none() {
-            slab[slot] = Some(init());
+        let cell = &mut slab[slot];
+        if cell.is_none() {
             self.len += 1;
             self.high = self.high.max(id.0 + 1);
         }
-        slab[slot].as_mut().expect("slot just filled")
+        cell.get_or_insert_with(init)
     }
 
     pub fn remove(&mut self, id: TenantId) -> Option<T> {

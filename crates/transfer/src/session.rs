@@ -35,7 +35,7 @@
 
 use osdc_crypto::CipherKind;
 use osdc_net::{CongestionControl, FlowSpec, FluidNet, NetError, NodeId};
-use osdc_sim::{RetryPolicy, SimDuration, SimRng};
+use osdc_sim::SimDuration;
 use osdc_telemetry::{audit, Telemetry};
 
 /// Local source disk read bound, mbit/s (§7.2).
@@ -109,8 +109,8 @@ pub struct TransferSpec {
 }
 
 /// Why a transfer attempt failed. Both are transient under fault
-/// injection (a downed link heals, a deadline-bound attempt can resume),
-/// which is what [`TransferEngine::run_with_retry`] exploits.
+/// injection: a downed link heals, and a deadline-bound attempt reports
+/// the bytes it moved, so a retrying caller can resume from the rest.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TransferError {
     /// The WAN refused the flow (partition, same endpoint).
@@ -211,7 +211,7 @@ impl TransferEngine {
     /// When the transfer cannot start or misses `deadline`. The contract
     /// is a fault-free WAN and a deadline the transfer always meets, so a
     /// failure is a misconfigured experiment. Fault-aware callers use
-    /// [`TransferEngine::try_run`] or [`TransferEngine::run_with_retry`].
+    /// [`TransferEngine::try_run`].
     #[allow(clippy::panic)]
     pub fn run(&mut self, spec: &TransferSpec, deadline: SimDuration) -> TransferReport {
         self.try_run(spec, deadline)
@@ -265,6 +265,12 @@ impl TransferEngine {
                 done_wire <= wire_bytes,
                 "transfer.partial_le_wire",
                 "cancelled flow reported {done_wire} of {wire_bytes} wire bytes"
+            );
+            audit::check!(
+                done_bytes <= spec.bytes,
+                "transfer.partial_le_total",
+                "attempt moved {done_bytes} of {} bytes",
+                spec.bytes
             );
             return Err(TransferError::DeadlineExceeded {
                 done_bytes,
@@ -329,67 +335,6 @@ impl TransferEngine {
             llr: mbps / DISK_READ_MBPS.min(DISK_WRITE_MBPS),
             loss_events,
         })
-    }
-
-    /// Run a transfer under a [`RetryPolicy`]: each attempt gets
-    /// `attempt_deadline`; on failure the session backs off (idling the
-    /// net clock), re-resolves routes, and resumes from the bytes already
-    /// moved. Returns the final report (rate computed over total elapsed
-    /// time, backoff included) and the number of attempts made, or the
-    /// last error once the policy is exhausted.
-    pub fn run_with_retry(
-        &mut self,
-        spec: &TransferSpec,
-        attempt_deadline: SimDuration,
-        policy: &RetryPolicy,
-        rng: &mut SimRng,
-    ) -> Result<(TransferReport, u32), TransferError> {
-        let start = self.net.now();
-        let mut remaining = spec.bytes;
-        let mut failures = 0u32;
-        loop {
-            let sub = TransferSpec {
-                bytes: remaining,
-                ..spec.clone()
-            };
-            match self.try_run(&sub, attempt_deadline) {
-                Ok(last) => {
-                    let duration = self.net.now().saturating_since(start).max(last.duration);
-                    let mbps = spec.bytes as f64 * 8.0 / duration.as_secs_f64() / 1e6;
-                    return Ok((
-                        TransferReport {
-                            bytes: spec.bytes,
-                            duration,
-                            mbps,
-                            llr: mbps / DISK_READ_MBPS.min(DISK_WRITE_MBPS),
-                            ..last
-                        },
-                        failures + 1,
-                    ));
-                }
-                Err(e) => {
-                    if let TransferError::DeadlineExceeded {
-                        done_bytes,
-                        total_bytes,
-                    } = &e
-                    {
-                        audit::check!(
-                            done_bytes <= total_bytes,
-                            "transfer.partial_le_total",
-                            "attempt moved {done_bytes} of {total_bytes} bytes"
-                        );
-                        remaining = remaining.saturating_sub(*done_bytes);
-                    }
-                    let Some(delay) = policy.delay(failures, rng) else {
-                        return Err(e);
-                    };
-                    failures += 1;
-                    let resume_at = self.net.now() + delay;
-                    self.net.run_until(resume_at);
-                    self.net.refresh_paths();
-                }
-            }
-        }
     }
 }
 
@@ -609,58 +554,6 @@ mod tests {
             )
             .expect_err("partitioned WAN");
         assert!(matches!(err, TransferError::Net(_)), "{err}");
-    }
-
-    #[test]
-    fn retry_resumes_across_attempt_deadlines() {
-        use osdc_sim::{RetryPolicy, SimRng};
-        let (mut eng, src, dst) = engine(37);
-        let spec = TransferSpec {
-            protocol: Protocol::Udr,
-            cipher: CipherKind::None,
-            bytes: 10_000_000_000, // ~107 s at the ~750 mbit/s ceiling
-            files: 1,
-            src,
-            dst,
-        };
-        // A 40 s attempt window cannot finish in one shot; the policy
-        // must resume from the bytes already moved.
-        let mut rng = SimRng::new(1);
-        let (report, attempts) = eng
-            .run_with_retry(
-                &spec,
-                SimDuration::from_secs(40),
-                &RetryPolicy::fixed_30s(10),
-                &mut rng,
-            )
-            .expect("completes within the retry budget");
-        assert!(attempts > 1, "should need several attempts: {attempts}");
-        assert_eq!(report.bytes, spec.bytes);
-        // Elapsed time includes the backoff idling.
-        assert!(
-            report.duration >= SimDuration::from_secs(40 + 30),
-            "{:?}",
-            report.duration
-        );
-
-        // And with no retries allowed, the same window fails typed.
-        let (mut eng2, src2, dst2) = engine(37);
-        let err = eng2
-            .run_with_retry(
-                &TransferSpec {
-                    src: src2,
-                    dst: dst2,
-                    ..spec
-                },
-                SimDuration::from_secs(40),
-                &RetryPolicy::None,
-                &mut rng,
-            )
-            .expect_err("one short attempt cannot finish");
-        assert!(
-            matches!(err, TransferError::DeadlineExceeded { done_bytes, .. } if done_bytes > 0),
-            "{err}"
-        );
     }
 
     #[test]
