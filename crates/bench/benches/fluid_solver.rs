@@ -7,8 +7,10 @@
 //! * `constant_run_until` — one long-lived constant-rate bulk flow driven
 //!   by `run_until`, the resilience-campaign shape; the solver jumps
 //!   analytically between allocation-changing events.
-//! * `link_flap_partial` — chaos-style link flaps on a background flow
-//!   set; the solver re-solves only flows crossing the dirtied link.
+//! * `link_flap` — chaos-style flaps of one link under four constant
+//!   flows that each share a link with the `n0 → n5` flow; every flap
+//!   re-solves all four, and the ticks between flaps reuse the cached
+//!   allocation.
 //! * `table3_rsync_1_1tb` — Table 3's 1.1 TB unencrypted rsync cell
 //!   (`osdc_wan(0.9e-7)`, seed 2013) run to completion through
 //!   `TransferEngine`: 2.2 M ticks of Reno sawtooth that the solver
@@ -103,7 +105,7 @@ fn flap_topology() -> (Topology, Vec<(usize, usize)>, LinkId) {
 
 fn bench_flap(c: &mut Criterion) {
     let mut group = c.benchmark_group("fluid_solver");
-    group.bench_function("link_flap_partial", |b| {
+    group.bench_function("link_flap", |b| {
         let (topo, pairs, hot) = flap_topology();
         b.iter(|| {
             let mut net = FluidNet::new(topo.clone(), 11);

@@ -114,5 +114,6 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         ctx,
         "  · science CSP supports moving computation between CSPs; commercial favours lock-in"
     );
+    osdc_telemetry::audit::assert_clean("table1_csp");
     Ok(())
 }

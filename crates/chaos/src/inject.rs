@@ -100,11 +100,10 @@ impl Injector for FluidNet {
         )
     }
 
-    // Both directions use the targeted [`FluidNet`] mutators rather than
-    // `topology_mut` + a global `refresh_paths`: each mutator marks only the
-    // touched link dirty (and reroutes only when the routing metric can have
-    // changed), so the epoch solver re-solves just the flows whose paths
-    // cross the faulted link instead of recomputing the whole WAN.
+    // Both directions use the [`FluidNet`] link mutators, not
+    // `topology_mut`: they reroute in-flight flows and re-sample their path
+    // loss, and they re-solve the allocation only when a link goes up or
+    // down or a flow moves (a loss spike leaves the cached rates alone).
     fn inject(&mut self, ev: &FaultEvent, _now: SimTime) -> Result<Effect, InjectError> {
         let links = resolve_links(self, &ev.target)?;
         for id in links {

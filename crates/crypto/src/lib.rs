@@ -34,6 +34,11 @@
 //! *executable and measurable*, not to be a vetted cryptography library. Do
 //! not use them to protect real data.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod bbp;
 pub mod blowfish;
 pub mod des;
@@ -48,6 +53,16 @@ pub use des::{Des, TripleDes};
 pub use modes::{ecb_decrypt, ecb_encrypt, BlockCipher64, CbcEncryptor, CtrStream, Pkcs7};
 pub use sha256::{sha256, sha256_hex, Sha256};
 pub use sign::{KeyId, Keyring, Signature, SignatureError, SigningKey};
+
+/// Lowercase hex of `bytes`, two digits a byte, from a nibble table.
+fn lower_hex(bytes: &[u8]) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    bytes
+        .iter()
+        .flat_map(|b| [HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]])
+        .map(char::from)
+        .collect()
+}
 
 /// Ciphers named in the paper's Table 3 rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

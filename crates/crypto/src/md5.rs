@@ -17,11 +17,6 @@
 //! step's constant, rotate and message index, so neither branches inside a
 //! compression.
 
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 /// The initial chaining value `(A, B, C, D)`.
 const IV: [u32; 4] = [0x6745_2301, 0xefcd_ab89, 0x98ba_dcfe, 0x1032_5476];
 
@@ -338,12 +333,7 @@ fn compress4_sse2(states: &mut [[u32; 4]; 4], runs: [&[u8]; 4]) {
 
 /// Render a digest as lowercase hex (for catalog metadata and tests).
 pub fn hex_digest(digest: &[u8; 16]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    digest
-        .iter()
-        .flat_map(|b| [HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]])
-        .map(char::from)
-        .collect()
+    crate::lower_hex(digest)
 }
 
 #[cfg(test)]

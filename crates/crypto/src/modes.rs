@@ -65,14 +65,14 @@ fn ecb_apply(data: &mut [u8], mut kernel: impl FnMut(&mut [u64])) {
         data.len()
     );
     let mut slab = [0u64; ECB_SLAB_BLOCKS];
-    for chunk in data.chunks_mut(ECB_SLAB_BLOCKS * 8) {
-        let n = chunk.len() / 8;
-        for (s, b) in slab[..n].iter_mut().zip(chunk.chunks_exact(8)) {
-            *s = u64::from_be_bytes(b.try_into().expect("8-byte block"));
+    for chunk in data.as_chunks_mut::<8>().0.chunks_mut(ECB_SLAB_BLOCKS) {
+        let n = chunk.len();
+        for (s, b) in slab[..n].iter_mut().zip(chunk.iter()) {
+            *s = u64::from_be_bytes(*b);
         }
         kernel(&mut slab[..n]);
-        for (s, b) in slab[..n].iter().zip(chunk.chunks_exact_mut(8)) {
-            b.copy_from_slice(&s.to_be_bytes());
+        for (s, b) in slab[..n].iter().zip(chunk.iter_mut()) {
+            *b = s.to_be_bytes();
         }
     }
 }
@@ -117,10 +117,10 @@ impl<'c, C: BlockCipher64> CbcEncryptor<'c, C> {
         let mut data = plaintext.to_vec();
         Pkcs7::pad(&mut data);
         let mut prev = self.iv;
-        for chunk in data.chunks_exact_mut(8) {
-            let block = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
+        for chunk in data.as_chunks_mut::<8>().0 {
+            let block = u64::from_be_bytes(*chunk);
             prev = self.cipher.encrypt_block_u64(block ^ prev);
-            chunk.copy_from_slice(&prev.to_be_bytes());
+            *chunk = prev.to_be_bytes();
         }
         data
     }
@@ -139,16 +139,16 @@ impl<'c, C: BlockCipher64> CbcEncryptor<'c, C> {
         }
         let mut data = ciphertext.to_vec();
         let mut prev = self.iv;
-        for chunk in data.chunks_mut(ECB_SLAB_BLOCKS * 8) {
-            let n = chunk.len() / 8;
+        for chunk in data.as_chunks_mut::<8>().0.chunks_mut(ECB_SLAB_BLOCKS) {
+            let n = chunk.len();
             let mut ct = [0u64; ECB_SLAB_BLOCKS];
-            for (c, b) in ct[..n].iter_mut().zip(chunk.chunks_exact(8)) {
-                *c = u64::from_be_bytes(b.try_into().expect("8-byte block"));
+            for (c, b) in ct[..n].iter_mut().zip(chunk.iter()) {
+                *c = u64::from_be_bytes(*b);
             }
             let mut slab = ct;
             self.cipher.decrypt_blocks_u64(&mut slab[..n]);
-            for (i, b) in chunk.chunks_exact_mut(8).enumerate() {
-                b.copy_from_slice(&(slab[i] ^ prev).to_be_bytes());
+            for (i, b) in chunk.iter_mut().enumerate() {
+                *b = (slab[i] ^ prev).to_be_bytes();
                 prev = ct[i];
             }
         }
@@ -221,18 +221,13 @@ impl<'c, C: BlockCipher64> CtrStream<'c, C> {
                 self.refill(data.len() - i);
             }
             let n = (self.filled - self.used).min(data.len() - i);
-            let dst = &mut data[i..i + n];
-            let ks = &self.keystream[self.used..self.used + n];
-            let mut j = 0;
-            while j + 8 <= n {
-                let d = u64::from_ne_bytes(dst[j..j + 8].try_into().expect("8 bytes"));
-                let k = u64::from_ne_bytes(ks[j..j + 8].try_into().expect("8 bytes"));
-                dst[j..j + 8].copy_from_slice(&(d ^ k).to_ne_bytes());
-                j += 8;
+            let (dst, dst_tail) = data[i..i + n].as_chunks_mut::<8>();
+            let (ks, ks_tail) = self.keystream[self.used..self.used + n].as_chunks::<8>();
+            for (d, k) in dst.iter_mut().zip(ks) {
+                *d = (u64::from_ne_bytes(*d) ^ u64::from_ne_bytes(*k)).to_ne_bytes();
             }
-            while j < n {
-                dst[j] ^= ks[j];
-                j += 1;
+            for (d, k) in dst_tail.iter_mut().zip(ks_tail) {
+                *d ^= k;
             }
             self.used += n;
             i += n;

@@ -161,12 +161,7 @@ pub fn sha256_hex(data: &[u8]) -> String {
 
 /// Lowercase hex of a digest.
 pub fn to_hex(digest: &[u8; 32]) -> String {
-    let mut s = String::with_capacity(64);
-    for b in digest {
-        s.push(char::from_digit(u32::from(b >> 4), 16).unwrap());
-        s.push(char::from_digit(u32::from(b & 0xF), 16).unwrap());
-    }
-    s
+    crate::lower_hex(digest)
 }
 
 #[cfg(test)]

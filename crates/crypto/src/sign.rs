@@ -84,8 +84,9 @@ impl SigningKey {
         let mut buf = Vec::with_capacity(10 + 16);
         buf.extend_from_slice(b"osdc-keyid");
         buf.extend_from_slice(&self.secret);
-        let d = md5(&buf);
-        KeyId(u64::from_le_bytes(d[..8].try_into().expect("8 bytes")))
+        let mut id = [0u8; 8];
+        id.copy_from_slice(&md5(&buf)[..8]);
+        KeyId(u64::from_le_bytes(id))
     }
 
     /// Sign `payload`, binding the signature to this key's id.
@@ -121,10 +122,14 @@ impl Signature {
         if bytes.len() != Self::WIRE_LEN {
             return Err(SignatureError::Truncated { got: bytes.len() });
         }
-        let key = KeyId(u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")));
+        let mut key = [0u8; 8];
+        key.copy_from_slice(&bytes[..8]);
         let mut mac = [0u8; 16];
         mac.copy_from_slice(&bytes[8..]);
-        Ok(Signature { key, mac })
+        Ok(Signature {
+            key: KeyId(u64::from_le_bytes(key)),
+            mac,
+        })
     }
 }
 

@@ -22,12 +22,9 @@
 //! constant, so the solver caches it and each tick reduces to the
 //! advance/loss bookkeeping of steps 3–4. A congestion-controlled flow's
 //! desire may drift up to `DESIRE_TOLERANCE` (0.5 %) from the value used
-//! at the last solve before a re-solve is forced. Re-solves are
-//! *incremental*: only the connected component of flows touched by dirty
-//! links or drifted desires is re-filled (exact, because max-min
-//! allocation decomposes over link-disjoint components). An early exit
-//! skips filling entirely when every link can carry the sum of its flows'
-//! desires.
+//! at the last solve before a re-solve is forced. Every solve fills all
+//! active flows again; an early exit skips filling entirely when every
+//! link can carry the sum of its flows' desires.
 //!
 //! # Jumps
 //!
@@ -56,8 +53,8 @@
 //! a jump, the closed-form state at the point's tick). Any other flow
 //! keeps no point state, and a jump walks only its losses.
 //!
-//! [`FluidNet::topology_mut`] drops the cache wholesale, so the next tick
-//! runs a full solve. That is the per-tick referee of the differential
+//! [`FluidNet::topology_mut`] marks the cached allocation stale, so the
+//! next tick solves again. That is the per-tick referee of the differential
 //! tests: the same `FluidNet` with `topology_mut()` called before every
 //! `step()`. With the `audit` feature every solve is also checked against
 //! max-min fairness directly (`net.max_min_fair`): a flow held below its
@@ -223,9 +220,11 @@ impl FlowState {
     }
 
     /// Per-packet loss probability: residual path loss plus congestion
-    /// loss when a path link was saturated at the last solve.
+    /// loss when a path link was saturated at the last solve, capped at 1
+    /// (a near-total loss rate on a saturated link would otherwise pass
+    /// it, and `(1 - p)^pkts` would be NaN).
     fn loss_prob(&self, congestion_loss: f64) -> f64 {
-        self.path_loss + if self.congested { congestion_loss } else { 0.0 }
+        (self.path_loss + if self.congested { congestion_loss } else { 0.0 }).min(1.0)
     }
 
     /// Per-tick loss-event probability for `pkts` packets at per-packet
@@ -267,10 +266,6 @@ struct Scratch {
     frozen: Vec<bool>,
     remaining: Vec<f64>,
     users: Vec<usize>,
-    /// Per-flow membership in the incremental re-solve set.
-    resolve: Vec<bool>,
-    /// Per-link membership closure of the re-solve set.
-    link_in_r: Vec<bool>,
     /// `(flow index, tick)` of every loss drawn inside a jump, grouped by
     /// flow in ascending index and ascending tick within a flow.
     losses: Vec<(usize, u64)>,
@@ -283,7 +278,7 @@ pub struct SolverStats {
     /// Simulated ticks covered, whether stepped or jumped over (a jump
     /// counts every tick it covers).
     pub ticks: u64,
-    /// Progressive-filling solves executed, full or partial.
+    /// Progressive-filling solves executed.
     pub solves: u64,
     /// Advances of the clock: one per [`FluidNet::step`] and one per
     /// closed-form jump, however many ticks it covers.
@@ -304,14 +299,11 @@ pub struct FluidNet {
     /// Active-flow counter, maintained on start/complete/cancel so no call
     /// site pays an O(flows) scan.
     active: usize,
-    /// Whether the cached allocation may be reused at all. Cleared by
-    /// whole-topology invalidations (`topology_mut`, `refresh_paths`).
-    cache_valid: bool,
-    /// Links whose state or crossing-flow set changed since the last
-    /// solve; only flows across these links need re-solving.
-    dirty_links: Vec<bool>,
-    any_dirty: bool,
-    /// Current per-link allocated load, maintained across solves.
+    /// Whether an allocation-changing event (a flow starting, completing
+    /// or cancelled, a link going up or down, a flow moving path, or
+    /// `topology_mut`) came after the last solve.
+    stale: bool,
+    /// Per-link allocated load at the last solve, rebuilt by every solve.
     link_load: Vec<f64>,
     link_saturated: Vec<bool>,
     scratch: Scratch,
@@ -320,7 +312,6 @@ pub struct FluidNet {
 
 impl FluidNet {
     pub fn new(topo: Topology, seed: u64) -> Self {
-        let links = topo.link_count();
         FluidNet {
             topo,
             flows: Vec::new(),
@@ -331,11 +322,9 @@ impl FluidNet {
             tele: Telemetry::disabled(),
             ids: None,
             active: 0,
-            cache_valid: false,
-            dirty_links: vec![false; links],
-            any_dirty: false,
-            link_load: vec![0.0; links],
-            link_saturated: vec![false; links],
+            stale: true,
+            link_load: Vec::new(),
+            link_saturated: Vec::new(),
             scratch: Scratch::default(),
             stats: SolverStats::default(),
         }
@@ -386,9 +375,7 @@ impl FluidNet {
             cwnd: format!("net.flow{}.cwnd_mbps", id.0),
             next_at: self.now,
         });
-        for &l in &path {
-            self.mark_link_dirty(l);
-        }
+        self.stale = true;
         self.flows.push(FlowState {
             src: spec.src,
             dst: spec.dst,
@@ -417,70 +404,44 @@ impl FluidNet {
         Ok(id)
     }
 
-    /// Mutable access to the topology, for fault injection. Follow link
-    /// mutations with [`FluidNet::refresh_paths`]. Invalidates the cached
-    /// allocation wholesale; the targeted [`FluidNet::set_link_up`] /
-    /// [`FluidNet::set_link_loss_rate`] / [`FluidNet::set_link_delay`]
-    /// mutators are cheaper because they only dirty what they touch.
+    /// Mutable access to the topology. Marks the cached allocation stale,
+    /// so the next tick solves again: calling it before every `step()`
+    /// makes the per-tick referee of the differential tests. Flows keep
+    /// their paths and path loss; fault injection goes through
+    /// [`FluidNet::set_link_up`] / [`FluidNet::set_link_loss_rate`] /
+    /// [`FluidNet::set_link_delay`], which also reroute and re-sample.
     pub fn topology_mut(&mut self) -> &mut Topology {
-        self.cache_valid = false;
+        self.stale = true;
         &mut self.topo
     }
 
-    /// Re-resolve every active flow after a topology change: routing
-    /// reconverges onto the new shortest usable path, and path loss is
-    /// re-sampled from current link state. Flows left with no usable
-    /// route keep their stale path and stall (downed links carry
-    /// nothing) until connectivity returns. Returns how many flows
-    /// changed path.
-    ///
-    /// With [`FluidNet::topology_mut`] this is the global recompute the
-    /// per-tick referee of the differential tests applies link faults
-    /// through; product code uses the targeted `set_link_*` mutators.
-    pub fn refresh_paths(&mut self) -> usize {
-        self.cache_valid = false;
-        self.reroute_flows()
-    }
-
-    /// Reroute active flows onto current shortest paths, marking the old
-    /// and new path links of every moved flow dirty and keeping the
-    /// per-link load ledger consistent.
+    /// Reroute active flows onto current shortest paths and re-sample
+    /// their path loss from current link state; a flow that moves makes
+    /// the allocation stale. Flows left with no usable route keep their
+    /// path and stall (downed links carry nothing) until connectivity
+    /// returns. Returns how many flows changed path.
     fn reroute_flows(&mut self) -> usize {
         let mut rerouted = 0;
-        for i in 0..self.flows.len() {
-            if !self.flows[i].is_active() {
-                continue;
-            }
-            let (src, dst) = (self.flows[i].src, self.flows[i].dst);
-            if let Some(path) = self.topo.shortest_path(src, dst) {
-                if path != self.flows[i].path {
+        for f in self.flows.iter_mut().filter(|f| f.is_active()) {
+            if let Some(path) = self.topo.shortest_path(f.src, f.dst) {
+                if path != f.path {
                     rerouted += 1;
-                    let rate = self.flows[i].rate_bps;
-                    for k in 0..self.flows[i].path.len() {
-                        let l = self.flows[i].path[k];
-                        self.mark_link_dirty(l);
-                        self.link_load[l.0] -= rate;
-                    }
-                    for &l in &path {
-                        self.mark_link_dirty(l);
-                        self.link_load[l.0] += rate;
-                    }
-                    self.flows[i].path = path;
+                    f.path = path;
                 }
             }
-            self.flows[i].path_loss = self.topo.path_loss_rate(&self.flows[i].path);
+            f.path_loss = self.topo.path_loss_rate(&f.path);
+        }
+        if rerouted > 0 {
+            self.stale = true;
         }
         rerouted
     }
 
-    /// Bring a link up or down and reconverge routing, dirtying only the
-    /// link and the paths of flows that moved. Equivalent to
-    /// `topology_mut().set_link_up(..)` + [`FluidNet::refresh_paths`] but
-    /// keeps the allocation cache for flows the change cannot affect.
-    /// Returns how many flows changed path.
+    /// Bring a link up or down and reconverge routing. Returns how many
+    /// flows changed path.
     pub fn set_link_up(&mut self, id: LinkId, up: bool) -> usize {
         self.topo.set_link_up(id, up);
-        self.mark_link_dirty(id);
+        self.stale = true;
         self.reroute_flows()
     }
 
@@ -502,14 +463,6 @@ impl FluidNet {
     pub fn set_link_delay(&mut self, id: LinkId, delay: SimDuration) -> usize {
         self.topo.set_link_delay(id, delay);
         self.reroute_flows()
-    }
-
-    fn mark_link_dirty(&mut self, l: LinkId) {
-        if l.0 >= self.dirty_links.len() {
-            self.dirty_links.resize(l.0 + 1, false);
-        }
-        self.dirty_links[l.0] = true;
-        self.any_dirty = true;
     }
 
     pub fn status(&self, id: FlowId) -> FlowStatus {
@@ -540,19 +493,6 @@ impl FluidNet {
     /// start/completion/cancel.
     pub fn active_flows(&self) -> usize {
         self.active
-    }
-
-    /// Ensure link-indexed buffers cover the current topology (links can
-    /// be added through `topology_mut`).
-    fn ensure_link_buffers(&mut self) {
-        let n = self.topo.link_count();
-        if self.dirty_links.len() < n {
-            self.dirty_links.resize(n, false);
-        }
-        if self.link_load.len() < n {
-            self.link_load.resize(n, 0.0);
-            self.link_saturated.resize(n, false);
-        }
     }
 
     /// Progressive filling over `scratch.desires`, writing
@@ -635,11 +575,10 @@ impl FluidNet {
         }
     }
 
-    /// Full solve over every active flow: rebuilds desires, the per-link
-    /// load ledger, saturation flags and every flow's cached rate.
-    fn solve_full(&mut self) {
+    /// Solve every active flow: rebuilds desires, the per-link load
+    /// ledger, saturation flags and every flow's cached rate.
+    fn solve(&mut self) {
         self.stats.solves += 1;
-        self.ensure_link_buffers();
         self.scratch.desires.clear();
         for (i, f) in self.flows.iter().enumerate() {
             if f.is_active() {
@@ -647,17 +586,19 @@ impl FluidNet {
             }
         }
         // Early exit: if every link can carry the sum of its crossing
-        // desires, the allocation *is* the desires.
-        for v in self.link_load.iter_mut() {
-            *v = 0.0;
-        }
+        // desires, the allocation *is* the desires. (Links can be added
+        // through `topology_mut`, so the ledger is sized here.)
+        let links = self.topo.link_count();
+        self.link_load.clear();
+        self.link_load.resize(links, 0.0);
+        self.link_saturated.resize(links, false);
         for &(i, d) in &self.scratch.desires {
             for &l in &self.flows[i].path {
                 self.link_load[l.0] += d;
             }
         }
         let mut fits = true;
-        for l in 0..self.topo.link_count() {
+        for l in 0..links {
             if self.link_load[l] > 0.0 {
                 let link = self.topo.link(LinkId(l));
                 if !link.up || self.link_load[l] > link.capacity_bps {
@@ -674,16 +615,14 @@ impl FluidNet {
         } else {
             Self::allocate_into(&self.topo, &self.flows, &mut self.scratch);
             // Per-link load from the fresh allocation (ascending flow order).
-            for v in self.link_load.iter_mut() {
-                *v = 0.0;
-            }
+            self.link_load.fill(0.0);
             for &(i, rate) in &self.scratch.alloc {
                 for &l in &self.flows[i].path {
                     self.link_load[l.0] += rate;
                 }
             }
         }
-        for l in 0..self.topo.link_count() {
+        for l in 0..links {
             self.link_saturated[l] =
                 self.link_load[l] >= self.topo.link(LinkId(l)).capacity_bps * 0.999;
         }
@@ -693,7 +632,7 @@ impl FluidNet {
             audit::check!(
                 rate.is_finite() && rate >= 0.0 && rate <= d + 1e-3,
                 "net.flow_rate_in_bounds",
-                "full solve: flow {i} allocated {rate} bps against desire {d}"
+                "solve: flow {i} allocated {rate} bps against desire {d}"
             );
             let sat = &self.link_saturated;
             let congested = self.flows[i].path.iter().any(|&l| sat[l.0]);
@@ -702,10 +641,9 @@ impl FluidNet {
             f.desire_used = d;
             f.congested = congested;
         }
-        self.audit_link_loads("solve_full");
-        self.audit_max_min("solve_full");
-        self.clear_dirty();
-        self.cache_valid = true;
+        self.audit_link_loads("solve");
+        self.audit_max_min("solve");
+        self.stale = false;
     }
 
     /// Audit-only structural scan over the link ledger: no link carries a
@@ -772,120 +710,6 @@ impl FluidNet {
         }
     }
 
-    /// Incremental solve: re-fill just the connected component of flows
-    /// reached from dirty links and drifted desires. Exact, because
-    /// components sharing no link are independent under max-min filling.
-    fn solve_partial(&mut self) {
-        self.ensure_link_buffers();
-        let nf = self.flows.len();
-        self.scratch.resolve.clear();
-        self.scratch.resolve.resize(nf, false);
-        self.scratch.link_in_r.clear();
-        self.scratch.link_in_r.resize(self.topo.link_count(), false);
-        let mut any = false;
-        for i in 0..nf {
-            let f = &self.flows[i];
-            if !f.is_active() {
-                continue;
-            }
-            let d = f.desire();
-            if f.path.iter().any(|&l| self.dirty_links[l.0]) || f.desire_drifted(d) {
-                self.scratch.resolve[i] = true;
-                any = true;
-            }
-        }
-        if !any {
-            self.clear_dirty();
-            return;
-        }
-        self.stats.solves += 1;
-        for i in 0..nf {
-            if self.scratch.resolve[i] {
-                for &l in &self.flows[i].path {
-                    self.scratch.link_in_r[l.0] = true;
-                }
-            }
-        }
-        // Closure: pull in every flow sharing a link with the set, until
-        // the set's links are used by member flows only.
-        loop {
-            let mut grew = false;
-            for i in 0..nf {
-                if self.scratch.resolve[i] || !self.flows[i].is_active() {
-                    continue;
-                }
-                let s = &self.scratch;
-                if self.flows[i].path.iter().any(|&l| s.link_in_r[l.0]) {
-                    self.scratch.resolve[i] = true;
-                    for &l in &self.flows[i].path {
-                        self.scratch.link_in_r[l.0] = true;
-                    }
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-        // Member flows release their load, re-fill on full capacities
-        // (their links carry member flows only), then re-book.
-        self.scratch.desires.clear();
-        for i in 0..nf {
-            if !self.scratch.resolve[i] || !self.flows[i].is_active() {
-                continue;
-            }
-            let rate = self.flows[i].rate_bps;
-            for k in 0..self.flows[i].path.len() {
-                let l = self.flows[i].path[k];
-                self.link_load[l.0] -= rate;
-            }
-            let d = self.flows[i].desire();
-            self.scratch.desires.push((i, d));
-        }
-        Self::allocate_into(&self.topo, &self.flows, &mut self.scratch);
-        for k in 0..self.scratch.desires.len() {
-            let (i, d) = self.scratch.desires[k];
-            let rate = self.scratch.alloc[k].1;
-            audit::check!(
-                rate.is_finite() && rate >= 0.0 && rate <= d + 1e-3,
-                "net.flow_rate_in_bounds",
-                "partial solve: flow {i} allocated {rate} bps against desire {d}"
-            );
-            for j in 0..self.flows[i].path.len() {
-                let l = self.flows[i].path[j];
-                self.link_load[l.0] += rate;
-            }
-            let f = &mut self.flows[i];
-            f.rate_bps = rate;
-            f.desire_used = d;
-        }
-        for l in 0..self.topo.link_count() {
-            if self.scratch.link_in_r[l] {
-                self.link_saturated[l] =
-                    self.link_load[l] >= self.topo.link(LinkId(l)).capacity_bps * 0.999;
-            }
-        }
-        for i in 0..nf {
-            if self.scratch.resolve[i] {
-                let sat = &self.link_saturated;
-                let congested = self.flows[i].path.iter().any(|&l| sat[l.0]);
-                self.flows[i].congested = congested;
-            }
-        }
-        self.audit_link_loads("solve_partial");
-        self.audit_max_min("solve_partial");
-        self.clear_dirty();
-    }
-
-    fn clear_dirty(&mut self) {
-        if self.any_dirty {
-            for d in self.dirty_links.iter_mut() {
-                *d = false;
-            }
-            self.any_dirty = false;
-        }
-    }
-
     /// Does any active flow's desire sit outside the cached solve's
     /// tolerance band?
     fn desires_drifted(&self) -> bool {
@@ -902,10 +726,8 @@ impl FluidNet {
             self.now += self.tick;
             return self.now;
         }
-        if !self.cache_valid {
-            self.solve_full();
-        } else if self.any_dirty || self.desires_drifted() {
-            self.solve_partial();
+        if self.stale || self.desires_drifted() {
+            self.solve();
         }
         self.advance_tick()
     }
@@ -922,8 +744,8 @@ impl FluidNet {
             if !self.flows[i].is_active() {
                 continue;
             }
-            let rate = self.flows[i].rate_bps;
             let f = &mut self.flows[i];
+            let rate = f.rate_bps;
             let bytes = rate * dt / 8.0;
             f.bytes_done += bytes;
             f.cc.on_tick(dt, bytes);
@@ -940,14 +762,7 @@ impl FluidNet {
                             .observe(ids.flow_throughput_mbps, f.bytes_done * 8.0 / secs / 1e6);
                     }
                 }
-                // The freed capacity re-solves the sharers next tick.
-                for k in 0..self.flows[i].path.len() {
-                    let l = self.flows[i].path[k];
-                    self.link_load[l.0] -= rate;
-                    self.mark_link_dirty(l);
-                }
             }
-            let f = &mut self.flows[i];
             audit::check!(
                 f.bytes_done <= f.bytes_total as f64,
                 "net.flow_done_le_total",
@@ -974,6 +789,8 @@ impl FluidNet {
             }
         }
         if completed > 0 {
+            // The freed capacity re-solves the sharers next tick.
+            self.stale = true;
             if let Some(ids) = &ids {
                 self.tele.set_gauge(ids.active_flows, self.active as f64);
             }
@@ -991,15 +808,15 @@ impl FluidNet {
     }
 
     /// Try to cover the ticks up to `deadline` in one closed-form jump.
-    /// Needs a clean cache (no dirty link, so no structural event is
-    /// pending); a desire that drifted materially since the last solve is
+    /// Needs a fresh allocation (no structural event pending since the
+    /// last solve); a desire that drifted materially since then is
     /// re-solved first. Returns whether the clock moved.
     fn try_jump(&mut self, deadline: SimTime) -> bool {
-        if !self.cache_valid || self.any_dirty {
+        if self.stale {
             return false;
         }
         if self.desires_drifted() {
-            self.solve_partial();
+            self.solve();
         }
         let k = self.ticks_until(deadline);
         k > 0 && self.jump(k) > 0
@@ -1216,14 +1033,9 @@ impl FluidNet {
     /// moved, so a retrying caller can resume from the remainder.
     pub fn cancel_flow(&mut self, id: FlowId) -> u64 {
         if self.flows[id.0].is_active() {
-            let rate = self.flows[id.0].rate_bps;
             self.flows[id.0].status = FlowStatus::Done { at: self.now };
             self.active -= 1;
-            for k in 0..self.flows[id.0].path.len() {
-                let l = self.flows[id.0].path[k];
-                self.link_load[l.0] -= rate;
-                self.mark_link_dirty(l);
-            }
+            self.stale = true;
             if let Some(ids) = &self.ids {
                 self.tele.set_gauge(ids.active_flows, self.active as f64);
             }
@@ -1720,9 +1532,10 @@ mod tests {
 
     #[test]
     fn targeted_link_mutators_match_global_refresh() {
-        // Same fault sequence via topology_mut+refresh_paths and via the
-        // targeted mutators must produce identical transfers.
-        let run = |targeted: bool| {
+        // The same fault sequence through the targeted mutators on the
+        // cached allocation and on the per-tick referee (`topology_mut()`
+        // before every step) must produce identical transfers.
+        let run = |per_tick: bool| {
             let mut t = Topology::new();
             let a = t.add_node("a");
             let b = t.add_node("b");
@@ -1741,38 +1554,49 @@ mod tests {
                     app_limit_bps: f64::INFINITY,
                 })
                 .expect("route");
-            for _ in 0..50 {
-                net.step();
-            }
-            for &l in &fast {
-                if targeted {
-                    net.set_link_up(l, false);
-                    net.set_link_loss_rate(l, 0.5);
-                } else {
-                    net.topology_mut().set_link_up(l, false);
-                    net.topology_mut().set_link_loss_rate(l, 0.5);
-                    net.refresh_paths();
+            let steps = |net: &mut FluidNet| {
+                for _ in 0..50 {
+                    if per_tick {
+                        net.topology_mut();
+                    }
+                    net.step();
                 }
-            }
-            for _ in 0..50 {
-                net.step();
-            }
+            };
+            steps(&mut net);
             for &l in &fast {
-                if targeted {
-                    net.set_link_up(l, true);
-                    net.set_link_loss_rate(l, 1e-7);
-                } else {
-                    net.topology_mut().set_link_up(l, true);
-                    net.topology_mut().set_link_loss_rate(l, 1e-7);
-                    net.refresh_paths();
-                }
+                net.set_link_up(l, false);
+                net.set_link_loss_rate(l, 0.5);
             }
-            for _ in 0..50 {
-                net.step();
+            steps(&mut net);
+            for &l in &fast {
+                net.set_link_up(l, true);
+                net.set_link_loss_rate(l, 1e-7);
             }
+            steps(&mut net);
             (net.bytes_done(f), net.loss_events(f))
         };
-        assert_eq!(run(true), run(false));
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn near_total_loss_on_a_saturated_link_loses_every_tick() {
+        // Path loss 0.99995 plus the congestion loss of the saturated link
+        // passes 1; capped, the jump hands the flow to the stepper, which
+        // loses a packet every tick instead of drawing NaN gaps.
+        let (mut net, a, b) = two_node_net(1e9, 1, 0.99995);
+        let f = net
+            .start_flow(FlowSpec {
+                src: a,
+                dst: b,
+                bytes: u64::MAX,
+                cc: CongestionControl::Constant { rate_bps: 2e9 },
+                app_limit_bps: f64::INFINITY,
+            })
+            .expect("route");
+        net.run_until(deadline_secs(10));
+        assert_eq!(net.now(), deadline_secs(10));
+        assert_eq!(net.solver_stats().ticks, 1_000);
+        assert_eq!(net.loss_events(f), 1_000);
     }
 
     #[test]

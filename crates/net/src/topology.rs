@@ -113,9 +113,9 @@ impl Topology {
 
     /// Fault-injection hooks: toggle a link's administrative state, spike
     /// its loss rate, or stretch its propagation delay. Callers holding a
-    /// [`crate::FluidNet`] should follow mutations with
-    /// [`crate::FluidNet::refresh_paths`] so in-flight flows reroute and
-    /// re-sample their path loss.
+    /// [`crate::FluidNet`] use its mutators of the same names instead
+    /// ([`crate::FluidNet::set_link_up`] and its siblings), so in-flight
+    /// flows reroute and re-sample their path loss.
     pub fn set_link_up(&mut self, id: LinkId, up: bool) {
         self.links[id.0].up = up;
     }

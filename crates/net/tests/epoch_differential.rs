@@ -4,12 +4,11 @@
 //!
 //! The referee is no separate solver: it is the same `FluidNet` with
 //! `topology_mut()` called before every `step()`, which drops the cached
-//! allocation so every tick runs a full progressive-filling solve. It
-//! applies link toggles through the global `topology_mut` +
-//! `refresh_paths` recompute; the epoch side uses the targeted mutators.
-//! Runs are loss-free, so the two sides draw no random numbers and may
-//! differ only by the epoch solver's desire tolerance: bytes moved agree
-//! within 1e-6 plus twice that tolerance, completions agree exactly.
+//! allocation so every tick runs a progressive-filling solve. Both sides
+//! toggle the link with `set_link_up`. Runs are loss-free, so the two
+//! sides draw no random numbers and may differ only by the epoch solver's
+//! desire tolerance: bytes moved agree within 1e-6 plus twice that
+//! tolerance, completions agree exactly.
 //! Every solve on both sides also runs the `audit` feature's `net.*`
 //! invariants, `net.max_min_fair` included, and the test ends by asserting
 //! none was violated.
@@ -79,20 +78,13 @@ fn start_all(net: &mut FluidNet, n_nodes: usize, plans: &[FlowPlan]) -> Vec<Flow
 }
 
 /// Drive `net` for `ticks`, toggling backbone link `toggle_link` down at
-/// 1/3 of the run and up at 2/3. The epoch side uses the targeted
-/// mutator; the referee uses the global recompute and drops the cached
-/// allocation before every tick.
+/// 1/3 of the run and up at 2/3. The referee drops the cached allocation
+/// before every tick.
 fn drive(net: &mut FluidNet, ticks: u64, toggle_link: LinkId, referee: bool) {
     let (down_at, up_at) = (ticks / 3, 2 * ticks / 3);
     for i in 0..ticks {
         if i == down_at || i == up_at {
-            let up = i == up_at;
-            if referee {
-                net.topology_mut().set_link_up(toggle_link, up);
-                net.refresh_paths();
-            } else {
-                net.set_link_up(toggle_link, up);
-            }
+            net.set_link_up(toggle_link, i == up_at);
         }
         if referee {
             net.topology_mut();

@@ -29,7 +29,7 @@ use proptest::prelude::*;
 const SEEDS: u64 = 32;
 const TICK: SimDuration = SimDuration::from_millis(10);
 
-/// Drive the referee: a full solve and a Bernoulli draw every tick.
+/// Drive the referee: a solve and a Bernoulli draw every tick.
 fn run_referee(net: &mut FluidNet, ticks: u64) {
     for _ in 0..ticks {
         net.topology_mut();
@@ -302,11 +302,9 @@ proptest! {
         let mut referee = FluidNet::new(topo.clone(), 7);
         let fr = start(&mut referee);
         run_referee(&mut referee, down_at);
-        referee.topology_mut().set_link_up(toggle_link, false);
-        referee.refresh_paths();
+        referee.set_link_up(toggle_link, false);
         run_referee(&mut referee, up_at - down_at);
-        referee.topology_mut().set_link_up(toggle_link, true);
-        referee.refresh_paths();
+        referee.set_link_up(toggle_link, true);
         run_referee(&mut referee, ticks - up_at);
 
         let mut jump = FluidNet::new(topo, 7);

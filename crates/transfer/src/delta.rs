@@ -245,15 +245,8 @@ pub fn generate_delta_with(
     let mut rc: Option<RollingChecksum> = None;
     while pos + bs <= new_data.len() {
         let window = &new_data[pos..pos + bs];
-        let weak = match &rc {
-            Some(r) => r.value(),
-            None => {
-                let r = RollingChecksum::new(window);
-                let v = r.value();
-                rc = Some(r);
-                v
-            }
-        };
+        let r = rc.get_or_insert_with(|| RollingChecksum::new(window));
+        let weak = r.value();
         if let Some(sig) = scratch.find_match(signatures, weak, window, full_blocks) {
             flush_literals(&mut delta, lit_start, pos);
             delta.matched_bytes += bs;
@@ -263,9 +256,7 @@ pub fn generate_delta_with(
             rc = None;
         } else {
             if pos + bs < new_data.len() {
-                rc.as_mut()
-                    .expect("rolling state exists inside the scan")
-                    .roll(new_data[pos], new_data[pos + bs]);
+                r.roll(new_data[pos], new_data[pos + bs]);
             }
             pos += 1;
         }
@@ -279,11 +270,9 @@ pub fn generate_delta_with(
     // resending it.
     let rest = &new_data[pos..];
     'tail: {
-        if tail_len > 0 && rest.len() >= tail_len {
-            let tail_sig = signatures
-                .blocks
-                .last()
-                .expect("tail_len > 0 implies a final block");
+        // With `tail_len > 0`, the last signature is the short block.
+        let tail_sig = signatures.blocks.last();
+        if let Some(tail_sig) = tail_sig.filter(|_| tail_len > 0 && rest.len() >= tail_len) {
             let suffix = &rest[rest.len() - tail_len..];
             if weak_checksum(suffix) == tail_sig.weak && md5(suffix) == tail_sig.strong {
                 // The unmatched lead bytes extend the pending literal run.
@@ -344,6 +333,9 @@ pub fn apply_delta(basis: &[u8], delta: &Delta, block_size: usize) -> Option<Vec
 /// assert!(delta.literal_bytes <= 2048 + 1);
 /// assert!(delta.matched_bytes >= 95_000);
 /// ```
+// A delta generated from the basis's own signatures names only blocks of
+// that basis, so it always applies.
+#[allow(clippy::expect_used)]
 pub fn sync(basis: &[u8], new_data: &[u8], block_size: usize) -> (Delta, Vec<u8>) {
     let sigs = compute_signatures(basis, block_size);
     let delta = generate_delta(&sigs, new_data);

@@ -10,11 +10,6 @@
 //! mode and with one [`osdc_crypto::md5::md5_many`] call per tree in
 //! checksum mode.
 
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use std::collections::BTreeMap;
 
 use osdc_crypto::md5::md5;

@@ -17,6 +17,11 @@
 //! tests (delta round-trip on arbitrary inputs, rolling == direct) live
 //! here and in `tests/`.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod delta;
 pub mod filelist;
 pub mod rolling;

@@ -28,11 +28,6 @@
 //! The harness in `osdc-bench` sweeps the five protocol/cipher rows × two
 //! dataset sizes and prints mbit/s + LLR exactly as the paper's table does.
 
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use osdc_crypto::CipherKind;
 use osdc_net::{CongestionControl, FlowSpec, FluidNet, NetError, NodeId};
 use osdc_sim::SimDuration;
@@ -260,12 +255,14 @@ impl TransferEngine {
         })?;
         let Some(done) = self.net.run_flow_to_completion(flow, start + deadline) else {
             let done_wire = self.net.cancel_flow(flow);
-            let done_bytes = ((done_wire as f64 * factor) as u64).min(spec.bytes);
+            let done_bytes = (done_wire as f64 * factor) as u64;
             audit::check!(
                 done_wire <= wire_bytes,
                 "transfer.partial_le_wire",
                 "cancelled flow reported {done_wire} of {wire_bytes} wire bytes"
             );
+            // Given the wire bound, only a wire → payload conversion that
+            // overshoots can trip this.
             audit::check!(
                 done_bytes <= spec.bytes,
                 "transfer.partial_le_total",
@@ -273,7 +270,7 @@ impl TransferEngine {
                 spec.bytes
             );
             return Err(TransferError::DeadlineExceeded {
-                done_bytes,
+                done_bytes: done_bytes.min(spec.bytes),
                 total_bytes: spec.bytes,
             });
         };
@@ -529,6 +526,37 @@ mod tests {
             .expect("mbps histogram");
         assert_eq!(h.count, 1);
         assert!((h.sum - r.mbps).abs() < 1e-9);
+    }
+
+    #[test]
+    fn missed_deadline_reports_partial_payload() {
+        // rsync over ssh moves payload at 0.7 of the wire rate, so the
+        // partial count goes through the wire → payload conversion.
+        let (mut eng, src, dst) = engine(5);
+        let err = eng
+            .try_run(
+                &TransferSpec {
+                    protocol: Protocol::Rsync,
+                    cipher: CipherKind::Blowfish,
+                    bytes: 108_000_000_000,
+                    files: 1,
+                    src,
+                    dst,
+                },
+                SimDuration::from_secs(60),
+            )
+            .expect_err("108 GB cannot cross the WAN in a minute");
+        let TransferError::DeadlineExceeded {
+            done_bytes,
+            total_bytes,
+        } = err
+        else {
+            panic!("expected a missed deadline, got {err}");
+        };
+        assert_eq!(total_bytes, 108_000_000_000);
+        assert!(0 < done_bytes && done_bytes < total_bytes, "{done_bytes}");
+        assert_eq!(eng.net.active_flows(), 0);
+        osdc_telemetry::audit::assert_clean("missed transfer deadline");
     }
 
     #[test]

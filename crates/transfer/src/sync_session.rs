@@ -9,11 +9,6 @@
 //! send whole content for new files and block deltas for changed ones,
 //! then push exactly those wire bytes through the simulated path.
 
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use std::collections::BTreeMap;
 
 use osdc_crypto::md5::md5_many;
