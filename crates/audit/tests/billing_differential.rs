@@ -4,13 +4,25 @@
 //! (where a delta lands between two polls must not change the bill) and
 //! free-tier monotonicity (raising the allowance never raises a bill).
 
+use osdc_audit::billing_oracle::replay;
 use osdc_audit::{drive, BillingOp, BillingOracle};
 use osdc_sim::{SimDuration, SimTime};
-use osdc_tukey::billing::Rates;
+use osdc_tukey::billing::{Invoice, Rates};
 use proptest::prelude::*;
 
 fn at(mins: u64, secs: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_mins(mins) + SimDuration::from_secs(secs)
+}
+
+/// `user`'s invoices in close order, read from the from-scratch re-bill
+/// of `ops`: the batches the service has just been matched against.
+fn rebilled(rates: &Rates, ops: &[BillingOp], user: &str) -> Vec<Invoice> {
+    replay(rates, ops)
+        .closes
+        .into_iter()
+        .flatten()
+        .filter(|inv| inv.user == user)
+        .collect()
 }
 
 fn user(u: usize) -> String {
@@ -86,7 +98,8 @@ proptest! {
         spans.sort_by_key(|&(m, _)| m);
         let end = spans.last().map_or(0, |&(m, _)| m) + 60;
         let bill = |offset: u64| {
-            let (mut service, mut oracle) = BillingOracle::paired(Rates::default());
+            let rates = Rates::default();
+            let (mut service, mut oracle) = BillingOracle::paired(rates);
             let ops: Vec<BillingOp> = spans
                 .iter()
                 .map(|&(m, cores)| BillingOp::Cores {
@@ -98,7 +111,7 @@ proptest! {
                 .collect();
             let report = drive(&mut oracle, &mut service, &ops);
             prop_assert!(report.is_clean(), "{}", report.summary());
-            service.invoice_history("alice").last().map_or(0.0, |inv| inv.total_usd)
+            rebilled(&rates, &ops, "alice").last().map_or(0.0, |inv| inv.total_usd)
         };
         prop_assert_eq!(bill(offset_a), bill(offset_b));
     }
@@ -115,12 +128,13 @@ proptest! {
         tiers.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let mut last_total = f64::INFINITY;
         for &free in tiers.iter().rev() {
-            let (mut service, mut oracle) = BillingOracle::paired(Rates {
+            let rates = Rates {
                 per_core_hour: 0.05,
                 per_tb_day: 0.0,
                 free_core_hours: free,
                 free_tb_days: 0.0,
-            });
+            };
+            let (mut service, mut oracle) = BillingOracle::paired(rates);
             let ops: Vec<BillingOp> = spans
                 .iter()
                 .map(|&(m, cores)| BillingOp::Cores {
@@ -132,8 +146,7 @@ proptest! {
                 .collect();
             let report = drive(&mut oracle, &mut service, &ops);
             prop_assert!(report.is_clean(), "{}", report.summary());
-            let total = service
-                .invoice_history("alice")
+            let total = rebilled(&rates, &ops, "alice")
                 .last()
                 .map_or(0.0, |inv| inv.total_usd);
             // Iterating tiers from largest to smallest: totals must be
@@ -185,11 +198,11 @@ fn duplicate_and_late_deltas_agree() {
     ];
     let report = drive(&mut oracle, &mut service, &ops);
     assert!(report.is_clean(), "{}", report.summary());
-    let alice = service.invoice_history("alice");
+    let alice = rebilled(&rates(1), &ops, "alice");
     assert_eq!(alice[0].core_hours * 60.0, 4.0 * 20.0);
     assert_eq!(alice[1].core_hours * 60.0, 8.0 * 30.0);
-    let bob = service.invoice_history("bob");
+    let bob = rebilled(&rates(1), &ops, "bob");
     assert_eq!(bob.iter().map(|inv| inv.tb_days).sum::<f64>(), 2.0);
-    assert!(service.invoice_history("ghost").is_empty());
+    assert!(rebilled(&rates(1), &ops, "ghost").is_empty());
     osdc_telemetry::audit::assert_clean("billing duplicate/late differential");
 }

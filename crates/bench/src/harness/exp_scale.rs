@@ -2,7 +2,7 @@
 //!
 //! §2 and §9 of the paper size the OSDC by community, not by machine: a
 //! community cloud wins when adding the *next thousand researchers*
-//! costs roughly nothing. This harness drives the tenant-sharded state
+//! costs roughly nothing. This harness drives the per-tenant slab state
 //! and the event-driven sweeps through a grid of tenant counts —
 //! 10³, 10⁴ and 10⁵ — against a fixed 10³-host fleet spread over 4 data
 //! centers, with sustained storage ingest, Tukey API compute churn and

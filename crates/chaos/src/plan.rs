@@ -96,7 +96,37 @@ pub struct FaultEvent {
     pub duration_secs: f64,
 }
 
+/// Most down/up cycles one [`FaultKind::LinkFlap`] may ask for; each
+/// cycle is two timeline actions.
+const MAX_FLAP_CYCLES: f64 = 10_000.0;
+
+/// Latest simulated second a fault may start or end at (about 32
+/// years): far past any campaign, and far inside the nanosecond clock.
+const MAX_PLAN_SECS: f64 = 1e9;
+
 impl FaultEvent {
+    /// Why this event cannot be replayed, if it cannot: a start or
+    /// duration that is not a finite number of seconds in
+    /// `[0, MAX_PLAN_SECS]`, a non-finite magnitude, a loss spike outside
+    /// `[0, 1)`, an RTT factor whose inverse (the restore) is not a
+    /// finite positive number, or more than [`MAX_FLAP_CYCLES`] flaps.
+    fn invalid(&self) -> Option<String> {
+        let (at, dur, m) = (self.at_secs, self.duration_secs, self.magnitude);
+        if !(0.0..=MAX_PLAN_SECS).contains(&at) || !(0.0..=MAX_PLAN_SECS).contains(&dur) {
+            return Some(format!(
+                "at_secs {at} and duration_secs {dur} must lie in [0, {MAX_PLAN_SECS}]"
+            ));
+        }
+        let magnitude_ok = m.is_finite()
+            && match self.kind {
+                FaultKind::LossSpike => (0.0..1.0).contains(&m),
+                FaultKind::RttInflate => m > 0.0 && (1.0 / m).is_finite(),
+                FaultKind::LinkFlap => m <= MAX_FLAP_CYCLES,
+                _ => true,
+            };
+        (!magnitude_ok).then(|| format!("magnitude {m} is out of range"))
+    }
+
     pub fn at(&self) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(self.at_secs)
     }
@@ -150,8 +180,20 @@ impl FaultPlan {
         serde_json::to_string_pretty(self).expect("plan serializes")
     }
 
+    /// Parse a plan, refusing any event whose numbers its timeline or
+    /// injector cannot replay; the error names the event's index and kind.
     pub fn from_json(s: &str) -> Result<FaultPlan, String> {
-        serde_json::from_str(s).map_err(|e| format!("bad fault plan: {e:?}"))
+        let plan: FaultPlan =
+            serde_json::from_str(s).map_err(|e| format!("bad fault plan: {e:?}"))?;
+        for (index, ev) in plan.events.iter().enumerate() {
+            if let Some(reason) = ev.invalid() {
+                return Err(format!(
+                    "bad fault plan: event {index} ({}): {reason}",
+                    ev.kind.label()
+                ));
+            }
+        }
+        Ok(plan)
     }
 
     /// Expand the plan into a stable, time-sorted action list. Every
@@ -364,6 +406,57 @@ mod tests {
         .expect("parse");
         assert_eq!(p.events[0].magnitude, 0.0);
         assert_eq!(p.events[0].duration_secs, 0.0);
+    }
+
+    #[test]
+    fn negative_loss_spike_is_refused_with_its_index() {
+        // A negative loss spike must fail here, not at injection: the
+        // injector clamps only the top of the loss rate.
+        let json = r#"{"name":"found","seed":1,"events":[
+            {"at_secs":0.0,"kind":"BrickCrash","target":"brick0"},
+            {"at_secs":60.0,"kind":"LossSpike","target":"starlight->lvoc",
+             "magnitude":-1.0,"duration_secs":120.0}]}"#;
+        let err = FaultPlan::from_json(json).expect_err("negative loss spike");
+        assert!(err.contains("event 1 (loss-spike)"), "{err}");
+    }
+
+    #[test]
+    fn only_replayable_numbers_load() {
+        let ev = |kind, at_secs, magnitude, duration_secs| FaultEvent {
+            at_secs,
+            kind,
+            target: "a->b".into(),
+            magnitude,
+            duration_secs,
+        };
+        for bad in [
+            ev(FaultKind::LinkDown, -1.0, 0.0, 10.0),
+            ev(FaultKind::LinkDown, f64::NAN, 0.0, 10.0),
+            ev(FaultKind::LinkDown, 2e9, 0.0, 0.0),
+            ev(FaultKind::LinkDown, 0.0, 0.0, -5.0),
+            ev(FaultKind::LinkDown, 0.0, 0.0, f64::INFINITY),
+            ev(FaultKind::ApiError, 0.0, f64::NAN, 10.0),
+            ev(FaultKind::LossSpike, 0.0, -1e-9, 10.0),
+            ev(FaultKind::LossSpike, 0.0, 1.0, 10.0),
+            ev(FaultKind::RttInflate, 0.0, 0.0, 10.0),
+            ev(FaultKind::RttInflate, 0.0, -2.0, 10.0),
+            ev(FaultKind::RttInflate, 0.0, 1e-320, 10.0),
+            ev(FaultKind::LinkFlap, 0.0, 10_001.0, 10.0),
+            ev(FaultKind::LinkFlap, 0.0, 1e12, 10.0),
+        ] {
+            assert!(bad.invalid().is_some(), "{bad:?} loads");
+        }
+        for good in [
+            ev(FaultKind::LossSpike, 0.0, 0.0, 10.0),
+            ev(FaultKind::LossSpike, 0.0, 0.999, 10.0),
+            ev(FaultKind::RttInflate, 0.0, 0.01, 10.0),
+            ev(FaultKind::LinkFlap, 0.0, 10_000.0, 10.0),
+            ev(FaultKind::LinkDown, 1e9, 0.0, 1e9),
+        ] {
+            assert_eq!(good.invalid(), None, "{good:?}");
+        }
+        let week = FaultPlan::osdc_campaign(2012, 7 * 24 * 60, 1.0);
+        assert_eq!(FaultPlan::from_json(&week.to_json()), Ok(week));
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //!   encode/decode cycle intact, and their timelines stay sorted.
 //! * **The plan loader never panics** — `FaultPlan::from_json` answers
 //!   `Ok` or `Err` on arbitrary bytes and on byte-edited copies of a
-//!   serialized campaign plan.
+//!   serialized campaign plan, and every plan it accepts replays its
+//!   link faults on the WAN without panicking.
 
-use osdc_chaos::{FaultEvent, FaultKind, FaultPlan};
+use osdc_chaos::{FaultEvent, FaultKind, FaultPlan, InjectError, Injector, Phase};
+use osdc_net::{osdc_wan, FluidNet};
 use osdc_storage::{BrickId, FileData, GlusterVersion, Volume};
 use proptest::prelude::*;
 
@@ -94,17 +96,24 @@ proptest! {
     fn plans_round_trip_and_timelines_sort(
         seed in any::<u64>(),
         raw in proptest::collection::vec(
-            (0usize..12, 0.0f64..10_000.0, 0.0f64..600.0, 0.0f64..4.0),
+            (0usize..12, 0.0f64..10_000.0, 0.0f64..600.0, 0.0f64..1.0),
             0..12,
         ),
     ) {
         let mut plan = FaultPlan::new("prop", seed);
-        for &(k, at, dur, mag) in &raw {
+        for &(k, at, dur, unit) in &raw {
+            // Magnitudes in [0, 4), but within what the loader accepts: a
+            // loss spike is a probability, an RTT factor is positive.
+            let magnitude = match KINDS[k] {
+                FaultKind::LossSpike => unit,
+                FaultKind::RttInflate => 0.01 + 3.99 * unit,
+                _ => 4.0 * unit,
+            };
             plan.push(FaultEvent {
                 at_secs: at,
                 kind: KINDS[k],
                 target: format!("t{k}"),
-                magnitude: mag,
+                magnitude,
                 duration_secs: dur,
             });
         }
@@ -117,17 +126,37 @@ proptest! {
             .iter()
             .filter(|a| a.phase == osdc_chaos::Phase::Inject)
             .count();
-        let expected: usize = raw
+        let expected: usize = plan
+            .events
             .iter()
-            .map(|&(k, _, _, mag)| {
-                if KINDS[k] == FaultKind::LinkFlap {
-                    (mag.max(1.0)) as usize
+            .map(|ev| {
+                if ev.kind == FaultKind::LinkFlap {
+                    (ev.magnitude.max(1.0)) as usize
                 } else {
                     1
                 }
             })
             .sum();
         prop_assert_eq!(injects, expected);
+    }
+}
+
+/// Replay every link-kind step of `plan`'s timeline through the WAN
+/// injector. A target that names no link is an `Err`, never a panic.
+fn replay_link_faults(plan: &FaultPlan) {
+    let mut net = FluidNet::new(osdc_wan(1.2e-7).topology, plan.seed);
+    for step in plan.timeline() {
+        let ev = &plan.events[step.event];
+        if !net.handles(ev.kind) {
+            continue;
+        }
+        let applied = match step.phase {
+            Phase::Inject => net.inject(ev, step.at),
+            Phase::Restore => net.restore(ev, step.at),
+        };
+        if let Err(e) = applied {
+            assert!(matches!(e, InjectError::UnknownTarget(_)), "{e}");
+        }
     }
 }
 
@@ -156,7 +185,8 @@ proptest! {
     /// hangs, on arbitrary bytes and on a serialized campaign plan under
     /// random byte edits, in the style of
     /// `tukey_properties.rs::cloud_mapping_loader_never_panics`. Whatever
-    /// it accepts serializes and parses back to itself.
+    /// it accepts serializes and parses back to itself, and its link
+    /// faults inject and restore on the WAN without panicking.
     #[test]
     fn fault_plan_loader_never_panics(
         noise in prop::collection::vec(any::<u8>(), 0..96),
@@ -167,6 +197,7 @@ proptest! {
         let mutated = mutate(&plan, &edits);
         for input in [String::from_utf8_lossy(&noise).into_owned(), mutated] {
             if let Ok(plan) = FaultPlan::from_json(&input) {
+                replay_link_faults(&plan);
                 prop_assert_eq!(FaultPlan::from_json(&plan.to_json()).ok(), Some(plan));
             }
         }

@@ -661,8 +661,7 @@ impl SharingSim {
         let now = self.engine.now();
         let mut violations = 0;
         for registry in &self.world.registries {
-            let caps: Vec<_> = registry.capabilities().cloned().collect();
-            for cap in caps {
+            for cap in registry.capabilities() {
                 let dead = registry.is_revoked(cap.id) || cap.level.expired(now);
                 if !dead {
                     continue;

@@ -29,6 +29,11 @@
 //! `osdc-audit` (`sharing_oracle`); the experiment harness is
 //! `exp_sharing` in `osdc-bench`.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod capability;
 pub mod enforce;
 pub mod federation;

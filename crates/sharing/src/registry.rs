@@ -9,7 +9,7 @@
 //! grants commute across origins — the derived capability index is a
 //! pure function of the union of records plus the clock.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use osdc_crypto::Keyring;
 use osdc_sim::{SimTime, TenantInterner, TenantStore};
@@ -68,10 +68,10 @@ pub struct IntegrateOutcome {
 pub struct Registry {
     /// Which data center this replica lives at.
     dc: DcId,
-    /// Append-only record logs, indexed by origin.
+    /// Append-only record logs, indexed by origin. They are also the
+    /// grant index: a grant's id is its log coordinates, so
+    /// [`Registry::capability`] reads `logs[origin][seq]`.
     logs: [Vec<Record>; DcId::COUNT],
-    /// Derived index: every grant ever seen.
-    caps: BTreeMap<CapabilityId, Capability>,
     /// Derived index: ids with a known revocation.
     revoked: BTreeSet<CapabilityId>,
     /// Interned grantee names backing `by_grantee`.
@@ -87,7 +87,6 @@ impl Registry {
         Registry {
             dc,
             logs: Default::default(),
-            caps: BTreeMap::new(),
             revoked: BTreeSet::new(),
             grantees: TenantInterner::new(),
             by_grantee: TenantStore::new(),
@@ -135,10 +134,9 @@ impl Registry {
             level,
             granted_at: now,
         };
-        let record = Record::sign(RecordBody::Grant(cap.clone()), key);
-        self.logs[self.dc.index()].push(record);
         self.index_grant(&cap);
-        self.caps.insert(id, cap);
+        let record = Record::sign(RecordBody::Grant(cap), key);
+        self.logs[self.dc.index()].push(record);
         id
     }
 
@@ -151,7 +149,7 @@ impl Registry {
         now: SimTime,
         key: &osdc_crypto::SigningKey,
     ) -> bool {
-        if !self.caps.contains_key(&id) {
+        if self.capability(id).is_none() {
             return false;
         }
         if self.revoked.contains(&id) {
@@ -212,10 +210,7 @@ impl Registry {
             }
             log.push(wire.record.clone());
             match &wire.record.body {
-                RecordBody::Grant(cap) => {
-                    self.index_grant(cap);
-                    self.caps.insert(cap.id, cap.clone());
-                }
+                RecordBody::Grant(cap) => self.index_grant(cap),
                 RecordBody::Revoke { id, .. } => {
                     self.revoked.insert(*id);
                 }
@@ -255,8 +250,7 @@ impl Registry {
             .map(Vec::as_slice)
             .unwrap_or(&[]);
         let mut best: Option<&Capability> = None;
-        for id in ids {
-            let cap = &self.caps[id];
+        for cap in ids.iter().filter_map(|&id| self.capability(id)) {
             debug_assert_eq!(cap.grantee, grantee, "grantee index out of sync");
             if self.revoked.contains(&cap.id) || !cap.covers(path) || !cap.level.allows(action, now)
             {
@@ -287,18 +281,27 @@ impl Registry {
         best.map(|c| c.id)
     }
 
-    /// Look up a capability by id (any origin), if known here.
+    /// Look up a capability by id (any origin), if known here: the
+    /// grant record at the id's log coordinates.
     pub fn capability(&self, id: CapabilityId) -> Option<&Capability> {
-        self.caps.get(&id)
+        let log = self.logs.get(id.origin.index())?;
+        match &log.get(id.seq as usize)?.body {
+            RecordBody::Grant(cap) => Some(cap),
+            RecordBody::Revoke { .. } => None,
+        }
     }
 
     pub fn is_revoked(&self, id: CapabilityId) -> bool {
         self.revoked.contains(&id)
     }
 
-    /// All capabilities known to this replica (live or not), in id order.
+    /// All capabilities known to this replica (live or not), in id
+    /// order: origin by origin, each log in sequence order.
     pub fn capabilities(&self) -> impl Iterator<Item = &Capability> {
-        self.caps.values()
+        self.logs.iter().flatten().filter_map(|r| match &r.body {
+            RecordBody::Grant(cap) => Some(cap),
+            RecordBody::Revoke { .. } => None,
+        })
     }
 
     pub fn records_known(&self) -> u64 {
@@ -443,6 +446,55 @@ mod tests {
             .is_some());
         assert_eq!(a.check("bob", "/data/f", Action::Read, expires), None);
         assert_eq!(a.records_known(), 1, "expiry consumed no log space");
+    }
+
+    #[test]
+    fn capabilities_are_read_at_their_log_coordinates() {
+        let keys: Vec<SigningKey> = (0..3).map(SigningKey::from_seed).collect();
+        let ring = ring_for(&[&keys[0], &keys[1], &keys[2]]);
+        let (mut a, mut b, mut c) = (
+            Registry::new(DcId(0)),
+            Registry::new(DcId(1)),
+            Registry::new(DcId(2)),
+        );
+        let a0 = a.grant("amy", "/a0", TrustLevel::View, SimTime::ZERO, &keys[0]);
+        let c0 = c.grant("carol", "/c0", TrustLevel::View, SimTime::ZERO, &keys[2]);
+        let c1 = c.grant("dave", "/c1", TrustLevel::Copy, SimTime::ZERO, &keys[2]);
+        assert!(c.revoke(c0, SimTime(1), &keys[2]));
+        let c3 = c.grant("carol", "/c3", TrustLevel::Transfer, SimTime(2), &keys[2]);
+        let revoke_record = CapabilityId {
+            origin: DcId(2),
+            seq: 2,
+        };
+        // A local grant, then origin 2's log reversed, then origin 0's.
+        let b0 = b.grant("bob", "/b0", TrustLevel::View, SimTime::ZERO, &keys[1]);
+        let mut from_c = c.missing_for(&b.version());
+        from_c.reverse();
+        assert_eq!(b.integrate(&from_c, &ring).applied, 4);
+        assert_eq!(b.integrate(&a.missing_for(&b.version()), &ring).applied, 1);
+        for id in [a0, b0, c0, c1, c3] {
+            let cap = b.capability(id).expect("grant found at its coordinates");
+            assert_eq!(cap.id, id);
+        }
+        assert!(b.is_revoked(c0));
+        assert!(
+            b.capability(revoke_record).is_none(),
+            "a revocation is no grant"
+        );
+        let past_log = CapabilityId {
+            origin: DcId(2),
+            seq: 4,
+        };
+        assert!(b.capability(past_log).is_none());
+        let foreign = CapabilityId {
+            origin: DcId(9),
+            seq: 0,
+        };
+        assert!(b.capability(foreign).is_none(), "no such origin log");
+        assert!(!b.revoke(revoke_record, SimTime(3), &keys[1]));
+        assert_eq!(b.records_known(), 6, "the refused revoke logged nothing");
+        let listed: Vec<CapabilityId> = b.capabilities().map(|cap| cap.id).collect();
+        assert_eq!(listed, vec![a0, b0, c0, c1, c3], "CapabilityId order");
     }
 
     #[test]

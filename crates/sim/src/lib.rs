@@ -21,10 +21,10 @@
 //! * [`retry`] — deterministic retry/backoff policies on virtual time,
 //!   adopted by the provisioning pipeline and swept by the `osdc-chaos`
 //!   campaigns.
-//! * [`tenant`] — interned dense [`tenant::TenantId`]s and the sharded
-//!   slab [`tenant::TenantStore`] that per-tenant subsystems (billing
-//!   cursors, monitor host index, provider cost ledgers, sharing
-//!   grantees) key their state by at 10⁵-tenant scale.
+//! * [`tenant`] — interned dense [`tenant::TenantId`]s and the slab
+//!   [`tenant::TenantStore`] that per-tenant subsystems (billing
+//!   cursors, provider cost ledgers, sharing grantees) key their state
+//!   by at 10⁵-tenant scale.
 //! * [`runner`] — [`run_indexed`], the workspace's one parallel map:
 //!   experiment grids of independent seeded runs and data-parallel
 //!   kernels execute on `--jobs` workers pulling from one shared queue,

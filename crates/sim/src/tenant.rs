@@ -1,4 +1,4 @@
-//! Tenant-sharded state: interned ids and a sharded slab store.
+//! Per-tenant state: interned ids and a slab store.
 //!
 //! ROADMAP item 1 asks the reproduction to hold 10⁴–10⁶ tenants where
 //! the paper ran ~100 users. Every per-tenant subsystem used to key its
@@ -11,20 +11,16 @@
 //!   integer indexing.
 //! * [`TenantInterner`] — name ⇄ id, ids handed out in first-seen order
 //!   (so id order is deterministic for a deterministic workload).
-//! * [`TenantStore<T>`] — per-tenant state in power-of-two shards of
-//!   flat slabs: O(1) id→slot, no per-entry heap box, iteration in id
-//!   order for deterministic folds (billing closes, report sweeps).
+//! * [`TenantStore<T>`] — per-tenant state in one flat slab: O(1)
+//!   id→slot, no per-entry heap box, iteration in id order for
+//!   deterministic folds (billing closes, report sweeps).
 //!
-//! The store is deliberately *not* a hash map: ids are dense, so the
-//! shard + slot of a tenant is arithmetic on the id. Shards keep slab
-//! growth localized — inserting tenant 10⁶ does not reallocate one giant
-//! array, only the one shard (1/`SHARDS`th of the population) it lands
-//! in — and give a future parallel sweep a natural work partition.
+//! The store is deliberately *not* a hash map: ids are dense, so a
+//! tenant's slot is its id.
 //!
-//! Billing cursors/open cycles (`osdc-tukey`), the monitor's host index
-//! (`osdc-monitor`), provider per-user cost (`osdc-providers`) and
-//! sharing grantee lookups (`osdc-sharing`) all sit on this layer; the
-//! `exp_scale` harness drives all four at 10⁵ tenants.
+//! Billing cursors/open cycles (`osdc-tukey`), provider per-user cost
+//! (`osdc-providers`) and sharing grantee lookups (`osdc-sharing`) sit
+//! on this layer; the `exp_scale` harness drives them at 10⁵ tenants.
 
 use std::collections::HashMap;
 
@@ -99,27 +95,15 @@ impl TenantInterner {
     }
 }
 
-/// Shard count. Power of two so the shard of an id is a mask, not a
-/// division; 16 keeps slab growth at 1/16th of the population per
-/// reallocation while staying cache-friendly for small stores.
-const SHARD_BITS: u32 = 4;
-const SHARDS: usize = 1 << SHARD_BITS;
-const SHARD_MASK: u32 = (SHARDS as u32) - 1;
-
-/// Per-tenant state in power-of-two sharded slabs.
+/// Per-tenant state in one flat slab, indexed by id.
 ///
-/// `id & SHARD_MASK` picks the shard, `id >> SHARD_BITS` the slot — both
-/// O(1), no hashing. Dense ids stripe round-robin across shards, so all
-/// shards grow in lockstep and a slab reallocation only moves
-/// 1/16th of the population. Iteration yields entries in ascending id
-/// order regardless of insertion order, which is what keeps folds over
-/// the store (billing closes, invoice batches) deterministic.
+/// Slot `id` holds tenant `id`'s state: O(1) to reach, no hashing, no
+/// per-entry heap box. Iteration yields entries in ascending id order
+/// regardless of insertion order, which is what keeps folds over the
+/// store (billing closes, invoice batches) deterministic.
 #[derive(Clone, Debug)]
 pub struct TenantStore<T> {
-    shards: [Vec<Option<T>>; SHARDS],
-    len: usize,
-    /// 1 + highest id ever occupied (iteration bound).
-    high: u32,
+    slots: Vec<Option<T>>,
 }
 
 impl<T> Default for TenantStore<T> {
@@ -130,109 +114,42 @@ impl<T> Default for TenantStore<T> {
 
 impl<T> TenantStore<T> {
     pub fn new() -> Self {
-        TenantStore {
-            shards: std::array::from_fn(|_| Vec::new()),
-            len: 0,
-            high: 0,
-        }
-    }
-
-    #[inline]
-    fn coords(id: TenantId) -> (usize, usize) {
-        ((id.0 & SHARD_MASK) as usize, (id.0 >> SHARD_BITS) as usize)
-    }
-
-    /// Number of occupied slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+        TenantStore { slots: Vec::new() }
     }
 
     pub fn get(&self, id: TenantId) -> Option<&T> {
-        let (shard, slot) = Self::coords(id);
-        self.shards[shard].get(slot).and_then(|s| s.as_ref())
-    }
-
-    pub fn get_mut(&mut self, id: TenantId) -> Option<&mut T> {
-        let (shard, slot) = Self::coords(id);
-        self.shards[shard].get_mut(slot).and_then(|s| s.as_mut())
-    }
-
-    pub fn contains(&self, id: TenantId) -> bool {
-        self.get(id).is_some()
-    }
-
-    /// Insert `value` at `id`, returning the displaced value if the slot
-    /// was occupied.
-    pub fn insert(&mut self, id: TenantId, value: T) -> Option<T> {
-        let (shard, slot) = Self::coords(id);
-        let slab = &mut self.shards[shard];
-        if slab.len() <= slot {
-            slab.resize_with(slot + 1, || None);
-        }
-        let old = slab[slot].replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        self.high = self.high.max(id.0 + 1);
-        old
+        self.slots.get(id.index()).and_then(Option::as_ref)
     }
 
     /// The slot for `id`, created by `init` on first touch. The hot-path
-    /// entry point: after the first touch this is two index operations.
+    /// entry point: after the first touch this is one index operation.
     pub fn get_or_insert_with(&mut self, id: TenantId, init: impl FnOnce() -> T) -> &mut T {
-        let (shard, slot) = Self::coords(id);
-        let slab = &mut self.shards[shard];
-        if slab.len() <= slot {
-            slab.resize_with(slot + 1, || None);
+        let slot = id.index();
+        if self.slots.len() <= slot {
+            // Capacity goes to the next power of two, so it depends only
+            // on the highest id touched, not on the order ids arrive in.
+            let want = (slot + 1).next_power_of_two();
+            self.slots.reserve_exact(want - self.slots.len());
+            self.slots.resize_with(slot + 1, || None);
         }
-        let cell = &mut slab[slot];
-        if cell.is_none() {
-            self.len += 1;
-            self.high = self.high.max(id.0 + 1);
-        }
-        cell.get_or_insert_with(init)
-    }
-
-    pub fn remove(&mut self, id: TenantId) -> Option<T> {
-        let (shard, slot) = Self::coords(id);
-        let old = self.shards[shard].get_mut(slot).and_then(|s| s.take());
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
+        self.slots[slot].get_or_insert_with(init)
     }
 
     /// Occupied entries in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (TenantId, &T)> {
-        (0..self.high).filter_map(move |raw| {
-            let id = TenantId(raw);
-            self.get(id).map(|v| (id, v))
-        })
+        self.slots
+            .iter()
+            .zip(0u32..)
+            .filter_map(|(slot, raw)| slot.as_ref().map(|v| (TenantId(raw), v)))
     }
 
     /// Mutable visit of every occupied entry in ascending id order.
     pub fn for_each_mut(&mut self, mut f: impl FnMut(TenantId, &mut T)) {
-        for raw in 0..self.high {
-            let (shard, slot) = Self::coords(TenantId(raw));
-            if let Some(Some(v)) = self.shards[shard].get_mut(slot) {
+        for (slot, raw) in self.slots.iter_mut().zip(0u32..) {
+            if let Some(v) = slot {
                 f(TenantId(raw), v);
             }
         }
-    }
-
-    /// Drop every entry, keeping slab capacity for reuse.
-    pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            for slot in shard.iter_mut() {
-                *slot = None;
-            }
-        }
-        self.len = 0;
-        self.high = 0;
     }
 }
 
@@ -258,28 +175,14 @@ mod tests {
     #[test]
     fn store_inserts_and_iterates_in_id_order() {
         let mut s: TenantStore<u64> = TenantStore::new();
-        // Insert out of order across several shards.
+        // First touches out of id order.
         for raw in [33u32, 0, 17, 2, 48, 1] {
-            s.insert(TenantId(raw), u64::from(raw) * 10);
+            *s.get_or_insert_with(TenantId(raw), || 0) = u64::from(raw) * 10;
         }
-        assert_eq!(s.len(), 6);
         let ids: Vec<u32> = s.iter().map(|(id, _)| id.0).collect();
         assert_eq!(ids, vec![0, 1, 2, 17, 33, 48], "ascending id order");
         assert_eq!(s.get(TenantId(17)), Some(&170));
         assert_eq!(s.get(TenantId(18)), None);
-    }
-
-    #[test]
-    fn store_remove_and_reinsert() {
-        let mut s: TenantStore<&'static str> = TenantStore::new();
-        s.insert(TenantId(5), "five");
-        assert_eq!(s.remove(TenantId(5)), Some("five"));
-        assert_eq!(s.remove(TenantId(5)), None);
-        assert_eq!(s.len(), 0);
-        assert!(!s.contains(TenantId(5)));
-        *s.get_or_insert_with(TenantId(5), || "again") = "again2";
-        assert_eq!(s.get(TenantId(5)), Some(&"again2"));
-        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -301,7 +204,7 @@ mod tests {
     fn for_each_mut_visits_in_id_order() {
         let mut s: TenantStore<u32> = TenantStore::new();
         for raw in [9u32, 3, 27] {
-            s.insert(TenantId(raw), 0);
+            s.get_or_insert_with(TenantId(raw), || 0);
         }
         let mut seen = Vec::new();
         s.for_each_mut(|id, v| {
@@ -313,15 +216,19 @@ mod tests {
     }
 
     #[test]
-    fn clear_retains_nothing_but_reuses_capacity() {
-        let mut s: TenantStore<u8> = TenantStore::new();
-        for raw in 0..100u32 {
-            s.insert(TenantId(raw), raw as u8);
-        }
-        s.clear();
-        assert_eq!(s.len(), 0);
-        assert_eq!(s.iter().count(), 0);
-        s.insert(TenantId(3), 1);
-        assert_eq!(s.iter().count(), 1);
+    fn capacity_depends_only_on_the_highest_id() {
+        let touch = |order: &[u32]| {
+            let mut s: TenantStore<u64> = TenantStore::new();
+            for &raw in order {
+                s.get_or_insert_with(TenantId(raw), || 0);
+            }
+            s.slots.capacity()
+        };
+        let ascending: Vec<u32> = (0..1_000).collect();
+        let high_first: Vec<u32> = (0..1_000).rev().collect();
+        let climbing = [500, 998, 999, 3];
+        assert_eq!(touch(&ascending), 1_024);
+        assert_eq!(touch(&high_first), 1_024);
+        assert_eq!(touch(&climbing), 1_024);
     }
 }

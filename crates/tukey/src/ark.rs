@@ -128,19 +128,16 @@ impl ArkService {
     pub fn mint(&self, record: ArkRecord) -> Ark {
         let mut counter = self.counter.write();
         *counter += 1;
-        // Betanumeric base-29 rendering of the counter.
+        // Betanumeric base-29 rendering of the counter, least significant
+        // digit first.
         let mut n = *counter;
         let mut digits = Vec::new();
         while n > 0 {
-            digits.push(BETANUMERIC[(n % 29) as usize]);
+            digits.push(char::from(BETANUMERIC[(n % 29) as usize]));
             n /= 29;
         }
-        digits.reverse();
-        let base = format!(
-            "{}{}",
-            self.shoulder,
-            String::from_utf8(digits).expect("betanumeric is ASCII")
-        );
+        let mut base = self.shoulder.clone();
+        base.extend(digits.iter().rev());
         let check = check_char(&self.naan, &base);
         let ark = Ark {
             naan: self.naan.clone(),

@@ -164,7 +164,6 @@ pub struct BillingService {
     rates: Rates,
     users: TenantInterner,
     tenants: TenantStore<TenantBilling>,
-    invoices: Vec<Invoice>,
     month: u32,
     /// Scratch for sorting invoices at close; retained across closes.
     close_scratch: Vec<(TenantId, CycleUsage)>,
@@ -176,7 +175,6 @@ impl BillingService {
             rates,
             users: TenantInterner::new(),
             tenants: TenantStore::new(),
-            invoices: Vec::new(),
             month: 0,
             close_scratch: Vec::new(),
         }
@@ -261,7 +259,9 @@ impl BillingService {
     /// strictly before it — a poll exactly at the close instant bills
     /// into the next month), invoice every user with usage in user-name
     /// order, and reset the cycle. Held rates and fold cursors survive,
-    /// so accrual continues seamlessly into the new cycle.
+    /// so accrual continues seamlessly into the new cycle. The returned
+    /// batch is the only record of the month's invoices: the service
+    /// keeps no history.
     pub fn close_month_at(&mut self, at: SimTime) -> Vec<Invoice> {
         let month = self.month;
         self.month += 1;
@@ -310,12 +310,7 @@ impl BillingService {
             });
         }
         self.close_scratch = scratch;
-        self.invoices.extend(closed.iter().cloned());
         closed
-    }
-
-    pub fn invoice_history(&self, user: &str) -> Vec<&Invoice> {
-        self.invoices.iter().filter(|i| i.user == user).collect()
     }
 }
 
@@ -442,7 +437,6 @@ mod tests {
         let second = b.close_month_at(at_min(2));
         assert_eq!(second[0].month, 1);
         assert_eq!(second[0].core_hours * 60.0, 4.0);
-        assert_eq!(b.invoice_history("alice").len(), 2);
     }
 
     #[test]

@@ -31,6 +31,11 @@
 //! (curated public datasets), and [`billing`] (event-driven core-hour
 //! and storage accrual, monthly invoices).
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod ark;
 pub mod auth;
 pub mod billing;

@@ -170,12 +170,12 @@ impl FileSharingService {
                 group_grants: Vec::new(),
             },
         );
-        if let Some(p) = parent {
-            if let NodeKind::Collection { children } =
-                &mut self.nodes.get_mut(&p).expect("checked above").kind
-            {
-                children.push(id);
-            }
+        if let Some(Node {
+            kind: NodeKind::Collection { children },
+            ..
+        }) = parent.and_then(|p| self.nodes.get_mut(&p))
+        {
+            children.push(id);
         }
         Ok(id)
     }
@@ -207,12 +207,12 @@ impl FileSharingService {
                 group_grants: Vec::new(),
             },
         );
-        if let Some(p) = parent {
-            if let NodeKind::Collection { children } =
-                &mut self.nodes.get_mut(&p).expect("checked above").kind
-            {
-                children.push(id);
-            }
+        if let Some(Node {
+            kind: NodeKind::Collection { children },
+            ..
+        }) = parent.and_then(|p| self.nodes.get_mut(&p))
+        {
+            children.push(id);
         }
         self.by_path.insert(volume_path.to_string(), id);
         Ok(id)
@@ -240,19 +240,25 @@ impl FileSharingService {
             cursor = self.nodes[&c].parent;
         }
         // Detach from the old parent.
-        if let Some(old) = self.nodes[&id].parent {
-            if let NodeKind::Collection { children } =
-                &mut self.nodes.get_mut(&old).expect("parent exists").kind
-            {
-                children.retain(|&c| c != id);
-            }
+        if let Some(Node {
+            kind: NodeKind::Collection { children },
+            ..
+        }) = self.nodes[&id]
+            .parent
+            .and_then(|old| self.nodes.get_mut(&old))
+        {
+            children.retain(|&c| c != id);
         }
-        if let NodeKind::Collection { children } =
-            &mut self.nodes.get_mut(&new_parent).expect("checked").kind
+        if let Some(Node {
+            kind: NodeKind::Collection { children },
+            ..
+        }) = self.nodes.get_mut(&new_parent)
         {
             children.push(id);
         }
-        self.nodes.get_mut(&id).expect("checked").parent = Some(new_parent);
+        if let Some(node) = self.nodes.get_mut(&id) {
+            node.parent = Some(new_parent);
+        }
         Ok(())
     }
 

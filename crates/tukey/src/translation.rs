@@ -23,11 +23,6 @@
 //! federation only through `ProviderRegistry`'s `ApiHealth` gate; the
 //! console, whose users pick their cloud, calls its providers directly.
 
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use std::collections::BTreeMap;
 
 use osdc_compute::CloudController;

@@ -7,9 +7,10 @@
 //!   `usage_at` folds a copy of the slab entry on the stack;
 //! * `record_cores_id` / `record_stored_id` folds are pure arithmetic on
 //!   the slab entry;
-//! * a steady-state `close_month_at` reuses its retained scratch buffer
-//!   (invoice `String`s for *non-empty* cycles still allocate, so the
-//!   measured closes run over folded-to-zero cycles).
+//! * a steady-state `close_month_at` reuses its retained scratch buffer:
+//!   a close over folded-to-zero cycles allocates nothing, and a close
+//!   that invoices allocates only the returned batch and one user
+//!   `String` per invoice.
 
 use counting_alloc::{count_allocations, CountingAlloc};
 use osdc_sim::{SimDuration, SimTime};
@@ -109,5 +110,27 @@ fn empty_cycle_close_reuses_scratch() {
         stats.allocations, 0,
         "empty close allocated {} times ({} bytes)",
         stats.allocations, stats.bytes
+    );
+}
+
+#[test]
+fn invoicing_close_allocates_only_the_batch() {
+    let mut b = BillingService::new(Rates::default());
+    let ids: Vec<_> = (0..64).map(|u| b.user_id(&format!("user{u}"))).collect();
+    for &id in &ids {
+        b.record_cores_id(id, 2, at_min(0));
+        b.record_stored_id(id, 1_000_000_000_000, at_min(0));
+    }
+    // Warm-up close: sizes the retained scratch buffer.
+    assert_eq!(b.close_month_at(at_min(60)).len(), 64);
+    // Held rates carry over, so the next close invoices all 64 again.
+    let (stats, batch) = count_allocations(|| b.close_month_at(at_min(120)));
+    assert_eq!(batch.len(), 64);
+    assert!(
+        stats.allocations <= 65,
+        "a close of 64 invoices allocated {} times ({} bytes); \
+         one user String per invoice plus the batch is 65",
+        stats.allocations,
+        stats.bytes
     );
 }
