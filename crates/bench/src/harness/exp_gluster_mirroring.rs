@@ -185,5 +185,9 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
             "INCOMPLETE"
         }
     );
+
+    // A build with --features audit also gates on the runtime invariant
+    // registry (brick usage within capacity, replica-set geometry).
+    osdc_telemetry::audit::assert_clean("exp_gluster_mirroring");
     Ok(())
 }

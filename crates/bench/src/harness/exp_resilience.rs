@@ -158,5 +158,9 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         let _ = run_campaigns(&[canonical], jobs, &tele);
         ctx.finish_trace(&tele);
     }
+
+    // A build with --features audit also gates on the runtime invariant
+    // registry (brick usage within capacity, replica-set geometry).
+    osdc_telemetry::audit::assert_clean("exp_resilience");
     Ok(())
 }

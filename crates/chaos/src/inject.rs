@@ -197,7 +197,16 @@ impl Injector for Volume {
                 Ok(Effect::default())
             }
             FaultKind::SilentCorruption => {
-                self.corrupt_replica(&ev.target, ev.magnitude as usize);
+                // The magnitude is a replica rank; past the set's
+                // replicas it names no copy of the path.
+                let rank = ev.magnitude as usize;
+                if rank >= self.brick_count() / self.replica_sets() {
+                    return Err(InjectError::UnknownTarget(format!(
+                        "{} rank {rank}",
+                        ev.target
+                    )));
+                }
+                self.corrupt_replica(&ev.target, rank);
                 Ok(Effect::default())
             }
             other => Err(InjectError::Unsupported(other)),
@@ -484,6 +493,23 @@ mod tests {
                 "v3.3 repairs rot; v3.1 serves it forever"
             );
         }
+    }
+
+    #[test]
+    fn corruption_rank_past_the_set_is_an_unknown_target() {
+        let mut vol = Volume::new("v", GlusterVersion::V3_3, 8, 2, 1 << 30, 5);
+        vol.write("/corpus/f7", FileData::synthetic(1 << 16, 7), "u")
+            .expect("write");
+        let rot = ev(FaultKind::SilentCorruption, "/corpus/f7", 5.0);
+        let err = vol
+            .inject(&rot, SimTime::ZERO)
+            .expect_err("replica-2 has no rank 5");
+        assert_eq!(err, InjectError::UnknownTarget("/corpus/f7 rank 5".into()));
+        assert!(
+            !vol.corrupt_replica("/corpus/f7", 2),
+            "rank 2 is past the set"
+        );
+        assert!(vol.audit_corrupt(&["/corpus/f7".into()]).is_empty());
     }
 
     #[test]

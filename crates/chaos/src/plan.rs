@@ -100,6 +100,12 @@ pub struct FaultEvent {
 /// cycle is two timeline actions.
 const MAX_FLAP_CYCLES: f64 = 10_000.0;
 
+/// Largest factor one [`FaultKind::RttInflate`] may scale a link's delay
+/// by, either way. Restore divides the factor out of the nanosecond
+/// delay; far outside `[1/MAX_RTT_FACTOR, MAX_RTT_FACTOR]` inject
+/// saturates that delay or rounds it to zero, and restore cannot undo it.
+const MAX_RTT_FACTOR: f64 = 1e3;
+
 /// Latest simulated second a fault may start or end at (about 32
 /// years): far past any campaign, and far inside the nanosecond clock.
 const MAX_PLAN_SECS: f64 = 1e9;
@@ -108,8 +114,9 @@ impl FaultEvent {
     /// Why this event cannot be replayed, if it cannot: a start or
     /// duration that is not a finite number of seconds in
     /// `[0, MAX_PLAN_SECS]`, a non-finite magnitude, a loss spike outside
-    /// `[0, 1)`, an RTT factor whose inverse (the restore) is not a
-    /// finite positive number, or more than [`MAX_FLAP_CYCLES`] flaps.
+    /// `[0, 1)`, an RTT factor outside
+    /// `[1/MAX_RTT_FACTOR, MAX_RTT_FACTOR]`, or more than
+    /// [`MAX_FLAP_CYCLES`] flaps.
     fn invalid(&self) -> Option<String> {
         let (at, dur, m) = (self.at_secs, self.duration_secs, self.magnitude);
         if !(0.0..=MAX_PLAN_SECS).contains(&at) || !(0.0..=MAX_PLAN_SECS).contains(&dur) {
@@ -120,7 +127,7 @@ impl FaultEvent {
         let magnitude_ok = m.is_finite()
             && match self.kind {
                 FaultKind::LossSpike => (0.0..1.0).contains(&m),
-                FaultKind::RttInflate => m > 0.0 && (1.0 / m).is_finite(),
+                FaultKind::RttInflate => (1.0 / MAX_RTT_FACTOR..=MAX_RTT_FACTOR).contains(&m),
                 FaultKind::LinkFlap => m <= MAX_FLAP_CYCLES,
                 _ => true,
             };
@@ -441,6 +448,8 @@ mod tests {
             ev(FaultKind::RttInflate, 0.0, 0.0, 10.0),
             ev(FaultKind::RttInflate, 0.0, -2.0, 10.0),
             ev(FaultKind::RttInflate, 0.0, 1e-320, 10.0),
+            ev(FaultKind::RttInflate, 0.0, 1e13, 10.0),
+            ev(FaultKind::RttInflate, 0.0, 1e-13, 10.0),
             ev(FaultKind::LinkFlap, 0.0, 10_001.0, 10.0),
             ev(FaultKind::LinkFlap, 0.0, 1e12, 10.0),
         ] {
@@ -450,6 +459,8 @@ mod tests {
             ev(FaultKind::LossSpike, 0.0, 0.0, 10.0),
             ev(FaultKind::LossSpike, 0.0, 0.999, 10.0),
             ev(FaultKind::RttInflate, 0.0, 0.01, 10.0),
+            ev(FaultKind::RttInflate, 0.0, 1e3, 10.0),
+            ev(FaultKind::RttInflate, 0.0, 1e-3, 10.0),
             ev(FaultKind::LinkFlap, 0.0, 10_000.0, 10.0),
             ev(FaultKind::LinkDown, 1e9, 0.0, 1e9),
         ] {
@@ -457,6 +468,14 @@ mod tests {
         }
         let week = FaultPlan::osdc_campaign(2012, 7 * 24 * 60, 1.0);
         assert_eq!(FaultPlan::from_json(&week.to_json()), Ok(week));
+        // A 1e13 inflation saturates `starlight->lvoc`'s delay, and its
+        // restore leaves 1.845 ms of the 51 ms link.
+        let json = r#"{"name":"found","seed":1,"events":[
+            {"at_secs":0.0,"kind":"LinkDown","target":"a->b","duration_secs":5.0},
+            {"at_secs":60.0,"kind":"RttInflate","target":"starlight->lvoc",
+             "magnitude":1e13,"duration_secs":120.0}]}"#;
+        let err = FaultPlan::from_json(json).expect_err("unrestorable RTT factor");
+        assert!(err.contains("event 1 (rtt-inflate)"), "{err}");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * **The plan loader never panics** — `FaultPlan::from_json` answers
 //!   `Ok` or `Err` on arbitrary bytes and on byte-edited copies of a
 //!   serialized campaign plan, and every plan it accepts replays its
-//!   link faults on the WAN without panicking.
+//!   link faults on the WAN and its storage faults on the campaign's
+//!   volume without panicking.
 
 use osdc_chaos::{FaultEvent, FaultKind, FaultPlan, InjectError, Injector, Phase};
 use osdc_net::{osdc_wan, FluidNet};
@@ -141,23 +142,38 @@ proptest! {
     }
 }
 
-/// Replay every link-kind step of `plan`'s timeline through the WAN
-/// injector. A target that names no link is an `Err`, never a panic.
-fn replay_link_faults(plan: &FaultPlan) {
-    let mut net = FluidNet::new(osdc_wan(1.2e-7).topology, plan.seed);
+/// Replay every step of `plan`'s timeline that `injector` handles. A
+/// target that names nothing there (no link, brick, server or replica)
+/// is an `Err`, never a panic.
+fn replay_faults(injector: &mut dyn Injector, plan: &FaultPlan) {
     for step in plan.timeline() {
         let ev = &plan.events[step.event];
-        if !net.handles(ev.kind) {
+        if !injector.handles(ev.kind) {
             continue;
         }
         let applied = match step.phase {
-            Phase::Inject => net.inject(ev, step.at),
-            Phase::Restore => net.restore(ev, step.at),
+            Phase::Inject => injector.inject(ev, step.at),
+            Phase::Restore => injector.restore(ev, step.at),
         };
         if let Err(e) = applied {
             assert!(matches!(e, InjectError::UnknownTarget(_)), "{e}");
         }
     }
+}
+
+/// The chaos campaign's volume: 8 bricks, replica-2, holding its corpus
+/// `/corpus/f0` to `/corpus/f319`.
+fn campaign_volume(seed: u64) -> Volume {
+    let mut vol = Volume::new("adler", GlusterVersion::V3_3, 8, 2, 1 << 34, seed);
+    for i in 0..320 {
+        vol.write(
+            &format!("/corpus/f{i}"),
+            FileData::synthetic(1 << 20, i),
+            "lab",
+        )
+        .expect("corpus fits");
+    }
+    vol
 }
 
 /// Apply byte edits to `valid`: (op, position, byte) with op 0 =
@@ -185,8 +201,9 @@ proptest! {
     /// hangs, on arbitrary bytes and on a serialized campaign plan under
     /// random byte edits, in the style of
     /// `tukey_properties.rs::cloud_mapping_loader_never_panics`. Whatever
-    /// it accepts serializes and parses back to itself, and its link
-    /// faults inject and restore on the WAN without panicking.
+    /// it accepts serializes and parses back to itself, and its link and
+    /// storage faults inject and restore on the WAN and the campaign's
+    /// volume without panicking.
     #[test]
     fn fault_plan_loader_never_panics(
         noise in prop::collection::vec(any::<u8>(), 0..96),
@@ -197,7 +214,8 @@ proptest! {
         let mutated = mutate(&plan, &edits);
         for input in [String::from_utf8_lossy(&noise).into_owned(), mutated] {
             if let Ok(plan) = FaultPlan::from_json(&input) {
-                replay_link_faults(&plan);
+                replay_faults(&mut FluidNet::new(osdc_wan(1.2e-7).topology, plan.seed), &plan);
+                replay_faults(&mut campaign_volume(plan.seed), &plan);
                 prop_assert_eq!(FaultPlan::from_json(&plan.to_json()).ok(), Some(plan));
             }
         }

@@ -125,17 +125,11 @@ impl UsageLedger {
     /// `rate_per_core_hour`.
     pub fn accrue_compute(&mut self, provider: &str, user: &str, cores: u32, rate: f64) {
         let id = self.users.intern(user);
-        self.accrue_compute_id(provider, id, cores, rate);
-    }
-
-    /// [`accrue_compute`](Self::accrue_compute) by interned id — the
-    /// zero-alloc hot path for callers that cache [`TenantId`]s.
-    pub fn accrue_compute_id(&mut self, provider: &str, user: TenantId, cores: u32, rate: f64) {
         let usd = cores as f64 * rate / 60.0;
         let p = self.provider_mut(provider);
         p.core_minutes += cores as f64;
         p.compute_usd += usd;
-        *self.per_user_usd.get_or_insert_with(user, || 0.0) += usd;
+        *self.per_user_usd.get_or_insert_with(id, || 0.0) += usd;
     }
 
     pub fn total_usd(&self) -> f64 {

@@ -1,12 +1,14 @@
 //! Bricks: the storage unit a GlusterFS-like volume is built from.
 //!
 //! A brick is one directory on one server's RAID: it has a capacity, a
-//! health state, and a flat map of path → (data, meta). Replication and
-//! placement live a layer up, in [`crate::volume`].
+//! health state, and its replicas held by slot. Paths live a layer up:
+//! the [`crate::volume`] gives each path one slot in its replica set's
+//! index, and every brick of that set stores its copy of the path at that
+//! slot. Replication and placement live in the volume too.
 
-use std::collections::BTreeMap;
+use osdc_sim::TenantId;
 
-use crate::file::{FileData, FileMeta};
+use crate::file::FileData;
 
 /// Identifies a brick within a volume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,6 +25,25 @@ pub enum BrickHealth {
     Failed,
 }
 
+/// One brick's copy of one file.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Replica {
+    pub(crate) data: FileData,
+    /// The volume-wide write version (heal's freshness arbiter).
+    pub(crate) version: u64,
+    /// Digest of `data` as written; bit-rot changes `data`, not this.
+    pub(crate) digest: [u8; 16],
+    /// Owner, interned in the volume's owner table.
+    pub(crate) owner: TenantId,
+}
+
+impl Replica {
+    /// Whether the payload still matches the digest recorded at write.
+    pub(crate) fn is_clean(&self) -> bool {
+        self.data.digest() == self.digest
+    }
+}
+
 #[derive(Clone, Debug)]
 pub struct Brick {
     pub id: BrickId,
@@ -31,7 +52,8 @@ pub struct Brick {
     pub capacity_bytes: u64,
     used_bytes: u64,
     health: BrickHealth,
-    files: BTreeMap<String, (FileData, FileMeta)>,
+    /// Replicas by the slot their path holds in the replica set's index.
+    replicas: Vec<Option<Replica>>,
 }
 
 /// Errors surfaced by direct brick operations.
@@ -50,7 +72,7 @@ impl Brick {
             capacity_bytes,
             used_bytes: 0,
             health: BrickHealth::Online,
-            files: BTreeMap::new(),
+            replicas: Vec::new(),
         }
     }
 
@@ -67,13 +89,13 @@ impl Brick {
     }
 
     pub fn file_count(&self) -> usize {
-        self.files.len()
+        self.replicas.iter().flatten().count()
     }
 
     /// Simulate a hardware failure: all contents are gone.
     pub fn fail(&mut self) {
         self.health = BrickHealth::Failed;
-        self.files.clear();
+        self.replicas.clear();
         self.used_bytes = 0;
     }
 
@@ -81,7 +103,7 @@ impl Brick {
     /// repopulates it from surviving replicas).
     pub fn replace(&mut self) {
         self.health = BrickHealth::Online;
-        self.files.clear();
+        self.replicas.clear();
         self.used_bytes = 0;
     }
 
@@ -102,29 +124,33 @@ impl Brick {
         }
     }
 
-    /// Silent bit-rot: the stored payload changes but the recorded
-    /// metadata (and its digest) does not, so only a digest audit or a
-    /// digest-aware heal can tell. Returns whether the path existed.
-    pub fn corrupt(&mut self, path: &str) -> bool {
-        match self.files.get_mut(path) {
-            Some((data, _)) => {
-                match data {
-                    FileData::Bytes(b) if !b.is_empty() => b[0] ^= 0xff,
-                    FileData::Bytes(_) => return false, // nothing to rot
-                    FileData::Synthetic { seed, .. } => *seed ^= 0xdead_beef,
-                }
-                true
-            }
-            None => false,
+    /// Silent bit-rot: the stored payload changes but the recorded digest
+    /// does not, so only a digest audit or a digest-aware heal can tell.
+    /// Returns whether a replica at `slot` was touched.
+    pub(crate) fn corrupt(&mut self, slot: usize) -> bool {
+        let Some(Some(replica)) = self.replicas.get_mut(slot) else {
+            return false;
+        };
+        match &mut replica.data {
+            FileData::Bytes(b) if !b.is_empty() => b[0] ^= 0xff,
+            FileData::Bytes(_) => return false, // nothing to rot
+            FileData::Synthetic { seed, .. } => *seed ^= 0xdead_beef,
         }
+        true
     }
 
-    pub fn write(&mut self, path: &str, data: FileData, meta: FileMeta) -> Result<(), BrickError> {
+    /// Store `replica` at `slot`, charging only the size delta against any
+    /// replica it replaces.
+    pub(crate) fn write(&mut self, slot: usize, replica: Replica) -> Result<(), BrickError> {
         if self.health != BrickHealth::Online {
             return Err(BrickError::Offline);
         }
-        let new_size = data.size();
-        let old_size = self.files.get(path).map_or(0, |(d, _)| d.size());
+        let new_size = replica.data.size();
+        let old_size = self
+            .replicas
+            .get(slot)
+            .and_then(Option::as_ref)
+            .map_or(0, |r| r.data.size());
         let needed = new_size.saturating_sub(old_size);
         if needed > self.free_bytes() {
             return Err(BrickError::Full {
@@ -133,38 +159,34 @@ impl Brick {
             });
         }
         self.used_bytes = self.used_bytes - old_size + new_size;
-        self.files.insert(path.to_string(), (data, meta));
+        if slot >= self.replicas.len() {
+            self.replicas.resize_with(slot + 1, || None);
+        }
+        self.replicas[slot] = Some(replica);
         Ok(())
     }
 
-    pub fn read(&self, path: &str) -> Result<&(FileData, FileMeta), BrickError> {
+    pub(crate) fn read(&self, slot: usize) -> Result<&Replica, BrickError> {
         if self.health != BrickHealth::Online {
             return Err(BrickError::Offline);
         }
-        self.files.get(path).ok_or(BrickError::NotFound)
+        self.replicas
+            .get(slot)
+            .and_then(Option::as_ref)
+            .ok_or(BrickError::NotFound)
     }
 
-    pub fn delete(&mut self, path: &str) -> Result<(), BrickError> {
+    pub(crate) fn delete(&mut self, slot: usize) -> Result<(), BrickError> {
         if self.health != BrickHealth::Online {
             return Err(BrickError::Offline);
         }
-        match self.files.remove(path) {
-            Some((data, _)) => {
-                self.used_bytes -= data.size();
+        match self.replicas.get_mut(slot).and_then(Option::take) {
+            Some(replica) => {
+                self.used_bytes -= replica.data.size();
                 Ok(())
             }
             None => Err(BrickError::NotFound),
         }
-    }
-
-    /// Iterate paths (online bricks only — a failed brick reports nothing).
-    pub fn paths(&self) -> impl Iterator<Item = &str> {
-        self.files.keys().map(String::as_str)
-    }
-
-    /// All entries, for heal and backup walks.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, &(FileData, FileMeta))> {
-        self.files.iter().map(|(k, v)| (k.as_str(), v))
     }
 }
 
@@ -172,45 +194,49 @@ impl Brick {
 mod tests {
     use super::*;
 
-    fn meta(size: u64, owner: &str, version: u64) -> FileMeta {
-        FileMeta {
-            size,
-            owner: owner.into(),
+    fn synthetic(size: u64, version: u64) -> Replica {
+        let data = FileData::synthetic(size, 0);
+        Replica {
+            digest: data.digest(),
+            data,
             version,
-            digest: [0; 16],
+            owner: TenantId(0),
         }
     }
 
-    fn small(content: &[u8]) -> (FileData, FileMeta) {
-        let d = FileData::bytes(content.to_vec());
-        let m = FileMeta {
-            size: d.size(),
-            owner: "alice".into(),
+    fn small(content: &[u8]) -> Replica {
+        let data = FileData::bytes(content.to_vec());
+        Replica {
+            digest: data.digest(),
+            data,
             version: 1,
-            digest: d.digest(),
-        };
-        (d, m)
+            owner: TenantId(0),
+        }
     }
 
     #[test]
     fn write_read_delete_cycle() {
         let mut b = Brick::new(BrickId(0), "s1:/b0", 1000);
-        let (d, m) = small(b"hello");
-        b.write("/f", d.clone(), m).expect("write ok");
+        let r = small(b"hello");
+        b.write(3, r.clone()).expect("write ok");
         assert_eq!(b.used_bytes(), 5);
-        assert_eq!(b.read("/f").expect("read ok").0, d);
-        b.delete("/f").expect("delete ok");
+        assert_eq!(b.read(3), Ok(&r));
+        assert_eq!(
+            b.read(0),
+            Err(BrickError::NotFound),
+            "slots below stay empty"
+        );
+        b.delete(3).expect("delete ok");
         assert_eq!(b.used_bytes(), 0);
-        assert_eq!(b.read("/f"), Err(BrickError::NotFound));
+        assert_eq!(b.read(3), Err(BrickError::NotFound));
+        assert_eq!(b.delete(3), Err(BrickError::NotFound));
     }
 
     #[test]
     fn overwrite_adjusts_usage() {
         let mut b = Brick::new(BrickId(0), "s1:/b0", 1000);
-        let (d1, m1) = small(b"12345678");
-        b.write("/f", d1, m1).expect("first write");
-        let (d2, m2) = small(b"123");
-        b.write("/f", d2, m2).expect("overwrite");
+        b.write(0, small(b"12345678")).expect("first write");
+        b.write(0, small(b"123")).expect("overwrite");
         assert_eq!(b.used_bytes(), 3);
         assert_eq!(b.file_count(), 1);
     }
@@ -218,56 +244,62 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let mut b = Brick::new(BrickId(0), "s1:/b0", 10);
-        let err = b
-            .write("/big", FileData::synthetic(11, 0), meta(11, "a", 1))
-            .expect_err("over capacity");
+        let err = b.write(0, synthetic(11, 1)).expect_err("over capacity");
         assert!(matches!(err, BrickError::Full { need: 11, free: 10 }));
+        assert_eq!(
+            b.read(0),
+            Err(BrickError::NotFound),
+            "refused write stores nothing"
+        );
         // Exactly-fits is fine.
-        b.write("/ok", FileData::synthetic(10, 0), meta(10, "a", 1))
-            .expect("fits");
+        b.write(1, synthetic(10, 1)).expect("fits");
         assert_eq!(b.free_bytes(), 0);
     }
 
     #[test]
     fn overwrite_within_capacity_delta() {
         let mut b = Brick::new(BrickId(0), "s1:/b0", 10);
-        b.write("/f", FileData::synthetic(8, 0), meta(8, "a", 1))
-            .expect("initial");
+        b.write(0, synthetic(8, 1)).expect("initial");
         // Growing by 2 fits (delta accounting), though 10 > free=2.
-        b.write("/f", FileData::synthetic(10, 0), meta(10, "a", 2))
-            .expect("grow in place");
+        b.write(0, synthetic(10, 2)).expect("grow in place");
         assert_eq!(b.used_bytes(), 10);
     }
 
     #[test]
     fn failure_loses_contents() {
         let mut b = Brick::new(BrickId(0), "s1:/b0", 1000);
-        let (d, m) = small(b"data");
-        b.write("/f", d, m).expect("write ok");
+        b.write(0, small(b"data")).expect("write ok");
         b.fail();
         assert_eq!(b.health(), BrickHealth::Failed);
-        assert_eq!(b.read("/f"), Err(BrickError::Offline));
-        assert_eq!(
-            b.write("/g", FileData::synthetic(1, 0), meta(1, "a", 1)),
-            Err(BrickError::Offline)
-        );
+        assert_eq!(b.read(0), Err(BrickError::Offline));
+        assert_eq!(b.write(1, synthetic(1, 1)), Err(BrickError::Offline));
         b.replace();
         assert_eq!(b.health(), BrickHealth::Online);
         assert_eq!(
-            b.read("/f"),
+            b.read(0),
             Err(BrickError::NotFound),
             "replacement starts empty"
         );
+        assert_eq!(b.file_count(), 0);
     }
 
     #[test]
-    fn paths_sorted() {
+    fn corruption_changes_data_not_digest() {
         let mut b = Brick::new(BrickId(0), "s1:/b0", 1000);
-        for p in ["/z", "/a", "/m"] {
-            let (d, m) = small(b"x");
-            b.write(p, d, m).expect("write ok");
+        b.write(0, small(b"precious")).expect("write ok");
+        b.write(1, synthetic(4, 1)).expect("write ok");
+        b.write(2, small(b"")).expect("write ok");
+        b.set_offline();
+        assert!(b.corrupt(0), "rot reaches a partitioned brick's disk");
+        b.set_online();
+        assert!(b.corrupt(1));
+        assert!(!b.corrupt(2), "an empty payload has nothing to rot");
+        assert!(!b.corrupt(9), "no replica at that slot");
+        for slot in 0..2 {
+            let r = b.read(slot).expect("still stored");
+            assert!(!r.is_clean(), "slot {slot} fails its digest");
         }
-        let paths: Vec<&str> = b.paths().collect();
-        assert_eq!(paths, vec!["/a", "/m", "/z"]);
+        assert!(b.read(2).expect("stored").is_clean());
+        assert_eq!(b.used_bytes(), 12, "rot does not change sizes");
     }
 }

@@ -147,10 +147,13 @@ impl SambaExport {
 
     /// Grant `user` access under `prefix`.
     ///
-    /// Panics on a malformed prefix; administrative configuration code
-    /// should be using literals. Use [`SambaExport::try_grant`] when the
-    /// prefix comes from untrusted input (the `Volume::new`/`try_new`
-    /// split from PR 5).
+    /// # Panics
+    ///
+    /// On a malformed prefix: administrative configuration code passes
+    /// literals, so a bad one is a bug in the caller. Use
+    /// [`SambaExport::try_grant`] when the prefix comes from untrusted
+    /// input (the same split as `Volume::new`/`try_new`).
+    #[allow(clippy::panic)]
     pub fn grant(&self, prefix: &str, user: &str, kind: AccessKind) {
         self.try_grant(prefix, user, kind)
             .unwrap_or_else(|e| panic!("malformed grant prefix {prefix:?}: {e}"));
@@ -172,8 +175,13 @@ impl SambaExport {
         Ok(())
     }
 
-    /// Mark a prefix world-readable (public datasets). Panics on a
-    /// malformed prefix; see [`SambaExport::try_make_public`].
+    /// Mark a prefix world-readable (public datasets).
+    ///
+    /// # Panics
+    ///
+    /// On a malformed prefix, as [`SambaExport::grant`] does; untrusted
+    /// prefixes go through [`SambaExport::try_make_public`].
+    #[allow(clippy::panic)]
     pub fn make_public(&self, prefix: &str) {
         self.try_make_public(prefix)
             .unwrap_or_else(|e| panic!("malformed public prefix {prefix:?}: {e}"));

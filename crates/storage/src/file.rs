@@ -50,7 +50,8 @@ impl FileData {
     }
 }
 
-/// Per-file metadata kept by bricks and surfaced by `stat`.
+/// Per-file metadata, as `Volume::read` returns it for the replica it
+/// serves (bricks keep the version, digest and interned owner, not this).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FileMeta {
     pub size: u64,

@@ -28,6 +28,11 @@
 //! to recover data for modENCODE after an unusual failure at their Data
 //! Coordinating Center and their back up site" (§4.1).
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod backup;
 pub mod brick;
 pub mod export;

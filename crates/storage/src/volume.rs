@@ -7,10 +7,12 @@
 //! versus v3.3's reliable mirroring plus self-heal — is modelled by
 //! [`GlusterVersion`].
 
-use osdc_sim::SimRng;
+use std::collections::{BTreeMap, HashMap};
+
+use osdc_sim::{SimRng, TenantInterner};
 use osdc_telemetry::audit;
 
-use crate::brick::{Brick, BrickError, BrickHealth, BrickId};
+use crate::brick::{Brick, BrickError, BrickHealth, BrickId, Replica};
 use crate::file::{FileData, FileMeta};
 
 /// Which era of the mirroring code a volume runs (§7.1).
@@ -120,6 +122,13 @@ pub struct Volume {
     replica_count: usize,
     /// Bricks, grouped as consecutive replica sets of `replica_count`.
     bricks: Vec<Brick>,
+    /// One index per replica set, from each path the set was ever asked
+    /// to store to its slot: every brick of the set holds its replica of
+    /// the path at that slot. A deleted path keeps its slot, and a slot
+    /// never moves to another path.
+    index: Vec<HashMap<Box<str>, u32>>,
+    /// Every owner that has written, stored once; replicas hold the id.
+    owners: TenantInterner,
     rng: SimRng,
     /// Count of replica writes silently dropped by the v3.1 defect.
     pub silent_drops: u64,
@@ -130,8 +139,12 @@ impl Volume {
     /// Build a volume from equal bricks. `brick_count` must be a multiple
     /// of `replica_count`; replica sets are consecutive groups.
     ///
-    /// Panics on an unbuildable shape; fallible callers (operator input,
+    /// # Panics
+    ///
+    /// On an unbuildable shape. Callers pass literal shapes, so a bad one
+    /// is a bug in the caller; fallible callers (operator input,
     /// randomized drivers) use [`Volume::try_new`].
+    #[allow(clippy::panic)]
     pub fn new(
         name: impl Into<String>,
         version: GlusterVersion,
@@ -200,6 +213,10 @@ impl Volume {
             version,
             replica_count,
             bricks,
+            index: (0..brick_count / replica_count)
+                .map(|_| HashMap::new())
+                .collect(),
+            owners: TenantInterner::new(),
             rng: SimRng::new(seed),
             silent_drops: 0,
             next_version: 1,
@@ -253,6 +270,11 @@ impl Volume {
         range
     }
 
+    /// The slot `path` holds in replica set `set`, if the set has seen it.
+    fn slot(&self, set: usize, path: &str) -> Option<usize> {
+        self.index[set].get(path).map(|&slot| slot as usize)
+    }
+
     /// Structural invariants re-asserted after every mutation (audit
     /// builds only; free otherwise).
     fn audit_structure(&self) {
@@ -283,15 +305,24 @@ impl Volume {
     /// brick of the set accepts it (transactional); in v3.1 each replica
     /// is written independently and non-primary writes may silently drop.
     pub fn write(&mut self, path: &str, data: FileData, owner: &str) -> Result<(), VolumeError> {
-        let meta = FileMeta {
-            size: data.size(),
-            owner: owner.to_string(),
-            version: self.next_version,
-            digest: data.digest(),
-        };
+        let version = self.next_version;
         self.next_version += 1;
+        let owner = self.owners.intern(owner);
+        let digest = data.digest();
         let set = self.placement(path);
         let range = self.set_range(set);
+        let slot = match self.slot(set, path) {
+            Some(slot) => slot,
+            None => {
+                let paths = &mut self.index[set];
+                // A set holding 2³² paths has no room for another.
+                let Ok(slot) = u32::try_from(paths.len()) else {
+                    return Err(VolumeError::NoSpace);
+                };
+                paths.insert(path.into(), slot);
+                slot as usize
+            }
+        };
         let mut wrote_any = false;
         let mut full = false;
         for (rank, idx) in range.enumerate() {
@@ -304,7 +335,13 @@ impl Volume {
                     continue; // the defect: caller never learns
                 }
             }
-            match self.bricks[idx].write(path, data.clone(), meta.clone()) {
+            let replica = Replica {
+                data: data.clone(),
+                version,
+                digest,
+                owner,
+            };
+            match self.bricks[idx].write(slot, replica) {
                 Ok(()) => wrote_any = true,
                 Err(BrickError::Full { .. }) => full = true,
                 Err(_) => {}
@@ -320,36 +357,51 @@ impl Volume {
         }
     }
 
-    /// Read a file from the freshest online replica.
-    pub fn read(&self, path: &str) -> Result<(FileData, FileMeta), VolumeError> {
+    /// The freshest replica of `path` on an online brick of its set,
+    /// borrowed where it lies.
+    fn locate(&self, path: &str) -> Result<&Replica, VolumeError> {
         let set = self.placement(path);
-        let mut best: Option<&(FileData, FileMeta)> = None;
+        let slot = self.slot(set, path);
+        let mut best: Option<&Replica> = None;
         let mut any_online = false;
-        for idx in self.set_range(set) {
-            match self.bricks[idx].read(path) {
-                Ok(entry) => {
-                    any_online = true;
-                    if best.is_none_or(|b| entry.1.version > b.1.version) {
-                        best = Some(entry);
-                    }
-                }
-                Err(BrickError::NotFound) => any_online = true,
-                Err(_) => {}
+        for brick in &self.bricks[self.set_range(set)] {
+            if brick.health() != BrickHealth::Online {
+                continue;
+            }
+            any_online = true;
+            let Some(replica) = slot.and_then(|s| brick.read(s).ok()) else {
+                continue;
+            };
+            if best.is_none_or(|b| replica.version > b.version) {
+                best = Some(replica);
             }
         }
         match best {
-            Some(e) => Ok(e.clone()),
+            Some(replica) => Ok(replica),
             None if any_online => Err(VolumeError::NotFound),
             None => Err(VolumeError::Unavailable),
         }
     }
 
+    /// Read a file from the freshest online replica.
+    pub fn read(&self, path: &str) -> Result<(FileData, FileMeta), VolumeError> {
+        let replica = self.locate(path)?;
+        let meta = FileMeta {
+            size: replica.data.size(),
+            owner: self.owners.name(replica.owner).to_string(),
+            version: replica.version,
+            digest: replica.digest,
+        };
+        Ok((replica.data.clone(), meta))
+    }
+
     pub fn delete(&mut self, path: &str) -> Result<(), VolumeError> {
         let set = self.placement(path);
+        let range = self.set_range(set);
         let mut deleted = false;
-        for idx in self.set_range(set) {
-            if self.bricks[idx].delete(path).is_ok() {
-                deleted = true;
+        if let Some(slot) = self.slot(set, path) {
+            for brick in &mut self.bricks[range] {
+                deleted |= brick.delete(slot).is_ok();
             }
         }
         self.audit_structure();
@@ -362,34 +414,38 @@ impl Volume {
 
     /// All distinct paths visible on online bricks, sorted.
     pub fn list(&self) -> Vec<String> {
-        let mut paths: Vec<String> = self
-            .bricks
-            .iter()
-            .filter(|b| b.health() == BrickHealth::Online)
-            .flat_map(|b| b.paths().map(str::to_string))
-            .collect();
+        let mut paths = Vec::new();
+        for (set, index) in self.index.iter().enumerate() {
+            let bricks = &self.bricks[self.set_range(set)];
+            paths.extend(
+                index
+                    .iter()
+                    .filter(|&(_, &slot)| bricks.iter().any(|b| b.read(slot as usize).is_ok()))
+                    .map(|(path, _)| path.to_string()),
+            );
+        }
         paths.sort_unstable();
-        paths.dedup();
         paths
     }
 
     /// Per-owner stored bytes (primary copies only — §6.4's daily storage
     /// accounting bills logical usage, not replication overhead).
-    pub fn usage_by_owner(&self) -> std::collections::BTreeMap<String, u64> {
-        let mut usage = std::collections::BTreeMap::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for b in self
-            .bricks
-            .iter()
-            .filter(|b| b.health() == BrickHealth::Online)
-        {
-            for (path, (data, meta)) in b.entries() {
-                if seen.insert(path.to_string()) {
-                    *usage.entry(meta.owner.clone()).or_insert(0) += data.size();
+    pub fn usage_by_owner(&self) -> BTreeMap<String, u64> {
+        let mut by_owner: Vec<Option<u64>> = vec![None; self.owners.len()];
+        for (set, index) in self.index.iter().enumerate() {
+            let bricks = &self.bricks[self.set_range(set)];
+            for slot in 0..index.len() {
+                // Each path counts once, from its lowest-ranked online copy.
+                if let Some(replica) = bricks.iter().find_map(|b| b.read(slot).ok()) {
+                    *by_owner[replica.owner.index()].get_or_insert(0) += replica.data.size();
                 }
             }
         }
-        usage
+        self.owners
+            .names()
+            .zip(by_owner)
+            .filter_map(|(owner, bytes)| Some((owner.to_string(), bytes?)))
+            .collect()
     }
 
     /// Fail a brick (hardware loss).
@@ -416,11 +472,17 @@ impl Volume {
 
     /// Silently corrupt the replica of `path` held by the given rank
     /// (0 = primary) of its replica set. Returns whether a stored copy
-    /// was actually touched.
+    /// was actually touched; a rank past the set touches nothing.
     pub fn corrupt_replica(&mut self, path: &str, rank: usize) -> bool {
-        assert!(rank < self.replica_count, "rank out of range");
-        let idx = self.set_range(self.placement(path)).start + rank;
-        self.bricks[idx].corrupt(path)
+        if rank >= self.replica_count {
+            return false;
+        }
+        let set = self.placement(path);
+        let Some(slot) = self.slot(set, path) else {
+            return false;
+        };
+        let idx = self.set_range(set).start + rank;
+        self.bricks[idx].corrupt(slot)
     }
 
     /// Paths whose best readable copy fails its digest check — data the
@@ -428,10 +490,7 @@ impl Volume {
     pub fn audit_corrupt(&self, expected_paths: &[String]) -> Vec<String> {
         expected_paths
             .iter()
-            .filter(|p| {
-                self.read(p)
-                    .is_ok_and(|(data, meta)| data.digest() != meta.digest)
-            })
+            .filter(|p| self.locate(p).is_ok_and(|replica| !replica.is_clean()))
             .cloned()
             .collect()
     }
@@ -447,73 +506,27 @@ impl Volume {
     /// Self-heal pass (v3.3 only — v3.1 had none, which is why the bug
     /// cost data). For every path in every replica set, copy the freshest
     /// replica onto online bricks that lack it or hold an older version.
+    ///
+    /// Each set's paths are healed in path order. The order is part of
+    /// the contract: on near-full bricks an earlier copy can take the
+    /// space a later one needed.
     pub fn heal(&mut self) -> HealReport {
         let mut report = HealReport::default();
         if matches!(self.version, GlusterVersion::V3_1 { .. }) {
             return report; // nothing runs; losses stay lost
         }
-        for set in 0..self.replica_sets() {
+        // One buffer, sized for the largest set, holds each set's
+        // (path, slot) pairs in turn.
+        let largest = self.index.iter().map(HashMap::len).max().unwrap_or(0);
+        let mut order: Vec<(&str, u32)> = Vec::with_capacity(largest);
+        for set in 0..self.index.len() {
             let range = self.set_range(set);
-            // Collect the union of paths with the freshest *clean* copy of
-            // each: a replica whose payload no longer matches its recorded
-            // digest is bit-rot, never a heal source.
-            let mut freshest: std::collections::BTreeMap<String, (FileData, FileMeta)> =
-                std::collections::BTreeMap::new();
-            let mut seen: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-            for idx in range.clone() {
-                if self.bricks[idx].health() != BrickHealth::Online {
-                    continue;
-                }
-                for (path, (data, meta)) in self.bricks[idx].entries() {
-                    seen.insert(path.to_string());
-                    if data.digest() != meta.digest {
-                        continue;
-                    }
-                    let replace = freshest
-                        .get(path)
-                        .is_none_or(|(_, m)| meta.version > m.version);
-                    if replace {
-                        freshest.insert(path.to_string(), (data.clone(), meta.clone()));
-                    }
-                }
-            }
-            // Every replica of a path rotted: nothing clean to copy from.
-            report.lost += seen.iter().filter(|p| !freshest.contains_key(*p)).count() as u64;
-            // Push the freshest copy everywhere it's missing/stale/corrupt.
-            for (path, (data, meta)) in &freshest {
-                let mut repaired_here = false;
-                let mut reconciled_here = false;
-                for idx in range.clone() {
-                    if self.bricks[idx].health() != BrickHealth::Online {
-                        continue;
-                    }
-                    match self.bricks[idx].read(path) {
-                        Ok((d, m)) if m.version == meta.version && d.digest() == m.digest => {}
-                        Ok(_) => {
-                            if self.bricks[idx]
-                                .write(path, data.clone(), meta.clone())
-                                .is_ok()
-                            {
-                                reconciled_here = true;
-                            }
-                        }
-                        Err(BrickError::NotFound) => {
-                            if self.bricks[idx]
-                                .write(path, data.clone(), meta.clone())
-                                .is_ok()
-                            {
-                                repaired_here = true;
-                            }
-                        }
-                        Err(_) => {}
-                    }
-                }
-                if repaired_here {
-                    report.repaired += 1;
-                }
-                if reconciled_here {
-                    report.reconciled += 1;
-                }
+            order.clear();
+            order.extend(self.index[set].iter().map(|(path, &slot)| (&**path, slot)));
+            order.sort_unstable_by_key(|&(path, _)| path);
+            let bricks = &mut self.bricks[range];
+            for &(_, slot) in &order {
+                heal_slot(bricks, slot as usize, &mut report);
             }
         }
         self.audit_structure();
@@ -524,10 +537,55 @@ impl Volume {
     pub fn audit_lost(&self, expected_paths: &[String]) -> Vec<String> {
         expected_paths
             .iter()
-            .filter(|p| self.read(p).is_err())
+            .filter(|p| self.locate(p).is_err())
             .cloned()
             .collect()
     }
+}
+
+/// Heal one path of a replica set: copy its freshest digest-clean online
+/// replica (the first in brick order on a tie) onto every online brick
+/// where the path is missing, stale or rotten.
+fn heal_slot(bricks: &mut [Brick], slot: usize, report: &mut HealReport) {
+    let mut present = false;
+    let mut source: Option<(usize, u64)> = None;
+    for (i, brick) in bricks.iter().enumerate() {
+        let Ok(replica) = brick.read(slot) else {
+            continue;
+        };
+        present = true;
+        // A replica whose payload no longer matches its recorded digest
+        // is bit-rot, never a heal source.
+        if replica.is_clean() && source.is_none_or(|(_, v)| replica.version > v) {
+            source = Some((i, replica.version));
+        }
+    }
+    let Some((source, version)) = source else {
+        // Every online replica rotted: nothing clean to copy from.
+        report.lost += u64::from(present);
+        return;
+    };
+    let (mut repaired, mut reconciled) = (false, false);
+    for i in 0..bricks.len() {
+        let missing = match bricks[i].read(slot) {
+            Ok(r) if r.version == version && r.is_clean() => continue,
+            Ok(_) => false,
+            Err(BrickError::NotFound) => true,
+            Err(_) => continue,
+        };
+        let Ok(copy) = bricks[source].read(slot).cloned() else {
+            continue;
+        };
+        if bricks[i].write(slot, copy).is_ok() {
+            if missing {
+                repaired = true;
+            } else {
+                reconciled = true;
+            }
+        }
+    }
+    report.repaired += u64::from(repaired);
+    report.reconciled += u64::from(reconciled);
 }
 
 #[cfg(test)]
@@ -795,6 +853,29 @@ mod tests {
         assert!(v.corrupt_replica("/f", 0));
         v.heal();
         assert_eq!(v.audit_corrupt(&paths), paths, "3.1 heal is a no-op");
+    }
+
+    // Regression: heal walks each set's paths in path order. Brick 1
+    // has room for one more byte, so only the first copy the heal pushes
+    // lands there; walking slots in first-write order would save `/c`.
+    #[test]
+    fn heal_copies_in_path_order() {
+        let mut v = Volume::new("tiny", GlusterVersion::V3_3, 2, 2, 4, 19);
+        for p in ["/c", "/b", "/a"] {
+            v.write(p, FileData::synthetic(1, 0), "u")
+                .expect("write ok");
+        }
+        v.fail_brick(BrickId(1));
+        v.replace_brick(BrickId(1));
+        v.offline_brick(BrickId(0));
+        v.write("/big", FileData::synthetic(3, 1), "u")
+            .expect("lands on brick 1 alone");
+        v.online_brick(BrickId(0));
+        let report = v.heal();
+        assert_eq!(report.repaired, 1, "{report:?}");
+        v.fail_brick(BrickId(0));
+        assert!(v.read("/a").is_ok(), "the first path in order was healed");
+        assert_eq!(v.read("/c").unwrap_err(), VolumeError::NotFound);
     }
 
     #[test]
