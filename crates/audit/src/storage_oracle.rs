@@ -376,7 +376,16 @@ impl FlatStore {
                 Ok(Effect::default())
             }
             FaultKind::SilentCorruption => {
-                self.corrupt(&ev.target, ev.magnitude as usize);
+                // The magnitude is a replica rank; past the set's
+                // replicas it names no copy of the path.
+                let rank = ev.magnitude as usize;
+                if rank >= self.replica_count {
+                    return Err(InjectError::UnknownTarget(format!(
+                        "{} rank {rank}",
+                        ev.target
+                    )));
+                }
+                self.corrupt(&ev.target, rank);
                 Ok(Effect::default())
             }
             other => Err(InjectError::Unsupported(other)),

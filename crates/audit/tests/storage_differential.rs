@@ -95,7 +95,7 @@ fn spec_strategy() -> impl Strategy<Value = Spec> {
         1 => (0usize..8).prop_map(|b| Spec::FixBrick { b }),
         1 => (0usize..4).prop_map(|s| Spec::Outage { s }),
         1 => (0usize..4).prop_map(|s| Spec::FixServer { s }),
-        1 => (0usize..8, 0usize..3).prop_map(|(p, rank)| Spec::Corrupt { p, rank }),
+        1 => (0usize..8, 0usize..4).prop_map(|(p, rank)| Spec::Corrupt { p, rank }),
         1 => (0usize..8).prop_map(|p| Spec::Scrub { p }),
     ]
 }
@@ -141,7 +141,8 @@ fn materialize(spec: &Spec, bricks: usize, replicas: usize) -> StorageOp {
         Spec::Corrupt { p, rank } => StorageOp::Inject(fault(
             FaultKind::SilentCorruption,
             path(*p),
-            (rank % replicas) as f64,
+            // One rank past the set: both sides must refuse it alike.
+            (rank % (replicas + 1)) as f64,
         )),
         Spec::Scrub { p } => StorageOp::Restore(fault(FaultKind::SilentCorruption, path(*p), 0.0)),
     }

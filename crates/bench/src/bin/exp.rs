@@ -48,7 +48,13 @@ fn main() -> ExitCode {
     let Some(spec) = harness::find(name) else {
         return usage(&format!("exp: {name:?} is not a registered harness"));
     };
-    let (args, manifest_path) = harness::split_manifest_flag(rest);
+    let (args, manifest_path) = match harness::split_manifest_flag(rest) {
+        Ok(split) => split,
+        Err(problem) => {
+            eprintln!("{problem}");
+            return ExitCode::from(2);
+        }
+    };
     let mut ctx = HarnessCtx::live(spec.name, args);
     if let Some(problem) = ctx.usage_error() {
         eprintln!("{problem}");

@@ -6,7 +6,7 @@
 //! and the event-driven sweeps through a grid of tenant counts —
 //! 10³, 10⁴ and 10⁵ — against a fixed 10³-host fleet spread over 4 data
 //! centers, with sustained storage ingest, Tukey API compute churn and
-//! a monthly close, plus a Nagios fleet ticking on the due-time wheel.
+//! a monthly close, plus a Nagios fleet ticking every 15 simulated seconds.
 //!
 //! Correctness legs per cell:
 //!
@@ -70,8 +70,8 @@ struct MonitorOutcome {
     sha: String,
 }
 
-/// The monitoring leg: a 4-DC fleet on the due-time wheel, with metric
-/// drift and host flaps, ticked every 15 simulated seconds.
+/// The monitoring leg: a 4-DC fleet with metric drift and host flaps,
+/// ticked every 15 simulated seconds.
 fn run_monitor(hosts: usize, window_secs: u64, seed: u64) -> MonitorOutcome {
     let mut rng = SimRng::new(derive_seed(seed, 0x4A6));
     let (agents, defs) = monitor_fleet(hosts, 4, 60);

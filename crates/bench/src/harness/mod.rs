@@ -66,6 +66,8 @@ pub struct HarnessCtx {
     /// absent, the usage error when malformed (see
     /// [`HarnessCtx::usage_error`]).
     jobs_flag: Result<Option<usize>, String>,
+    /// `--trace`, parsed once beside `--jobs`, the same way.
+    trace_flag: Result<Option<PathBuf>, String>,
     /// Replay-only: the recorded worker count, used when the manifest's
     /// args don't pin `--jobs` (output is jobs-invariant; this keeps the
     /// re-recorded manifest field faithful on any host).
@@ -83,6 +85,7 @@ impl HarnessCtx {
         HarnessCtx {
             recorder: ManifestRecorder::new(experiment, args.clone()),
             jobs_flag: jobs_from(&args),
+            trace_flag: trace_path_from(&args),
             args,
             live: true,
             captured: Vec::new(),
@@ -101,6 +104,7 @@ impl HarnessCtx {
         HarnessCtx {
             recorder: ManifestRecorder::new(experiment, args.clone()),
             jobs_flag: jobs_from(&args),
+            trace_flag: trace_path_from(&args),
             args,
             live: false,
             captured: Vec::new(),
@@ -113,11 +117,12 @@ impl HarnessCtx {
         &self.args
     }
 
-    /// A malformed shared flag (`--jobs x`, a trailing `--jobs`). Checked
-    /// before the harness body runs: `exp` exits 2 on it, a captured run
-    /// reports it as the run's [`Failure`].
+    /// A malformed shared flag (`--jobs x`, a trailing `--jobs` or
+    /// `--trace`). Checked before the harness body runs: `exp` exits 2 on
+    /// it, a captured run reports it as the run's [`Failure`].
     pub fn usage_error(&self) -> Option<&str> {
-        self.jobs_flag.as_ref().err().map(String::as_str)
+        let trace = self.trace_flag.as_ref().err();
+        self.jobs_flag.as_ref().err().or(trace).map(String::as_str)
     }
 
     pub fn has_flag(&self, flag: &str) -> bool {
@@ -153,9 +158,7 @@ impl HarnessCtx {
 
     /// Whether this run wants the telemetry JSONL artifact (`--trace`).
     pub fn trace_enabled(&self) -> bool {
-        self.args
-            .iter()
-            .any(|a| a == "--trace" || a.starts_with("--trace="))
+        matches!(self.trace_flag, Ok(Some(_)))
     }
 
     /// Record the digest of the run's chaos fault plan(s).
@@ -201,8 +204,8 @@ impl HarnessCtx {
             "trace artifact trace.jsonl recorded ({lines} lines, sha256 {sha16})"
         );
         if self.live {
-            if let Some(path) = trace_path_from(&self.args) {
-                match std::fs::write(&path, jsonl.as_bytes()) {
+            if let Ok(Some(path)) = &self.trace_flag {
+                match std::fs::write(path, jsonl.as_bytes()) {
                     Ok(()) => self.note(&format!("trace written to {}", path.display())),
                     Err(e) => {
                         eprintln!("cannot write trace to {}: {e}", path.display());
@@ -408,27 +411,23 @@ pub fn find(name: &str) -> Option<&'static HarnessSpec> {
 }
 
 /// Extract `--manifest <path>` / `--manifest=<path>` from an argument
-/// list, returning the remaining args and the path.
-pub fn split_manifest_flag(args: &[String]) -> (Vec<String>, Option<PathBuf>) {
+/// list, returning the remaining args and the path, or the usage error
+/// when the path is missing.
+pub fn split_manifest_flag(args: &[String]) -> Result<(Vec<String>, Option<PathBuf>), String> {
     let mut rest = Vec::new();
     let mut path = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--manifest" {
-            match it.next() {
-                Some(p) => path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--manifest requires a path argument");
-                    std::process::exit(2);
-                }
-            }
+            let p = it.next().ok_or("--manifest requires a path argument")?;
+            path = Some(PathBuf::from(p));
         } else if let Some(p) = a.strip_prefix("--manifest=") {
             path = Some(PathBuf::from(p));
         } else {
             rest.push(a.clone());
         }
     }
-    (rest, path)
+    Ok((rest, path))
 }
 
 /// The outcome of one in-process captured run.
@@ -490,15 +489,23 @@ mod tests {
     #[test]
     fn manifest_flag_splits_out() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let (rest, path) = split_manifest_flag(&args(&["--quick", "--manifest", "m.json"]));
-        assert_eq!(rest, args(&["--quick"]));
-        assert_eq!(path, Some(PathBuf::from("m.json")));
-        let (rest, path) = split_manifest_flag(&args(&["--manifest=x.json", "--jobs=2"]));
-        assert_eq!(rest, args(&["--jobs=2"]));
-        assert_eq!(path, Some(PathBuf::from("x.json")));
-        let (rest, path) = split_manifest_flag(&args(&["--quick"]));
-        assert_eq!(rest, args(&["--quick"]));
-        assert_eq!(path, None);
+        assert_eq!(
+            split_manifest_flag(&args(&["--quick", "--manifest", "m.json"])),
+            Ok((args(&["--quick"]), Some(PathBuf::from("m.json"))))
+        );
+        assert_eq!(
+            split_manifest_flag(&args(&["--manifest=x.json", "--jobs=2"])),
+            Ok((args(&["--jobs=2"]), Some(PathBuf::from("x.json"))))
+        );
+        assert_eq!(
+            split_manifest_flag(&args(&["--quick"])),
+            Ok((args(&["--quick"]), None))
+        );
+        assert_eq!(
+            split_manifest_flag(&args(&["--quick", "--manifest"])),
+            Err("--manifest requires a path argument".to_string()),
+            "a trailing flag is an error, not an exit"
+        );
     }
 
     #[test]

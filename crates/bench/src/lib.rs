@@ -26,21 +26,21 @@ pub fn row(cells: &[&str], widths: &[usize]) -> String {
 }
 
 /// Parse `--trace <path>` out of an argument list (the harnesses' shared
-/// flag for emitting a telemetry JSONL artifact).
-pub fn trace_path_from(args: &[String]) -> Option<std::path::PathBuf> {
+/// flag for emitting a telemetry JSONL artifact): `Ok(None)` when absent,
+/// `Ok(Some(path))` when given, and the usage error when the path is
+/// missing.
+pub fn trace_path_from(args: &[String]) -> Result<Option<std::path::PathBuf>, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--trace" {
-            return Some(std::path::PathBuf::from(it.next().unwrap_or_else(|| {
-                eprintln!("--trace requires a path argument");
-                std::process::exit(2);
-            })));
+            let p = it.next().ok_or("--trace requires a path argument")?;
+            return Ok(Some(std::path::PathBuf::from(p)));
         }
         if let Some(p) = a.strip_prefix("--trace=") {
-            return Some(std::path::PathBuf::from(p));
+            return Ok(Some(std::path::PathBuf::from(p)));
         }
     }
-    None
+    Ok(None)
 }
 
 /// Parse the harnesses' shared `--jobs <N>` flag out of an argument list:
@@ -108,13 +108,18 @@ mod tests {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(
             trace_path_from(&args(&["--trace", "/tmp/t.jsonl"])),
-            Some(std::path::PathBuf::from("/tmp/t.jsonl"))
+            Ok(Some(std::path::PathBuf::from("/tmp/t.jsonl")))
         );
         assert_eq!(
             trace_path_from(&args(&["--trace=/tmp/t.jsonl"])),
-            Some(std::path::PathBuf::from("/tmp/t.jsonl"))
+            Ok(Some(std::path::PathBuf::from("/tmp/t.jsonl")))
         );
-        assert_eq!(trace_path_from(&args(&["--other"])), None);
-        assert_eq!(trace_path_from(&[]), None);
+        assert_eq!(trace_path_from(&args(&["--other"])), Ok(None));
+        assert_eq!(trace_path_from(&[]), Ok(None));
+        assert_eq!(
+            trace_path_from(&args(&["--quick", "--trace"])),
+            Err("--trace requires a path argument".to_string()),
+            "a trailing flag is an error, not an exit"
+        );
     }
 }

@@ -402,19 +402,42 @@ fn unknown_harness_name_lists_the_registry() {
     assert!(stderr.contains("\"table9_nonexistent\""), "{stderr}");
 }
 
+/// `exp <args>` must exit 2 with `problem` on stderr before the harness
+/// prints anything.
+fn assert_usage_error_before_the_run(args: &[&str], problem: &str) {
+    let out = exp().args(args).output().expect("exp runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "exp {args:?}:\n{stderr}");
+    assert!(stderr.contains(problem), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "nothing runs before the check:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
 #[test]
 fn malformed_jobs_flag_is_a_live_usage_error() {
     for args in [&["--jobs", "x"][..], &["--jobs"][..]] {
-        let out = exp()
-            .arg("exp_gluster_mirroring")
-            .args(args)
-            .output()
-            .expect("exp runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "exp {args:?}:\n{stderr}");
-        assert!(stderr.contains("--jobs requires"), "{stderr}");
-        assert!(out.stdout.is_empty(), "nothing runs before the check");
+        let args = [&["exp_gluster_mirroring"][..], args].concat();
+        assert_usage_error_before_the_run(&args, "--jobs requires");
     }
+}
+
+#[test]
+fn trailing_trace_flag_is_a_live_usage_error() {
+    assert_usage_error_before_the_run(
+        &["table3_udr", "--trace"],
+        "--trace requires a path argument",
+    );
+}
+
+#[test]
+fn trailing_manifest_flag_is_a_live_usage_error() {
+    assert_usage_error_before_the_run(
+        &["table3_udr", "--quick", "--manifest"],
+        "--manifest requires a path argument",
+    );
 }
 
 #[test]

@@ -7,7 +7,10 @@
 //! a Nagios master watching the storage servers — then walks a
 //! minute-granularity master clock, applying the plan's inject/restore
 //! actions through the [`Injector`] hooks and
-//! folding what happens into a [`ResilienceScorecard`].
+//! folding what happens into a [`ResilienceScorecard`]. An inject the
+//! subsystem refuses (a brick, server, link or replica rank the rig
+//! lacks) is counted as rejected and otherwise skipped, its restore
+//! included: a plan the loader accepts cannot abort the campaign.
 //!
 //! API faults (`ApiError`, `ApiTimeout`, `ApiOutage`) flip the registry's
 //! `ApiHealth` gate. While one is open, the campaign probes that cloud
@@ -110,6 +113,9 @@ struct Rig<'a> {
     params: PipelineParams,
     rng: SimRng,
     tracker: ScoreTracker,
+    /// Plan events whose inject was refused, so their restores are
+    /// skipped.
+    rejected: Vec<usize>,
 }
 
 const INGEST_FILE_BYTES: u64 = 1 << 20;
@@ -222,6 +228,7 @@ impl<'a> Rig<'a> {
             params,
             rng: SimRng::new(seed ^ 0x04),
             tracker: ScoreTracker::new("campaign"),
+            rejected: Vec::new(),
         }
     }
 
@@ -230,55 +237,81 @@ impl<'a> Rig<'a> {
         brick / (self.volume.brick_count() / self.volume.replica_sets())
     }
 
+    /// The rig's subsystem that applies faults of `kind`.
+    fn injector(&mut self, kind: FaultKind) -> &mut dyn Injector {
+        match kind {
+            FaultKind::LinkDown
+            | FaultKind::LinkFlap
+            | FaultKind::LossSpike
+            | FaultKind::RttInflate => &mut self.net,
+            FaultKind::BrickCrash | FaultKind::ServerOutage | FaultKind::SilentCorruption => {
+                &mut self.volume
+            }
+            FaultKind::HostFailure | FaultKind::InstanceKill => &mut self.cloud,
+            FaultKind::ApiTimeout | FaultKind::ApiError | FaultKind::ApiOutage => {
+                &mut self.providers
+            }
+            FaultKind::ChefFailure => &mut self.params,
+        }
+    }
+
+    /// The agent of the storage server a storage target sits on.
+    fn storage_agent(&self, target: &str) -> Option<&'a HostAgent> {
+        let server = match target.strip_prefix("brick") {
+            Some(brick) => self.server_of_brick(brick.parse().ok()?),
+            None => target.strip_prefix("server")?.parse().ok()?,
+        };
+        self.agents.get(server)
+    }
+
+    /// Apply one timeline action. An inject the subsystem refuses (a
+    /// target the rig lacks) is counted in `faults_rejected` and
+    /// otherwise skipped, its restore included.
     fn apply(&mut self, action: &TimedAction, plan: &FaultPlan, tele: &Telemetry) {
         let ev = &plan.events[action.event];
         let at = action.at;
         match action.phase {
             Phase::Inject => {
+                let Ok(effect) = self.injector(ev.kind).inject(ev, at) else {
+                    self.rejected.push(action.event);
+                    self.tracker.card.faults_rejected += 1;
+                    return;
+                };
                 tele.point(&format!("chaos.inject.{}", ev.kind.label()), at, 1.0);
                 match ev.kind {
                     FaultKind::LinkDown | FaultKind::LinkFlap => {
-                        self.net.inject(ev, at).expect("known link");
                         self.tracker.fault("net", at, false);
                     }
                     FaultKind::LossSpike | FaultKind::RttInflate => {
-                        self.net.inject(ev, at).expect("known link");
                         self.tracker.fault(format!("net:{}", ev.target), at, false);
                     }
-                    FaultKind::BrickCrash => {
-                        self.volume.inject(ev, at).expect("known brick");
-                        // The surviving server of the degraded set reports
-                        // disk pressure; Nagios pages on the hard state.
-                        let brick: usize = ev.target["brick".len()..].parse().expect("brickN");
-                        let server = self.server_of_brick(brick);
-                        self.agents[server].metrics.set("disk_used_pct", 97.0);
-                        self.tracker
-                            .fault(format!("storage:{}", ev.target), at, true);
-                    }
-                    FaultKind::ServerOutage => {
-                        self.volume.inject(ev, at).expect("known server");
-                        let server: usize = ev.target["server".len()..].parse().expect("serverN");
-                        self.agents[server].set_reachable(false);
+                    FaultKind::BrickCrash | FaultKind::ServerOutage => {
+                        // A crash leaves the degraded set's surviving
+                        // server reporting disk pressure, an outage leaves
+                        // the server dark; Nagios pages on either.
+                        match (ev.kind, self.storage_agent(&ev.target)) {
+                            (FaultKind::BrickCrash, Some(agent)) => {
+                                agent.metrics.set("disk_used_pct", 97.0);
+                            }
+                            (_, Some(agent)) => agent.set_reachable(false),
+                            (_, None) => {}
+                        }
                         self.tracker
                             .fault(format!("storage:{}", ev.target), at, true);
                     }
                     FaultKind::SilentCorruption => {
-                        self.volume.inject(ev, at).expect("known path");
                         // Silent by definition: no alert expected.
                         self.tracker
                             .fault(format!("storage:{}", ev.target), at, false);
                     }
                     FaultKind::HostFailure | FaultKind::InstanceKill => {
-                        let effect = self.cloud.inject(ev, at).expect("known host/instance");
                         self.tracker.card.instances_killed += effect.instances_killed;
                         self.tracker.fault("compute", at, false);
                     }
                     FaultKind::ApiTimeout | FaultKind::ApiError | FaultKind::ApiOutage => {
-                        self.providers.inject(ev, at).expect("known cloud");
                         self.tracker.fault(format!("api:{}", ev.target), at, false);
                     }
                     FaultKind::ChefFailure => {
-                        self.params.inject(ev, at).expect("chef knob");
                         self.tracker.fault("provision", at, false);
                         // Re-provision a rack through the fault; the
                         // pipeline's own retry policy is the remedy.
@@ -286,51 +319,43 @@ impl<'a> Rig<'a> {
                         self.tracker.card.provision_ready += report.servers_ready;
                         self.tracker.card.provision_failed += report.servers_failed;
                         self.tracker.recovered("provision", at + report.wall_time);
-                        self.params.restore(ev, at).expect("chef knob");
+                        // The knob's restore: the fault ends with the run.
+                        self.params.chef_failure_prob = None;
                     }
                 }
             }
             Phase::Restore => {
+                if self.rejected.contains(&action.event) {
+                    return;
+                }
                 tele.point(&format!("chaos.restore.{}", ev.kind.label()), at, 1.0);
+                // A restore of an applied fault resolves the same target.
+                let Ok(effect) = self.injector(ev.kind).restore(ev, at) else {
+                    return;
+                };
                 match ev.kind {
-                    FaultKind::LinkDown | FaultKind::LinkFlap => {
-                        self.net.restore(ev, at).expect("known link");
-                        // Recovery is observed by the per-minute route
-                        // probe, not assumed here.
-                    }
                     FaultKind::LossSpike | FaultKind::RttInflate => {
-                        self.net.restore(ev, at).expect("known link");
                         self.tracker.recovered(&format!("net:{}", ev.target), at);
                     }
                     FaultKind::BrickCrash
                     | FaultKind::ServerOutage
                     | FaultKind::SilentCorruption => {
-                        let effect = self.volume.restore(ev, at).expect("storage restore");
                         self.tracker.card.heal_repaired += effect.heal_repaired;
-                        if ev.kind == FaultKind::BrickCrash {
-                            let brick: usize = ev.target["brick".len()..].parse().expect("brickN");
-                            let server = self.server_of_brick(brick);
-                            self.agents[server].metrics.set("disk_used_pct", 40.0);
-                        }
-                        if ev.kind == FaultKind::ServerOutage {
-                            let server: usize =
-                                ev.target["server".len()..].parse().expect("serverN");
-                            self.agents[server].set_reachable(true);
+                        match (ev.kind, self.storage_agent(&ev.target)) {
+                            (FaultKind::BrickCrash, Some(agent)) => {
+                                agent.metrics.set("disk_used_pct", 40.0);
+                            }
+                            (FaultKind::ServerOutage, Some(agent)) => agent.set_reachable(true),
+                            _ => {}
                         }
                         self.tracker
                             .recovered(&format!("storage:{}", ev.target), at);
                     }
-                    FaultKind::HostFailure | FaultKind::InstanceKill => {
-                        self.cloud.restore(ev, at).expect("known host");
-                        // Recovery is the relaunch loop refilling the fleet.
-                    }
-                    FaultKind::ApiTimeout | FaultKind::ApiError | FaultKind::ApiOutage => {
-                        self.providers.restore(ev, at).expect("known cloud");
-                        // Recovery is the next successful probe.
-                    }
-                    FaultKind::ChefFailure => {
-                        // Handled inline at inject time.
-                    }
+                    // A down link recovers when the per-minute route probe
+                    // finds a path, a killed fleet when the relaunch loop
+                    // refills it, an API when the next probe gets through;
+                    // a Chef fault recovered at inject time.
+                    _ => {}
                 }
             }
         }
@@ -579,6 +604,45 @@ mod tests {
             6 * attempts + 1
         );
         assert_eq!(tele.counter_value("providers.adler.calls"), 0);
+    }
+
+    /// Targets the loader cannot check: a tenth brick, an eighth server
+    /// and a replica rank past the set. Each is refused at inject and
+    /// counted, and the campaign runs on as if the plan lacked them.
+    #[test]
+    fn unknown_targets_are_rejected_not_fatal() {
+        let base = quick(GlusterVersion::V3_3, RetryPolicy::exponential(12));
+        let mut plan = base.plan.clone();
+        for (kind, target, magnitude) in [
+            (FaultKind::BrickCrash, "brick9", 0.0),
+            (FaultKind::ServerOutage, "server7", 0.0),
+            (FaultKind::SilentCorruption, "/corpus/f3", 5.0),
+        ] {
+            plan.push(crate::plan::FaultEvent {
+                at_secs: 1800.0,
+                kind,
+                target: target.into(),
+                magnitude,
+                duration_secs: 600.0,
+            });
+        }
+        let plan = FaultPlan::from_json(&plan.to_json()).expect("the loader accepts the plan");
+        let cfg = CampaignConfig {
+            plan,
+            ..base.clone()
+        };
+        let card = run_campaign(&cfg, &Telemetry::disabled());
+        assert_eq!(card.faults_rejected, 3);
+        assert!(card.render().contains("faults rejected"));
+        let clean = run_campaign(&base, &Telemetry::disabled());
+        assert_eq!(
+            ResilienceScorecard {
+                faults_rejected: 0,
+                ..card
+            },
+            clean
+        );
+        assert!(!clean.render().contains("faults rejected"));
     }
 
     #[test]

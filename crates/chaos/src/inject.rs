@@ -53,9 +53,6 @@ pub struct Effect {
 
 /// A subsystem that can absorb declarative faults.
 pub trait Injector {
-    /// Which subsystem this is, for labels and traces.
-    fn subsystem(&self) -> &'static str;
-
     /// Whether this injector applies the given kind.
     fn handles(&self, kind: FaultKind) -> bool;
 
@@ -86,10 +83,6 @@ fn resolve_links(net: &FluidNet, target: &str) -> Result<Vec<osdc_net::LinkId>, 
 }
 
 impl Injector for FluidNet {
-    fn subsystem(&self) -> &'static str {
-        "net"
-    }
-
     fn handles(&self, kind: FaultKind) -> bool {
         matches!(
             kind,
@@ -169,10 +162,6 @@ fn server_bricks(vol: &Volume, server: usize) -> Result<Vec<BrickId>, InjectErro
 }
 
 impl Injector for Volume {
-    fn subsystem(&self) -> &'static str {
-        "storage"
-    }
-
     fn handles(&self, kind: FaultKind) -> bool {
         matches!(
             kind,
@@ -246,10 +235,6 @@ impl Injector for Volume {
 // ---- compute -------------------------------------------------------------
 
 impl Injector for CloudController {
-    fn subsystem(&self) -> &'static str {
-        "compute"
-    }
-
     fn handles(&self, kind: FaultKind) -> bool {
         matches!(kind, FaultKind::HostFailure | FaultKind::InstanceKill)
     }
@@ -309,10 +294,6 @@ impl Injector for CloudController {
 /// gate: the chaos campaign's probes and the failover router's calls
 /// both pass through it.
 impl Injector for ProviderRegistry {
-    fn subsystem(&self) -> &'static str {
-        "providers"
-    }
-
     fn handles(&self, kind: FaultKind) -> bool {
         matches!(
             kind,
@@ -352,10 +333,6 @@ impl Injector for ProviderRegistry {
 // ---- provisioning --------------------------------------------------------
 
 impl Injector for PipelineParams {
-    fn subsystem(&self) -> &'static str {
-        "provision"
-    }
-
     fn handles(&self, kind: FaultKind) -> bool {
         kind == FaultKind::ChefFailure
     }

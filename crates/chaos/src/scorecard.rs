@@ -18,6 +18,9 @@ pub struct ResilienceScorecard {
     pub config: String,
     /// Inject actions actually applied (flap cycles count once each).
     pub faults_injected: u64,
+    /// Inject actions the target subsystem refused (a target the rig
+    /// lacks); they change nothing else on the card.
+    pub faults_rejected: u64,
     /// Faults whose station returned to service during the campaign.
     pub recovery_events: u64,
     /// Sum over recoveries of (recovered_at − injected_at).
@@ -69,6 +72,8 @@ impl ResilienceScorecard {
 
     /// The fixed multi-line rendering (deterministic across same-seed
     /// runs — no wall-clock, no pointer-order, fixed float precision).
+    /// The `faults rejected` line appears only when an inject was
+    /// refused.
     pub fn render(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!("resilience scorecard — {}\n", self.config));
@@ -76,6 +81,12 @@ impl ResilienceScorecard {
             "  faults injected           {:>8}\n",
             self.faults_injected
         ));
+        if self.faults_rejected > 0 {
+            s.push_str(&format!(
+                "  faults rejected           {:>8}\n",
+                self.faults_rejected
+            ));
+        }
         s.push_str(&format!(
             "  recovery events           {:>8}\n",
             self.recovery_events
@@ -116,10 +127,15 @@ impl ResilienceScorecard {
 
     /// Publish the scorecard into a telemetry handle so `--trace`
     /// artifacts carry the campaign verdict alongside the raw spans.
+    /// Like [`ResilienceScorecard::render`], it leaves out
+    /// `faults_rejected` when no inject was refused.
     pub fn export(&self, tele: &Telemetry) {
         let c = |name: &str, v: u64| tele.add(tele.counter(name), v);
         let g = |name: &str, v: f64| tele.set_gauge(tele.gauge(name), v);
         c("chaos.faults_injected", self.faults_injected);
+        if self.faults_rejected > 0 {
+            c("chaos.faults_rejected", self.faults_rejected);
+        }
         c("chaos.recovery_events", self.recovery_events);
         c("chaos.files_lost", self.files_lost);
         c("chaos.writes_dropped", self.writes_dropped);

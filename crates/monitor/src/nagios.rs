@@ -9,27 +9,22 @@
 //!
 //! ## Scheduling
 //!
-//! A [`NagiosMaster::tick`] costs one walk over the hosts plus one
-//! threshold comparison per due check. It keeps:
+//! A [`NagiosMaster::tick`] is two steps:
 //!
-//! * a **due-time wheel**: power-of-two ring of 1-second buckets keyed
-//!   by `next_check_at`. A tick scans only the bucket range the clock
-//!   advanced over (capped at one full rotation), so per-tick work is
-//!   O(elapsed seconds + actually-due services). Far-future entries that
-//!   share a slot with due ones are validated lazily (`next_check_at`
-//!   compared against `now`) and left for a later rotation.
-//! * **host ids**: [`NagiosMaster::add_service`] gives each new host a
-//!   dense id in first-seen order, each service stores its host's id,
-//!   and the ids are kept sorted by name. The caller's agent map is a
-//!   `BTreeMap`, so it iterates in name order too, and each tick walks
-//!   the two in step: one merge walk runs the host checks (notifying in
-//!   sorted host order) and resolves every host's agent. A due check
-//!   then finds its host's down flag and agent by id, never by name. A
+//! * the **host checks**, one merge walk. [`NagiosMaster::add_service`]
+//!   gives each new host a dense id in first-seen order, each service
+//!   stores its host's id, and the ids are kept sorted by name. The
+//!   caller's agent map is a `BTreeMap`, so it iterates in name order
+//!   too, and the walk takes the two in step: it runs the host checks
+//!   (notifying in sorted host order) and resolves every host's agent. A
 //!   host the map lacks is DOWN; map entries no service names are
 //!   skipped.
-//! * a **parked list**: services that came due while their host was
-//!   down (suppressed by the host/service dependency rule) wait off the
-//!   wheel and re-enter the due set the first tick their host is back.
+//! * the **service checks**, one pass over the services in registration
+//!   order that runs each one whose `next_check_at` has come. A due check
+//!   finds its host's down flag and agent by id, never by name. A due
+//!   service of a down host is suppressed (the host/service dependency
+//!   rule): it stays due with its state untouched, and runs on the first
+//!   tick its host is back.
 //!
 //! A due check compares numbers: it reads the agent's sample
 //! ([`HostAgent::sample`]) and computes its status
@@ -38,15 +33,14 @@
 //! notification, the one output that carries text, and a service's
 //! state keeps the sample, not the message.
 //!
-//! A tick with nothing due and nothing parked allocates nothing. Any
-//! other tick allocates its host table (one agent reference per host,
-//! built only then), whatever wheel buckets grow, and the notifications
+//! A tick with nothing due allocates nothing. Any other tick allocates
+//! its host table (one agent reference per host) and the notifications
 //! it pushes; the count does not grow with the number of checks run.
 //!
-//! Due services are processed in ascending service-registration order,
-//! exactly like the old full scan, so the notification stream is
-//! byte-identical — pinned by a differential test against the scan
-//! implementation and by trace hashes in `exp_scale`.
+//! Registration order is the order in which the scan-everything
+//! reference in `tests/nagios_differential.rs` checks services, so the
+//! notification stream is byte-identical to it — pinned by that test
+//! and by the notification hash in `exp_scale`.
 
 use std::collections::BTreeMap;
 
@@ -95,14 +89,6 @@ pub struct Notification {
     pub problem: bool,
 }
 
-/// Wheel geometry: 4096 × 1 s slots = a 68-minute rotation, comfortably
-/// above the check cadences in use; anything longer wraps and is caught
-/// by lazy validation on a later rotation.
-const WHEEL_BITS: u32 = 12;
-const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
-const WHEEL_MASK: u64 = (WHEEL_SLOTS as u64) - 1;
-const SLOT_NANOS: u64 = 1_000_000_000;
-
 /// One registered service.
 struct Service {
     def: ServiceDefinition,
@@ -112,6 +98,7 @@ struct Service {
 }
 
 /// The master server.
+#[derive(Default)]
 pub struct NagiosMaster {
     services: Vec<Service>,
     pub notifications: Vec<Notification>,
@@ -123,48 +110,15 @@ pub struct NagiosMaster {
     /// the host are suppressed — the classic Nagios dependency rule that
     /// stops one dead server paging once per service).
     hosts_down: Vec<bool>,
-    /// `next_check_at`-keyed ring of service indices.
-    wheel: Vec<Vec<u32>>,
-    /// Last absolute second the wheel scan covered.
-    cursor_sec: u64,
-    /// Due services whose host was down when they came due.
-    parked: Vec<u32>,
-    /// Retained scratch for the per-tick due set.
-    due_scratch: Vec<u32>,
-}
-
-impl Default for NagiosMaster {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl NagiosMaster {
     pub fn new() -> Self {
-        NagiosMaster {
-            services: Vec::new(),
-            notifications: Vec::new(),
-            host_names: Vec::new(),
-            host_order: Vec::new(),
-            hosts_down: Vec::new(),
-            wheel: vec![Vec::new(); WHEEL_SLOTS],
-            cursor_sec: 0,
-            parked: Vec::new(),
-            due_scratch: Vec::new(),
-        }
-    }
-
-    fn slot_of(sec: u64) -> usize {
-        (sec & WHEEL_MASK) as usize
+        Self::default()
     }
 
     pub fn add_service(&mut self, def: ServiceDefinition) {
         assert!(def.max_check_attempts >= 1);
-        // The wheel and the parked list hold service indices as `u32`;
-        // 2³² service definitions would need hundreds of GiB, so no
-        // master reaches the limit.
-        #[allow(clippy::expect_used)]
-        let idx = u32::try_from(self.services.len()).expect("service count fits u32");
         let names = &self.host_names;
         let host = match self
             .host_order
@@ -172,8 +126,9 @@ impl NagiosMaster {
         {
             Ok(pos) => self.host_order[pos],
             Err(pos) => {
-                // Every host arrives with a service, so there are never
-                // more hosts than services, and `idx` above fit.
+                // Every host arrives with a service definition; 2³² of
+                // them would need hundreds of GiB, so no master reaches
+                // the limit.
                 #[allow(clippy::expect_used)]
                 let id = u32::try_from(self.host_names.len()).expect("host count fits u32");
                 self.host_names.push(def.host.clone());
@@ -189,10 +144,6 @@ impl NagiosMaster {
             next_check_at: SimTime::ZERO,
             last_value: None,
         };
-        // Clamp to the cursor so a service registered after ticking
-        // lands in a slot the scan will still visit.
-        let sec = (state.next_check_at.as_nanos() / SLOT_NANOS).max(self.cursor_sec);
-        self.wheel[Self::slot_of(sec)].push(idx);
         self.services.push(Service { def, state, host });
     }
 
@@ -203,74 +154,26 @@ impl NagiosMaster {
     /// dark raises ONE host DOWN alert and suppresses its per-service
     /// alerts until it returns — Nagios's host/service dependency rule.
     pub fn tick(&mut self, now: SimTime, agents: &BTreeMap<String, &HostAgent>) {
-        // Advance the wheel: collect every service due by `now` from the
-        // slots the clock crossed since the last tick. Entries whose
-        // `next_check_at` is still in the future (wrapped, or due later
-        // within the current second) stay in their bucket.
-        let now_sec = now.as_nanos() / SLOT_NANOS;
-        let mut due = std::mem::take(&mut self.due_scratch);
-        due.clear();
-        let first = self.cursor_sec.min(now_sec);
-        let mut drain = |slot: usize, due: &mut Vec<u32>| {
-            let bucket = &mut self.wheel[slot];
-            let mut i = 0;
-            while i < bucket.len() {
-                let idx = bucket[i];
-                if self.services[idx as usize].state.next_check_at <= now {
-                    bucket.swap_remove(i);
-                    due.push(idx);
-                } else {
-                    i += 1;
-                }
-            }
-        };
-        if now_sec - first + 1 >= WHEEL_SLOTS as u64 {
-            // Full rotation (or more) elapsed: every slot exactly once.
-            for slot in 0..WHEEL_SLOTS {
-                drain(slot, &mut due);
-            }
+        // The pass starts at the first due service. Only due checks read
+        // the table of each host's agent, so a tick with none leaves it
+        // empty and allocates nothing.
+        let first_due = (self.services.iter())
+            .position(|s| s.state.next_check_at <= now)
+            .unwrap_or(self.services.len());
+        let hosts = if first_due < self.services.len() {
+            self.host_names.len()
         } else {
-            // The current second is re-scanned next tick (sub-second
-            // due times may still be pending in it), so the cursor
-            // lands *on* `now_sec`, not past it.
-            for sec in first..=now_sec {
-                drain(Self::slot_of(sec), &mut due);
-            }
-        }
-        self.cursor_sec = now_sec;
-
-        // Each host's agent by host id. Only due services read it, and
-        // parked ones may rejoin them below, so a tick with neither
-        // leaves it empty and allocates nothing.
-        let mut agent_of: Vec<Option<&HostAgent>> = if due.is_empty() && self.parked.is_empty() {
-            Vec::new()
-        } else {
-            vec![None; self.host_names.len()]
+            0
         };
+        let mut agent_of: Vec<Option<&HostAgent>> = vec![None; hosts];
         self.check_hosts(now, agents, &mut agent_of);
 
-        // Parked services whose host recovered re-enter the due set.
-        let mut parked = std::mem::take(&mut self.parked);
-        parked.retain(|&idx| {
-            let down = self.hosts_down[self.services[idx as usize].host as usize];
-            if !down {
-                due.push(idx);
-            }
-            down
-        });
-        self.parked = parked;
-
-        // Registration order = the old full-scan visiting order, which
-        // keeps the notification stream byte-identical.
-        due.sort_unstable();
-
-        for &idx in &due {
-            let Service { def, state, host } = &mut self.services[idx as usize];
+        for Service { def, state, host } in &mut self.services[first_due..] {
             let host = *host as usize;
-            // Suppression: no service checks/alerts while the host is
-            // down. The service waits off-wheel until the host returns.
-            if self.hosts_down[host] {
-                self.parked.push(idx);
+            // Not due yet, or suppressed: no service checks or alerts
+            // while the host is down. A suppressed service stays due and
+            // runs on the first tick its host is back.
+            if state.next_check_at > now || self.hosts_down[host] {
                 continue;
             }
             let value = agent_of[host].and_then(|agent| agent.sample(&def.check));
@@ -299,16 +202,13 @@ impl NagiosMaster {
             }
             state.last_status = status;
             state.last_value = value;
-            let sec = state.next_check_at.as_nanos() / SLOT_NANOS;
-            self.wheel[Self::slot_of(sec)].push(idx);
         }
-        self.due_scratch = due;
     }
 
     /// The host checks, one merge walk: the hosts in name order beside
     /// the agent map's entries, which `BTreeMap` also yields in name
     /// order. Alerts on down/up transitions, and records each host's
-    /// agent in `agent_of` (by host id) when the table was built.
+    /// agent in `agent_of` (by host id) when the tick built the table.
     fn check_hosts<'a>(
         &mut self,
         now: SimTime,
@@ -590,7 +490,7 @@ mod tests {
         let mut master = NagiosMaster::new();
         master.add_service(svc("h1"));
         let agents = BTreeMap::from([("h1".to_string(), &agent)]);
-        // Advance the cursor well past second 0 …
+        // Tick well past second 0 …
         master.tick(SimTime::ZERO + SimDuration::from_mins(20), &agents);
         // … then register a second service (next_check_at = t0).
         master.add_service(ServiceDefinition {
@@ -621,17 +521,13 @@ mod tests {
         agent.metrics.set("disk_used_pct", 10.0);
         let mut master = NagiosMaster::new();
         let mut long = svc("h1");
-        long.check_interval = SimDuration::from_secs(2 * WHEEL_SLOTS as u64); // 2 rotations
+        long.check_interval = SimDuration::from_secs(2 * 4096);
         master.add_service(long);
         let agents = BTreeMap::from([("h1".to_string(), &agent)]);
         master.tick(SimTime::ZERO, &agents);
-        let due_at = SimTime::ZERO + SimDuration::from_secs(2 * WHEEL_SLOTS as u64);
-        // A tick one rotation in: same slot, but lazily validated as not
-        // yet due.
-        master.tick(
-            SimTime::ZERO + SimDuration::from_secs(WHEEL_SLOTS as u64),
-            &agents,
-        );
+        let due_at = SimTime::ZERO + SimDuration::from_secs(2 * 4096);
+        // A tick halfway there: not yet due.
+        master.tick(SimTime::ZERO + SimDuration::from_secs(4096), &agents);
         assert_eq!(
             master
                 .service_state("h1", "check_disk")
@@ -646,7 +542,7 @@ mod tests {
                 .service_state("h1", "check_disk")
                 .expect("exists")
                 .next_check_at,
-            due_at + SimDuration::from_secs(2 * WHEEL_SLOTS as u64)
+            due_at + SimDuration::from_secs(2 * 4096)
         );
     }
 }

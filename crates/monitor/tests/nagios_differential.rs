@@ -1,14 +1,14 @@
-//! Differential proptest: the wheel-scheduled [`NagiosMaster`] against a
-//! verbatim port of the old scan-everything implementation. Random
-//! fleets, metric drift, host flapping and irregular tick cadences must
-//! produce a **byte-identical** notification stream and identical
-//! end-state (per-service states and console summary). The scan runs the
-//! full plugin (`run_check`, message included) on every check and keeps
-//! its last message, so the wheel's stored sample must reproduce that
-//! message exactly. Deterministic cases pin the edges of the wheel's
-//! host walk: an agent map that lacks a monitored host or carries hosts
-//! no service names, and a host registered after ticking whose name
-//! sorts first.
+//! Differential proptest: [`NagiosMaster`] (one host merge walk, then one
+//! pass over the due services by host id) against a verbatim port of the
+//! old scan-everything implementation. Random fleets, metric drift, host
+//! flapping and irregular tick cadences must produce a **byte-identical**
+//! notification stream and identical end-state (per-service states and
+//! console summary). The scan runs the full plugin (`run_check`, message
+//! included) on every check and keeps its last message, so the master's
+//! stored sample must reproduce that message exactly. Deterministic cases
+//! pin the edges of the master's host walk: an agent map that lacks a
+//! monitored host or carries hosts no service names, and a host
+//! registered after ticking whose name sorts first.
 
 use std::collections::BTreeMap;
 
@@ -18,8 +18,8 @@ use osdc_monitor::nrpe::HostAgent;
 use osdc_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-/// The pre-wheel master: rebuilds the host list and scans every service
-/// on every tick. Kept as the reference semantics. Each service carries
+/// The scan-everything master: rebuilds the host list and runs the full
+/// plugin for every due service on every tick. Kept as the reference semantics. Each service carries
 /// its last check's message (`None` before the first check).
 struct ScanMaster {
     services: Vec<(ServiceDefinition, ServiceState, Option<String>)>,
@@ -220,16 +220,16 @@ fn run_scenario(
     late: &[(usize, ServiceDefinition)],
     steps: &[Step],
 ) -> Result<(), String> {
-    let mut wheel = NagiosMaster::new();
+    let mut master = NagiosMaster::new();
     let mut scan = ScanMaster::new();
     for def in defs {
-        wheel.add_service(def.clone());
+        master.add_service(def.clone());
         scan.add_service(def.clone());
     }
     let mut now = SimTime::ZERO;
     for (k, step) in steps.iter().enumerate() {
         for (_, def) in late.iter().filter(|(at, _)| *at == k) {
-            wheel.add_service(def.clone());
+            master.add_service(def.clone());
             scan.add_service(def.clone());
         }
         for &(h, m, v) in &step.metric_updates {
@@ -242,17 +242,17 @@ fn run_scenario(
             agents[h].set_reachable(!agents[h].is_reachable());
         }
         now += SimDuration::from_secs(step.dt_secs);
-        wheel.tick(now, agent_map);
+        master.tick(now, agent_map);
         scan.tick(now, agent_map);
-        if wheel.notifications != scan.notifications {
+        if master.notifications != scan.notifications {
             return Err(format!(
-                "notification streams diverged at {now:?}:\n wheel {:?}\n scan {:?}",
-                wheel.notifications, scan.notifications
+                "notification streams diverged at {now:?}:\n master {:?}\n scan {:?}",
+                master.notifications, scan.notifications
             ));
         }
     }
     for def in defs.iter().chain(late.iter().map(|(_, d)| d)) {
-        let w = wheel.service_state(&def.host, &def.check.name);
+        let w = master.service_state(&def.host, &def.check.name);
         let s = scan
             .services
             .iter()
@@ -268,7 +268,7 @@ fn run_scenario(
         };
         if !agree {
             return Err(format!(
-                "state diverged for {}/{}: wheel {w:?}, scan {s:?}",
+                "state diverged for {}/{}: master {w:?}, scan {s:?}",
                 def.host, def.check.name
             ));
         }
@@ -317,8 +317,8 @@ proptest! {
 }
 
 /// Host flap racing a hardened problem, pinned deterministically: the
-/// parked list must release services in registration order when the
-/// host returns.
+/// services that came due while their host was down must run in
+/// registration order when the host returns.
 #[test]
 fn flap_with_hard_problem_matches_scan() {
     let steps: Vec<Step> = vec![
@@ -353,11 +353,11 @@ fn flap_with_hard_problem_matches_scan() {
             flips: vec![],
         },
     ];
-    run_differential(2, 6, &steps).expect("wheel and scan agree");
+    run_differential(2, 6, &steps).expect("master and scan agree");
 }
 
 /// The merge walk's edges: the agent map lacks monitored host `h2` (it
-/// stays DOWN, its services parked) and carries four hosts no service
+/// stays DOWN, its services due but suppressed) and carries four hosts no service
 /// names: one before all monitored hosts, one between two present ones,
 /// one just before the missing one, one after all. Drift and flaps reach
 /// every host, the unmonitored ones included, and one gauge goes NaN.
@@ -379,7 +379,7 @@ fn agent_map_gaps_and_strays_match_scan() {
         step(120, vec![(0, 0, 10_000.0), (3, 2, 90_000.0)], vec![2, 7]),
         step(600, vec![], vec![]),
     ];
-    run_scenario(&agents, &agent_map, &defs, &[], &steps).expect("wheel and scan agree");
+    run_scenario(&agents, &agent_map, &defs, &[], &steps).expect("master and scan agree");
 }
 
 /// A service registered after ticking, for a new host whose name sorts
@@ -402,5 +402,5 @@ fn late_host_sorting_first_matches_scan() {
         step(120, vec![(3, 0, 10_000.0)], vec![3]),
         step(600, vec![], vec![1]),
     ];
-    run_scenario(&agents, &agent_map, &defs, &late, &steps).expect("wheel and scan agree");
+    run_scenario(&agents, &agent_map, &defs, &late, &steps).expect("master and scan agree");
 }

@@ -4,12 +4,14 @@
 //! they can be moved to separate servers and use encrypted channels on
 //! our private network." The console ↔ middleware ↔ proxy hops are
 //! therefore modelled as an authenticated-encryption message channel:
-//! Blowfish-CTR confidentiality plus an MD5-based MAC
-//! (encrypt-then-MAC), with a monotone sequence number to stop replays.
+//! Blowfish-CTR confidentiality plus an HMAC-MD5 tag over the sequence
+//! number and ciphertext (encrypt-then-MAC), with a monotone sequence
+//! number to stop replays.
 //! Era-appropriate primitives from `osdc-crypto` — the *protocol shape*
 //! is what is being reproduced, not modern AEAD.
 
 use osdc_crypto::modes::CtrStream;
+use osdc_crypto::sign::hmac_md5;
 use osdc_crypto::Blowfish;
 
 /// A sealed message on the wire.
@@ -31,7 +33,7 @@ pub enum ChannelError {
 /// One direction of a component-to-component channel.
 pub struct SecureChannel {
     cipher: Blowfish,
-    mac_key: Vec<u8>,
+    mac_key: [u8; 16],
     send_seq: u64,
     recv_seq: u64,
 }
@@ -46,21 +48,18 @@ impl SecureChannel {
         mac_key.push(0x02);
         SecureChannel {
             cipher: Blowfish::new(&osdc_crypto::md5::md5(&enc_key)),
-            mac_key: osdc_crypto::md5::md5(&mac_key).to_vec(),
+            mac_key: osdc_crypto::md5::md5(&mac_key),
             send_seq: 0,
             recv_seq: 0,
         }
     }
 
+    /// HMAC-MD5 over `seq` (big-endian) ‖ `ciphertext`.
     fn mac(&self, seq: u64, ciphertext: &[u8]) -> [u8; 16] {
-        // HMAC-shaped MD5 MAC: H(key ‖ seq ‖ H(key ‖ data)).
-        let mut inner = self.mac_key.clone();
-        inner.extend_from_slice(ciphertext);
-        let inner_digest = osdc_crypto::md5::md5(&inner);
-        let mut outer = self.mac_key.clone();
-        outer.extend_from_slice(&seq.to_be_bytes());
-        outer.extend_from_slice(&inner_digest);
-        osdc_crypto::md5::md5(&outer)
+        let mut payload = Vec::with_capacity(8 + ciphertext.len());
+        payload.extend_from_slice(&seq.to_be_bytes());
+        payload.extend_from_slice(ciphertext);
+        hmac_md5(&self.mac_key, &payload)
     }
 
     /// Seal a plaintext for the peer.
