@@ -206,8 +206,7 @@ pub struct Criterion {
     /// `--test` smoke mode: run every bench body once, measure nothing.
     test_mode: bool,
     /// `(full id, median ns/iter)` for every bench run so far; exposed so
-    /// in-crate asserting harnesses (e.g. `telemetry_overhead`) can compare
-    /// entries after running.
+    /// a hand-written bench `main` can compare entries after running.
     pub results: Vec<(String, f64)>,
 }
 

@@ -339,7 +339,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     }
 
     if ctx.trace_enabled() {
-        ctx.finish_trace(&tele);
+        ctx.finish_trace(&tele)?;
     }
 
     osdc_telemetry::audit::assert_clean("exp_providers");

@@ -156,7 +156,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         let tele = Telemetry::new();
         let canonical = cells.last().cloned().expect("sweep is non-empty");
         let _ = run_campaigns(&[canonical], jobs, &tele);
-        ctx.finish_trace(&tele);
+        ctx.finish_trace(&tele)?;
     }
 
     // A build with --features audit also gates on the runtime invariant

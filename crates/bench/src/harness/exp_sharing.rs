@@ -306,7 +306,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     );
 
     if ctx.trace_enabled() {
-        ctx.finish_trace(&tele);
+        ctx.finish_trace(&tele)?;
     }
 
     // A build with --features audit also gates on the runtime invariant

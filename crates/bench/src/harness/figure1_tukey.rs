@@ -169,7 +169,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     }
     outln!(ctx, "\nFigure 1 flow exercised end-to-end: console → middleware → {{OpenStack, Eucalyptus}} → aggregated JSON → billing.");
     if ctx.trace_enabled() {
-        ctx.finish_trace(&tele);
+        ctx.finish_trace(&tele)?;
     }
     Ok(())
 }

@@ -18,6 +18,7 @@
 //! checked-in manifest under `data/manifests/` records.
 
 use std::fmt;
+use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -68,6 +69,8 @@ pub struct HarnessCtx {
     jobs_flag: Result<Option<usize>, String>,
     /// `--trace`, parsed once beside `--jobs`, the same way.
     trace_flag: Result<Option<PathBuf>, String>,
+    /// Live runs only: the `--trace` file, opened before the run.
+    trace_file: Option<File>,
     /// Replay-only: the recorded worker count, used when the manifest's
     /// args don't pin `--jobs` (output is jobs-invariant; this keeps the
     /// re-recorded manifest field faithful on any host).
@@ -80,18 +83,28 @@ pub struct HarnessCtx {
 
 impl HarnessCtx {
     /// Context for a live `exp` run: output tees to stdout, artifacts
-    /// land on disk.
+    /// land on disk. Once the other flags parse, the `--trace` file is
+    /// opened here, so a path that cannot be written is a usage error
+    /// before the run, not a failure after it. It is not truncated until
+    /// [`HarnessCtx::finish_trace`] writes it: a run that fails, or a
+    /// harness that records no trace, leaves an earlier trace as it was.
     pub fn live(experiment: &str, args: Vec<String>) -> HarnessCtx {
-        HarnessCtx {
-            recorder: ManifestRecorder::new(experiment, args.clone()),
-            jobs_flag: jobs_from(&args),
-            trace_flag: trace_path_from(&args),
-            args,
-            live: true,
-            captured: Vec::new(),
-            jobs_fallback: None,
-            raw_artifacts: Vec::new(),
+        let mut ctx = HarnessCtx::captured(experiment, args, None);
+        ctx.live = true;
+        if let (Ok(_), Ok(Some(path))) = (&ctx.jobs_flag, &ctx.trace_flag) {
+            match OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(path)
+            {
+                Ok(file) => ctx.trace_file = Some(file),
+                Err(e) => {
+                    ctx.trace_flag = Err(format!("cannot write trace to {}: {e}", path.display()))
+                }
+            }
         }
+        ctx
     }
 
     /// Context for an in-process captured run (`exp_replay`): output is
@@ -105,6 +118,7 @@ impl HarnessCtx {
             recorder: ManifestRecorder::new(experiment, args.clone()),
             jobs_flag: jobs_from(&args),
             trace_flag: trace_path_from(&args),
+            trace_file: None,
             args,
             live: false,
             captured: Vec::new(),
@@ -118,7 +132,8 @@ impl HarnessCtx {
     }
 
     /// A malformed shared flag (`--jobs x`, a trailing `--jobs` or
-    /// `--trace`). Checked before the harness body runs: `exp` exits 2 on
+    /// `--trace`), or on a live run a `--trace` path that cannot be
+    /// created. Checked before the harness body runs: `exp` exits 2 on
     /// it, a captured run reports it as the run's [`Failure`].
     pub fn usage_error(&self) -> Option<&str> {
         let trace = self.trace_flag.as_ref().err();
@@ -186,8 +201,9 @@ impl HarnessCtx {
 
     /// The shared tail of every `--trace`-capable harness: pin the
     /// telemetry JSONL as the `trace.jsonl` artifact, print the ops
-    /// report, and on live runs write the file to the `--trace` path.
-    pub fn finish_trace(&mut self, tele: &Telemetry) {
+    /// report, and on live runs write it into the `--trace` file. A
+    /// failed write fails the run.
+    pub fn finish_trace(&mut self, tele: &Telemetry) -> RunResult {
         let jsonl = tele.export_jsonl();
         let pin = self
             .recorder
@@ -203,17 +219,16 @@ impl HarnessCtx {
             self,
             "trace artifact trace.jsonl recorded ({lines} lines, sha256 {sha16})"
         );
-        if self.live {
-            if let Ok(Some(path)) = &self.trace_flag {
-                match std::fs::write(path, jsonl.as_bytes()) {
-                    Ok(()) => self.note(&format!("trace written to {}", path.display())),
-                    Err(e) => {
-                        eprintln!("cannot write trace to {}: {e}", path.display());
-                        std::process::exit(1);
-                    }
-                }
+        if let (Some(mut file), Ok(Some(path))) = (self.trace_file.take(), &self.trace_flag) {
+            if let Err(e) = file
+                .set_len(0)
+                .and_then(|()| file.write_all(jsonl.as_bytes()))
+            {
+                return fail(format!("cannot write trace to {}: {e}", path.display()));
             }
+            self.note(&format!("trace written to {}", path.display()));
         }
+        Ok(())
     }
 
     /// A live-only informational line (real filesystem paths and other

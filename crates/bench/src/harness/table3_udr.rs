@@ -206,7 +206,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         "LLR denominator: min(source read 3072, target write 1136) = 1136 mbit/s, as in §7.2"
     );
     if ctx.trace_enabled() {
-        ctx.finish_trace(&tele);
+        ctx.finish_trace(&tele)?;
     }
     osdc_telemetry::audit::assert_clean("table3_udr");
     Ok(())

@@ -11,8 +11,9 @@
 //! fail on its own without stopping the rest, and
 //! `OSDC_UPDATE_SNAPSHOTS=1` must rewrite instead of fail. They also drive
 //! the real `exp` binary: a live run records the checked-in manifest, a
-//! missing or unknown harness name or a malformed `--jobs` is a usage
-//! error, and a closed stdout ends the run without a panic.
+//! missing or unknown harness name, a malformed `--jobs` or an
+//! unwritable `--trace` path is a usage error, and a closed stdout ends
+//! the run without a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -430,6 +431,37 @@ fn trailing_trace_flag_is_a_live_usage_error() {
         &["table3_udr", "--trace"],
         "--trace requires a path argument",
     );
+}
+
+#[test]
+fn unwritable_trace_path_is_a_live_usage_error() {
+    // A path under a regular file cannot be created, whoever runs this.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/trace.jsonl");
+    assert_usage_error_before_the_run(&["figure1_tukey", "--trace", path], "cannot write trace to");
+}
+
+#[test]
+fn a_run_that_writes_no_trace_leaves_the_old_one() {
+    let path = std::env::temp_dir().join(format!("osdc_exp_trace_{}.jsonl", std::process::id()));
+    std::fs::write(&path, "earlier trace\n").expect("temp dir is writable");
+    let trace = path.to_str().expect("utf-8 temp path");
+    assert_usage_error_before_the_run(
+        &["figure1_tukey", "--trace", trace, "--jobs", "x"],
+        "--jobs requires",
+    );
+    // `table1_csp` takes `--trace` like every harness but records none.
+    let out = exp()
+        .args(["table1_csp", "--trace", trace])
+        .output()
+        .expect("exp runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let kept = std::fs::read_to_string(&path).expect("trace still there");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(kept, "earlier trace\n");
 }
 
 #[test]

@@ -13,9 +13,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
-use osdc_sim::SimTime;
-use osdc_telemetry::Telemetry;
-
 /// Tuning for one job.
 #[derive(Clone, Debug)]
 pub struct JobConfig {
@@ -65,6 +62,9 @@ fn partition_of<K: Hash>(key: &K, reducers: usize) -> usize {
 ///   values (sorted by arrival partition then map order), in parallel
 ///   across partitions.
 ///
+/// The job records no telemetry: its account is [`JobCounts`], which the
+/// calling thread sums from the counts each map and reduce task returns.
+///
 /// ```
 /// use osdc_mapreduce::{run_job, JobConfig};
 ///
@@ -99,61 +99,13 @@ where
     M: Fn(I, &mut dyn FnMut(K2, V2)) + Sync,
     R: Fn(&K2, Vec<V2>) -> O + Sync,
 {
-    run_job_traced(
-        inputs,
-        config,
-        &Telemetry::disabled(),
-        "job",
-        SimTime::ZERO,
-        mapper,
-        reducer,
-    )
-}
-
-/// [`run_job`] with telemetry: task/job spans plus engine counters.
-///
-/// The engine runs on real threads but is *instantaneous* on the sim
-/// clock, so every span starts and ends at the caller-supplied `at` —
-/// honest zero-duration markers that carry structure (job → map tasks →
-/// reduce tasks) and attributes (records, emitted pairs, groups), not
-/// wall-clock timings that would break same-seed reproducibility. Each
-/// map and reduce task returns its counts; they are recorded into
-/// telemetry on the calling thread once the parallel map returns, so no
-/// worker touches the registry.
-pub fn run_job_traced<I, K2, V2, O, M, R>(
-    inputs: Vec<I>,
-    config: &JobConfig,
-    tele: &Telemetry,
-    job: &str,
-    at: SimTime,
-    mapper: M,
-    reducer: R,
-) -> JobResult<K2, O>
-where
-    I: Send,
-    K2: Ord + Hash + Send + Clone,
-    V2: Send,
-    O: Send,
-    M: Fn(I, &mut dyn FnMut(K2, V2)) + Sync,
-    R: Fn(&K2, Vec<V2>) -> O + Sync,
-{
     assert!(config.map_workers >= 1 && config.reducers >= 1);
     let reducers = config.reducers;
-    let job_span = tele.span_start(&format!("mapreduce/{job}"), at);
-    let map_records_id = tele.counter("mapreduce.map.records");
-    let map_emitted_id = tele.counter("mapreduce.map.emitted");
-    let reduce_groups_id = tele.counter("mapreduce.reduce.groups");
-    tele.incr(tele.counter("mapreduce.jobs"));
 
     // ---- Map phase -------------------------------------------------------
     // Chunk inputs across workers; each worker produces per-partition
     // buffers so the shuffle is a cheap concatenation.
     let n_inputs = inputs.len();
-    let mut counts = JobCounts {
-        map_input_records: n_inputs as u64,
-        ..JobCounts::default()
-    };
-    tele.add(map_records_id, n_inputs as u64);
     let chunk_size = n_inputs.div_ceil(config.map_workers).max(1);
     let mut chunks: Vec<Vec<I>> = Vec::new();
     {
@@ -186,13 +138,7 @@ where
         })
         .collect::<Vec<_>>();
     let mapped = osdc_sim::run_indexed(map_tasks.len(), map_tasks);
-    for (i, (_, emitted)) in mapped.iter().enumerate() {
-        counts.map_output_records += emitted;
-        tele.add(map_emitted_id, *emitted);
-        let span = tele.span_start(&format!("map/task{i}"), at);
-        tele.attr(span, "emitted", *emitted);
-        tele.span_end(span, at);
-    }
+    let map_output_records = mapped.iter().map(|(_, emitted)| emitted).sum();
 
     // ---- Shuffle ----------------------------------------------------------
     // Group each partition's pairs by key (BTreeMap gives sorted keys, so
@@ -226,20 +172,16 @@ where
         })
         .collect::<Vec<_>>();
     let reduced = osdc_sim::run_indexed(reduce_tasks.len(), reduce_tasks);
-    for (i, part) in reduced.iter().enumerate() {
-        let groups = part.len() as u64;
-        counts.reduce_input_groups += groups;
-        tele.add(reduce_groups_id, groups);
-        let span = tele.span_start(&format!("reduce/task{i}"), at);
-        tele.attr(span, "groups", groups);
-        tele.span_end(span, at);
-    }
+    let reduce_input_groups = reduced.iter().map(|part| part.len() as u64).sum();
 
     let mut output: Vec<(K2, O)> = reduced.into_iter().flatten().collect();
     output.sort_by(|a, b| a.0.cmp(&b.0));
-    counts.reduce_output_records = output.len() as u64;
-    tele.attr(job_span, "output_records", output.len());
-    tele.span_end(job_span, at);
+    let counts = JobCounts {
+        map_input_records: n_inputs as u64,
+        map_output_records,
+        reduce_input_groups,
+        reduce_output_records: output.len() as u64,
+    };
     JobResult { output, counts }
 }
 
@@ -366,75 +308,6 @@ mod tests {
         let total: u64 = result.output.iter().map(|(_, s)| s).sum();
         assert_eq!(total, 499_500);
         assert_eq!(result.output.len(), 10);
-    }
-
-    #[test]
-    fn traced_job_fills_shards_and_spans() {
-        let tele = Telemetry::new();
-        let result = run_job_traced(
-            vec!["big data big cloud", "cloud cloud"],
-            &JobConfig {
-                map_workers: 2,
-                reducers: 2,
-            },
-            &tele,
-            "wordcount",
-            SimTime(5_000_000_000),
-            |text, emit| {
-                for w in text.split_whitespace() {
-                    emit(w.to_string(), 1u64);
-                }
-            },
-            |_k, vs| vs.iter().sum::<u64>(),
-        );
-        assert_eq!(result.output.len(), 3);
-        // Telemetry counters agree with the job's own counts.
-        assert_eq!(tele.counter_value("mapreduce.jobs"), 1);
-        assert_eq!(tele.counter_value("mapreduce.map.records"), 2);
-        assert_eq!(
-            tele.counter_value("mapreduce.map.emitted"),
-            result.counts.map_output_records
-        );
-        assert_eq!(
-            tele.counter_value("mapreduce.reduce.groups"),
-            result.counts.reduce_input_groups
-        );
-        let jsonl = tele.export_jsonl();
-        assert!(jsonl.contains("mapreduce/wordcount"));
-        assert!(jsonl.contains("map/task0"));
-        assert!(jsonl.contains("reduce/task0"));
-        // All spans sit at the caller's virtual instant — no wall time.
-        assert!(jsonl.contains("\"t_ns\":5000000000"));
-    }
-
-    #[test]
-    fn traced_job_matches_untraced_output() {
-        let texts = vec!["a b a", "c b", "a"];
-        let untraced = wordcount(
-            texts.clone(),
-            &JobConfig {
-                map_workers: 3,
-                reducers: 2,
-            },
-        );
-        let traced = run_job_traced(
-            texts,
-            &JobConfig {
-                map_workers: 3,
-                reducers: 2,
-            },
-            &Telemetry::new(),
-            "wc",
-            SimTime::ZERO,
-            |text, emit| {
-                for w in text.split_whitespace() {
-                    emit(w.to_string(), 1u64);
-                }
-            },
-            |_k, vs| vs.iter().sum::<u64>(),
-        )
-        .output;
-        assert_eq!(untraced, traced);
     }
 
     #[test]

@@ -73,21 +73,18 @@ impl Cluster {
                 }
             }
             // Pick the tenant with runnable tasks holding the fewest
-            // in-flight slots (max-min); break ties by name for
-            // determinism.
-            let tenant = self
+            // in-flight slots (max-min), breaking ties by name for
+            // determinism; FIFO within the tenant: its first runnable job.
+            let next = self
                 .jobs
                 .iter()
-                .filter(|j| j.remaining > 0)
-                .map(|j| j.spec.tenant.as_str())
-                .min_by_key(|t| (*inflight_by_tenant.get(t).unwrap_or(&0), t.to_string()));
-            let Some(tenant) = tenant else { break };
-            // FIFO within the tenant.
-            let job_idx = self
-                .jobs
-                .iter()
-                .position(|j| j.spec.tenant == tenant && j.remaining > 0)
-                .expect("tenant chosen from runnable set");
+                .enumerate()
+                .filter(|(_, j)| j.remaining > 0)
+                .min_by_key(|&(i, j)| {
+                    let tenant = j.spec.tenant.as_str();
+                    (*inflight_by_tenant.get(tenant).unwrap_or(&0), tenant, i)
+                });
+            let Some((job_idx, _)) = next else { break };
             let job = &mut self.jobs[job_idx];
             job.remaining -= 1;
             job.inflight += 1;

@@ -18,12 +18,17 @@
 //!   map, reporting the data-local/rack-local/remote split that makes
 //!   "move computation to data" measurable.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod engine;
 pub mod fairshare;
 pub mod hdfs;
 pub mod scheduler;
 
-pub use engine::{run_job, run_job_traced, JobConfig, JobCounts, JobResult};
+pub use engine::{run_job, JobConfig, JobCounts, JobResult};
 pub use fairshare::{run_fair_share, run_fifo, JobOutcome, JobSpec, M45_DEPARTMENTS};
 pub use hdfs::{BlockId, DataNodeId, Hdfs, HdfsError, BLOCK_SIZE};
 pub use scheduler::{Locality, TaskPlacement, TaskScheduler};

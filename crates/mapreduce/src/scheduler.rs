@@ -75,13 +75,16 @@ impl TaskScheduler {
             }
             // 3. Remote: least-loaded node anywhere (even if over slots —
             //    the job must run; Hadoop queues, we overcommit and record).
-            let (node, locality) = choice.unwrap_or_else(|| {
-                let node = (0..fs.node_count())
-                    .map(DataNodeId)
-                    .min_by_key(|n| *load.get(n).unwrap_or(&0))
-                    .expect("at least one node");
-                (node, Locality::Remote)
-            });
+            let (node, locality) = match choice {
+                Some(choice) => choice,
+                None => {
+                    let node = (0..fs.node_count())
+                        .map(DataNodeId)
+                        .min_by_key(|n| *load.get(n).unwrap_or(&0))
+                        .ok_or(HdfsError::InsufficientNodes)?;
+                    (node, Locality::Remote)
+                }
+            };
             *load.entry(node).or_insert(0) += 1;
             *histogram.entry(locality).or_insert(0) += 1;
             placements.push(TaskPlacement {
@@ -91,43 +94,6 @@ impl TaskScheduler {
             });
         }
         Ok((placements, histogram))
-    }
-
-    /// Publish a schedule's locality histogram into telemetry:
-    /// `mapreduce.locality.{data_local,rack_local,remote}` counters plus
-    /// the running `mapreduce.locality.data_local_fraction` gauge.
-    pub fn publish_locality(
-        tele: &osdc_telemetry::Telemetry,
-        histogram: &BTreeMap<Locality, usize>,
-    ) {
-        if !tele.is_enabled() {
-            return;
-        }
-        for (locality, name) in [
-            (Locality::DataLocal, "mapreduce.locality.data_local"),
-            (Locality::RackLocal, "mapreduce.locality.rack_local"),
-            (Locality::Remote, "mapreduce.locality.remote"),
-        ] {
-            tele.add(
-                tele.counter(name),
-                *histogram.get(&locality).unwrap_or(&0) as u64,
-            );
-        }
-        // Recompute the fraction over everything published so far, so the
-        // gauge stays correct across multiple jobs.
-        let local = tele.counter_value("mapreduce.locality.data_local");
-        let total = local
-            + tele.counter_value("mapreduce.locality.rack_local")
-            + tele.counter_value("mapreduce.locality.remote");
-        let fraction = if total == 0 {
-            1.0
-        } else {
-            local as f64 / total as f64
-        };
-        tele.set_gauge(
-            tele.gauge("mapreduce.locality.data_local_fraction"),
-            fraction,
-        );
     }
 
     /// Fraction of tasks that were data-local.
@@ -207,30 +173,5 @@ mod tests {
     #[test]
     fn empty_histogram_fraction_is_one() {
         assert_eq!(TaskScheduler::data_local_fraction(&BTreeMap::new()), 1.0);
-    }
-
-    #[test]
-    fn locality_publishes_to_telemetry() {
-        let tele = osdc_telemetry::Telemetry::new();
-        let mut fs = Hdfs::new(3, 4, 1);
-        fs.create("/tiles", 10 * BLOCK_SIZE, DataNodeId(0))
-            .expect("create ok");
-        let sched = TaskScheduler::new(4);
-        let (_, hist) = sched.schedule(&fs, "/tiles").expect("schedules");
-        TaskScheduler::publish_locality(&tele, &hist);
-        assert_eq!(tele.counter_value("mapreduce.locality.data_local"), 10);
-        assert_eq!(tele.counter_value("mapreduce.locality.remote"), 0);
-        assert_eq!(
-            tele.gauge_value("mapreduce.locality.data_local_fraction"),
-            Some(1.0)
-        );
-        // Publishing a second, worse schedule keeps the gauge cumulative.
-        let mut worse = BTreeMap::new();
-        worse.insert(Locality::Remote, 10);
-        TaskScheduler::publish_locality(&tele, &worse);
-        assert_eq!(
-            tele.gauge_value("mapreduce.locality.data_local_fraction"),
-            Some(0.5)
-        );
     }
 }

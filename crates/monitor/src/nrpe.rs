@@ -42,16 +42,6 @@ impl MetricStore {
     pub fn remove(&self, metric: &str) {
         self.values.write().remove(metric);
     }
-
-    /// Import every gauge a telemetry handle currently holds, so NRPE
-    /// checks can watch live simulation state (`sim.queue_depth`,
-    /// `net.active_flows`, ...) exactly like a host-local plugin would.
-    pub fn import_telemetry_gauges(&self, tele: &osdc_telemetry::Telemetry) {
-        let mut values = self.values.write();
-        for (name, value) in tele.gauges_snapshot() {
-            values.insert(name, value);
-        }
-    }
 }
 
 /// One monitored host running an NRPE agent.
@@ -133,34 +123,6 @@ mod tests {
     fn unpublished_metric_is_unknown() {
         let agent = HostAgent::new("fresh-host");
         assert_eq!(agent.run_check(&load_check()).status, CheckStatus::Unknown);
-    }
-
-    #[test]
-    fn nrpe_checks_read_telemetry_gauges() {
-        let tele = osdc_telemetry::Telemetry::new();
-        let depth = tele.gauge("sim.queue_depth");
-        tele.set_gauge(depth, 12.0);
-        let agent = HostAgent::new("sim-host");
-        agent.metrics.import_telemetry_gauges(&tele);
-        let check = CheckDefinition::new(
-            "check_sim_queue",
-            "sim.queue_depth",
-            10.0,
-            100.0,
-            ThresholdDirection::HighIsBad,
-        );
-        let r = agent.run_check(&check);
-        assert_eq!(r.status, CheckStatus::Warning);
-        assert_eq!(r.value, Some(12.0));
-        // Re-import picks up fresh values.
-        tele.set_gauge(depth, 3.0);
-        agent.metrics.import_telemetry_gauges(&tele);
-        assert_eq!(agent.run_check(&check).status, CheckStatus::Ok);
-        // A disabled handle imports nothing and disturbs nothing.
-        agent
-            .metrics
-            .import_telemetry_gauges(&osdc_telemetry::Telemetry::disabled());
-        assert_eq!(agent.metrics.get("sim.queue_depth"), Some(3.0));
     }
 
     #[test]

@@ -133,19 +133,10 @@ impl<E> Scheduler<E> {
     }
 }
 
-/// Observer invoked once per dispatched event with `(now, queue depth)`.
-///
-/// The hook exists so an external telemetry layer can watch the kernel
-/// without the kernel depending on it. When no probe is installed the cost
-/// is a single branch on a `None`, keeping the uninstrumented hot path as
-/// fast as the seed kernel.
-pub type EngineProbe = Box<dyn FnMut(SimTime, usize)>;
-
 /// The engine pairs a [`Scheduler`] with a run loop.
 pub struct Engine<E> {
     sched: Scheduler<E>,
     events_processed: u64,
-    probe: Option<EngineProbe>,
 }
 
 impl<E> Default for Engine<E> {
@@ -159,13 +150,7 @@ impl<E> Engine<E> {
         Engine {
             sched: Scheduler::new(),
             events_processed: 0,
-            probe: None,
         }
-    }
-
-    /// Install (or clear) the per-event observer.
-    pub fn set_probe(&mut self, probe: Option<EngineProbe>) {
-        self.probe = probe;
     }
 
     pub fn now(&self) -> SimTime {
@@ -215,9 +200,6 @@ impl<E> Engine<E> {
         let Entry { at, event, .. } = self.sched.queue.pop()?;
         self.sched.now = at;
         self.events_processed += 1;
-        if let Some(p) = self.probe.as_mut() {
-            p(at, self.sched.pending());
-        }
         world.handle(at, event, &mut self.sched);
         Some(at)
     }
@@ -338,26 +320,6 @@ mod tests {
         let mut eng: Engine<Ev> = Engine::new();
         let mut w = Recorder::default();
         assert!(eng.step(&mut w).is_none());
-    }
-
-    #[test]
-    fn probe_sees_every_event() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let samples: Rc<RefCell<Vec<(u64, usize)>>> = Rc::default();
-        let mut eng = Engine::new();
-        for t in [10u64, 20, 30] {
-            eng.schedule(SimTime(t), Ev::Ping(0));
-        }
-        let sink = Rc::clone(&samples);
-        eng.set_probe(Some(Box::new(move |now, depth| {
-            sink.borrow_mut().push((now.as_nanos(), depth));
-        })));
-        let mut w = Recorder::default();
-        eng.run_to_completion(&mut w);
-        // One sample per event, with the post-pop queue depth.
-        assert_eq!(&*samples.borrow(), &[(10, 2), (20, 1), (30, 0)]);
-        eng.set_probe(None);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod stats;
 pub mod tenant;
 pub mod time;
 
-pub use engine::{Engine, EngineProbe, Scheduler, Simulation};
+pub use engine::{Engine, Scheduler, Simulation};
 pub use retry::RetryPolicy;
 pub use rng::SimRng;
 pub use runner::{available_jobs, derive_seed, run_indexed};

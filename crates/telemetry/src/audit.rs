@@ -17,18 +17,16 @@
 //! the condition and message are never evaluated and the optimizer strips
 //! the whole thing — instrumented hot paths cost nothing in production
 //! builds. With `--features audit` every violated check is recorded in a
-//! process-global registry (named by its site string) and mirrored into
-//! an `audit.violations` counter on any [`Telemetry`] handle installed
-//! via [`install_telemetry`]. Violations do not panic at the check site —
-//! a campaign runs to completion and then calls [`assert_clean`], so one
-//! run surfaces every broken invariant instead of the first.
+//! process-global registry (named by its site string), which
+//! [`violations`] and [`assert_clean`] read. Violations do not panic at
+//! the check site — a campaign runs to completion and then calls
+//! [`assert_clean`], so one run surfaces every broken invariant instead
+//! of the first.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-
-use crate::Telemetry;
 
 /// `true` iff this build carries live invariant checks (the `audit`
 /// feature of `osdc-telemetry`). `const`, so the `check!` branch folds
@@ -41,46 +39,18 @@ pub const fn enabled() -> bool {
 /// Total violations recorded since process start (or the last [`reset`]).
 static TOTAL: AtomicU64 = AtomicU64::new(0);
 
-struct Registry {
-    /// site → (count, first detail message seen).
-    by_site: BTreeMap<String, (u64, String)>,
-    /// Optional mirror: every violation bumps `audit.violations` here.
-    tele: Option<(Telemetry, crate::CounterId)>,
-}
-
-static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
-
-fn with_registry<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
-    let mut guard = REGISTRY.lock();
-    let reg = guard.get_or_insert_with(|| Registry {
-        by_site: BTreeMap::new(),
-        tele: None,
-    });
-    f(reg)
-}
-
-/// Mirror future violations into `audit.violations` on this handle (in
-/// addition to the global registry). Campaign harnesses install their
-/// run's collector so invariant failures land in exported artifacts.
-pub fn install_telemetry(tele: &Telemetry) {
-    let id = tele.counter("audit.violations");
-    with_registry(|reg| reg.tele = Some((tele.clone(), id)));
-}
+/// site → (count, first detail message seen).
+static REGISTRY: Mutex<BTreeMap<String, (u64, String)>> = Mutex::new(BTreeMap::new());
 
 /// Record one violation. Called by the [`check!`] macro — use the macro,
 /// not this, so disabled builds pay nothing.
 pub fn record_violation(site: &str, detail: &str) {
     TOTAL.fetch_add(1, Ordering::Relaxed);
-    with_registry(|reg| {
-        let entry = reg
-            .by_site
-            .entry(site.to_string())
-            .or_insert_with(|| (0, detail.to_string()));
-        entry.0 += 1;
-        if let Some((tele, id)) = &reg.tele {
-            tele.incr(*id);
-        }
-    });
+    REGISTRY
+        .lock()
+        .entry(site.to_string())
+        .or_insert_with(|| (0, detail.to_string()))
+        .0 += 1;
 }
 
 /// Violations recorded so far (monotone until [`reset`]).
@@ -90,23 +60,26 @@ pub fn violation_total() -> u64 {
 
 /// Snapshot of `(site, count, first detail)` rows, sorted by site.
 pub fn violations() -> Vec<(String, u64, String)> {
-    with_registry(|reg| {
-        reg.by_site
-            .iter()
-            .map(|(site, (n, detail))| (site.clone(), *n, detail.clone()))
-            .collect()
-    })
+    REGISTRY
+        .lock()
+        .iter()
+        .map(|(site, (n, detail))| (site.clone(), *n, detail.clone()))
+        .collect()
 }
 
 /// Clear the registry and total; returns the total that was cleared.
 /// Tests isolate themselves with this (checks are process-global).
 pub fn reset() -> u64 {
-    with_registry(|reg| reg.by_site.clear());
+    REGISTRY.lock().clear();
     TOTAL.swap(0, Ordering::Relaxed)
 }
 
 /// Panic (listing every violated site) if any violation was recorded.
 /// No-op in builds without the `audit` feature.
+///
+/// Panicking is this function's contract: harnesses and tests call it
+/// last, and a panic is how an audit build fails them.
+#[allow(clippy::panic)]
 pub fn assert_clean(context: &str) {
     if !enabled() {
         return;
@@ -173,23 +146,6 @@ mod tests {
         }
         reset();
         assert_eq!(violation_total(), 0);
-    }
-
-    #[test]
-    fn telemetry_mirror_counts() {
-        if !enabled() {
-            return;
-        }
-        let _serial = SERIAL.lock();
-        reset();
-        let tele = Telemetry::new();
-        install_telemetry(&tele);
-        check!(false, "audit.test.mirrored");
-        check!(false, "audit.test.mirrored");
-        assert_eq!(tele.counter_value("audit.violations"), 2);
-        // Detach so later tests don't keep bumping this handle.
-        with_registry(|reg| reg.tele = None);
-        reset();
     }
 
     #[test]

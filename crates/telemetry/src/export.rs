@@ -78,6 +78,8 @@ fn histogram_to_json(snap: &HistogramSnapshot) -> Value {
 
 /// Serialize the full trace + metrics state as JSONL into `out`.
 pub(crate) fn write_jsonl(trace: &TraceCore, metrics: &MetricsCore, out: &mut String) {
+    // Serializing a `Value` cannot fail: every map key is already a string.
+    #[allow(clippy::expect_used)]
     let mut line = |v: Value| {
         out.push_str(&serde_json::to_string(&v).expect("telemetry JSON serializes"));
         out.push('\n');

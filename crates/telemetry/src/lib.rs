@@ -3,11 +3,11 @@
 //! §7.4 of the paper runs the OSDC federation on an in-house monitoring
 //! stack: Nagios checks plus a custom usage monitor feeding a public
 //! status page. This crate is that layer made machine-readable for the
-//! reproduction: one substrate every subsystem (WAN flows, transfer
-//! pipelines, Tukey requests, MapReduce jobs, NRPE checks) publishes into,
-//! and every experiment harness can export from. The DES kernel can
-//! publish too, through [`Telemetry::engine_probe`], but no product path
-//! attaches that probe.
+//! reproduction: one substrate the traced subsystems (WAN flows, transfer
+//! pipelines, Tukey requests, chaos campaigns, sharing cells, provider
+//! calls) publish into, and every `--trace` harness exports from. It is
+//! write-only for the product: nothing reads a metric back to decide
+//! what to do, so a run behaves the same with tracing on or off.
 //!
 //! Three parts:
 //!
@@ -25,15 +25,20 @@
 //!   ops report.
 //!
 //! A [`Telemetry`] handle is cheap to clone (an `Arc`) and has a global
-//! no-op mode: [`Telemetry::disabled`] carries no state at all, every
-//! operation early-returns on a `None`, and the `telemetry_overhead`
-//! bench in `osdc-bench` pins the disabled-path cost to the seed kernel.
+//! no-op mode: [`Telemetry::disabled`] carries no state at all and every
+//! operation early-returns on a `None`, so a disabled handle costs one
+//! branch by construction. The `telemetry_overhead` bench in
+//! `osdc-bench` reports what a live handle costs on the fluid net's
+//! per-tick `step()`.
 
-use std::io::Write as _;
-use std::path::Path;
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::sync::Arc;
 
-use osdc_sim::{EngineProbe, SimTime};
+use osdc_sim::SimTime;
 use parking_lot::Mutex;
 
 pub mod audit;
@@ -42,7 +47,7 @@ mod metrics;
 mod trace;
 
 pub use metrics::{CounterId, GaugeId, HistogramId, HistogramSnapshot};
-pub use trace::{AttrValue, SpanId, TraceEvent, DEFAULT_RING_CAPACITY};
+pub use trace::{AttrValue, SpanId, TraceEvent};
 
 use metrics::MetricsCore;
 use trace::TraceCore;
@@ -67,19 +72,24 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// A live collector with the default ring capacity.
+    /// A live collector.
     pub fn new() -> Self {
-        Self::with_ring_capacity(DEFAULT_RING_CAPACITY)
+        Self::with_trace(TraceCore::default())
     }
 
-    /// A live collector whose trace ring holds at most `capacity` events.
-    pub fn with_ring_capacity(capacity: usize) -> Self {
+    fn with_trace(trace: TraceCore) -> Self {
         Telemetry {
             inner: Some(Arc::new(Inner {
                 metrics: Mutex::new(MetricsCore::default()),
-                trace: Mutex::new(TraceCore::with_capacity(capacity)),
+                trace: Mutex::new(trace),
             })),
         }
+    }
+
+    /// A live collector whose trace ring holds at most `capacity` events.
+    #[cfg(test)]
+    fn with_ring_capacity(capacity: usize) -> Self {
+        Self::with_trace(TraceCore::with_capacity(capacity))
     }
 
     /// The global no-op mode: records nothing, allocates nothing, holds no
@@ -146,7 +156,7 @@ impl Telemetry {
         }
     }
 
-    // ---- metric reads (tests, monitor bridge, reports) --------------------
+    // ---- metric reads (tests and reports) ---------------------------------
 
     pub fn counter_value(&self, name: &str) -> u64 {
         match &self.inner {
@@ -171,38 +181,6 @@ impl Telemetry {
             .iter()
             .position(|n| n == name)
             .map(|p| m.gauges.values[p])
-    }
-
-    /// Snapshot of every registered gauge as `(name, value)`, in
-    /// registration order.
-    pub fn gauges_snapshot(&self) -> Vec<(String, f64)> {
-        match &self.inner {
-            Some(i) => {
-                let m = i.metrics.lock();
-                m.gauges
-                    .names
-                    .iter()
-                    .cloned()
-                    .zip(m.gauges.values.iter().copied())
-                    .collect()
-            }
-            None => Vec::new(),
-        }
-    }
-
-    pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
-        match &self.inner {
-            Some(i) => {
-                let m = i.metrics.lock();
-                m.counters
-                    .names
-                    .iter()
-                    .cloned()
-                    .zip(m.counters.values.iter().copied())
-                    .collect()
-            }
-            None => Vec::new(),
-        }
     }
 
     pub fn histograms_snapshot(&self) -> Vec<HistogramSnapshot> {
@@ -251,13 +229,6 @@ impl Telemetry {
         if let Some(i) = &self.inner {
             i.trace.lock().point(name, t, value);
         }
-    }
-
-    /// The innermost open span, if any.
-    pub fn current_span(&self) -> Option<SpanId> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.trace.lock().current_span())
     }
 
     /// Number of events currently buffered (tests and reports).
@@ -310,12 +281,6 @@ impl Telemetry {
             }
             None => String::new(),
         }
-    }
-
-    /// Write [`Telemetry::export_jsonl`] to a file.
-    pub fn export_jsonl_to(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.export_jsonl().as_bytes())
     }
 
     /// The human-readable federation ops report.
@@ -371,60 +336,9 @@ where
         .collect()
 }
 
-/// Pre-interned ids for the DES kernel's own metrics.
-#[derive(Clone, Copy, Debug)]
-pub struct EngineIds {
-    pub events: CounterId,
-    pub queue_depth: GaugeId,
-    pub queue_depth_hist: HistogramId,
-    pub virtual_time_secs: GaugeId,
-}
-
-impl EngineIds {
-    pub fn register(tele: &Telemetry) -> Self {
-        EngineIds {
-            events: tele.counter("sim.events_dispatched"),
-            queue_depth: tele.gauge("sim.queue_depth"),
-            queue_depth_hist: tele.histogram("sim.queue_depth"),
-            virtual_time_secs: tele.gauge("sim.virtual_time_secs"),
-        }
-    }
-}
-
-impl Telemetry {
-    /// One engine dispatch: counter, queue-depth gauge + histogram, and
-    /// the virtual-time gauge (events ÷ virtual time = the kernel's
-    /// virtual-time rate), all under a single registry lock.
-    pub fn engine_tick(&self, ids: &EngineIds, now: SimTime, queue_depth: usize) {
-        if let Some(i) = &self.inner {
-            let mut m = i.metrics.lock();
-            m.add(ids.events, 1);
-            m.set(ids.queue_depth, queue_depth as f64);
-            m.observe(ids.queue_depth_hist, queue_depth as f64);
-            m.set(ids.virtual_time_secs, now.as_secs_f64());
-        }
-    }
-
-    /// Build a probe for [`osdc_sim::Engine::set_probe`]. Returns `None`
-    /// when telemetry is disabled so the uninstrumented kernel keeps its
-    /// probe-free hot path — the disabled mode is a true no-op. Only the
-    /// `telemetry_overhead` bench and a unit test attach it.
-    pub fn engine_probe(&self) -> Option<EngineProbe> {
-        if !self.is_enabled() {
-            return None;
-        }
-        let ids = EngineIds::register(self);
-        let tele = self.clone();
-        Some(Box::new(move |now, depth| {
-            tele.engine_tick(&ids, now, depth)
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osdc_sim::{Engine, Scheduler, SimDuration, Simulation};
 
     #[test]
     fn counter_ids_are_interned_once() {
@@ -475,8 +389,6 @@ mod tests {
         assert_eq!(t.counter_value("never"), 0);
         assert_eq!(t.export_jsonl(), "");
         assert_eq!(t.trace_len(), 0);
-        assert!(t.gauges_snapshot().is_empty());
-        assert!(t.engine_probe().is_none());
     }
 
     #[test]
@@ -484,18 +396,26 @@ mod tests {
         let t = Telemetry::new();
         let root = t.span_start("request", SimTime::ZERO);
         let child = t.span_start("backend", SimTime(5));
-        assert_eq!(t.current_span(), Some(child));
         t.attr(child, "cloud", "adler");
         t.span_end(child, SimTime(10));
-        assert_eq!(t.current_span(), Some(root));
+        // Opened after `backend` closed: `request` is its parent again.
+        let sibling = t.span_start("billing", SimTime(12));
+        t.span_end(sibling, SimTime(15));
         t.span_end(root, SimTime(20));
-        assert_eq!(t.current_span(), None);
+        // Opened after every span closed: a root.
+        let next = t.span_start("next", SimTime(30));
+        t.span_end(next, SimTime(31));
         let jsonl = t.export_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
-        // meta + 2 starts + 1 attr + 2 ends
-        assert_eq!(lines.len(), 6);
+        // meta + 4 starts + 1 attr + 4 ends
+        assert_eq!(lines.len(), 10);
+        assert!(!lines[1].contains("\"parent\""), "{}", lines[1]);
         assert!(lines[2].contains("\"parent\":1"), "{}", lines[2]);
         assert!(lines[3].contains("\"value\":\"adler\""));
+        assert!(lines[5].contains("\"name\":\"billing\""), "{}", lines[5]);
+        assert!(lines[5].contains("\"parent\":1"), "{}", lines[5]);
+        assert!(lines[8].contains("\"name\":\"next\""), "{}", lines[8]);
+        assert!(!lines[8].contains("\"parent\""), "{}", lines[8]);
     }
 
     #[test]
@@ -537,11 +457,11 @@ mod tests {
     fn ops_report_mentions_everything() {
         let t = Telemetry::new();
         t.add(t.counter("transfers.completed"), 5);
-        t.set_gauge(t.gauge("sim.queue_depth"), 3.0);
+        t.set_gauge(t.gauge("net.active_flows"), 3.0);
         t.observe(t.histogram("tukey.cloud.adler.latency_ms"), 36.0);
         let report = t.ops_report();
         assert!(report.contains("transfers.completed"));
-        assert!(report.contains("sim.queue_depth"));
+        assert!(report.contains("net.active_flows"));
         assert!(report.contains("tukey.cloud.adler.latency_ms"));
         assert!(report.contains("federation ops report"));
         assert!(Telemetry::disabled().ops_report().contains("disabled"));
@@ -673,33 +593,5 @@ mod tests {
             parent.absorb(&t);
         }
         assert_eq!(parent.export_jsonl(), run_live());
-    }
-
-    struct Relay(u32);
-    enum Ev {
-        Tick,
-    }
-    impl Simulation for Relay {
-        type Event = Ev;
-        fn handle(&mut self, _now: SimTime, _ev: Ev, sched: &mut Scheduler<Ev>) {
-            if self.0 > 0 {
-                self.0 -= 1;
-                sched.after(SimDuration::from_micros(10), Ev::Tick);
-            }
-        }
-    }
-
-    #[test]
-    fn engine_probe_feeds_kernel_metrics() {
-        let t = Telemetry::new();
-        let mut engine = Engine::new();
-        engine.set_probe(t.engine_probe());
-        engine.schedule(SimTime::ZERO, Ev::Tick);
-        let mut world = Relay(99);
-        engine.run_to_completion(&mut world);
-        assert_eq!(t.counter_value("sim.events_dispatched"), 100);
-        assert_eq!(t.gauge_value("sim.queue_depth"), Some(0.0));
-        let vt = t.gauge_value("sim.virtual_time_secs").expect("gauge");
-        assert!((vt - 99.0 * 10e-6).abs() < 1e-12, "{vt}");
     }
 }

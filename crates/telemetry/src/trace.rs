@@ -101,10 +101,10 @@ pub enum TraceEvent {
     },
 }
 
-/// Default ring capacity: big enough for a full Table 3 sweep (ten
-/// transfers' worth of stage spans plus coarse flow samples) without
-/// letting a runaway emitter grow memory unboundedly.
-pub const DEFAULT_RING_CAPACITY: usize = 131_072;
+/// Ring capacity: big enough for a full Table 3 sweep (ten transfers'
+/// worth of stage spans plus coarse flow samples) without letting a
+/// runaway emitter grow memory unboundedly.
+const RING_CAPACITY: usize = 131_072;
 
 #[derive(Debug)]
 pub(crate) struct TraceCore {
@@ -117,7 +117,7 @@ pub(crate) struct TraceCore {
 
 impl Default for TraceCore {
     fn default() -> Self {
-        Self::with_capacity(DEFAULT_RING_CAPACITY)
+        Self::with_capacity(RING_CAPACITY)
     }
 }
 
@@ -177,10 +177,6 @@ impl TraceCore {
             t,
             value,
         });
-    }
-
-    pub(crate) fn current_span(&self) -> Option<SpanId> {
-        self.stack.last().copied()
     }
 
     /// Append another core's event stream onto this one, in that core's

@@ -91,15 +91,12 @@ pub struct FlowMixReport {
     pub elephant_mbps: Option<f64>,
 }
 
-/// Step the network until every listed flow completes (background flows
-/// are unbounded and would otherwise pin the simulation to its deadline).
+/// Run the network until every listed flow completes or `deadline`
+/// passes, on the net's own run loop (background flows are unbounded, so
+/// running until the net drains would pin the simulation to its deadline).
 fn run_until_done(net: &mut FluidNet, flows: &[osdc_net::FlowId], deadline: SimTime) {
-    while net.now() < deadline
-        && flows
-            .iter()
-            .any(|&f| net.status(f) == osdc_net::FlowStatus::Active)
-    {
-        net.step();
+    for &f in flows {
+        net.run_flow_to_completion(f, deadline);
     }
 }
 
