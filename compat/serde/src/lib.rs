@@ -9,8 +9,9 @@
 //! * [`Deserialize::from_json_value`] — `&Value -> Result<T, DeError>`
 //!
 //! `#[derive(Serialize, Deserialize)]` come from the sibling hand-rolled
-//! `serde_derive` and generate impls of these traits. `serde_json`
-//! re-exports [`Value`] and implements the text format on top.
+//! `serde_derive` and generate impls of these traits. [`Value`]'s
+//! `Display` writes JSON text (compact, or pretty with `{:#}`), and
+//! `serde_json` re-exports [`Value`] and adds the parser on top.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -102,6 +103,108 @@ pub enum Value {
     String(String),
     Array(Vec<Value>),
     Object(Map),
+}
+
+/// JSON text, as real serde_json's `Display` for `Value` prints it:
+/// compact one-line JSON (`{"a":1,"b":[2,3]}`), or with `{:#}` the
+/// two-space pretty layout. Keys come out in sorted order.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if f.alternate() {
+            write_pretty(self, f, 0)
+        } else {
+            write_compact(self, f)
+        }
+    }
+}
+
+fn write_escaped(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    f.write_str("\"")?;
+    let mut clean = 0;
+    for (i, c) in s.char_indices() {
+        let escape = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            '\u{8}' => Some("\\b"),
+            '\u{c}' => Some("\\f"),
+            c if (c as u32) < 0x20 => None,
+            _ => continue,
+        };
+        f.write_str(&s[clean..i])?;
+        match escape {
+            Some(e) => f.write_str(e)?,
+            None => write!(f, "\\u{:04x}", c as u32)?,
+        }
+        clean = i + c.len_utf8();
+    }
+    f.write_str(&s[clean..])?;
+    f.write_str("\"")
+}
+
+fn write_compact(v: &Value, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    match v {
+        Value::Null => f.write_str("null"),
+        Value::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
+        Value::Number(n) => write!(f, "{n}"),
+        Value::String(s) => write_escaped(s, f),
+        Value::Array(a) => {
+            f.write_str("[")?;
+            for (i, elem) in a.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(",")?;
+                }
+                write_compact(elem, f)?;
+            }
+            f.write_str("]")
+        }
+        Value::Object(m) => {
+            f.write_str("{")?;
+            for (i, (k, elem)) in m.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(",")?;
+                }
+                write_escaped(k, f)?;
+                f.write_str(":")?;
+                write_compact(elem, f)?;
+            }
+            f.write_str("}")
+        }
+    }
+}
+
+fn write_pretty(v: &Value, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
+    const STEP: usize = 2;
+    let inner = indent + STEP;
+    match v {
+        Value::Array(a) if !a.is_empty() => {
+            f.write_str("[\n")?;
+            for (i, elem) in a.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(",\n")?;
+                }
+                write!(f, "{:inner$}", "")?;
+                write_pretty(elem, f, inner)?;
+            }
+            write!(f, "\n{:indent$}]", "")
+        }
+        Value::Object(m) if !m.is_empty() => {
+            f.write_str("{\n")?;
+            for (i, (k, elem)) in m.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(",\n")?;
+                }
+                write!(f, "{:inner$}", "")?;
+                write_escaped(k, f)?;
+                f.write_str(": ")?;
+                write_pretty(elem, f, inner)?;
+            }
+            write!(f, "\n{:indent$}}}", "")
+        }
+        other => write_compact(other, f),
+    }
 }
 
 static NULL: Value = Value::Null;

@@ -1,13 +1,13 @@
 //! Offline compat shim: the `serde_json` API surface this workspace uses —
 //! [`json!`], [`to_string`], [`to_string_pretty`], [`from_str`],
 //! [`to_value`] and the re-exported [`Value`] tree (which lives in the
-//! sibling `serde` shim so derives can target it).
+//! sibling `serde` shim so derives can target it). The text writer is
+//! `Value`'s `Display`, as in serde_json, so a caller can `write!` a
+//! `Value` straight into a buffer; this crate adds the parser.
 //!
 //! Output is deterministic: objects are BTreeMaps, so keys serialize in
 //! sorted order, and float formatting goes through Rust's shortest-repr
 //! `Display`. The telemetry JSONL determinism tests lean on this.
-
-use std::fmt::Write as _;
 
 pub use serde::{Map, Number, Value};
 
@@ -19,112 +19,22 @@ pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Value {
     value.to_json_value()
 }
 
-/// Compact one-line JSON, `{"a":1,"b":[2,3]}` style.
+/// Compact one-line JSON, `{"a":1,"b":[2,3]}` style: [`Value`]'s
+/// `Display`.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_compact(&value.to_json_value(), &mut out);
-    Ok(out)
+    Ok(value.to_json_value().to_string())
 }
 
-/// Pretty JSON with two-space indentation, mirroring serde_json's layout.
+/// Pretty JSON with two-space indentation, mirroring serde_json's layout:
+/// [`Value`]'s alternate `Display` (`{:#}`).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_pretty(&value.to_json_value(), &mut out, 0);
-    Ok(out)
+    Ok(format!("{:#}", value.to_json_value()))
 }
 
 /// Parse JSON text into any `Deserialize` type.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
     let value = parse_value_complete(s)?;
     T::from_json_value(&value)
-}
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_compact(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::String(s) => write_escaped(s, out),
-        Value::Array(a) => {
-            out.push('[');
-            for (i, elem) in a.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(elem, out);
-            }
-            out.push(']');
-        }
-        Value::Object(m) => {
-            out.push('{');
-            for (i, (k, elem)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(k, out);
-                out.push(':');
-                write_compact(elem, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_pretty(v: &Value, out: &mut String, indent: usize) {
-    const STEP: usize = 2;
-    match v {
-        Value::Array(a) if !a.is_empty() => {
-            out.push_str("[\n");
-            for (i, elem) in a.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                out.push_str(&" ".repeat(indent + STEP));
-                write_pretty(elem, out, indent + STEP);
-            }
-            out.push('\n');
-            out.push_str(&" ".repeat(indent));
-            out.push(']');
-        }
-        Value::Object(m) if !m.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, elem)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                out.push_str(&" ".repeat(indent + STEP));
-                write_escaped(k, out);
-                out.push_str(": ");
-                write_pretty(elem, out, indent + STEP);
-            }
-            out.push('\n');
-            out.push_str(&" ".repeat(indent));
-            out.push('}');
-        }
-        other => write_compact(other, out),
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -137,11 +137,7 @@ impl CloudController {
             .iter()
             .enumerate()
             .filter(|(_, h)| h.fits(flavor.vcpus, flavor.ram_mb, flavor.disk_gb))
-            .min_by(|(_, a), (_, b)| {
-                a.utilization()
-                    .partial_cmp(&b.utilization())
-                    .expect("utilization is finite")
-            })
+            .min_by(|(_, a), (_, b)| a.utilization().total_cmp(&b.utilization()))
             .map(|(i, _)| i)
             .ok_or(SchedulingError::NoCapacity {
                 requested_cores: flavor.vcpus,
@@ -222,21 +218,7 @@ impl CloudController {
             .instances
             .get_mut(&id)
             .ok_or(SchedulingError::UnknownInstance(id))?;
-        if inst.state == InstanceState::Terminated {
-            return Ok(()); // idempotent, as both real APIs are
-        }
-        let host = inst.host;
-        // A Shutoff instance already gave back cores and RAM; only its
-        // root disk remains to release.
-        let (c, r) = if inst.state == InstanceState::Shutoff {
-            (0, 0)
-        } else {
-            (inst.flavor.vcpus, inst.flavor.ram_mb)
-        };
-        let d = inst.flavor.disk_gb;
-        inst.state = InstanceState::Terminated;
-        inst.terminated_at = Some(now);
-        self.hosts[host.0].release(c, r, d);
+        end_instance(inst, &mut self.hosts, now);
         Ok(())
     }
 
@@ -244,15 +226,9 @@ impl CloudController {
     /// it dies (terminated, resources released), and the scheduler stops
     /// considering it. Returns how many instances were killed.
     pub fn fail_host(&mut self, host: HostId, now: SimTime) -> u32 {
-        let doomed: Vec<InstanceId> = self
-            .instances
-            .values()
-            .filter(|i| i.host == host && i.state != InstanceState::Terminated)
-            .map(|i| i.id)
-            .collect();
-        let killed = doomed.len() as u32;
-        for id in doomed {
-            self.terminate(id, now).expect("instance exists");
+        let mut killed = 0;
+        for inst in self.instances.values_mut().filter(|i| i.host == host) {
+            killed += u32::from(end_instance(inst, &mut self.hosts, now));
         }
         self.hosts[host.0].set_up(false);
         killed
@@ -301,6 +277,26 @@ impl CloudController {
         users.dedup();
         users
     }
+}
+
+/// Terminate `inst` and give its host back what it still holds.
+/// Idempotent, as both real APIs are: returns false, touching nothing,
+/// when `inst` was already terminated.
+fn end_instance(inst: &mut Instance, hosts: &mut [Host], now: SimTime) -> bool {
+    if inst.state == InstanceState::Terminated {
+        return false;
+    }
+    // A Shutoff instance already gave back cores and RAM; only its root
+    // disk remains to release.
+    let (c, r) = if inst.state == InstanceState::Shutoff {
+        (0, 0)
+    } else {
+        (inst.flavor.vcpus, inst.flavor.ram_mb)
+    };
+    inst.state = InstanceState::Terminated;
+    inst.terminated_at = Some(now);
+    hosts[inst.host.0].release(c, r, inst.flavor.disk_gb);
+    true
 }
 
 #[cfg(test)]

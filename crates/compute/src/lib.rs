@@ -19,6 +19,11 @@
 //! export data and the associated computing environment"), which the
 //! Table 1 lock-in comparison exercises.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod cloud;
 pub mod host;
 pub mod image;

@@ -19,6 +19,11 @@
 //!   shared resources — which is exactly why automation wins by an order
 //!   of magnitude. Stage failures retry with bounded attempts.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod manual;
 pub mod pipeline;
 

@@ -211,8 +211,11 @@ impl Simulation for RackWorld {
                     }
                     return;
                 }
-                let next = stage.next().expect("Ready never reaches Done");
-                sched.after(SimDuration::ZERO, Ev::Begin(server, next));
+                // `Begin(.., Ready)` schedules no `Done`, so every stage
+                // that gets here has a next one.
+                if let Some(next) = stage.next() {
+                    sched.after(SimDuration::ZERO, Ev::Begin(server, next));
+                }
             }
         }
     }

@@ -654,9 +654,18 @@ impl SharingSim {
     }
 
     /// Count revoked-or-expired capabilities still granting anywhere, at
-    /// the current instant. The acceptance bar is zero at all times;
+    /// the current instant: each (replica, dead capability, action)
+    /// whose replica's [`Registry::check`] on the capability's own path
+    /// returns that capability. The acceptance bar is zero at all times;
     /// this is the scorecard half of the audit story (the differential
     /// oracle in `osdc-audit` re-checks against a flat model).
+    ///
+    /// One pass over each replica's capabilities. `check` is called only
+    /// where `check`'s own filter (`Registry::admits`) accepts the dead
+    /// capability, since `check` cannot return one it refuses, so the
+    /// count is exactly that of calling `check` for every dead
+    /// capability and action. A dead capability never passes the
+    /// filter, so a healthy registry costs no `check` walk at all.
     pub fn safety_violations(&self) -> u64 {
         let now = self.engine.now();
         let mut violations = 0;
@@ -667,7 +676,9 @@ impl SharingSim {
                     continue;
                 }
                 for action in Action::ALL {
-                    if registry.check(&cap.grantee, &cap.path, action, now) == Some(cap.id) {
+                    if registry.admits(cap, &cap.path, action, now)
+                        && registry.check(&cap.grantee, &cap.path, action, now) == Some(cap.id)
+                    {
                         violations += 1;
                     }
                 }
@@ -883,6 +894,96 @@ mod tests {
         let r = s.report();
         assert_eq!(r.copies, 0);
         assert_eq!(r.copies_failed, 1);
+    }
+
+    #[test]
+    fn safety_scan_equals_the_unfiltered_check_loop() {
+        let mut s = sim(9);
+        // Lakeshore is dark for the whole churn, Miami for part of it.
+        let lakeshore = PartitionEvent {
+            at_secs: 30.0,
+            duration_secs: 20_000.0,
+            site: OsdcSite::ChicagoLakeshore,
+        };
+        s.apply_partitions(&[
+            lakeshore,
+            PartitionEvent {
+                at_secs: 600.0,
+                duration_secs: 2_400.0,
+                site: OsdcSite::AmpathMiami,
+            },
+        ]);
+        // Few grants per grantee and path, so a revoked or expired grant
+        // is often the best-ranked one covering its own path.
+        let users = ["alice", "bob", "carol", "dave", "erin", "frank"];
+        let paths = [
+            "/projects",
+            "/projects/genomics",
+            "/data/climate",
+            "/archive/modencode",
+        ];
+        let mut rng = SimRng::new(derive_seed(9, 0x5afe));
+        let mut minted = Vec::new();
+        for _ in 0..160 {
+            s.run_for(SimDuration::from_secs(rng.range_inclusive(5, 60)));
+            let dc = DcId(rng.below(4) as u8);
+            let user = users[rng.below(users.len() as u64) as usize];
+            let path = paths[rng.below(paths.len() as u64) as usize];
+            match rng.below(10) {
+                0..=5 => {
+                    let level = match rng.below(4) {
+                        0 => TrustLevel::View,
+                        1 => TrustLevel::LendUntil {
+                            expires: s.now() + SimDuration::from_secs(rng.range_inclusive(30, 600)),
+                        },
+                        2 => TrustLevel::Copy,
+                        _ => TrustLevel::Transfer,
+                    };
+                    minted.push(s.grant(dc, user, path, level));
+                }
+                _ if !minted.is_empty() => {
+                    let id = minted[rng.below(minted.len() as u64) as usize];
+                    s.revoke(dc, id);
+                }
+                _ => {}
+            }
+        }
+        let now = s.now();
+        assert!(now < lakeshore.until(), "stopped mid-partition");
+        assert!(!s.converged(), "the replicas must disagree");
+
+        let (mut revoked, mut expired, mut unfiltered) = (0, 0, 0);
+        for dc in DcId::ALL {
+            let registry = s.registry(dc);
+            for cap in registry.capabilities() {
+                let dead = registry.is_revoked(cap.id) || cap.level.expired(now);
+                revoked += u32::from(registry.is_revoked(cap.id));
+                expired += u32::from(cap.level.expired(now));
+                for action in Action::ALL {
+                    let hit = registry.check(&cap.grantee, &cap.path, action, now);
+                    // The shortcut's premise: `check` returns only what
+                    // its filter admits.
+                    if let Some(id) = hit {
+                        let winner = registry.capability(id).expect("check names a known grant");
+                        assert!(
+                            registry.admits(winner, &cap.path, action, now),
+                            "{dc}: check({}, {}, {}) returned {id}, which admits refuses",
+                            cap.grantee,
+                            cap.path,
+                            action.label()
+                        );
+                    }
+                    // The reference: `check` for every dead capability
+                    // and action.
+                    if dead && hit == Some(cap.id) {
+                        unfiltered += 1;
+                    }
+                }
+            }
+        }
+        assert!(revoked > 0, "churn revoked nothing");
+        assert!(expired > 0, "no lend had expired");
+        assert_eq!(s.safety_violations(), unfiltered);
     }
 
     #[test]

@@ -228,6 +228,20 @@ impl Registry {
         outcome
     }
 
+    /// `check`'s per-candidate filter: `cap`'s level allows `action` at
+    /// `now`, it covers `path`, and this replica knows no revocation of
+    /// it. A revoked or expired capability never passes, whatever the
+    /// path or action.
+    pub(crate) fn admits(
+        &self,
+        cap: &Capability,
+        path: &str,
+        action: Action,
+        now: SimTime,
+    ) -> bool {
+        cap.level.allows(action, now) && cap.covers(path) && !self.revoked.contains(&cap.id)
+    }
+
     /// The who-can-do-what check: the highest-ranked live capability
     /// covering `path` that permits `action` for `grantee` at `now`,
     /// under *this replica's* current knowledge.
@@ -236,6 +250,13 @@ impl Registry {
     /// O(this tenant's shares), not O(every share in the federation).
     /// The winner is the max by `(rank, id)`, which is order-independent,
     /// so the narrowed scan returns exactly what the full scan did.
+    ///
+    /// Every candidate goes through `Registry::admits`, so `Some(id)`
+    /// always names a capability `admits` accepts for this path, action
+    /// and instant. The safety scan
+    /// ([`crate::federation::SharingSim::safety_violations`]) relies on
+    /// that: it calls `check` only where `admits` accepts a dead
+    /// capability, which never happens, so it walks no grantee's grants.
     pub fn check(
         &self,
         grantee: &str,
@@ -252,8 +273,7 @@ impl Registry {
         let mut best: Option<&Capability> = None;
         for cap in ids.iter().filter_map(|&id| self.capability(id)) {
             debug_assert_eq!(cap.grantee, grantee, "grantee index out of sync");
-            if self.revoked.contains(&cap.id) || !cap.covers(path) || !cap.level.allows(action, now)
-            {
+            if !self.admits(cap, path, action, now) {
                 continue;
             }
             if best.is_none_or(|b| (cap.level.rank(), cap.id) > (b.level.rank(), b.id)) {
@@ -495,6 +515,47 @@ mod tests {
         assert_eq!(b.records_known(), 6, "the refused revoke logged nothing");
         let listed: Vec<CapabilityId> = b.capabilities().map(|cap| cap.id).collect();
         assert_eq!(listed, vec![a0, b0, c0, c1, c3], "CapabilityId order");
+    }
+
+    #[test]
+    fn admits_refuses_dead_and_uncovered() {
+        let ka = SigningKey::from_seed(0);
+        let mut a = Registry::new(DcId(0));
+        let t = SimTime::ZERO;
+        let expires = SimTime(1_000);
+        let revoked = a.grant("u", "/d", TrustLevel::Transfer, t, &ka);
+        let lend = a.grant("u", "/d", TrustLevel::LendUntil { expires }, t, &ka);
+        let view = a.grant("u", "/d", TrustLevel::View, t, &ka);
+        let root = a.grant("u", "/", TrustLevel::Transfer, t, &ka);
+        assert!(a.revoke(revoked, SimTime(1), &ka));
+        let cap = |id| a.capability(id).expect("grant found at its coordinates");
+
+        for action in Action::ALL {
+            assert!(
+                !a.admits(cap(revoked), "/d/f", action, SimTime(2)),
+                "a revoked grant admits {}",
+                action.label()
+            );
+            assert!(
+                !a.admits(cap(lend), "/d/f", action, expires),
+                "a lend admits {} at its deadline",
+                action.label()
+            );
+        }
+        let just_before = SimTime(expires.0 - 1);
+        assert!(a.admits(cap(lend), "/d/f", Action::Read, just_before));
+        assert!(!a.admits(cap(lend), "/d/f", Action::Copy, just_before));
+        assert!(!a.admits(cap(lend), "/d/f", Action::Transfer, just_before));
+
+        assert!(a.admits(cap(view), "/d", Action::Read, t));
+        assert!(a.admits(cap(view), "/d/f", Action::Read, t));
+        assert!(!a.admits(cap(view), "/d2", Action::Read, t));
+        assert!(!a.admits(cap(view), "/d2/f", Action::Read, t));
+        for path in ["/", "/d", "/d2", "/any/deep/path"] {
+            for action in Action::ALL {
+                assert!(a.admits(cap(root), path, action, t), "/ covers {path}");
+            }
+        }
     }
 
     #[test]
