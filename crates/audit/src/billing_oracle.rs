@@ -110,11 +110,13 @@ impl ReplayState {
         meter.open
     }
 
-    fn meter(&mut self, user: &str) -> &mut Meter {
-        if !self.meters.contains_key(user) {
-            self.meters.insert(user.to_string(), Meter::default());
+    /// Apply `op` to `user`'s meter, opening it on the user's first op;
+    /// a user already metered costs no key allocation.
+    fn with_meter(&mut self, user: &str, op: impl FnOnce(&mut Meter)) {
+        match self.meters.get_mut(user) {
+            Some(meter) => op(meter),
+            None => op(self.meters.entry(user.to_string()).or_default()),
         }
-        self.meters.get_mut(user).expect("inserted above")
     }
 }
 
@@ -132,16 +134,14 @@ pub fn replay<Op: Borrow<BillingOp>>(
     let mut state = ReplayState::default();
     for op in log {
         match op.borrow() {
-            BillingOp::Cores { user, cores, at } => {
-                let meter = state.meter(user);
+            BillingOp::Cores { user, cores, at } => state.with_meter(user, |meter| {
                 meter.poll_before(*at);
                 meter.cores = *cores;
-            }
-            BillingOp::Stored { user, bytes, at } => {
-                let meter = state.meter(user);
+            }),
+            BillingOp::Stored { user, bytes, at } => state.with_meter(user, |meter| {
                 meter.sweep_before(*at);
                 meter.bytes = *bytes;
-            }
+            }),
             BillingOp::Close { at } => {
                 let month = state.closes.len() as u32;
                 let mut batch = Vec::new();

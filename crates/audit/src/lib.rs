@@ -35,6 +35,11 @@
 //! assert!(report.is_clean(), "{}", report.summary());
 //! ```
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod billing_oracle;
 pub mod delta_oracle;
 pub mod provider_oracle;

@@ -200,26 +200,27 @@ impl HarnessCtx {
     }
 
     /// The shared tail of every `--trace`-capable harness: pin the
-    /// telemetry JSONL as the `trace.jsonl` artifact, print the ops
-    /// report, and on live runs write it into the `--trace` file. A
-    /// failed write fails the run.
+    /// telemetry JSONL as the `trace.jsonl` artifact and print the ops
+    /// report. A live run then writes the JSONL into the `--trace` file
+    /// (a failed write fails the run); a captured run keeps it, moved
+    /// rather than copied, among its raw artifacts.
     pub fn finish_trace(&mut self, tele: &Telemetry) -> RunResult {
         let jsonl = tele.export_jsonl();
         let pin = self
             .recorder
             .record_artifact("trace.jsonl", jsonl.as_bytes());
         let (lines, sha16) = (pin.lines, pin.sha256[..16].to_string());
-        if !self.live {
-            self.raw_artifacts
-                .push(("trace.jsonl".to_string(), jsonl.clone().into_bytes()));
-        }
         crate::outln!(self);
         crate::out!(self, "{}", tele.ops_report());
         crate::outln!(
             self,
             "trace artifact trace.jsonl recorded ({lines} lines, sha256 {sha16})"
         );
-        if let (Some(mut file), Ok(Some(path))) = (self.trace_file.take(), &self.trace_flag) {
+        if !self.live {
+            self.raw_artifacts
+                .push(("trace.jsonl".to_string(), jsonl.into_bytes()));
+        } else if let (Some(mut file), Ok(Some(path))) = (self.trace_file.take(), &self.trace_flag)
+        {
             if let Err(e) = file
                 .set_len(0)
                 .and_then(|()| file.write_all(jsonl.as_bytes()))

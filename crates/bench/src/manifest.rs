@@ -49,18 +49,19 @@ pub struct ArtifactPin {
 
 impl ArtifactPin {
     /// Pin `content` under `name`, hashing the whole artifact and (when
-    /// small enough) each line.
+    /// small enough) each line. A larger artifact's lines are counted in
+    /// place.
     pub fn of(name: &str, content: &[u8]) -> ArtifactPin {
-        let lines = split_lines(content);
-        let line_hashes = if lines.len() <= MAX_LINE_HASHES {
-            lines.iter().map(|l| line_hash(l)).collect()
+        let lines = line_count(content);
+        let line_hashes = if lines <= MAX_LINE_HASHES {
+            split_lines(content).iter().map(|l| line_hash(l)).collect()
         } else {
             Vec::new()
         };
         ArtifactPin {
             name: name.to_string(),
             bytes: content.len() as u64,
-            lines: lines.len() as u64,
+            lines: lines as u64,
             sha256: sha256_hex(content),
             line_hashes,
         }
@@ -70,6 +71,13 @@ impl ArtifactPin {
 /// Truncated per-line hash: the first 8 hex chars of the line's SHA-256.
 pub fn line_hash(line: &[u8]) -> String {
     sha256_hex(line)[..8].to_string()
+}
+
+/// How many lines [`split_lines`] finds in `content`, counted without
+/// collecting them: one per `\n`, plus a final unterminated fragment.
+fn line_count(content: &[u8]) -> usize {
+    let newlines = content.iter().filter(|&&b| b == b'\n').count();
+    newlines + usize::from(content.last().is_some_and(|&b| b != b'\n'))
 }
 
 /// Split artifact bytes into lines without the trailing `\n`. A final
@@ -277,6 +285,14 @@ mod tests {
         // A final unterminated fragment still counts as a line.
         assert_eq!(ArtifactPin::of("x", b"a\nb").lines, 2);
         assert_eq!(ArtifactPin::of("x", b"").lines, 0);
+        for content in [&b"\n"[..], b"\n\n", b"a\n\nb", b"a\n\nb\n"] {
+            assert_eq!(line_count(content), split_lines(content).len());
+        }
+        // Past the cap the lines are counted, not hashed.
+        let big = format!("{}tail", "line\n".repeat(MAX_LINE_HASHES));
+        let pin = ArtifactPin::of("big", big.as_bytes());
+        assert_eq!(pin.lines, MAX_LINE_HASHES as u64 + 1);
+        assert!(pin.line_hashes.is_empty());
     }
 
     #[test]

@@ -19,16 +19,26 @@
 //!   padding, so transfer sessions can encrypt realistic byte streams.
 //! * [`sha256::Sha256`] — FIPS 180-4 SHA-256; the scale harnesses pin
 //!   their invoice and notification streams with it so `--jobs`
-//!   byte-identity is checkable from a single printed digest.
+//!   byte-identity is checkable from a single printed digest, and every
+//!   reproducibility manifest pins its artifacts with it. On x86-64 CPUs
+//!   with the SHA extensions it compresses on them.
 //! * [`sign`] — HMAC-MD5 (RFC 2104) keyed signatures and the federation
 //!   [`Keyring`], used by `osdc-sharing` to mint and verify revocable
 //!   capabilities (symmetric trust, as the era's federations exchanged).
 //!
-//! Everything here is Rust with no dependencies and one `unsafe` block:
-//! the call into `md5_many`'s SSE2 kernel, sound because it is compiled
-//! only for targets with SSE2. The hot paths (round functions, compression
-//! functions) are branch-free and allocation-free per the workspace
-//! performance guidelines.
+//! Everything here is Rust with no dependencies and two `unsafe` blocks,
+//! each a call into a `#[target_feature]` kernel:
+//!
+//! * `md5_many`'s SSE2 kernel, sound because the call is compiled only
+//!   for targets with SSE2;
+//! * SHA-256's extension kernel (`SHA256RNDS2`, `SHA256MSG1`,
+//!   `SHA256MSG2`), sound because the call runs only after
+//!   `is_x86_feature_detected!` has reported `sha`, `ssse3` and `sse4.1`
+//!   on the running CPU; elsewhere the scalar compression runs.
+//!
+//! The hot paths (round functions, compression functions) are
+//! branch-free and allocation-free per the workspace performance
+//! guidelines.
 //!
 //! **Scope note:** these implementations exist to make the reproduction
 //! *executable and measurable*, not to be a vetted cryptography library. Do
