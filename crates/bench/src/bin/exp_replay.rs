@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use osdc_bench::harness::{self, CapturedRun, HarnessSpec};
-use osdc_bench::manifest::{diff_artifact, ArtifactVerdict, Manifest};
+use osdc_bench::manifest::{diff_artifact, ArtifactPin, ArtifactVerdict, Manifest};
 
 fn usage() -> ! {
     eprintln!(
@@ -117,7 +117,7 @@ fn divergences(expected: &Manifest, replay: &CapturedRun) -> Vec<String> {
                 println!("  {}: MISSING — replay never produced it", pin.name);
                 bad.push(pin.name.clone());
             }
-            Some(content) => match diff_artifact(pin, content) {
+            Some(content) => match verdict(pin, replay, content) {
                 ArtifactVerdict::Match => {
                     println!("  {}: match ({} lines)", pin.name, pin.lines);
                 }
@@ -136,6 +136,17 @@ fn divergences(expected: &Manifest, replay: &CapturedRun) -> Vec<String> {
         }
     }
     bad
+}
+
+/// How the replayed `content` of `pin` compares with it. The replay
+/// pinned those very bytes with `ArtifactPin::of`, so equal digests are a
+/// match without hashing them again; only a mismatch is diffed, to name
+/// its first diverging line.
+fn verdict(pin: &ArtifactPin, replay: &CapturedRun, content: &[u8]) -> ArtifactVerdict {
+    match replay.manifest.artifact(&pin.name) {
+        Some(own) if own.sha256 == pin.sha256 => ArtifactVerdict::Match,
+        _ => diff_artifact(pin, content),
+    }
 }
 
 fn fmt_opt<T: std::fmt::Display>(v: &Option<T>) -> String {

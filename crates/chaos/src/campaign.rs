@@ -24,6 +24,7 @@
 
 use std::collections::BTreeMap;
 
+use osdc_compute::image::ImageId;
 use osdc_compute::{CloudController, InstanceState};
 use osdc_monitor::{
     CheckDefinition, HostAgent, NagiosMaster, ServiceDefinition, ThresholdDirection,
@@ -104,6 +105,8 @@ struct Rig<'a> {
     /// (Eucalyptus) behind the registry's health gate.
     providers: ProviderRegistry,
     cloud: CloudController,
+    /// The image the fleet boots and relaunches.
+    image: ImageId,
     desired_instances: usize,
     nagios: NagiosMaster,
     /// One agent per replica-set server, indexed by server.
@@ -146,6 +149,11 @@ fn storage_agents() -> Vec<HostAgent> {
 }
 
 impl<'a> Rig<'a> {
+    // The `expect`s are invariants of the rig's fixed shape: the healthy
+    // WAN routes Chicago → LVOC, the corpus (a few hundred 1 MiB files)
+    // fits the 64 GiB volume, a new cloud's image catalog is stocked, and
+    // the 8-VM fleet fits an empty rack.
+    #[allow(clippy::expect_used)]
     fn build(cfg: &CampaignConfig, tele: &Telemetry, agents: &'a [HostAgent]) -> Rig<'a> {
         let seed = cfg.plan.seed;
         // WAN + one long-lived bulk flow Chicago → LVOC.
@@ -221,6 +229,7 @@ impl<'a> Rig<'a> {
             ingest_queue: Vec::new(),
             providers,
             cloud,
+            image,
             desired_instances: FLEET_SIZE,
             nagios,
             agents,
@@ -418,12 +427,11 @@ impl<'a> Rig<'a> {
             .filter(|i| i.state == InstanceState::Active)
             .count();
         if active < self.desired_instances {
-            let image = self.cloud.images().next().expect("catalog").id;
             for r in 0..(self.desired_instances - active) {
                 let name = format!("vm-r{m}-{r}");
                 if self
                     .cloud
-                    .boot("chaos", &name, "m1.small", image, now)
+                    .boot("chaos", &name, "m1.small", self.image, now)
                     .is_err()
                 {
                     break; // no capacity yet — retry next minute

@@ -37,6 +37,11 @@
 //! assert_eq!(card.data_loss_incidents(), 0);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod campaign;
 pub mod inject;
 pub mod plan;

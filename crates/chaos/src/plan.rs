@@ -183,6 +183,8 @@ impl FaultPlan {
         self
     }
 
+    // A plan is strings, numbers and lists, which always serialize.
+    #[allow(clippy::expect_used)]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("plan serializes")
     }

@@ -37,34 +37,12 @@ pub enum CanonicalRequest {
     ListImages,
 }
 
-impl CanonicalRequest {
-    /// Stable label for telemetry counters and scorecards.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CanonicalRequest::ListInstances => "list",
-            CanonicalRequest::LaunchInstance { .. } => "launch",
-            CanonicalRequest::TerminateInstance { .. } => "terminate",
-            CanonicalRequest::DescribeInstance { .. } => "describe",
-            CanonicalRequest::ListFlavors => "flavors",
-            CanonicalRequest::ListImages => "images",
-        }
-    }
-
-    /// Does this request mutate backend state? (A lost response to a
-    /// mutating call is what creates orphans; reads are free to retry.)
-    pub fn is_mutating(&self) -> bool {
-        matches!(
-            self,
-            CanonicalRequest::LaunchInstance { .. } | CanonicalRequest::TerminateInstance { .. }
-        )
-    }
-}
-
 /// Instance lifecycle states in the canonical vocabulary.
 ///
-/// `openstack()` / `ec2()` give the two classic wire spellings; the spot
-/// provider adds `Preempted`, which OpenStack-format consoles render as
-/// `"PREEMPTED"` (no 2012 stack had a word for it).
+/// Each dialect spells them in one `STATUS_WORDS` table of its codec
+/// module, indexed in declaration order and read both ways through
+/// `word` and `from_word`. The spot market adds `Preempted`, which no
+/// 2012 stack had a word for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CanonicalStatus {
     Build,
@@ -75,51 +53,34 @@ pub enum CanonicalStatus {
 }
 
 impl CanonicalStatus {
-    pub fn openstack(self) -> &'static str {
-        match self {
-            CanonicalStatus::Build => "BUILD",
-            CanonicalStatus::Active => "ACTIVE",
-            CanonicalStatus::Shutoff => "SHUTOFF",
-            CanonicalStatus::Terminated => "DELETED",
-            CanonicalStatus::Preempted => "PREEMPTED",
-        }
+    /// Every status, in declaration order: the order of a dialect's
+    /// word table.
+    pub(crate) const ALL: [CanonicalStatus; 5] = [
+        CanonicalStatus::Build,
+        CanonicalStatus::Active,
+        CanonicalStatus::Shutoff,
+        CanonicalStatus::Terminated,
+        CanonicalStatus::Preempted,
+    ];
+
+    /// This status's word in a dialect's table.
+    pub(crate) fn word(self, words: &[&'static str; 5]) -> &'static str {
+        words[self as usize]
     }
 
-    pub fn ec2(self) -> &'static str {
-        match self {
-            CanonicalStatus::Build => "pending",
-            CanonicalStatus::Active => "running",
-            CanonicalStatus::Shutoff => "stopped",
-            CanonicalStatus::Terminated => "terminated",
-            CanonicalStatus::Preempted => "preempted",
-        }
-    }
-
-    pub fn from_openstack(s: &str) -> Option<CanonicalStatus> {
-        Some(match s {
-            "BUILD" => CanonicalStatus::Build,
-            "ACTIVE" => CanonicalStatus::Active,
-            "SHUTOFF" => CanonicalStatus::Shutoff,
-            "DELETED" => CanonicalStatus::Terminated,
-            "PREEMPTED" => CanonicalStatus::Preempted,
-            _ => return None,
-        })
-    }
-
-    pub fn from_ec2(s: &str) -> Option<CanonicalStatus> {
-        Some(match s {
-            "pending" => CanonicalStatus::Build,
-            "running" => CanonicalStatus::Active,
-            "stopped" => CanonicalStatus::Shutoff,
-            "terminated" => CanonicalStatus::Terminated,
-            "preempted" => CanonicalStatus::Preempted,
-            _ => return None,
-        })
-    }
-
-    /// Is an instance in this state consuming (billable) cores?
-    pub fn is_live(self) -> bool {
-        matches!(self, CanonicalStatus::Build | CanonicalStatus::Active)
+    /// The status a dialect's table spells `word`. A word outside the
+    /// table is a [`ProviderError::Translation`] naming it as a `what`
+    /// (`"ec2 state"`, say).
+    pub(crate) fn from_word(
+        words: &[&str; 5],
+        word: &str,
+        what: &str,
+    ) -> Result<CanonicalStatus, ProviderError> {
+        words
+            .iter()
+            .position(|w| *w == word)
+            .map(|i| CanonicalStatus::ALL[i])
+            .ok_or_else(|| ProviderError::Translation(format!("unknown {what} {word:?}")))
     }
 }
 
@@ -245,19 +206,23 @@ mod tests {
 
     #[test]
     fn status_spellings_roundtrip() {
-        for s in [
-            CanonicalStatus::Build,
-            CanonicalStatus::Active,
-            CanonicalStatus::Shutoff,
-            CanonicalStatus::Terminated,
-            CanonicalStatus::Preempted,
+        for words in [
+            &crate::openstack::STATUS_WORDS,
+            &crate::eucalyptus::STATUS_WORDS,
+            &crate::spot::STATUS_WORDS,
+            &crate::paged::STATUS_WORDS,
         ] {
-            assert_eq!(CanonicalStatus::from_openstack(s.openstack()), Some(s));
-            assert_eq!(CanonicalStatus::from_ec2(s.ec2()), Some(s));
+            for s in CanonicalStatus::ALL {
+                assert_eq!(
+                    CanonicalStatus::from_word(words, s.word(words), "status"),
+                    Ok(s)
+                );
+            }
+            assert!(matches!(
+                CanonicalStatus::from_word(words, "melted", "status"),
+                Err(ProviderError::Translation(_))
+            ));
         }
-        assert_eq!(CanonicalStatus::from_ec2("melted"), None);
-        assert!(CanonicalStatus::Active.is_live());
-        assert!(!CanonicalStatus::Preempted.is_live());
     }
 
     #[test]
@@ -269,18 +234,5 @@ mod tests {
         assert_eq!(t.native_flavor("m1.large"), "m1.large");
         assert_eq!(t.native_image("ubuntu"), Some(7));
         assert_eq!(t.native_image("windows"), None);
-    }
-
-    #[test]
-    fn request_labels_and_mutation() {
-        assert_eq!(CanonicalRequest::ListInstances.label(), "list");
-        assert!(!CanonicalRequest::ListInstances.is_mutating());
-        assert!(CanonicalRequest::LaunchInstance {
-            name: "x".into(),
-            flavor: "f".into(),
-            image: 1
-        }
-        .is_mutating());
-        assert!(CanonicalRequest::TerminateInstance { id: 1 }.is_mutating());
     }
 }

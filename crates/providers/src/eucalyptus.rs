@@ -4,7 +4,7 @@
 //! byte for byte, the query strings the original Tukey proxy sent
 //! (`Action=RunInstances&ImageId=emi-…`) and decodes the XML replies;
 //! the server half decodes those query strings and renders the replies
-//! that a [`crate::provider::ClassicProvider`] serves, so every EC2
+//! that a Eucalyptus [`crate::provider::Provider`] serves, so every EC2
 //! spelling (`i-0000002a`, `emi-…`, `running`) lives in this module.
 //! Decode failures are *typed* — a malformed instance id or an unknown
 //! state word is a [`ProviderError::Translation`], never silently
@@ -29,9 +29,12 @@ fn parse_emi(s: &str) -> Result<u64, ProviderError> {
         .ok_or_else(|| ProviderError::Translation(format!("bad emi image id {s:?}")))
 }
 
+/// EC2's word for each [`CanonicalStatus`], in declaration order.
+pub(crate) const STATUS_WORDS: [&str; 5] =
+    ["pending", "running", "stopped", "terminated", "preempted"];
+
 fn parse_state(s: &str) -> Result<CanonicalStatus, ProviderError> {
-    CanonicalStatus::from_ec2(s)
-        .ok_or_else(|| ProviderError::Translation(format!("unknown ec2 state {s:?}")))
+    CanonicalStatus::from_word(&STATUS_WORDS, s, "ec2 state")
 }
 
 /// Encode a canonical request as an EC2 query string, resolving unified
@@ -127,7 +130,7 @@ pub fn encode_response(resp: &CanonicalResponse) -> Result<WireResponse, Provide
                          <instanceState><name>{}</name></instanceState></item>",
                         r.id,
                         r.flavor,
-                        r.status.ec2()
+                        r.status.word(&STATUS_WORDS)
                     )
                 })
                 .collect();
@@ -142,12 +145,13 @@ pub fn encode_response(resp: &CanonicalResponse) -> Result<WireResponse, Provide
              </item></instancesSet></RunInstancesResponse>",
             rec.id,
             rec.image.unwrap_or(0),
-            rec.status.ec2()
+            rec.status.word(&STATUS_WORDS)
         ),
         CanonicalResponse::Terminated { id } => format!(
             "<TerminateInstancesResponse><instancesSet><item><instanceId>i-{id:08x}</instanceId>\
-             <currentState><name>terminated</name></currentState></item></instancesSet>\
-             </TerminateInstancesResponse>"
+             <currentState><name>{}</name></currentState></item></instancesSet>\
+             </TerminateInstancesResponse>",
+            CanonicalStatus::Terminated.word(&STATUS_WORDS)
         ),
         CanonicalResponse::Images(imgs) => {
             let items: String = imgs

@@ -23,12 +23,9 @@ use osdc_sim::SimDuration;
 use osdc_telemetry::Telemetry;
 
 use crate::canonical::AliasTables;
-use crate::eventual::EventualProvider;
-use crate::paged::PagedProvider;
-use crate::pricing::osdc_default_catalogs;
-use crate::provider::ClassicProvider;
+use crate::pricing::{osdc_default_catalogs, PricingCatalog};
+use crate::provider::Provider;
 use crate::registry::ProviderRegistry;
-use crate::spot::SpotProvider;
 
 /// The unified alias vocabulary every fleet member understands.
 pub fn osdc_aliases() -> AliasTables {
@@ -52,69 +49,63 @@ pub const LAGOON_LAG_SECS: u64 = 90;
 pub const PAGELY_PAGE_SIZE: usize = 3;
 
 /// Build a registry holding the named subset of the standard fleet, in
-/// the given order. Unknown names panic — the mix vocabulary is the
-/// five rows above.
+/// the given order.
+///
+/// # Panics
+///
+/// On a name outside the five rows above: the mix vocabulary is fixed,
+/// so an unknown name is a caller's typo, refused loudly.
 pub fn osdc_fleet(mix: &[&str], tele: Telemetry, seed: u64) -> ProviderRegistry {
     let catalogs = osdc_default_catalogs();
-    let catalog = |name: &str| {
-        catalogs
-            .iter()
-            .find(|c| c.provider == name)
-            .unwrap_or_else(|| panic!("no default catalog for provider {name:?}"))
-            .clone()
-    };
     let mut registry = ProviderRegistry::new(tele, seed);
     for &name in mix {
-        let cloud = CloudController::with_racks(name, 1);
-        match name {
-            "adler" => registry.register(
-                Box::new(ClassicProvider::openstack(name, cloud, osdc_aliases())),
-                catalog(name),
-            ),
-            "sullivan" => registry.register(
-                Box::new(ClassicProvider::eucalyptus(name, cloud, osdc_aliases())),
-                catalog(name),
-            ),
-            "spotmart" => {
-                // The console's standing bid is the on-demand column.
-                let cat = catalog(name);
-                let bid = cat.core_hour_rate("small").expect("priced");
-                let (floor, ceiling) = (cat.spot_floor_usd, cat.spot_ceiling_usd);
-                registry.register(
-                    Box::new(SpotProvider::new(
-                        name,
-                        cloud,
-                        osdc_aliases(),
-                        seed ^ 0x5907_1234,
-                        floor,
-                        ceiling,
-                        bid,
-                    )),
-                    cat,
-                );
-            }
-            "lagoon" => registry.register(
-                Box::new(EventualProvider::new(
-                    name,
-                    cloud,
-                    osdc_aliases(),
-                    SimDuration::from_secs(LAGOON_LAG_SECS),
-                )),
-                catalog(name),
-            ),
-            "pagely" => registry.register(
-                Box::new(PagedProvider::new(
-                    name,
-                    cloud,
-                    osdc_aliases(),
-                    PAGELY_PAGE_SIZE,
-                )),
-                catalog(name),
-            ),
-            other => panic!("unknown fleet member {other:?}"),
-        }
+        let Some((provider, catalog)) = catalogs
+            .iter()
+            .find(|c| c.provider == name)
+            .and_then(|c| Some((member(name, c, seed)?, c.clone())))
+        else {
+            unknown_member(name)
+        };
+        registry.register(provider, catalog);
     }
     registry
+}
+
+/// Fleet member `name` on a fresh one-rack cloud, or `None` for a name
+/// outside the fleet (or, which the default catalogs never are, a
+/// spotmart catalog without a `small` rate).
+fn member(name: &str, catalog: &PricingCatalog, seed: u64) -> Option<Provider> {
+    let cloud = CloudController::with_racks(name, 1);
+    Some(match name {
+        "adler" => Provider::openstack(name, cloud, osdc_aliases()),
+        "sullivan" => Provider::eucalyptus(name, cloud, osdc_aliases()),
+        // The console's standing bid is the on-demand column.
+        "spotmart" => Provider::spot(
+            name,
+            cloud,
+            osdc_aliases(),
+            seed ^ 0x5907_1234,
+            catalog.spot_floor_usd,
+            catalog.spot_ceiling_usd,
+            catalog.core_hour_rate("small")?,
+        ),
+        "lagoon" => Provider::lagged(
+            name,
+            cloud,
+            osdc_aliases(),
+            SimDuration::from_secs(LAGOON_LAG_SECS),
+        ),
+        "pagely" => Provider::paged(name, cloud, osdc_aliases(), PAGELY_PAGE_SIZE),
+        _ => return None,
+    })
+}
+
+// Refusing an unknown member loudly is `osdc_fleet`'s contract
+// (`unknown_members_are_loud`); every member's default catalog exists
+// and prices `small` (`default_catalogs_cover_all_providers`).
+#[allow(clippy::panic)]
+fn unknown_member(name: &str) -> ! {
+    panic!("unknown fleet member {name:?}")
 }
 
 #[cfg(test)]
@@ -137,10 +128,6 @@ mod tests {
             assert!(reg.aliases(&name).is_some(), "{name} has aliases");
         }
         assert!(reg.spot_price("spotmart").is_some());
-        assert_eq!(
-            reg.descriptor("pagely").expect("known").page_size,
-            Some(PAGELY_PAGE_SIZE)
-        );
     }
 
     #[test]

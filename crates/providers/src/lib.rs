@@ -10,28 +10,27 @@
 //!   typed [`canonical::ProviderError`].
 //! * [`wire`] — the wire-level envelope ([`wire::WireRequest`] /
 //!   [`wire::WireResponse`]) plus the shared XML/query-string parsers.
-//! * One translator module per dialect, each holding both halves as pure
-//!   functions — the client half (`encode_request`, `decode_response`)
-//!   and the server half (`decode_request`, `encode_response`):
+//! * One translator module per wire format, each holding both halves as
+//!   pure functions — the client half (`encode_request`,
+//!   `decode_response`) and the server half (`decode_request`,
+//!   `encode_response`) — and its one table of status words:
 //!   [`openstack`] (Nova REST/JSON), [`eucalyptus`] (EC2 query/XML),
-//!   [`spot`] (a spot market with preemption), [`paged`]
-//!   (cursor-paginated JSON). [`eventual`] reuses the Nova translator but
-//!   lags its read path.
-//! * [`provider`] — the [`provider::Provider`] trait (capability
-//!   descriptor, canonical `call`, ground-truth introspection for
-//!   audits), `provider::serve`, the one canonical backend over an
-//!   `osdc-compute` `CloudController` (client-token idempotency and the
-//!   owner check live there), and [`provider::ClassicProvider`], the two
-//!   original Tukey dialects on the trait. Every provider's `call` runs
-//!   encode → decode → `serve` → encode → decode, and Tukey's translation
-//!   proxy runs one `ClassicProvider` per mapped cloud, so
-//!   `Provider::call` is the workspace's one encode → serve → decode
-//!   path.
+//!   [`spot`] (a spot market's JSON, the price on every listing),
+//!   [`paged`] (cursor-paginated JSON).
+//! * [`provider`] — [`provider::Provider`], the one provider type: a
+//!   name, an `osdc-compute` `CloudController`, alias tables and a
+//!   private dialect carrying the member's one quirk (spotmart's market,
+//!   lagoon's read lag, pagely's page size). Its `call` runs encode →
+//!   decode → `serve` → encode → decode, where `serve` is the one
+//!   canonical backend (client-token idempotency and the owner check
+//!   live there). Tukey's translation proxy runs one OpenStack or
+//!   Eucalyptus `Provider` per mapped cloud, so `Provider::call` is the
+//!   workspace's one encode → serve → decode path.
 //! * [`pricing`] — per-provider pricing catalogs; the checked-in
 //!   snapshot lives at `data/pricing_catalogs.json`.
 //! * [`registry`] — [`registry::ProviderRegistry`]: the provider table
-//!   with per-call metering (telemetry counters + a usage/cost ledger)
-//!   and the chaos gate (API outage / timeout / lost-response / error
+//!   with per-call metering (telemetry counters + a per-provider cost
+//!   ledger) and the chaos gate (API outage / timeout / lost-response / error
 //!   injection). It is the federation's only API fault gate: the
 //!   failover experiments and the `osdc-chaos` campaign both drive it.
 //! * [`router`] — [`router::FailoverRouter`]: cheapest-capable-first
@@ -41,11 +40,15 @@
 //!
 //! The compat gate: `figure1_tukey` must produce byte-identical
 //! same-seed artifacts with the console's OpenStack and Eucalyptus
-//! clouds served through [`provider::ClassicProvider`].
+//! clouds served through [`provider::Provider`].
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod canonical;
 pub mod eucalyptus;
-pub mod eventual;
 pub mod fleet;
 pub mod openstack;
 pub mod paged;
@@ -62,7 +65,7 @@ pub use canonical::{
 };
 pub use fleet::{osdc_aliases, osdc_fleet};
 pub use pricing::{osdc_default_catalogs, render_catalogs, PricingCatalog};
-pub use provider::{CapabilityDescriptor, ClassicProvider, Provider};
+pub use provider::Provider;
 pub use registry::{ApiHealth, ProviderRegistry, ProviderUsage, UsageLedger};
 pub use router::{Assignment, FailoverRouter, RouterScorecard};
 pub use wire::{WireRequest, WireResponse};

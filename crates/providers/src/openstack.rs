@@ -14,6 +14,11 @@ use crate::canonical::{
 };
 use crate::wire::{json_u32, WireRequest, WireResponse};
 
+/// Nova's word for each [`CanonicalStatus`], in declaration order. No
+/// 2012 stack had a word for a preempted instance; OpenStack-format
+/// consoles render it `PREEMPTED`.
+pub(crate) const STATUS_WORDS: [&str; 5] = ["BUILD", "ACTIVE", "SHUTOFF", "DELETED", "PREEMPTED"];
+
 /// What response shape to expect back, derived from the request that was
 /// sent. Wire replies don't always echo enough to decode standalone (a
 /// Nova `DELETE` returns `{}`), so the decoder carries this context.
@@ -139,7 +144,7 @@ pub fn render_instance(rec: &InstanceRecord) -> Value {
     let mut item = json!({
         "id": rec.id,
         "name": rec.name,
-        "status": rec.status.openstack(),
+        "status": rec.status.word(&STATUS_WORDS),
         "flavor": flavor,
     });
     if let Some(image) = rec.image {
@@ -153,7 +158,7 @@ pub fn render_launch(rec: &InstanceRecord) -> Value {
     json!({"server": {
         "id": rec.id,
         "name": rec.name,
-        "status": rec.status.openstack(),
+        "status": rec.status.word(&STATUS_WORDS),
     }})
 }
 
@@ -169,7 +174,7 @@ pub fn encode_response(resp: &CanonicalResponse) -> WireResponse {
         CanonicalResponse::Instance(rec) => json!({"server": {
             "id": rec.id,
             "name": rec.name,
-            "status": rec.status.openstack(),
+            "status": rec.status.word(&STATUS_WORDS),
         }}),
         CanonicalResponse::Flavors(fls) => json!({"flavors": fls
             .iter()
@@ -182,14 +187,6 @@ pub fn encode_response(resp: &CanonicalResponse) -> WireResponse {
     })
 }
 
-fn status_of(v: &Value) -> Result<CanonicalStatus, ProviderError> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| ProviderError::Translation("missing status".into()))?;
-    CanonicalStatus::from_openstack(s)
-        .ok_or_else(|| ProviderError::Translation(format!("unknown openstack status {s:?}")))
-}
-
 fn instance_of(item: &Value) -> Result<InstanceRecord, ProviderError> {
     Ok(InstanceRecord {
         id: item["id"]
@@ -199,7 +196,13 @@ fn instance_of(item: &Value) -> Result<InstanceRecord, ProviderError> {
             .as_str()
             .ok_or_else(|| ProviderError::Translation("missing instance name".into()))?
             .to_string(),
-        status: status_of(&item["status"])?,
+        status: CanonicalStatus::from_word(
+            &STATUS_WORDS,
+            item["status"]
+                .as_str()
+                .ok_or_else(|| ProviderError::Translation("missing status".into()))?,
+            "openstack status",
+        )?,
         flavor: item["flavor"]["name"].as_str().unwrap_or("").to_string(),
         vcpus: json_u32(&item["flavor"]["vcpus"], "vcpus")?,
         image: item["image"]["id"].as_u64(),

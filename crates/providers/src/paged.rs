@@ -4,17 +4,11 @@
 //! page number; the client must walk every page and stitch the fleet
 //! back together. Page-boundary arithmetic (empty fleet, exactly one
 //! page, one-past-a-boundary) is where hand-rolled pagination code
-//! breaks, so the proptests hammer those edges specifically. Requests
-//! run on `provider::serve`; the provider adds only the page
-//! chain for listings.
+//! breaks, so the proptests hammer those edges specifically. This module
+//! is the wire format; the paged dialect of
+//! [`crate::provider::Provider`] serves listings as the whole chain and
+//! walks it.
 
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
-use osdc_compute::cloud::CloudController;
-use osdc_sim::{SimDuration, SimTime};
 use serde_json::{json, Value};
 
 use crate::canonical::{
@@ -22,34 +16,11 @@ use crate::canonical::{
     InstanceRecord, ProviderError,
 };
 use crate::openstack::ResponseKind;
-use crate::provider::{billable_ground_truth, serve, CapabilityDescriptor, Provider};
 use crate::wire::{json_u32, WireRequest, WireResponse};
 
-/// Pagely's state vocabulary.
-fn pagely_state(status: CanonicalStatus) -> &'static str {
-    match status {
-        CanonicalStatus::Build => "provisioning",
-        CanonicalStatus::Active => "online",
-        CanonicalStatus::Shutoff => "offline",
-        CanonicalStatus::Terminated => "deleted",
-        CanonicalStatus::Preempted => "reclaimed",
-    }
-}
-
-fn parse_pagely_state(s: &str) -> Result<CanonicalStatus, ProviderError> {
-    Ok(match s {
-        "provisioning" => CanonicalStatus::Build,
-        "online" => CanonicalStatus::Active,
-        "offline" => CanonicalStatus::Shutoff,
-        "deleted" => CanonicalStatus::Terminated,
-        "reclaimed" => CanonicalStatus::Preempted,
-        other => {
-            return Err(ProviderError::Translation(format!(
-                "unknown pagely state {other:?}"
-            )))
-        }
-    })
-}
+/// Pagely's word for each [`CanonicalStatus`], in declaration order.
+pub(crate) const STATUS_WORDS: [&str; 5] =
+    ["provisioning", "online", "offline", "deleted", "reclaimed"];
 
 /// Encode a canonical request onto the pagely wire. List requests name an
 /// explicit page; [`list_page_request`] builds the follow-ups.
@@ -151,7 +122,7 @@ fn render_item(rec: &InstanceRecord) -> Value {
     let mut item = json!({
         "uuid": rec.id,
         "label": rec.name,
-        "state": pagely_state(rec.status),
+        "state": rec.status.word(&STATUS_WORDS),
         "type": rec.flavor,
     });
     if let Some(cores) = rec.vcpus {
@@ -172,10 +143,12 @@ fn item_of(v: &Value) -> Result<InstanceRecord, ProviderError> {
             .as_str()
             .ok_or_else(|| ProviderError::Translation("missing label".into()))?
             .to_string(),
-        status: parse_pagely_state(
+        status: CanonicalStatus::from_word(
+            &STATUS_WORDS,
             v["state"]
                 .as_str()
                 .ok_or_else(|| ProviderError::Translation("missing state".into()))?,
+            "pagely state",
         )?,
         flavor: v["type"].as_str().unwrap_or("").to_string(),
         vcpus: json_u32(&v["cores"], "cores")?,
@@ -337,7 +310,7 @@ pub fn encode_response(resp: &CanonicalResponse) -> Result<WireResponse, Provide
             json!({"instance": render_item(rec)})
         }
         CanonicalResponse::Terminated { id } => {
-            json!({"instance": {"uuid": id, "state": "deleted"}})
+            json!({"instance": {"uuid": id, "state": CanonicalStatus::Terminated.word(&STATUS_WORDS)}})
         }
         CanonicalResponse::Flavors(fls) => json!({"types": fls
             .iter()
@@ -350,90 +323,12 @@ pub fn encode_response(resp: &CanonicalResponse) -> Result<WireResponse, Provide
     }))
 }
 
-/// The pagely provider. Every listing call walks the full page chain;
-/// the registry charges latency per page fetched.
-pub struct PagedProvider {
-    name: String,
-    pub cloud: CloudController,
-    aliases: AliasTables,
-    page_size: usize,
-}
-
-impl PagedProvider {
-    pub fn new(
-        name: impl Into<String>,
-        cloud: CloudController,
-        aliases: AliasTables,
-        page_size: usize,
-    ) -> Self {
-        assert!(page_size > 0);
-        PagedProvider {
-            name: name.into(),
-            cloud,
-            aliases,
-            page_size,
-        }
-    }
-}
-
-impl Provider for PagedProvider {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn descriptor(&self) -> CapabilityDescriptor {
-        CapabilityDescriptor {
-            api_latency: SimDuration::from_millis(30),
-            page_size: Some(self.page_size),
-        }
-    }
-
-    fn aliases(&self) -> &AliasTables {
-        &self.aliases
-    }
-
-    fn call(
-        &mut self,
-        user: &str,
-        req: &CanonicalRequest,
-        now: SimTime,
-    ) -> Result<CanonicalResponse, ProviderError> {
-        let wire = encode_request(req, &self.aliases)?;
-        let (server_req, _) = decode_request(&wire, &AliasTables::default())?;
-        match serve(&mut self.cloud, user, &server_req, now)? {
-            CanonicalResponse::Instances(recs) => {
-                // Server side: render the fleet as the full page chain;
-                // client side: walk `next` pointers and stitch.
-                let pages = encode_paged_instances(&recs, self.page_size);
-                let mut fetched = Vec::new();
-                let mut cursor = Some(0usize);
-                while let Some(p) = cursor {
-                    // A real client issues list_page_request(p) here; the
-                    // in-process server indexes the pre-rendered chain.
-                    let wire = pages.get(p).cloned().ok_or_else(|| {
-                        ProviderError::Translation(format!("page {p} past the end"))
-                    })?;
-                    cursor = next_page(&wire)?;
-                    fetched.push(wire);
-                }
-                decode_paged_instances(&fetched)
-            }
-            resp => decode_response(&ResponseKind::of(req), &encode_response(&resp)?),
-        }
-    }
-
-    fn ground_truth(&self) -> Vec<(String, InstanceRecord)> {
-        billable_ground_truth(&self.cloud)
-    }
-
-    fn roundtrip_request(&self, req: &CanonicalRequest) -> Result<CanonicalRequest, ProviderError> {
-        decode_request(&encode_request(req, &self.aliases)?, &self.aliases).map(|(r, _)| r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provider::Provider;
+    use osdc_compute::cloud::CloudController;
+    use osdc_sim::SimTime;
 
     fn rec(id: u64) -> InstanceRecord {
         InstanceRecord {
@@ -485,7 +380,7 @@ mod tests {
         let mut aliases = AliasTables::default();
         aliases.flavors.insert("small".into(), "m1.small".into());
         aliases.images.insert("ubuntu-base".into(), 1);
-        let mut p = PagedProvider::new(
+        let mut p = Provider::paged(
             "pagely",
             CloudController::with_racks("pagely", 1),
             aliases,

@@ -1,75 +1,397 @@
-//! The `Provider` trait, the one canonical backend and the classic
-//! adapters.
+//! The one [`Provider`] type and the one canonical backend.
 //!
-//! A provider owns a backend cloud and translates canonical calls onto
-//! its native wire dialect. Every provider's `call` runs one pipeline:
-//! its dialect's `encode_request`, the server half's `decode_request`
+//! Clouds differ by their wire vocabulary, not by program: §5.2's
+//! proxies issue commands "based on mappings outlined in configuration
+//! files for each cloud". A provider is a name, a backend
+//! [`CloudController`], its alias tables and a private dialect that
+//! picks the codec module (one per wire format: [`crate::openstack`],
+//! [`crate::eucalyptus`], [`crate::spot`], [`crate::paged`]) and carries
+//! the member's one quirk. Every [`Provider::call`] runs one pipeline:
+//! the dialect's `encode_request`, the server half's `decode_request`
 //! with native (empty) alias tables, `serve`, `encode_response`,
 //! `decode_response` — so translation is exercised on the real path
 //! rather than trusted. `serve` is the one canonical backend over a
 //! [`CloudController`]: client-token idempotency and the owner check
-//! live there once. The classic adapters ([`ClassicProvider`]), the
-//! clouds behind Tukey's translation proxy, add nothing to it but their
-//! codec; the deliberately weird providers in [`crate::spot`],
-//! [`crate::eventual`] and [`crate::paged`] each add one quirk.
+//! live there once. The OpenStack and Eucalyptus dialects, the clouds
+//! behind Tukey's translation proxy, add nothing to it but their codec;
+//! spotmart adds its market, lagoon its lagged read view and pagely its
+//! page chain.
 
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
+use std::collections::BTreeSet;
 
 use osdc_compute::cloud::{CloudController, SchedulingError};
 use osdc_compute::image::ImageId;
 use osdc_compute::instance::{Instance, InstanceId, InstanceState};
-use osdc_sim::{SimDuration, SimTime};
+use osdc_sim::{SimDuration, SimRng, SimTime};
 
 use crate::canonical::{
     AliasTables, CanonicalRequest, CanonicalResponse, CanonicalStatus, FlavorRecord, ImageRecord,
     InstanceRecord, ProviderError,
 };
-use crate::eucalyptus;
 use crate::openstack::{self, ResponseKind};
-use crate::wire::{WireRequest, WireResponse};
+use crate::wire::WireRequest;
+use crate::{eucalyptus, paged, spot};
 
-/// What a provider costs to talk to — the registry entry's routing facts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CapabilityDescriptor {
-    /// Base latency of one native API round trip.
-    pub api_latency: SimDuration,
-    /// For paged dialects: instances per page (drives per-page latency).
-    pub page_size: Option<usize>,
+/// One cloud provider: a backend cloud behind one wire dialect.
+pub struct Provider {
+    name: String,
+    pub cloud: CloudController,
+    aliases: AliasTables,
+    dialect: Dialect,
 }
 
-/// One pluggable cloud provider.
-pub trait Provider {
-    fn name(&self) -> &str;
-    fn descriptor(&self) -> CapabilityDescriptor;
+/// The wire format a provider speaks, with the member's one quirk.
+enum Dialect {
+    /// OpenStack Nova REST/JSON.
+    Nova,
+    /// Eucalyptus EC2 query/XML.
+    Ec2,
+    /// Spotmart's REST/JSON in front of a spot market.
+    Spot(Market),
+    /// Nova REST/JSON whose reads see the backend as it stood this long
+    /// ago (lagoon).
+    Lagged(SimDuration),
+    /// Pagely's REST/JSON, listings this many instances a page.
+    Paged(usize),
+}
+
+/// Spotmart's market. The price walks once per simulated minute between
+/// a floor and a ceiling; while it sits above the console's standing
+/// bid, asks are refused and running instances are outbid.
+struct Market {
+    rng: SimRng,
+    price: f64,
+    floor: f64,
+    ceiling: f64,
+    bid: f64,
+    last_tick_min: u64,
+    /// Instances preempted and not yet released: they stay listed as
+    /// outbid.
+    outbid: BTreeSet<u64>,
+}
+
+impl Provider {
+    fn new(
+        name: impl Into<String>,
+        cloud: CloudController,
+        aliases: AliasTables,
+        dialect: Dialect,
+    ) -> Self {
+        Provider {
+            name: name.into(),
+            cloud,
+            aliases,
+            dialect,
+        }
+    }
+
+    /// An OpenStack (Nova REST/JSON) cloud.
+    pub fn openstack(
+        name: impl Into<String>,
+        cloud: CloudController,
+        aliases: AliasTables,
+    ) -> Self {
+        Self::new(name, cloud, aliases, Dialect::Nova)
+    }
+
+    /// A Eucalyptus (EC2 query/XML) cloud.
+    pub fn eucalyptus(
+        name: impl Into<String>,
+        cloud: CloudController,
+        aliases: AliasTables,
+    ) -> Self {
+        Self::new(name, cloud, aliases, Dialect::Ec2)
+    }
+
+    /// A spot market ("spotmart"): the price opens mid-band and walks
+    /// in `[floor, ceiling]` on `seed`; `bid` is the console's standing
+    /// bid in $/core-hour.
+    pub fn spot(
+        name: impl Into<String>,
+        cloud: CloudController,
+        aliases: AliasTables,
+        seed: u64,
+        floor: f64,
+        ceiling: f64,
+        bid: f64,
+    ) -> Self {
+        let market = Market {
+            rng: SimRng::new(seed),
+            price: (floor + ceiling) / 2.0,
+            floor,
+            ceiling,
+            bid,
+            last_tick_min: 0,
+            outbid: BTreeSet::new(),
+        };
+        Self::new(name, cloud, aliases, Dialect::Spot(market))
+    }
+
+    /// An eventually consistent Nova cloud ("lagoon"): mutations execute
+    /// at once, but list and describe render the backend as it stood
+    /// `lag` ago.
+    pub fn lagged(
+        name: impl Into<String>,
+        cloud: CloudController,
+        aliases: AliasTables,
+        lag: SimDuration,
+    ) -> Self {
+        Self::new(name, cloud, aliases, Dialect::Lagged(lag))
+    }
+
+    /// A paginated cloud ("pagely"): listings come back `page_size`
+    /// instances a page, chained by `next` page numbers.
+    ///
+    /// # Panics
+    ///
+    /// On a zero `page_size`.
+    pub fn paged(
+        name: impl Into<String>,
+        cloud: CloudController,
+        aliases: AliasTables,
+        page_size: usize,
+    ) -> Self {
+        assert!(page_size > 0, "page_size must be positive");
+        Self::new(name, cloud, aliases, Dialect::Paged(page_size))
+    }
+
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
     /// Unified → native alias tables for this provider.
-    fn aliases(&self) -> &AliasTables;
+    pub fn aliases(&self) -> &AliasTables {
+        &self.aliases
+    }
+
+    /// Base latency of one native API round trip. OpenStack's 35 ms and
+    /// Eucalyptus's 55 ms are what the original proxy charged.
+    pub fn api_latency(&self) -> SimDuration {
+        SimDuration::from_millis(match self.dialect {
+            Dialect::Nova => 35,
+            Dialect::Ec2 => 55,
+            Dialect::Spot(_) => 25,
+            Dialect::Lagged(_) => 45,
+            Dialect::Paged(_) => 30,
+        })
+    }
+
+    /// What a call that returned `result` cost: one round trip, or one
+    /// per page a paged listing fetched.
+    pub(crate) fn latency(&self, result: &Result<CanonicalResponse, ProviderError>) -> SimDuration {
+        let pages = match (&self.dialect, result) {
+            (Dialect::Paged(size), Ok(CanonicalResponse::Instances(recs))) => {
+                recs.len().div_ceil(*size).max(1)
+            }
+            _ => 1,
+        };
+        self.api_latency() * pages as u64
+    }
+
+    /// The market's current price in $/core-hour; `None` off a spot
+    /// market.
+    pub fn spot_price(&self) -> Option<f64> {
+        match &self.dialect {
+            Dialect::Spot(market) => Some(market.price),
+            _ => None,
+        }
+    }
+
+    /// Omniscient backend view for audit oracles and usage accounting:
+    /// every *billable* instance with its owner, bypassing the wire.
+    pub fn ground_truth(&self) -> Vec<(String, InstanceRecord)> {
+        self.cloud
+            .all_instances()
+            .filter(|i| i.billable())
+            .map(|i| (i.owner.clone(), record_of(i)))
+            .collect()
+    }
+
+    /// Translation-fidelity probe: encode `req` onto this dialect's wire
+    /// and decode it back. The router scores `roundtrip_request(r) == r`
+    /// on every live call.
+    pub fn roundtrip_request(
+        &self,
+        req: &CanonicalRequest,
+    ) -> Result<CanonicalRequest, ProviderError> {
+        let wire = self.dialect.encode_request(req, &self.aliases)?;
+        self.dialect.decode_request(&wire, &self.aliases)
+    }
+
+    /// Advance provider-internal processes: a spot market walks its
+    /// price and preempts once per simulated minute elapsed. The
+    /// registry calls it every minute.
+    pub fn tick(&mut self, now: SimTime) {
+        if let Dialect::Spot(market) = &mut self.dialect {
+            market.tick(&mut self.cloud, now);
+        }
+    }
+
     /// Translate and execute one canonical call as `user`.
-    fn call(
+    pub fn call(
         &mut self,
         user: &str,
         req: &CanonicalRequest,
         now: SimTime,
-    ) -> Result<CanonicalResponse, ProviderError>;
-    /// Advance provider-internal processes (spot price walks, preemption
-    /// sweeps). Called once per simulated minute by the registry.
-    fn tick(&mut self, _now: SimTime) {}
-    /// Current spot price in $/core-hour, for spot markets only.
-    fn spot_price(&self) -> Option<f64> {
-        None
+    ) -> Result<CanonicalResponse, ProviderError> {
+        let wire = self.dialect.encode_request(req, &self.aliases)?;
+        let server_req = self
+            .dialect
+            .decode_request(&wire, &AliasTables::default())?;
+        let resp = match &mut self.dialect {
+            Dialect::Spot(market) => market.serve(&mut self.cloud, user, &server_req, now)?,
+            Dialect::Lagged(lag) => serve_lagged(&mut self.cloud, *lag, user, &server_req, now)?,
+            _ => serve(&mut self.cloud, user, &server_req, now)?,
+        };
+        self.dialect.reply(&ResponseKind::of(req), &resp)
     }
-    /// Omniscient backend view for audit oracles and usage accounting:
-    /// every *billable* instance with its owner, bypassing the wire.
-    fn ground_truth(&self) -> Vec<(String, InstanceRecord)>;
-    /// Translation-fidelity probe: encode `req` onto this dialect's wire
-    /// and decode it back. The router scores `roundtrip_request(r) == r`
-    /// on every live call.
-    fn roundtrip_request(&self, req: &CanonicalRequest) -> Result<CanonicalRequest, ProviderError>;
 }
 
-pub(crate) fn record_of(inst: &Instance) -> InstanceRecord {
+impl Dialect {
+    /// The client half: `req` onto this dialect's wire.
+    fn encode_request(
+        &self,
+        req: &CanonicalRequest,
+        aliases: &AliasTables,
+    ) -> Result<WireRequest, ProviderError> {
+        match self {
+            Dialect::Nova | Dialect::Lagged(_) => openstack::encode_request(req, aliases),
+            Dialect::Ec2 => eucalyptus::encode_request(req, aliases),
+            Dialect::Spot(_) => spot::encode_request(req, aliases),
+            Dialect::Paged(_) => paged::encode_request(req, aliases),
+        }
+    }
+
+    /// The server half: a request off this dialect's wire. A pagely
+    /// listing's page number is dropped: [`Dialect::reply`] serves the
+    /// whole chain.
+    fn decode_request(
+        &self,
+        wire: &WireRequest,
+        aliases: &AliasTables,
+    ) -> Result<CanonicalRequest, ProviderError> {
+        match self {
+            Dialect::Nova | Dialect::Lagged(_) => openstack::decode_request(wire, aliases),
+            Dialect::Ec2 => eucalyptus::decode_request(wire, aliases),
+            Dialect::Spot(_) => spot::decode_request(wire, aliases),
+            Dialect::Paged(_) => paged::decode_request(wire, aliases).map(|(req, _page)| req),
+        }
+    }
+
+    /// `resp` as this dialect's server renders it (spotmart's with the
+    /// market price), decoded as its client reads it. A pagely listing is
+    /// rendered as its whole page chain, which the client walks by `next`
+    /// pointers and stitches back together.
+    fn reply(
+        &self,
+        kind: &ResponseKind,
+        resp: &CanonicalResponse,
+    ) -> Result<CanonicalResponse, ProviderError> {
+        match self {
+            Dialect::Nova | Dialect::Lagged(_) => {
+                openstack::decode_response(kind, &openstack::encode_response(resp))
+            }
+            Dialect::Ec2 => eucalyptus::decode_response(kind, &eucalyptus::encode_response(resp)?),
+            Dialect::Spot(market) => {
+                spot::decode_response(kind, &spot::encode_response(resp, market.price)?)
+            }
+            Dialect::Paged(page_size) => {
+                let CanonicalResponse::Instances(recs) = resp else {
+                    return paged::decode_response(kind, &paged::encode_response(resp)?);
+                };
+                let pages = paged::encode_paged_instances(recs, *page_size);
+                let mut fetched = Vec::new();
+                let mut cursor = Some(0usize);
+                while let Some(p) = cursor {
+                    // A real client issues list_page_request(p) here; the
+                    // in-process server indexes the pre-rendered chain.
+                    let wire = pages.get(p).cloned().ok_or_else(|| {
+                        ProviderError::Translation(format!("page {p} past the end"))
+                    })?;
+                    cursor = paged::next_page(&wire)?;
+                    fetched.push(wire);
+                }
+                paged::decode_paged_instances(&fetched)
+            }
+        }
+    }
+}
+
+impl Market {
+    /// [`serve`] behind the market: an ask is refused while the price
+    /// sits above the bid, and an outbid instance reads as
+    /// [`CanonicalStatus::Preempted`] until it is released.
+    fn serve(
+        &mut self,
+        cloud: &mut CloudController,
+        user: &str,
+        req: &CanonicalRequest,
+        now: SimTime,
+    ) -> Result<CanonicalResponse, ProviderError> {
+        // `tick` outbids every billable instance whenever the price
+        // crosses the bid, so no live token exists while it sits above:
+        // refusing before `serve` never turns away an idempotent replay.
+        if matches!(req, CanonicalRequest::LaunchInstance { .. }) && self.price > self.bid {
+            return Err(ProviderError::Backend(format!(
+                "ask refused: spot price {:.4} above bid {:.4}",
+                self.price, self.bid
+            )));
+        }
+        Ok(match serve(cloud, user, req, now)? {
+            CanonicalResponse::Instances(mut recs) => {
+                let outbid = self
+                    .outbid
+                    .iter()
+                    .filter_map(|&id| cloud.instance(InstanceId(id)))
+                    .filter(|i| i.owner == user);
+                recs.extend(outbid.map(|i| InstanceRecord {
+                    status: CanonicalStatus::Preempted,
+                    ..record_of(i)
+                }));
+                recs.sort_by_key(|r| r.id);
+                CanonicalResponse::Instances(recs)
+            }
+            CanonicalResponse::Instance(mut rec) => {
+                if self.outbid.contains(&rec.id) {
+                    rec.status = CanonicalStatus::Preempted;
+                }
+                CanonicalResponse::Instance(rec)
+            }
+            CanonicalResponse::Terminated { id } => {
+                self.outbid.remove(&id);
+                CanonicalResponse::Terminated { id }
+            }
+            other => other,
+        })
+    }
+
+    /// Walk the price once for every minute elapsed by `now`. A step
+    /// that ends above the bid outbids every running instance.
+    fn tick(&mut self, cloud: &mut CloudController, now: SimTime) {
+        let minute = now.as_nanos() / (60 * 1_000_000_000);
+        while self.last_tick_min < minute {
+            self.last_tick_min += 1;
+            // Geometric walk, clamped to [floor, ceiling].
+            let step = self.rng.range_f64(-0.18, 0.22);
+            self.price = (self.price * (1.0 + step)).clamp(self.floor, self.ceiling);
+            if self.price > self.bid {
+                let doomed: Vec<InstanceId> = cloud
+                    .all_instances()
+                    .filter(|i| i.billable())
+                    .map(|i| i.id)
+                    .collect();
+                let t = SimTime(self.last_tick_min * 60 * 1_000_000_000);
+                for id in doomed {
+                    if cloud.terminate(id, t).is_ok() {
+                        self.outbid.insert(id.0);
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn record_of(inst: &Instance) -> InstanceRecord {
     InstanceRecord {
         id: inst.id.0,
         name: inst.name.clone(),
@@ -85,12 +407,8 @@ pub(crate) fn record_of(inst: &Instance) -> InstanceRecord {
     }
 }
 
-pub(crate) fn billable_ground_truth(cloud: &CloudController) -> Vec<(String, InstanceRecord)> {
-    cloud
-        .all_instances()
-        .filter(|i| i.billable())
-        .map(|i| (i.owner.clone(), record_of(i)))
-        .collect()
+fn not_found(id: u64) -> ProviderError {
+    ProviderError::Backend(format!("not found: instance {id}"))
 }
 
 /// `user`'s instance `id`, or the backend's "not found" — the owner
@@ -100,7 +418,7 @@ fn owned(cloud: &CloudController, user: &str, id: u64) -> Result<InstanceRecord,
         .instance(InstanceId(id))
         .filter(|i| i.owner == user)
         .map(record_of)
-        .ok_or_else(|| ProviderError::Backend(format!("not found: instance {id}")))
+        .ok_or_else(|| not_found(id))
 }
 
 /// The canonical backend: run one decoded request against `cloud` as
@@ -111,7 +429,7 @@ fn owned(cloud: &CloudController, user: &str, id: u64) -> Result<InstanceRecord,
 /// `user` returns that instance instead of booting a twin; terminate and
 /// describe reach only `user`'s own instances. Scheduling failures are
 /// [`ProviderError::Backend`].
-pub(crate) fn serve(
+fn serve(
     cloud: &mut CloudController,
     user: &str,
     req: &CanonicalRequest,
@@ -175,112 +493,55 @@ pub(crate) fn serve(
     })
 }
 
-/// One classic dialect's four translator halves.
-#[derive(Clone, Copy)]
-struct Codec {
-    encode_request: fn(&CanonicalRequest, &AliasTables) -> Result<WireRequest, ProviderError>,
-    decode_request: fn(&WireRequest, &AliasTables) -> Result<CanonicalRequest, ProviderError>,
-    encode_response: fn(&CanonicalResponse) -> Result<WireResponse, ProviderError>,
-    decode_response: fn(&ResponseKind, &WireResponse) -> Result<CanonicalResponse, ProviderError>,
-}
-
-const NOVA: Codec = Codec {
-    encode_request: openstack::encode_request,
-    decode_request: openstack::decode_request,
-    encode_response: |resp| Ok(openstack::encode_response(resp)),
-    decode_response: openstack::decode_response,
-};
-
-const EC2: Codec = Codec {
-    encode_request: eucalyptus::encode_request,
-    decode_request: eucalyptus::decode_request,
-    encode_response: eucalyptus::encode_response,
-    decode_response: eucalyptus::decode_response,
-};
-
-/// An OpenStack- or Eucalyptus-dialect provider over a real
-/// [`CloudController`] — one per cloud behind Tukey's translation proxy.
-pub struct ClassicProvider {
-    name: String,
-    codec: Codec,
-    pub cloud: CloudController,
-    aliases: AliasTables,
-    api_latency: SimDuration,
-}
-
-impl ClassicProvider {
-    pub fn openstack(
-        name: impl Into<String>,
-        cloud: CloudController,
-        aliases: AliasTables,
-    ) -> Self {
-        ClassicProvider {
-            name: name.into(),
-            codec: NOVA,
-            cloud,
-            aliases,
-            // The same base the original proxy charged OpenStack calls.
-            api_latency: SimDuration::from_millis(35),
+/// Lagoon's backend. Writes, the client-token dedupe included, go to
+/// [`serve`] and stay strongly consistent; list and describe render the
+/// backend as it stood `lag` ago. A fresh launch is invisible for the
+/// window and a terminated instance lingers looking alive, so a router
+/// that trusts a listing to dedupe launches double-boots here — what the
+/// client-token contract and the audit oracle exist to catch.
+fn serve_lagged(
+    cloud: &mut CloudController,
+    lag: SimDuration,
+    user: &str,
+    req: &CanonicalRequest,
+    now: SimTime,
+) -> Result<CanonicalResponse, ProviderError> {
+    // A write becomes visible to reads only once `lag` has passed since
+    // it happened.
+    let as_of = |inst: &Instance| {
+        if inst.launched_at + lag > now {
+            return None; // launch not yet visible
         }
-    }
-
-    pub fn eucalyptus(
-        name: impl Into<String>,
-        cloud: CloudController,
-        aliases: AliasTables,
-    ) -> Self {
-        ClassicProvider {
-            name: name.into(),
-            codec: EC2,
-            cloud,
-            aliases,
-            api_latency: SimDuration::from_millis(55),
+        match inst.terminated_at {
+            // Termination old enough to have propagated: gone from reads.
+            Some(t) if t + lag <= now => None,
+            // Terminated inside the window: reads still say it is up.
+            Some(_) => Some(InstanceRecord {
+                status: CanonicalStatus::Active,
+                ..record_of(inst)
+            }),
+            None => Some(record_of(inst)),
         }
-    }
-}
-
-impl Provider for ClassicProvider {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn descriptor(&self) -> CapabilityDescriptor {
-        CapabilityDescriptor {
-            api_latency: self.api_latency,
-            page_size: None,
+    };
+    Ok(match *req {
+        CanonicalRequest::ListInstances => {
+            CanonicalResponse::Instances(cloud.instances_of(user).filter_map(as_of).collect())
         }
-    }
-
-    fn aliases(&self) -> &AliasTables {
-        &self.aliases
-    }
-
-    fn call(
-        &mut self,
-        user: &str,
-        req: &CanonicalRequest,
-        now: SimTime,
-    ) -> Result<CanonicalResponse, ProviderError> {
-        let c = self.codec;
-        let wire = (c.encode_request)(req, &self.aliases)?;
-        let server_req = (c.decode_request)(&wire, &AliasTables::default())?;
-        let resp = serve(&mut self.cloud, user, &server_req, now)?;
-        (c.decode_response)(&ResponseKind::of(req), &(c.encode_response)(&resp)?)
-    }
-
-    fn ground_truth(&self) -> Vec<(String, InstanceRecord)> {
-        billable_ground_truth(&self.cloud)
-    }
-
-    fn roundtrip_request(&self, req: &CanonicalRequest) -> Result<CanonicalRequest, ProviderError> {
-        let c = self.codec;
-        (c.decode_request)(&(c.encode_request)(req, &self.aliases)?, &self.aliases)
-    }
+        CanonicalRequest::DescribeInstance { id } => CanonicalResponse::Instance(
+            cloud
+                .instances_of(user)
+                .filter_map(as_of)
+                .find(|r| r.id == id)
+                .ok_or_else(|| not_found(id))?,
+        ),
+        _ => return serve(cloud, user, req, now),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::WireResponse;
 
     fn aliases() -> AliasTables {
         let mut t = AliasTables::default();
@@ -302,9 +563,9 @@ mod tests {
         for euca in [false, true] {
             let cloud = CloudController::with_racks("cloud-a", 1);
             let mut p = if euca {
-                ClassicProvider::eucalyptus("cloud-a", cloud, aliases())
+                Provider::eucalyptus("cloud-a", cloud, aliases())
             } else {
-                ClassicProvider::openstack("cloud-a", cloud, aliases())
+                Provider::openstack("cloud-a", cloud, aliases())
             };
             let resp = p
                 .call("alice", &launch("vm1"), SimTime::ZERO)
@@ -333,7 +594,7 @@ mod tests {
 
     #[test]
     fn launch_is_idempotent_by_token() {
-        let mut p = ClassicProvider::openstack(
+        let mut p = Provider::openstack(
             "cloud-a",
             CloudController::with_racks("cloud-a", 1),
             aliases(),
@@ -363,7 +624,7 @@ mod tests {
 
     #[test]
     fn backend_failures_are_typed() {
-        let mut p = ClassicProvider::eucalyptus(
+        let mut p = Provider::eucalyptus(
             "cloud-b",
             CloudController::with_racks("cloud-b", 1),
             aliases(),
@@ -382,10 +643,10 @@ mod tests {
         assert!(matches!(err, ProviderError::Backend(_)), "{err}");
     }
 
-    fn both_dialects() -> [ClassicProvider; 2] {
+    fn both_dialects() -> [Provider; 2] {
         [
-            ClassicProvider::openstack("adler", CloudController::with_racks("adler", 1), aliases()),
-            ClassicProvider::eucalyptus(
+            Provider::openstack("adler", CloudController::with_racks("adler", 1), aliases()),
+            Provider::eucalyptus(
                 "sullivan",
                 CloudController::with_racks("sullivan", 1),
                 aliases(),
@@ -393,7 +654,7 @@ mod tests {
         ]
     }
 
-    fn listing(p: &mut ClassicProvider, user: &str, t: u64) -> Vec<InstanceRecord> {
+    fn listing(p: &mut Provider, user: &str, t: u64) -> Vec<InstanceRecord> {
         let CanonicalResponse::Instances(recs) = p
             .call(user, &CanonicalRequest::ListInstances, SimTime(t))
             .expect("lists")
@@ -415,7 +676,7 @@ mod tests {
 
     /// Alice launches on `p`; mallory's terminate of it is a `Backend`
     /// error and the instance keeps running.
-    fn assert_foreign_terminate_refused(mut p: ClassicProvider) {
+    fn assert_foreign_terminate_refused(mut p: Provider) {
         let CanonicalResponse::Launched(rec) = p
             .call("alice", &launch("a"), SimTime::ZERO)
             .expect("launches")
@@ -525,21 +786,35 @@ mod tests {
         ));
     }
 
-    /// Run `req` for alice through one dialect's server half and
-    /// [`serve`]: the reply exactly as it goes on the wire.
-    fn served(codec: Codec, cloud: &mut CloudController, req: &CanonicalRequest) -> WireResponse {
-        let wire = (codec.encode_request)(req, &aliases()).expect("encodes");
-        let server_req = (codec.decode_request)(&wire, &AliasTables::default()).expect("decodes");
-        let resp = serve(cloud, "alice", &server_req, SimTime::ZERO).expect("serves");
-        (codec.encode_response)(&resp).expect("renders")
+    /// Alice's `req`, sent as `wire`, as one dialect's server half
+    /// (`decode` with native alias tables) and [`serve`] answer it: the
+    /// response that dialect's `encode_response` puts on the wire.
+    fn served(
+        cloud: &mut CloudController,
+        wire: Result<WireRequest, ProviderError>,
+        decode: impl Fn(&WireRequest, &AliasTables) -> Result<CanonicalRequest, ProviderError>,
+    ) -> CanonicalResponse {
+        let server_req = decode(&wire.expect("encodes"), &AliasTables::default()).expect("decodes");
+        serve(cloud, "alice", &server_req, SimTime::ZERO).expect("serves")
+    }
+
+    fn json_text(wire: WireResponse) -> String {
+        match wire {
+            WireResponse::Json(v) => serde_json::to_string(&v).expect("serializes"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
     fn nova_replies_are_byte_exact() {
         let mut cloud = CloudController::with_racks("adler", 1);
-        let mut reply = |req: CanonicalRequest| match served(NOVA, &mut cloud, &req) {
-            WireResponse::Json(v) => serde_json::to_string(&v).expect("serializes"),
-            other => panic!("{other:?}"),
+        let mut reply = |req: CanonicalRequest| {
+            let wire = openstack::encode_request(&req, &aliases());
+            json_text(openstack::encode_response(&served(
+                &mut cloud,
+                wire,
+                openstack::decode_request,
+            )))
         };
         assert_eq!(
             reply(launch("vm1")),
@@ -556,9 +831,13 @@ mod tests {
     #[test]
     fn ec2_replies_are_byte_exact() {
         let mut cloud = CloudController::with_racks("sullivan", 1);
-        let mut reply = |req: CanonicalRequest| match served(EC2, &mut cloud, &req) {
-            WireResponse::Xml(xml) => xml,
-            other => panic!("{other:?}"),
+        let mut reply = |req: CanonicalRequest| {
+            let wire = eucalyptus::encode_request(&req, &aliases());
+            let resp = served(&mut cloud, wire, eucalyptus::decode_request);
+            match eucalyptus::encode_response(&resp).expect("renders") {
+                WireResponse::Xml(xml) => xml,
+                other => panic!("{other:?}"),
+            }
         };
         assert_eq!(
             reply(launch("vm1")),
@@ -581,6 +860,89 @@ mod tests {
         assert_eq!(
             reply(CanonicalRequest::ListInstances),
             "<DescribeInstancesResponse><reservationSet></reservationSet></DescribeInstancesResponse>"
+        );
+    }
+
+    #[test]
+    fn spot_replies_are_byte_exact() {
+        let mut cloud = CloudController::with_racks("spotmart", 1);
+        let mut reply = |req: CanonicalRequest| {
+            let wire = spot::encode_request(&req, &aliases());
+            let resp = served(&mut cloud, wire, spot::decode_request);
+            json_text(spot::encode_response(&resp, 0.0775).expect("renders"))
+        };
+        assert_eq!(
+            reply(launch("vm1")),
+            r#"{"vm":{"cores":1,"id":1,"image":1,"shape":"m1.small","state":"fulfilled","token":"vm1"}}"#
+        );
+        assert_eq!(
+            reply(CanonicalRequest::ListInstances),
+            r#"{"fleet":[{"cores":1,"id":1,"image":1,"shape":"m1.small","state":"fulfilled","token":"vm1"}],"spot_price":0.0775}"#
+        );
+        assert_eq!(
+            reply(CanonicalRequest::TerminateInstance { id: 1 }),
+            r#"{"vm":{"id":1,"state":"released"}}"#
+        );
+        assert_eq!(
+            reply(CanonicalRequest::ListInstances),
+            r#"{"fleet":[],"spot_price":0.0775}"#
+        );
+    }
+
+    #[test]
+    fn pagely_replies_are_byte_exact() {
+        let mut cloud = CloudController::with_racks("pagely", 1);
+        let mut reply = |req: CanonicalRequest| {
+            let wire = paged::encode_request(&req, &aliases());
+            let resp = served(&mut cloud, wire, |w, t| {
+                paged::decode_request(w, t).map(|(req, _page)| req)
+            });
+            let pages = match &resp {
+                CanonicalResponse::Instances(recs) => paged::encode_paged_instances(recs, 3),
+                other => vec![paged::encode_response(other).expect("renders")],
+            };
+            pages.into_iter().map(json_text).collect::<Vec<_>>()
+        };
+        let item = |id: u64| {
+            format!(
+                r#"{{"cores":1,"image":1,"label":"vm{id}","state":"online","type":"m1.small","uuid":{id}}}"#
+            )
+        };
+        assert_eq!(
+            reply(launch("vm1")),
+            [format!(r#"{{"instance":{}}}"#, item(1))]
+        );
+        for name in ["vm2", "vm3", "vm4"] {
+            reply(launch(name));
+        }
+        // Four instances at page size 3: two pages chained by `next`.
+        assert_eq!(
+            reply(CanonicalRequest::ListInstances),
+            [
+                format!(
+                    r#"{{"instances":[{},{},{}],"next":1,"page":0,"pages":2}}"#,
+                    item(1),
+                    item(2),
+                    item(3)
+                ),
+                format!(
+                    r#"{{"instances":[{}],"next":null,"page":1,"pages":2}}"#,
+                    item(4)
+                ),
+            ]
+        );
+        assert_eq!(
+            reply(CanonicalRequest::TerminateInstance { id: 1 }),
+            [r#"{"instance":{"state":"deleted","uuid":1}}"#]
+        );
+        assert_eq!(
+            reply(CanonicalRequest::ListInstances),
+            [format!(
+                r#"{{"instances":[{},{},{}],"next":null,"page":0,"pages":1}}"#,
+                item(2),
+                item(3),
+                item(4)
+            )]
         );
     }
 
@@ -624,7 +986,7 @@ mod tests {
         // One controller reads the same through either front end.
         let listed = listing(&mut nova, "alice", 10);
         assert_eq!(listed.len(), 1);
-        let mut swapped = ClassicProvider::eucalyptus("adler", nova.cloud, aliases());
+        let mut swapped = Provider::eucalyptus("adler", nova.cloud, aliases());
         assert_eq!(
             common_fields(CanonicalResponse::Instances(listing(
                 &mut swapped,
@@ -633,5 +995,111 @@ mod tests {
             ))),
             common_fields(CanonicalResponse::Instances(listed))
         );
+    }
+
+    const SEC: u64 = 1_000_000_000;
+
+    fn market(floor: f64, ceiling: f64, bid: f64) -> Provider {
+        Provider::spot(
+            "spotmart",
+            CloudController::with_racks("spotmart", 1),
+            aliases(),
+            0x5907,
+            floor,
+            ceiling,
+            bid,
+        )
+    }
+
+    #[test]
+    fn price_above_bid_refuses_and_preempts() {
+        // Floor above bid: the first tick pins the market above the bid.
+        let mut m = market(0.50, 0.60, 0.10);
+        let Dialect::Spot(market) = &mut m.dialect else {
+            panic!()
+        };
+        market.price = 0.05; // launch window before the first tick
+        m.call("alice", &launch("vm1"), SimTime::ZERO)
+            .expect("launches");
+        assert_eq!(m.ground_truth().len(), 1);
+        m.tick(SimTime(60 * SEC));
+        assert!(m.spot_price().expect("a market") >= 0.50);
+        assert!(m.ground_truth().is_empty(), "preempted = not billable");
+        // Listing shows the corpse as `outbid` → canonical Preempted.
+        assert_eq!(
+            listing(&mut m, "alice", 61 * SEC)[0].status,
+            CanonicalStatus::Preempted
+        );
+        // And new asks are refused while the market is above the bid.
+        let err = m
+            .call("alice", &launch("vm2"), SimTime(62 * SEC))
+            .expect_err("refused");
+        assert!(matches!(err, ProviderError::Backend(_)), "{err}");
+    }
+
+    fn lagoon(lag_secs: u64) -> Provider {
+        Provider::lagged(
+            "lagoon",
+            CloudController::with_racks("lagoon", 1),
+            aliases(),
+            SimDuration::from_secs(lag_secs),
+        )
+    }
+
+    #[test]
+    fn fresh_launch_is_invisible_until_the_lag_passes() {
+        let mut p = lagoon(30);
+        p.call("alice", &launch("vm1"), SimTime(10 * SEC))
+            .expect("launches");
+        assert!(
+            listing(&mut p, "alice", 15 * SEC).is_empty(),
+            "inside the lag window"
+        );
+        assert_eq!(listing(&mut p, "alice", 41 * SEC).len(), 1, "window passed");
+    }
+
+    #[test]
+    fn terminated_instance_lingers_looking_alive() {
+        let mut p = lagoon(30);
+        let CanonicalResponse::Launched(rec) = p
+            .call("alice", &launch("vm1"), SimTime::ZERO)
+            .expect("launches")
+        else {
+            panic!()
+        };
+        p.call(
+            "alice",
+            &CanonicalRequest::TerminateInstance { id: rec.id },
+            SimTime(100 * SEC),
+        )
+        .expect("terminates");
+        assert!(p.ground_truth().is_empty(), "truth is immediate");
+        let ghosts = listing(&mut p, "alice", 110 * SEC);
+        assert_eq!(ghosts.len(), 1, "read path still shows it");
+        assert_eq!(ghosts[0].status, CanonicalStatus::Active);
+        assert!(
+            listing(&mut p, "alice", 131 * SEC).is_empty(),
+            "lag passed, ghost gone"
+        );
+    }
+
+    #[test]
+    fn writes_stay_strongly_consistent() {
+        let mut p = lagoon(3600);
+        let CanonicalResponse::Launched(a) = p
+            .call("alice", &launch("vm1"), SimTime::ZERO)
+            .expect("launches")
+        else {
+            panic!()
+        };
+        // Token dedupe works even while the listing shows nothing.
+        assert!(listing(&mut p, "alice", 1).is_empty());
+        let CanonicalResponse::Launched(b) = p
+            .call("alice", &launch("vm1"), SimTime(SEC))
+            .expect("relaunches")
+        else {
+            panic!()
+        };
+        assert_eq!(a.id, b.id, "no double boot through the fog");
     }
 }

@@ -1,21 +1,22 @@
-//! The provider registry: descriptors, pricing, health gates, metering.
+//! The provider registry: providers, pricing, health gates, metering.
 //!
 //! Every canonical call enters through [`ProviderRegistry::call`], which
-//! meters it (per-call fee, telemetry counters, latency model) and rolls
-//! the chaos dice for the target's [`ApiHealth`] before the provider
-//! sees it. Injected faults reproduce the ugly parts of real federation
-//! outages: an *outage* fails fast, a *timeout* may or may not have
-//! executed the request (the lost-response case that breeds orphans),
-//! and an *error* is a clean failure.
+//! meters it once (the per-call fee, the `providers.<name>.*` telemetry
+//! counters and latency histogram) and rolls the chaos dice for the
+//! target's [`ApiHealth`] before the provider sees it. Injected faults
+//! reproduce the ugly parts of real federation outages: an *outage*
+//! fails fast, a *timeout* may or may not have executed the request (the
+//! lost-response case that breeds orphans), and an *error* is a clean
+//! failure.
 
 use std::collections::BTreeMap;
 
-use osdc_sim::{SimDuration, SimRng, SimTime, TenantId, TenantInterner, TenantStore};
+use osdc_sim::{SimDuration, SimRng, SimTime};
 use osdc_telemetry::Telemetry;
 
 use crate::canonical::{AliasTables, CanonicalRequest, CanonicalResponse, ProviderError};
 use crate::pricing::PricingCatalog;
-use crate::provider::{CapabilityDescriptor, Provider};
+use crate::provider::Provider;
 
 /// Injected API-plane health for one provider (driven by osdc-chaos).
 #[derive(Clone, Debug, PartialEq)]
@@ -52,16 +53,10 @@ impl ApiHealth {
     }
 }
 
-/// Metered totals for one provider.
+/// Metered dollars for one provider. Its call, error, timeout and
+/// lost-response counts are the `providers.<name>.*` telemetry counters.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProviderUsage {
-    pub calls: u64,
-    pub errors: u64,
-    pub timeouts: u64,
-    pub lost_responses: u64,
-    pub launches: u64,
-    pub terminates: u64,
-    pub core_minutes: f64,
     pub compute_usd: f64,
     pub api_usd: f64,
 }
@@ -72,21 +67,11 @@ impl ProviderUsage {
     }
 }
 
-/// Usage and cost accounting across the federation — the feed that
-/// flows into billing.
-///
-/// Per-user cost sits in an interned-id slab ([`TenantStore`]): the
-/// provider population is a handful of `BTreeMap` entries, but users
-/// number 10⁵+ at ROADMAP scale and are touched every accrual minute —
-/// after a user's first charge, [`UsageLedger::accrue_compute`] does no
-/// string cloning or tree walking on their account.
+/// Cost accounting across the federation, per provider: the feed behind
+/// the `providers.*.cost_usd` gauges.
 #[derive(Clone, Debug, Default)]
 pub struct UsageLedger {
     per_provider: BTreeMap<String, ProviderUsage>,
-    /// user → accrued compute dollars (all providers), keyed by
-    /// interned id.
-    users: TenantInterner,
-    per_user_usd: TenantStore<f64>,
 }
 
 impl UsageLedger {
@@ -94,42 +79,13 @@ impl UsageLedger {
         self.per_provider.get(name).cloned().unwrap_or_default()
     }
 
-    pub fn provider_mut(&mut self, name: &str) -> &mut ProviderUsage {
+    fn provider_mut(&mut self, name: &str) -> &mut ProviderUsage {
         self.per_provider.entry(name.to_string()).or_default()
     }
 
-    pub fn providers(&self) -> impl Iterator<Item = (&String, &ProviderUsage)> {
-        self.per_provider.iter()
-    }
-
-    pub fn user_usd(&self, user: &str) -> f64 {
-        self.users
-            .get(user)
-            .and_then(|id| self.per_user_usd.get(id).copied())
-            .unwrap_or(0.0)
-    }
-
-    /// Interned id for `user`, if the ledger has ever charged them.
-    pub fn user_id(&self, user: &str) -> Option<TenantId> {
-        self.users.get(user)
-    }
-
-    /// Every charged user in first-charge order.
-    pub fn users(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.per_user_usd
-            .iter()
-            .map(|(id, &usd)| (self.users.name(id), usd))
-    }
-
-    /// Charge `user` for `cores` on `provider` for one minute at
-    /// `rate_per_core_hour`.
-    pub fn accrue_compute(&mut self, provider: &str, user: &str, cores: u32, rate: f64) {
-        let id = self.users.intern(user);
-        let usd = cores as f64 * rate / 60.0;
-        let p = self.provider_mut(provider);
-        p.core_minutes += cores as f64;
-        p.compute_usd += usd;
-        *self.per_user_usd.get_or_insert_with(id, || 0.0) += usd;
+    /// Charge one minute of `cores` on `provider` at `rate` $/core-hour.
+    pub fn accrue_compute(&mut self, provider: &str, cores: u32, rate: f64) {
+        self.provider_mut(provider).compute_usd += cores as f64 * rate / 60.0;
     }
 
     pub fn total_usd(&self) -> f64 {
@@ -138,7 +94,7 @@ impl UsageLedger {
 }
 
 struct Entry {
-    provider: Box<dyn Provider>,
+    provider: Provider,
     catalog: PricingCatalog,
     health: ApiHealth,
 }
@@ -163,7 +119,7 @@ impl ProviderRegistry {
         }
     }
 
-    pub fn register(&mut self, provider: Box<dyn Provider>, catalog: PricingCatalog) {
+    pub fn register(&mut self, provider: Provider, catalog: PricingCatalog) {
         debug_assert_eq!(
             provider.name(),
             catalog.provider,
@@ -190,10 +146,6 @@ impl ProviderRegistry {
             .iter()
             .map(|e| e.provider.name().to_string())
             .collect()
-    }
-
-    pub fn descriptor(&self, name: &str) -> Option<CapabilityDescriptor> {
-        self.entry(name).map(|e| e.provider.descriptor())
     }
 
     pub fn catalog(&self, name: &str) -> Option<&PricingCatalog> {
@@ -267,87 +219,46 @@ impl ProviderRegistry {
         req: &CanonicalRequest,
         now: SimTime,
     ) -> Result<CanonicalResponse, ProviderError> {
-        let idx = self
+        let entry = self
             .entries
-            .iter()
-            .position(|e| e.provider.name() == name)
+            .iter_mut()
+            .find(|e| e.provider.name() == name)
             .ok_or_else(|| ProviderError::UnknownProvider(name.to_string()))?;
-        let entry = &mut self.entries[idx];
         let pname = entry.provider.name().to_string();
-        let desc = entry.provider.descriptor();
+        let tele = &self.tele;
+        let count = |what: &str| tele.incr(tele.counter(&format!("providers.{pname}.{what}")));
 
-        self.tele
-            .incr(self.tele.counter(&format!("providers.{pname}.calls")));
-        {
-            let usage = self.ledger.provider_mut(&pname);
-            usage.calls += 1;
-            usage.api_usd += entry.catalog.per_call_usd;
-        }
+        count("calls");
+        self.ledger.provider_mut(&pname).api_usd += entry.catalog.per_call_usd;
 
         // Chaos gate, in severity order: outage, timeout, clean error.
         if entry.health.outage {
             self.last_latency = SimDuration::ZERO;
-            self.tele
-                .incr(self.tele.counter(&format!("providers.{pname}.errors")));
-            self.ledger.provider_mut(&pname).errors += 1;
+            count("errors");
             return Err(ProviderError::Outage { provider: pname });
         }
         if entry.health.timeout_prob > 0.0 && self.rng.chance(entry.health.timeout_prob) {
-            let lost_response = self.rng.chance(entry.health.lost_response_prob);
-            if lost_response {
+            if self.rng.chance(entry.health.lost_response_prob) {
                 // The backend did the work; only the reply is lost.
                 let _ = entry.provider.call(user, req, now);
-                self.tele.incr(
-                    self.tele
-                        .counter(&format!("providers.{pname}.lost_responses")),
-                );
-                self.ledger.provider_mut(&pname).lost_responses += 1;
+                count("lost_responses");
             }
             self.last_latency = entry.health.timeout;
-            self.tele
-                .incr(self.tele.counter(&format!("providers.{pname}.timeouts")));
-            self.ledger.provider_mut(&pname).timeouts += 1;
+            count("timeouts");
             return Err(ProviderError::Timeout { provider: pname });
         }
         if entry.health.error_prob > 0.0 && self.rng.chance(entry.health.error_prob) {
-            self.last_latency = desc.api_latency;
-            self.tele
-                .incr(self.tele.counter(&format!("providers.{pname}.errors")));
-            self.ledger.provider_mut(&pname).errors += 1;
+            self.last_latency = entry.provider.api_latency();
+            count("errors");
             return Err(ProviderError::Api { provider: pname });
         }
 
         let result = entry.provider.call(user, req, now);
-
-        // Latency: one round trip, or one per page for paged listings.
-        let pages = match (&desc.page_size, req) {
-            (Some(size), CanonicalRequest::ListInstances) => match &result {
-                Ok(CanonicalResponse::Instances(recs)) => recs.len().div_ceil(*size).max(1),
-                _ => 1,
-            },
-            _ => 1,
-        };
-        self.last_latency = desc.api_latency * pages as u64;
-        let hist = self
-            .tele
-            .histogram(&format!("providers.{pname}.latency_ms"));
-        self.tele
-            .observe(hist, self.last_latency.as_nanos() as f64 / 1.0e6);
-
-        match &result {
-            Ok(_) => {
-                let usage = self.ledger.provider_mut(&pname);
-                match req {
-                    CanonicalRequest::LaunchInstance { .. } => usage.launches += 1,
-                    CanonicalRequest::TerminateInstance { .. } => usage.terminates += 1,
-                    _ => {}
-                }
-            }
-            Err(_) => {
-                self.tele
-                    .incr(self.tele.counter(&format!("providers.{pname}.errors")));
-                self.ledger.provider_mut(&pname).errors += 1;
-            }
+        self.last_latency = entry.provider.latency(&result);
+        let hist = tele.histogram(&format!("providers.{pname}.latency_ms"));
+        tele.observe(hist, self.last_latency.as_nanos() as f64 / 1.0e6);
+        if result.is_err() {
+            count("errors");
         }
         result
     }
@@ -357,7 +268,6 @@ impl ProviderRegistry {
 mod tests {
     use super::*;
     use crate::canonical::CanonicalStatus;
-    use crate::provider::ClassicProvider;
     use osdc_compute::cloud::CloudController;
 
     fn aliases() -> AliasTables {
@@ -371,19 +281,15 @@ mod tests {
         let mut r = ProviderRegistry::new(Telemetry::new(), 0x9e67);
         let cats = crate::pricing::osdc_default_catalogs();
         r.register(
-            Box::new(ClassicProvider::openstack(
-                "adler",
-                CloudController::with_racks("adler", 1),
-                aliases(),
-            )),
+            Provider::openstack("adler", CloudController::with_racks("adler", 1), aliases()),
             cats[0].clone(),
         );
         r.register(
-            Box::new(ClassicProvider::eucalyptus(
+            Provider::eucalyptus(
                 "sullivan",
                 CloudController::with_racks("sullivan", 1),
                 aliases(),
-            )),
+            ),
             cats[1].clone(),
         );
         r
@@ -407,16 +313,33 @@ mod tests {
             panic!()
         };
         assert_eq!(rec.status, CanonicalStatus::Active);
-        let usage = r.ledger().provider("adler");
-        assert_eq!(usage.calls, 1);
-        assert_eq!(usage.launches, 1);
-        assert!(usage.api_usd > 0.0);
+        assert!(r.ledger().provider("adler").api_usd > 0.0);
         assert_eq!(r.last_latency(), SimDuration::from_millis(35));
         assert_eq!(r.tele.counter_value("providers.adler.calls"), 1);
         assert!(matches!(
             r.call("nimbus9", "alice", &launch("x"), SimTime::ZERO),
             Err(ProviderError::UnknownProvider(_))
         ));
+        // One launch and one one-page listing cost each fleet member its
+        // dialect's round trip. Spotmart opens mid-band (0.0775) above
+        // its 0.06 bid, so its ask is refused, and the refusal is charged
+        // too.
+        for (name, ms) in [
+            ("adler", 35),
+            ("sullivan", 55),
+            ("spotmart", 25),
+            ("lagoon", 45),
+            ("pagely", 30),
+        ] {
+            let mut fleet = crate::fleet::osdc_fleet(&[name], Telemetry::disabled(), 7);
+            let launched = fleet.call(name, "alice", &launch("vm1"), SimTime::ZERO);
+            assert_eq!(launched.is_ok(), name != "spotmart", "{name}: {launched:?}");
+            assert_eq!(fleet.last_latency(), SimDuration::from_millis(ms), "{name}");
+            fleet
+                .call(name, "alice", &CanonicalRequest::ListInstances, SimTime(1))
+                .expect("lists");
+            assert_eq!(fleet.last_latency(), SimDuration::from_millis(ms), "{name}");
+        }
     }
 
     #[test]
@@ -428,7 +351,7 @@ mod tests {
             .expect_err("down");
         assert!(matches!(err, ProviderError::Outage { .. }));
         assert!(r.ground_truth("sullivan").is_empty(), "nothing executed");
-        assert_eq!(r.ledger().provider("sullivan").errors, 1);
+        assert_eq!(r.tele.counter_value("providers.sullivan.errors"), 1);
         r.set_health("sullivan", |h| h.outage = false);
         r.call("sullivan", "alice", &launch("vm1"), SimTime(1))
             .expect("healed");
@@ -448,8 +371,12 @@ mod tests {
         assert_eq!(r.last_latency(), SimDuration::from_secs(30));
         // The launch actually happened: a future reconcile must find it.
         assert_eq!(r.ground_truth("adler").len(), 1, "orphan exists");
-        let usage = r.ledger().provider("adler");
-        assert_eq!((usage.timeouts, usage.lost_responses), (1, 1));
+        for counter in ["timeouts", "lost_responses"] {
+            assert_eq!(
+                r.tele.counter_value(&format!("providers.adler.{counter}")),
+                1
+            );
+        }
     }
 
     #[test]
@@ -458,12 +385,12 @@ mod tests {
         let mut cat = crate::pricing::osdc_default_catalogs()[4].clone();
         cat.provider = "pagely".into();
         r.register(
-            Box::new(crate::paged::PagedProvider::new(
+            Provider::paged(
                 "pagely",
                 CloudController::with_racks("pagely", 1),
                 aliases(),
                 2,
-            )),
+            ),
             cat,
         );
         for i in 0..5 {

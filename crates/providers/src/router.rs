@@ -107,7 +107,7 @@ impl FailoverRouter {
     }
 
     /// Billable cores this user holds across the federation, by the
-    /// router's books — the number the billing poller reads.
+    /// router's assignment book.
     pub fn user_cores(&self, user: &str) -> u32 {
         self.assignments
             .values()
@@ -116,31 +116,36 @@ impl FailoverRouter {
             .sum()
     }
 
-    /// Providers able to take (flavor, image), cheapest effective rate
-    /// first; price ties break on registration order.
-    fn candidates(&self, flavor: &str, image: &str) -> Vec<String> {
-        let mut ranked: Vec<(f64, usize, String)> = Vec::new();
+    /// Providers able to take (flavor, image), each with its native id
+    /// for the image, cheapest effective rate first; price ties break on
+    /// registration order.
+    fn candidates(&self, flavor: &str, image: &str) -> Vec<(String, u64)> {
+        let mut ranked: Vec<(f64, usize, (String, u64))> = Vec::new();
         for (idx, name) in self.registry.names().into_iter().enumerate() {
             let Some(catalog) = self.registry.catalog(&name) else {
                 continue;
             };
-            let Some(aliases) = self.registry.aliases(&name) else {
+            let Some(image_id) = self
+                .registry
+                .aliases(&name)
+                .and_then(|a| a.native_image(image))
+            else {
                 continue;
             };
-            if aliases.native_image(image).is_none() {
-                continue;
-            }
             let Some(rate) = catalog.effective_rate(flavor, self.registry.spot_price(&name)) else {
                 continue;
             };
-            ranked.push((rate, idx, name));
+            ranked.push((rate, idx, (name, image_id)));
         }
         // total_cmp, not partial_cmp().expect(): a provider advertising
         // a NaN spot rate must not panic placement. NaN sorts last under
         // the IEEE total order, so such a provider becomes the candidate
         // of last resort; registration order still breaks price ties.
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        ranked.into_iter().map(|(_, _, name)| name).collect()
+        ranked
+            .into_iter()
+            .map(|(_, _, candidate)| candidate)
+            .collect()
     }
 
     fn suspect(&mut self, provider: &str, now: SimTime) {
@@ -189,18 +194,12 @@ impl FailoverRouter {
         // outright when everyone is under suspicion.
         let (clear, suspect): (Vec<_>, Vec<_>) = candidates
             .into_iter()
-            .partition(|p| !self.is_suspect(p, now));
-        let ordered: Vec<String> = clear.into_iter().chain(suspect).collect();
+            .partition(|(p, _)| !self.is_suspect(p, now));
 
         let mut elapsed = SimDuration::ZERO;
         let mut attempts = 0u64;
         let mut last_err = ProviderError::Unsupported("no attempt made".into());
-        for provider in ordered {
-            let image_id = self
-                .registry
-                .aliases(&provider)
-                .and_then(|a| a.native_image(image))
-                .expect("candidate has the image");
+        for (provider, image_id) in clear.into_iter().chain(suspect) {
             let req = CanonicalRequest::LaunchInstance {
                 name: token.to_string(),
                 flavor: flavor.to_string(),
@@ -349,7 +348,7 @@ impl FailoverRouter {
 
         // Accrue one minute of usage per assignment, from the books —
         // one assignment per token means no token double-bills.
-        let accruals: Vec<(String, String, u32, f64)> = self
+        let accruals: Vec<(String, u32, f64)> = self
             .assignments
             .values()
             .filter_map(|a| {
@@ -357,13 +356,13 @@ impl FailoverRouter {
                     .registry
                     .catalog(&a.provider)?
                     .effective_rate(&a.flavor, self.registry.spot_price(&a.provider))?;
-                Some((a.provider.clone(), a.user.clone(), a.vcpus, rate))
+                Some((a.provider.clone(), a.vcpus, rate))
             })
             .collect();
-        for (provider, user, cores, rate) in accruals {
+        for (provider, cores, rate) in accruals {
             self.registry
                 .ledger_mut()
-                .accrue_compute(&provider, &user, cores, rate);
+                .accrue_compute(&provider, cores, rate);
         }
 
         // Cost flows out through telemetry gauges (billing's feed).
@@ -468,7 +467,7 @@ mod tests {
     use super::*;
     use crate::canonical::AliasTables;
     use crate::pricing::{osdc_default_catalogs, FlavorPrice, PricingCatalog};
-    use crate::provider::ClassicProvider;
+    use crate::provider::Provider;
     use osdc_compute::cloud::CloudController;
     use osdc_telemetry::Telemetry;
     use proptest::prelude::*;
@@ -493,19 +492,15 @@ mod tests {
         let mut reg = ProviderRegistry::new(Telemetry::new(), 0xf41);
         let cats = osdc_default_catalogs();
         reg.register(
-            Box::new(ClassicProvider::openstack(
-                "adler",
-                CloudController::with_racks("adler", 1),
-                aliases(),
-            )),
+            Provider::openstack("adler", CloudController::with_racks("adler", 1), aliases()),
             cats[0].clone(),
         );
         reg.register(
-            Box::new(ClassicProvider::eucalyptus(
+            Provider::eucalyptus(
                 "sullivan",
                 CloudController::with_racks("sullivan", 1),
                 aliases(),
-            )),
+            ),
             cats[1].clone(),
         );
         FailoverRouter::new(reg)
@@ -585,9 +580,8 @@ mod tests {
         r.poll_minute(SimTime(60 * SEC));
         let ledger = r.registry.ledger();
         // 4 cores × 0.07 $/core-hour / 60 = one minute on sullivan.
-        assert!((ledger.user_usd("alice") - 4.0 * 0.07 / 60.0).abs() < 1e-12);
-        assert_eq!(ledger.provider("sullivan").core_minutes, 4.0);
-        assert_eq!(ledger.provider("adler").core_minutes, 0.0);
+        assert!((ledger.provider("sullivan").compute_usd - 4.0 * 0.07 / 60.0).abs() < 1e-12);
+        assert_eq!(ledger.provider("adler").compute_usd, 0.0);
     }
 
     #[test]
@@ -631,7 +625,7 @@ mod tests {
             .into_iter()
             .find(|c| c.provider == name)
             .expect("spotmart is priced");
-        let market = crate::spot::SpotProvider::new(
+        let market = Provider::spot(
             name,
             CloudController::with_racks(name, 1),
             crate::fleet::osdc_aliases(),
@@ -641,7 +635,7 @@ mod tests {
             1.0,
         );
         let mut reg = ProviderRegistry::new(Telemetry::new(), 7);
-        reg.register(Box::new(market), cat);
+        reg.register(market, cat);
         FailoverRouter::new(reg)
     }
 
@@ -709,11 +703,7 @@ mod tests {
                     spot_ceiling_usd: 0.0,
                 };
                 reg.register(
-                    Box::new(ClassicProvider::openstack(
-                        &name,
-                        CloudController::with_racks(&name, 1),
-                        aliases(),
-                    )),
+                    Provider::openstack(&name, CloudController::with_racks(&name, 1), aliases()),
                     cat,
                 );
             }
@@ -723,7 +713,7 @@ mod tests {
             prop_assert_eq!(&order, &r.candidates("small", "ubuntu-base"));
             let rates: Vec<f64> = order
                 .iter()
-                .map(|n| {
+                .map(|(n, _)| {
                     let i: usize = n[1..].parse().expect("p<i> name");
                     rate_of(kinds[i], i, mag)
                 })

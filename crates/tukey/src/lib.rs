@@ -17,7 +17,7 @@
 //!   the translation proxies "take in requests based on the OpenStack API
 //!   and then issue commands to each cloud based on mappings outlined in
 //!   configuration files" — reproduced literally: [`translation`] builds
-//!   one `osdc-providers` `ClassicProvider` (OpenStack or Eucalyptus
+//!   one `osdc-providers` `Provider` (OpenStack or Eucalyptus
 //!   dialect over an `osdc-compute` cloud) per serde-loaded mapping
 //!   config, sends every request through the provider runtime's one
 //!   encode → serve → decode path, and aggregates per-cloud results,

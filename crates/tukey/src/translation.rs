@@ -10,7 +10,7 @@
 //! Implemented exactly so: a [`CloudMapping`] is a (serde-loadable)
 //! per-cloud configuration naming the stack dialect plus flavor/image
 //! alias tables, and [`TranslationProxy`] turns each mapping into one
-//! `osdc-providers` [`ClassicProvider`] — OpenStack JSON or Eucalyptus
+//! `osdc-providers` [`Provider`] — OpenStack JSON or Eucalyptus
 //! `Action=...` query strings with XML-ish replies. Every console request
 //! becomes a canonical call through [`Provider::call`], the workspace's
 //! one encode → serve → decode path; the proxy tags every result with
@@ -18,7 +18,8 @@
 //! document.
 //!
 //! The proxy keeps only Tukey's own concerns: credentials, the latency
-//! model (each stack's `api_latency` plus 1 ms per tagged item),
+//! model (each stack's [`Provider::api_latency`] plus 1 ms per tagged
+//! item),
 //! per-cloud telemetry and the aggregation. API faults enter the
 //! federation only through `ProviderRegistry`'s `ApiHealth` gate; the
 //! console, whose users pick their cloud, calls its providers directly.
@@ -27,9 +28,7 @@ use std::collections::BTreeMap;
 
 use osdc_compute::CloudController;
 use osdc_providers::openstack as nova;
-use osdc_providers::{
-    AliasTables, CanonicalRequest, CanonicalResponse, ClassicProvider, Provider, ProviderError,
-};
+use osdc_providers::{AliasTables, CanonicalRequest, CanonicalResponse, Provider, ProviderError};
 use osdc_sim::{SimDuration, SimTime};
 use osdc_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
@@ -73,15 +72,11 @@ impl CloudMapping {
     }
 
     /// This cloud's provider: the mapping's dialect over `controller`.
-    fn into_provider(self, controller: CloudController) -> ClassicProvider {
+    fn into_provider(self, controller: CloudController) -> Provider {
         let aliases = self.alias_tables();
         match self.kind {
-            CloudStackKind::OpenStack => {
-                ClassicProvider::openstack(self.cloud, controller, aliases)
-            }
-            CloudStackKind::Eucalyptus => {
-                ClassicProvider::eucalyptus(self.cloud, controller, aliases)
-            }
+            CloudStackKind::OpenStack => Provider::openstack(self.cloud, controller, aliases),
+            CloudStackKind::Eucalyptus => Provider::eucalyptus(self.cloud, controller, aliases),
         }
     }
 }
@@ -106,7 +101,7 @@ impl From<ProviderError> for ProxyError {
 
 /// The middleware's translation layer: one provider per mapped cloud.
 pub struct TranslationProxy {
-    backends: Vec<ClassicProvider>,
+    backends: Vec<Provider>,
     tele: Telemetry,
     /// Modeled duration of the most recent proxied request, so callers
     /// (the console) can place their own spans on the sim clock.
@@ -160,7 +155,7 @@ impl TranslationProxy {
     /// cloud's latency histogram.
     fn charge(&self, backend_idx: usize, at: SimTime, items: usize) -> SimDuration {
         let provider = &self.backends[backend_idx];
-        let latency = provider.descriptor().api_latency + SimDuration::from_millis(items as u64);
+        let latency = provider.api_latency() + SimDuration::from_millis(items as u64);
         if self.tele.is_enabled() {
             let cloud = provider.name();
             let span = self.tele.span_start(&format!("translation/{cloud}"), at);
