@@ -11,10 +11,11 @@
 //!   algorithm ([`bbp`]) and pin correctness with the published test vectors.
 //! * [`des::Des`] / [`des::TripleDes`] — FIPS 46-3 DES and EDE3 3DES (the
 //!   default cipher of the era's rsync-over-ssh, per §7.2).
-//! * [`md5`] — one-shot [`md5::md5`] and the four-lane [`md5::md5_many`],
-//!   used by the rsync delta algorithm in `osdc-transfer` as its strong
-//!   block checksum and for checksum-mode file lists (real rsync used
-//!   MD4/MD5 depending on version).
+//! * [`md5`] — one-shot [`md5::md5`] and the batched [`md5::md5_many`]
+//!   (sixteen lanes on AVX-512F, four on SSE2), used by the rsync delta
+//!   algorithm in `osdc-transfer` as its strong block checksum and for
+//!   checksum-mode file lists (real rsync used MD4/MD5 depending on
+//!   version).
 //! * [`modes`] — ECB/CBC/CTR modes over any 64-bit block cipher, and PKCS#7
 //!   padding, so transfer sessions can encrypt realistic byte streams.
 //! * [`sha256::Sha256`] — FIPS 180-4 SHA-256; the scale harnesses pin
@@ -26,15 +27,24 @@
 //!   [`Keyring`], used by `osdc-sharing` to mint and verify revocable
 //!   capabilities (symmetric trust, as the era's federations exchanged).
 //!
-//! Everything here is Rust with no dependencies and two `unsafe` blocks,
-//! each a call into a `#[target_feature]` kernel:
+//! Everything here is Rust with no dependencies. Its `unsafe` blocks are
+//! calls into `#[target_feature]` kernels and the memory operations of
+//! the AVX-512 kernels:
 //!
 //! * `md5_many`'s SSE2 kernel, sound because the call is compiled only
 //!   for targets with SSE2;
 //! * SHA-256's extension kernel (`SHA256RNDS2`, `SHA256MSG1`,
 //!   `SHA256MSG2`), sound because the call runs only after
 //!   `is_x86_feature_detected!` has reported `sha`, `ssse3` and `sse4.1`
-//!   on the running CPU; elsewhere the scalar compression runs.
+//!   on the running CPU; elsewhere the scalar compression runs;
+//! * Blowfish's 64-block and `md5_many`'s sixteen-lane AVX-512 kernels,
+//!   sound because each call runs only after `is_x86_feature_detected!`
+//!   has reported `avx512f`; elsewhere the four-lane kernels run;
+//! * inside those two kernels, the S-box gathers, sound because every
+//!   index is one byte of a word, below 256, so each read lies inside
+//!   its 256-word S-box; and the 64-byte loads and stores, sound because
+//!   each covers one whole block, or one local array, that the kernel
+//!   holds.
 //!
 //! The hot paths (round functions, compression functions) are
 //! branch-free and allocation-free per the workspace performance

@@ -8,14 +8,15 @@
 //! * [`md5`] hashes one message: its whole 64-byte blocks, then the one
 //!   or two padded tail blocks, built directly.
 //! * [`md5_many`] hashes many independent messages and returns their
-//!   digests in input order. MD5 is one dependent chain per message, so on
-//!   SSE2 (part of the x86_64 baseline) it runs four messages at once, one
-//!   per 32-bit lane of a 128-bit register. On other targets it maps
-//!   [`md5`] over the messages.
+//!   digests in input order. MD5 is one dependent chain per message, so
+//!   it runs messages side by side, one per 32-bit lane: sixteen at once
+//!   in 512-bit registers where the running CPU has AVX-512F (checked at
+//!   run time), then four at once on SSE2 (part of the x86_64 baseline).
+//!   On other targets it maps [`md5`] over the messages.
 //!
-//! Both kernels expand one schedule of the 64 steps, written out with each
-//! step's constant, rotate and message index, so neither branches inside a
-//! compression.
+//! All three kernels expand one schedule of the 64 steps, written out
+//! with each step's constant, rotate and message index, so none branches
+//! inside a compression.
 
 /// The initial chaining value `(A, B, C, D)`.
 const IV: [u32; 4] = [0x6745_2301, 0xefcd_ab89, 0x98ba_dcfe, 0x1032_5476];
@@ -191,40 +192,55 @@ pub fn md5(data: &[u8]) -> [u8; 16] {
 /// The digests of independent messages, in input order; each equals
 /// [`md5`] of its message.
 ///
-/// On SSE2 the messages go through in groups of four. A group runs the
-/// four-lane compression while every lane has a whole block left. If all
-/// four have the same length, as block signatures do, their padded tails
-/// run in lanes too; otherwise each lane finishes on the scalar
-/// compression from its lane state. A final group of fewer than four runs
-/// on the scalar path.
+/// On a CPU with AVX-512F the messages go through in groups of sixteen,
+/// then the rest in groups of four on SSE2, then the last one to three
+/// alone on the scalar path. A group runs its lane compression while
+/// every lane has a whole block left. If all its lanes have the same
+/// length, as block signatures do, their padded tails run in lanes too;
+/// otherwise each lane finishes on the scalar compression from its lane
+/// state.
 pub fn md5_many(msgs: &[&[u8]]) -> Vec<[u8; 16]> {
+    let mut out = Vec::with_capacity(msgs.len());
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    {
-        let (groups, rest) = msgs.as_chunks::<4>();
-        let mut out = Vec::with_capacity(msgs.len());
-        for group in groups {
-            out.extend(md5_4(*group));
+    let msgs = {
+        let mut rest = msgs;
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            let (groups, after) = msgs.as_chunks::<16>();
+            for group in groups {
+                // SAFETY: `compress16_avx512` requires only that the CPU
+                // has AVX-512F, which `is_x86_feature_detected!` has just
+                // reported.
+                out.extend(md5_lanes(*group, |states, runs| unsafe {
+                    compress16_avx512(states, runs)
+                }));
+            }
+            rest = after;
         }
-        out.extend(rest.iter().map(|msg| md5(msg)));
-        out
-    }
-    #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
-    {
-        msgs.iter().map(|msg| md5(msg)).collect()
-    }
+        let (groups, after) = rest.as_chunks::<4>();
+        for group in groups {
+            out.extend(md5_lanes(*group, compress4));
+        }
+        after
+    };
+    out.extend(msgs.iter().map(|msg| md5(msg)));
+    out
 }
 
-/// Four messages at once; see [`md5_many`].
+/// `N` messages at once on `compress`, an `N`-lane compression; see
+/// [`md5_many`].
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-fn md5_4(msgs: [&[u8]; 4]) -> [[u8; 16]; 4] {
+fn md5_lanes<const N: usize>(
+    msgs: [&[u8]; N],
+    compress: impl Fn(&mut [[u32; 4]; N], [&[u8]; N]),
+) -> [[u8; 16]; N] {
     let lens = msgs.map(<[u8]>::len);
     let whole = lens.into_iter().min().unwrap_or(0) / 64 * 64;
-    let mut states = [IV; 4];
-    compress4(&mut states, msgs.map(|msg| &msg[..whole]));
+    let mut states = [IV; N];
+    compress(&mut states, msgs.map(|msg| &msg[..whole]));
     if lens.iter().all(|&len| len == lens[0]) {
         let tails = msgs.map(|msg| padded_tail(&msg[whole..], msg.len()));
         let used = tails[0].1;
-        compress4(&mut states, tails.each_ref().map(|(tail, _)| &tail[..used]));
+        compress(&mut states, tails.each_ref().map(|(tail, _)| &tail[..used]));
         states.map(digest)
     } else {
         std::array::from_fn(|lane| {
@@ -331,6 +347,101 @@ fn compress4_sse2(states: &mut [[u32; 4]; 4], runs: [&[u8]; 4]) {
     *states = std::array::from_fn(|lane| [a[lane], b[lane], c[lane], d[lane]]);
 }
 
+/// The sixteen-lane kernel: lane `l` of each register holds message
+/// `l`'s chaining or message word. A block arrives as sixteen rows, one
+/// message's sixteen words each, and four butterfly stages of
+/// `_mm512_permutex2var_epi32` turn them into word columns. Each round
+/// function is one `_mm512_ternarylogic_epi32`, whose immediate is the
+/// function's truth table indexed by `4b + 2c + d`, and each rotate is
+/// one `_mm512_rol_epi32`. The runs have one length, a multiple of 64.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+#[target_feature(enable = "avx512f")]
+fn compress16_avx512(states: &mut [[u32; 4]; 16], runs: [&[u8]; 16]) {
+    use std::arch::x86_64::{
+        __m512i, _mm512_add_epi32, _mm512_loadu_si512, _mm512_mask_blend_epi32,
+        _mm512_mask_xor_epi32, _mm512_permutex2var_epi32, _mm512_rol_epi32, _mm512_set1_epi32,
+        _mm512_setr_epi32, _mm512_storeu_si512, _mm512_ternarylogic_epi32, _mm512_xor_si512,
+    };
+
+    macro_rules! round {
+        (f, $b:ident, $c:ident, $d:ident) => {
+            _mm512_ternarylogic_epi32::<0xCA>($b, $c, $d)
+        };
+        (g, $b:ident, $c:ident, $d:ident) => {
+            _mm512_ternarylogic_epi32::<0xE4>($b, $c, $d)
+        };
+        (h, $b:ident, $c:ident, $d:ident) => {
+            _mm512_ternarylogic_epi32::<0x96>($b, $c, $d)
+        };
+        (i, $b:ident, $c:ident, $d:ident) => {
+            _mm512_ternarylogic_epi32::<0x39>($b, $c, $d)
+        };
+    }
+
+    // The butterfly stage over index bit `bit` pairs each row `i` without
+    // that bit with row `i | bit`, and swaps the bit between row and lane
+    // index: row `i` keeps its lanes without the bit and takes row
+    // `i | bit`'s lanes without it; row `i | bit` takes the rest. `set`
+    // marks the lanes whose index has the bit. After the stages over all
+    // four bits, lane `j` of row `i` has moved to lane `i` of row `j`.
+    let iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let butterfly = |w: &mut [__m512i; 16], bit: usize, set: u16| {
+        let k = |x: usize| _mm512_set1_epi32(x as i32);
+        let to_low_row = _mm512_mask_xor_epi32(iota, set, iota, k(16 | bit));
+        let to_high_row = _mm512_xor_si512(iota, _mm512_mask_blend_epi32(set, k(bit), k(16)));
+        for j in 0..8 {
+            // The `j`th row index without `bit`: `j` with a zero bit
+            // inserted there.
+            let i = (j & !(bit - 1)) << 1 | (j & (bit - 1));
+            let (x, y) = (w[i], w[i | bit]);
+            w[i] = _mm512_permutex2var_epi32(x, to_low_row, y);
+            w[i | bit] = _mm512_permutex2var_epi32(x, to_high_row, y);
+        }
+    };
+
+    let column = |r: usize| {
+        let words = states.map(|state| state[r]);
+        // SAFETY: the load reads the 64 bytes of the local `words`.
+        unsafe { _mm512_loadu_si512(words.as_ptr().cast()) }
+    };
+    let [mut a, mut b, mut c, mut d] = [0, 1, 2, 3].map(column);
+    for at in (0..runs[0].len()).step_by(64) {
+        let mut w: [__m512i; 16] = std::array::from_fn(|lane| {
+            let block = &runs[lane][at..at + 64];
+            // SAFETY: the load reads the 64 bytes of `block`, a block of
+            // a run the caller holds.
+            unsafe { _mm512_loadu_si512(block.as_ptr().cast()) }
+        });
+        butterfly(&mut w, 8, 0xff00);
+        butterfly(&mut w, 4, 0xf0f0);
+        butterfly(&mut w, 2, 0xcccc);
+        butterfly(&mut w, 1, 0xaaaa);
+        let (a0, b0, c0, d0) = (a, b, c, d);
+        macro_rules! step {
+            ($round:ident, $a:ident, $b:ident, $c:ident, $d:ident, $w:literal, $s:literal, $k:literal) => {
+                let sum = _mm512_add_epi32(
+                    _mm512_add_epi32($a, round!($round, $b, $c, $d)),
+                    _mm512_add_epi32(w[$w], _mm512_set1_epi32(u32::cast_signed($k))),
+                );
+                $a = _mm512_add_epi32($b, _mm512_rol_epi32::<$s>(sum));
+            };
+        }
+        md5_steps!(step, a, b, c, d);
+        a = _mm512_add_epi32(a, a0);
+        b = _mm512_add_epi32(b, b0);
+        c = _mm512_add_epi32(c, c0);
+        d = _mm512_add_epi32(d, d0);
+    }
+    let columns = [a, b, c, d].map(|x| {
+        let mut words = [0u32; 16];
+        // SAFETY: the store writes 64 bytes into the local `words`, which
+        // is 64 bytes long.
+        unsafe { _mm512_storeu_si512(words.as_mut_ptr().cast(), x) };
+        words
+    });
+    *states = std::array::from_fn(|lane| columns.map(|column| column[lane]));
+}
+
 /// Render a digest as lowercase hex (for catalog metadata and tests).
 pub fn hex_digest(digest: &[u8; 16]) -> String {
     crate::lower_hex(digest)
@@ -375,17 +486,23 @@ mod tests {
     #[test]
     fn rfc1321_vectors_in_every_lane() {
         let n = RFC1321.len();
-        for k in 0..n {
-            for lane in 0..4 {
-                // Vector k in `lane`, the vectors after it in the others.
-                let picks: Vec<usize> = (0..4).map(|l| (k + n + l - lane) % n).collect();
-                let group: Vec<&[u8]> = picks.iter().map(|&p| RFC1321[p].0.as_bytes()).collect();
-                for (&p, got) in picks.iter().zip(md5_many(&group)) {
-                    assert_eq!(
-                        hex_digest(&got),
-                        RFC1321[p].1,
-                        "vector {p} in a group with vector {k} in lane {lane}"
-                    );
+        for width in [4, 16] {
+            for k in 0..n {
+                for lane in 0..width {
+                    // Vector k in `lane`, the vectors after it in the others.
+                    let picks: Vec<usize> =
+                        (0..width).map(|l| (k + l + width * n - lane) % n).collect();
+                    let group: Vec<&[u8]> =
+                        picks.iter().map(|&p| RFC1321[p].0.as_bytes()).collect();
+                    let digests = md5_many(&group);
+                    assert_eq!(digests.len(), width, "one digest per message");
+                    for (&p, got) in picks.iter().zip(digests) {
+                        assert_eq!(
+                            hex_digest(&got),
+                            RFC1321[p].1,
+                            "vector {p} in a group of {width} with vector {k} in lane {lane}"
+                        );
+                    }
                 }
             }
         }
@@ -418,9 +535,12 @@ mod tests {
         let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
         for (&(n, want), &msg) in TABLE.iter().zip(&refs) {
             assert_eq!(hex(msg), want, "md5 of {n} bytes");
-            // Four lanes of one length: the padded tails run in lanes.
+            // Lanes of one length: the padded tails run in lanes.
             for got in md5_many(&[msg; 4]) {
                 assert_eq!(hex_digest(&got), want, "md5_many of 4 x {n} bytes");
+            }
+            for got in md5_many(&[msg; 16]) {
+                assert_eq!(hex_digest(&got), want, "md5_many of 16 x {n} bytes");
             }
         }
         // The whole table at once: lanes of mixed lengths finish alone.
@@ -438,9 +558,10 @@ mod tests {
         assert_ne!(md5(b"hello"), md5(b"hellp"));
     }
 
-    /// Message sets for `md5_many`: 0 to 9 messages of 0 to 300 bytes
-    /// each, or 0 to 9 messages of one length at a padding boundary or a
-    /// signature block's 700 bytes.
+    /// Message sets for `md5_many`: 0 to 39 messages of 0 to 300 bytes
+    /// each, or 0 to 39 messages of one length at a padding boundary or a
+    /// signature block's 700 bytes. One set can fill a sixteen-lane
+    /// group, four-lane groups and scalar leftovers.
     fn message_sets() -> impl Strategy<Value = Vec<Vec<u8>>> {
         let equal = prop_oneof![
             Just(55usize),
@@ -452,10 +573,10 @@ mod tests {
             Just(700),
         ]
         .prop_flat_map(|len| {
-            prop::collection::vec(prop::collection::vec(any::<u8>(), len..len + 1), 0..10)
+            prop::collection::vec(prop::collection::vec(any::<u8>(), len..len + 1), 0..40)
         });
         prop_oneof![
-            prop::collection::vec(prop::collection::vec(any::<u8>(), 0..301), 0..10),
+            prop::collection::vec(prop::collection::vec(any::<u8>(), 0..301), 0..40),
             equal,
         ]
     }

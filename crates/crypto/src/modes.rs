@@ -163,7 +163,8 @@ impl<'c, C: BlockCipher64> CbcEncryptor<'c, C> {
 /// Keystream is generated in batches of up to [`CTR_BATCH_BLOCKS`]
 /// blocks into a fixed buffer (refills are sized to the bytes actually
 /// needed, so short messages never pay for a full batch), and the XOR
-/// runs over word-sized chunks. The byte stream — counter sequence,
+/// runs over word-sized chunks. A full batch of 64 blocks is one call of
+/// Blowfish's AVX-512 kernel. The byte stream — counter sequence,
 /// big-endian block serialization, resumption mid-block across `apply`
 /// calls — is identical to applying one block at a time.
 pub struct CtrStream<'c, C: BlockCipher64> {
@@ -178,7 +179,7 @@ pub struct CtrStream<'c, C: BlockCipher64> {
 }
 
 /// Blocks generated per [`CtrStream`] keystream refill.
-pub const CTR_BATCH_BLOCKS: usize = 32;
+pub const CTR_BATCH_BLOCKS: usize = 64;
 
 impl<'c, C: BlockCipher64> CtrStream<'c, C> {
     /// Blocks generated per keystream refill.

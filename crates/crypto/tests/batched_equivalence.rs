@@ -2,9 +2,10 @@
 //! (`encrypt_blocks_u64` overrides, ECB slab kernels, slab-refilled CTR,
 //! batched CBC decrypt) must produce byte-identical results to a strict
 //! one-block-at-a-time reference for Blowfish, DES, and 3DES, at every
-//! message length from empty through two slabs plus a ragged tail —
-//! covering the 4-lane interleave remainder (0..4 blocks) and every
-//! partial-block CTR tail 0..2×block.
+//! message length from empty through two 64-block CTR batches plus a
+//! ragged tail — covering the 4-lane interleave remainder (0..4 blocks),
+//! Blowfish's 64-block AVX-512 runs (where the CPU has AVX-512F) with
+//! and without a remainder, and every partial-block CTR tail 0..2×block.
 
 use osdc_crypto::modes::{ecb_decrypt, ecb_encrypt};
 use osdc_crypto::{BlockCipher64, Blowfish, CbcEncryptor, CtrStream, Des, TripleDes};
@@ -38,16 +39,17 @@ fn payload(len: usize) -> Vec<u8> {
 }
 
 /// Block counts that exercise the interleave remainder and slab
-/// boundaries: 0..=9 blocks, then around one and two 32-block slabs.
+/// boundaries: 0..=9 blocks, then around one and two 32-block ECB slabs,
+/// which are also one and two 64-block runs.
 fn block_counts() -> impl Iterator<Item = usize> {
-    (0..=9).chain([31, 32, 33, 63, 64, 65])
+    (0..=9).chain([31, 32, 33, 63, 64, 65, 127, 128, 129])
 }
 
 /// Byte lengths for streaming/padded modes: every tail 0..2×block around
 /// each block-count boundary.
 fn byte_lengths() -> Vec<usize> {
     let mut lens: Vec<usize> = (0..=16).collect();
-    for base in [8 * 31, 8 * 32, 8 * 64] {
+    for base in [8 * 31, 8 * 32, 8 * 64, 8 * 127, 8 * 128] {
         lens.extend((0..=16).map(|t| base + t));
     }
     lens

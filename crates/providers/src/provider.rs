@@ -207,6 +207,15 @@ impl Provider {
             .collect()
     }
 
+    /// Omniscient by-id view: `user`'s instance `id` if the backend holds
+    /// it and it is billable, the one entry of [`Provider::ground_truth`]
+    /// with that owner and id, read without copying the rest.
+    pub fn billable_instance(&self, user: &str, id: u64) -> Option<&Instance> {
+        self.cloud
+            .instance(InstanceId(id))
+            .filter(|i| i.billable() && i.owner == user)
+    }
+
     /// Translation-fidelity probe: encode `req` onto this dialect's wire
     /// and decode it back. The router scores `roundtrip_request(r) == r`
     /// on every live call.
@@ -589,6 +598,39 @@ mod tests {
             )
             .expect("terminates");
             assert!(p.ground_truth().is_empty());
+        }
+    }
+
+    #[test]
+    fn billable_instance_is_ground_truth_by_id() {
+        let mut p = Provider::openstack(
+            "cloud-a",
+            CloudController::with_racks("cloud-a", 1),
+            aliases(),
+        );
+        let mut launched =
+            |user: &str, token: &str, t: u64| match p.call(user, &launch(token), SimTime(t)) {
+                Ok(CanonicalResponse::Launched(rec)) => rec.id,
+                other => panic!("{other:?}"),
+            };
+        let a = launched("alice", "vm1", 0);
+        let b = launched("bob", "vm2", 1);
+        p.call(
+            "alice",
+            &CanonicalRequest::TerminateInstance { id: a },
+            SimTime(2),
+        )
+        .expect("terminates");
+        let truth = p.ground_truth();
+        for user in ["alice", "bob"] {
+            for id in [a, b, b + 1] {
+                let want = truth.iter().find(|(owner, r)| owner == user && r.id == id);
+                let got = p.billable_instance(user, id);
+                assert_eq!(got.is_some(), want.is_some(), "{user}'s instance {id}");
+                if let (Some(got), Some((_, want))) = (got, want) {
+                    assert_eq!(Some(got.flavor.vcpus), want.vcpus);
+                }
+            }
         }
     }
 

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 
+use osdc_compute::instance::Instance;
 use osdc_sim::{SimDuration, SimRng, SimTime};
 use osdc_telemetry::Telemetry;
 
@@ -202,6 +203,12 @@ impl ProviderRegistry {
         self.entry(name)
             .map(|e| e.provider.ground_truth())
             .unwrap_or_default()
+    }
+
+    /// One provider's [`Provider::billable_instance`]; `None` for an
+    /// unknown provider.
+    pub fn billable_instance(&self, name: &str, user: &str, id: u64) -> Option<&Instance> {
+        self.entry(name)?.provider.billable_instance(user, id)
     }
 
     /// Advance provider-internal processes (spot walks, preemptions).

@@ -219,10 +219,8 @@ impl FailoverRouter {
                         .vcpus
                         .or_else(|| {
                             self.registry
-                                .ground_truth(&provider)
-                                .into_iter()
-                                .find(|(owner, r)| owner == user && r.id == rec.id)
-                                .and_then(|(_, r)| r.vcpus)
+                                .billable_instance(&provider, user, rec.id)
+                                .map(|i| i.flavor.vcpus)
                         })
                         .or_else(|| {
                             self.registry
@@ -327,9 +325,8 @@ impl FailoverRouter {
         for a in self.assignments.values() {
             let live = self
                 .registry
-                .ground_truth(&a.provider)
-                .iter()
-                .any(|(user, rec)| user == &a.user && rec.id == a.instance);
+                .billable_instance(&a.provider, &a.user, a.instance)
+                .is_some();
             if !live {
                 vanished.push(a.clone());
             }

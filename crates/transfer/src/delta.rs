@@ -13,8 +13,8 @@
 //!    ([`apply_delta`]).
 //!
 //! Signature computation is embarrassingly parallel over blocks: each
-//! batch of blocks is hashed four at a time ([`md5_many`]), and the
-//! batches fan out on the workspace's parallel map
+//! batch of blocks is hashed sixteen or four at a time ([`md5_many`]),
+//! and the batches fan out on the workspace's parallel map
 //! ([`osdc_sim::run_indexed`]) when the input is large.
 
 use osdc_crypto::md5::{md5, md5_many};

@@ -262,12 +262,19 @@ mod tests {
 
     #[test]
     fn only_checksum_mode_lists_carry_digests() {
-        // Nine equal files (two four-lane groups and one left over) plus
-        // files of other lengths, so lanes of mixed lengths finish alone.
-        let mut tree = populated_tree(9, 3);
-        tree.put("/data/block", content(700, 41), 5);
-        tree.put("/data/empty", Vec::new(), 6);
+        // In path order: 29 equal files, three of other lengths, then
+        // five more of one length. Where the CPU has AVX-512F, sixteen
+        // lanes take 16 equal files, whose tails run in lanes, then 13
+        // beside the three others, which finish alone; four lanes take
+        // four of the last five, and the scalar path the fifth. On four
+        // lanes alone, groups of equal and of mixed lengths arise too.
+        let mut tree = populated_tree(29, 3);
         tree.put("/data/odd", content(5_000, 43), 7);
+        tree.put("/data/sig", content(700, 41), 5);
+        tree.put("/data/void", Vec::new(), 6);
+        for i in 0..5 {
+            tree.put(&format!("/data/w{i}"), content(100, 50 + i), 8);
+        }
         let quick = tree.file_list(CheckMode::Quick);
         let checksum = tree.file_list(CheckMode::Checksum);
         assert_eq!(quick.len(), tree.len());

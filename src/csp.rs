@@ -101,6 +101,10 @@ fn run_until_done(net: &mut FluidNet, flows: &[osdc_net::FlowId], deadline: SimT
 }
 
 /// Run one flow mix on one provider profile.
+// The net is the three-node line built here, so its `datacenter` →
+// `internet` flows always have a route and the pair always has an RTT:
+// the `expect`s below cannot fire.
+#[allow(clippy::expect_used)]
 pub fn run_flow_mix(profile: &CspProfile, mix: FlowMix, seed: u64) -> FlowMixReport {
     // Customer ↔ edge ↔ internet: the shared egress is the middle link.
     let mut topo = Topology::new();

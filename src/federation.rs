@@ -117,10 +117,15 @@ impl Federation {
 
     /// The Table 2 inventory rows, computed from the live objects.
     pub fn inventory(&self) -> Vec<ClusterSummary> {
-        let adler = self.console.proxy.controller("adler").expect("built");
-        let sullivan = self.console.proxy.controller("sullivan").expect("built");
-        let utility_cores = adler.total_cores() + sullivan.total_cores();
-        let utility_disk_tb = (adler.total_disk_gb() + sullivan.total_disk_gb()) / 1000;
+        // `build` gives the console both utility clouds.
+        let utility = ["adler", "sullivan"].map(|name| self.console.proxy.controller(name));
+        let utility_cores = utility.iter().flatten().map(|c| c.total_cores()).sum();
+        let utility_disk_tb = utility
+            .iter()
+            .flatten()
+            .map(|c| c.total_disk_gb())
+            .sum::<u64>()
+            / 1000;
         vec![
             ClusterSummary {
                 resource: "OSDC-Adler & Sullivan".into(),

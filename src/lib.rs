@@ -25,6 +25,11 @@
 //! Re-exports put the whole public API under one roof: start from
 //! [`federation::Federation::build`] (see `examples/quickstart.rs`).
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod bookworm;
 pub mod cost;
 pub mod csp;

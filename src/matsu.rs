@@ -196,7 +196,7 @@ pub fn detect_floods(tiles: Vec<Tile>, config: &JobConfig) -> FloodReport {
             let det = detect_tile(&tile);
             emit((tile.row, tile.col), (det, size));
         },
-        |_key, mut vs| vs.pop().expect("one detection per tile"),
+        |_key, mut vs| vs.pop(),
     );
     let mut report = FloodReport {
         flooded_tiles: Vec::new(),
@@ -205,7 +205,10 @@ pub fn detect_floods(tiles: Vec<Tile>, config: &JobConfig) -> FloodReport {
         fire_tiles: Vec::new(),
     };
     let (mut tp, mut fp, mut fneg) = (0u64, 0u64, 0u64);
-    for ((row, col), (det, size)) in result.output {
+    // Each tile emits one detection under its own key, so every reduce
+    // has a value to return.
+    for ((row, col), found) in result.output {
+        let Some((det, size)) = found else { continue };
         let frac = det.water_pixels as f64 / size;
         if frac > FLOOD_TILE_FRACTION {
             report.flooded_tiles.push((row, col, frac));
