@@ -5,6 +5,10 @@
 //! prints one line: name, per-iteration time, and throughput when
 //! configured. Good enough to compare hot paths before/after a change on
 //! the same machine, which is all the workspace benches are for.
+//!
+//! Command line: `--test` runs every selected bench body once and
+//! measures nothing; the first argument that does not start with `-` is
+//! a name filter, keeping only the rows whose `group/id` contains it.
 
 use std::time::{Duration, Instant};
 
@@ -135,11 +139,22 @@ impl<'a> BenchmarkGroup<'a> {
         self.throughput = Some(t);
     }
 
+    /// Whether the name filter keeps row `id` of this group.
+    fn selected(&self, id: &str) -> bool {
+        self.criterion
+            .filter
+            .as_deref()
+            .is_none_or(|f| format!("{}/{id}", self.name).contains(f))
+    }
+
     pub fn bench_function<F>(&mut self, id: impl IntoBenchmarkId, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
         let id = id.into_benchmark_id();
+        if !self.selected(&id.id) {
+            return self;
+        }
         let mut b = Bencher {
             last_ns: 0.0,
             sample_size: self.criterion.sample_size,
@@ -161,6 +176,9 @@ impl<'a> BenchmarkGroup<'a> {
         F: FnMut(&mut Bencher, &I),
     {
         let id = id.into_benchmark_id();
+        if !self.selected(&id.id) {
+            return self;
+        }
         let mut b = Bencher {
             last_ns: 0.0,
             sample_size: self.criterion.sample_size,
@@ -205,6 +223,8 @@ pub struct Criterion {
     measurement_time: Duration,
     /// `--test` smoke mode: run every bench body once, measure nothing.
     test_mode: bool,
+    /// The bench-name filter ([`name_filter`]); `None` runs every row.
+    filter: Option<String>,
     /// `(full id, median ns/iter)` for every bench run so far; exposed so
     /// a hand-written bench `main` can compare entries after running.
     pub results: Vec<(String, f64)>,
@@ -221,9 +241,17 @@ impl Default for Criterion {
             sample_size: 10,
             measurement_time: Duration::from_millis(500),
             test_mode: std::env::args().any(|a| a == "--test"),
+            filter: name_filter(std::env::args()),
             results: Vec::new(),
         }
     }
+}
+
+/// The bench-name filter in a bench binary's arguments (program name
+/// first): the first argument that does not start with `-`. Cargo's own
+/// `--bench` and the `--test` flag are not filters.
+fn name_filter(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().skip(1).find(|a| !a.starts_with('-'))
 }
 
 impl Criterion {
@@ -287,8 +315,9 @@ macro_rules! criterion_group {
 }
 
 /// `criterion_main!(group_a, group_b)` — benches are `harness = false`
-/// binaries, so this emits `main`. Cargo's `--bench` flag (and any other
-/// CLI arguments) are accepted and ignored.
+/// binaries, so this emits `main`. Of the CLI arguments, `--test` and the
+/// first one not starting with `-` (the bench-name filter) are read;
+/// cargo's `--bench` flag and the rest are accepted and ignored.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
@@ -302,10 +331,14 @@ macro_rules! criterion_main {
 mod tests {
     use super::*;
 
+    /// A short-sampling harness with no name filter, whatever arguments
+    /// the test binary itself was given.
     fn quick() -> Criterion {
-        Criterion::default()
+        let mut c = Criterion::default()
             .sample_size(3)
-            .measurement_time(Duration::from_millis(20))
+            .measurement_time(Duration::from_millis(20));
+        c.filter = None;
+        c
     }
 
     #[test]
@@ -319,6 +352,53 @@ mod tests {
         group.finish();
         assert_eq!(c.results.len(), 1);
         assert!(c.results[0].1 > 0.0, "measured {} ns", c.results[0].1);
+    }
+
+    #[test]
+    fn name_filter_is_the_first_argument_not_starting_with_a_dash() {
+        let filter = |args: &[&str]| name_filter(args.iter().map(|a| a.to_string()));
+        assert_eq!(
+            filter(&["fluid_solver"]),
+            None,
+            "the program name is skipped"
+        );
+        assert_eq!(filter(&["fluid_solver", "--bench"]), None);
+        assert_eq!(filter(&["fluid_solver", "--test"]), None);
+        assert_eq!(
+            filter(&["fluid_solver", "--bench", "link_flap"]),
+            Some("link_flap".to_string())
+        );
+        assert_eq!(
+            filter(&["fluid_solver", "link_flap", "--bench", "other"]),
+            Some("link_flap".to_string())
+        );
+    }
+
+    #[test]
+    fn filter_keeps_only_rows_whose_full_id_contains_it() {
+        let mut c = quick();
+        c.test_mode = true;
+        c.filter = Some("g/b".to_string());
+        let mut ran = Vec::new();
+        let mut group = c.benchmark_group("g");
+        for id in ["a", "b", "bb", "ab"] {
+            group.bench_function(id, |b| {
+                ran.push(id);
+                b.iter(|| 1)
+            });
+        }
+        group.bench_with_input(BenchmarkId::new("b", 2), &2, |b, &n| {
+            ran.push("b/2");
+            b.iter(|| n)
+        });
+        group.finish();
+        c.bench_function("b", |b| {
+            ran.push("crit/b");
+            b.iter(|| 1)
+        });
+        assert_eq!(ran, ["b", "bb", "b/2"]);
+        let rows: Vec<&str> = c.results.iter().map(|(row, _)| row.as_str()).collect();
+        assert_eq!(rows, ["g/b", "g/bb", "g/b/2"]);
     }
 
     #[test]

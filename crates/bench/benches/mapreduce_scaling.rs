@@ -1,8 +1,8 @@
-//! MapReduce engine scaling: the same job at 1/2/4/8 map workers.
-//! (Rayon-style expectation: near-linear until memory bandwidth bites.)
+//! MapReduce engine: one row per job — a word count over a synthetic
+//! corpus and Matsu's flood detection over one default scene.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use osdc_mapreduce::{run_job, JobConfig};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use osdc_mapreduce::run_job;
 
 fn corpus(docs: usize) -> Vec<String> {
     (0..docs)
@@ -20,31 +20,21 @@ fn bench_wordcount(c: &mut Criterion) {
     let bytes: usize = docs.iter().map(String::len).sum();
     let mut group = c.benchmark_group("mapreduce_wordcount");
     group.throughput(Throughput::Bytes(bytes as u64));
-    for workers in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("workers", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    run_job(
-                        docs.clone(),
-                        &JobConfig {
-                            map_workers: workers,
-                            reducers: 4,
-                        },
-                        |doc: String, emit| {
-                            for w in doc.split_whitespace() {
-                                emit(w.to_string(), 1u64);
-                            }
-                        },
-                        |_k, vs| vs.iter().sum::<u64>(),
-                    )
-                    .output
-                    .len()
-                })
-            },
-        );
-    }
+    group.bench_function("400_docs", |b| {
+        b.iter(|| {
+            run_job(
+                docs.clone(),
+                |doc: String, emit| {
+                    for w in doc.split_whitespace() {
+                        emit(w.to_string(), 1u64);
+                    }
+                },
+                |_k, vs| vs.iter().sum::<u64>(),
+            )
+            .output
+            .len()
+        })
+    });
     group.finish();
 }
 
@@ -53,25 +43,9 @@ fn bench_matsu_detection(c: &mut Criterion) {
     let tiles = generate_scene(&SceneParams::default(), 7);
     let mut group = c.benchmark_group("matsu_flood_detection");
     group.throughput(Throughput::Elements(tiles.len() as u64));
-    for workers in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("workers", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    detect_floods(
-                        tiles.clone(),
-                        &JobConfig {
-                            map_workers: workers,
-                            reducers: 4,
-                        },
-                    )
-                    .flooded_tiles
-                    .len()
-                })
-            },
-        );
-    }
+    group.bench_function("default_scene", |b| {
+        b.iter(|| detect_floods(tiles.clone()).flooded_tiles.len())
+    });
     group.finish();
 }
 

@@ -1,6 +1,6 @@
 //! rsync algorithm microbenches: rolling checksum scan, signature
-//! computation (serial vs parallel fan-out), delta generation on
-//! identical / edited / disjoint inputs.
+//! computation at 1 and 4 MiB, delta generation on identical / edited /
+//! disjoint inputs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use osdc_transfer::{compute_signatures, generate_delta, weak_checksum, RollingChecksum};

@@ -21,6 +21,11 @@
 //! Exit status: 0 on success, 1 when the harness fails its acceptance bar
 //! or stdout closes before the run ends, 2 on a usage error.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::io::Write as _;
 use std::process::ExitCode;
 

@@ -23,6 +23,11 @@
 //! instead of failing (the replay analogue of snapshot regeneration).
 //! Exit status: 0 when every manifest matches, 1 otherwise.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

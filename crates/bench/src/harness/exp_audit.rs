@@ -19,7 +19,7 @@ use osdc_sim::{SimDuration, SimRng, SimTime};
 use osdc_storage::{FileData, GlusterVersion};
 use osdc_tukey::billing::Rates;
 
-use crate::harness::{fail, HarnessCtx, RunResult};
+use crate::harness::{fail, Failure, HarnessCtx, OrFail, RunResult};
 use crate::{outln, row};
 
 const SEED: u64 = 2012;
@@ -62,7 +62,7 @@ fn fault(kind: FaultKind, target: String, magnitude: f64) -> FaultEvent {
 }
 
 /// Seeded storage op sequences over every shape × era combination.
-fn storage_sweep(cases: usize, ops_per_case: usize) -> SweepStats {
+fn storage_sweep(cases: usize, ops_per_case: usize) -> Result<SweepStats, Failure> {
     let shapes = [(1usize, 1usize), (2, 1), (2, 2), (4, 2), (6, 3), (8, 2)];
     let versions = [
         GlusterVersion::V3_3,
@@ -83,7 +83,7 @@ fn storage_sweep(cases: usize, ops_per_case: usize) -> SweepStats {
         let path = |p: u64| format!("/corpus/f{}", p % 8);
         let (mut vol, mut oracle) =
             StorageOracle::paired(version, bricks, replicas, capacity, SEED + case as u64)
-                .expect("valid shape");
+                .or_fail("storage volume shape")?;
         let ops: Vec<StorageOp> = (0..ops_per_case)
             .map(|_| match rng.below(18) {
                 0..=5 => StorageOp::Write {
@@ -129,7 +129,7 @@ fn storage_sweep(cases: usize, ops_per_case: usize) -> SweepStats {
             .collect();
         stats.absorb(&drive(&mut oracle, &mut vol, &ops));
     }
-    stats
+    Ok(stats)
 }
 
 /// Random-edit delta cases: basis plus a handful of point edits.
@@ -285,7 +285,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         (54, 150, 400, 48, 200, 12, 4, 12, 16, 45)
     };
     let sweeps = [
-        ("storage.flat-store", storage_sweep(sc, so)),
+        ("storage.flat-store", storage_sweep(sc, so)?),
         ("transfer.direct-copy", delta_sweep(dc)),
         ("tukey.re-bill", billing_sweep(bc, bo)),
         ("sharing.flat-acl", sharing_sweep(hc, hb, ho)),

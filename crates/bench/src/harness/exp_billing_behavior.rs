@@ -13,7 +13,7 @@ use osdc_compute::{CloudController, ImageId, InstanceId};
 use osdc_sim::{SimDuration, SimRng, SimTime, TenantId};
 use osdc_tukey::billing::{BillingService, Rates};
 
-use crate::harness::{HarnessCtx, RunResult};
+use crate::harness::{Failure, HarnessCtx, OrFail, RunResult};
 use crate::{outln, row};
 
 const SEED: u64 = 2012;
@@ -39,7 +39,7 @@ struct Outcome {
     mean_utilization: f64,
 }
 
-fn run_regime(billing_enabled: bool, seed: u64) -> Outcome {
+fn run_regime(billing_enabled: bool, seed: u64) -> Result<Outcome, Failure> {
     let mut rng = SimRng::new(seed);
     // Half a rack: tight enough that hoarded-but-idle capacity visibly
     // squeezes out legitimate requests.
@@ -87,9 +87,10 @@ fn run_regime(billing_enabled: bool, seed: u64) -> Outcome {
                     }
                 }
             }
-            while (u.held.len() as u32) > target_vms {
-                let id = u.held.pop().expect("non-empty");
-                cloud.terminate(id, now).expect("terminate");
+            // Release the excess, newest first.
+            let keep = u.held.len().min(target_vms as usize);
+            for id in u.held.split_off(keep).into_iter().rev() {
+                cloud.terminate(id, now).or_fail("terminate")?;
             }
         }
         // Accounting: holdings change only in the morning, so one delta
@@ -114,11 +115,11 @@ fn run_regime(billing_enabled: bool, seed: u64) -> Outcome {
             }
         }
     }
-    Outcome {
+    Ok(Outcome {
         wasted_core_hours: wasted,
         rejected_requests: rejected,
         mean_utilization: util_sum / DAYS as f64,
-    }
+    })
 }
 
 pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
@@ -132,8 +133,8 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         "{USERS} users ({HOARDERS} hoarders) share a 144-core slice for {DAYS} days\n"
     );
 
-    let without = run_regime(false, SEED);
-    let with = run_regime(true, SEED);
+    let without = run_regime(false, SEED)?;
+    let with = run_regime(true, SEED)?;
 
     let widths = [30usize, 18, 18];
     outln!(

@@ -18,7 +18,7 @@
 
 use osdc_storage::{BackupService, BrickId, FileData, GlusterVersion, Volume};
 
-use crate::harness::{HarnessCtx, RunResult};
+use crate::harness::{Failure, HarnessCtx, OrFail, RunResult};
 use crate::{outln, row};
 
 const SEED: u64 = 2012;
@@ -26,16 +26,16 @@ const FILES: u64 = 500;
 const TRIALS: u64 = 20;
 
 /// One campaign trial: fresh volume, corpus, brick kills, audit.
-fn trial_run(version: GlusterVersion, heal_first: bool, trial: u64) -> (u64, u64) {
+fn trial_run(version: GlusterVersion, heal_first: bool, trial: u64) -> Result<(u64, u64), Failure> {
     let mut vol = Volume::new("vol", version, 8, 2, 1 << 34, SEED + trial);
-    let paths: Vec<String> = (0..FILES)
+    let paths = (0..FILES)
         .map(|i| {
             let p = format!("/corpus/f{i}");
             vol.write(&p, FileData::synthetic(1 << 20, i), "lab")
-                .expect("write");
-            p
+                .or_fail("corpus write")?;
+            Ok(p)
         })
-        .collect();
+        .collect::<Result<Vec<String>, Failure>>()?;
     if heal_first {
         vol.heal();
     }
@@ -43,7 +43,7 @@ fn trial_run(version: GlusterVersion, heal_first: bool, trial: u64) -> (u64, u64
     for set in 0..4 {
         vol.fail_brick(BrickId(set * 2));
     }
-    (vol.audit_lost(&paths).len() as u64, vol.silent_drops)
+    Ok((vol.audit_lost(&paths).len() as u64, vol.silent_drops))
 }
 
 /// Sum a configuration's trial results into (% lost, silent drops).
@@ -87,7 +87,9 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
                 (0..TRIALS).map(move |trial| move |_i: usize| trial_run(version, heal_first, trial))
             })
             .collect(),
-    );
+    )
+    .into_iter()
+    .collect::<Result<Vec<_>, Failure>>()?;
     let per_config: Vec<(f64, u64)> = trials.chunks(TRIALS as usize).map(reduce).collect();
     let (lost31, drops31) = per_config[0];
     let (lost33, _) = per_config[1];
@@ -139,14 +141,14 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         "§4.1 scenario — modENCODE DCC + its backup site both fail; OSDC restores:"
     );
     let mut dcc = Volume::new("modencode-dcc", GlusterVersion::V3_3, 4, 2, 1 << 40, SEED);
-    let paths: Vec<String> = (0..200)
+    let paths = (0..200)
         .map(|i| {
             let p = format!("/modencode/ds{i}.bam");
             dcc.write(&p, FileData::synthetic(1 << 30, i), "dcc")
-                .expect("write");
-            p
+                .or_fail("modENCODE dataset write")?;
+            Ok(p)
         })
-        .collect();
+        .collect::<Result<Vec<String>, Failure>>()?;
     let mut osdc_root = Volume::new("osdc-root", GlusterVersion::V3_3, 4, 2, 1 << 42, SEED + 1);
     let b = BackupService::backup(&dcc, &mut osdc_root);
     outln!(

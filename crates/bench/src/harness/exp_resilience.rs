@@ -24,7 +24,7 @@ use osdc_chaos::{run_campaigns, CampaignConfig, RetryPolicy};
 use osdc_storage::GlusterVersion;
 use osdc_telemetry::Telemetry;
 
-use crate::harness::{fail, HarnessCtx, RunResult};
+use crate::harness::{fail, HarnessCtx, OrFail, RunResult};
 use crate::{outln, row};
 
 const SEED: u64 = 2012;
@@ -126,8 +126,11 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         );
     }
 
-    let worst = &cards[0]; // gluster-3.1 + no-retry
-    let best = cards.last().expect("sweep is non-empty"); // gluster-3.3 + exp-backoff
+    // The sweep runs from gluster-3.1 + no-retry to gluster-3.3 +
+    // exp-backoff.
+    let (Some(worst), Some(best)) = (cards.first(), cards.last()) else {
+        return fail("the resilience sweep ran no cells");
+    };
     outln!(ctx, "\ncanonical cell — {}:", best.config);
     for line in best.render().lines().skip(1) {
         outln!(ctx, "{line}");
@@ -154,7 +157,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         // A single cell runs inline whatever `--jobs` says, and the
         // sharded merge keeps the artifact byte-identical either way.
         let tele = Telemetry::new();
-        let canonical = cells.last().cloned().expect("sweep is non-empty");
+        let canonical = cells.last().cloned().or_fail("canonical cell")?;
         let _ = run_campaigns(&[canonical], jobs, &tele);
         ctx.finish_trace(&tele)?;
     }

@@ -20,7 +20,7 @@ use osdc_tukey::credentials::CloudCredential;
 use osdc_tukey::translation::osdc_proxy;
 use osdc_tukey::TukeyConsole;
 
-use crate::harness::{HarnessCtx, RunResult};
+use crate::harness::{HarnessCtx, OrFail, RunResult};
 use crate::outln;
 
 pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
@@ -73,14 +73,16 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     );
 
     // --- login via Shibboleth --------------------------------------------------
-    let assertion = idp.assert("grossman@uchicago.edu").expect("campus login");
+    let assertion = idp
+        .assert("grossman@uchicago.edu")
+        .or_fail("campus login")?;
     let token = console
         .login_shibboleth(&assertion)
-        .expect("assertion accepted");
+        .or_fail("Shibboleth login")?;
     outln!(
         ctx,
         "shibboleth login ok: {}",
-        console.whoami(token).expect("session")
+        console.whoami(token).or_fail("session lookup")?
     );
 
     // --- login via OpenID -------------------------------------------------------
@@ -90,11 +92,11 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
             "https://www.opensciencedatacloud.org/openid/heath",
             "pw",
         )
-        .expect("openid verified");
+        .or_fail("OpenID login")?;
     outln!(
         ctx,
         "openid login ok:     {}",
-        console.whoami(token2).expect("session")
+        console.whoami(token2).or_fail("session lookup")?
     );
 
     // --- provision VMs on both stacks through one API --------------------------
@@ -108,7 +110,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
             "bionimbus-genomics",
             t0,
         )
-        .expect("OpenStack-backed launch");
+        .or_fail("OpenStack-backed launch")?;
     let s = console
         .launch_instance(
             token,
@@ -118,33 +120,35 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
             "matsu-earth-obs",
             t0,
         )
-        .expect("Eucalyptus-backed launch");
+        .or_fail("Eucalyptus-backed launch")?;
     outln!(
         ctx,
         "\nlaunched on adler    → {}",
-        serde_json::to_string(&a).expect("json")
+        serde_json::to_string(&a).or_fail("JSON encoding")?
     );
     outln!(
         ctx,
         "launched on sullivan → {}",
-        serde_json::to_string(&s).expect("json")
+        serde_json::to_string(&s).or_fail("JSON encoding")?
     );
 
     // --- the aggregated, cloud-tagged OpenStack-format response ---------------
-    let page = console.instances_page(token, t0).expect("listing");
+    let page = console
+        .instances_page(token, t0)
+        .or_fail("instance listing")?;
     outln!(
         ctx,
         "\naggregated /servers response (OpenStack format, tagged by cloud):\n{}",
-        serde_json::to_string_pretty(&page).expect("json")
+        serde_json::to_string_pretty(&page).or_fail("JSON encoding")?
     );
 
     // --- usage & billing: 90 minutes of the launches' cores (§6.4) --------------
     let now = t0 + SimDuration::from_mins(90);
-    let usage = console.usage_page(token, now).expect("usage page");
+    let usage = console.usage_page(token, now).or_fail("usage page")?;
     outln!(
         ctx,
         "usage page after 90 minutes:\n{}",
-        serde_json::to_string_pretty(&usage).expect("json")
+        serde_json::to_string_pretty(&usage).or_fail("JSON encoding")?
     );
 
     // --- public datasets module -----------------------------------------------
@@ -152,7 +156,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     outln!(
         ctx,
         "dataset search 'EO-1' → {}",
-        serde_json::to_string(&hits).expect("json")
+        serde_json::to_string(&hits).or_fail("JSON encoding")?
     );
 
     // --- invoices close the loop -------------------------------------------------

@@ -7,9 +7,9 @@
 //! raster itself is emitted as the `figure2_namibia.pgm` artifact.
 
 use osdc::matsu::{detect_floods, generate_scene, SceneParams};
-use osdc_mapreduce::{DataNodeId, Hdfs, JobConfig, TaskScheduler, BLOCK_SIZE};
+use osdc_mapreduce::{DataNodeId, Hdfs, TaskScheduler, BLOCK_SIZE};
 
-use crate::harness::{HarnessCtx, RunResult};
+use crate::harness::{HarnessCtx, OrFail, RunResult};
 use crate::outln;
 
 const SEED: u64 = 2012;
@@ -48,11 +48,11 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         scene_bytes.max(BLOCK_SIZE),
         DataNodeId(0),
     )
-    .expect("stage scene");
+    .or_fail("stage scene")?;
     let sched = TaskScheduler::new(4);
     let (placements, hist) = sched
         .schedule(&fs, "/matsu/eo1/namibia.seq")
-        .expect("schedule");
+        .or_fail("schedule map tasks")?;
     outln!(
         ctx,
         "map tasks: {} blocks, {:.0}% data-local ({:?})\n",
@@ -62,7 +62,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     );
 
     // Run the detection job.
-    let report = detect_floods(tiles, &JobConfig::default());
+    let report = detect_floods(tiles);
 
     // Render the mosaic: '≈' flooded tile, '.' dry, '*' fire.
     let mut grid = vec![vec!['.'; n]; n];

@@ -57,6 +57,25 @@ pub fn fail(message: impl Into<String>) -> RunResult {
     Err(Failure(message.into()))
 }
 
+/// Turns a harness step's `Err` or `None` into the run's [`Failure`],
+/// named by `step`: a step that cannot fail on its harness's fixed inputs
+/// still ends the run with exit 1, not a panic, if it ever does.
+pub(crate) trait OrFail<T> {
+    fn or_fail(self, step: &str) -> Result<T, Failure>;
+}
+
+impl<T, E: fmt::Debug> OrFail<T> for Result<T, E> {
+    fn or_fail(self, step: &str) -> Result<T, Failure> {
+        self.map_err(|e| Failure(format!("{step}: {e:?}")))
+    }
+}
+
+impl<T> OrFail<T> for Option<T> {
+    fn or_fail(self, step: &str) -> Result<T, Failure> {
+        self.ok_or_else(|| Failure(format!("{step}: nothing returned")))
+    }
+}
+
 /// The execution context threaded through every harness body.
 pub struct HarnessCtx {
     args: Vec<String>,
@@ -247,9 +266,7 @@ impl HarnessCtx {
 
     #[doc(hidden)]
     pub fn write_fmt_out(&mut self, args: fmt::Arguments<'_>) {
-        use fmt::Write as _;
-        let mut s = String::new();
-        s.write_fmt(args).expect("formatting never fails");
+        let s = fmt::format(args);
         self.captured.extend_from_slice(s.as_bytes());
         if self.live {
             write_stdout(s.as_bytes());

@@ -9,7 +9,7 @@
 use osdc::csp::{run_flow_mix, CspProfile, FlowMix};
 use osdc_compute::{ImageId, MachineImage};
 
-use crate::harness::{HarnessCtx, RunResult};
+use crate::harness::{fail, HarnessCtx, OrFail, RunResult};
 use crate::{outln, row};
 
 const SEED: u64 = 2012;
@@ -33,6 +33,14 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     };
     let cb = run_flow_mix(&commercial, bulk, SEED + 1);
     let sb = run_flow_mix(&science, bulk, SEED + 1);
+    // A small-web mix reports only its mean completion time, an elephant
+    // mix only its goodput.
+    let (Some(cw_ms), Some(sw_ms)) = (cw.small_flow_ms, sw.small_flow_ms) else {
+        return fail("a small-web flow mix reported no mean completion time");
+    };
+    let (Some(cb_mbps), Some(sb_mbps)) = (cb.elephant_mbps, sb.elephant_mbps) else {
+        return fail("an elephant flow mix reported no goodput");
+    };
 
     let widths = [30usize, 22, 22];
     outln!(
@@ -47,8 +55,8 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         row(
             &[
                 "small web flows (mean ms)",
-                &format!("{:.0}", cw.small_flow_ms.expect("measured")),
-                &format!("{:.0}", sw.small_flow_ms.expect("measured")),
+                &format!("{cw_ms:.0}"),
+                &format!("{sw_ms:.0}"),
             ],
             &widths
         )
@@ -59,8 +67,8 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         row(
             &[
                 "bulk data flows (mbit/s)",
-                &format!("{:.0}", cb.elephant_mbps.expect("measured")),
-                &format!("{:.0}", sb.elephant_mbps.expect("measured")),
+                &format!("{cb_mbps:.0}"),
+                &format!("{sb_mbps:.0}"),
             ],
             &widths
         )
@@ -89,9 +97,12 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         )
     );
     // Prove the science-side round trip actually works.
-    let bundle = image.export_bundle().expect("science image exports");
-    let imported = MachineImage::import_bundle(&bundle, ImageId(999)).expect("bundle re-imports");
-    assert_eq!(imported.tools, image.tools);
+    let bundle = image.export_bundle().or_fail("science image export")?;
+    let imported =
+        MachineImage::import_bundle(&bundle, ImageId(999)).or_fail("science bundle re-import")?;
+    if imported.tools != image.tools {
+        return fail("a re-imported science image lost its tools");
+    }
 
     outln!(
         ctx,
@@ -103,12 +114,12 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     outln!(
         ctx,
         "  · both CSPs serve small web flows acceptably ({}x ratio)",
-        (sw.small_flow_ms.expect("measured") / cw.small_flow_ms.expect("measured")).max(1.0) as u32
+        (sw_ms / cw_ms).max(1.0) as u32
     );
     outln!(
         ctx,
         "  · science CSP moves bulk data {:.1}× faster (high-performance storage + uncontended 10G)",
-        sb.elephant_mbps.expect("measured") / cb.elephant_mbps.expect("measured")
+        sb_mbps / cb_mbps
     );
     outln!(
         ctx,

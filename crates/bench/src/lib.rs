@@ -11,6 +11,11 @@
 //! `exp_scale` (correctness + determinism) and the repository's
 //! `benchmark/` crate (wall clock + peak memory).
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod harness;
 pub mod manifest;
 pub mod scale;

@@ -116,6 +116,9 @@ pub struct Manifest {
 }
 
 impl Manifest {
+    // A manifest is strings, integers and lists and options of them: no
+    // map with a non-string key, so serializing it cannot fail.
+    #[allow(clippy::expect_used)]
     pub fn to_json(&self) -> String {
         let mut s = serde_json::to_string_pretty(self).expect("manifest serializes");
         s.push('\n');
@@ -168,6 +171,10 @@ impl ManifestRecorder {
     /// Record the digest of the run's chaos fault plan(s). Harnesses
     /// pass whatever serializable plan set drives the run; repeated
     /// calls fold into one digest in call order.
+    // Every plan recorded (a `FaultPlan`, or a list of `FaultEvent`s) is
+    // structs, enums, strings, numbers and lists: no map with a
+    // non-string key, so serializing it cannot fail.
+    #[allow(clippy::expect_used)]
     pub fn record_fault_plan<T: Serialize>(&mut self, plan: &T) {
         let json = serde_json::to_string(plan).expect("fault plan serializes");
         let combined = match &self.fault_plan_sha256 {

@@ -9,11 +9,11 @@
 //!   rack-aware replica placement (first replica on the writer's node,
 //!   second in the same rack, third in another rack — the classic Hadoop
 //!   policy);
-//! * [`engine`] — a *real* MapReduce execution engine: map tasks fan out
-//!   on the workspace's parallel map (`osdc_sim::run_indexed`), a hash
-//!   shuffle partitions intermediate keys, reducers run in parallel, and
-//!   results come back merged. Project
-//!   Matsu's flood detector (in the `osdc` facade) runs on it unchanged;
+//! * [`engine`] — a *real* MapReduce execution engine, run on the
+//!   caller: the mapper runs over every input, a sorted shuffle groups
+//!   intermediate values by key, and the reducer runs once per key in key
+//!   order. Project Matsu's flood detector and Bookworm's ngram build (in
+//!   the `osdc` facade) run on it unchanged;
 //! * [`scheduler`] — locality-aware task placement over the HDFS block
 //!   map, reporting the data-local/rack-local/remote split that makes
 //!   "move computation to data" measurable.
@@ -28,7 +28,7 @@ pub mod fairshare;
 pub mod hdfs;
 pub mod scheduler;
 
-pub use engine::{run_job, JobConfig, JobCounts, JobResult};
+pub use engine::{run_job, JobCounts, JobResult};
 pub use fairshare::{run_fair_share, run_fifo, JobOutcome, JobSpec, M45_DEPARTMENTS};
 pub use hdfs::{BlockId, DataNodeId, Hdfs, HdfsError, BLOCK_SIZE};
 pub use scheduler::{Locality, TaskPlacement, TaskScheduler};

@@ -1,10 +1,9 @@
-//! Model-based property tests: the parallel MapReduce engine must agree
-//! with a trivially-correct sequential reference on arbitrary inputs and
-//! configurations.
+//! Model-based property tests: the MapReduce engine must agree with a
+//! trivially-correct sequential reference on arbitrary inputs.
 
 use std::collections::BTreeMap;
 
-use osdc_mapreduce::{run_job, JobConfig, JobCounts};
+use osdc_mapreduce::{run_job, JobCounts};
 use proptest::prelude::*;
 
 /// Sequential reference implementation of grouped aggregation.
@@ -16,29 +15,72 @@ fn reference(pairs: &[(u32, i64)]) -> Vec<(u32, i64)> {
     grouped.into_iter().collect()
 }
 
+/// Reference grouping: for each distinct key in ascending order, the
+/// `(input index, emit index)` of every pair emitted under it, in input
+/// order, then emit order.
+fn reference_groups(inputs: &[Vec<(u32, i64)>]) -> Vec<(u32, Vec<(usize, usize)>)> {
+    let mut keys: Vec<u32> = inputs.iter().flatten().map(|&(k, _)| k).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys.into_iter()
+        .map(|key| {
+            let positions = inputs
+                .iter()
+                .enumerate()
+                .flat_map(|(i, pairs)| {
+                    pairs
+                        .iter()
+                        .enumerate()
+                        .filter(move |&(_, &(k, _))| k == key)
+                        .map(move |(j, _)| (i, j))
+                })
+                .collect();
+            (key, positions)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
+    /// Each input emits its own list of pairs. Reduced sums match the
+    /// reference, and each key's values reach the reducer in input
+    /// order, then emit order.
     #[test]
     fn engine_matches_reference(
-        pairs in proptest::collection::vec((0u32..50, -1000i64..1000), 0..500),
-        workers in 1usize..9,
-        reducers in 1usize..9,
+        inputs in proptest::collection::vec(
+            proptest::collection::vec((0u32..50, -1000i64..1000), 0..4),
+            0..200,
+        ),
     ) {
-        let result = run_job(
-            pairs.clone(),
-            &JobConfig { map_workers: workers, reducers },
-            |(k, v), emit| emit(k, v),
+        let pairs: Vec<(u32, i64)> = inputs.iter().flatten().copied().collect();
+        let summed = run_job(
+            inputs.clone(),
+            |pairs, emit| {
+                for (k, v) in pairs {
+                    emit(k, v);
+                }
+            },
             |_k, vs| vs.iter().sum::<i64>(),
         );
-        prop_assert_eq!(result.output, reference(&pairs));
+        prop_assert_eq!(summed.output, reference(&pairs));
+
+        let grouped = run_job(
+            inputs.iter().enumerate().collect(),
+            |(i, pairs), emit| {
+                for (j, &(k, _)) in pairs.iter().enumerate() {
+                    emit(k, (i, j));
+                }
+            },
+            |_k, vs| vs,
+        );
+        prop_assert_eq!(grouped.output, reference_groups(&inputs));
     }
 
     /// Emitted-record conservation: counters agree with the data.
     #[test]
     fn counters_are_exact(
         inputs in proptest::collection::vec(0u32..40, 0..300),
-        workers in 1usize..6,
     ) {
         let n = inputs.len() as u64;
         let distinct = {
@@ -49,7 +91,6 @@ proptest! {
         };
         let result = run_job(
             inputs,
-            &JobConfig { map_workers: workers, reducers: 3 },
             |k, emit| emit(k, 1u64),
             |_k, vs| vs.len(),
         );
@@ -68,13 +109,10 @@ proptest! {
     #[test]
     fn fanout_conservation(
         inputs in proptest::collection::vec(1u32..20, 1..100),
-        workers in 1usize..5,
-        reducers in 1usize..7,
     ) {
         let expected_total: u64 = inputs.iter().map(|&n| n as u64).sum();
         let result = run_job(
             inputs,
-            &JobConfig { map_workers: workers, reducers },
             |n, emit| {
                 for i in 0..n {
                     emit(i % 7, 1u64);

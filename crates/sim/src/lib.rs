@@ -26,10 +26,10 @@
 //!   cursors, provider cost ledgers, sharing grantees) key their state
 //!   by at 10⁵-tenant scale.
 //! * [`runner`] — [`run_indexed`], the workspace's one parallel map:
-//!   experiment grids of independent seeded runs and data-parallel
-//!   kernels execute on `--jobs` workers pulling from one shared queue,
-//!   yet return results in submission order, so every artifact is
-//!   byte-identical for any worker count.
+//!   experiment grids of independent seeded runs execute on `--jobs`
+//!   workers pulling from one shared queue, yet return results in
+//!   submission order, so every artifact is byte-identical for any
+//!   worker count.
 //!
 //! ## Design notes
 //!

@@ -1,13 +1,14 @@
-//! The one parallel map of the workspace: [`run_indexed`].
+//! The one parallel map of the workspace, and the scenario runner's only
+//! threads: [`run_indexed`].
 //!
-//! Every experiment harness in this workspace is a grid of *independent*
-//! seeded runs — Table 3 is a cipher×tool×size grid, the resilience sweep
-//! is storage-era×retry-policy, the GlusterFS campaign is trials×versions
-//! — and the data-parallel kernels (rsync block signatures, the MapReduce
-//! map and reduce phases) are batches of independent chunks. Each task
-//! owns its inputs, seed and metric shard, so what must **not** change
-//! with the worker count is any observable artifact: stdout tables, JSONL
-//! traces, scorecards.
+//! The grid harnesses are grids of *independent* seeded runs — Table 3
+//! is a cipher×tool×size grid, the resilience sweep is
+//! storage-era×retry-policy, the GlusterFS campaign is trials×versions —
+//! and they alone run on threads, sized by their `--jobs` flag; every
+//! other path of the workspace (MapReduce, the rsync signature pass)
+//! runs on its caller. Each task owns its inputs, seed and metric shard,
+//! so what must **not** change with the worker count is any observable
+//! artifact: stdout tables, JSONL traces, scorecards.
 //!
 //! [`run_indexed`] executes a `Vec` of closures on `std::thread::scope`
 //! workers sharing one queue and returns the results **in submission

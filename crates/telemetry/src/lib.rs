@@ -14,9 +14,10 @@
 //! * **Metrics** — named counters, gauges and mergeable log-bucket
 //!   histograms. Names are interned once into `Copy` ids; hot paths record
 //!   through ids only (no per-event allocation). The shared registry sits
-//!   behind a `parking_lot` mutex. Parallel work records through
-//!   [`run_sharded`] (a private registry per task, absorbed in submission
-//!   order) or returns its counts to the calling thread to record.
+//!   behind a `parking_lot` mutex. The scenario runner's parallel cells
+//!   record through [`run_sharded`] (a private registry per task,
+//!   absorbed in submission order); everything else records on the
+//!   calling thread.
 //! * **Tracing** — spans on the **simulation clock** ([`SimTime`], never
 //!   wall time), with nesting via an open-span stack, ordered per-span
 //!   attributes, instant `point` samples, all in a bounded ring buffer.

@@ -12,10 +12,9 @@
 //! 3. the receiver reconstructs the new file from its basis plus the delta
 //!    ([`apply_delta`]).
 //!
-//! Signature computation is embarrassingly parallel over blocks: each
-//! batch of blocks is hashed sixteen or four at a time ([`md5_many`]),
-//! and the batches fan out on the workspace's parallel map
-//! ([`osdc_sim::run_indexed`]) when the input is large.
+//! Signature computation is one pass over the blocks: the strong sums
+//! come from one [`md5_many`] call, which hashes sixteen or four blocks
+//! at a time.
 
 use osdc_crypto::md5::{md5, md5_many};
 use osdc_telemetry::audit;
@@ -25,10 +24,6 @@ use crate::rolling::{weak_checksum, RollingChecksum};
 /// Default block size. Real rsync scales with `sqrt(file size)`; see
 /// [`block_size_for`].
 pub const DEFAULT_BLOCK_SIZE: usize = 2048;
-
-/// Below this input size, parallel signature fan-out costs more than it
-/// saves.
-const PARALLEL_THRESHOLD: usize = 1 << 20;
 
 /// Signature of one basis block.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -78,38 +73,21 @@ pub fn block_size_for(len: usize) -> usize {
     ((len as f64).sqrt() as usize).clamp(700, 128 * 1024)
 }
 
-/// Compute block signatures of `basis`, fanning out across threads for
-/// large inputs: one [`osdc_sim::run_indexed`] task per contiguous batch
-/// of blocks, one batch per host worker. A batch's strong sums come from
-/// one [`md5_many`] call.
+/// Compute block signatures of `basis`: each block's weak sum, and
+/// every block's strong sum from one [`md5_many`] pass.
 pub fn compute_signatures(basis: &[u8], block_size: usize) -> Signatures {
     assert!(block_size > 0, "block size must be positive");
-    let sign = |batch: &[(usize, &[u8])]| -> Vec<BlockSignature> {
-        let chunks: Vec<&[u8]> = batch.iter().map(|&(_, chunk)| chunk).collect();
-        batch
-            .iter()
-            .zip(md5_many(&chunks))
-            .map(|(&(i, chunk), strong)| BlockSignature {
-                index: i as u32,
-                weak: weak_checksum(chunk),
-                strong,
-            })
-            .collect()
-    };
-    let chunks: Vec<(usize, &[u8])> = basis.chunks(block_size).enumerate().collect();
-    let blocks = if basis.len() >= PARALLEL_THRESHOLD && chunks.len() > 1 {
-        let workers = osdc_sim::available_jobs().min(chunks.len());
-        let batches = chunks
-            .chunks(chunks.len().div_ceil(workers))
-            .map(|batch| move |_: usize| sign(batch))
-            .collect();
-        osdc_sim::run_indexed(workers, batches)
-            .into_iter()
-            .flatten()
-            .collect()
-    } else {
-        sign(&chunks)
-    };
+    let chunks: Vec<&[u8]> = basis.chunks(block_size).collect();
+    let blocks = chunks
+        .iter()
+        .zip(md5_many(&chunks))
+        .enumerate()
+        .map(|(i, (chunk, strong))| BlockSignature {
+            index: i as u32,
+            weak: weak_checksum(chunk),
+            strong,
+        })
+        .collect();
     Signatures {
         block_size,
         blocks,
@@ -527,26 +505,9 @@ mod tests {
         assert_eq!(delta.matched_bytes, 300);
     }
 
-    #[test]
-    fn parallel_and_serial_signatures_agree() {
-        // Straddle the parallel threshold to compare both code paths.
-        let data = pseudo_bytes(PARALLEL_THRESHOLD + 4096, 9);
-        let par = compute_signatures(&data, 2048);
-        let ser: Vec<BlockSignature> = data
-            .chunks(2048)
-            .enumerate()
-            .map(|(i, c)| BlockSignature {
-                index: i as u32,
-                weak: weak_checksum(c),
-                strong: md5(c),
-            })
-            .collect();
-        assert_eq!(par.blocks, ser);
-        assert_eq!(par.basis_len, data.len());
-    }
-
-    /// Hand-rolled single-threaded signature pass, the comparison baseline
-    /// for every `compute_signatures` edge case below.
+    /// Hand-rolled per-block signature pass (one scalar [`md5`] per
+    /// block), the comparison baseline for every `compute_signatures`
+    /// case below.
     fn serial_signatures(data: &[u8], bs: usize) -> Vec<BlockSignature> {
         data.chunks(bs)
             .enumerate()
@@ -556,6 +517,17 @@ mod tests {
                 strong: md5(c),
             })
             .collect()
+    }
+
+    const MIB: usize = 1 << 20;
+
+    #[test]
+    fn signatures_equal_per_block_md5() {
+        // 514 blocks in one md5_many pass, against one md5 per block.
+        let data = pseudo_bytes(MIB + 4096, 9);
+        let sigs = compute_signatures(&data, 2048);
+        assert_eq!(sigs.blocks, serial_signatures(&data, 2048));
+        assert_eq!(sigs.basis_len, data.len());
     }
 
     #[test]
@@ -572,29 +544,27 @@ mod tests {
     }
 
     #[test]
-    fn signatures_single_chunk_at_parallel_threshold_stays_correct() {
-        // len >= PARALLEL_THRESHOLD but exactly one chunk: the fan-out
-        // guard (`chunks.len() > 1`) must keep this on the serial path
-        // and either way the output must match the baseline.
-        let data = pseudo_bytes(PARALLEL_THRESHOLD, 13);
-        let sigs = compute_signatures(&data, PARALLEL_THRESHOLD);
-        assert_eq!(sigs.blocks, serial_signatures(&data, PARALLEL_THRESHOLD));
+    fn signatures_of_one_full_mib_block() {
+        // A 1 MiB basis in one 1 MiB block: one signature, equal to the
+        // block's own sums.
+        let data = pseudo_bytes(MIB, 13);
+        let sigs = compute_signatures(&data, MIB);
+        assert_eq!(sigs.blocks, serial_signatures(&data, MIB));
         assert_eq!(sigs.blocks.len(), 1);
     }
 
     #[test]
-    fn signatures_with_more_workers_than_chunks() {
-        // Two chunks over the parallel threshold: worker count exceeds
-        // chunk count on any multicore host and must clamp, not spawn
-        // empty batches or reorder output.
-        let data = pseudo_bytes(PARALLEL_THRESHOLD + 1, 14);
-        let bs = PARALLEL_THRESHOLD / 2;
+    fn signatures_keep_block_order_through_a_one_byte_tail() {
+        // Two half-MiB blocks and a 1-byte tail: three signatures in
+        // block order, each equal to its block's own sums.
+        let data = pseudo_bytes(MIB + 1, 14);
+        let bs = MIB / 2;
         let sigs = compute_signatures(&data, bs);
         assert_eq!(sigs.blocks, serial_signatures(&data, bs));
         assert_eq!(sigs.blocks.len(), 3, "two full chunks + 1-byte tail");
         assert!(
             sigs.blocks.windows(2).all(|w| w[0].index + 1 == w[1].index),
-            "indices must stay in order across worker batches"
+            "indices must stay in block order"
         );
     }
 

@@ -15,7 +15,7 @@ use osdc::storage::{AccessKind, FileData};
 use osdc::tukey::ark::ArkRecord;
 use osdc::tukey::sharing::Permission;
 use osdc::Federation;
-use osdc_mapreduce::{run_job, JobConfig};
+use osdc_mapreduce::run_job;
 
 fn main() {
     let mut fed = Federation::build(1.2e-7, 7);
@@ -105,7 +105,6 @@ fn main() {
     // Pipeline A (lab-chicago): variant-motif counting.
     let variants = run_job(
         lines.clone(),
-        &JobConfig::default(),
         |read, emit| {
             if read.contains("GATTACA") {
                 emit("GATTACA-carrier", 1u64);
@@ -116,7 +115,6 @@ fn main() {
     // Pipeline B (lab-edinburgh): GC-content histogram.
     let gc = run_job(
         lines.clone(),
-        &JobConfig::default(),
         |read, emit| {
             let seq = read.split(':').nth(1).unwrap_or("");
             let gc = seq.chars().filter(|&c| c == 'G' || c == 'C').count() * 100 / seq.len().max(1);

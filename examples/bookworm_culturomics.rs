@@ -12,7 +12,6 @@
 //! finishes with full-text search.
 
 use osdc::bookworm::{synthetic_corpus, Bookworm, Facet, Genre};
-use osdc_mapreduce::JobConfig;
 
 fn sparkline(values: &[f64]) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -40,7 +39,7 @@ fn main() {
     // A century of public-domain volumes.
     let corpus = synthetic_corpus(1500, 1800, 1920, 1876);
     println!("corpus: {} volumes, 1800–1920\n", corpus.len());
-    let bookworm = Bookworm::build(&corpus, &Facet::default(), &JobConfig::default());
+    let bookworm = Bookworm::build(&corpus, &Facet::default());
 
     // --- the trend query that made culturomics famous ---------------------
     for word in ["railway", "telegraph", "telephone"] {
@@ -61,7 +60,6 @@ fn main() {
             place: Some("London".into()),
             year_range: Some((1850, 1900)),
         },
-        &JobConfig::default(),
     );
     println!(
         "  {} volumes admitted; 'telegraph' appears at {:.1} per million words",

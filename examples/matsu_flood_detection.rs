@@ -13,7 +13,7 @@
 use osdc::matsu::{detect_floods, generate_scene, SceneParams};
 use osdc::storage::FileData;
 use osdc::Federation;
-use osdc_mapreduce::{DataNodeId, JobConfig, TaskScheduler, BLOCK_SIZE};
+use osdc_mapreduce::{DataNodeId, TaskScheduler, BLOCK_SIZE};
 
 fn main() {
     let mut fed = Federation::build(1.2e-7, 11);
@@ -68,7 +68,7 @@ fn main() {
     );
 
     // --- run the analytics ---------------------------------------------------
-    let report = detect_floods(tiles, &JobConfig::default());
+    let report = detect_floods(tiles);
     println!(
         "\ndetected {} flooded tiles, {} fire tiles (precision {:.3}, recall {:.3})",
         report.flooded_tiles.len(),

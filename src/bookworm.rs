@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use osdc_mapreduce::{run_job, JobConfig};
+use osdc_mapreduce::run_job;
 use osdc_sim::SimRng;
 
 /// Library metadata — the facets the paper lists.
@@ -84,7 +84,7 @@ impl Bookworm {
     /// Build from a corpus with a MapReduce job (the shape the OSDC's
     /// Hadoop clusters ran): mappers tokenize books, reducers aggregate
     /// `(gram, year)` counts and postings.
-    pub fn build(corpus: &[Book], facet: &Facet, config: &JobConfig) -> Bookworm {
+    pub fn build(corpus: &[Book], facet: &Facet) -> Bookworm {
         let admitted: Vec<&Book> = corpus.iter().filter(|b| facet.admits(&b.meta)).collect();
         let books: BTreeMap<u32, BookMeta> =
             admitted.iter().map(|b| (b.id, b.meta.clone())).collect();
@@ -100,7 +100,6 @@ impl Bookworm {
                 .iter()
                 .map(|b| (b.id, b.meta.year, b.text.clone()))
                 .collect::<Vec<_>>(),
-            config,
             |(id, year, text), emit| {
                 let mut counts: BTreeMap<String, u32> = BTreeMap::new();
                 for w in tokenize(&text) {
@@ -253,7 +252,7 @@ mod tests {
 
     #[test]
     fn trend_shows_the_injected_signal() {
-        let bw = Bookworm::build(&corpus(), &Facet::default(), &JobConfig::default());
+        let bw = Bookworm::build(&corpus(), &Facet::default());
         let trend = bw.trend("telegraph");
         let before: f64 = trend
             .iter()
@@ -272,7 +271,7 @@ mod tests {
 
     #[test]
     fn base_words_are_flat_and_common() {
-        let bw = Bookworm::build(&corpus(), &Facet::default(), &JobConfig::default());
+        let bw = Bookworm::build(&corpus(), &Facet::default());
         let trend = bw.trend("the");
         let freqs: Vec<f64> = trend.iter().map(|(_, f)| *f).collect();
         assert!(
@@ -284,14 +283,13 @@ mod tests {
     #[test]
     fn facets_restrict_the_build() {
         let corpus = corpus();
-        let all = Bookworm::build(&corpus, &Facet::default(), &JobConfig::default());
+        let all = Bookworm::build(&corpus, &Facet::default());
         let fiction = Bookworm::build(
             &corpus,
             &Facet {
                 genre: Some(Genre::Fiction),
                 ..Default::default()
             },
-            &JobConfig::default(),
         );
         let london_1800s = Bookworm::build(
             &corpus,
@@ -300,7 +298,6 @@ mod tests {
                 year_range: Some((1800, 1850)),
                 ..Default::default()
             },
-            &JobConfig::default(),
         );
         assert!(fiction.book_count() < all.book_count());
         assert!(london_1800s.book_count() < fiction.book_count() + all.book_count());
@@ -321,7 +318,7 @@ mod tests {
             },
             text: "telegraph railway ".repeat(100) + "bridge iron",
         });
-        let bw = Bookworm::build(&corpus, &Facet::default(), &JobConfig::default());
+        let bw = Bookworm::build(&corpus, &Facet::default());
         let hits = bw.search("telegraph railway");
         assert!(!hits.is_empty());
         assert_eq!(
@@ -337,33 +334,7 @@ mod tests {
 
     #[test]
     fn search_is_case_insensitive() {
-        let bw = Bookworm::build(&corpus(), &Facet::default(), &JobConfig::default());
+        let bw = Bookworm::build(&corpus(), &Facet::default());
         assert_eq!(bw.search("TELEGRAPH").len(), bw.search("telegraph").len());
-    }
-
-    #[test]
-    fn build_is_parallelism_invariant() {
-        let corpus = corpus();
-        let serial = Bookworm::build(
-            &corpus,
-            &Facet::default(),
-            &JobConfig {
-                map_workers: 1,
-                reducers: 1,
-            },
-        );
-        let parallel = Bookworm::build(
-            &corpus,
-            &Facet::default(),
-            &JobConfig {
-                map_workers: 8,
-                reducers: 5,
-            },
-        );
-        assert_eq!(serial.trend("railway"), parallel.trend("railway"));
-        assert_eq!(
-            serial.search("telegraph").len(),
-            parallel.search("telegraph").len()
-        );
     }
 }

@@ -15,7 +15,7 @@
 //! threshold for fire, run as a real MapReduce job over the tiles on
 //! `osdc-mapreduce`, scored pixel-exactly against the injected truth.
 
-use osdc_mapreduce::{run_job, JobConfig};
+use osdc_mapreduce::run_job;
 use osdc_sim::SimRng;
 
 /// One synthetic Hyperion-like tile (three bands of a 242-band scene —
@@ -187,10 +187,9 @@ pub struct FloodReport {
 pub const FLOOD_TILE_FRACTION: f64 = 0.05;
 
 /// Run the flood/fire analytics over a scene as a MapReduce job.
-pub fn detect_floods(tiles: Vec<Tile>, config: &JobConfig) -> FloodReport {
+pub fn detect_floods(tiles: Vec<Tile>) -> FloodReport {
     let result = run_job(
         tiles,
-        config,
         |tile, emit| {
             let size = (tile.size * tile.size) as f64;
             let det = detect_tile(&tile);
@@ -291,7 +290,7 @@ mod tests {
     #[test]
     fn detector_is_near_exact_on_clean_synthetic_water() {
         let tiles = generate_scene(&SceneParams::default(), 42);
-        let report = detect_floods(tiles, &JobConfig::default());
+        let report = detect_floods(tiles);
         assert!(
             report.water_precision > 0.98,
             "precision {}",
@@ -304,7 +303,7 @@ mod tests {
     fn flooded_tiles_cluster_around_the_injected_center() {
         let params = SceneParams::default();
         let tiles = generate_scene(&params, 7);
-        let report = detect_floods(tiles, &JobConfig::default());
+        let report = detect_floods(tiles);
         assert!(!report.flooded_tiles.is_empty());
         // The flood center in tile coordinates.
         let n = params.tiles_per_side as f64;
@@ -326,7 +325,7 @@ mod tests {
             ..Default::default()
         };
         let tiles = generate_scene(&params, 3);
-        let report = detect_floods(tiles, &JobConfig::default());
+        let report = detect_floods(tiles);
         assert!(report.flooded_tiles.is_empty());
         assert!(report.fire_tiles.is_empty());
         assert_eq!(report.water_recall, 1.0, "vacuous recall on no water");
@@ -339,29 +338,8 @@ mod tests {
             ..Default::default()
         };
         let tiles = generate_scene(&params, 11);
-        let report = detect_floods(tiles, &JobConfig::default());
+        let report = detect_floods(tiles);
         assert!(!report.fire_tiles.is_empty(), "hotspots must be seen");
-    }
-
-    #[test]
-    fn parallelism_does_not_change_the_answer() {
-        let tiles = generate_scene(&SceneParams::default(), 5);
-        let serial = detect_floods(
-            tiles.clone(),
-            &JobConfig {
-                map_workers: 1,
-                reducers: 1,
-            },
-        );
-        let parallel = detect_floods(
-            tiles,
-            &JobConfig {
-                map_workers: 8,
-                reducers: 4,
-            },
-        );
-        assert_eq!(serial.flooded_tiles, parallel.flooded_tiles);
-        assert_eq!(serial.water_precision, parallel.water_precision);
     }
 
     #[test]

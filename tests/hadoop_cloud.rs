@@ -3,8 +3,7 @@
 //! departments under fair share, and survive a rack loss mid-workload.
 
 use osdc_mapreduce::{
-    run_fair_share, run_job, DataNodeId, Hdfs, JobConfig, JobSpec, TaskScheduler, BLOCK_SIZE,
-    M45_DEPARTMENTS,
+    run_fair_share, run_job, DataNodeId, Hdfs, JobSpec, TaskScheduler, BLOCK_SIZE, M45_DEPARTMENTS,
 };
 use osdc_sim::{SimDuration, SimTime};
 
@@ -52,7 +51,6 @@ fn stage_schedule_execute() {
         .collect();
     let result = run_job(
         records,
-        &JobConfig::default(),
         |rec, emit| {
             if let Some(domain) = rec.split('/').nth(2) {
                 emit(domain.to_string(), 1u64);
