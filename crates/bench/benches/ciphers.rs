@@ -2,14 +2,15 @@
 //!
 //! Table 3's encrypted rows are cipher-bound; `osdc-transfer` models the
 //! era's single-core ceilings (Blowfish ≈ 397 mbit/s, 3DES ≈ 291 mbit/s
-//! — see `CipherModel`). These benches measure *this* workspace's real
-//! implementations so the model constants can be sanity-checked against
-//! modern hardware (expect today's cores to be several times faster).
+//! — see `BLOWFISH_MBPS` and `TRIPLE_DES_MBPS` in its `session` module).
+//! These benches measure *this* workspace's real implementations so the
+//! model constants can be sanity-checked against modern hardware (expect
+//! today's cores to be several times faster).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use osdc_crypto::md5::{md5, md5_many};
 use osdc_crypto::modes::CtrStream;
-use osdc_crypto::{ecb_encrypt, BlockCipher64, Blowfish, TripleDes};
+use osdc_crypto::{BlockCipher64, Blowfish, TripleDes};
 use std::hint::black_box;
 
 const MB: usize = 1 << 20;
@@ -37,27 +38,27 @@ fn bench_block_ciphers(c: &mut Criterion) {
 }
 
 fn bench_batched(c: &mut Criterion) {
-    // The multi-block kernels behind `ecb_*`, CTR slab refill, and batched
-    // CBC decrypt (4-lane interleaved Blowfish / table-driven DES sweeps).
-    // `crates/crypto/tests/batched_equivalence.rs` pins them to the
-    // per-block path; this leg times them and keeps them under
-    // `cargo bench -- --test` smoke coverage.
+    // The multi-block kernels behind the CTR slab refill (Blowfish's
+    // AVX-512 and 4-lane kernels / table-driven DES sweeps), called
+    // directly on blocks. `crates/crypto/tests/batched_equivalence.rs`
+    // pins them to the per-block path; this leg times them and keeps them
+    // under `cargo bench -- --test` smoke coverage.
     let mut group = c.benchmark_group("cipher_batched");
-    let data = vec![0x5Au8; MB];
+    let blocks = vec![0x5A5A_5A5A_5A5A_5A5Au64; MB / 8];
     group.throughput(Throughput::Bytes(MB as u64));
     let bf = Blowfish::new(b"table3 benchmark key");
-    group.bench_function(BenchmarkId::new("blowfish_ecb", "1MiB"), |b| {
+    group.bench_function(BenchmarkId::new("blowfish_blocks", "1MiB"), |b| {
         b.iter(|| {
-            let mut buf = data.clone();
-            ecb_encrypt(&bf, &mut buf);
+            let mut buf = blocks.clone();
+            bf.encrypt_blocks_u64(&mut buf);
             buf
         })
     });
     let tdes = TripleDes::from_single(*b"rsync3ds");
-    group.bench_function(BenchmarkId::new("3des_ecb", "1MiB"), |b| {
+    group.bench_function(BenchmarkId::new("3des_blocks", "1MiB"), |b| {
         b.iter(|| {
-            let mut buf = data.clone();
-            ecb_encrypt(&tdes, &mut buf);
+            let mut buf = blocks.clone();
+            tdes.encrypt_blocks_u64(&mut buf);
             buf
         })
     });

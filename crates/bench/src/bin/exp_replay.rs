@@ -72,7 +72,7 @@ fn manifests_in(dir: &Path) -> Vec<PathBuf> {
 
 /// Re-run the manifest's harness in-process. The manifest's own args are
 /// replayed verbatim; its recorded worker count backstops harnesses
-/// whose args leave `--jobs` to the host default.
+/// whose args leave `--jobs` to the default of 1.
 fn rerun(spec: &HarnessSpec, manifest: &Manifest) -> CapturedRun {
     harness::run_captured(
         spec,

@@ -12,9 +12,9 @@
 //! seeds. Finishes with the §4.1 modENCODE disaster-recovery scenario.
 //!
 //! `--jobs <N>` runs the 60 campaign trials (3 configurations × 20
-//! seeds) on N workers of the deterministic parallel map (default:
-//! host parallelism). Each trial's seed is `SEED + trial` regardless of
-//! which worker runs it, so the tables are byte-identical for any N.
+//! seeds) on N workers of the deterministic parallel map (default: 1).
+//! Each trial's seed is `SEED + trial` regardless of which worker runs
+//! it, so the tables are byte-identical for any N.
 
 use osdc_storage::{BackupService, BrickId, FileData, GlusterVersion, Volume};
 
@@ -78,7 +78,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         (GlusterVersion::V3_3, false),
         (GlusterVersion::V3_3, true),
     ];
-    let jobs = ctx.jobs(osdc_sim::available_jobs());
+    let jobs = ctx.jobs();
     let trials = osdc_sim::run_indexed(
         jobs,
         configs

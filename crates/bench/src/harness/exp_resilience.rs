@@ -17,8 +17,7 @@
 //! Flags: `--quick` (shorter campaign, used by CI), `--trace <path>`
 //! (emit the telemetry JSONL artifact for the canonical cell),
 //! `--jobs <N>` (run the sweep cells on N workers of the deterministic
-//! parallel map — output is byte-identical for any N; default: host
-//! parallelism).
+//! parallel map — output is byte-identical for any N; default: 1).
 
 use osdc_chaos::{run_campaigns, CampaignConfig, RetryPolicy};
 use osdc_storage::GlusterVersion;
@@ -46,7 +45,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         if quick { "  [--quick]" } else { "" }
     );
 
-    let jobs = ctx.jobs(osdc_sim::available_jobs());
+    let jobs = ctx.jobs();
     let v31 = GlusterVersion::V3_1 {
         replica_drop_prob: 0.15,
     };

@@ -192,7 +192,7 @@ fn run_cell(
 
 pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     let quick = ctx.quick();
-    let jobs = ctx.jobs(osdc_sim::available_jobs());
+    let jobs = ctx.jobs();
 
     ctx.banner(
         "Experiment S2 (§2, §9)",

@@ -178,7 +178,7 @@ fn run_cell(
 
 pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     let quick = ctx.quick();
-    let jobs = ctx.jobs(osdc_sim::available_jobs());
+    let jobs = ctx.jobs();
 
     ctx.banner(
         "Experiment S1",

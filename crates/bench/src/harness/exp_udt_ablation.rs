@@ -14,8 +14,8 @@
 //!    bandwidth-delay products.
 //!
 //! `--jobs <N>` runs each sweep's cells on N workers of the deterministic
-//! parallel map (default: host parallelism); every cell is seeded by
-//! its grid position, so the tables are byte-identical for any N.
+//! parallel map (default: 1); every cell is seeded by its grid position,
+//! so the tables are byte-identical for any N.
 
 #![cfg_attr(
     not(test),
@@ -93,7 +93,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
     // Every cell of each sweep is an independent simulation whose inputs
     // are fixed by its grid position: run the cells on the parallel map,
     // then print the table rows in submission order.
-    let jobs = ctx.jobs(osdc_sim::available_jobs());
+    let jobs = ctx.jobs();
 
     // ---- 1. RTT sweep -------------------------------------------------------
     outln!(ctx, "RTT sweep (loss 0.9e-7, app cap 750 mbit/s):");

@@ -182,10 +182,10 @@ impl HarnessCtx {
     }
 
     /// The shared `--jobs <N>` worker count (recording the value used):
-    /// the flag, else the replay fallback, else `default`.
-    pub fn jobs(&mut self, default: usize) -> usize {
+    /// the flag, else the replay fallback, else 1.
+    pub fn jobs(&mut self) -> usize {
         let flag = *self.jobs_flag.as_ref().unwrap_or(&None);
-        let jobs = flag.or(self.jobs_fallback).unwrap_or(default).max(1);
+        let jobs = flag.or(self.jobs_fallback).unwrap_or(1).max(1);
         self.recorder.set_jobs(jobs);
         jobs
     }
@@ -552,10 +552,10 @@ mod tests {
     #[test]
     fn jobs_fallback_applies_only_without_flag() {
         let mut ctx = HarnessCtx::captured("x", vec!["--jobs=3".into()], Some(7));
-        assert_eq!(ctx.jobs(1), 3);
+        assert_eq!(ctx.jobs(), 3);
         let mut ctx = HarnessCtx::captured("x", vec![], Some(7));
-        assert_eq!(ctx.jobs(1), 7);
+        assert_eq!(ctx.jobs(), 7);
         let mut ctx = HarnessCtx::captured("x", vec![], None);
-        assert_eq!(ctx.jobs(5), 5);
+        assert_eq!(ctx.jobs(), 1);
     }
 }

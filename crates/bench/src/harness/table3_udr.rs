@@ -12,10 +12,10 @@
 //! ops report on stdout. Same-seed runs produce byte-identical artifacts.
 //!
 //! `--jobs <N>` runs the ten grid cells on N workers of the deterministic
-//! parallel map (default: host parallelism, `--jobs 1` = the serial
-//! path). Every cell's seed is fixed by its grid position, and telemetry
-//! shards are merged in submission order, so stdout and the `--trace`
-//! artifact are byte-identical for any N.
+//! parallel map (default: 1, the serial path). Every cell's seed is fixed
+//! by its grid position, and telemetry shards are merged in submission
+//! order, so stdout and the `--trace` artifact are byte-identical for
+//! any N.
 
 #![cfg_attr(
     not(test),
@@ -66,7 +66,7 @@ pub(crate) fn run(ctx: &mut HarnessCtx) -> RunResult {
         "overall transfer speeds (mbit/s) and LLR, Chicago ↔ Livermore, RTT 104 ms",
     );
     ctx.seed_line(SEED);
-    let jobs = ctx.jobs(osdc_sim::available_jobs());
+    let jobs = ctx.jobs();
     let tele = if ctx.trace_enabled() {
         Telemetry::new()
     } else {

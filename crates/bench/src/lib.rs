@@ -54,8 +54,8 @@ pub fn trace_path_from(args: &[String]) -> Result<Option<std::path::PathBuf>, St
 ///
 /// `N` is the worker count for the deterministic parallel map
 /// ([`osdc_sim::run_indexed`]); artifacts are byte-identical for any
-/// value. Absent the flag, harnesses default to the host's parallelism
-/// ([`osdc_sim::available_jobs`]).
+/// value. Absent the flag, a harness runs one worker (a replay, the
+/// count its manifest recorded).
 pub fn jobs_from(args: &[String]) -> Result<Option<usize>, String> {
     let parse = |s: &str| {
         s.parse::<usize>()

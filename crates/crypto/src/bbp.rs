@@ -1,8 +1,9 @@
 //! Bailey–Borwein–Plouffe hexadecimal digit extraction for π.
 //!
 //! Blowfish initializes its P-array and S-boxes with the first 8336
-//! fractional hexadecimal digits of π. Rather than embedding a thousand
-//! magic constants, we compute them. The BBP formula
+//! fractional hexadecimal digits of π. The cipher reads them from the
+//! embedded tables in `pi_tables.rs`; this module computes them from
+//! scratch, so a test can check every embedded word. The BBP formula
 //!
 //! ```text
 //! π = Σ_{k≥0} 16^{-k} ( 4/(8k+1) − 2/(8k+4) − 1/(8k+5) − 1/(8k+6) )

@@ -1,16 +1,17 @@
 //! Blowfish (Schneier, 1993) — the cipher UDR shipped with (§7.2).
 //!
 //! 64-bit block, 16 Feistel rounds, key-dependent S-boxes. The initial
-//! P-array/S-box constants are π's hex digits, produced by [`crate::bbp`]
-//! and cached in a process-wide `OnceLock`. Correctness is pinned by the
-//! published Eric Young test vectors below.
+//! P-array/S-box constants are π's hex digits, embedded as tables; the
+//! [`crate::bbp`] digit extractor recomputes them in a test. Correctness
+//! is pinned by the published Eric Young test vectors below.
 //!
-//! Batched encryption, the CTR keystream's path, sends each whole run of
-//! 64 blocks through an AVX-512 kernel where the running CPU has
+//! Only encryption is implemented: the CTR keystream is the one mode,
+//! and it never decrypts a block. Batched encryption sends each whole run
+//! of 64 blocks through an AVX-512 kernel where the running CPU has
 //! AVX-512F (checked at run time): 16 blocks per register, their S-box
 //! lookups done by 16-lane gathers. The rest, and everything on other
-//! CPUs, runs four blocks at a time, then one, as batched decryption
-//! always does. Every path gives the one-block bytes.
+//! CPUs, runs four blocks at a time, then one. Every path gives the
+//! one-block bytes.
 
 use crate::modes::BlockCipher64;
 use crate::pi_tables::{PI_P, PI_S};
@@ -83,20 +84,6 @@ impl Blowfish {
         (l, r)
     }
 
-    /// Decrypt one block given as two big-endian words.
-    #[inline]
-    pub fn decrypt_words(&self, mut l: u32, mut r: u32) -> (u32, u32) {
-        for i in (2..ROUNDS + 2).rev() {
-            l ^= self.p[i];
-            r ^= self.feistel(l);
-            std::mem::swap(&mut l, &mut r);
-        }
-        std::mem::swap(&mut l, &mut r);
-        r ^= self.p[1];
-        l ^= self.p[0];
-        (l, r)
-    }
-
     /// Run four independent blocks through the 16 rounds at once, the
     /// rounds' subkeys given two at a time, then whiten the output halves
     /// with `out_hi` and `out_lo`. Each Feistel round's four table lookups
@@ -148,13 +135,6 @@ impl Blowfish {
         let pairs = self.p[..ROUNDS].as_chunks::<2>().0.iter();
         let (hi, lo) = (self.p[ROUNDS + 1], self.p[ROUNDS]);
         self.rounds4(quad, pairs.map(|&[a, b]| (a, b)), hi, lo);
-    }
-
-    /// Four-lane decryption: the subkeys in reverse.
-    #[inline]
-    fn decrypt4(&self, quad: &mut [u64; 4]) {
-        let pairs = self.p[2..].as_chunks::<2>().0.iter().rev();
-        self.rounds4(quad, pairs.map(|&[a, b]| (b, a)), self.p[0], self.p[1]);
     }
 
     /// Encrypt every whole run of [`WIDE_BLOCKS`] blocks at the front of
@@ -280,11 +260,6 @@ impl BlockCipher64 for Blowfish {
         (l as u64) << 32 | r as u64
     }
 
-    fn decrypt_block_u64(&self, block: u64) -> u64 {
-        let (l, r) = self.decrypt_words((block >> 32) as u32, block as u32);
-        (l as u64) << 32 | r as u64
-    }
-
     fn encrypt_blocks_u64(&self, blocks: &mut [u64]) {
         let (quads, rest) = self.encrypt_wide(blocks).as_chunks_mut::<4>();
         for quad in quads {
@@ -292,16 +267,6 @@ impl BlockCipher64 for Blowfish {
         }
         for b in rest {
             *b = self.encrypt_block_u64(*b);
-        }
-    }
-
-    fn decrypt_blocks_u64(&self, blocks: &mut [u64]) {
-        let (quads, rest) = blocks.as_chunks_mut::<4>();
-        for quad in quads {
-            self.decrypt4(quad);
-        }
-        for b in rest {
-            *b = self.decrypt_block_u64(*b);
         }
     }
 }
@@ -351,35 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn published_vectors_decrypt() {
-        for (key, pt, ct) in VECTORS {
-            let bf = Blowfish::new(&key_bytes(key));
-            assert_eq!(
-                bf.decrypt_block_u64(hex_u64(ct)),
-                hex_u64(pt),
-                "key={key} ct={ct}"
-            );
-        }
-    }
-
-    #[test]
-    fn roundtrip_many_blocks() {
-        let bf = Blowfish::new(b"osdc wan transfer key");
-        let mut x = 0x0123_4567_89AB_CDEFu64;
-        for _ in 0..1000 {
-            let c = bf.encrypt_block_u64(x);
-            assert_eq!(bf.decrypt_block_u64(c), x);
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-        }
-    }
-
-    #[test]
     fn variable_key_lengths() {
-        for len in [1usize, 8, 16, 24, 56] {
-            let key = vec![0xABu8; len];
-            let bf = Blowfish::new(&key);
-            let c = bf.encrypt_block_u64(42);
-            assert_eq!(bf.decrypt_block_u64(c), 42);
+        // The key is XORed into the P-array cyclically, so a key of one
+        // repeated byte keys the same cipher at every accepted length.
+        let want = Blowfish::new(&[0xAB]).encrypt_block_u64(42);
+        for len in [8usize, 16, 24, 56] {
+            let bf = Blowfish::new(&vec![0xABu8; len]);
+            assert_eq!(bf.encrypt_block_u64(42), want, "key length {len}");
         }
     }
 
@@ -400,7 +343,7 @@ mod tests {
 
         /// The batched kernels (the AVX-512 one on whole runs of 64
         /// blocks where the CPU has it, then four lanes, then one) equal
-        /// the one-block reference, and batched decryption undoes them.
+        /// the one-block reference.
         #[test]
         fn batched_blocks_equal_per_block(
             key in prop::collection::vec(any::<u8>(), 1..57),
@@ -408,11 +351,9 @@ mod tests {
         ) {
             let bf = Blowfish::new(&key);
             let want: Vec<u64> = blocks.iter().map(|&b| bf.encrypt_block_u64(b)).collect();
-            let mut got = blocks.clone();
+            let mut got = blocks;
             bf.encrypt_blocks_u64(&mut got);
-            prop_assert_eq!(&got, &want);
-            bf.decrypt_blocks_u64(&mut got);
-            prop_assert_eq!(got, blocks);
+            prop_assert_eq!(got, want);
         }
     }
 

@@ -239,6 +239,12 @@ impl Des {
         Des { subkeys }
     }
 
+    /// Decrypt one block (the rounds with the subkeys in reverse): EDE3's
+    /// middle stage.
+    pub fn decrypt_block_u64(&self, block: u64) -> u64 {
+        self.crypt(block, true)
+    }
+
     /// The round function over the precomputed E/SPE tables: four lookups
     /// expand R, eight lookups fold S-boxes and P together.
     #[inline]
@@ -322,14 +328,8 @@ impl BlockCipher64 for Des {
     fn encrypt_block_u64(&self, block: u64) -> u64 {
         self.crypt(block, false)
     }
-    fn decrypt_block_u64(&self, block: u64) -> u64 {
-        self.crypt(block, true)
-    }
     fn encrypt_blocks_u64(&self, blocks: &mut [u64]) {
         self.crypt_blocks(blocks, false);
-    }
-    fn decrypt_blocks_u64(&self, blocks: &mut [u64]) {
-        self.crypt_blocks(blocks, true);
     }
 }
 
@@ -372,23 +372,12 @@ impl BlockCipher64 for TripleDes {
             .encrypt_block_u64(self.k2.decrypt_block_u64(self.k1.encrypt_block_u64(block)))
     }
 
-    fn decrypt_block_u64(&self, block: u64) -> u64 {
-        self.k1
-            .decrypt_block_u64(self.k2.encrypt_block_u64(self.k3.decrypt_block_u64(block)))
-    }
-
     /// Three interleaved sweeps instead of three serial DES calls per
     /// block — the EDE3 stages batch independently.
     fn encrypt_blocks_u64(&self, blocks: &mut [u64]) {
         self.k1.crypt_blocks(blocks, false);
         self.k2.crypt_blocks(blocks, true);
         self.k3.crypt_blocks(blocks, false);
-    }
-
-    fn decrypt_blocks_u64(&self, blocks: &mut [u64]) {
-        self.k3.crypt_blocks(blocks, true);
-        self.k2.crypt_blocks(blocks, false);
-        self.k1.crypt_blocks(blocks, true);
     }
 }
 
@@ -452,15 +441,29 @@ mod tests {
     }
 
     #[test]
-    fn ede3_roundtrip_distinct_keys() {
+    fn ede3_known_answer_with_distinct_keys() {
+        // NIST SP 800-67 Rev. 1, Appendix B: "The quick brown fox jump"
+        // under three distinct keys, one block at a time and batched.
         let mut key = [0u8; 24];
-        for (i, b) in key.iter_mut().enumerate() {
-            *b = (i as u8).wrapping_mul(37).wrapping_add(11);
+        for (chunk, k) in key.chunks_exact_mut(8).zip([
+            0x0123_4567_89AB_CDEFu64,
+            0x2345_6789_ABCD_EF01,
+            0x4567_89AB_CDEF_0123,
+        ]) {
+            chunk.copy_from_slice(&k.to_be_bytes());
         }
         let tdes = TripleDes::new(key);
-        for block in [0u64, 42, u64::MAX, 0xFEDC_BA98_7654_3210] {
-            assert_eq!(tdes.decrypt_block_u64(tdes.encrypt_block_u64(block)), block);
+        let vectors = [
+            (0x5468_6520_7175_6663, 0xA826_FD8C_E53B_855F),
+            (0x6B20_6272_6F77_6E20, 0xCCE2_1C81_1225_6FE6),
+            (0x666F_7820_6A75_6D70, 0x68D5_C05D_D9B6_B900),
+        ];
+        for (pt, ct) in vectors {
+            assert_eq!(tdes.encrypt_block_u64(pt), ct, "{pt:016X}");
         }
+        let mut batch = vectors.map(|(pt, _)| pt);
+        tdes.encrypt_blocks_u64(&mut batch);
+        assert_eq!(batch, vectors.map(|(_, ct)| ct));
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! actual ciphers from scratch:
 //!
 //! * [`blowfish::Blowfish`] — Schneier's Blowfish. The P-array and S-boxes
-//!   are the hexadecimal digits of π; instead of pasting 1042 magic words we
-//!   derive them at first use with the Bailey–Borwein–Plouffe digit-extraction
-//!   algorithm ([`bbp`]) and pin correctness with the published test vectors.
+//!   are the first 1042 words of π's hexadecimal digits, embedded as
+//!   tables; a test recomputes them with the Bailey–Borwein–Plouffe
+//!   digit-extraction algorithm ([`bbp`]), and the published test vectors
+//!   pin the cipher.
 //! * [`des::Des`] / [`des::TripleDes`] — FIPS 46-3 DES and EDE3 3DES (the
 //!   default cipher of the era's rsync-over-ssh, per §7.2).
 //! * [`md5`] — one-shot [`md5::md5`] and the batched [`md5::md5_many`]
@@ -16,8 +17,8 @@
 //!   algorithm in `osdc-transfer` as its strong block checksum and for
 //!   checksum-mode file lists (real rsync used MD4/MD5 depending on
 //!   version).
-//! * [`modes`] — ECB/CBC/CTR modes over any 64-bit block cipher, and PKCS#7
-//!   padding, so transfer sessions can encrypt realistic byte streams.
+//! * [`modes`] — counter mode over any 64-bit block cipher, so transfer
+//!   sessions and Tukey's channels encrypt realistic byte streams.
 //! * [`sha256::Sha256`] — FIPS 180-4 SHA-256; the scale harnesses pin
 //!   their invoice and notification streams with it so `--jobs`
 //!   byte-identity is checkable from a single printed digest, and every
@@ -70,7 +71,7 @@ pub mod sign;
 
 pub use blowfish::Blowfish;
 pub use des::{Des, TripleDes};
-pub use modes::{ecb_decrypt, ecb_encrypt, BlockCipher64, CbcEncryptor, CtrStream, Pkcs7};
+pub use modes::{BlockCipher64, CtrStream};
 pub use sha256::{sha256, sha256_hex, Sha256};
 pub use sign::{KeyId, Keyring, Signature, SignatureError, SigningKey};
 

@@ -1,160 +1,21 @@
-//! Block-cipher modes of operation over 64-bit block ciphers.
+//! Counter mode over 64-bit block ciphers.
 //!
-//! The transfer simulations encrypt realistic byte streams: rsync-over-ssh
-//! used CBC with PKCS#7-style padding, while UDR's Blowfish ran in a
-//! counter-style stream configuration. Both are provided, over any
-//! [`BlockCipher64`].
+//! Table 3's encrypted rows are UDR's Blowfish and rsync-over-ssh's 3DES.
+//! The model encrypts both the same way, by XORing a counter-mode
+//! keystream ([`CtrStream`]) over any [`BlockCipher64`]: ssh's `3des-cbc`
+//! chained its blocks, but counter mode runs the same block cipher per
+//! 8 bytes and keeps every payload's length. Decrypting is applying the
+//! same keystream again, so only the block ciphers' *encryption* runs.
 
 /// A cipher with a 64-bit block, keyed at construction.
 pub trait BlockCipher64 {
     fn encrypt_block_u64(&self, block: u64) -> u64;
-    fn decrypt_block_u64(&self, block: u64) -> u64;
 
-    /// Encrypt many *independent* blocks in place (ECB/CTR building
-    /// block). The default loops one block at a time; ciphers override it
-    /// with interleaved multi-block kernels that produce identical bytes
-    /// (pinned by `tests/batched_equivalence.rs`).
-    fn encrypt_blocks_u64(&self, blocks: &mut [u64]) {
-        for b in blocks {
-            *b = self.encrypt_block_u64(*b);
-        }
-    }
-
-    /// Decrypt many independent blocks in place; see
-    /// [`BlockCipher64::encrypt_blocks_u64`].
-    fn decrypt_blocks_u64(&self, blocks: &mut [u64]) {
-        for b in blocks {
-            *b = self.decrypt_block_u64(*b);
-        }
-    }
-
-    /// Encrypt an 8-byte block in place (big-endian convention).
-    fn encrypt_block(&self, block: &mut [u8; 8]) {
-        *block = self
-            .encrypt_block_u64(u64::from_be_bytes(*block))
-            .to_be_bytes();
-    }
-
-    /// Decrypt an 8-byte block in place.
-    fn decrypt_block(&self, block: &mut [u8; 8]) {
-        *block = self
-            .decrypt_block_u64(u64::from_be_bytes(*block))
-            .to_be_bytes();
-    }
-}
-
-/// Blocks per stack slab in the batched ECB/CBC kernels.
-const ECB_SLAB_BLOCKS: usize = 32;
-
-/// ECB encryption over a block-aligned byte buffer, `ECB_SLAB_BLOCKS`
-/// blocks per cipher call (big-endian block convention, identical bytes
-/// to a per-block loop). Panics if `data.len()` is not a multiple of 8.
-pub fn ecb_encrypt<C: BlockCipher64>(cipher: &C, data: &mut [u8]) {
-    ecb_apply(data, |slab| cipher.encrypt_blocks_u64(slab));
-}
-
-/// ECB decryption; the inverse of [`ecb_encrypt`].
-pub fn ecb_decrypt<C: BlockCipher64>(cipher: &C, data: &mut [u8]) {
-    ecb_apply(data, |slab| cipher.decrypt_blocks_u64(slab));
-}
-
-fn ecb_apply(data: &mut [u8], mut kernel: impl FnMut(&mut [u64])) {
-    assert!(
-        data.len().is_multiple_of(8),
-        "ECB needs block-aligned data, got {} bytes",
-        data.len()
-    );
-    let mut slab = [0u64; ECB_SLAB_BLOCKS];
-    for chunk in data.as_chunks_mut::<8>().0.chunks_mut(ECB_SLAB_BLOCKS) {
-        let n = chunk.len();
-        for (s, b) in slab[..n].iter_mut().zip(chunk.iter()) {
-            *s = u64::from_be_bytes(*b);
-        }
-        kernel(&mut slab[..n]);
-        for (s, b) in slab[..n].iter().zip(chunk.iter_mut()) {
-            *b = s.to_be_bytes();
-        }
-    }
-}
-
-/// PKCS#7 padding for 8-byte blocks.
-pub struct Pkcs7;
-
-impl Pkcs7 {
-    /// Pad `data` to a multiple of 8 bytes; always appends 1..=8 bytes.
-    pub fn pad(data: &mut Vec<u8>) {
-        let pad = 8 - data.len() % 8;
-        data.resize(data.len() + pad, pad as u8);
-    }
-
-    /// Strip and validate padding. Returns `None` on malformed padding.
-    pub fn unpad(data: &mut Vec<u8>) -> Option<()> {
-        let &last = data.last()?;
-        let pad = last as usize;
-        if pad == 0 || pad > 8 || pad > data.len() {
-            return None;
-        }
-        if !data[data.len() - pad..].iter().all(|&b| b == last) {
-            return None;
-        }
-        data.truncate(data.len() - pad);
-        Some(())
-    }
-}
-
-/// CBC encryption/decryption with PKCS#7 padding.
-pub struct CbcEncryptor<'c, C: BlockCipher64> {
-    cipher: &'c C,
-    iv: u64,
-}
-
-impl<'c, C: BlockCipher64> CbcEncryptor<'c, C> {
-    pub fn new(cipher: &'c C, iv: u64) -> Self {
-        CbcEncryptor { cipher, iv }
-    }
-
-    pub fn encrypt(&self, plaintext: &[u8]) -> Vec<u8> {
-        let mut data = plaintext.to_vec();
-        Pkcs7::pad(&mut data);
-        let mut prev = self.iv;
-        for chunk in data.as_chunks_mut::<8>().0 {
-            let block = u64::from_be_bytes(*chunk);
-            prev = self.cipher.encrypt_block_u64(block ^ prev);
-            *chunk = prev.to_be_bytes();
-        }
-        data
-    }
-
-    /// Returns `None` if the ciphertext length is not block-aligned or the
-    /// padding is invalid (i.e. wrong key/IV or corruption).
-    ///
-    /// Unlike encryption (inherently serial: each block's input chains on
-    /// the previous ciphertext), CBC decryption runs the cipher over
-    /// independent ciphertext blocks, so it batches through
-    /// [`BlockCipher64::decrypt_blocks_u64`] with the XOR chain applied
-    /// afterwards.
-    pub fn decrypt(&self, ciphertext: &[u8]) -> Option<Vec<u8>> {
-        if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(8) {
-            return None;
-        }
-        let mut data = ciphertext.to_vec();
-        let mut prev = self.iv;
-        for chunk in data.as_chunks_mut::<8>().0.chunks_mut(ECB_SLAB_BLOCKS) {
-            let n = chunk.len();
-            let mut ct = [0u64; ECB_SLAB_BLOCKS];
-            for (c, b) in ct[..n].iter_mut().zip(chunk.iter()) {
-                *c = u64::from_be_bytes(*b);
-            }
-            let mut slab = ct;
-            self.cipher.decrypt_blocks_u64(&mut slab[..n]);
-            for (i, b) in chunk.iter_mut().enumerate() {
-                *b = (slab[i] ^ prev).to_be_bytes();
-                prev = ct[i];
-            }
-        }
-        Pkcs7::unpad(&mut data)?;
-        Some(data)
-    }
+    /// Encrypt many *independent* blocks in place (the CTR keystream's
+    /// building block), with bytes identical to one
+    /// [`BlockCipher64::encrypt_block_u64`] call per block (pinned by
+    /// `tests/batched_equivalence.rs`).
+    fn encrypt_blocks_u64(&self, blocks: &mut [u64]);
 }
 
 /// Counter-mode keystream: encryption and decryption are the same XOR, so
@@ -182,9 +43,6 @@ pub struct CtrStream<'c, C: BlockCipher64> {
 pub const CTR_BATCH_BLOCKS: usize = 64;
 
 impl<'c, C: BlockCipher64> CtrStream<'c, C> {
-    /// Blocks generated per keystream refill.
-    pub const BATCH_BLOCKS: usize = CTR_BATCH_BLOCKS;
-
     pub fn new(cipher: &'c C, nonce: u64) -> Self {
         CtrStream {
             cipher,
@@ -240,79 +98,6 @@ impl<'c, C: BlockCipher64> CtrStream<'c, C> {
 mod tests {
     use super::*;
     use crate::blowfish::Blowfish;
-    use crate::des::TripleDes;
-
-    #[test]
-    fn pkcs7_roundtrip_all_lengths() {
-        for len in 0..=32usize {
-            let mut v: Vec<u8> = (0..len as u8).collect();
-            let orig = v.clone();
-            Pkcs7::pad(&mut v);
-            assert_eq!(v.len() % 8, 0);
-            assert!(v.len() > orig.len(), "padding always adds bytes");
-            Pkcs7::unpad(&mut v).expect("valid padding");
-            assert_eq!(v, orig);
-        }
-    }
-
-    #[test]
-    fn pkcs7_rejects_malformed() {
-        assert!(Pkcs7::unpad(&mut vec![]).is_none());
-        assert!(Pkcs7::unpad(&mut vec![0u8]).is_none()); // pad byte 0
-        assert!(Pkcs7::unpad(&mut vec![9u8]).is_none()); // pad byte > 8
-        assert!(Pkcs7::unpad(&mut vec![1, 2, 3, 3, 2]).is_none()); // inconsistent
-    }
-
-    #[test]
-    fn cbc_roundtrip_blowfish() {
-        let bf = Blowfish::new(b"session-key");
-        let cbc = CbcEncryptor::new(&bf, 0x0123_4567_89AB_CDEF);
-        for len in [0usize, 1, 7, 8, 9, 100, 1000] {
-            let pt: Vec<u8> = (0..len).map(|i| (i * 7 % 256) as u8).collect();
-            let ct = cbc.encrypt(&pt);
-            assert_ne!(ct, pt, "ciphertext must differ (len {len})");
-            assert_eq!(cbc.decrypt(&ct).expect("roundtrip"), pt);
-        }
-    }
-
-    #[test]
-    fn cbc_roundtrip_3des() {
-        let mut key = [0u8; 24];
-        for (i, b) in key.iter_mut().enumerate() {
-            *b = (i as u8).wrapping_mul(11).wrapping_add(3);
-        }
-        let tdes = TripleDes::new(key);
-        let cbc = CbcEncryptor::new(&tdes, 42);
-        let pt = b"The Design of a Community Science Cloud".to_vec();
-        let ct = cbc.encrypt(&pt);
-        assert_eq!(cbc.decrypt(&ct).expect("roundtrip"), pt);
-    }
-
-    #[test]
-    fn cbc_detects_wrong_iv_or_truncation() {
-        let bf = Blowfish::new(b"k");
-        let cbc = CbcEncryptor::new(&bf, 1);
-        let ct = cbc.encrypt(b"hello world, osdc");
-        assert!(cbc.decrypt(&ct[..ct.len() - 1]).is_none(), "unaligned");
-        // Wrong IV corrupts only the first block, which usually breaks
-        // padding only probabilistically; corrupt the final block instead.
-        let mut bad = ct.clone();
-        let n = bad.len();
-        bad[n - 1] ^= 0xFF;
-        // Either padding fails (None) or the plaintext differs.
-        if let Some(pt) = CbcEncryptor::new(&bf, 1).decrypt(&bad) {
-            assert_ne!(pt, b"hello world, osdc");
-        }
-    }
-
-    #[test]
-    fn cbc_identical_blocks_produce_distinct_ciphertext() {
-        let bf = Blowfish::new(b"k2");
-        let cbc = CbcEncryptor::new(&bf, 7);
-        let pt = vec![0u8; 32]; // four identical blocks
-        let ct = cbc.encrypt(&pt);
-        assert_ne!(&ct[0..8], &ct[8..16], "CBC must not leak block equality");
-    }
 
     #[test]
     fn ctr_is_symmetric() {

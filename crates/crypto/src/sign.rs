@@ -73,13 +73,6 @@ impl SigningKey {
         SigningKey { secret: md5(&buf) }
     }
 
-    /// Derive a key from a passphrase (operator-facing flows).
-    pub fn from_passphrase(passphrase: &str) -> Self {
-        SigningKey {
-            secret: md5(passphrase.as_bytes()),
-        }
-    }
-
     pub fn id(&self) -> KeyId {
         let mut buf = Vec::with_capacity(10 + 16);
         buf.extend_from_slice(b"osdc-keyid");
@@ -266,10 +259,6 @@ mod tests {
         let b = SigningKey::from_seed(2);
         assert_eq!(a.id(), SigningKey::from_seed(1).id());
         assert_ne!(a.id(), b.id());
-        assert_ne!(
-            SigningKey::from_passphrase("pw").id(),
-            SigningKey::from_passphrase("pw2").id()
-        );
     }
 
     #[test]

@@ -61,6 +61,6 @@ pub mod time;
 pub use engine::{Engine, Scheduler, Simulation};
 pub use retry::RetryPolicy;
 pub use rng::SimRng;
-pub use runner::{available_jobs, derive_seed, run_indexed};
+pub use runner::{derive_seed, run_indexed};
 pub use tenant::{TenantId, TenantInterner, TenantStore};
 pub use time::{SimDuration, SimTime};

@@ -36,8 +36,8 @@ pub use delta::{
 pub use filelist::{plan_sync, CheckMode, FileEntry, FileList, PlanAction};
 pub use rolling::{weak_checksum, RollingChecksum};
 pub use session::{
-    CipherModel, Protocol, TransferEngine, TransferError, TransferReport, TransferSpec,
-    DISK_READ_MBPS, DISK_WRITE_MBPS, RECEIVER_EFFICIENCY, SSH_CHANNEL_EFFICIENCY,
+    Protocol, TransferEngine, TransferError, TransferReport, TransferSpec, DISK_READ_MBPS,
+    DISK_WRITE_MBPS, RECEIVER_EFFICIENCY, SSH_CHANNEL_EFFICIENCY,
 };
 pub use sync_session::{sync_over_wan, SyncReport, Tree};
 pub use wire::WireCipher;

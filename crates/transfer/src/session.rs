@@ -18,8 +18,9 @@
 //!   calibrate that receiver efficiency to the paper's own measurement:
 //!   `752 / 1136 ≈ 0.66` ([`RECEIVER_EFFICIENCY`]);
 //! * ciphers cap the payload rate at era single-core speeds
-//!   ([`CipherModel`]), measurable against this workspace's real
-//!   implementations with `cargo bench -p osdc-bench --bench ciphers`;
+//!   (`BLOWFISH_MBPS`, `TRIPLE_DES_MBPS`), measurable against this
+//!   workspace's real implementations with `cargo bench -p osdc-bench
+//!   --bench ciphers`;
 //! * rsync's *encrypted* rows ride inside an ssh channel whose bounded
 //!   flow-control window throttles goodput on high-BDP paths
 //!   ([`SSH_CHANNEL_EFFICIENCY`]). Unencrypted rsync (rsync daemon /
@@ -43,31 +44,20 @@ pub const RECEIVER_EFFICIENCY: f64 = 0.66;
 /// Goodput fraction surviving ssh channel windowing + framing on a
 /// high-BDP path (encrypted rsync rows only).
 pub const SSH_CHANNEL_EFFICIENCY: f64 = 0.70;
+/// Era-calibrated single-core Blowfish ceiling, mbit/s (a 2012 Xeon
+/// core: ≈ 50 MB/s).
+const BLOWFISH_MBPS: f64 = 397.0;
+/// The same for 3DES (≈ 36 MB/s).
+const TRIPLE_DES_MBPS: f64 = 291.0;
+/// Per-file protocol chatter: request/response exchanges per file.
+const PER_FILE_RTTS: f64 = 1.0;
 
-/// Era-calibrated single-core cipher throughput ceilings, mbit/s.
-#[derive(Clone, Copy, Debug)]
-pub struct CipherModel {
-    pub blowfish_mbps: f64,
-    pub triple_des_mbps: f64,
-}
-
-impl Default for CipherModel {
-    fn default() -> Self {
-        // 2012 Xeon, one core: Blowfish ≈ 50 MB/s, 3DES ≈ 36 MB/s.
-        CipherModel {
-            blowfish_mbps: 397.0,
-            triple_des_mbps: 291.0,
-        }
-    }
-}
-
-impl CipherModel {
-    pub fn cap_mbps(&self, cipher: CipherKind) -> f64 {
-        match cipher {
-            CipherKind::None => f64::INFINITY,
-            CipherKind::Blowfish => self.blowfish_mbps,
-            CipherKind::TripleDes => self.triple_des_mbps,
-        }
+/// The payload ceiling `cipher` imposes, mbit/s.
+fn cipher_cap_mbps(cipher: CipherKind) -> f64 {
+    match cipher {
+        CipherKind::None => f64::INFINITY,
+        CipherKind::Blowfish => BLOWFISH_MBPS,
+        CipherKind::TripleDes => TRIPLE_DES_MBPS,
     }
 }
 
@@ -155,9 +145,6 @@ pub struct TransferReport {
 /// Runs transfers over a shared [`FluidNet`].
 pub struct TransferEngine {
     pub net: FluidNet,
-    pub cipher_model: CipherModel,
-    /// Per-file protocol chatter (one request/response exchange per file).
-    pub per_file_rtts: f64,
     tele: Telemetry,
 }
 
@@ -165,8 +152,6 @@ impl TransferEngine {
     pub fn new(net: FluidNet) -> Self {
         TransferEngine {
             net,
-            cipher_model: CipherModel::default(),
-            per_file_rtts: 1.0,
             tele: Telemetry::disabled(),
         }
     }
@@ -181,13 +166,11 @@ impl TransferEngine {
         self.tele = tele;
     }
 
-    /// Static payload ceiling for a protocol/cipher combination, mbit/s
-    /// (everything except transport dynamics).
-    pub fn pipeline_cap_mbps(&self, protocol: Protocol, cipher: CipherKind) -> f64 {
+    /// Static payload ceiling for a cipher, mbit/s (everything except
+    /// transport dynamics; both tools share the disk and cipher stages).
+    pub fn pipeline_cap_mbps(cipher: CipherKind) -> f64 {
         let disk = DISK_READ_MBPS.min(DISK_WRITE_MBPS * RECEIVER_EFFICIENCY);
-        let cipher_cap = self.cipher_model.cap_mbps(cipher);
-        let _ = protocol; // both tools share the disk/cipher stages
-        disk.min(cipher_cap)
+        disk.min(cipher_cap_mbps(cipher))
     }
 
     /// The goodput multiplier the transport wrapper imposes on wire rate.
@@ -236,7 +219,7 @@ impl TransferEngine {
             .ok_or_else(no_route)?;
         let rtt = (topo.path_delay(&path) + topo.path_delay(&back)).as_secs_f64();
         let factor = Self::goodput_factor(spec.protocol, spec.cipher);
-        let payload_cap_bps = self.pipeline_cap_mbps(spec.protocol, spec.cipher) * 1e6;
+        let payload_cap_bps = Self::pipeline_cap_mbps(spec.cipher) * 1e6;
         // The flow models *wire* bytes: payload inflated by the wrapper
         // overhead, rate-capped so that payload never exceeds the pipeline.
         let wire_bytes = (spec.bytes as f64 / factor) as u64;
@@ -275,8 +258,7 @@ impl TransferEngine {
             });
         };
         // Protocol chatter: file-list walk and per-file round trips.
-        let chatter =
-            SimDuration::from_secs_f64(rtt * (1.0 + self.per_file_rtts * spec.files as f64));
+        let chatter = SimDuration::from_secs_f64(rtt * (1.0 + PER_FILE_RTTS * spec.files as f64));
         let duration = done.saturating_since(start) + chatter;
         let mbps = spec.bytes as f64 * 8.0 / duration.as_secs_f64() / 1e6;
         audit::check!(
@@ -293,7 +275,7 @@ impl TransferEngine {
             // need at its ceiling. The wire stage is the measured transport
             // time; the delta stage is the rsync-algorithm chatter.
             let payload_bits = spec.bytes as f64 * 8.0;
-            let cipher_secs = payload_bits / (self.cipher_model.cap_mbps(spec.cipher) * 1e6);
+            let cipher_secs = payload_bits / (cipher_cap_mbps(spec.cipher) * 1e6);
             let root = self.tele.span_start(
                 &format!("transfer/{}/{}", spec.protocol.label(), spec.cipher),
                 start,

@@ -40,11 +40,6 @@ impl WireCipher {
         WireCipher { keyed }
     }
 
-    /// True when payloads are actually transformed.
-    pub fn is_real(&self) -> bool {
-        !matches!(self.keyed, Keyed::None)
-    }
-
     /// Encrypt — or, CTR being symmetric, decrypt — one payload in place.
     /// Each payload must use a distinct `nonce`.
     pub fn apply(&self, nonce: u64, data: &mut [u8]) {
@@ -77,7 +72,6 @@ mod tests {
     #[test]
     fn none_is_identity() {
         let wc = WireCipher::new(CipherKind::None, b"k");
-        assert!(!wc.is_real());
         let mut data = b"payload".to_vec();
         wc.apply(7, &mut data);
         assert_eq!(data, b"payload");
@@ -87,7 +81,6 @@ mod tests {
     fn real_ciphers_roundtrip_and_transform() {
         for kind in [CipherKind::Blowfish, CipherKind::TripleDes] {
             let wc = WireCipher::new(kind, b"session key material");
-            assert!(wc.is_real());
             let orig: Vec<u8> = (0..1013).map(|i| (i % 251) as u8).collect();
             let mut data = orig.clone();
             wc.apply(3, &mut data);
